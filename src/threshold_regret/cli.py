@@ -391,6 +391,17 @@ def _render_chernoff(payload, fmt):
     return "\n".join(lines) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_int(overrides, key, default):
+    value = overrides.get(key, default)
+    if not _is_int(value):
+        raise ValidationError(f"--config {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _load_simulate_config(args):
     overrides = {}
     if args.config is not None:
@@ -401,6 +412,8 @@ def _load_simulate_config(args):
             raise ValidationError(f"cannot read --config {args.config}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ValidationError(f"--config {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(overrides, dict):
+            raise ValidationError(f"--config {args.config} must hold a JSON object")
     model_id = str(overrides.get("model", args.model))
     if isinstance(overrides.get("model"), dict):
         spec = overrides["model"]
@@ -414,19 +427,31 @@ def _load_simulate_config(args):
             )
         except KeyError as exc:
             raise ValidationError(f"--config model is missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"--config model has a non-numeric field: {exc}") from None
     else:
         dgp = _model_by_id(model_id)
     n_list = overrides.get("n") or _parse_n_list(args.n)
-    reps = int(overrides.get("reps", args.reps))
-    seed = int(overrides.get("seed", args.seed))
-    estimators = tuple(overrides.get("estimators", ("ewm", "swm_infeasible", "swm_feasible")))
-    jobs = int(overrides.get("jobs", args.jobs))
+    if _is_int(n_list):
+        n_list = (n_list,)
+    if not (isinstance(n_list, (list, tuple)) and all(_is_int(n) for n in n_list)):
+        raise ValidationError(f"--config 'n' must be an integer or a list of integers, got {n_list!r}")
+    reps = _config_int(overrides, "reps", args.reps)
+    seed = _config_int(overrides, "seed", args.seed)
+    estimators = overrides.get("estimators", ("ewm", "swm_infeasible", "swm_feasible"))
+    if isinstance(estimators, str):
+        estimators = (estimators,)
+    if not (isinstance(estimators, (list, tuple)) and all(isinstance(e, str) for e in estimators)):
+        raise ValidationError(
+            f"--config 'estimators' must be a name or a list of names, got {estimators!r}"
+        )
+    jobs = _config_int(overrides, "jobs", args.jobs)
     return ExperimentConfig(
         models=(dgp,),
-        n_list=tuple(int(n) for n in n_list),
+        n_list=tuple(n_list),
         replications=reps,
         seed=seed,
-        estimators=estimators,
+        estimators=tuple(estimators),
         jobs=jobs,
     )
 

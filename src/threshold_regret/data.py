@@ -163,12 +163,17 @@ class IpwScores:
         self.x_sorted_order.setflags(write=False)
 
 
-def ipw_scores(sample: Sample) -> IpwScores:
+def _ipw_g(sample: Sample) -> np.ndarray:
     """Per-unit IPW score ``g_i = d_i y_i / p_i - (1 - d_i) y_i / (1 - p_i)``."""
     y, d, p = sample.y, sample.d, sample.propensity
-    g = d * y / p - (1.0 - d) * y / (1.0 - p)
+    return d * y / p - (1.0 - d) * y / (1.0 - p)
+
+
+def ipw_scores(sample: Sample) -> IpwScores:
+    """Per-unit IPW scores plus the stable order of x; callers that need only
+    the scores use :func:`_ipw_g` and skip the sort."""
     order = np.argsort(sample.x, kind="stable")
-    return IpwScores(g=g, x_sorted_order=order)
+    return IpwScores(g=_ipw_g(sample), x_sorted_order=order)
 
 
 def empirical_welfare(sample: Sample, t: float) -> float:

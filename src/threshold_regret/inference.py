@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import erfinv
 
 from .chernoff import ChernoffTable, chernoff_quantile
-from .data import Sample
+from .data import Sample, _ipw_g
 from .errors import NumericError, ValidationError
 from .ewm import ThresholdEstimate
 from .kernels import Kernel
@@ -64,6 +64,14 @@ class ConfidenceInterval:
             raise ValidationError(f"level must lie in (0, 1), got {self.level}")
 
 
+def _require_positive_slope(h_hat: float) -> None:
+    if h_hat <= 0:
+        raise NumericError(
+            f"H_hat = {h_hat} is not positive: the estimated welfare slope is "
+            "inconsistent with an interior maximum"
+        )
+
+
 def ewm_ci(
     sample: Sample,
     estimate: ThresholdEstimate,
@@ -74,11 +82,7 @@ def ewm_ci(
     """Plug-in interval t_hat +- n^(-1/3) (2 sqrt(K_hat) / H_hat)^(2/3) c_{alpha/2}."""
     if estimate.policy_kind != "ewm":
         raise ValidationError(f"ewm_ci needs an ewm estimate, got {estimate.policy_kind!r}")
-    if nuisance.h_hat <= 0:
-        raise NumericError(
-            f"H_hat = {nuisance.h_hat} is not positive: the estimated welfare slope is "
-            "inconsistent with an interior maximum"
-        )
+    _require_positive_slope(nuisance.h_hat)
     if nuisance.k_hat < 0:
         raise NumericError(f"K_hat = {nuisance.k_hat} is negative")
     alpha = 1.0 - level
@@ -181,12 +185,11 @@ def ewm_bootstrap(
         raise ValidationError(f"n_boot must be >= 200, got {n_boot}")
     if not math.isfinite(h_hat):
         raise ValidationError(f"h_hat must be finite, got {h_hat}")
+    _require_positive_slope(h_hat)
     if estimate.policy_kind != "ewm":
         raise ValidationError(f"ewm_bootstrap needs an ewm estimate, got {estimate.policy_kind!r}")
     n = sample.n
-    from .data import ipw_scores  # local import avoids a cycle at module load
-
-    g = ipw_scores(sample).g
+    g = _ipw_g(sample)
     breaks = np.unique(sample.x)
     if len(breaks) < 2:
         raise ValidationError("bootstrap needs at least two distinct index values")
@@ -237,11 +240,7 @@ def swm_ci(
         raise ValidationError("estimate has no recorded bandwidth")
     if mode not in ("bias_corrected", "undersmoothed"):
         raise ValidationError(f"mode must be 'bias_corrected' or 'undersmoothed', got {mode!r}")
-    if nuisance.h_hat <= 0:
-        raise NumericError(
-            f"H_hat = {nuisance.h_hat} is not positive: the estimated welfare slope is "
-            "inconsistent with an interior maximum"
-        )
+    _require_positive_slope(nuisance.h_hat)
     if nuisance.k_hat < 0:
         raise NumericError(f"K_hat = {nuisance.k_hat} is negative")
     sigma_n = estimate.bandwidth

@@ -7,6 +7,9 @@ two moment constants that drive the smoothed estimator's asymptotics:
     alpha1 = integral of zeta^h * k'(zeta)   (bias moment)
     alpha2 = integral of k'(zeta)^2          (roughness)
 
+and ``k2_sup``, a bound on sup |k''| that lets the SWM optimizer screen its
+coarse grid with a binned approximation of provable accuracy.
+
 The shipped kernel is the standard normal CDF (order h = 2); higher-order
 kernels are supported by the type but none is shipped.
 """
@@ -30,7 +33,13 @@ def norm_pdf(z):
 
 @dataclass(frozen=True)
 class Kernel:
-    """CDF-like smoothing weight with derivatives and moment constants."""
+    """CDF-like smoothing weight with derivatives and moment constants.
+
+    ``k2_sup`` bounds sup |k''|; with a finite value the kernel must also be
+    non-decreasing (a CDF), which the grid screen in :func:`fit_swm` relies
+    on for its tail bounds.  The default ``inf`` disables the screen, so
+    every coarse-grid point is evaluated exactly.
+    """
 
     k: Callable[[np.ndarray], np.ndarray]
     k1: Callable[[np.ndarray], np.ndarray]
@@ -38,6 +47,7 @@ class Kernel:
     h: int
     alpha1: float
     alpha2: float
+    k2_sup: float = math.inf
 
     def __post_init__(self):
         if self.h < 2:
@@ -48,7 +58,8 @@ def gaussian_cdf_kernel() -> Kernel:
     """Standard normal CDF kernel, order 2.
 
     k' is the normal density phi and k''(z) = -z phi(z); alpha1 = 1 (the
-    second moment of phi) and alpha2 = 1 / (2 sqrt(pi)) = 0.28209479...
+    second moment of phi), alpha2 = 1 / (2 sqrt(pi)) = 0.28209479... and
+    sup |k''| = phi(1) = 0.24197072..., attained at z = +-1.
     """
     return Kernel(
         k=ndtr,
@@ -57,4 +68,5 @@ def gaussian_cdf_kernel() -> Kernel:
         h=2,
         alpha1=1.0,
         alpha2=1.0 / (2.0 * math.sqrt(math.pi)),
+        k2_sup=math.exp(-0.5) / math.sqrt(2.0 * math.pi),
     )

@@ -43,7 +43,6 @@ __all__ = [
     "MODEL2",
     "ESTIMATORS",
     "draw_sample",
-    "closed_form_welfare",
     "ExperimentConfig",
     "EstimatorSummary",
     "ExperimentResult",
@@ -104,10 +103,6 @@ class Dgp:
 
 MODEL1 = Dgp(name="model1", gamma=1.0, beta1=1.0, beta2=-0.5, p=0.5)
 MODEL2 = Dgp(name="model2", gamma=3.0, beta1=0.5, beta2=-1.0, p=0.5)
-
-
-def closed_form_welfare(dgp: Dgp, t: float) -> float:
-    return dgp.welfare(t)
 
 
 def draw_sample(dgp: Dgp, n: int, seed) -> Sample:
@@ -189,14 +184,13 @@ def _rep_seed(master: int, model_idx: int, n: int, rep: int) -> np.random.SeedSe
 
 
 def _run_one_rep(args):
-    """One replication; returns (rep, {estimator: regret or nan}, fallbacks, failures)."""
+    """One replication; returns (rep, {estimator: regret or nan}, fallbacks)."""
     dgp, model_idx, n, rep, master_seed, estimators = args
     kernel = gaussian_cdf_kernel()
     sample = draw_sample(dgp, n, _rep_seed(master_seed, model_idx, n, rep))
     space = default_space(sample)
     out: dict[str, float] = {}
     fallbacks = 0
-    failures = 0
     t_ewm = None
     try:
         est_ewm = fit_ewm(sample, space)
@@ -204,7 +198,6 @@ def _run_one_rep(args):
         if "ewm" in estimators:
             out["ewm"] = regret(dgp.welfare, dgp.t_star, est_ewm.t_hat)
     except ThresholdRegretError:
-        failures += 1
         if "ewm" in estimators:
             out["ewm"] = math.nan
     if "swm_infeasible" in estimators:
@@ -213,7 +206,6 @@ def _run_one_rep(args):
             est = fit_swm(sample, kernel, LambdaRate(lam_true), space)
             out["swm_infeasible"] = regret(dgp.welfare, dgp.t_star, est.t_hat)
         except ThresholdRegretError:
-            failures += 1
             out["swm_infeasible"] = math.nan
     if "swm_feasible" in estimators:
         try:
@@ -223,9 +215,8 @@ def _run_one_rep(args):
                 fallbacks += 1
             out["swm_feasible"] = regret(dgp.welfare, dgp.t_star, est.t_hat)
         except ThresholdRegretError:
-            failures += 1
             out["swm_feasible"] = math.nan
-    return rep, out, fallbacks, failures
+    return rep, out, fallbacks
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -249,10 +240,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 results = [_run_one_rep(t) for t in tasks]
             per_est = {est: np.full(config.replications, np.nan) for est in config.estimators}
             fallbacks = 0
-            failures = 0
-            for rep, out, fb, fl in results:
+            for rep, out, fb in results:
                 fallbacks += fb
-                failures += fl
                 for est, value in out.items():
                     per_est[est][rep] = value
             for est in config.estimators:

@@ -231,3 +231,41 @@ def test_config_file_drives_simulate(tmp_path, capsys):
     assert payload["config"]["reps"] == 10
     assert payload["config"]["seed"] == 3
     assert {c["estimator"] for c in payload["cells"]} == {"ewm"}
+
+
+def _simulate_with_config(tmp_path, overrides):
+    cfg = tmp_path / "cfg.json"
+    base = {"model": 1, "n": [150], "reps": 10, "seed": 3, "estimators": ["ewm"]}
+    cfg.write_text(json.dumps({**base, **overrides}))
+    return run_cli(["simulate", "--config", str(cfg), "--format", "json", "--jobs", "1"] + SMALL_TABLE)
+
+
+def test_config_scalar_n_is_one_sample_size(tmp_path, capsys):
+    assert _simulate_with_config(tmp_path, {"n": 150}) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["n"] == "150"
+
+
+def test_config_string_estimators_is_one_name(tmp_path, capsys):
+    assert _simulate_with_config(tmp_path, {"estimators": "ewm"}) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["estimators"] == "ewm"
+    assert {c["estimator"] for c in payload["cells"]} == {"ewm"}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"reps": "abc"},
+        {"reps": 2.5},
+        {"seed": None},
+        {"jobs": True},
+        {"n": "150"},
+        {"n": [150, "x"]},
+        {"estimators": 3},
+        {"model": {"gamma": "wide", "beta1": 1, "beta2": 0, "p": 0.5}},
+    ],
+)
+def test_config_bad_values_are_validation_errors(tmp_path, capsys, overrides):
+    assert _simulate_with_config(tmp_path, overrides) == 1
+    assert capsys.readouterr().err.startswith("error: --config")

@@ -101,6 +101,14 @@ def test_bootstrap_minimum_replicates():
         ewm_bootstrap(s, est, h_hat=0.4, n_boot=100, seed=1)
 
 
+@pytest.mark.parametrize("h_hat", [-0.4, 0.0])
+def test_bootstrap_rejects_nonpositive_curvature(h_hat):
+    s = draw_sample(MODEL1, 500, 7)
+    est = fit_ewm(s)
+    with pytest.raises(NumericError, match="H_hat"):
+        ewm_bootstrap(s, est, h_hat=h_hat, n_boot=200, seed=1)
+
+
 def test_bootstrap_percentile_interval_brackets_estimate():
     s = draw_sample(MODEL1, 600, 12)
     est = fit_ewm(s)

@@ -50,6 +50,14 @@ def test_alpha1_matches_quadrature(kernel):
     assert kernel.alpha1 == 1.0
 
 
+def test_k2_sup_bounds_second_derivative_and_is_attained(kernel):
+    z = np.linspace(-12.0, 12.0, 2_400_001)
+    # a few ulps of slack for the rounding in evaluating k2 itself
+    assert float(np.max(np.abs(kernel.k2(z)))) <= kernel.k2_sup * (1.0 + 4.0 * np.finfo(float).eps)
+    np.testing.assert_allclose(np.abs(kernel.k2(np.array([-1.0, 1.0]))), kernel.k2_sup, rtol=1e-15)
+    assert kernel.k2_sup == pytest.approx(0.24197072451914337, rel=1e-15)
+
+
 def test_moments_positive(kernel):
     assert kernel.alpha1 > 0 and kernel.alpha2 > 0
     assert kernel.h == 2

@@ -1,7 +1,13 @@
+import dataclasses
+import importlib.util
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_regret.data import ParamSpace, Sample, default_space, empirical_welfare
 from threshold_regret.errors import ValidationError
@@ -9,10 +15,13 @@ from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1, draw_sample
 from threshold_regret.nuisance import estimate_khA
 from threshold_regret.swm import (
+    _GRID_CAP,
     FixedBandwidth,
     LambdaRate,
     PlugInOptimal,
     Undersmoothed,
+    _grid_candidates,
+    _objective_on_grid,
     fit_swm,
     smoothed_objective,
     smoothed_objective_derivative,
@@ -184,3 +193,95 @@ def test_infeasible_optimal_mse_consistent_with_normal_limit():
         errs.append(est.t_hat**2)
     mse = float(np.mean(errs))
     assert theory / 2.0 < mse < theory * 2.0
+
+
+# --- screened coarse grid ------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _full_and_screened(g, x, kernel, sigma, space):
+    """Exact values on the whole coarse grid, and the index the screen picks."""
+    n_pts = max(201, min(int(math.ceil(space.width / sigma)) * 4, _GRID_CAP))
+    ts = np.linspace(space.lo, space.hi, n_pts)
+    full = _objective_on_grid(g, x, kernel, sigma, ts)
+    cand = _grid_candidates(g, x, kernel, sigma, space, n_pts)
+    return full, cand, int(cand[np.argmax(_objective_on_grid(g, x, kernel, sigma, ts[cand]))])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 17, 90]),
+    sigma=st.sampled_from([1e-5, 3e-3, 0.08, 0.6, 5.0, 1e4]),
+    ties=st.booleans(),
+    outlier=st.sampled_from([None, -1e4, 300.0]),
+    narrow=st.booleans(),
+    heavy=st.booleans(),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_screened_grid_argmax_matches_full_exact_grid(seed, n, sigma, ties, outlier, narrow, heavy):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    if ties:
+        x = np.round(x, 1)
+    if outlier is not None:
+        x[0] = outlier
+    g = rng.standard_cauchy(n) if heavy else rng.normal(size=n)
+    if narrow:
+        space = ParamSpace(-0.3, 0.4)
+    else:
+        eps = 0.05 * (x.max() - x.min()) or 0.5
+        space = ParamSpace(x.min() - eps, x.max() + eps)
+    full, _, best = _full_and_screened(g, x, KERNEL, sigma, space)
+    tol = 1e-12 * float(np.sum(np.abs(g))) / n
+    second, first = np.sort(full)[-2:]
+    if first - second > tol:
+        assert best == int(np.argmax(full))
+    else:
+        assert full[best] >= first - tol
+
+
+def test_screen_keeps_a_near_tie_that_binning_misorders():
+    """Two bumps on [0, 1] with sigma = 40 sub-cells: the first has its rows on
+    bin nodes (binned exactly), the second mid-cell (binned low by about 4e-5)
+    but is higher by 7e-9, so the binned values alone pick the wrong bump."""
+    sigma, sub = 0.05, 1.0 / 800.0
+    h1 = KERNEL.k(1.0) - KERNEL.k(-1.0)
+    h2 = KERNEL.k(40.5 / 40.0) - KERNEL.k(-40.5 / 40.0)
+    s2 = h1 / h2 * (1.0 + 1e-8)
+    x = np.array([0.25 - 40 * sub, 0.25 + 40 * sub, 0.75 - 40.5 * sub, 0.75 + 40.5 * sub])
+    g = np.array([-1.0, 1.0, -s2, s2])
+    full, cand, best = _full_and_screened(g, x, KERNEL, sigma, ParamSpace(0.0, 1.0))
+    assert len(full) == 201 and int(np.argmax(full)) == 150
+    assert full[150] - full[50] > 1e-9
+    assert 50 in cand and best == 150
+
+
+def test_screen_keeps_few_candidates_on_benchmark_samples():
+    lam = KERNEL.alpha2 * MODEL1.K / (2.0 * KERNEL.h * MODEL1.A**2)
+    for n in (500, 3000):
+        s = draw_sample(MODEL1, n, 5)
+        g = s.d * s.y / s.propensity - (1 - s.d) * s.y / (1 - s.propensity)
+        full, cand, best = _full_and_screened(g, s.x, KERNEL, (lam / n) ** 0.2, default_space(s))
+        assert best == int(np.argmax(full))
+        assert len(cand) <= 12
+
+
+def test_infinite_k2_sup_evaluates_the_full_exact_grid():
+    s = draw_sample(MODEL1, 500, 6)
+    g = s.d * s.y / s.propensity - (1 - s.d) * s.y / (1 - s.propensity)
+    space = default_space(s)
+    unbounded = dataclasses.replace(KERNEL, k2_sup=math.inf)
+    np.testing.assert_array_equal(_grid_candidates(g, s.x, unbounded, 0.3, space, 201), np.arange(201))
+    for rule in (FixedBandwidth(0.05), LambdaRate(2.8)):
+        assert fit_swm(s, unbounded, rule, space) == fit_swm(s, KERNEL, rule, space)
+
+
+def test_fit_swm_reproduces_pinned_outputs():
+    """Bit-for-bit outputs recorded by scripts/pin_swm_outputs.py."""
+    spec = importlib.util.spec_from_file_location("pin_swm_outputs", ROOT / "scripts" / "pin_swm_outputs.py")
+    pin = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pin)
+    with open(ROOT / "tests" / "data" / "swm_pinned.json") as fh:
+        pinned = json.load(fh)["cases"]
+    assert pin.pinned_results() == pinned
