@@ -10,12 +10,18 @@ grid point maximizing B(r) - r^2.
 
 Paths are generated in fixed-size blocks, each block seeded independently
 from (seed, block index), so a table is bit-for-bit reproducible from its
-seed regardless of how many workers generated it.
+seed regardless of how many workers generated it.  A block is worked
+through in strips of a few dozen paths that reuse one increment buffer and
+one wing buffer, so memory is bounded by those strip buffers (about 3 MB,
+or one path when a path is larger), not by the block.  The generator
+draws value by value, so the strips reproduce the draws of the whole
+block taken at once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -30,6 +36,9 @@ __all__ = ["ChernoffTable", "simulate_chernoff", "chernoff_quantile", "DEFAULT_C
 DEFAULT_CHERNOFF_SEED = 7
 
 _BLOCK = 1000
+# byte size of one strip of increments: a few dozen paths at the default grid,
+# small enough that the strip and its wing buffer stay in cache
+_STRIP_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -54,17 +63,31 @@ class ChernoffTable:
 def _simulate_block(args) -> np.ndarray:
     seed, block_index, n_paths, m, step = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
-    increments = rng.standard_normal((n_paths, 2 * m)) * math.sqrt(step)
     r = np.arange(1, m + 1) * step
     penalty = r * r
-    right = np.cumsum(increments[:, :m], axis=1) - penalty
-    left = np.cumsum(increments[:, m:], axis=1) - penalty
-    rows = np.arange(n_paths)
-    # within a wing, argmax takes the first (closest to zero) maximizer
-    right_arg = np.argmax(right, axis=1)
-    left_arg = np.argmax(left, axis=1)
-    right_max = right[rows, right_arg]
-    left_max = left[rows, left_arg]
+    scale = math.sqrt(step)
+    height = max(1, min(n_paths, _STRIP_BYTES // (16 * m)))
+    increments = np.empty((height, 2 * m))
+    wing = np.empty((height, m))
+    right_arg = np.empty(n_paths, dtype=np.intp)
+    left_arg = np.empty(n_paths, dtype=np.intp)
+    right_max = np.empty(n_paths)
+    left_max = np.empty(n_paths)
+    wings = ((slice(0, m), right_arg, right_max), (slice(m, 2 * m), left_arg, left_max))
+    for lo in range(0, n_paths, height):
+        hi = min(lo + height, n_paths)
+        strip = increments[: hi - lo]
+        # the generator fills row by row, so strips continue the one-shot draw
+        rng.standard_normal(out=strip)
+        strip *= scale
+        cum = wing[: hi - lo]
+        rows = np.arange(hi - lo)
+        for cols, arg, peak in wings:
+            np.cumsum(strip[:, cols], axis=1, out=cum)
+            cum -= penalty
+            # within a wing, argmax takes the first (closest to zero) maximizer
+            arg[lo:hi] = np.argmax(cum, axis=1)
+            peak[lo:hi] = cum[rows, arg[lo:hi]]
     # candidate at r = 0 has value 0; ties resolve toward 0, then smaller r
     z = np.zeros(n_paths)
     best = np.zeros(n_paths)
@@ -89,10 +112,12 @@ def simulate_chernoff(
     well inside ``|r| <= 2``, so the defaults (M = 2.5, step = 5e-4, 2e5
     paths) stabilize quantiles to roughly 0.005.
     """
-    if domain_halfwidth < 2:
-        raise ValidationError(f"domain_halfwidth must be >= 2, got {domain_halfwidth}")
-    if grid_step > 1e-3 or grid_step <= 0:
+    if not (2 <= domain_halfwidth < math.inf):
+        raise ValidationError(f"domain_halfwidth must be finite and >= 2, got {domain_halfwidth}")
+    if not (0 < grid_step <= 1e-3):
         raise ValidationError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
+    if not isinstance(n_paths, numbers.Integral):
+        raise ValidationError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 10_000:
         raise ValidationError(f"n_paths must be >= 10000, got {n_paths}")
     m = int(round(domain_halfwidth / grid_step))

@@ -76,6 +76,18 @@ def _parse_space(text):
         raise ValidationError(f"--space expects two numbers, got {text!r}") from None
 
 
+def _attach_space_value(argv):
+    """Rewrite '--space V' as '--space=V', so argparse reads a V such as
+    '-0.3,0.4' as the value and not as an unknown flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--space" and not arg.startswith("--"):
+            out[-1] = "--space=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _parse_bandwidth(text):
     if text in (None, "auto"):
         return PlugInOptimal()
@@ -587,7 +599,7 @@ def run_cli(argv) -> int:
     """Parse arguments, dispatch, and write output; returns the exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_space_value(argv))
         if args.seed is None:
             args.seed = _default_seed()
         payload, kind = _HANDLERS[args.subcommand](args)

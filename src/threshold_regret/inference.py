@@ -133,35 +133,36 @@ class BootstrapDistribution:
         )
 
 
-def _bootstrap_replicate(rng, rank, g, n, t_hat, h_hat, breaks, suffix_orig):
-    """Exact maximizer of one reshaped-bootstrap criterion.
+def _bootstrap_chunk(args):
+    """Exact maximizers of the reshaped-bootstrap criteria of replicates lo..hi-1.
 
-    The criterion is a step function of t (jumps only at observed index
+    Each criterion is a step function of t (jumps only at observed index
     values) minus the quadratic penalty 0.5 H_hat (t - t_hat)^2, so on each
     inter-breakpoint segment the maximizer is t_hat clamped to the segment;
-    evaluating every segment makes the search exact.
+    evaluating every segment makes the search exact.  The candidates and
+    their penalties do not depend on the draw and are computed once.
     """
-    idx = rng.integers(0, n, n)
-    per_rank = np.bincount(rank[idx], weights=g[idx], minlength=len(breaks))
-    suffix_boot = np.concatenate((np.cumsum(per_rank[::-1])[::-1], [0.0]))
-    step = (suffix_boot - suffix_orig) / n
+    lo, hi, seed, rank, g, n, t_hat, h_hat, breaks, suffix_orig = args
     # candidate thresholds: t_hat clamped into each segment
     # segment j covers [breaks[j-1], breaks[j]) with open ends at both sides
     cand = np.empty(len(breaks) + 1)
     cand[0] = min(t_hat, breaks[0])
     cand[-1] = max(t_hat, breaks[-1])
     cand[1:-1] = np.clip(t_hat, breaks[:-1], breaks[1:])
-    values = step - 0.5 * h_hat * (cand - t_hat) ** 2
-    j = int(np.argmax(values))
-    return float(cand[j])
-
-
-def _bootstrap_chunk(args):
-    lo, hi, seed, rank, g, n, t_hat, h_hat, breaks, suffix_orig = args
+    penalty = 0.5 * h_hat * (cand - t_hat) ** 2
+    suffix = np.zeros(len(breaks) + 1)
+    values = np.empty(len(breaks) + 1)
     out = np.empty(hi - lo)
     for b in range(lo, hi):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        out[b - lo] = _bootstrap_replicate(rng, rank, g, n, t_hat, h_hat, breaks, suffix_orig)
+        idx = rng.integers(0, n, n)
+        per_rank = np.bincount(rank[idx], weights=g[idx], minlength=len(breaks))
+        # suffix sums of the resampled scores; the trailing 0 stays in place
+        np.cumsum(per_rank[::-1], out=suffix[-2::-1])
+        np.subtract(suffix, suffix_orig, out=values)
+        values /= n
+        values -= penalty
+        out[b - lo] = cand[np.argmax(values)]
     return out
 
 

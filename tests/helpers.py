@@ -34,6 +34,34 @@ def brute_force_ewm_objective(sample, space):
     return max(empirical_welfare(sample, t) for t in canonical_cuts(sample, space))
 
 
+def one_shot_chernoff_block(args):
+    """Argmax draws of one Chernoff block, drawn and summed as one (n_paths, 2m) array.
+
+    Reference for ``chernoff._simulate_block``, which works in strips of
+    paths and must reproduce these draws bit for bit.
+    """
+    seed, block_index, n_paths, m, step = args
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
+    increments = rng.standard_normal((n_paths, 2 * m)) * math.sqrt(step)
+    r = np.arange(1, m + 1) * step
+    penalty = r * r
+    right = np.cumsum(increments[:, :m], axis=1) - penalty
+    left = np.cumsum(increments[:, m:], axis=1) - penalty
+    rows = np.arange(n_paths)
+    right_arg = np.argmax(right, axis=1)
+    left_arg = np.argmax(left, axis=1)
+    right_max = right[rows, right_arg]
+    left_max = left[rows, left_arg]
+    z = np.zeros(n_paths)
+    best = np.zeros(n_paths)
+    take_left = left_max > best
+    z[take_left] = -r[left_arg[take_left]]
+    best[take_left] = left_max[take_left]
+    take_right = (right_max > best) | ((right_max == best) & (r[right_arg] < np.abs(z)))
+    z[take_right] = r[right_arg[take_right]]
+    return z
+
+
 def welfare_by_quadrature(dgp, t, lo=-10.0, hi=10.0, n_nodes=20001):
     """Population welfare by composite Simpson integration of tau(x) phi(x)."""
     xs = np.linspace(max(t, lo), hi, n_nodes)

@@ -1,8 +1,20 @@
+import importlib.util
+import json
+import math
+import pathlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from helpers import one_shot_chernoff_block
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from threshold_regret import chernoff
 from threshold_regret.chernoff import chernoff_quantile, simulate_chernoff
 from threshold_regret.errors import ValidationError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_parameter_bounds_enforced():
@@ -14,6 +26,68 @@ def test_parameter_bounds_enforced():
         simulate_chernoff(grid_step=2e-3)
     with pytest.raises(ValidationError):
         simulate_chernoff(grid_step=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"grid_step": math.nan},
+    {"domain_halfwidth": math.nan},
+    {"domain_halfwidth": math.inf},
+    {"n_paths": 10_000.5},
+    {"n_paths": 10_000.0},
+])
+def test_non_finite_or_non_integer_inputs_rejected(kwargs):
+    with pytest.raises(ValidationError):
+        simulate_chernoff(**kwargs)
+
+
+def test_numpy_integer_path_count_accepted():
+    table = simulate_chernoff(n_paths=np.int64(10_000), domain_halfwidth=2.0, grid_step=1e-3, seed=5)
+    assert table.n_paths == 10_000
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    block_index=st.integers(0, 10_000),
+    n_paths=st.integers(1, 200),
+    m=st.integers(2000, 5000),
+    step=st.floats(1e-4, 1e-3),
+    strip_rows=st.sampled_from([None, 1, 7]),
+)
+@example(seed=5, block_index=0, n_paths=27, m=5000, step=5e-4, strip_rows=None)
+@example(seed=5, block_index=1, n_paths=66, m=2000, step=1e-3, strip_rows=None)
+@example(seed=7, block_index=3, n_paths=1, m=2857, step=7e-4, strip_rows=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_strips_match_one_shot_block(seed, block_index, n_paths, m, step, strip_rows):
+    """The strip simulator reproduces the whole-block draw bit for bit,
+    including path counts that the strip height does not divide."""
+    args = (seed, block_index, n_paths, m, step)
+    strip_bytes = chernoff._STRIP_BYTES if strip_rows is None else strip_rows * 16 * m
+    with mock.patch.object(chernoff, "_STRIP_BYTES", strip_bytes):
+        fast = chernoff._simulate_block(args)
+    assert fast.tobytes() == one_shot_chernoff_block(args).tobytes()
+
+
+def _pin_script():
+    spec = importlib.util.spec_from_file_location(
+        "pin_chernoff_outputs", ROOT / "scripts" / "pin_chernoff_outputs.py"
+    )
+    pin = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pin)
+    return pin
+
+
+def test_simulate_chernoff_reproduces_pinned_outputs():
+    """Bit-for-bit tables recorded by scripts/pin_chernoff_outputs.py."""
+    with open(ROOT / "tests" / "data" / "chernoff_pinned.json") as fh:
+        pinned = json.load(fh)["chernoff"]
+    assert _pin_script().chernoff_results() == pinned
+
+
+def test_ewm_bootstrap_reproduces_pinned_outputs():
+    """Bit-for-bit bootstrap draws recorded by scripts/pin_chernoff_outputs.py."""
+    with open(ROOT / "tests" / "data" / "chernoff_pinned.json") as fh:
+        pinned = json.load(fh)["bootstrap"]
+    assert _pin_script().bootstrap_results() == pinned
 
 
 def test_reproducible_bit_for_bit(small_chernoff):

@@ -269,3 +269,29 @@ def test_config_string_estimators_is_one_name(tmp_path, capsys):
 def test_config_bad_values_are_validation_errors(tmp_path, capsys, overrides):
     assert _simulate_with_config(tmp_path, overrides) == 1
     assert capsys.readouterr().err.startswith("error: --config")
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--policy", "swm"],
+    ["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", "--jobs", "1"],
+])
+def test_space_with_negative_lower_bound(sample_csv, capsys, command):
+    base = command + ["--data", sample_csv, "--propensity", "0.5", "--format", "json"]
+    assert run_cli(base + ["--space=-0.3,0.4"]) == 0
+    joined = capsys.readouterr().out
+    assert run_cli(base + ["--space", "-0.3,0.4"]) == 0
+    assert capsys.readouterr().out == joined
+    payload = json.loads(joined)
+    assert (payload["config"]["space_lo"], payload["config"]["space_hi"]) == (-0.3, 0.4)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--step", "nan"],
+    ["--halfwidth", "nan"],
+    ["--halfwidth", "inf"],
+])
+def test_chernoff_non_finite_grid_is_validation_error(capsys, flags):
+    rc = run_cli(["chernoff", "--paths", "10000", "--jobs", "1"] + flags)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
