@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Pin the exact output of every CLI subcommand in every format.
+
+Each case runs ``threshold_regret.cli.run_cli`` in-process on a fixed
+argument list and records the sha256 of what it writes to stdout together
+with the exit code.  The cases cover ``asymptotics`` (both models, custom
+constants, and custom constants with A = 0), ``simulate`` (model 1, and a
+``--config`` model with beta2 = 0, so A = 0 and some cells are empty),
+``chernoff``, ``estimate`` for both policies and ``infer --method plugin``,
+each as text, csv and json.  Every Chernoff table they need is the cheapest
+legal one (10 000 paths, halfwidth 2, step 1e-3, seed 5), so the test suite
+can hand the CLI its session table instead of simulating per call.  The
+input files are written to a temporary directory that becomes the working
+directory, so the echoed paths are relative and the output does not depend
+on where it runs.
+
+Usage:
+    PYTHONPATH=src python scripts/pin_cli_outputs.py [--out tests/data/cli_pinned.json]
+
+Regenerate the file only on a commit whose outputs are the reference.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import tempfile
+
+from threshold_regret.cli import run_cli
+from threshold_regret.montecarlo import MODEL1, draw_sample
+
+DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data" / "cli_pinned.json"
+
+TABLE = ["--chernoff-paths", "10000", "--chernoff-step", "0.001", "--chernoff-halfwidth", "2",
+         "--seed", "5", "--jobs", "1"]
+DATA = ["--data", "sample.csv", "--propensity", "0.5"]
+FLAT_MODEL = {"model": {"name": "flat", "gamma": 1.0, "beta1": 1.0, "beta2": 0.0, "p": 0.5},
+              "n": [120], "reps": 20, "estimators": ["ewm", "swm_feasible"]}
+COMMANDS = [
+    ["asymptotics", "--model", "1", "--n", "500,1000,2000,3000"] + TABLE,
+    ["asymptotics", "--model", "2", "--n", "500,3000"] + TABLE,
+    ["asymptotics", "--n", "500,2000", "--K", "1.596", "--H", "0.399", "--A", "0.199"] + TABLE,
+    ["asymptotics", "--n", "500,2000", "--K", "1.596", "--H", "0.399", "--A", "0"] + TABLE,
+    ["simulate", "--model", "1", "--n", "120", "--reps", "20"] + TABLE,
+    ["simulate", "--config", "flat.json"] + TABLE,
+    ["chernoff", "--paths", "10000", "--step", "0.001", "--halfwidth", "2", "--seed", "5", "--jobs", "1"],
+    ["estimate", "--policy", "ewm", "--seed", "5"] + DATA,
+    ["estimate", "--policy", "swm", "--seed", "5"] + DATA,
+    ["infer", "--policy", "ewm", "--method", "plugin"] + DATA + TABLE,
+]
+FORMATS = ("text", "csv", "json")
+
+
+def _write_inputs(directory):
+    s = draw_sample(MODEL1, 500, 314)
+    lines = ["y,d,x"] + [f"{float(y)!r},{int(d)},{float(x)!r}" for y, d, x in zip(s.y, s.d, s.x)]
+    (directory / "sample.csv").write_text("\n".join(lines) + "\n")
+    (directory / "flat.json").write_text(json.dumps(FLAT_MODEL))
+
+
+def outputs():
+    """(argv, exit code, stdout) of every case, run in a scratch directory."""
+    results = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_inputs(pathlib.Path(tmp))
+        os.chdir(tmp)
+        try:
+            for command in COMMANDS:
+                for fmt in FORMATS:
+                    argv = command + ["--format", fmt]
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        code = run_cli(argv)
+                    results.append((argv, code, out.getvalue()))
+        finally:
+            os.chdir(cwd)
+    return results
+
+
+def pinned_results():
+    return [
+        {"argv": argv, "exit_code": code, "stdout_sha256": hashlib.sha256(text.encode()).hexdigest()}
+        for argv, code, text in outputs()
+    ]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", default=str(DEFAULT_OUT))
+    args = parser.parse_args(argv)
+    path = pathlib.Path(args.out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    records = {"cases": pinned_results()}
+    with open(path, "w") as fh:
+        json.dump(records, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(records['cases'])} cases to {path}")
+
+
+if __name__ == "__main__":
+    main()

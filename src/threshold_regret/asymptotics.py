@@ -9,23 +9,27 @@ and the smoothed policy's regret, scaled by n * sigma_n, to
     (alpha2 K / 2H) * chi^2(1, lambda A^2 / (alpha2 K)),
 
 a noncentral chi-squared law with one degree of freedom.  Both are exposed
-through one parameterized :class:`RegretDistribution` with exact means and
-simulation-based medians and quantiles.  Z quantiles come from an injected
-:class:`ChernoffTable` (never regenerated silently, so every number in a
-report is traceable to a seed); noncentral chi-squared quantiles use a
-fixed, seeded bank of one million squared shifted-normal draws.
+through one parameterized :class:`RegretDistribution` with exact means.  Z
+quantiles come from an injected :class:`ChernoffTable` (never regenerated
+silently, so every number in a report is traceable to a seed); noncentral
+chi-squared quantiles are exact, from ``scipy.special.chndtrix``, and use
+no simulation and no seed.
+
+Every law rejects constants it cannot describe (K or H not finite and
+positive, A not finite, n < 1) with a ``ValidationError`` and raises
+``NumericError`` when a scale, mean or quantile comes out non-finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import chndtrix
 
 from .chernoff import ChernoffTable
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .kernels import Kernel
 
 __all__ = [
@@ -33,19 +37,30 @@ __all__ = [
     "ewm_regret_dist",
     "swm_regret_dist",
     "optimal_lambda_mean",
+    "asymptotic_row",
     "ComparisonReport",
     "compare_policies",
 ]
 
-_CHI2_DRAWS = 1_000_000
-_CHI2_SEED = 31081
+
+def _check_constants(K: float, H: float, A: float, n: int) -> None:
+    if not (0.0 < K < math.inf and 0.0 < H < math.inf):
+        raise ValidationError(f"K and H must be finite and positive, got K={K}, H={H}")
+    if not math.isfinite(A):
+        raise ValidationError(f"A must be finite, got {A}")
+    if not n >= 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
 
 
-@lru_cache(maxsize=1)
-def _standard_normal_bank() -> np.ndarray:
-    draws = np.random.default_rng(np.random.SeedSequence(_CHI2_SEED)).standard_normal(_CHI2_DRAWS)
-    draws.setflags(write=False)
-    return draws
+def _finite(name: str, compute) -> float:
+    """Value of ``compute()``; NumericError if it overflows or is not finite and positive."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise NumericError(f"regret law {name} is {value}, not a finite positive number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -54,7 +69,8 @@ class RegretDistribution:
 
     ``kind`` is "ewm" (scale times Z^2) or "swm" (scale times a noncentral
     chi-squared with one degree of freedom); ``scale`` and ``noncentrality``
-    pin the law, ``mean`` is exact, and quantiles are simulation-based.
+    pin the law and ``mean`` is exact.  EWM quantiles are those of the
+    Chernoff table's Z^2 draws; SWM quantiles are exact.
     """
 
     kind: str
@@ -69,9 +85,12 @@ class RegretDistribution:
         if not 0.0 < q < 1.0:
             raise ValidationError(f"quantile level must lie in (0, 1), got {q}")
         if self.kind == "ewm":
-            return self.scale * float(np.quantile(self._z_squared, q))
-        shifted = _standard_normal_bank() + math.sqrt(self.noncentrality)
-        return self.scale * float(np.quantile(shifted**2, q))
+            value = self.scale * float(np.quantile(self._z_squared, q))
+        else:
+            value = self.scale * float(chndtrix(q, 1, self.noncentrality))
+        if not math.isfinite(value):
+            raise NumericError(f"{self.kind} regret quantile {q} is not finite ({value})")
+        return value
 
     @property
     def median(self) -> float:
@@ -80,11 +99,10 @@ class RegretDistribution:
 
 def ewm_regret_dist(K: float, H: float, n: int, chernoff: ChernoffTable) -> RegretDistribution:
     """Law of n^(-2/3) (2 K^2 / H)^(1/3) Z^2 with Z^2 moments from the table."""
-    if K <= 0 or H <= 0:
-        raise ValidationError(f"K and H must be positive, got K={K}, H={H}")
-    scale = n ** (-2.0 / 3.0) * (2.0 * K**2 / H) ** (1.0 / 3.0)
+    _check_constants(K, H, 0.0, n)
+    scale = _finite("scale", lambda: n ** (-2.0 / 3.0) * (2.0 * K**2 / H) ** (1.0 / 3.0))
     c_e = 2.0 ** (1.0 / 3.0) * chernoff.second_moment
-    mean = n ** (-2.0 / 3.0) * K ** (2.0 / 3.0) * H ** (-1.0 / 3.0) * c_e
+    mean = _finite("mean", lambda: n ** (-2.0 / 3.0) * K ** (2.0 / 3.0) * H ** (-1.0 / 3.0) * c_e)
     return RegretDistribution(
         kind="ewm",
         n=n,
@@ -110,21 +128,22 @@ def swm_regret_dist(
     undersmoothed, central case) requires an explicit sigma_n since the rate
     formula degenerates.
     """
-    if K <= 0 or H <= 0:
-        raise ValidationError(f"K and H must be positive, got K={K}, H={H}")
-    if lam < 0:
+    _check_constants(K, H, A, n)
+    if not lam >= 0:
         raise ValidationError(f"lambda must be nonnegative, got {lam}")
-    h = kernel.h
     if sigma_n is None:
         if lam == 0.0:
             raise ValidationError("lambda = 0 needs an explicit sigma_n (undersmoothed case)")
-        sigma_n = (lam / n) ** (1.0 / (2 * h + 1))
-    if sigma_n <= 0:
+        sigma_n = kernel.rate_bandwidth(lam, n)
+    if not sigma_n > 0:
         raise ValidationError(f"sigma_n must be positive, got {sigma_n}")
     alpha2 = kernel.alpha2
-    scale = (alpha2 * K) / (2.0 * H) / (n * sigma_n)
-    noncentrality = lam * A**2 / (alpha2 * K)
-    mean = scale * (1.0 + noncentrality)
+    scale = _finite("scale", lambda: (alpha2 * K) / (2.0 * H) / (n * sigma_n))
+    try:
+        noncentrality = lam * A**2 / (alpha2 * K)
+    except OverflowError:
+        raise NumericError(f"noncentrality lambda A^2 / (alpha2 K) overflows at A={A}") from None
+    mean = _finite("mean", lambda: scale * (1.0 + noncentrality))
     return RegretDistribution(
         kind="swm", n=n, scale=scale, noncentrality=noncentrality, mean=mean, sigma_n=sigma_n
     )
@@ -139,13 +158,40 @@ def optimal_lambda_mean(K: float, H: float, A: float, kernel: Kernel, n: int) ->
     """
     if A == 0:
         raise ValidationError("optimal lambda undefined at A = 0")
-    if K <= 0 or H <= 0:
-        raise ValidationError(f"K and H must be positive, got K={K}, H={H}")
-    h = kernel.h
-    two_h = 2 * h
+    _check_constants(K, H, A, n)
+    two_h = 2 * kernel.h
     expo = two_h / (two_h + 1.0)
     c_s = (two_h + 1.0) / 2.0 * (kernel.alpha2 / two_h) ** expo
-    return n ** (-expo) * abs(A) ** (2.0 / (two_h + 1.0)) * K**expo / H * c_s
+    return _finite(
+        "mean", lambda: n ** (-expo) * abs(A) ** (2.0 / (two_h + 1.0)) * K**expo / H * c_s
+    )
+
+
+def asymptotic_row(
+    model: str, K: float, H: float, A: float, n: int, chernoff: ChernoffTable, kernel: Kernel
+) -> dict:
+    """Report row of both policies' asymptotic mean and median regret at n.
+
+    The smoothed policy is taken at its regret-optimal lambda*; at A = 0,
+    where lambda* is undefined, its cells are None.
+    """
+    ewm_dist = ewm_regret_dist(K, H, n, chernoff)
+    row = {
+        "model": model,
+        "n": n,
+        "ewm_mean": ewm_dist.mean,
+        "ewm_median": ewm_dist.median,
+        "swm_mean": None,
+        "swm_median": None,
+        "K": K,
+        "H": H,
+        "A": A,
+    }
+    if A != 0:
+        row["swm_mean"] = optimal_lambda_mean(K, H, A, kernel, n)
+        lam_star = kernel.optimal_lambda(K, A)
+        row["swm_median"] = swm_regret_dist(K, H, A, lam_star, kernel, n).median
+    return row
 
 
 @dataclass(frozen=True)

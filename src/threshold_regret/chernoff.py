@@ -39,6 +39,9 @@ _BLOCK = 1000
 # byte size of one strip of increments: a few dozen paths at the default grid,
 # small enough that the strip and its wing buffer stay in cache
 _STRIP_BYTES = 1 << 21
+# most grid points per wing, m = halfwidth / step: 200 times the default grid
+# (m = 5000), and small enough that one path's buffers stay near 40 MB
+_MAX_GRID = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,11 @@ def simulate_chernoff(
     if n_paths < 10_000:
         raise ValidationError(f"n_paths must be >= 10000, got {n_paths}")
     m = int(round(domain_halfwidth / grid_step))
+    if m > _MAX_GRID:
+        raise ValidationError(
+            f"domain_halfwidth / grid_step must be at most {_MAX_GRID} grid points per wing, "
+            f"got {domain_halfwidth} / {grid_step}"
+        )
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
     tasks = [
         (seed, b, min(_BLOCK, n_paths - b * _BLOCK), m, grid_step) for b in range(n_blocks)

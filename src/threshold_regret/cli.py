@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .asymptotics import ewm_regret_dist, optimal_lambda_mean, swm_regret_dist
+from .asymptotics import asymptotic_row
 from .chernoff import DEFAULT_CHERNOFF_SEED, chernoff_quantile, simulate_chernoff
 from .data import ParamSpace, default_space, load_sample_csv
 from .errors import NumericError, ThresholdRegretError, ValidationError
@@ -34,6 +34,7 @@ from .montecarlo import (
     ExperimentConfig,
     run_experiment,
     render_csv,
+    render_table,
     render_text,
     table_report,
 )
@@ -158,20 +159,23 @@ def _interval_to_dict(ci):
     }
 
 
+def _join_lines(lines):
+    return "\n".join(lines) + "\n"
+
+
+def _config_header(config, fmt):
+    sep = "=" if fmt == "csv" else " = "
+    return [f"# {k}{sep}{v}" for k, v in sorted(config.items())]
+
+
 def _render_scalars(payload, fmt):
     """Render a {config, result} payload of scalars as text or csv."""
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    config = payload.get("config", {})
-    result = payload.get("result", {})
+    header = _config_header(payload["config"], fmt)
+    result = payload["result"]
     if fmt == "csv":
-        lines = [f"# {k}={v}" for k, v in sorted(config.items())]
-        lines.append("key,value")
-        lines.extend(f"{k},{_csv_value(v)}" for k, v in result.items())
-        return "\n".join(lines) + "\n"
-    lines = [f"# {k} = {v}" for k, v in sorted(config.items())]
-    lines.extend(f"{k}: {v}" for k, v in result.items())
-    return "\n".join(lines) + "\n"
+        rows = [{"key": k, "value": _csv_value(v)} for k, v in result.items()]
+        return _join_lines(header + render_table(rows, ["key", "value"], fmt))
+    return _join_lines(header + [f"{k}: {v}" for k, v in result.items()])
 
 
 def _csv_value(v):
@@ -180,12 +184,6 @@ def _csv_value(v):
     if isinstance(v, (list, tuple)):
         return '"' + ", ".join(str(x) for x in v) + '"'
     return str(v)
-
-
-def _config_header(config, fmt):
-    if fmt == "csv":
-        return [f"# {k}={v}" for k, v in sorted(config.items())]
-    return [f"# {k} = {v}" for k, v in sorted(config.items())]
 
 
 def _load_sample(args):
@@ -214,7 +212,7 @@ def _cmd_estimate(args):
         "eta": args.eta,
         "seed": args.seed,
     }
-    return {"config": config, "result": _estimate_to_dict(est)}, "scalars"
+    return {"config": config, "result": _estimate_to_dict(est)}, _render_scalars
 
 
 def _chernoff_table_from_args(args):
@@ -276,7 +274,7 @@ def _cmd_infer(args):
         ci = swm_ci(sample, est, nuis, gaussian_cdf_kernel(), args.level, mode)
     result = _interval_to_dict(ci)
     result["t_hat"] = float(est.t_hat)
-    return {"config": config, "result": result}, "scalars"
+    return {"config": config, "result": result}, _render_scalars
 
 
 def _cmd_asymptotics(args):
@@ -293,22 +291,11 @@ def _cmd_asymptotics(args):
     table = _chernoff_table_from_args(args)
     rows = []
     for n in _parse_n_list(args.n):
-        ewm_dist = ewm_regret_dist(K, H, n, table)
-        row = {
-            "model": model_name,
-            "n": n,
-            "K": K,
-            "H": H,
-            "A": A,
-            "ewm_mean": ewm_dist.mean,
-            "ewm_median": ewm_dist.median,
-        }
-        if A != 0:
-            lam_star = kernel.alpha2 * K / (2.0 * kernel.h * A**2)
-            swm_dist = swm_regret_dist(K, H, A, lam_star, kernel, n)
-            row["swm_mean"] = optimal_lambda_mean(K, H, A, kernel, n)
-            row["swm_median"] = swm_dist.median
-            row["lambda_star"] = lam_star
+        row = asymptotic_row(model_name, K, H, A, n, table, kernel)
+        if A == 0:
+            del row["swm_mean"], row["swm_median"]
+        else:
+            row["lambda_star"] = kernel.optimal_lambda(K, A)
             row["ratio"] = row["ewm_mean"] / row["swm_mean"]
         rows.append(row)
     config = {
@@ -320,48 +307,19 @@ def _cmd_asymptotics(args):
         "chernoff_step": args.chernoff_step,
         "chernoff_halfwidth": args.chernoff_halfwidth,
     }
-    return {"config": config, "rows": rows}, "asymptotics"
+    return {"config": config, "rows": rows}, _render_asymptotics
+
+
+_ASYMPTOTIC_COLUMNS = (
+    "model", "n", "ewm_mean", "swm_mean", "ewm_median", "swm_median",
+    "K", "H", "A", "lambda_star", "ratio",
+)
 
 
 def _render_asymptotics(payload, fmt):
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     rows = payload["rows"]
-    scaled_cols = ("ewm_mean", "ewm_median", "swm_mean", "swm_median")
-    cols = ["model", "n", "ewm_mean", "swm_mean", "ewm_median", "swm_median", "K", "H", "A", "lambda_star", "ratio"]
-    cols = [c for c in cols if any(c in r for r in rows)] or ["model", "n"]
-    header = _config_header(payload["config"], fmt)
-    if fmt == "csv":
-        lines = header + [",".join(cols)]
-        for r in rows:
-            cells = []
-            for c in cols:
-                v = r.get(c)
-                if v is None:
-                    cells.append("")
-                elif c in scaled_cols:
-                    cells.append(repr(v * 1e4))
-                else:
-                    cells.append(repr(v) if isinstance(v, float) else str(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-    grid = [cols]
-    for r in rows:
-        row_cells = []
-        for c in cols:
-            v = r.get(c)
-            if v is None:
-                row_cells.append("")
-            elif c in scaled_cols:
-                row_cells.append(f"{v * 1e4:.3f}")
-            elif isinstance(v, float):
-                row_cells.append(f"{v:.3f}")
-            else:
-                row_cells.append(str(v))
-        grid.append(row_cells)
-    widths = [max(len(row[i]) for row in grid) for i in range(len(cols))]
-    lines = header + ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in grid]
-    return "\n".join(lines) + "\n"
+    cols = [c for c in _ASYMPTOTIC_COLUMNS if any(c in r for r in rows)]
+    return _join_lines(_config_header(payload["config"], fmt) + render_table(rows, cols, fmt))
 
 
 def _cmd_chernoff(args):
@@ -382,25 +340,20 @@ def _cmd_chernoff(args):
             "quantiles": {str(q): chernoff_quantile(table, q) for q in _QUANTILE_GRID},
         },
     }
-    return payload, "chernoff"
+    return payload, _render_chernoff
 
 
 def _render_chernoff(payload, fmt):
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     header = _config_header(payload["config"], fmt)
     result = payload["result"]
+    stats = {"mean": result["mean"], "second_moment": result["second_moment"]}
     if fmt == "csv":
-        lines = header + ["statistic,value", f"mean,{result['mean']!r}", f"second_moment,{result['second_moment']!r}"]
-        lines.extend(f"q{q},{v!r}" for q, v in result["quantiles"].items())
-        return "\n".join(lines) + "\n"
-    lines = header + [
-        f"mean: {result['mean']:.6f}",
-        f"second_moment: {result['second_moment']:.6f}",
-        "quantiles:",
-    ]
-    lines.extend(f"  {q}: {v:.6f}" for q, v in result["quantiles"].items())
-    return "\n".join(lines) + "\n"
+        stats.update((f"q{q}", v) for q, v in result["quantiles"].items())
+        rows = [{"statistic": k, "value": v} for k, v in stats.items()]
+        return _join_lines(header + render_table(rows, ["statistic", "value"], fmt))
+    lines = [f"{k}: {v:.6f}" for k, v in stats.items()] + ["quantiles:"]
+    lines += [f"  {q}: {v:.6f}" for q, v in result["quantiles"].items()]
+    return _join_lines(header + lines)
 
 
 def _is_int(value) -> bool:
@@ -503,16 +456,12 @@ def _cmd_simulate(args):
         "chernoff_step": args.chernoff_step,
         "chernoff_halfwidth": args.chernoff_halfwidth,
     }
-    return {"config": resolved, "report": report, "cells": cells}, "simulate"
+    return {"config": resolved, "report": report, "cells": cells}, _render_simulate
 
 
 def _render_simulate(payload, fmt):
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    header = _config_header(payload["config"], fmt)
-    if fmt == "csv":
-        return "\n".join(header) + "\n" + render_csv(payload["report"])
-    return "\n".join(header) + "\n" + render_text(payload["report"])
+    render = render_csv if fmt == "csv" else render_text
+    return _join_lines(_config_header(payload["config"], fmt)) + render(payload["report"])
 
 
 def _add_common(parser, with_chernoff=False, with_jobs=False, chernoff_primary=False):
@@ -579,13 +528,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_RENDERERS = {
-    "scalars": _render_scalars,
-    "asymptotics": _render_asymptotics,
-    "chernoff": _render_chernoff,
-    "simulate": _render_simulate,
-}
-
 _HANDLERS = {
     "estimate": _cmd_estimate,
     "infer": _cmd_infer,
@@ -602,8 +544,11 @@ def run_cli(argv) -> int:
         args = parser.parse_args(_attach_space_value(argv))
         if args.seed is None:
             args.seed = _default_seed()
-        payload, kind = _HANDLERS[args.subcommand](args)
-        text = _RENDERERS[kind](payload, args.format)
+        payload, render = _HANDLERS[args.subcommand](args)
+        if args.format == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            text = render(payload, args.format)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)

@@ -8,7 +8,9 @@ two moment constants that drive the smoothed estimator's asymptotics:
     alpha2 = integral of k'(zeta)^2          (roughness)
 
 and ``k2_sup``, a bound on sup |k''| that lets the SWM optimizer screen its
-coarse grid with a binned approximation of provable accuracy.
+coarse grid with a binned approximation of provable accuracy.  The two rate
+formulas built on these constants live here too: the regret-optimal
+lambda* = alpha2 K / (2 h A^2) and the bandwidth (lambda / n)^(1/(2h+1)).
 
 The shipped kernel is the standard normal CDF (order h = 2); higher-order
 kernels are supported by the type but none is shipped.
@@ -22,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
+
+from .errors import NumericError
 
 __all__ = ["Kernel", "gaussian_cdf_kernel", "norm_pdf"]
 
@@ -52,6 +56,23 @@ class Kernel:
     def __post_init__(self):
         if self.h < 2:
             raise ValueError(f"kernel order h must be >= 2, got {self.h}")
+
+    def optimal_lambda(self, K: float, A: float) -> float:
+        """Regret-optimal rate constant lambda* = alpha2 K / (2 h A^2).
+
+        Raises NumericError unless lambda* is finite (A = 0 in particular).
+        """
+        try:
+            lam = self.alpha2 * K / (2.0 * self.h * A**2)
+        except (OverflowError, ZeroDivisionError):
+            lam = math.inf
+        if not math.isfinite(lam):
+            raise NumericError(f"lambda* = alpha2 K / (2h A^2) is not finite at K={K}, A={A}")
+        return lam
+
+    def rate_bandwidth(self, lam: float, n: int) -> float:
+        """Bandwidth sigma_n = (lambda / n)^(1 / (2h + 1)) of a lambda-rate sequence."""
+        return (lam / n) ** (1.0 / (2 * self.h + 1))
 
 
 def gaussian_cdf_kernel() -> Kernel:

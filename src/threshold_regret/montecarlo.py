@@ -28,7 +28,7 @@ from multiprocessing import get_context
 import numpy as np
 from scipy.special import ndtr
 
-from .asymptotics import ewm_regret_dist, optimal_lambda_mean, swm_regret_dist
+from .asymptotics import asymptotic_row
 from .chernoff import ChernoffTable
 from .data import Sample, default_space, regret
 from .errors import ThresholdRegretError, ValidationError
@@ -48,6 +48,7 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "table_report",
+    "render_table",
     "render_text",
     "render_csv",
 ]
@@ -202,8 +203,7 @@ def _run_one_rep(args):
             out["ewm"] = math.nan
     if "swm_infeasible" in estimators:
         try:
-            lam_true = kernel.alpha2 * dgp.K / (2.0 * kernel.h * dgp.A**2)
-            est = fit_swm(sample, kernel, LambdaRate(lam_true), space)
+            est = fit_swm(sample, kernel, LambdaRate(kernel.optimal_lambda(dgp.K, dgp.A)), space)
             out["swm_infeasible"] = regret(dgp.welfare, dgp.t_star, est.t_hat)
         except ThresholdRegretError:
             out["swm_infeasible"] = math.nan
@@ -269,12 +269,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # reporting
 
 
-def _fmt(value, scale=1e4):
-    if value is None or (isinstance(value, float) and not math.isfinite(value)):
-        return ""
-    return f"{value * scale:.3f}"
-
-
 def table_report(
     result: ExperimentResult | None,
     chernoff: ChernoffTable,
@@ -295,74 +289,37 @@ def table_report(
     if n_list is None:
         n_list = result.config.n_list if result is not None else ()
 
-    asymptotic = []
-    for dgp in models:
-        lam_star = kernel.alpha2 * dgp.K / (2.0 * kernel.h * dgp.A**2) if dgp.A != 0 else None
-        for n in n_list:
-            ewm_dist = ewm_regret_dist(dgp.K, dgp.H, n, chernoff)
-            row = {
-                "model": dgp.name,
-                "n": n,
-                "ewm_mean": ewm_dist.mean,
-                "ewm_median": ewm_dist.median,
-                "swm_mean": None,
-                "swm_median": None,
-                "K": dgp.K,
-                "H": dgp.H,
-                "A": dgp.A,
-            }
-            if lam_star is not None:
-                swm_dist = swm_regret_dist(dgp.K, dgp.H, dgp.A, lam_star, kernel, n)
-                row["swm_mean"] = optimal_lambda_mean(dgp.K, dgp.H, dgp.A, kernel, n)
-                row["swm_median"] = swm_dist.median
-            asymptotic.append(row)
+    asymptotic = [
+        asymptotic_row(dgp.name, dgp.K, dgp.H, dgp.A, n, chernoff, kernel)
+        for dgp in models
+        for n in n_list
+    ]
+    report = {"asymptotic": asymptotic, "mean": [], "median": []}
+    if result is None:
+        return report
 
-    mean_rows: list[dict] = []
-    median_rows: list[dict] = []
-    if result is not None:
-        for dgp_name, n in [(d.name, n) for d in models for n in n_list]:
-            asym = next(
-                (r for r in asymptotic if r["model"] == dgp_name and r["n"] == n), None
-            )
+    def cell(asym, est, stat):
+        try:
+            return getattr(result.row(asym["model"], asym["n"], est), f"{stat}_regret")
+        except KeyError:
+            return None
 
-            def cell(est, attr):
-                try:
-                    return getattr(result.row(dgp_name, n, est), attr)
-                except KeyError:
-                    return None
-
-            ewm_mean = cell("ewm", "mean_regret")
-            swm_feas_mean = cell("swm_feasible", "mean_regret")
-            ratio_mean = (
-                ewm_mean / swm_feas_mean if ewm_mean is not None and swm_feas_mean else None
-            )
-            mean_rows.append(
+    for asym in asymptotic:
+        for stat in ("mean", "median"):
+            ewm, feasible = cell(asym, "ewm", stat), cell(asym, "swm_feasible", stat)
+            report[stat].append(
                 {
-                    "model": dgp_name,
-                    "n": n,
-                    "ewm_empirical": ewm_mean,
-                    "ewm_asymptotic": asym["ewm_mean"] if asym else None,
-                    "swm_empirical_infeasible": cell("swm_infeasible", "mean_regret"),
-                    "swm_empirical_feasible": swm_feas_mean,
-                    "swm_asymptotic": asym["swm_mean"] if asym else None,
-                    "ratio": ratio_mean,
+                    "model": asym["model"],
+                    "n": asym["n"],
+                    "ewm_empirical": ewm,
+                    "ewm_asymptotic": asym[f"ewm_{stat}"],
+                    "swm_empirical_infeasible": cell(asym, "swm_infeasible", stat),
+                    "swm_empirical_feasible": feasible,
+                    "swm_asymptotic": asym[f"swm_{stat}"],
+                    "ratio": ewm / feasible if ewm is not None and feasible else None,
                 }
             )
-            ewm_med = cell("ewm", "median_regret")
-            swm_feas_med = cell("swm_feasible", "median_regret")
-            median_rows.append(
-                {
-                    "model": dgp_name,
-                    "n": n,
-                    "ewm_empirical": ewm_med,
-                    "ewm_asymptotic": asym["ewm_median"] if asym else None,
-                    "swm_empirical_infeasible": cell("swm_infeasible", "median_regret"),
-                    "swm_empirical_feasible": swm_feas_med,
-                    "swm_asymptotic": asym["swm_median"] if asym else None,
-                    "ratio": ewm_med / swm_feas_med if ewm_med is not None and swm_feas_med else None,
-                }
-            )
-    return {"asymptotic": asymptotic, "mean": mean_rows, "median": median_rows}
+    return report
 
 
 _REGRET_COLUMNS = {
@@ -384,14 +341,28 @@ _TABLE_TITLES = {
 }
 
 
-def _render_cell(col, value):
-    if value is None or (isinstance(value, float) and not math.isfinite(value)):
-        return ""
-    if col in _REGRET_COLUMNS:
-        return _fmt(value)
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
+def render_table(rows: list[dict], cols: list[str], fmt: str) -> list[str]:
+    """Lines of ``rows`` under the header ``cols``, as aligned text or CSV.
+
+    A cell is empty for None or a non-finite float; regret columns are
+    scaled by 10^4; floats print with three decimals as text and in full
+    (``repr``) as CSV; anything else prints as ``str``.
+    """
+
+    def cell(col, value):
+        if value is None or (isinstance(value, float) and not math.isfinite(value)):
+            return ""
+        if col in _REGRET_COLUMNS:
+            value = value * 1e4
+        if isinstance(value, float):
+            return repr(value) if fmt == "csv" else f"{value:.3f}"
+        return str(value)
+
+    grid = [list(cols)] + [[cell(c, r.get(c)) for c in cols] for r in rows]
+    if fmt == "csv":
+        return [",".join(line) for line in grid]
+    widths = [max(len(line[i]) for line in grid) for i in range(len(cols))]
+    return ["  ".join(c.rjust(w) for c, w in zip(line, widths)) for line in grid]
 
 
 def render_text(report: dict[str, list[dict]]) -> str:
@@ -399,37 +370,15 @@ def render_text(report: dict[str, list[dict]]) -> str:
     blocks = []
     for key in ("asymptotic", "mean", "median"):
         rows = report.get(key, [])
-        title = _TABLE_TITLES[key]
-        if not rows:
-            blocks.append(f"== {title} ==\n(no rows)")
-            continue
-        cols = list(rows[0].keys())
-        grid = [cols] + [[_render_cell(c, r.get(c)) for c in cols] for r in rows]
-        widths = [max(len(row[i]) for row in grid) for i in range(len(cols))]
-        lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in grid]
-        blocks.append(f"== {title} ==\n" + "\n".join(lines))
+        body = "\n".join(render_table(rows, list(rows[0]), "text")) if rows else "(no rows)"
+        blocks.append(f"== {_TABLE_TITLES[key]} ==\n{body}")
     return "\n\n".join(blocks) + "\n"
 
 
 def render_csv(report: dict[str, list[dict]]) -> str:
     """Long-format CSV rendering with a leading table column."""
-    all_cols: list[str] = []
-    for rows in report.values():
-        for r in rows:
-            for c in r:
-                if c not in all_cols:
-                    all_cols.append(c)
-    lines = [",".join(["table"] + all_cols)]
-    for key in ("asymptotic", "mean", "median"):
-        for r in report.get(key, []):
-            cells = [key]
-            for c in all_cols:
-                v = r.get(c)
-                if v is None or (isinstance(v, float) and not math.isfinite(v)):
-                    cells.append("")
-                elif c in _REGRET_COLUMNS:
-                    cells.append(repr(v * 1e4))
-                else:
-                    cells.append(repr(v) if isinstance(v, float) else str(v))
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    cols = ["table"] + list(dict.fromkeys(c for rows in report.values() for r in rows for c in r))
+    rows = [
+        {"table": key, **r} for key in ("asymptotic", "mean", "median") for r in report.get(key, [])
+    ]
+    return "\n".join(render_table(rows, cols, "csv")) + "\n"

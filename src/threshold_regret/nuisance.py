@@ -194,11 +194,12 @@ def optimal_bandwidth(nuisance: NuisanceEstimates, kernel: Kernel, n: int) -> tu
     """
     if nuisance.a_hat == 0.0:
         raise ValidationError("optimal bandwidth undefined at a_hat = 0; use a fallback rule")
+    if not n >= 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     if nuisance.k_hat == 0.0:
         return 0.0, 0.0
-    h = kernel.h
-    lam = kernel.alpha2 * nuisance.k_hat / (2.0 * h * nuisance.a_hat**2)
-    sigma = (lam / n) ** (1.0 / (2 * h + 1)) if lam > 0 else float("nan")
+    lam = kernel.optimal_lambda(nuisance.k_hat, nuisance.a_hat)
+    sigma = kernel.rate_bandwidth(lam, n) if lam > 0 else float("nan")
     if not (math.isfinite(lam) and math.isfinite(sigma)):
         raise NumericError(
             f"optimal bandwidth is not finite (lambda={lam}, sigma={sigma}); "

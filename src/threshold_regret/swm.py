@@ -29,15 +29,17 @@ grid gives.  A kernel whose ``k2_sup`` is ``inf`` has every point evaluated.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .data import ParamSpace, Sample, _ipw_g, default_space
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .ewm import ThresholdEstimate, fit_ewm
 from .kernels import Kernel
+from .nuisance import optimal_bandwidth
 
 __all__ = [
     "FixedBandwidth",
@@ -223,9 +225,8 @@ def _resolve_sigma(sample, kernel, rule, space, nuisance_fn):
     flags: list[str] = []
     if isinstance(rule, FixedBandwidth):
         return rule.sigma, flags
-    h = kernel.h
     if isinstance(rule, LambdaRate):
-        return (rule.lam / sample.n) ** (1.0 / (2 * h + 1)), flags
+        return kernel.rate_bandwidth(rule.lam, sample.n), flags
     if not isinstance(rule, (PlugInOptimal, Undersmoothed)):
         raise ValidationError(f"unknown bandwidth rule {rule!r}")
     if nuisance_fn is None:
@@ -237,15 +238,13 @@ def _resolve_sigma(sample, kernel, rule, space, nuisance_fn):
     if t_eval is None:
         t_eval = fit_ewm(sample, space).t_hat
     est = nuisance_fn(sample, t_eval)
-    if abs(est.a_hat) < _A_HAT_DEGENERATE or est.k_hat <= 0:
+    sigma = math.nan
+    if abs(est.a_hat) >= _A_HAT_DEGENERATE and est.k_hat > 0:
+        with suppress(NumericError):
+            sigma = optimal_bandwidth(est, kernel, sample.n)[1]
+    if not (math.isfinite(sigma) and sigma > 0):
         sigma = _silverman_fallback_sigma(sample)
         flags.append("bandwidth_fallback")
-    else:
-        lam_star = kernel.alpha2 * est.k_hat / (2.0 * h * est.a_hat**2)
-        sigma = (lam_star / sample.n) ** (1.0 / (2 * h + 1))
-        if not (math.isfinite(sigma) and sigma > 0):
-            sigma = _silverman_fallback_sigma(sample)
-            flags.append("bandwidth_fallback")
     if isinstance(rule, Undersmoothed):
         sigma *= sample.n ** (-rule.exponent_shrink)
         flags.append("undersmoothed")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import ncx2
 
 from threshold_regret.asymptotics import (
@@ -10,7 +11,7 @@ from threshold_regret.asymptotics import (
     optimal_lambda_mean,
     swm_regret_dist,
 )
-from threshold_regret.errors import ValidationError
+from threshold_regret.errors import NumericError, ValidationError
 from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1
 
@@ -74,13 +75,65 @@ def test_swm_rejects_bad_constants():
 
 
 def test_noncentral_chi2_median_matches_series_oracle():
-    """Simulated noncentral chi-squared quantiles against scipy's series."""
+    """Exact noncentral chi-squared quantiles against scipy's series."""
     for nc in (0.0, 0.25, 1.7):
         dist = swm_regret_dist(1.0, 0.5, math.sqrt(nc * KERNEL.alpha2), 1.0, KERNEL, 1000)
         assert dist.noncentrality == pytest.approx(nc, rel=1e-12, abs=1e-12)
         for q in (0.25, 0.5, 0.9):
             oracle = dist.scale * ncx2.ppf(q, df=1, nc=nc)
-            assert dist.quantile(q) == pytest.approx(oracle, rel=0.01)
+            assert dist.quantile(q) == pytest.approx(oracle, rel=1e-9)
+
+
+def test_noncentral_chi2_quantiles_solve_closed_form_cdf():
+    """With one degree of freedom, P(chi^2 <= x) = ndtr(sqrt x - sqrt nc) - ndtr(-sqrt x - sqrt nc)."""
+    for nc in (0.0, 0.25, 1.7, 50.0):
+        dist = swm_regret_dist(1.0, 0.5, math.sqrt(nc * KERNEL.alpha2), 1.0, KERNEL, 1000)
+        root_nc = math.sqrt(dist.noncentrality)
+        for q in (0.005, 0.025, 0.1, 0.5, 0.9, 0.975, 0.995):
+            root_x = math.sqrt(dist.quantile(q) / dist.scale)
+            assert ndtr(root_x - root_nc) - ndtr(-root_x - root_nc) == pytest.approx(q, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "K, H, A, n",
+    [
+        (math.nan, 0.5, 0.2, 100),
+        (1.0, math.nan, 0.2, 100),
+        (1.0, 0.5, math.nan, 100),
+        (math.inf, 0.5, 0.2, 100),
+        (1.0, math.inf, 0.2, 100),
+        (1.0, 0.5, -math.inf, 100),
+        (1.0, 0.5, 0.2, 0),
+        (1.0, 0.5, 0.2, -5),
+    ],
+)
+def test_regret_laws_reject_unusable_constants(small_chernoff, K, H, A, n):
+    with pytest.raises(ValidationError):
+        swm_regret_dist(K, H, A, 1.0, KERNEL, n)
+    with pytest.raises(ValidationError):
+        optimal_lambda_mean(K, H, A, KERNEL, n)
+    if math.isfinite(A):
+        with pytest.raises(ValidationError):
+            ewm_regret_dist(K, H, n, small_chernoff)
+
+
+def test_regret_laws_raise_numeric_error_when_not_finite(small_chernoff):
+    with pytest.raises(NumericError):
+        ewm_regret_dist(1e200, 0.5, 100, small_chernoff)  # K**2 overflows
+    with pytest.raises(NumericError):
+        ewm_regret_dist(1.0, 1e-320, 100, small_chernoff)  # infinite scale
+    with pytest.raises(NumericError):
+        ewm_regret_dist(1e-200, 1.0, 100, small_chernoff)  # scale underflows to 0
+    with pytest.raises(NumericError):
+        swm_regret_dist(1.0, 1e-320, 0.2, 1.0, KERNEL, 100)
+    with pytest.raises(NumericError):
+        swm_regret_dist(1.0, 0.5, 1e200, 1.0, KERNEL, 100)  # A**2 overflows
+    with pytest.raises(NumericError):
+        optimal_lambda_mean(1.0, 1e-320, 0.2, KERNEL, 100)
+    dist = swm_regret_dist(1.0, 5e-309, 0.2, 1.0, KERNEL, 1)
+    assert math.isfinite(dist.mean) and math.isfinite(dist.median)
+    with pytest.raises(NumericError):
+        dist.quantile(0.995)
 
 
 def test_swm_quantiles_monotone():

@@ -150,3 +150,8 @@ def test_independent_seeds_agree_on_upper_quantile():
 def test_samples_are_immutable(small_chernoff):
     with pytest.raises(ValueError):
         small_chernoff.samples[0] = 1.0
+
+
+def test_grid_beyond_limit_is_validation_error():
+    with pytest.raises(ValidationError, match=f"at most {chernoff._MAX_GRID} grid points"):
+        simulate_chernoff(grid_step=1e-300)

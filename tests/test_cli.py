@@ -1,12 +1,31 @@
+import importlib.util
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import threshold_regret
+from threshold_regret import cli
 from threshold_regret.cli import run_cli
 from threshold_regret.montecarlo import MODEL1, draw_sample
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 SMALL_TABLE = ["--chernoff-paths", "10000", "--chernoff-step", "0.001", "--chernoff-halfwidth", "2"]
+
+
+@pytest.fixture
+def session_table(monkeypatch, small_chernoff):
+    """Hand the CLI the session table for the SMALL_TABLE grid at seed 5, instead of simulating."""
+
+    def table(n_paths, domain_halfwidth, grid_step, seed, jobs):
+        assert (n_paths, domain_halfwidth, grid_step, seed) == (10_000, 2.0, 1e-3, 5)
+        return small_chernoff
+
+    monkeypatch.setattr(cli, "simulate_chernoff", table)
 
 
 @pytest.fixture(scope="module")
@@ -295,3 +314,41 @@ def test_chernoff_non_finite_grid_is_validation_error(capsys, flags):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_outputs_reproduce_pinned(session_table):
+    """Byte-identical stdout and exit codes recorded by scripts/pin_cli_outputs.py."""
+    spec = importlib.util.spec_from_file_location("pin_cli_outputs", ROOT / "scripts" / "pin_cli_outputs.py")
+    pin = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pin)
+    with open(ROOT / "tests" / "data" / "cli_pinned.json") as fh:
+        pinned = json.load(fh)["cases"]
+    assert pin.pinned_results() == pinned
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--K", "nan"], 1),
+    (["--H", "nan"], 1),
+    (["--A", "nan"], 1),
+    (["--K", "inf"], 1),
+    (["--n", "0"], 1),
+    (["--n", "-5"], 1),
+    (["--H", "1e-320"], 2),
+    (["--K", "1e200"], 2),
+    (["--A", "1e-200"], 2),
+])
+def test_asymptotics_unusable_constants_exit_cleanly(session_table, capsys, flags, code):
+    options = {"--n": "500", "--K": "1.596", "--H": "0.399", "--A": "0.199", "--seed": "5", "--jobs": "1"}
+    options.update(zip(flags[::2], flags[1::2]))
+    argv = ["asymptotics"] + [arg for pair in options.items() for arg in pair] + SMALL_TABLE
+    assert run_cli(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:" if code == 1 else "numeric failure:") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(threshold_regret.__file__).parent.parent)}
+    code = "import sys, threshold_regret.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

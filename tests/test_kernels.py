@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from threshold_regret.errors import NumericError
 from threshold_regret.kernels import gaussian_cdf_kernel
 
 
@@ -69,3 +70,11 @@ def test_order_below_two_rejected():
 
     with pytest.raises(ValueError):
         Kernel(k=ndtr, k1=norm_pdf, k2=norm_pdf, h=1, alpha1=1.0, alpha2=0.28)
+
+
+def test_optimal_lambda_and_rate_bandwidth(kernel):
+    assert kernel.optimal_lambda(2.0, 0.5) == kernel.alpha2 * 2.0 / (2.0 * 2 * 0.25)
+    assert kernel.rate_bandwidth(3.0, 1000) == (3.0 / 1000) ** (1.0 / 5.0)
+    for a in (0.0, -0.0, 1e-200, 1e200):
+        with pytest.raises(NumericError):
+            kernel.optimal_lambda(1.0, a)

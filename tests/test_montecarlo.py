@@ -207,3 +207,14 @@ def test_render_csv_scales_regrets(small_chernoff):
     header = csv_text.splitlines()[0].split(",")
     value = float(line.split(",")[header.index("ewm_empirical")])
     assert value == pytest.approx(res.row("model1", 120, "ewm").mean_regret * 1e4, rel=1e-12)
+
+
+def test_infeasible_swm_fails_per_replication_at_zero_bias_constant():
+    flat = Dgp(name="flat", gamma=1.0, beta1=1.0, beta2=0.0, p=0.5)
+    cfg = ExperimentConfig(
+        models=(flat,), n_list=(120,), replications=3, seed=1, estimators=("ewm", "swm_infeasible")
+    )
+    res = run_experiment(cfg)
+    row = res.row("flat", 120, "swm_infeasible")
+    assert (row.n_ok, row.n_failed) == (0, 3)
+    assert res.row("flat", 120, "ewm").n_ok == 3

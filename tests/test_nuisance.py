@@ -211,6 +211,12 @@ def test_optimal_bandwidth_zero_a_rejected():
         optimal_bandwidth(_nuis(1.0, 0.4, 0.0), KERNEL, 500)
 
 
+def test_optimal_bandwidth_rejects_sample_size_below_one():
+    for n in (0, -5):
+        with pytest.raises(ValidationError):
+            optimal_bandwidth(_nuis(1.0, 0.4, 0.2), KERNEL, n)
+
+
 def test_optimal_bandwidth_rate_in_n():
     lam1, sigma1 = optimal_bandwidth(_nuis(1.596, 0.399, 0.199), KERNEL, 500)
     lam2, sigma2 = optimal_bandwidth(_nuis(1.596, 0.399, 0.199), KERNEL, 2000)

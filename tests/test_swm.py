@@ -164,6 +164,17 @@ def test_zero_outcomes_fall_back_with_flag():
     assert est.bandwidth == pytest.approx(float(np.std(s.x)) * n ** (-0.2))
 
 
+def test_overflowing_plug_in_constants_fall_back_with_flag():
+    s = draw_sample(MODEL1, 300, 3)
+
+    def huge_a(sample, t):
+        return dataclasses.replace(estimate_khA(sample, t), a_hat=1e200)
+
+    est = fit_swm(s, KERNEL, PlugInOptimal(t_eval=0.0), nuisance_fn=huge_a)
+    assert "bandwidth_fallback" in est.flags
+    assert est.bandwidth == pytest.approx(float(np.std(s.x)) * s.n ** (-0.2))
+
+
 def test_undersmoothed_shrinks_bandwidth_and_flags():
     s = draw_sample(MODEL1, 1500, 21)
     plug = fit_swm(s, KERNEL, PlugInOptimal(t_eval=0.0), nuisance_fn=estimate_khA)
