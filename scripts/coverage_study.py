@@ -44,7 +44,7 @@ def main(argv=None):
 
     kernel = gaussian_cdf_kernel()
     table = simulate_chernoff(n_paths=args.chernoff_paths, seed=7, jobs=args.jobs)
-    lam = args.lambda_scale * kernel.alpha2 * MODEL1.K / (2.0 * kernel.h * MODEL1.A**2)
+    lam = args.lambda_scale * kernel.optimal_lambda(MODEL1.K, MODEL1.A)
 
     hits_e = hits_s = 0
     t0 = time.monotonic()

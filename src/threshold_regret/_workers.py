@@ -1,0 +1,26 @@
+"""Forked workers for seeded tasks, and the integer check for their counts and seeds.
+
+Each task carries its own seed, so results do not depend on the worker count.
+"""
+
+import numbers
+from multiprocessing import get_context
+
+from .errors import ValidationError
+
+
+def require_int(name: str, value, least: int) -> None:
+    """ValidationError unless ``value`` is an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+
+
+def parallel_map(fn, tasks, jobs: int) -> list:
+    """``[fn(t) for t in tasks]`` in task order, over ``jobs`` forked workers when ``jobs > 1``."""
+    require_int("jobs", jobs, 1)
+    if jobs == 1:
+        return [fn(t) for t in tasks]
+    with get_context("fork").Pool(jobs) as pool:
+        return pool.map(fn, tasks)

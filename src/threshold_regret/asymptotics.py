@@ -201,32 +201,13 @@ class ComparisonReport:
     ewm_mean: float
     swm_mean: float
     ratio: float
-    closed_form_ratio: float | None
     n: int
 
 
 def compare_policies(
     K: float, H: float, A: float, kernel: Kernel, n: int, chernoff: ChernoffTable
 ) -> ComparisonReport:
-    """EWM versus SWM asymptotic mean regret at the SWM-optimal bandwidth.
-
-    For an order-2 kernel the ratio has the closed form
-    n^(2/15) H^(2/3) A^(-2/5) K^(-2/15) (C_e / C_s), reported alongside the
-    direct quotient as a consistency check.
-    """
+    """EWM versus SWM asymptotic mean regret at the SWM-optimal bandwidth."""
     ewm_mean = ewm_regret_dist(K, H, n, chernoff).mean
     swm_mean = optimal_lambda_mean(K, H, A, kernel, n)
-    ratio = ewm_mean / swm_mean
-    closed = None
-    if kernel.h == 2:
-        c_e = 2.0 ** (1.0 / 3.0) * chernoff.second_moment
-        c_s = 2.5 * (kernel.alpha2 / 4.0) ** 0.8
-        closed = (
-            n ** (-2.0 / 3.0 + 4.0 / 5.0)
-            * H ** (2.0 / 3.0)
-            / (abs(A) ** 0.4 * K ** (2.0 / 15.0))
-            * (c_e / c_s)
-        )
-    return ComparisonReport(
-        ewm_mean=ewm_mean, swm_mean=swm_mean, ratio=ratio, closed_form_ratio=closed, n=n
-    )
+    return ComparisonReport(ewm_mean=ewm_mean, swm_mean=swm_mean, ratio=ewm_mean / swm_mean, n=n)

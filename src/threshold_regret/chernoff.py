@@ -21,12 +21,11 @@ block taken at once.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
+from ._workers import parallel_map, require_int
 from .errors import ValidationError
 
 __all__ = ["ChernoffTable", "simulate_chernoff", "chernoff_quantile", "DEFAULT_CHERNOFF_SEED"]
@@ -119,10 +118,8 @@ def simulate_chernoff(
         raise ValidationError(f"domain_halfwidth must be finite and >= 2, got {domain_halfwidth}")
     if not (0 < grid_step <= 1e-3):
         raise ValidationError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
-    if not isinstance(n_paths, numbers.Integral):
-        raise ValidationError(f"n_paths must be an integer, got {n_paths!r}")
-    if n_paths < 10_000:
-        raise ValidationError(f"n_paths must be >= 10000, got {n_paths}")
+    require_int("n_paths", n_paths, 10_000)
+    require_int("seed", seed, 0)
     m = int(round(domain_halfwidth / grid_step))
     if m > _MAX_GRID:
         raise ValidationError(
@@ -133,12 +130,7 @@ def simulate_chernoff(
     tasks = [
         (seed, b, min(_BLOCK, n_paths - b * _BLOCK), m, grid_step) for b in range(n_blocks)
     ]
-    if jobs > 1:
-        with get_context("fork").Pool(jobs) as pool:
-            blocks = pool.map(_simulate_block, tasks)
-    else:
-        blocks = [_simulate_block(t) for t in tasks]
-    samples = np.concatenate(blocks)
+    samples = np.concatenate(parallel_map(_simulate_block, tasks, jobs))
     return ChernoffTable(
         samples=samples,
         mean=float(samples.mean()),

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .asymptotics import asymptotic_row
+from .asymptotics import _check_constants, asymptotic_row
 from .chernoff import DEFAULT_CHERNOFF_SEED, chernoff_quantile, simulate_chernoff
 from .data import ParamSpace, default_space, load_sample_csv
 from .errors import NumericError, ThresholdRegretError, ValidationError
@@ -288,9 +288,12 @@ def _cmd_asymptotics(args):
         dgp = _model_by_id(args.model)
         K, H, A = dgp.K, dgp.H, dgp.A
         model_name = dgp.name
+    n_list = _parse_n_list(args.n)
+    for n in n_list:  # before the table, so bad constants fail without simulating
+        _check_constants(K, H, A, n)
     table = _chernoff_table_from_args(args)
     rows = []
-    for n in _parse_n_list(args.n):
+    for n in n_list:
         row = asymptotic_row(model_name, K, H, A, n, table, kernel)
         if A == 0:
             del row["swm_mean"], row["swm_median"]

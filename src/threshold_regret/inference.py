@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfinv
 
+from ._workers import parallel_map, require_int
 from .chernoff import ChernoffTable, chernoff_quantile
 from .data import Sample, _ipw_g
 from .errors import NumericError, ValidationError
@@ -60,8 +61,12 @@ class ConfidenceInterval:
     def __post_init__(self):
         if not self.lo <= self.hi:
             raise ValidationError(f"interval bounds out of order: ({self.lo}, {self.hi})")
-        if not 0.0 < self.level < 1.0:
-            raise ValidationError(f"level must lie in (0, 1), got {self.level}")
+        _check_level(self.level)
+
+
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must lie in (0, 1), got {level}")
 
 
 def _require_positive_slope(h_hat: float) -> None:
@@ -82,6 +87,7 @@ def ewm_ci(
     """Plug-in interval t_hat +- n^(-1/3) (2 sqrt(K_hat) / H_hat)^(2/3) c_{alpha/2}."""
     if estimate.policy_kind != "ewm":
         raise ValidationError(f"ewm_ci needs an ewm estimate, got {estimate.policy_kind!r}")
+    _check_level(level)
     _require_positive_slope(nuisance.h_hat)
     if nuisance.k_hat < 0:
         raise NumericError(f"K_hat = {nuisance.k_hat} is negative")
@@ -117,6 +123,7 @@ class BootstrapDistribution:
         self.draws.setflags(write=False)
 
     def percentile_interval(self, level: float = 0.95) -> ConfidenceInterval:
+        _check_level(level)
         alpha = 1.0 - level
         scale = self.n ** (-1.0 / 3.0)
         q_lo = float(np.quantile(self.draws, alpha / 2.0))
@@ -182,13 +189,14 @@ def ewm_bootstrap(
     Replicates are seeded independently from (seed, replicate index), so the
     draws do not depend on the worker count.
     """
-    if n_boot < 200:
-        raise ValidationError(f"n_boot must be >= 200, got {n_boot}")
+    require_int("n_boot", n_boot, 200)
     if not math.isfinite(h_hat):
         raise ValidationError(f"h_hat must be finite, got {h_hat}")
     _require_positive_slope(h_hat)
     if estimate.policy_kind != "ewm":
         raise ValidationError(f"ewm_bootstrap needs an ewm estimate, got {estimate.policy_kind!r}")
+    require_int("seed", seed, 0)
+    require_int("jobs", jobs, 1)
     n = sample.n
     g = _ipw_g(sample)
     breaks = np.unique(sample.x)
@@ -200,21 +208,12 @@ def ewm_bootstrap(
 
     t_hat = estimate.t_hat
     scale = n ** (1.0 / 3.0)
-    if jobs > 1:
-        from multiprocessing import get_context
-
-        chunk = (n_boot + jobs - 1) // jobs
-        tasks = [
-            (lo, min(lo + chunk, n_boot), seed, rank, g, n, t_hat, h_hat, breaks, suffix_orig)
-            for lo in range(0, n_boot, chunk)
-        ]
-        with get_context("fork").Pool(jobs) as pool:
-            parts = pool.map(_bootstrap_chunk, tasks)
-        t_boot = np.concatenate(parts)
-    else:
-        t_boot = _bootstrap_chunk(
-            (0, n_boot, seed, rank, g, n, t_hat, h_hat, breaks, suffix_orig)
-        )
+    chunk = (n_boot + jobs - 1) // jobs
+    tasks = [
+        (lo, min(lo + chunk, n_boot), seed, rank, g, n, t_hat, h_hat, breaks, suffix_orig)
+        for lo in range(0, n_boot, chunk)
+    ]
+    t_boot = np.concatenate(parallel_map(_bootstrap_chunk, tasks, jobs))
     draws = scale * (t_boot - t_hat)
     return BootstrapDistribution(draws=draws, t_hat=t_hat, n=n, n_boot=n_boot, seed=seed)
 
@@ -237,6 +236,7 @@ def swm_ci(
     """
     if estimate.policy_kind != "swm":
         raise ValidationError(f"swm_ci needs an swm estimate, got {estimate.policy_kind!r}")
+    _check_level(level)
     if estimate.bandwidth is None or estimate.bandwidth <= 0:
         raise ValidationError("estimate has no recorded bandwidth")
     if mode not in ("bias_corrected", "undersmoothed"):

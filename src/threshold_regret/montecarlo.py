@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 from scipy.special import ndtr
 
+from ._workers import parallel_map, require_int
 from .asymptotics import asymptotic_row
 from .chernoff import ChernoffTable
 from .data import Sample, default_space, regret
@@ -133,16 +133,15 @@ class ExperimentConfig:
     retain_samples: bool = False
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValidationError(f"replications must be >= 1, got {self.replications}")
+        require_int("replications", self.replications, 1)
         for n in self.n_list:
             if n < 2:
                 raise ValidationError(f"every n must be >= 2, got {n}")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValidationError(f"unknown estimators {sorted(unknown)}; choose from {ESTIMATORS}")
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
+        require_int("seed", self.seed, 0)
+        require_int("jobs", self.jobs, 1)
 
 
 @dataclass(frozen=True)
@@ -226,18 +225,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     the result identical for any ``jobs`` value.
     """
     rows: list[EstimatorSummary] = []
-    ctx = get_context("fork") if config.jobs > 1 else None
     for model_idx, dgp in enumerate(config.models):
         for n in config.n_list:
             tasks = [
                 (dgp, model_idx, n, rep, config.seed, config.estimators)
                 for rep in range(config.replications)
             ]
-            if ctx is not None:
-                with ctx.Pool(config.jobs) as pool:
-                    results = pool.map(_run_one_rep, tasks, chunksize=max(1, len(tasks) // (4 * config.jobs)))
-            else:
-                results = [_run_one_rep(t) for t in tasks]
+            results = parallel_map(_run_one_rep, tasks, config.jobs)
             per_est = {est: np.full(config.replications, np.nan) for est in config.estimators}
             fallbacks = 0
             for rep, out, fb in results:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -39,7 +40,7 @@ from .data import ParamSpace, Sample, _ipw_g, default_space
 from .errors import NumericError, ValidationError
 from .ewm import ThresholdEstimate, fit_ewm
 from .kernels import Kernel
-from .nuisance import optimal_bandwidth
+from .nuisance import _sd, optimal_bandwidth
 
 __all__ = [
     "FixedBandwidth",
@@ -65,8 +66,8 @@ class FixedBandwidth:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValidationError(f"fixed bandwidth must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValidationError(f"fixed bandwidth must be finite and positive, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class LambdaRate:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValidationError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValidationError(f"lambda must be finite and positive, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,9 @@ class Undersmoothed:
     t_eval: float | None = None
 
     def __post_init__(self):
-        if not self.exponent_shrink > 0:
+        if not 0 < self.exponent_shrink < math.inf:
             raise ValidationError(
-                f"exponent_shrink must be positive so the total rate beats "
+                f"exponent_shrink must be finite and positive so the total rate beats "
                 f"1/(2h+1), got {self.exponent_shrink}"
             )
 
@@ -109,34 +110,35 @@ class Undersmoothed:
 BandwidthRule = Union[FixedBandwidth, LambdaRate, PlugInOptimal, Undersmoothed]
 
 
+def _smoothed(g, x, kernel, sigma, t, order=0):
+    """S_n (order 0) or its t-derivative S_n' (order 1) from the IPW scores ``g``.
+
+    A scalar ``t`` gives a float from one 1-D product.  An array of
+    thresholds gives one value each, as rows of a matrix product taken in
+    chunks that bound memory.  The two forms can differ in the last bit, so
+    the grid always takes the array form and the refinement the scalar one.
+    """
+    k = kernel.k if order == 0 else kernel.k1
+    scale = len(x) if order == 0 else -(len(x) * sigma)
+    if not isinstance(t, np.ndarray) or t.ndim == 0:
+        return float(np.dot(g, k((x - t) / sigma))) / scale
+    chunk = max(1, 4_000_000 // len(x))
+    rows = (t[lo : lo + chunk, None] for lo in range(0, len(t), chunk))
+    return np.concatenate([k((x[None, :] - r) / sigma) @ g / scale for r in rows])
+
+
 def smoothed_objective(sample: Sample, kernel: Kernel, sigma: float, t: float) -> float:
     """Kernel-smoothed sample welfare difference at threshold ``t``."""
     if not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    g = _ipw_g(sample)
-    u = (sample.x - t) / sigma
-    return float(np.dot(g, kernel.k(u))) / sample.n
+    return _smoothed(_ipw_g(sample), sample.x, kernel, sigma, t)
 
 
 def smoothed_objective_derivative(sample: Sample, kernel: Kernel, sigma: float, t: float) -> float:
     """Analytic t-derivative of :func:`smoothed_objective`."""
     if not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    g = _ipw_g(sample)
-    u = (sample.x - t) / sigma
-    return -float(np.dot(g, kernel.k1(u))) / (sample.n * sigma)
-
-
-def _objective_on_grid(g, x, kernel, sigma, ts):
-    """Objective values at every grid threshold, chunked to bound memory."""
-    n = len(x)
-    out = np.empty(len(ts))
-    chunk = max(1, int(4_000_000 / max(n, 1)))
-    for lo in range(0, len(ts), chunk):
-        sl = ts[lo : lo + chunk]
-        u = (x[None, :] - sl[:, None]) / sigma
-        out[lo : lo + len(sl)] = kernel.k(u) @ g / n
-    return out
+    return _smoothed(_ipw_g(sample), sample.x, kernel, sigma, t, order=1)
 
 
 def _grid_candidates(g, x, kernel, sigma, space, n_pts):
@@ -213,13 +215,6 @@ def _golden_section_max(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _silverman_fallback_sigma(sample: Sample) -> float:
-    sd = float(np.std(sample.x))
-    if sd == 0.0:
-        sd = 1.0
-    return sd * sample.n ** (-0.2)
-
-
 def _resolve_sigma(sample, kernel, rule, space, nuisance_fn):
     """Resolve the bandwidth from the rule; returns (sigma, flags)."""
     flags: list[str] = []
@@ -243,7 +238,7 @@ def _resolve_sigma(sample, kernel, rule, space, nuisance_fn):
         with suppress(NumericError):
             sigma = optimal_bandwidth(est, kernel, sample.n)[1]
     if not (math.isfinite(sigma) and sigma > 0):
-        sigma = _silverman_fallback_sigma(sample)
+        sigma = _sd(sample.x) * sample.n ** (-0.2)  # Silverman-type fallback
         flags.append("bandwidth_fallback")
     if isinstance(rule, Undersmoothed):
         sigma *= sample.n ** (-rule.exponent_shrink)
@@ -272,21 +267,18 @@ def fit_swm(
     if space is None:
         space = default_space(sample)
     sigma, flags = _resolve_sigma(sample, kernel, rule, space, nuisance_fn)
+    if not 0.0 < sigma < math.inf:
+        raise NumericError(f"bandwidth sigma = {sigma} is not finite and positive")
 
     g = _ipw_g(sample)
-    x = sample.x
+    f = partial(_smoothed, g, sample.x, kernel, sigma)
     n_pts = max(201, min(int(math.ceil(space.width / sigma)) * 4, _GRID_CAP))
     ts = np.linspace(space.lo, space.hi, n_pts)
-    cand = _grid_candidates(g, x, kernel, sigma, space, n_pts)
-    vals = _objective_on_grid(g, x, kernel, sigma, ts[cand])
-    best = int(cand[np.argmax(vals)])
+    cand = _grid_candidates(g, sample.x, kernel, sigma, space, n_pts)
+    best = int(cand[np.argmax(f(ts[cand]))])
 
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, n_pts - 1)]
-
-    def f(t):
-        return float(np.dot(g, kernel.k((x - t) / sigma))) / sample.n
-
     t_hat = float(space.clamp(_golden_section_max(f, float(lo), float(hi), tol=1e-8 * space.width)))
     return ThresholdEstimate(
         t_hat=t_hat,

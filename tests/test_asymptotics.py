@@ -225,8 +225,13 @@ def test_swm_homogeneity_at_fixed_lambda():
 
 
 def test_compare_policies_closed_form_agrees(small_chernoff):
-    rep = compare_policies(MODEL1.K, MODEL1.H, MODEL1.A, KERNEL, 500, small_chernoff)
-    assert rep.closed_form_ratio == pytest.approx(rep.ratio, rel=1e-8)
+    """The order-2 closed form n^(2/15) H^(2/3) |A|^(-2/5) K^(-2/15) C_e / C_s."""
+    K, H, A, n = MODEL1.K, MODEL1.H, MODEL1.A, 500
+    rep = compare_policies(K, H, A, KERNEL, n, small_chernoff)
+    c_e = 2.0 ** (1.0 / 3.0) * small_chernoff.second_moment
+    c_s = 2.5 * (KERNEL.alpha2 / 4.0) ** 0.8
+    closed = n ** (2.0 / 15.0) * H ** (2.0 / 3.0) / (abs(A) ** 0.4 * K ** (2.0 / 15.0)) * (c_e / c_s)
+    assert closed == pytest.approx(rep.ratio, rel=1e-8)
 
 
 def test_compare_policies_model1_favors_smoothed(small_chernoff):

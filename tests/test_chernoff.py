@@ -34,6 +34,8 @@ def test_parameter_bounds_enforced():
     {"domain_halfwidth": math.inf},
     {"n_paths": 10_000.5},
     {"n_paths": 10_000.0},
+    {"seed": 2.5},
+    {"jobs": 1.5},
 ])
 def test_non_finite_or_non_integer_inputs_rejected(kwargs):
     with pytest.raises(ValidationError):

@@ -352,3 +352,54 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_DATA = object()  # stands for "--data <fixture csv> --propensity 0.5"
+_BOOT = ["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", _DATA]
+_PLUGIN = ["infer", "--policy", "ewm", "--method", "plugin", "--seed", "5", "--jobs", "1", _DATA]
+_SWM = ["estimate", "--policy", "swm", _DATA, "--bandwidth"]
+_LEVEL = "level must lie in (0, 1), got "
+
+
+@pytest.mark.parametrize("argv, env_seed, fragment", [
+    pytest.param(_PLUGIN + ["--level", "1.5"] + SMALL_TABLE, None, _LEVEL + "1.5", id="plugin-level"),
+    pytest.param(["infer", "--policy", "swm", "--method", "bias-corrected", "--level", "1.5", _DATA],
+                 None, _LEVEL + "1.5", id="bias-corrected-level"),
+    pytest.param(_BOOT + ["--level", "1.5", "--jobs", "1"], None, _LEVEL + "1.5", id="bootstrap-level"),
+    pytest.param(_BOOT + ["--level", "nan", "--jobs", "1"], None, _LEVEL + "nan", id="bootstrap-level-nan"),
+    pytest.param(["chernoff", "--seed", "-1", "--jobs", "1"] + SMALL_TABLE, None, "seed must be >= 0, got -1",
+                 id="chernoff-seed"),
+    pytest.param(["asymptotics", "--n", "500", "--seed", "-1", "--jobs", "1"] + SMALL_TABLE, None,
+                 "seed must be >= 0, got -1", id="asymptotics-seed"),
+    pytest.param(["simulate", "--n", "200", "--reps", "3", "--seed", "-1", "--jobs", "1"] + SMALL_TABLE, None,
+                 "seed must be >= 0, got -1", id="simulate-seed"),
+    pytest.param(_BOOT + ["--seed", "-1", "--jobs", "1"], None, "seed must be >= 0, got -1", id="bootstrap-seed"),
+    pytest.param(["chernoff", "--jobs", "1"] + SMALL_TABLE, "-4", "seed must be >= 0, got -4", id="env-seed"),
+    pytest.param(_SWM + ["fixed:inf"], None, "finite and positive, got inf", id="fixed-inf"),
+    pytest.param(_SWM + ["lambda:inf"], None, "finite and positive, got inf", id="lambda-inf"),
+    pytest.param(_SWM + ["undersmooth:inf"], None, "finite and positive", id="undersmooth-inf"),
+    pytest.param(_SWM + ["undersmooth:1000"], None, "bandwidth sigma = 0.0", id="undersmooth-underflow"),
+    pytest.param(["chernoff", "--jobs", "0"] + SMALL_TABLE, None, "jobs must be >= 1, got 0", id="chernoff-jobs-0"),
+    pytest.param(["chernoff", "--jobs", "-1"] + SMALL_TABLE, None, "jobs must be >= 1, got -1",
+                 id="chernoff-jobs-negative"),
+    pytest.param(_BOOT + ["--jobs", "-3"], None, "jobs must be >= 1, got -3", id="bootstrap-jobs-negative"),
+])
+def test_bad_arguments_exit_with_one_error_line(sample_csv, capsys, monkeypatch, argv, env_seed, fragment):
+    if env_seed is not None:
+        monkeypatch.setenv("THRESHOLD_REGRET_SEED", env_seed)
+    data = ["--data", sample_csv, "--propensity", "0.5"]
+    argv = [part for arg in argv for part in (data if arg is _DATA else [arg])]
+    assert run_cli(argv) in (1, 2)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert fragment in err
+
+
+def test_asymptotics_checks_constants_before_simulating(monkeypatch, capsys):
+    def no_table(**kwargs):
+        raise AssertionError("the table was simulated for unusable constants")
+
+    monkeypatch.setattr(cli, "simulate_chernoff", no_table)
+    argv = ["asymptotics", "--n", "500", "--K", "nan", "--H", "1", "--A", "1", "--jobs", "1"] + SMALL_TABLE
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith("error: K and H must be finite and positive")

@@ -128,6 +128,22 @@ def test_bootstrap_agrees_with_plugin_half_width(small_chernoff):
     assert boot.half_width == pytest.approx(plug.half_width, rel=0.20)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_every_interval_rejects_a_level_outside_the_unit_interval(small_chernoff, level):
+    s = draw_sample(MODEL1, 400, 9)
+    est = fit_ewm(s)
+    nuis = _nuis(1.0, 0.4, 0.2)
+    swm_est = fit_swm(s, KERNEL, LambdaRate(2.8))
+    boot = ewm_bootstrap(s, est, h_hat=0.4, n_boot=200, seed=3)
+    for build in (
+        lambda: ewm_ci(s, est, nuis, small_chernoff, level),
+        lambda: swm_ci(s, swm_est, nuis, KERNEL, level),
+        lambda: boot.percentile_interval(level),
+    ):
+        with pytest.raises(ValidationError, match=r"^level must lie in \(0, 1\)"):
+            build()
+
+
 # --- smoothed-policy intervals ---------------------------------------------------
 
 

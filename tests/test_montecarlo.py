@@ -161,6 +161,10 @@ def test_experiment_config_validation():
     with pytest.raises(ValidationError):
         _tiny_config(jobs=0)
     with pytest.raises(ValidationError):
+        _tiny_config(jobs=1.5)
+    with pytest.raises(ValidationError):
+        _tiny_config(seed=-1)
+    with pytest.raises(ValidationError):
         _tiny_config(n_list=(1,))
 
 

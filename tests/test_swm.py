@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_regret.data import ParamSpace, Sample, default_space, empirical_welfare
-from threshold_regret.errors import ValidationError
+from threshold_regret.errors import NumericError, ValidationError
 from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1, draw_sample
 from threshold_regret.nuisance import estimate_khA
@@ -21,7 +21,7 @@ from threshold_regret.swm import (
     PlugInOptimal,
     Undersmoothed,
     _grid_candidates,
-    _objective_on_grid,
+    _smoothed,
     fit_swm,
     smoothed_objective,
     smoothed_objective_derivative,
@@ -188,6 +188,19 @@ def test_undersmoothed_requires_positive_shrink():
         Undersmoothed(exponent_shrink=0.0)
 
 
+@pytest.mark.parametrize("rule", [FixedBandwidth, LambdaRate, Undersmoothed])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_bandwidth_rules_require_a_finite_positive_parameter(rule, value):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        rule(value)
+
+
+def test_bandwidth_that_underflows_to_zero_is_a_numeric_error():
+    s = draw_sample(MODEL1, 500, 3)
+    with pytest.raises(NumericError, match="not finite and positive"):
+        fit_swm(s, KERNEL, Undersmoothed(exponent_shrink=1000.0, t_eval=0.0), nuisance_fn=estimate_khA)
+
+
 def test_infeasible_optimal_mse_consistent_with_normal_limit():
     """200 replications at n=3000: MSE within a factor 2 of bias^2 + variance."""
     dgp = MODEL1
@@ -215,9 +228,9 @@ def _full_and_screened(g, x, kernel, sigma, space):
     """Exact values on the whole coarse grid, and the index the screen picks."""
     n_pts = max(201, min(int(math.ceil(space.width / sigma)) * 4, _GRID_CAP))
     ts = np.linspace(space.lo, space.hi, n_pts)
-    full = _objective_on_grid(g, x, kernel, sigma, ts)
+    full = _smoothed(g, x, kernel, sigma, ts)
     cand = _grid_candidates(g, x, kernel, sigma, space, n_pts)
-    return full, cand, int(cand[np.argmax(_objective_on_grid(g, x, kernel, sigma, ts[cand]))])
+    return full, cand, int(cand[np.argmax(_smoothed(g, x, kernel, sigma, ts[cand]))])
 
 
 @given(
