@@ -13,6 +13,9 @@ Usage:
     PYTHONPATH=src python scripts/pin_swm_outputs.py [--out tests/data/swm_pinned.json]
 
 Regenerate the file only on a commit whose outputs are the reference.
+``tests/data/swm_pinned_golden.json`` holds the same cases as fitted with the
+earlier golden-section refinement; it is never regenerated, and a test holds
+each current ``t_hat`` to within the refinement tolerance of it.
 """
 
 import argparse
@@ -64,16 +67,23 @@ def cases():
     return out
 
 
-def fit_case(case):
-    """Fit one case; returns its pinned record (floats as ``float.hex``)."""
+def case_inputs(case):
+    """The sample and the parameter space (None for the data-driven one) of a case."""
     dgp = MODELS[case["model"]]
-    kernel = gaussian_cdf_kernel()
     sample = draw_sample(dgp, case["n"], np.random.SeedSequence(entropy=2404, spawn_key=(case["seed"],)))
     if case["outlier"] is not None:
         x = sample.x.copy()
         x[0] = case["outlier"]
         sample = Sample(y=sample.y, d=sample.d, x=x, propensity=sample.propensity)
     space = ParamSpace(*case["space"]) if case["space"] is not None else None
+    return sample, space
+
+
+def fit_case(case):
+    """Fit one case; returns its pinned record (floats as ``float.hex``)."""
+    dgp = MODELS[case["model"]]
+    kernel = gaussian_cdf_kernel()
+    sample, space = case_inputs(case)
     try:
         est = fit_swm(sample, kernel, RULES[case["rule"]](dgp, kernel), space,
                       nuisance_fn=estimate_khA)

@@ -45,22 +45,18 @@ class ThresholdEstimate:
 
 
 def _compensated_suffix_sums(values: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated suffix sums; entry j is sum(values[j:]), entry n is 0."""
-    n = len(values)
-    out = np.empty(n + 1)
-    out[n] = 0.0
-    total = 0.0
-    comp = 0.0
-    for j in range(n - 1, -1, -1):
-        v = values[j]
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out[j] = total + comp
-    return out
+    """Neumaier-compensated suffix sums; entry j is sum(values[j:]), entry n is 0.
+
+    The running total is a sequential ``cumsum`` of the reversed values from
+    0, each step's rounding error comes from the total before and after it,
+    and the errors are summed by a second ``cumsum``: the same operations, in
+    the same order, as the scalar recurrence.
+    """
+    v = np.concatenate(([0.0], values[::-1]))
+    total = np.cumsum(v)
+    prev, cur, v = total[:-1], total[1:], v[1:]
+    err = np.where(np.abs(prev) >= np.abs(v), (prev - cur) + v, (v - cur) + prev)
+    return (total + np.cumsum(np.concatenate(([0.0], err))))[::-1]
 
 
 def fit_ewm(sample: Sample, space: ParamSpace | None = None) -> ThresholdEstimate:

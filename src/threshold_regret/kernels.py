@@ -75,6 +75,12 @@ class Kernel:
         return (lam / n) ** (1.0 / (2 * self.h + 1))
 
 
+def _gaussian_k2(z):
+    """k''(z) = -z phi(z); z is clipped to +-40, where phi is already 0, so +-inf gives 0."""
+    z = np.clip(z, -40.0, 40.0)
+    return -z * norm_pdf(z)
+
+
 def gaussian_cdf_kernel() -> Kernel:
     """Standard normal CDF kernel, order 2.
 
@@ -85,7 +91,7 @@ def gaussian_cdf_kernel() -> Kernel:
     return Kernel(
         k=ndtr,
         k1=norm_pdf,
-        k2=lambda z: -np.asarray(z) * norm_pdf(z),
+        k2=_gaussian_k2,
         h=2,
         alpha1=1.0,
         alpha2=1.0 / (2.0 * math.sqrt(math.pi)),

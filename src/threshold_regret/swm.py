@@ -5,8 +5,9 @@ smooth CDF-like kernel weight,
 
     S_n(t) = (1/n) * sum_i g_i * k((x_i - t) / sigma),
 
-which is continuously differentiable in t and is maximized by a coarse
-global grid search followed by golden-section refinement.  The bandwidth
+which is twice continuously differentiable in t and is maximized by a
+coarse global grid search followed by a safeguarded Newton iteration on
+S_n'(t) = 0 inside the grid bracket of the best point.  The bandwidth
 sigma comes from one of four rules: a fixed value, a lambda-rate sequence
 sigma = (lambda / n)^(1 / (2h + 1)), the plug-in regret-optimal rule, or an
 undersmoothed variant of the plug-in rule.
@@ -24,6 +25,8 @@ and a rounding slack.  Only the grid points whose approximate value lies
 within that bound of the approximate maximum can hold the exact argmax;
 they alone are evaluated exactly, so the estimate is the one a full exact
 grid gives.  A kernel whose ``k2_sup`` is ``inf`` has every point evaluated.
+The bound is written in step / sigma, so an extreme sigma makes it infinite
+and keeps every point rather than overflowing.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ _SUBCELLS = 4  # linear-binning sub-cells per coarse grid step
 _TAIL_SIGMAS = 10.0  # rows this many bandwidths outside the space are folded in
 _PAD_CAP = 1 << 14  # ... but at most this many sub-cells outside each end
 _A_HAT_DEGENERATE = 1e-8
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_NEWTON_MAX_STEPS = 100  # a safety net; bisection alone needs about 21
 
 
 @dataclass(frozen=True)
@@ -111,20 +114,23 @@ BandwidthRule = Union[FixedBandwidth, LambdaRate, PlugInOptimal, Undersmoothed]
 
 
 def _smoothed(g, x, kernel, sigma, t, order=0):
-    """S_n (order 0) or its t-derivative S_n' (order 1) from the IPW scores ``g``.
+    """S_n (order 0) or its t-derivatives S_n' and S_n'' (orders 1, 2) from the IPW scores ``g``.
 
     A scalar ``t`` gives a float from one 1-D product.  An array of
     thresholds gives one value each, as rows of a matrix product taken in
     chunks that bound memory.  The two forms can differ in the last bit, so
     the grid always takes the array form and the refinement the scalar one.
     """
-    k = kernel.k if order == 0 else kernel.k1
-    scale = len(x) if order == 0 else -(len(x) * sigma)
+    k = (kernel.k, kernel.k1, kernel.k2)[order]
+    scale = len(x) * (1.0, -sigma, sigma)[order]
     if not isinstance(t, np.ndarray) or t.ndim == 0:
-        return float(np.dot(g, k((x - t) / sigma))) / scale
-    chunk = max(1, 4_000_000 // len(x))
-    rows = (t[lo : lo + chunk, None] for lo in range(0, len(t), chunk))
-    return np.concatenate([k((x[None, :] - r) / sigma) @ g / scale for r in rows])
+        value = float(np.dot(g, k((x - t) / sigma))) / scale
+    else:
+        chunk = max(1, 4_000_000 // len(x))
+        rows = (t[lo : lo + chunk, None] for lo in range(0, len(t), chunk))
+        value = np.concatenate([k((x[None, :] - r) / sigma) @ g / scale for r in rows])
+    # the second sigma of S_n'' is divided separately, so a tiny sigma gives inf, never 1/0
+    return value / sigma if order == 2 else value
 
 
 def smoothed_objective(sample: Sample, kernel: Kernel, sigma: float, t: float) -> float:
@@ -155,7 +161,7 @@ def _grid_candidates(g, x, kernel, sigma, space, n_pts):
     n = len(x)
     span = _SUBCELLS * (n_pts - 1)
     step = space.width / span
-    pad = min(math.ceil(_TAIL_SIGMAS * sigma / step), _PAD_CAP)
+    pad = math.ceil(min(_TAIL_SIGMAS * sigma / step, _PAD_CAP))
     pos = (x - space.lo) / step
     m0 = min(max(math.floor(pos.min()), -pad), span)
     m1 = max(min(math.floor(pos.max()) + 1, span + pad), 0)
@@ -182,7 +188,8 @@ def _grid_candidates(g, x, kernel, sigma, space, n_pts):
     )
     approx = corr[span::-_SUBCELLS] + float(np.sum(g[right]))
 
-    err = step**2 / (8.0 * sigma**2) * kernel.k2_sup * float(np.sum(abs_g[near]))
+    h = step / sigma
+    err = h * h / 8.0 * kernel.k2_sup * float(np.sum(abs_g[near]))
     if left.any() or right.any():
         c = pad * step / sigma
         k_lo, k_hi = kernel.k(np.array([-c, c]))
@@ -194,25 +201,32 @@ def _grid_candidates(g, x, kernel, sigma, space, n_pts):
     slack = eps * (
         16.0 * (n + size * math.log2(size)) + 8.0 * math.sqrt(kernel.k2_sup) * reach / sigma
     ) * float(np.sum(abs_g))
-    # negated so that a NaN or inf from overflowing scores keeps every point
+    # negated so that a NaN or inf from overflowing scores or bounds keeps every point
     return np.flatnonzero(~(approx < approx.max() - (2.0 * err + slack)))
 
 
-def _golden_section_max(f, a: float, b: float, tol: float) -> float:
-    """Golden-section search for a maximum of f on [a, b]."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
+def _newton_max(f, lo: float, hi: float, t: float, tol: float) -> float:
+    """Safeguarded Newton iteration on S_n' = 0 for a maximum in [lo, hi], from ``t``.
+
+    ``f(t, order)`` is S_n' (order 1) or S_n'' (order 2).  Each step moves
+    one end of the bracket to ``t`` by the sign of S_n', then takes the
+    Newton step, or bisects when that step leaves the bracket, S_n'' >= 0 or
+    either derivative is not finite.  Stops once a step is at most tol / 2.
+    """
+    for _ in range(_NEWTON_MAX_STEPS):
+        d1 = f(t, order=1)
+        if d1 > 0:
+            lo = t
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            hi = t
+        d2 = f(t, order=2)
+        step = t - d1 / d2 if d2 < 0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - t) <= 0.5 * tol:
+            return step
+        t = step
+    return t
 
 
 def _resolve_sigma(sample, kernel, rule, space, nuisance_fn):
@@ -257,8 +271,9 @@ def fit_swm(
 
     A coarse grid with at least 201 points (densified to four points per
     bandwidth so modes of width sigma cannot be skipped) locates the global
-    mode; golden-section refinement around the best grid point narrows the
-    bracket to 1e-8 times the space width.  The best grid point is the
+    mode.  Newton steps on S_n' = 0, started at the best grid point and kept
+    inside its two neighbours by bisection, refine it until a step is at most
+    half of 1e-8 times the space width.  The best grid point is the
     exact argmax over the grid, found by screening the grid with a binned
     FFT approximation of bounded error and evaluating exactly only the
     points the bound cannot rule out (all of them when ``kernel.k2_sup`` is
@@ -272,18 +287,21 @@ def fit_swm(
 
     g = _ipw_g(sample)
     f = partial(_smoothed, g, sample.x, kernel, sigma)
-    n_pts = max(201, min(int(math.ceil(space.width / sigma)) * 4, _GRID_CAP))
+    n_pts = max(201, min(math.ceil(min(space.width / sigma, _GRID_CAP)) * 4, _GRID_CAP))
     ts = np.linspace(space.lo, space.hi, n_pts)
-    cand = _grid_candidates(g, sample.x, kernel, sigma, space, n_pts)
-    best = int(cand[np.argmax(f(ts[cand]))])
-
-    lo = ts[max(best - 1, 0)]
-    hi = ts[min(best + 1, n_pts - 1)]
-    t_hat = float(space.clamp(_golden_section_max(f, float(lo), float(hi), tol=1e-8 * space.width)))
+    # (x - t) / sigma may overflow at an extreme sigma; the kernel's limits at +-inf are exact
+    with np.errstate(over="ignore"):
+        cand = _grid_candidates(g, sample.x, kernel, sigma, space, n_pts)
+        best = int(cand[np.argmax(f(ts[cand]))])
+        lo = ts[max(best - 1, 0)]
+        hi = ts[min(best + 1, n_pts - 1)]
+        t_hat = _newton_max(f, float(lo), float(hi), float(ts[best]), tol=1e-8 * space.width)
+        t_hat = float(space.clamp(t_hat))
+        objective_value = f(t_hat)
     return ThresholdEstimate(
         t_hat=t_hat,
         policy_kind="swm",
-        objective_value=f(t_hat),
+        objective_value=objective_value,
         n=sample.n,
         bandwidth=sigma,
         flags=tuple(flags),

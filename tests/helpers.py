@@ -73,3 +73,51 @@ def welfare_by_quadrature(dgp, t, lo=-10.0, hi=10.0, n_nodes=20001):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(h / 3.0 * np.dot(weights, f))
+
+
+def loop_compensated_suffix_sums(values):
+    """Neumaier-compensated suffix sums by the scalar recurrence, one value at a time.
+
+    Reference for ``ewm._compensated_suffix_sums``, which must match it bit
+    for bit, apart from the sign and payload of NaNs.
+    """
+    n = len(values)
+    out = np.empty(n + 1)
+    out[n] = 0.0
+    total = 0.0
+    comp = 0.0
+    for j in range(n - 1, -1, -1):
+        v = values[j]
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        out[j] = total + comp
+    return out
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_max(f, a, b, tol):
+    """Golden-section search for a maximum of f on [a, b], to a bracket of ``tol``.
+
+    Reference for the Newton refinement of ``swm.fit_swm``, which must land
+    within ``tol`` of it, plus the resolution golden section itself has where
+    the maximum is flat to rounding.
+    """
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)

@@ -395,6 +395,18 @@ def test_bad_arguments_exit_with_one_error_line(sample_csv, capsys, monkeypatch,
     assert fragment in err
 
 
+@pytest.mark.parametrize("bandwidth", ["fixed:1e-300", "fixed:1e300"])
+def test_extreme_fixed_bandwidths_exit_cleanly(sample_csv, capsys, bandwidth):
+    code = run_cli(["estimate", "--policy", "swm", "--data", sample_csv, "--propensity", "0.5",
+                    "--bandwidth", bandwidth])
+    captured = capsys.readouterr()
+    assert code in (0, 2) and "Traceback" not in captured.err
+    if code == 0:
+        assert captured.err == "" and "t_hat: " in captured.out
+    else:
+        assert captured.err.count("\n") == 1
+
+
 def test_asymptotics_checks_constants_before_simulating(monkeypatch, capsys):
     def no_table(**kwargs):
         raise AssertionError("the table was simulated for unusable constants")

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threshold_regret.data import ParamSpace, Sample, default_space, empirical_welfare
 from threshold_regret.errors import DataWarning, ValidationError
-from threshold_regret.ewm import ThresholdEstimate, fit_ewm
+from threshold_regret.ewm import ThresholdEstimate, _compensated_suffix_sums, fit_ewm
 from threshold_regret.montecarlo import MODEL1, draw_sample
 
-from helpers import brute_force_ewm_objective, canonical_cuts, random_sample
+from helpers import brute_force_ewm_objective, canonical_cuts, loop_compensated_suffix_sums, random_sample
 
 
 def test_single_sign_change_two_units():
@@ -48,6 +48,47 @@ def test_oracle_equivalence_property(seed, n):
     est = fit_ewm(s, space)
     brute = brute_force_ewm_objective(s, space)
     assert est.objective_value == pytest.approx(brute, rel=1e-12, abs=1e-12)
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 1e300, -1e300, 5e-324, np.nan, np.inf, -np.inf]
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(_SPECIAL),
+            st.floats(-1e3, 1e3).map(lambda v: round(v, 1)),  # ties and small cancellations
+        ),
+        min_size=1,
+        max_size=50,
+    )
+)
+@example([1e16, 1.0, -1e16, 1.0])
+@example([np.nan])
+@example([np.inf, -np.inf, 1.0])
+@example([-0.0])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_vectorised_suffix_sums_match_the_scalar_recurrence_bit_for_bit(values):
+    values = np.array(values, dtype=float)
+    with np.errstate(all="ignore"):
+        fast = _compensated_suffix_sums(values)
+        slow = loop_compensated_suffix_sums(values)
+    assert fast.shape == slow.shape == (len(values) + 1,)
+    # numpy's array loops do not keep the sign and payload of a NaN that meets
+    # another NaN, so NaNs are compared by position and every other entry by its bits
+    nan = np.isnan(slow)
+    np.testing.assert_array_equal(np.isnan(fast), nan)
+    np.testing.assert_array_equal(fast[~nan].view(np.int64), slow[~nan].view(np.int64))
+
+
+def test_vectorised_suffix_sums_match_across_magnitudes():
+    rng = np.random.default_rng(17)
+    values = rng.normal(size=20_000) * 10.0 ** rng.uniform(-5, 300, 20_000)
+    np.testing.assert_array_equal(
+        _compensated_suffix_sums(values).view(np.int64),
+        loop_compensated_suffix_sums(values).view(np.int64),
+    )
 
 
 def test_objective_equals_welfare_at_estimate(rng):

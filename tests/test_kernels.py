@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ def test_k2_sup_bounds_second_derivative_and_is_attained(kernel):
     assert float(np.max(np.abs(kernel.k2(z)))) <= kernel.k2_sup * (1.0 + 4.0 * np.finfo(float).eps)
     np.testing.assert_allclose(np.abs(kernel.k2(np.array([-1.0, 1.0]))), kernel.k2_sup, rtol=1e-15)
     assert kernel.k2_sup == pytest.approx(0.24197072451914337, rel=1e-15)
+
+
+def test_second_derivative_is_zero_far_out_and_at_infinity(kernel):
+    z = np.array([-np.inf, -40.0, 40.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = kernel.k2(z)
+        scalar = kernel.k2(np.inf)
+    np.testing.assert_array_equal(values, 0.0)
+    assert scalar == 0.0
+    assert np.isnan(kernel.k2(np.nan))
 
 
 def test_moments_positive(kernel):

@@ -3,16 +3,19 @@ import importlib.util
 import json
 import math
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from threshold_regret.data import ParamSpace, Sample, default_space, empirical_welfare
+from threshold_regret import swm
+
+from threshold_regret.data import ParamSpace, Sample, _ipw_g, default_space, empirical_welfare
 from threshold_regret.errors import NumericError, ValidationError
 from threshold_regret.kernels import gaussian_cdf_kernel
-from threshold_regret.montecarlo import MODEL1, draw_sample
+from threshold_regret.montecarlo import MODEL1, MODEL2, draw_sample
 from threshold_regret.nuisance import estimate_khA
 from threshold_regret.swm import (
     _GRID_CAP,
@@ -27,7 +30,7 @@ from threshold_regret.swm import (
     smoothed_objective_derivative,
 )
 
-from helpers import random_sample
+from helpers import _golden_section_max, random_sample
 
 KERNEL = gaussian_cdf_kernel()
 
@@ -301,11 +304,131 @@ def test_infinite_k2_sup_evaluates_the_full_exact_grid():
         assert fit_swm(s, unbounded, rule, space) == fit_swm(s, KERNEL, rule, space)
 
 
-def test_fit_swm_reproduces_pinned_outputs():
-    """Bit-for-bit outputs recorded by scripts/pin_swm_outputs.py."""
+def _pin_script():
     spec = importlib.util.spec_from_file_location("pin_swm_outputs", ROOT / "scripts" / "pin_swm_outputs.py")
     pin = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pin)
-    with open(ROOT / "tests" / "data" / "swm_pinned.json") as fh:
-        pinned = json.load(fh)["cases"]
-    assert pin.pinned_results() == pinned
+    return pin
+
+
+def _pinned(name):
+    with open(ROOT / "tests" / "data" / name) as fh:
+        return json.load(fh)["cases"]
+
+
+def test_fit_swm_reproduces_pinned_outputs():
+    """Bit-for-bit outputs recorded by scripts/pin_swm_outputs.py."""
+    assert _pin_script().pinned_results() == _pinned("swm_pinned.json")
+
+
+def test_pinned_outputs_lie_within_tolerance_of_golden_section_pins():
+    """swm_pinned_golden.json holds the same cases as fitted with golden-section
+    refinement; Newton moves each t_hat by at most the golden tolerance plus the
+    golden section's resolution, and changes no bandwidth, flag or refusal."""
+    pin = _pin_script()
+    newton, golden = _pinned("swm_pinned.json"), _pinned("swm_pinned_golden.json")
+    assert len(newton) == len(golden)
+    moved = 0
+    for new, old in zip(newton, golden):
+        keep = {key: value for key, value in old.items() if key not in ("t_hat", "objective_value")}
+        assert {key: new[key] for key in keep} == keep and new.keys() == old.keys()
+        if "error" in old:
+            continue
+        sample, space = pin.case_inputs(old)
+        width = (space or default_space(sample)).width
+        t_new, t_old = float.fromhex(new["t_hat"]), float.fromhex(old["t_hat"])
+        sigma = float.fromhex(new["bandwidth"])
+        assert abs(t_new - t_old) <= 1e-8 * width + _golden_resolution(sample, sigma, t_new)
+        v_new, v_old = float.fromhex(new["objective_value"]), float.fromhex(old["objective_value"])
+        assert v_new >= v_old - 1e-12 * abs(v_old)
+        moved += t_new != t_old
+    assert moved > 0
+
+
+# --- Newton refinement ---------------------------------------------------------
+
+def _golden_resolution(sample, sigma, t):
+    """How far from a maximum at ``t`` golden section may stop: it compares values
+    of S_n, so it cannot tell apart the points where S_n lies within its rounding
+    error (taken as 2 eps * mean |g_i|) of the maximum, a half-width of
+    sqrt(2 * rounding / |S_n''(t)|)."""
+    g = _ipw_g(sample)
+    rounding = 2.0 * np.finfo(float).eps * float(np.mean(np.abs(g)))
+    curvature = abs(_smoothed(g, sample.x, KERNEL, sigma, t, order=2))
+    return math.sqrt(2.0 * rounding / curvature) if curvature > 0 else math.inf
+
+
+def _newton_and_golden(sample, rule, space=None):
+    """Fit once; returns the estimate, its refinement's Newton and golden-section
+    thresholds from the same bracket, and S_n at each."""
+    newton_max = swm._newton_max
+    seen = []
+
+    def both(f, lo, hi, t, tol):
+        t_newton = newton_max(f, lo, hi, t, tol)
+        t_golden = _golden_section_max(f, lo, hi, tol)
+        seen.append((t_newton, t_golden, f(t_newton), f(t_golden)))
+        return t_newton
+
+    with mock.patch.object(swm, "_newton_max", both):
+        est = fit_swm(sample, KERNEL, rule, space)
+    return est, seen[0]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dgp=st.sampled_from([MODEL1, MODEL2]),
+    n=st.sampled_from([2, 20, 500, 3000]),
+    log_factor=st.integers(-4, 3),
+    variant=st.sampled_from(["plain", "narrow", "outlier", "boundary"]),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_newton_refinement_matches_golden_section(seed, dgp, n, log_factor, variant):
+    assume(not (n == 3000 and log_factor == -4))  # a full 100 001-point exact grid: seconds per example
+    sample = draw_sample(dgp, n, seed)
+    space = {"narrow": ParamSpace(-0.25, 0.25), "boundary": ParamSpace(0.6, 2.5)}.get(variant)
+    if variant == "outlier":
+        x = sample.x.copy()
+        x[0] = 60.0
+        sample = Sample(y=sample.y, d=sample.d, x=x, propensity=sample.propensity)
+    rate = KERNEL.rate_bandwidth(KERNEL.optimal_lambda(dgp.K, dgp.A), n)
+    est, (t_newton, t_golden, s_newton, s_golden) = _newton_and_golden(
+        sample, FixedBandwidth(rate * 10.0**log_factor), space
+    )
+    width = (space or default_space(sample)).width
+    assert est.t_hat == t_newton and est.objective_value == s_newton
+    assert abs(t_newton - t_golden) <= 1e-8 * width + _golden_resolution(sample, est.bandwidth, t_newton)
+    assert s_newton >= s_golden - 1e-12 * abs(s_golden)
+
+
+def test_boundary_variant_puts_the_maximum_on_the_space_boundary():
+    for dgp in (MODEL1, MODEL2):
+        est = fit_swm(draw_sample(dgp, 500, 3), KERNEL, FixedBandwidth(0.2), ParamSpace(0.6, 2.5))
+        assert est.t_hat == 0.6
+
+
+@pytest.mark.parametrize("dgp", [MODEL1, MODEL2], ids=["model1", "model2"])
+@pytest.mark.parametrize("n", [3000, 100_000])
+def test_newton_refinement_takes_few_steps(dgp, n):
+    smoothed = swm._smoothed
+    steps = []
+
+    def counting(*args, order=0):
+        steps.extend([None] * (order == 1))
+        return smoothed(*args, order=order)
+
+    lam = KERNEL.optimal_lambda(dgp.K, dgp.A)
+    with mock.patch.object(swm, "_smoothed", counting):
+        fit_swm(draw_sample(dgp, n, 11), KERNEL, LambdaRate(lam))
+    assert 1 <= len(steps) <= 8
+
+
+@pytest.mark.parametrize("sigma", [5e-324, 1e-300, 1e300, 1.7e308])
+def test_extreme_fixed_bandwidth_gives_an_estimate_or_numeric_error(sigma):
+    sample = draw_sample(MODEL1, 200, 1)
+    try:
+        est = fit_swm(sample, KERNEL, FixedBandwidth(sigma))
+    except NumericError:
+        return
+    space = default_space(sample)
+    assert space.lo <= est.t_hat <= space.hi and math.isfinite(est.objective_value)
