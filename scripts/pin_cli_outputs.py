@@ -6,13 +6,14 @@ argument list and records the sha256 of what it writes to stdout together
 with the exit code.  The cases cover ``asymptotics`` (both models, custom
 constants, and custom constants with A = 0), ``simulate`` (model 1, and a
 ``--config`` model with beta2 = 0, so A = 0 and some cells are empty),
-``chernoff``, ``estimate`` for both policies and ``infer --method plugin``,
-each as text, csv and json.  Every Chernoff table they need is the cheapest
-legal one (10 000 paths, halfwidth 2, step 1e-3, seed 5), so the test suite
-can hand the CLI its session table instead of simulating per call.  The
-input files are written to a temporary directory that becomes the working
-directory, so the echoed paths are relative and the output does not depend
-on where it runs.
+``chernoff``, ``estimate`` for both policies, ``infer --method plugin``,
+``infer --method bootstrap`` (200 replicates) and ``infer --policy swm
+--method bias-corrected``, each as text, csv and json.  Every Chernoff
+table they need is the cheapest legal one (10 000 paths, halfwidth 2, step
+1e-3, seed 5), so the test suite can hand the CLI its session table instead
+of simulating per call.  The input files are written to a temporary
+directory that becomes the working directory, so the echoed paths are
+relative and the output does not depend on where it runs.
 
 Usage:
     PYTHONPATH=src python scripts/pin_cli_outputs.py [--out tests/data/cli_pinned.json]
@@ -50,6 +51,9 @@ COMMANDS = [
     ["estimate", "--policy", "ewm", "--seed", "5"] + DATA,
     ["estimate", "--policy", "swm", "--seed", "5"] + DATA,
     ["infer", "--policy", "ewm", "--method", "plugin"] + DATA + TABLE,
+    ["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", "--jobs", "1",
+     "--seed", "5"] + DATA,
+    ["infer", "--policy", "swm", "--method", "bias-corrected", "--seed", "5"] + DATA,
 ]
 FORMATS = ("text", "csv", "json")
 

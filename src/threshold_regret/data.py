@@ -102,6 +102,14 @@ class Sample:
                 f"propensity must lie in [{self.eta}, {1.0 - self.eta}]; "
                 f"row {bad} has p={p[bad]}"
             )
+        with np.errstate(over="ignore"):
+            overflow = ~(np.isfinite(y / p) & np.isfinite(y / (1.0 - p)))
+        if np.any(overflow):
+            bad = int(np.flatnonzero(overflow)[0])
+            raise ValidationError(
+                f"IPW scores overflow: row {bad} has y={y[bad]} and p={p[bad]}, "
+                f"so y/p or y/(1-p) is not finite"
+            )
         if len(np.unique(x)) < n:
             warnings.warn(
                 "duplicate x values present; the index is assumed continuous",
@@ -207,33 +215,101 @@ def regret(dgp_welfare, t_star: float, t_hat: float, tol: float = 1e-9) -> float
 def load_sample_csv(path, propensity: float | None = None, eta: float = 0.01) -> Sample:
     """Read a sample from a CSV file with header columns ``y,d,x[,p]``.
 
-    An optional ``p`` column overrides the ``propensity`` scalar.  ``d`` is
-    parsed as an integer 0/1.  Errors name the offending column and row.
+    An optional ``p`` column overrides the ``propensity`` scalar.  Header
+    names are matched after stripping and lower-casing, and the first of
+    duplicate names is the one read.  ``y``, ``x`` and ``p`` accept every
+    spelling Python's ``float`` accepts (padding, ``1_0``, ``inf``, ``nan``
+    and non-ASCII digits included); ``d`` must be the literal ``0`` or ``1``
+    once surrounding whitespace is stripped.  Blank and whitespace-only rows
+    are skipped and quoted fields are allowed.  Errors name the offending
+    column and row.
+
+    A plain file (unquoted header, no NUL, every ``d`` a bare ``0`` or
+    ``1``, every field ``np.loadtxt`` reads) is parsed in one ``np.loadtxt``
+    pass.  Any other file, valid or not, is read row by row, which gives the
+    same sample or the error message.
     """
+    columns = _read_plain_columns(path)
+    if columns is None or (columns[3] is None and propensity is None):
+        # the row loop also words the error for a missing propensity
+        return _load_sample_rows(path, propensity, eta)
+    y, d, x, p = columns
+    return Sample(y=y, d=d, x=x, propensity=propensity if p is None else p, eta=eta)
+
+
+def _header_index(path, header: list[str]) -> tuple[int, dict[str, int]]:
+    """Column count and the index of each known name in a CSV header row."""
+    cols = [c.strip().lower() for c in header]
+    required = ("y", "d", "x")
+    for name in required:
+        if name not in cols:
+            raise ValidationError(f"{path}: header {header!r} is missing required column '{name}'")
+    known = set(required) | {"p"}
+    unknown = [c for c in cols if c not in known]
+    if unknown:
+        raise ValidationError(f"{path}: unknown column(s) {unknown}; expected y,d,x[,p]")
+    return len(cols), {name: cols.index(name) for name in cols}
+
+
+def _read_plain_columns(path):
+    """``(y, d, x, p or None)`` of a plain CSV file in one numpy pass, else None.
+
+    None means the file needs the row loop: a NUL anywhere (an ``S2`` field
+    drops trailing NULs, so ``1\\0`` would read as ``b"1"``), a line that may
+    hold a field longer than ``csv.field_size_limit()`` (the loop raises on
+    it), a quote in the header, no data rows, any field ``np.loadtxt``
+    refuses, or a ``d`` that is not exactly ``0`` or ``1``.  Every file
+    accepted here reads to the same values in the row loop, where ``float``
+    accepts a superset of the spellings ``np.loadtxt`` accepts.
+    """
+    # a run of more than field_size_limit() bytes without a line break
+    # covers at least one whole chunk of at most half that size
+    size = max(1, min(1 << 16, csv.field_size_limit() // 2))
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(size), b""):
+            if b"\0" in chunk or (len(chunk) == size and b"\n" not in chunk and b"\r" not in chunk):
+                return None
+    try:
+        with open(path, newline="") as fh:
+            line = fh.readline()
+            if '"' in line:
+                return None
+            n_cols, idx = _header_index(path, next(csv.reader([line])))
+            dtype = [(f"f{j}", "S2" if j == idx["d"] else float) for j in range(n_cols)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    fh, delimiter=",", comments=None, quotechar=None, ndmin=1, dtype=dtype
+                )
+    except Exception:  # whatever np.loadtxt refuses, the row loop accepts or words as an error
+        return None
+    d = table[f"f{idx['d']}"]
+    if len(table) == 0 or not np.all((d == b"0") | (d == b"1")):
+        return None
+
+    def column(name):
+        return np.ascontiguousarray(table[f"f{idx[name]}"]) if name in idx else None
+
+    return column("y"), (d == b"1").astype(int), column("x"), column("p")
+
+
+def _load_sample_rows(path, propensity: float | None, eta: float) -> Sample:
+    """:func:`load_sample_csv` one ``csv.reader`` row at a time, naming the first bad field."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: file is empty, expected header y,d,x[,p]") from None
-        cols = [c.strip().lower() for c in header]
-        required = ("y", "d", "x")
-        for name in required:
-            if name not in cols:
-                raise ValidationError(f"{path}: header {header!r} is missing required column '{name}'")
-        known = set(required) | {"p"}
-        unknown = [c for c in cols if c not in known]
-        if unknown:
-            raise ValidationError(f"{path}: unknown column(s) {unknown}; expected y,d,x[,p]")
-        idx = {name: cols.index(name) for name in cols}
+        n_cols, idx = _header_index(path, header)
         has_p = "p" in idx
         y, d, x, p = [], [], [], []
         for row_num, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) != len(cols):
+            if len(row) != n_cols:
                 raise ValidationError(
-                    f"{path}: row {row_num} has {len(row)} fields, expected {len(cols)}"
+                    f"{path}: row {row_num} has {len(row)} fields, expected {n_cols}"
                 )
             try:
                 y.append(float(row[idx["y"]]))

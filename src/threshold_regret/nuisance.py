@@ -82,12 +82,18 @@ def local_poly(
     ``point`` with Gaussian weights; returns ``derivative! *`` the
     coefficient of the derivative-th term, mapped back to x units.
     """
+    if derivative > degree:
+        raise ValidationError(f"derivative {derivative} exceeds degree {degree}")
+    beta = _local_poly_fit(x, y, point, bandwidth, degree)
+    return _poly_derivative(beta, derivative, bandwidth)
+
+
+def _local_poly_fit(x, y, point: float, bandwidth: float, degree: int) -> np.ndarray:
+    """Coefficients of the Gaussian-weighted local polynomial in ``(x - point) / bandwidth``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not bandwidth > 0:
         raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
-    if derivative > degree:
-        raise ValidationError(f"derivative {derivative} exceeds degree {degree}")
     if len(x) < degree + 2:
         raise RankDeficiencyError(
             f"local polynomial of degree {degree} needs at least {degree + 2} points, got {len(x)}"
@@ -102,6 +108,11 @@ def local_poly(
             f"rank-deficient local fit at point {point} (rank {rank} < {degree + 1}); "
             f"too little data within bandwidth {bandwidth}"
         )
+    return beta
+
+
+def _poly_derivative(beta: np.ndarray, derivative: int, bandwidth: float) -> float:
+    """The derivative-th derivative at the centre of a local fit, in x units."""
     return math.factorial(derivative) * float(beta[derivative]) / bandwidth**derivative
 
 
@@ -162,8 +173,9 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
                     f"t={t_eval} for the {label} regression (n_arm={n_j})"
                 )
         kappa[arm] = local_poly(x_j, y_j**2, t_eval, bw_level, degree=1, derivative=0)
-        nu1[arm] = local_poly(x_j, y_j, t_eval, bw_deriv, degree=3, derivative=1)
-        nu2[arm] = local_poly(x_j, y_j, t_eval, bw_deriv, degree=3, derivative=2)
+        cubic = _local_poly_fit(x_j, y_j, t_eval, bw_deriv, degree=3)
+        nu1[arm] = _poly_derivative(cubic, 1, bw_deriv)
+        nu2[arm] = _poly_derivative(cubic, 2, bw_deriv)
 
     k_hat = f_hat * (kappa[1] / p_local + kappa[0] / (1.0 - p_local))
     tau_prime = nu1[1] - nu1[0]

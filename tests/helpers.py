@@ -1,10 +1,13 @@
 """Shared brute-force oracles, kept deliberately independent of the library paths."""
 
+import csv
 import math
 
 import numpy as np
 
+from threshold_regret import nuisance
 from threshold_regret.data import Sample, empirical_welfare
+from threshold_regret.errors import ValidationError
 
 
 def random_sample(rng, n, constant_p=True):
@@ -121,3 +124,101 @@ def _golden_section_max(f, a, b, tol):
             d = a + _GOLDEN * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def loop_load_sample_csv(path, propensity=None, eta=0.01):
+    """``load_sample_csv`` as one ``csv.reader`` loop over the rows.
+
+    Reference for ``data.load_sample_csv``, whose numpy pass must give the
+    same sample bits, or the same exception type and text, on every file.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: file is empty, expected header y,d,x[,p]") from None
+        cols = [c.strip().lower() for c in header]
+        required = ("y", "d", "x")
+        for name in required:
+            if name not in cols:
+                raise ValidationError(f"{path}: header {header!r} is missing required column '{name}'")
+        known = set(required) | {"p"}
+        unknown = [c for c in cols if c not in known]
+        if unknown:
+            raise ValidationError(f"{path}: unknown column(s) {unknown}; expected y,d,x[,p]")
+        idx = {name: cols.index(name) for name in cols}
+        has_p = "p" in idx
+        y, d, x, p = [], [], [], []
+        for row_num, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(cols):
+                raise ValidationError(
+                    f"{path}: row {row_num} has {len(row)} fields, expected {len(cols)}"
+                )
+            try:
+                y.append(float(row[idx["y"]]))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: row {row_num}, column 'y': cannot parse {row[idx['y']]!r} as a number"
+                ) from None
+            d_raw = row[idx["d"]].strip()
+            if d_raw not in ("0", "1"):
+                raise ValidationError(
+                    f"{path}: row {row_num}, column 'd': expected integer 0 or 1, got {d_raw!r}"
+                )
+            d.append(int(d_raw))
+            try:
+                x.append(float(row[idx["x"]]))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: row {row_num}, column 'x': cannot parse {row[idx['x']]!r} as a number"
+                ) from None
+            if has_p:
+                try:
+                    p.append(float(row[idx["p"]]))
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: row {row_num}, column 'p': cannot parse {row[idx['p']]!r} as a number"
+                    ) from None
+    if has_p:
+        prop = np.asarray(p)
+    elif propensity is not None:
+        prop = propensity
+    else:
+        raise ValidationError(
+            f"{path}: no 'p' column present; pass a scalar propensity for the experiment"
+        )
+    return Sample(y=np.asarray(y), d=np.asarray(d), x=np.asarray(x), propensity=prop, eta=eta)
+
+
+def two_fit_khA(sample, t_eval, kernel):
+    """(K, H, A) of ``nuisance.estimate_khA`` with each arm's cubic fitted twice.
+
+    Reference for ``estimate_khA``, which fits the cubic once and reads both
+    derivatives from it; the arithmetic is otherwise the same, so the two
+    must agree bit for bit.
+    """
+    n, x = sample.n, sample.x
+    f_hat = nuisance.kde(x, t_eval, nuisance._KDE_LEVEL_FACTOR * nuisance._sd(x) * n ** (-1.0 / 5.0))
+    fprime_hat = nuisance.kde(
+        x, t_eval, nuisance._KDE_DERIV_FACTOR * nuisance._sd(x) * n ** (-1.0 / 7.0), derivative=1
+    )
+    p_local = nuisance._local_propensity(
+        sample, t_eval, nuisance._KDE_LEVEL_FACTOR * nuisance._sd(x) * n ** (-1.0 / 5.0)
+    )
+    kappa, nu1, nu2 = {}, {}, {}
+    for arm in (0, 1):
+        x_j, y_j = x[sample.d == arm], sample.y[sample.d == arm]
+        bw_level = nuisance._REG_LEVEL_FACTOR * nuisance._sd(x_j) * len(x_j) ** (-1.0 / 5.0)
+        bw_deriv = nuisance._REG_DERIV_FACTOR * nuisance._sd(x_j) * len(x_j) ** (-1.0 / 7.0)
+        kappa[arm] = nuisance.local_poly(x_j, y_j**2, t_eval, bw_level, degree=1, derivative=0)
+        nu1[arm] = nuisance.local_poly(x_j, y_j, t_eval, bw_deriv, degree=3, derivative=1)
+        nu2[arm] = nuisance.local_poly(x_j, y_j, t_eval, bw_deriv, degree=3, derivative=2)
+    k_hat = f_hat * (kappa[1] / p_local + kappa[0] / (1.0 - p_local))
+    tau_prime = nu1[1] - nu1[0]
+    a_hat = -(kernel.alpha1 / math.factorial(kernel.h)) * (
+        2.0 * fprime_hat * tau_prime + f_hat * (nu2[1] - nu2[0])
+    )
+    return k_hat, f_hat * tau_prime, a_hat

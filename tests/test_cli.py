@@ -355,6 +355,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 _DATA = object()  # stands for "--data <fixture csv> --propensity 0.5"
+_OVERFLOW_DATA = object()  # stands for "--data <csv whose y/p overflows> --propensity 0.01"
 _BOOT = ["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", _DATA]
 _PLUGIN = ["infer", "--policy", "ewm", "--method", "plugin", "--seed", "5", "--jobs", "1", _DATA]
 _SWM = ["estimate", "--policy", "swm", _DATA, "--bandwidth"]
@@ -383,12 +384,18 @@ _LEVEL = "level must lie in (0, 1), got "
     pytest.param(["chernoff", "--jobs", "-1"] + SMALL_TABLE, None, "jobs must be >= 1, got -1",
                  id="chernoff-jobs-negative"),
     pytest.param(_BOOT + ["--jobs", "-3"], None, "jobs must be >= 1, got -3", id="bootstrap-jobs-negative"),
+    pytest.param(["estimate", "--policy", "ewm", _OVERFLOW_DATA], None, "error: IPW scores overflow: row 0 ",
+                 id="ipw-score-overflow"),
 ])
-def test_bad_arguments_exit_with_one_error_line(sample_csv, capsys, monkeypatch, argv, env_seed, fragment):
+def test_bad_arguments_exit_with_one_error_line(sample_csv, tmp_path, capsys, monkeypatch, argv, env_seed,
+                                                fragment):
     if env_seed is not None:
         monkeypatch.setenv("THRESHOLD_REGRET_SEED", env_seed)
-    data = ["--data", sample_csv, "--propensity", "0.5"]
-    argv = [part for arg in argv for part in (data if arg is _DATA else [arg])]
+    overflow_csv = tmp_path / "overflow.csv"
+    overflow_csv.write_text("y,d,x\n1e308,1,0\n-1e308,0,1\n1,1,2\n2,0,3\n")
+    data = {_DATA: ["--data", sample_csv, "--propensity", "0.5"],
+            _OVERFLOW_DATA: ["--data", str(overflow_csv), "--propensity", "0.01"]}
+    argv = [part for arg in argv for part in data.get(arg, [arg])]
     assert run_cli(argv) in (1, 2)
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err

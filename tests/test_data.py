@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from threshold_regret import data
 from threshold_regret.data import (
     ParamSpace,
     Sample,
@@ -17,7 +19,7 @@ from threshold_regret.data import (
 from threshold_regret.errors import DataWarning, NumericError, ValidationError
 from threshold_regret.montecarlo import MODEL1
 
-from helpers import random_sample
+from helpers import loop_load_sample_csv, random_sample
 
 
 def test_ipw_score_treated_unit():
@@ -173,6 +175,14 @@ def test_sample_rejects_nan_anywhere():
         Sample(y=[1.0, 2.0], d=[1, 0], x=[np.inf, 1.0], propensity=0.5)
 
 
+def test_sample_rejects_ipw_scores_that_overflow():
+    with pytest.raises(ValidationError, match=r"IPW scores overflow: row 0 has y=1e\+308 and p=0.01"):
+        Sample(y=[1e308, -1e308, 1, 2], d=[1, 0, 1, 0], x=[0, 1, 2, 3], propensity=0.01)
+    with pytest.raises(ValidationError, match="row 1 "):
+        Sample(y=[1.0, 1e308], d=[1, 1], x=[0, 1], propensity=[0.5, 0.98], eta=0.01)
+    Sample(y=[1e307, -1e307], d=[1, 0], x=[0, 1], propensity=0.5)
+
+
 def test_sample_warns_on_duplicate_index():
     with pytest.warns(DataWarning, match="duplicate"):
         Sample(y=[1.0, 2.0], d=[1, 0], x=[1.0, 1.0], propensity=0.5)
@@ -264,3 +274,107 @@ def test_load_csv_missing_required_column(tmp_path):
     path = _write_csv(tmp_path / "nox.csv", "y,d\n1.0,1\n-1.0,0\n")
     with pytest.raises(ValidationError, match="missing required column 'x'"):
         load_sample_csv(path, propensity=0.5)
+
+
+# Fields that Python's float() reads and np.loadtxt may not, fields both
+# refuse, and d spellings other than the bare literal; each must give the
+# loop's sample or the loop's error.
+_ODD_NUMBERS = ["1_0", "\u0661", " 1.5", " 1.5 ", "\x0b2\x0c", "infinity", "INF", "nan", "-0", "1e999",
+                "123456789012345678901234567890", "2.4703282292062328e-324", "1.7976931348623159e308",
+                "nan(1)", "0x1p3", "1d5", "1e", ".", "", "1.5\x00", "2 # c", '"1.5"', '" 2"', "1+2j"]
+_ODD_D = [" 1", "0 ", "1.0", "-0", "+1", "01", "\uff11", "1\x00", "0\x00x", '"1"', "2", "", " "]
+_BLANK_ROWS = [" ", "\t", "\x0b", "\x0c", " , ,", ",,", "\x0c,\x0b,\t"]
+_NEWLINES = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def _csv_texts(draw):
+    """Header, newline and anomaly mix from hypothesis; row contents from a drawn seed."""
+    names = draw(st.permutations(draw(st.sampled_from([["y", "d", "x"], ["y", "d", "x", "p"]]))))
+    names += draw(st.lists(st.sampled_from(["y", "d", "x", "p"]), max_size=1))
+    header = ",".join(draw(st.sampled_from([name, name.upper(), f" {name} "])) for name in names)
+    anomalies = ["odd", "blank", "short", "long", "empty"]
+    kinds = ["plain"] * 12 + draw(st.sampled_from([[], ["empty"], anomalies, anomalies]))
+    n_rows = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in rng.choice(kinds, n_rows):
+        if kind == "empty" or kind == "blank":
+            rows.append("" if kind == "empty" else str(rng.choice(_BLANK_ROWS)))
+            continue
+        fields = []
+        for name in names:
+            if name == "d":
+                fields.append(str(rng.integers(2)))
+            elif name == "p":
+                fields.append(repr(rng.uniform(0.05, 0.95)))
+            else:
+                scale = 10.0 ** int(rng.integers(-300, 300))
+                fields.append(repr(float(rng.choice([0.0, -0.0, 1e-300, rng.normal() * scale]))))
+        if kind == "odd":
+            j = rng.integers(len(names))
+            fields[j] = str(rng.choice(_ODD_D if names[j] == "d" else _ODD_NUMBERS))
+        elif kind == "short":
+            fields.pop()
+        elif kind == "long":
+            fields.append("1")
+        rows.append(fields)
+    plain = [i for i, row in enumerate(rows) if isinstance(row, list) and len(row) == len(names)]
+    if plain and draw(st.booleans()):  # one odd field in an otherwise plain file
+        j = draw(st.integers(0, len(names) - 1))
+        odd = draw(st.sampled_from(_ODD_D if names[j] == "d" else _ODD_NUMBERS))
+        rows[draw(st.sampled_from(plain))][j] = odd
+    newline = draw(st.sampled_from(_NEWLINES))
+    lines = [row if isinstance(row, str) else ",".join(row) for row in rows]
+    return header + newline + newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _load_outcome(load, path, propensity):
+    """The sample's bits and dtypes, or the exception's type and text."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DataWarning)
+            s = load(path, propensity=propensity)
+    except Exception as exc:  # the oracle's exception, whatever its type, is the expected outcome
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.tobytes()) for a in (s.y, s.d, s.x, s.propensity)]
+
+
+@given(text=_csv_texts(), propensity=st.sampled_from([None, 0.5]))
+@example(text="y,d,x\n1,1\x00,2\n2,0,3\n", propensity=0.5)  # S2 drops trailing NULs
+@example(text="y,d,x\n1,0,2\n2,01,3\n", propensity=0.5)  # a longer d must not be cut to its first byte
+@example(text="y,d,x\n1,0,2\n2,1 ,3\n", propensity=0.5)
+@example(text="y,d,x\n1,0,2\n2_0,1,3\n", propensity=0.5)
+@example(text="y,d,x,X\n1,0,2,oops\n2,1,3,4\n", propensity=0.5)  # the loop never reads a duplicate
+@example(text='y,d,x,"p\n"\n1,0,2,0.5\n2,1,3,0.5\n', propensity=None)  # a quoted newline in the header
+@example(text="y,d,x\n1,0,2\n2,1,0." + "1" * 140_000 + "\n", propensity=0.5)  # over the csv field limit
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_csv_numpy_pass_matches_the_row_loop(tmp_path, text, propensity):
+    path = tmp_path / "any.csv"
+    path.write_text(text, newline="")
+    assert _load_outcome(load_sample_csv, str(path), propensity) == _load_outcome(
+        loop_load_sample_csv, str(path), propensity
+    )
+
+
+def test_load_csv_reads_a_plain_file_in_one_numpy_pass(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    n = 20_000
+    y, x, p = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n), rng.normal(size=n), rng.uniform(0.1, 0.9, n)
+    d = rng.integers(0, 2, n)
+    rows = zip(y.tolist(), d.tolist(), x.tolist(), p.tolist())
+    lines = ["y,d,x,p"] + [f"{a!r},{b},{c!r},{e!r}" for a, b, c, e in rows]
+    path = tmp_path / "plain.csv"
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    expected = loop_load_sample_csv(str(path))
+
+    def no_row_loop(*args):
+        raise AssertionError("a plain file fell back to the row loop")
+
+    monkeypatch.setattr(data, "_load_sample_rows", no_row_loop)
+    loaded = load_sample_csv(str(path))
+    for name in ("y", "d", "x", "propensity"):
+        got, want = getattr(loaded, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()

@@ -7,8 +7,10 @@ from threshold_regret.data import Sample
 from threshold_regret.errors import ArmDataError, RankDeficiencyError, ValidationError
 from threshold_regret.ewm import fit_ewm
 from threshold_regret.kernels import gaussian_cdf_kernel
-from threshold_regret.montecarlo import MODEL1, draw_sample
+from threshold_regret.montecarlo import MODEL1, MODEL2, draw_sample
 from threshold_regret.nuisance import estimate_khA, kde, local_poly, optimal_bandwidth
+
+from helpers import two_fit_khA
 
 KERNEL = gaussian_cdf_kernel()
 
@@ -157,6 +159,15 @@ def test_estimate_khA_names_thin_arm():
     s = Sample(y=rng.normal(size=n), d=d, x=rng.normal(size=n), propensity=0.5)
     with pytest.raises(ArmDataError, match="arm 0"):
         estimate_khA(s, 0.0)
+
+
+@pytest.mark.parametrize("model", [MODEL1, MODEL2], ids=["model1", "model2"])
+@pytest.mark.parametrize("n", [500, 3000, 100_000])
+def test_estimate_khA_matches_two_fits_per_arm_bit_for_bit(model, n):
+    s = draw_sample(model, n, 77)
+    t = model.t_star
+    est = estimate_khA(s, t, KERNEL)
+    assert (est.k_hat, est.h_hat, est.a_hat) == two_fit_khA(s, t, KERNEL)
 
 
 def test_errors_shrink_with_sample_size():
