@@ -1,10 +1,11 @@
 """Forked workers for seeded tasks, and the integer check for their counts and seeds.
 
 Each task carries its own seed, so results do not depend on the worker count.
+``multiprocessing`` is imported only when a pool is started, so a serial run
+and a plain ``import threshold_regret`` never load it.
 """
 
 import numbers
-from multiprocessing import get_context
 
 from .errors import ValidationError
 
@@ -22,5 +23,7 @@ def parallel_map(fn, tasks, jobs: int) -> list:
     require_int("jobs", jobs, 1)
     if jobs == 1:
         return [fn(t) for t in tasks]
+    from multiprocessing import get_context
+
     with get_context("fork").Pool(jobs) as pool:
         return pool.map(fn, tasks)

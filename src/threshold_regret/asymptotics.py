@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtrix
 
+from ._special import chndtrix
 from .chernoff import ChernoffTable
 from .errors import NumericError, ValidationError
 from .kernels import Kernel

@@ -20,8 +20,15 @@ import json
 import os
 import sys
 
+from ._workers import require_int
 from .asymptotics import _check_constants, asymptotic_row
-from .chernoff import DEFAULT_CHERNOFF_SEED, chernoff_quantile, simulate_chernoff
+from .chernoff import (
+    DEFAULT_CHERNOFF_SEED,
+    SHIPPED_CONFIG,
+    chernoff_quantile,
+    shipped_chernoff_table,
+    simulate_chernoff,
+)
 from .data import ParamSpace, default_space, load_sample_csv
 from .errors import NumericError, ThresholdRegretError, ValidationError
 from .ewm import fit_ewm
@@ -216,6 +223,11 @@ def _cmd_estimate(args):
 
 
 def _chernoff_table_from_args(args):
+    """The shipped table when the flags ask for the default one; otherwise a simulated table."""
+    config = (args.chernoff_paths, args.chernoff_halfwidth, args.chernoff_step, args.seed)
+    if config == SHIPPED_CONFIG:
+        require_int("jobs", args.jobs, 1)
+        return shipped_chernoff_table()
     return simulate_chernoff(
         n_paths=args.chernoff_paths,
         domain_halfwidth=args.chernoff_halfwidth,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ParamSpace, Sample, default_space, ipw_scores
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 __all__ = ["ThresholdEstimate", "fit_ewm"]
 
@@ -78,7 +78,10 @@ def fit_ewm(sample: Sample, space: ParamSpace | None = None) -> ThresholdEstimat
     n = sample.n
 
     untreated_term = (1.0 - sample.d) * sample.y / (1.0 - sample.propensity)
-    base = math.fsum(untreated_term) / n
+    try:
+        base = math.fsum(untreated_term) / n
+    except OverflowError:  # finite terms whose partial sums overflow
+        base = math.inf
     suffix = _compensated_suffix_sums(gs)
 
     # realizable cuts: below min x, above max x, and between distinct neighbors
@@ -92,6 +95,8 @@ def fit_ewm(sample: Sample, space: ParamSpace | None = None) -> ThresholdEstimat
         flags = ("degenerate_index",)
 
     vmax = values.max()
+    if not math.isfinite(vmax):  # NaN anywhere, or +inf: the sums overflowed
+        raise NumericError("EWM objective is not finite: the IPW terms overflow their sum")
     tied = np.flatnonzero(values == vmax)
     # consecutive valid cuts always share a boundary (zero-width skipped cuts
     # between tied x), so a run of ties in the valid list is one convex set

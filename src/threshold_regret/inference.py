@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfinv
 
+from ._special import erfinv
 from ._workers import parallel_map, require_int
 from .chernoff import ChernoffTable, chernoff_quantile
 from .data import Sample, _ipw_g

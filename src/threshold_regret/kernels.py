@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._special import ndtr
 from .errors import NumericError
 
 __all__ = ["Kernel", "gaussian_cdf_kernel", "norm_pdf"]

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._special import ndtr
 from ._workers import parallel_map, require_int
 from .asymptotics import asymptotic_row
 from .chernoff import ChernoffTable

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
-from threshold_regret.chernoff import simulate_chernoff
+from threshold_regret import cli
+from threshold_regret.chernoff import shipped_chernoff_table, simulate_chernoff
 from threshold_regret.data import default_space
 from threshold_regret.asymptotics import ewm_regret_dist, optimal_lambda_mean, swm_regret_dist
 from threshold_regret.ewm import fit_ewm
@@ -335,6 +336,31 @@ def test_full_table_simulation_invariants(full_table, coarse_table):
     assert mirror < 0.01
     assert abs(table.second_moment - coarse_table.second_moment) < 0.003
     assert abs(table.quantile(0.975) - coarse_table.quantile(0.975)) < 0.005
+
+
+def test_shipped_table_is_the_default_simulation(full_table):
+    table, _ = full_table
+    shipped = shipped_chernoff_table()
+    assert shipped.samples.tobytes() == table.samples.tobytes()
+    assert shipped.mean.hex() == table.mean.hex()
+    assert shipped.second_moment.hex() == table.second_moment.hex()
+    config = ("n_paths", "domain_halfwidth", "grid_step", "seed")
+    assert [getattr(shipped, c) for c in config] == [getattr(table, c) for c in config]
+
+
+def test_default_cli_table_is_read_not_simulated(full_table, monkeypatch, capsys):
+    table, _ = full_table
+    argv = ["asymptotics", "--model", "1", "--n", "500", "--format", "json"]
+
+    def no_simulation(**kwargs):
+        raise AssertionError("the default table was simulated")
+
+    monkeypatch.setattr(cli, "simulate_chernoff", no_simulation)
+    assert cli.run_cli(argv) == 0
+    shipped_out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_chernoff_table_from_args", lambda args: table)
+    assert cli.run_cli(argv) == 0
+    assert capsys.readouterr().out == shipped_out
 
 
 def test_ewm_threshold_law_matches_scaled_argmax(coverage_run, full_table):

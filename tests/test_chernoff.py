@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import math
 import pathlib
@@ -157,3 +158,19 @@ def test_samples_are_immutable(small_chernoff):
 def test_grid_beyond_limit_is_validation_error():
     with pytest.raises(ValidationError, match=f"at most {chernoff._MAX_GRID} grid points"):
         simulate_chernoff(grid_step=1e-300)
+
+
+def test_shipped_config_is_the_simulator_default():
+    defaults = inspect.signature(simulate_chernoff).parameters
+    names = ("n_paths", "domain_halfwidth", "grid_step", "seed")
+    assert tuple(defaults[name].default for name in names) == chernoff.SHIPPED_CONFIG
+
+
+def test_grid_indices_rebuild_a_table_bit_for_bit(small_chernoff):
+    """The shipped table's encoding, checked on the session table: every draw is 0 or +-r on the grid."""
+    step, halfwidth = small_chernoff.grid_step, small_chernoff.domain_halfwidth
+    k = np.rint(small_chernoff.samples / step).astype(np.int16)
+    rebuilt = chernoff._from_indices(k, halfwidth, step, small_chernoff.seed)
+    assert rebuilt.samples.tobytes() == small_chernoff.samples.tobytes()
+    assert rebuilt.mean.hex() == small_chernoff.mean.hex()
+    assert rebuilt.second_moment.hex() == small_chernoff.second_moment.hex()

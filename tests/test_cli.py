@@ -354,8 +354,60 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def _fresh_python(code, *args):
+    """stdout of ``code`` run in a fresh interpreter that imports this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(threshold_regret.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_neither_scipy_nor_multiprocessing():
+    code = ("import sys, threshold_regret.cli; "
+            "print([m for m in ('scipy', 'multiprocessing') if m in sys.modules])")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_serial_commands_that_need_no_special_function_never_load_scipy(sample_csv):
+    code = """
+import sys
+from threshold_regret.cli import run_cli
+data = ["--data", sys.argv[1], "--propensity", "0.5"]
+assert run_cli(["estimate", "--policy", "ewm", *data]) == 0
+assert run_cli(["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", "--jobs", "1",
+                *data]) == 0
+assert run_cli(["chernoff", "--seed", "5", "--jobs", "1", *sys.argv[2:]]) == 0
+print("LOADED", "scipy.special" in sys.modules)
+"""
+    assert _fresh_python(code, sample_csv, *SMALL_TABLE).splitlines()[-1] == "LOADED False"
+
+
+@pytest.mark.parametrize("flag, change", [
+    ("--seed=8", {"seed": 8}),
+    ("--paths=200001", {"n_paths": 200_001}),
+    ("--step=4e-4", {"grid_step": 4e-4}),
+    ("--halfwidth=2.6", {"domain_halfwidth": 2.6}),
+], ids=["seed", "paths", "step", "halfwidth"])
+def test_a_non_default_table_is_simulated(monkeypatch, small_chernoff, flag, change):
+    calls = []
+    monkeypatch.setattr(cli, "simulate_chernoff", lambda **kwargs: calls.append(kwargs) or small_chernoff)
+    assert run_cli(["chernoff", "--jobs", "1", "--format", "json", flag]) == 0
+    default = {"n_paths": 200_000, "domain_halfwidth": 2.5, "grid_step": 5e-4, "seed": 7, "jobs": 1}
+    assert calls == [{**default, **change}]
+
+
 _DATA = object()  # stands for "--data <fixture csv> --propensity 0.5"
 _OVERFLOW_DATA = object()  # stands for "--data <csv whose y/p overflows> --propensity 0.01"
+_SUM_OVERFLOW_DATA = object()  # "--data <csv whose finite IPW terms overflow their sum> --propensity 0.5"
+_UNDECODABLE_DATA = object()  # "--data <csv holding byte 0xe9 on line 3> --propensity 0.5"
+_LONG_FIELD_DATA = object()  # "--data <csv whose x on line 3 has 140 001 characters> --propensity 0.5"
+_BAD_CSVS = {
+    _OVERFLOW_DATA: (b"y,d,x\n1e308,1,0\n-1e308,0,1\n1,1,2\n2,0,3\n", "0.01"),
+    _SUM_OVERFLOW_DATA: (b"y,d,x\n8e307,1,0\n8e307,0,1\n8e307,1,2\n8e307,0,3\n", "0.5"),
+    _UNDECODABLE_DATA: (b"y,d,x\n1,1,0\n2,0,\xe9\n3,1,2\n", "0.5"),
+    _LONG_FIELD_DATA: (b"y,d,x\n1,1,0\n2,0,0." + b"1" * 140_000 + b"\n3,1,2\n", "0.5"),
+}
 _BOOT = ["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", _DATA]
 _PLUGIN = ["infer", "--policy", "ewm", "--method", "plugin", "--seed", "5", "--jobs", "1", _DATA]
 _SWM = ["estimate", "--policy", "swm", _DATA, "--bandwidth"]
@@ -386,15 +438,25 @@ _LEVEL = "level must lie in (0, 1), got "
     pytest.param(_BOOT + ["--jobs", "-3"], None, "jobs must be >= 1, got -3", id="bootstrap-jobs-negative"),
     pytest.param(["estimate", "--policy", "ewm", _OVERFLOW_DATA], None, "error: IPW scores overflow: row 0 ",
                  id="ipw-score-overflow"),
+    pytest.param(["estimate", "--policy", "ewm", _SUM_OVERFLOW_DATA], None,
+                 "numeric failure: EWM objective is not finite", id="ipw-sum-overflow"),
+    pytest.param(["estimate", "--policy", "ewm", _UNDECODABLE_DATA], None, "line 3 is not valid",
+                 id="undecodable-byte"),
+    pytest.param(["estimate", "--policy", "ewm", _LONG_FIELD_DATA], None,
+                 "line 3: field larger than field limit", id="over-field-limit"),
+    # the default table is read, not simulated, and --jobs is still checked
+    pytest.param(["chernoff", "--jobs", "0"], None, "jobs must be >= 1, got 0", id="shipped-table-jobs-0"),
 ])
 def test_bad_arguments_exit_with_one_error_line(sample_csv, tmp_path, capsys, monkeypatch, argv, env_seed,
                                                 fragment):
     if env_seed is not None:
         monkeypatch.setenv("THRESHOLD_REGRET_SEED", env_seed)
-    overflow_csv = tmp_path / "overflow.csv"
-    overflow_csv.write_text("y,d,x\n1e308,1,0\n-1e308,0,1\n1,1,2\n2,0,3\n")
-    data = {_DATA: ["--data", sample_csv, "--propensity", "0.5"],
-            _OVERFLOW_DATA: ["--data", str(overflow_csv), "--propensity", "0.01"]}
+    data = {_DATA: ["--data", sample_csv, "--propensity", "0.5"]}
+    for key, (content, propensity) in _BAD_CSVS.items():
+        if key in argv:
+            path = tmp_path / "bad.csv"
+            path.write_bytes(content)
+            data[key] = ["--data", str(path), "--propensity", propensity]
     argv = [part for arg in argv for part in data.get(arg, [arg])]
     assert run_cli(argv) in (1, 2)
     err = capsys.readouterr().err

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threshold_regret.data import ParamSpace, Sample, default_space, empirical_welfare
-from threshold_regret.errors import DataWarning, ValidationError
+from threshold_regret.errors import DataWarning, NumericError, ValidationError
 from threshold_regret.ewm import ThresholdEstimate, _compensated_suffix_sums, fit_ewm
 from threshold_regret.montecarlo import MODEL1, draw_sample
 
@@ -182,3 +182,10 @@ def test_adjacent_zero_score_merges_interval():
 def test_policy_kind_validation():
     with pytest.raises(ValidationError):
         ThresholdEstimate(t_hat=0.0, policy_kind="nope", objective_value=0.0, n=2)
+
+
+def test_ipw_terms_that_overflow_their_sum_are_a_numeric_error():
+    # each score is a finite +-1.6e308, but their sums overflow
+    s = Sample(y=[8e307] * 4, d=[1, 0, 1, 0], x=[0, 1, 2, 3], propensity=0.5)
+    with pytest.raises(NumericError, match="overflow their sum"):
+        fit_ewm(s)
