@@ -47,9 +47,7 @@ from .montecarlo import (
 )
 from .nuisance import NuisanceEstimates, estimate_khA, kde, local_poly, optimal_bandwidth
 from .asymptotics import (
-    ComparisonReport,
     RegretDistribution,
-    compare_policies,
     ewm_regret_dist,
     optimal_lambda_mean,
     swm_regret_dist,

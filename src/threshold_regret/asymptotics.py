@@ -38,8 +38,6 @@ __all__ = [
     "swm_regret_dist",
     "optimal_lambda_mean",
     "asymptotic_row",
-    "ComparisonReport",
-    "compare_policies",
 ]
 
 
@@ -193,21 +191,3 @@ def asymptotic_row(
         row["swm_median"] = swm_regret_dist(K, H, A, lam_star, kernel, n).median
     return row
 
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Asymptotic mean regrets of the two policies and their ratio."""
-
-    ewm_mean: float
-    swm_mean: float
-    ratio: float
-    n: int
-
-
-def compare_policies(
-    K: float, H: float, A: float, kernel: Kernel, n: int, chernoff: ChernoffTable
-) -> ComparisonReport:
-    """EWM versus SWM asymptotic mean regret at the SWM-optimal bandwidth."""
-    ewm_mean = ewm_regret_dist(K, H, n, chernoff).mean
-    swm_mean = optimal_lambda_mean(K, H, A, kernel, n)
-    return ComparisonReport(ewm_mean=ewm_mean, swm_mean=swm_mean, ratio=ewm_mean / swm_mean, n=n)

@@ -77,9 +77,6 @@ class ChernoffTable:
     def __post_init__(self):
         self.samples.setflags(write=False)
 
-    def quantile(self, q: float) -> float:
-        return chernoff_quantile(self, q)
-
 
 def _grid(m: int, step: float) -> np.ndarray:
     """One wing's grid points r = step, 2 step, ..., m step."""

@@ -16,6 +16,7 @@ the THRESHOLD_REGRET_SEED environment variable, then 7).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -96,26 +97,22 @@ def _attach_space_value(argv):
     return out
 
 
+# each rule takes the number after its prefix as its first field
+_BANDWIDTH_PREFIXES = {"fixed:": FixedBandwidth, "lambda:": LambdaRate, "undersmooth:": Undersmoothed}
+
+
 def _parse_bandwidth(text):
     if text in (None, "auto"):
         return PlugInOptimal()
-    if text.startswith("fixed:"):
-        try:
-            return FixedBandwidth(float(text[6:]))
-        except ValueError:
-            raise ValidationError(f"--bandwidth fixed: expects a number, got {text!r}") from None
-    if text.startswith("lambda:"):
-        try:
-            return LambdaRate(float(text[7:]))
-        except ValueError:
-            raise ValidationError(f"--bandwidth lambda: expects a number, got {text!r}") from None
     if text == "undersmooth":
         return Undersmoothed()
-    if text.startswith("undersmooth:"):
-        try:
-            return Undersmoothed(exponent_shrink=float(text[12:]))
-        except ValueError:
-            raise ValidationError(f"--bandwidth undersmooth: expects a number, got {text!r}") from None
+    for prefix, rule in _BANDWIDTH_PREFIXES.items():
+        if text.startswith(prefix):
+            try:
+                value = float(text[len(prefix):])
+            except ValueError:
+                raise ValidationError(f"--bandwidth {prefix} expects a number, got {text!r}") from None
+            return rule(value)
     raise ValidationError(
         f"unknown --bandwidth {text!r}; expected auto, fixed:SIGMA, lambda:LAMBDA, "
         "or undersmooth[:SHRINK]"
@@ -140,30 +137,9 @@ def _model_by_id(model_id: str) -> Dgp:
     raise ValidationError(f"--model must be 1 or 2, got {model_id!r}")
 
 
-def _estimate_to_dict(est):
-    return {
-        "t_hat": float(est.t_hat),
-        "policy_kind": est.policy_kind,
-        "objective_value": float(est.objective_value),
-        "n": est.n,
-        "maximizing_interval": (
-            [float(b) for b in est.maximizing_interval] if est.maximizing_interval else None
-        ),
-        "bandwidth": float(est.bandwidth) if est.bandwidth is not None else None,
-        "flags": list(est.flags),
-    }
-
-
-def _interval_to_dict(ci):
-    return {
-        "lo": float(ci.lo),
-        "hi": float(ci.hi),
-        "level": float(ci.level),
-        "method": ci.method,
-        "center": float(ci.center),
-        "half_width": float(ci.half_width),
-        "bias_correction": float(ci.bias_correction),
-    }
+def _record(obj):
+    """The fields of a result dataclass as a dict, with tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(obj).items()}
 
 
 def _join_lines(lines):
@@ -219,7 +195,7 @@ def _cmd_estimate(args):
         "eta": args.eta,
         "seed": args.seed,
     }
-    return {"config": config, "result": _estimate_to_dict(est)}, _render_scalars
+    return {"config": config, "result": _record(est)}, _render_scalars
 
 
 def _chernoff_table_from_args(args):
@@ -284,7 +260,7 @@ def _cmd_infer(args):
         nuis = estimate_khA(sample, est.t_hat)
         mode = "bias_corrected" if method == "bias-corrected" else "undersmoothed"
         ci = swm_ci(sample, est, nuis, gaussian_cdf_kernel(), args.level, mode)
-    result = _interval_to_dict(ci)
+    result = _record(ci)
     result["t_hat"] = float(est.t_hat)
     return {"config": config, "result": result}, _render_scalars
 
@@ -441,20 +417,8 @@ def _cmd_simulate(args):
     result = run_experiment(config)
     table = _chernoff_table_from_args(args)
     report = table_report(result, table)
-    cells = [
-        {
-            "model": r.model,
-            "n": r.n,
-            "estimator": r.estimator,
-            "mean_regret": r.mean_regret,
-            "median_regret": r.median_regret,
-            "se": r.se,
-            "n_ok": r.n_ok,
-            "n_failed": r.n_failed,
-            "fallback_count": r.fallback_count,
-        }
-        for r in result.rows
-    ]
+    # samples is None: the CLI never asks run_experiment to retain them
+    cells = [{k: v for k, v in _record(r).items() if k != "samples"} for r in result.rows]
     resolved = {
         "command": "simulate",
         "model": config.models[0].name,

@@ -149,16 +149,16 @@ class ParamSpace:
         return self.hi - self.lo
 
 
-def default_space(sample: Sample, margin: float = 0.05) -> ParamSpace:
+def default_space(sample: Sample) -> ParamSpace:
     """Data-driven parameter space ``[min(x) - eps, max(x) + eps]``.
 
-    ``eps`` is ``margin`` times the observed index range (or 0.5 when the
-    range is degenerate).  The bounds are configuration, not theory: they
-    only matter for clamping and for the width of boundary argmax segments.
+    ``eps`` is 5% of the observed index range (or 0.5 when the range is
+    degenerate).  The bounds are configuration, not theory: they only
+    matter for clamping and for the width of boundary argmax segments.
     """
     lo = float(np.min(sample.x))
     hi = float(np.max(sample.x))
-    eps = margin * (hi - lo) if hi > lo else 0.5
+    eps = 0.05 * (hi - lo) if hi > lo else 0.5
     return ParamSpace(lo - eps, hi + eps)
 
 

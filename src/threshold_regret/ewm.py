@@ -82,13 +82,14 @@ def fit_ewm(sample: Sample, space: ParamSpace | None = None) -> ThresholdEstimat
         base = math.fsum(untreated_term) / n
     except OverflowError:  # finite terms whose partial sums overflow
         base = math.inf
-    suffix = _compensated_suffix_sums(gs)
 
     # realizable cuts: below min x, above max x, and between distinct neighbors
     valid = np.ones(n + 1, dtype=bool)
     valid[1:n] = xs[1:] > xs[:-1]
     cut_ids = np.flatnonzero(valid)
-    values = base + suffix[cut_ids] / n
+    # sums that overflow give inf or NaN here, and are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = base + _compensated_suffix_sums(gs)[cut_ids] / n
 
     flags: tuple[str, ...] = ()
     if xs[0] == xs[-1]:

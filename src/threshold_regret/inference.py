@@ -225,14 +225,13 @@ def swm_ci(
     kernel: Kernel,
     level: float = 0.95,
     mode: str = "bias_corrected",
-    lam: float | None = None,
 ) -> ConfidenceInterval:
     """Normal interval for the smoothed estimator, bias-corrected or undersmoothed.
 
     The bias correction removes b_hat = (n sigma)^(-1/2) sqrt(lambda)
     A_hat / H_hat; the undersmoothed mode sets it to zero and requires the
     estimate to have been fitted with an undersmoothed bandwidth rule.
-    ``lam`` defaults to n sigma^(2h+1) recovered from the recorded bandwidth.
+    lambda = n sigma^(2h+1) is recovered from the recorded bandwidth.
     """
     if estimate.policy_kind != "swm":
         raise ValidationError(f"swm_ci needs an swm estimate, got {estimate.policy_kind!r}")
@@ -254,10 +253,7 @@ def swm_ci(
             )
         bias = 0.0
     else:
-        if lam is None:
-            lam = n * sigma_n ** (2 * kernel.h + 1)
-        if lam < 0:
-            raise ValidationError(f"lambda must be nonnegative, got {lam}")
+        lam = n * sigma_n ** (2 * kernel.h + 1)
         bias = (n * sigma_n) ** (-0.5) * math.sqrt(lam) * nuisance.a_hat / nuisance.h_hat
     z = z_quantile(1.0 - (1.0 - level) / 2.0)
     half_width = (n * sigma_n) ** (-0.5) * math.sqrt(kernel.alpha2 * nuisance.k_hat) / nuisance.h_hat * z

@@ -33,7 +33,7 @@ from .chernoff import ChernoffTable
 from .data import Sample, default_space, regret
 from .errors import ThresholdRegretError, ValidationError
 from .ewm import fit_ewm
-from .kernels import Kernel, gaussian_cdf_kernel, norm_pdf
+from .kernels import gaussian_cdf_kernel, norm_pdf
 from .nuisance import estimate_khA
 from .swm import LambdaRate, PlugInOptimal, fit_swm
 
@@ -67,8 +67,11 @@ class Dgp:
     p: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValidationError(f"gamma must be finite and positive, got {self.gamma}")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not 0.0 < self.p < 1.0:
             raise ValidationError(f"p must lie in (0, 1), got {self.p}")
 
@@ -135,8 +138,7 @@ class ExperimentConfig:
     def __post_init__(self):
         require_int("replications", self.replications, 1)
         for n in self.n_list:
-            if n < 2:
-                raise ValidationError(f"every n must be >= 2, got {n}")
+            require_int("n", n, 2)
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValidationError(f"unknown estimators {sorted(unknown)}; choose from {ESTIMATORS}")
@@ -263,34 +265,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # reporting
 
 
-def table_report(
-    result: ExperimentResult | None,
-    chernoff: ChernoffTable,
-    models: tuple[Dgp, ...] | None = None,
-    n_list: tuple[int, ...] | None = None,
-    kernel: Kernel | None = None,
-) -> dict[str, list[dict]]:
+def table_report(result: ExperimentResult, chernoff: ChernoffTable) -> dict[str, list[dict]]:
     """Build asymptotic, mean-regret, and median-regret report tables.
 
     Regret columns are in natural units here; the text and CSV renderers
-    scale them by 10^4.  ``result`` may be None (or empty) to produce the
-    asymptotic table alone from the DGP constants.
+    scale them by 10^4.
     """
-    if kernel is None:
-        kernel = gaussian_cdf_kernel()
-    if models is None:
-        models = result.config.models if result is not None else ()
-    if n_list is None:
-        n_list = result.config.n_list if result is not None else ()
-
+    kernel = gaussian_cdf_kernel()
     asymptotic = [
         asymptotic_row(dgp.name, dgp.K, dgp.H, dgp.A, n, chernoff, kernel)
-        for dgp in models
-        for n in n_list
+        for dgp in result.config.models
+        for n in result.config.n_list
     ]
     report = {"asymptotic": asymptotic, "mean": [], "median": []}
-    if result is None:
-        return report
 
     def cell(asym, est, stat):
         try:

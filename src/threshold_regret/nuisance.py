@@ -172,7 +172,9 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
                     f"arm {arm}: fewer than {int(_MIN_EFFECTIVE)} effective observations near "
                     f"t={t_eval} for the {label} regression (n_arm={n_j})"
                 )
-        kappa[arm] = local_poly(x_j, y_j**2, t_eval, bw_level, degree=1, derivative=0)
+        # y**2 overflows for |y| above about 1e154; K_hat is then refused below
+        with np.errstate(over="ignore"):
+            kappa[arm] = local_poly(x_j, y_j**2, t_eval, bw_level, degree=1, derivative=0)
         cubic = _local_poly_fit(x_j, y_j, t_eval, bw_deriv, degree=3)
         nu1[arm] = _poly_derivative(cubic, 1, bw_deriv)
         nu2[arm] = _poly_derivative(cubic, 2, bw_deriv)

@@ -156,8 +156,6 @@ def _grid_candidates(g, x, kernel, sigma, space, n_pts):
     space are not binned, which bounds memory; they enter at their limit,
     0 or ``g_i``, and their tail error is added to ``err``.
     """
-    if not math.isfinite(kernel.k2_sup):
-        return np.arange(n_pts)
     n = len(x)
     span = _SUBCELLS * (n_pts - 1)
     step = space.width / span

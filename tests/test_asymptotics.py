@@ -6,7 +6,7 @@ from scipy.special import ndtr
 from scipy.stats import ncx2
 
 from threshold_regret.asymptotics import (
-    compare_policies,
+    asymptotic_row,
     ewm_regret_dist,
     optimal_lambda_mean,
     swm_regret_dist,
@@ -224,23 +224,27 @@ def test_swm_homogeneity_at_fixed_lambda():
 # --- comparison ---------------------------------------------------------------
 
 
+def _compare(K, H, A, n, chernoff):
+    return asymptotic_row("m", K, H, A, n, chernoff, KERNEL)
+
+
 def test_compare_policies_closed_form_agrees(small_chernoff):
     """The order-2 closed form n^(2/15) H^(2/3) |A|^(-2/5) K^(-2/15) C_e / C_s."""
     K, H, A, n = MODEL1.K, MODEL1.H, MODEL1.A, 500
-    rep = compare_policies(K, H, A, KERNEL, n, small_chernoff)
+    row = _compare(K, H, A, n, small_chernoff)
     c_e = 2.0 ** (1.0 / 3.0) * small_chernoff.second_moment
     c_s = 2.5 * (KERNEL.alpha2 / 4.0) ** 0.8
     closed = n ** (2.0 / 15.0) * H ** (2.0 / 3.0) / (abs(A) ** 0.4 * K ** (2.0 / 15.0)) * (c_e / c_s)
-    assert closed == pytest.approx(rep.ratio, rel=1e-8)
+    assert closed == pytest.approx(row["ewm_mean"] / row["swm_mean"], rel=1e-8)
 
 
 def test_compare_policies_model1_favors_smoothed(small_chernoff):
-    rep = compare_policies(MODEL1.K, MODEL1.H, MODEL1.A, KERNEL, 500, small_chernoff)
-    assert rep.ewm_mean > rep.swm_mean
+    row = _compare(MODEL1.K, MODEL1.H, MODEL1.A, 500, small_chernoff)
+    assert row["ewm_mean"] > row["swm_mean"]
 
 
 def test_compare_policies_model2_ranking_reverses_with_n(small_chernoff):
-    at_500 = compare_policies(K2, H2, A2, KERNEL, 500, small_chernoff)
-    at_3000 = compare_policies(K2, H2, A2, KERNEL, 3000, small_chernoff)
-    assert at_500.swm_mean > at_500.ewm_mean
-    assert at_3000.swm_mean < at_3000.ewm_mean
+    at_500 = _compare(K2, H2, A2, 500, small_chernoff)
+    at_3000 = _compare(K2, H2, A2, 3000, small_chernoff)
+    assert at_500["swm_mean"] > at_500["ewm_mean"]
+    assert at_3000["swm_mean"] < at_3000["ewm_mean"]

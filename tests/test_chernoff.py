@@ -138,10 +138,6 @@ def test_argmax_concentrates_inside_two(small_chernoff):
     assert float(np.mean(np.abs(small_chernoff.samples) > 2.0)) < 0.01
 
 
-def test_quantile_method_matches_function(small_chernoff):
-    assert small_chernoff.quantile(0.9) == chernoff_quantile(small_chernoff, 0.9)
-
-
 def test_independent_seeds_agree_on_upper_quantile():
     a = simulate_chernoff(n_paths=20_000, domain_halfwidth=2.0, grid_step=1e-3, seed=101)
     b = simulate_chernoff(n_paths=20_000, domain_halfwidth=2.0, grid_step=1e-3, seed=202)

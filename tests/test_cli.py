@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -290,6 +291,15 @@ def test_config_bad_values_are_validation_errors(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("error: --config")
 
 
+@pytest.mark.parametrize("field, value", [("gamma", math.inf), ("beta1", math.nan), ("beta2", -math.inf)])
+def test_config_non_finite_model_parameter_is_one_error_line(tmp_path, capsys, field, value):
+    model = {"gamma": 1.0, "beta1": 1.0, "beta2": -0.5, "p": 0.5, field: value}
+    assert _simulate_with_config(tmp_path, {"model": model}) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
+    assert err.startswith(f"error: {field} must be finite")
+
+
 @pytest.mark.parametrize("command", [
     ["estimate", "--policy", "swm"],
     ["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", "--jobs", "1"],
@@ -402,11 +412,17 @@ _OVERFLOW_DATA = object()  # stands for "--data <csv whose y/p overflows> --prop
 _SUM_OVERFLOW_DATA = object()  # "--data <csv whose finite IPW terms overflow their sum> --propensity 0.5"
 _UNDECODABLE_DATA = object()  # "--data <csv holding byte 0xe9 on line 3> --propensity 0.5"
 _LONG_FIELD_DATA = object()  # "--data <csv whose x on line 3 has 140 001 characters> --propensity 0.5"
+_SUFFIX_OVERFLOW_DATA = object()  # "--data <csv of 200 rows whose IPW scores are all 1e306> --propensity 0.5"
+_SQUARE_OVERFLOW_DATA = object()  # "--data <csv of 200 rows of y = 5e305, finite score sums> --propensity 0.5"
 _BAD_CSVS = {
     _OVERFLOW_DATA: (b"y,d,x\n1e308,1,0\n-1e308,0,1\n1,1,2\n2,0,3\n", "0.01"),
     _SUM_OVERFLOW_DATA: (b"y,d,x\n8e307,1,0\n8e307,0,1\n8e307,1,2\n8e307,0,3\n", "0.5"),
     _UNDECODABLE_DATA: (b"y,d,x\n1,1,0\n2,0,\xe9\n3,1,2\n", "0.5"),
     _LONG_FIELD_DATA: (b"y,d,x\n1,1,0\n2,0,0." + b"1" * 140_000 + b"\n3,1,2\n", "0.5"),
+    _SUFFIX_OVERFLOW_DATA: (
+        ("y,d,x\n" + "".join(f"{(-1) ** (i + 1) * 5e305},{i % 2},{i}\n" for i in range(200))).encode(), "0.5"
+    ),
+    _SQUARE_OVERFLOW_DATA: (("y,d,x\n" + "".join(f"5e305,{i % 2},{i}\n" for i in range(200))).encode(), "0.5"),
 }
 _BOOT = ["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", _DATA]
 _PLUGIN = ["infer", "--policy", "ewm", "--method", "plugin", "--seed", "5", "--jobs", "1", _DATA]
@@ -444,6 +460,12 @@ _LEVEL = "level must lie in (0, 1), got "
                  id="undecodable-byte"),
     pytest.param(["estimate", "--policy", "ewm", _LONG_FIELD_DATA], None,
                  "line 3: field larger than field limit", id="over-field-limit"),
+    pytest.param(["estimate", "--policy", "ewm", _SUFFIX_OVERFLOW_DATA], None,
+                 "numeric failure: EWM objective is not finite", id="ipw-suffix-overflow-ewm"),
+    pytest.param(["estimate", "--policy", "swm", _SUFFIX_OVERFLOW_DATA], None,
+                 "numeric failure: EWM objective is not finite", id="ipw-suffix-overflow-swm"),
+    pytest.param(["estimate", "--policy", "swm", _SQUARE_OVERFLOW_DATA], None,
+                 "numeric failure: nuisance estimate K is not finite", id="outcome-square-overflow"),
     # the default table is read, not simulated, and --jobs is still checked
     pytest.param(["chernoff", "--jobs", "0"], None, "jobs must be >= 1, got 0", id="shipped-table-jobs-0"),
 ])
@@ -460,7 +482,7 @@ def test_bad_arguments_exit_with_one_error_line(sample_csv, tmp_path, capsys, mo
     argv = [part for arg in argv for part in data.get(arg, [arg])]
     assert run_cli(argv) in (1, 2)
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
     assert fragment in err
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,15 @@ def test_dgp_validation():
         Dgp(name="bad", gamma=0.0, beta1=1.0, beta2=-0.5, p=0.5)
     with pytest.raises(ValidationError):
         Dgp(name="bad", gamma=1.0, beta1=1.0, beta2=-0.5, p=1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", math.inf), ("gamma", math.nan), ("beta1", math.nan), ("beta1", -math.inf), ("beta2", math.inf),
+])
+def test_dgp_refuses_non_finite_parameters(field, value):
+    params = {"name": "bad", "gamma": 1.0, "beta1": 1.0, "beta2": -0.5, "p": 0.5, field: value}
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        Dgp(**params)
 
 
 # --- sampling --------------------------------------------------------------------
@@ -166,6 +177,10 @@ def test_experiment_config_validation():
         _tiny_config(seed=-1)
     with pytest.raises(ValidationError):
         _tiny_config(n_list=(1,))
+    with pytest.raises(ValidationError, match="n must be an integer, got 150.5"):
+        _tiny_config(n_list=(150.5,))
+    with pytest.raises(ValidationError, match="n must be an integer, got '150'"):
+        _tiny_config(n_list=("150",))
 
 
 def test_regret_sanity_against_closed_form():
@@ -182,7 +197,7 @@ def test_regret_sanity_against_closed_form():
 
 
 def test_table_report_empty_result_yields_headers_only(small_chernoff):
-    report = table_report(None, small_chernoff, models=(), n_list=())
+    report = table_report(run_experiment(_tiny_config(models=())), small_chernoff)
     assert report == {"asymptotic": [], "mean": [], "median": []}
     text = render_text(report)
     assert "(no rows)" in text
