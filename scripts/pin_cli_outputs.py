@@ -8,12 +8,14 @@ constants, and custom constants with A = 0), ``simulate`` (model 1, and a
 ``--config`` model with beta2 = 0, so A = 0 and some cells are empty),
 ``chernoff``, ``estimate`` for both policies, ``infer --method plugin``,
 ``infer --method bootstrap`` (200 replicates) and ``infer --policy swm
---method bias-corrected``, each as text, csv and json.  Every Chernoff
-table they need is the cheapest legal one (10 000 paths, halfwidth 2, step
-1e-3, seed 5), so the test suite can hand the CLI its session table instead
-of simulating per call.  The input files are written to a temporary
-directory that becomes the working directory, so the echoed paths are
-relative and the output does not depend on where it runs.
+--method bias-corrected``, each as text, csv and json, and ``chernoff`` as
+csv at the default ``--jobs``, whose output must not depend on the number
+of CPUs.  Every Chernoff table they need is the cheapest legal one (10 000
+paths, halfwidth 2, step 1e-3, seed 5), so the test suite can hand the CLI
+its session table instead of simulating per call.  The input files are
+written to a temporary directory that becomes the working directory, so
+the echoed paths are relative and the output does not depend on where it
+runs.
 
 Usage:
     PYTHONPATH=src python scripts/pin_cli_outputs.py [--out tests/data/cli_pinned.json]
@@ -56,6 +58,9 @@ COMMANDS = [
     ["infer", "--policy", "swm", "--method", "bias-corrected", "--seed", "5"] + DATA,
 ]
 FORMATS = ("text", "csv", "json")
+CASES = [command + ["--format", fmt] for command in COMMANDS for fmt in FORMATS] + [
+    ["chernoff", "--paths", "10000", "--step", "0.001", "--halfwidth", "2", "--seed", "5", "--format", "csv"],
+]
 
 
 def _write_inputs(directory):
@@ -73,13 +78,11 @@ def outputs():
         _write_inputs(pathlib.Path(tmp))
         os.chdir(tmp)
         try:
-            for command in COMMANDS:
-                for fmt in FORMATS:
-                    argv = command + ["--format", fmt]
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                        code = run_cli(argv)
-                    results.append((argv, code, out.getvalue()))
+            for argv in CASES:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = run_cli(argv)
+                results.append((argv, code, out.getvalue()))
         finally:
             os.chdir(cwd)
     return results

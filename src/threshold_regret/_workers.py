@@ -11,8 +11,8 @@ from .errors import ValidationError
 
 
 def require_int(name: str, value, least: int) -> None:
-    """ValidationError unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, numbers.Integral):
+    """ValidationError unless ``value`` is an integer >= ``least``; a ``bool`` is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")

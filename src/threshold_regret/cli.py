@@ -6,11 +6,15 @@ regret table for a benchmark model or user constants), ``chernoff`` (build
 and summarize the argmax simulation table), and ``simulate`` (replicated
 Monte Carlo experiments with report tables).
 
-Every run echoes its fully resolved configuration into the output for
-provenance; no timestamps are emitted, so identical invocations produce
-byte-identical output.  Exit codes: 0 success, 1 validation error, 2
-numeric failure.  All randomness is routed through ``--seed`` (fallback:
-the THRESHOLD_REGRET_SEED environment variable, then 7).
+Each subcommand's flags are declared once, in ``_COMMANDS``, and both the
+parser and the configuration echoed into the output are built from that
+declaration.  The echo holds what determines the result, not the worker
+count, and no timestamps are emitted, so identical invocations produce
+byte-identical output on every machine.  Exit codes: 0 success, 1
+validation error, 2 numeric failure.  All randomness is routed through
+``--seed`` (fallback: the THRESHOLD_REGRET_SEED environment variable, then
+7).  A data warning, such as tied x values, prints as one ``warning:`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 from ._workers import require_int
 from .asymptotics import _check_constants, asymptotic_row
@@ -31,11 +36,12 @@ from .chernoff import (
     simulate_chernoff,
 )
 from .data import ParamSpace, default_space, load_sample_csv
-from .errors import NumericError, ThresholdRegretError, ValidationError
+from .errors import DataWarning, NumericError, ThresholdRegretError, ValidationError
 from .ewm import fit_ewm
 from .inference import ewm_bootstrap, ewm_ci, swm_ci
 from .kernels import gaussian_cdf_kernel
 from .montecarlo import (
+    ESTIMATORS,
     MODEL1,
     MODEL2,
     Dgp,
@@ -63,19 +69,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_seed() -> int:
     env = os.environ.get("THRESHOLD_REGRET_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(
-                f"THRESHOLD_REGRET_SEED must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_CHERNOFF_SEED
+    if env is None:
+        return DEFAULT_CHERNOFF_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"THRESHOLD_REGRET_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_space(text):
-    if text is None:
-        return None
     parts = text.split(",")
     if len(parts) != 2:
         raise ValidationError(f"--space expects 'lo,hi', got {text!r}")
@@ -114,27 +116,27 @@ def _parse_bandwidth(text):
                 raise ValidationError(f"--bandwidth {prefix} expects a number, got {text!r}") from None
             return rule(value)
     raise ValidationError(
-        f"unknown --bandwidth {text!r}; expected auto, fixed:SIGMA, lambda:LAMBDA, "
-        "or undersmooth[:SHRINK]"
-    )
+        f"unknown --bandwidth {text!r}; expected auto, fixed:SIGMA, lambda:LAMBDA, or undersmooth[:SHRINK]")
+
+
+def _bandwidth(args):
+    """The SWM bandwidth rule as echoed: unset means ``auto``, or ``undersmooth`` for that method."""
+    if args.policy == "swm" and args.bandwidth in (None, "auto"):
+        return "undersmooth" if getattr(args, "method", None) == "undersmooth" else "auto"
+    return args.bandwidth
 
 
 def _parse_n_list(text):
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValidationError(f"--n expects comma-separated integers, got {text!r}") from None
-    if not values:
-        raise ValidationError("--n needs at least one sample size")
-    return values
 
 
 def _model_by_id(model_id: str) -> Dgp:
-    if model_id == "1":
-        return MODEL1
-    if model_id == "2":
-        return MODEL2
-    raise ValidationError(f"--model must be 1 or 2, got {model_id!r}")
+    if model_id not in ("1", "2"):
+        raise ValidationError(f"--model must be 1 or 2, got {model_id!r}")
+    return MODEL1 if model_id == "1" else MODEL2
 
 
 def _record(obj):
@@ -170,32 +172,16 @@ def _csv_value(v):
 
 
 def _load_sample(args):
-    propensity = getattr(args, "propensity", None)
-    return load_sample_csv(args.data, propensity=propensity, eta=args.eta)
+    """The --data sample, and the --space interval or else the data-driven one."""
+    sample = load_sample_csv(args.data, propensity=args.propensity, eta=args.eta)
+    return sample, (default_space(sample) if args.space is None else _parse_space(args.space))
 
 
 def _fit_policy(args, sample, space):
     if args.policy == "ewm":
         return fit_ewm(sample, space)
-    rule = _parse_bandwidth(getattr(args, "bandwidth", None))
+    rule = _parse_bandwidth(_bandwidth(args))
     return fit_swm(sample, gaussian_cdf_kernel(), rule, space, nuisance_fn=estimate_khA)
-
-
-def _cmd_estimate(args):
-    sample = _load_sample(args)
-    space = _parse_space(args.space) or default_space(sample)
-    est = _fit_policy(args, sample, space)
-    config = {
-        "command": "estimate",
-        "data": args.data,
-        "policy": args.policy,
-        "bandwidth": getattr(args, "bandwidth", None) or ("auto" if args.policy == "swm" else None),
-        "space_lo": space.lo,
-        "space_hi": space.hi,
-        "eta": args.eta,
-        "seed": args.seed,
-    }
-    return {"config": config, "result": _record(est)}, _render_scalars
 
 
 def _chernoff_table_from_args(args):
@@ -204,100 +190,67 @@ def _chernoff_table_from_args(args):
     if config == SHIPPED_CONFIG:
         require_int("jobs", args.jobs, 1)
         return shipped_chernoff_table()
-    return simulate_chernoff(
-        n_paths=args.chernoff_paths,
-        domain_halfwidth=args.chernoff_halfwidth,
-        grid_step=args.chernoff_step,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+    return simulate_chernoff(n_paths=args.chernoff_paths, domain_halfwidth=args.chernoff_halfwidth,
+                             grid_step=args.chernoff_step, seed=args.seed, jobs=args.jobs)
 
 
-def _cmd_infer(args):
-    sample = _load_sample(args)
-    space = _parse_space(args.space) or default_space(sample)
+def _cmd_estimate(args, config):
+    sample, space = _load_sample(args)
+    est = _fit_policy(args, sample, space)
+    config.update(space_lo=space.lo, space_hi=space.hi, bandwidth=_bandwidth(args))
+    return {"config": config, "result": _record(est)}, _render_scalars
+
+
+def _cmd_infer(args, config):
+    sample, space = _load_sample(args)
     method = args.method
-    if method in ("plugin", "bootstrap") and args.policy != "ewm":
-        raise ValidationError(f"method {method!r} applies to --policy ewm")
-    if method in ("bias-corrected", "undersmooth") and args.policy != "swm":
-        raise ValidationError(f"method {method!r} applies to --policy swm")
-    config = {
-        "command": "infer",
-        "data": args.data,
-        "policy": args.policy,
-        "method": method,
-        "level": args.level,
-        "eta": args.eta,
-        "seed": args.seed,
-        "space_lo": space.lo,
-        "space_hi": space.hi,
-    }
+    policy = "ewm" if method in ("plugin", "bootstrap") else "swm"
+    if args.policy != policy:
+        raise ValidationError(f"method {method!r} applies to --policy {policy}")
+    config.update(space_lo=space.lo, space_hi=space.hi)
+    est = _fit_policy(args, sample, space)
+    nuis = estimate_khA(sample, est.t_hat)
     if method == "plugin":
-        est = fit_ewm(sample, space)
-        nuis = estimate_khA(sample, est.t_hat)
-        table = _chernoff_table_from_args(args)
-        config.update(
-            chernoff_paths=args.chernoff_paths,
-            chernoff_step=args.chernoff_step,
-            chernoff_halfwidth=args.chernoff_halfwidth,
-        )
-        ci = ewm_ci(sample, est, nuis, table, args.level)
+        config.update({key: getattr(args, kwargs["dest"]) for _, key, kwargs in _table_flags()})
+        ci = ewm_ci(sample, est, nuis, _chernoff_table_from_args(args), args.level)
     elif method == "bootstrap":
-        est = fit_ewm(sample, space)
-        nuis = estimate_khA(sample, est.t_hat)
         config["bootstrap_reps"] = args.bootstrap_reps
         boot = ewm_bootstrap(
             sample, est, nuis.h_hat, n_boot=args.bootstrap_reps, seed=args.seed, jobs=args.jobs
         )
         ci = boot.percentile_interval(args.level)
     else:
-        bandwidth = args.bandwidth
-        if method == "undersmooth" and (bandwidth in (None, "auto")):
-            bandwidth = "undersmooth"
-        config["bandwidth"] = bandwidth or "auto"
-        rule = _parse_bandwidth(bandwidth)
-        est = fit_swm(sample, gaussian_cdf_kernel(), rule, space, nuisance_fn=estimate_khA)
-        nuis = estimate_khA(sample, est.t_hat)
+        config["bandwidth"] = _bandwidth(args)
         mode = "bias_corrected" if method == "bias-corrected" else "undersmoothed"
         ci = swm_ci(sample, est, nuis, gaussian_cdf_kernel(), args.level, mode)
-    result = _record(ci)
-    result["t_hat"] = float(est.t_hat)
-    return {"config": config, "result": result}, _render_scalars
+    return {"config": config, "result": {**_record(ci), "t_hat": float(est.t_hat)}}, _render_scalars
 
 
-def _cmd_asymptotics(args):
+def _cmd_asymptotics(args, config):
     kernel = gaussian_cdf_kernel()
-    if args.K is not None or args.H is not None or args.A is not None:
-        if args.K is None or args.H is None or args.A is None:
-            raise ValidationError("--K, --H, and --A must be given together")
-        K, H, A = args.K, args.H, args.A
-        model_name = "custom"
-    else:
+    constants = (args.K, args.H, args.A)
+    if constants == (None, None, None):
         dgp = _model_by_id(args.model)
         K, H, A = dgp.K, dgp.H, dgp.A
-        model_name = dgp.name
+        config["model"] = dgp.name
+    elif None in constants:
+        raise ValidationError("--K, --H, and --A must be given together")
+    else:
+        K, H, A = constants
+        config["model"] = "custom"
     n_list = _parse_n_list(args.n)
     for n in n_list:  # before the table, so bad constants fail without simulating
         _check_constants(K, H, A, n)
     table = _chernoff_table_from_args(args)
     rows = []
     for n in n_list:
-        row = asymptotic_row(model_name, K, H, A, n, table, kernel)
+        row = asymptotic_row(config["model"], K, H, A, n, table, kernel)
         if A == 0:
             del row["swm_mean"], row["swm_median"]
         else:
             row["lambda_star"] = kernel.optimal_lambda(K, A)
             row["ratio"] = row["ewm_mean"] / row["swm_mean"]
         rows.append(row)
-    config = {
-        "command": "asymptotics",
-        "model": model_name,
-        "n": args.n,
-        "seed": args.seed,
-        "chernoff_paths": args.chernoff_paths,
-        "chernoff_step": args.chernoff_step,
-        "chernoff_halfwidth": args.chernoff_halfwidth,
-    }
     return {"config": config, "rows": rows}, _render_asymptotics
 
 
@@ -313,25 +266,14 @@ def _render_asymptotics(payload, fmt):
     return _join_lines(_config_header(payload["config"], fmt) + render_table(rows, cols, fmt))
 
 
-def _cmd_chernoff(args):
+def _cmd_chernoff(args, config):
     table = _chernoff_table_from_args(args)
-    config = {
-        "command": "chernoff",
-        "paths": args.chernoff_paths,
-        "step": args.chernoff_step,
-        "halfwidth": args.chernoff_halfwidth,
-        "seed": args.seed,
-        "jobs": args.jobs,
+    result = {
+        "mean": table.mean,
+        "second_moment": table.second_moment,
+        "quantiles": {str(q): chernoff_quantile(table, q) for q in _QUANTILE_GRID},
     }
-    payload = {
-        "config": config,
-        "result": {
-            "mean": table.mean,
-            "second_moment": table.second_moment,
-            "quantiles": {str(q): chernoff_quantile(table, q) for q in _QUANTILE_GRID},
-        },
-    }
-    return payload, _render_chernoff
+    return {"config": config, "result": result}, _render_chernoff
 
 
 def _render_chernoff(payload, fmt):
@@ -347,18 +289,12 @@ def _render_chernoff(payload, fmt):
     return _join_lines(header + lines)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _config_int(overrides, key, default):
-    value = overrides.get(key, default)
-    if not _is_int(value):
-        raise ValidationError(f"--config {key!r} must be an integer, got {value!r}")
-    return value
+def _as_tuple(value):
+    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
 
 
 def _load_simulate_config(args):
+    """The experiment of the flags, each overridden by its key in the ``--config`` JSON object."""
     overrides = {}
     if args.config is not None:
         try:
@@ -370,72 +306,43 @@ def _load_simulate_config(args):
             raise ValidationError(f"--config {args.config} is not valid JSON: {exc}") from None
         if not isinstance(overrides, dict):
             raise ValidationError(f"--config {args.config} must hold a JSON object")
-    model_id = str(overrides.get("model", args.model))
-    if isinstance(overrides.get("model"), dict):
-        spec = overrides["model"]
+    spec = overrides.get("model", args.model)
+    if isinstance(spec, dict):
         try:
-            dgp = Dgp(
-                name=str(spec.get("name", "custom")),
-                gamma=float(spec["gamma"]),
-                beta1=float(spec["beta1"]),
-                beta2=float(spec["beta2"]),
-                p=float(spec["p"]),
-            )
+            fields = (float(spec[k]) for k in ("gamma", "beta1", "beta2", "p"))
+            dgp = Dgp(str(spec.get("name", "custom")), *fields)
         except KeyError as exc:
             raise ValidationError(f"--config model is missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"--config model has a non-numeric field: {exc}") from None
     else:
-        dgp = _model_by_id(model_id)
-    n_list = overrides.get("n") or _parse_n_list(args.n)
-    if _is_int(n_list):
-        n_list = (n_list,)
-    if not (isinstance(n_list, (list, tuple)) and all(_is_int(n) for n in n_list)):
-        raise ValidationError(f"--config 'n' must be an integer or a list of integers, got {n_list!r}")
-    reps = _config_int(overrides, "reps", args.reps)
-    seed = _config_int(overrides, "seed", args.seed)
-    estimators = overrides.get("estimators", ("ewm", "swm_infeasible", "swm_feasible"))
-    if isinstance(estimators, str):
-        estimators = (estimators,)
-    if not (isinstance(estimators, (list, tuple)) and all(isinstance(e, str) for e in estimators)):
-        raise ValidationError(
-            f"--config 'estimators' must be a name or a list of names, got {estimators!r}"
+        dgp = _model_by_id(str(spec))
+    try:
+        return ExperimentConfig(
+            models=(dgp,),
+            n_list=_as_tuple(overrides.get("n") or _parse_n_list(args.n)),
+            replications=overrides.get("reps", args.reps),
+            seed=overrides.get("seed", args.seed),
+            estimators=_as_tuple(overrides.get("estimators", ESTIMATORS)),
+            jobs=overrides.get("jobs", args.jobs),
         )
-    jobs = _config_int(overrides, "jobs", args.jobs)
-    return ExperimentConfig(
-        models=(dgp,),
-        n_list=tuple(n_list),
-        replications=reps,
-        seed=seed,
-        estimators=tuple(estimators),
-        jobs=jobs,
-    )
+    except ValidationError as exc:
+        if args.config is None:
+            raise
+        raise ValidationError(f"--config {args.config}: {exc}") from None
 
 
-def _cmd_simulate(args):
-    config = _load_simulate_config(args)
-    result = run_experiment(config)
-    table = _chernoff_table_from_args(args)
-    report = table_report(result, table)
+def _cmd_simulate(args, config):
+    experiment = _load_simulate_config(args)
+    result = run_experiment(experiment)
+    report = table_report(result, _chernoff_table_from_args(args))
     # samples is None: the CLI never asks run_experiment to retain them
     cells = [{k: v for k, v in _record(r).items() if k != "samples"} for r in result.rows]
-    resolved = {
-        "command": "simulate",
-        "model": config.models[0].name,
-        "gamma": config.models[0].gamma,
-        "beta1": config.models[0].beta1,
-        "beta2": config.models[0].beta2,
-        "p": config.models[0].p,
-        "n": ",".join(str(n) for n in config.n_list),
-        "reps": config.replications,
-        "seed": config.seed,
-        "estimators": ",".join(config.estimators),
-        "jobs": config.jobs,
-        "chernoff_paths": args.chernoff_paths,
-        "chernoff_step": args.chernoff_step,
-        "chernoff_halfwidth": args.chernoff_halfwidth,
-    }
-    return {"config": resolved, "report": report, "cells": cells}, _render_simulate
+    dgp = experiment.models[0]
+    config.update(model=dgp.name, gamma=dgp.gamma, beta1=dgp.beta1, beta2=dgp.beta2, p=dgp.p,
+                  n=",".join(str(n) for n in experiment.n_list), reps=experiment.replications,
+                  seed=experiment.seed, estimators=",".join(experiment.estimators))
+    return {"config": config, "report": report, "cells": cells}, _render_simulate
 
 
 def _render_simulate(payload, fmt):
@@ -443,109 +350,118 @@ def _render_simulate(payload, fmt):
     return _join_lines(_config_header(payload["config"], fmt)) + render(payload["report"])
 
 
-def _add_common(parser, with_chernoff=False, with_jobs=False, chernoff_primary=False):
-    parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int, default=None)
-    if with_chernoff:
-        # the chernoff subcommand owns the short names; elsewhere the flags
-        # are prefixed to keep them apart from the subcommand's own options
-        paths_flags = ("--paths", "--chernoff-paths") if chernoff_primary else ("--chernoff-paths",)
-        step_flags = ("--step", "--chernoff-step") if chernoff_primary else ("--chernoff-step",)
-        half_flags = ("--halfwidth", "--chernoff-halfwidth") if chernoff_primary else ("--chernoff-halfwidth",)
-        parser.add_argument(*paths_flags, dest="chernoff_paths", type=int, default=200_000)
-        parser.add_argument(*step_flags, dest="chernoff_step", type=float, default=5e-4)
-        parser.add_argument(*half_flags, dest="chernoff_halfwidth", type=float, default=2.5)
-    if with_jobs:
-        parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+# A flag is (spellings, key it is echoed under or None, add_argument keywords).
+_OUTPUT = (
+    (("--format",), None, dict(choices=("text", "csv", "json"), default="text")),
+    (("--out",), None, dict(help="output path (default: stdout)")),
+    (("--seed",), "seed", dict(type=int)),
+)
+_JOBS = ((("--jobs",), None, dict(type=int, default=os.cpu_count() or 1)),)
+_SAMPLE = (
+    (("--data",), "data", dict(required=True)),
+    (("--policy",), "policy", dict(choices=("ewm", "swm"), required=True)),
+    (("--propensity",), None, dict(type=float)),
+    (("--eta",), "eta", dict(type=float, default=0.01)),
+    (("--space",), None, dict(help="parameter space as 'lo,hi'")),
+    (("--bandwidth",), None, dict(help="auto | fixed:S | lambda:L | undersmooth[:E]")),
+)
+
+
+def _table_flags(short=False, echo="chernoff_"):
+    """--chernoff-paths/-step/-halfwidth at the shipped table's values, echoed as ``echo`` + name
+    unless ``echo`` is None.  ``short`` adds --paths/--step/--halfwidth, for the chernoff subcommand
+    only: elsewhere the prefix keeps the flags apart from the subcommand's own options."""
+    paths, halfwidth, step, _ = SHIPPED_CONFIG
+    return tuple(
+        ((f"--{name}",) * short + (f"--chernoff-{name}",), None if echo is None else echo + name,
+         dict(dest=f"chernoff_{name}", type=type(default), default=default))
+        for name, default in (("paths", paths), ("step", step), ("halfwidth", halfwidth))
+    )
+
+
+def _model_flags(**n_options):
+    return (
+        (("--model",), "model", dict(default="1")),
+        (("--n",), "n", dict(help="comma-separated sample sizes", **n_options)),
+    )
+
+
+_COMMANDS = {
+    "estimate": (_cmd_estimate, "fit a threshold policy to CSV data", _SAMPLE + _OUTPUT),
+    "infer": (_cmd_infer, "confidence interval for the optimal threshold", _SAMPLE + (
+        (("--method",), "method",
+         dict(choices=("plugin", "bootstrap", "bias-corrected", "undersmooth"), required=True)),
+        (("--level",), "level", dict(type=float, default=0.95)),
+        (("--bootstrap-reps",), None, dict(type=int, default=999)),
+    ) + _table_flags(echo=None) + _JOBS + _OUTPUT),
+    "asymptotics": (_cmd_asymptotics, "asymptotic regret table", _model_flags(required=True)
+                    + tuple(((f"--{c}",), None, dict(type=float)) for c in "KHA")
+                    + _table_flags() + _JOBS + _OUTPUT),
+    "chernoff": (_cmd_chernoff, "simulate the argmax distribution table",
+                 _table_flags(short=True, echo="") + _JOBS + _OUTPUT),
+    "simulate": (_cmd_simulate, "replicated Monte Carlo experiment", (
+        (("--reps",), "reps", dict(type=int, default=5000)),
+        (("--config",), None, dict(help="JSON experiment config file")),
+    ) + _model_flags(default="500,1000,2000,3000") + _table_flags() + _JOBS + _OUTPUT),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="threshold-regret", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_est = sub.add_parser("estimate", help="fit a threshold policy to CSV data")
-    p_est.add_argument("--data", required=True)
-    p_est.add_argument("--policy", choices=("ewm", "swm"), required=True)
-    p_est.add_argument("--propensity", type=float, default=None)
-    p_est.add_argument("--eta", type=float, default=0.01)
-    p_est.add_argument("--space", default=None, help="parameter space as 'lo,hi'")
-    p_est.add_argument("--bandwidth", default=None, help="auto | fixed:S | lambda:L | undersmooth[:E]")
-    _add_common(p_est)
-
-    p_inf = sub.add_parser("infer", help="confidence interval for the optimal threshold")
-    p_inf.add_argument("--data", required=True)
-    p_inf.add_argument("--policy", choices=("ewm", "swm"), required=True)
-    p_inf.add_argument(
-        "--method", choices=("plugin", "bootstrap", "bias-corrected", "undersmooth"), required=True
-    )
-    p_inf.add_argument("--level", type=float, default=0.95)
-    p_inf.add_argument("--propensity", type=float, default=None)
-    p_inf.add_argument("--eta", type=float, default=0.01)
-    p_inf.add_argument("--space", default=None)
-    p_inf.add_argument("--bandwidth", default=None)
-    p_inf.add_argument("--bootstrap-reps", type=int, default=999)
-    _add_common(p_inf, with_chernoff=True, with_jobs=True)
-
-    p_asy = sub.add_parser("asymptotics", help="asymptotic regret table")
-    p_asy.add_argument("--model", default="1")
-    p_asy.add_argument("--n", required=True, help="comma-separated sample sizes")
-    p_asy.add_argument("--K", type=float, default=None)
-    p_asy.add_argument("--H", type=float, default=None)
-    p_asy.add_argument("--A", type=float, default=None)
-    _add_common(p_asy, with_chernoff=True, with_jobs=True)
-
-    p_che = sub.add_parser("chernoff", help="simulate the argmax distribution table")
-    _add_common(p_che, with_chernoff=True, with_jobs=True, chernoff_primary=True)
-
-    p_sim = sub.add_parser("simulate", help="replicated Monte Carlo experiment")
-    p_sim.add_argument("--model", default="1")
-    p_sim.add_argument("--n", default="500,1000,2000,3000")
-    p_sim.add_argument("--reps", type=int, default=5000)
-    p_sim.add_argument("--config", default=None, help="JSON experiment config file")
-    _add_common(p_sim, with_chernoff=True, with_jobs=True)
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        echo = {}
+        for spellings, key, kwargs in flags:
+            action = command.add_argument(*spellings, **kwargs)
+            if key is not None:
+                echo[key] = action.dest
+        command.set_defaults(handler=handler, echo=echo)
     return parser
 
 
-_HANDLERS = {
-    "estimate": _cmd_estimate,
-    "infer": _cmd_infer,
-    "asymptotics": _cmd_asymptotics,
-    "chernoff": _cmd_chernoff,
-    "simulate": _cmd_simulate,
-}
+def _print_data_warnings(show):
+    """A ``warnings.showwarning`` that prints a DataWarning as one ``warning:`` line and passes
+    every other warning to ``show``."""
+
+    def showwarning(message, category, *rest):
+        if issubclass(category, DataWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *rest)
+
+    return showwarning
 
 
 def run_cli(argv) -> int:
     """Parse arguments, dispatch, and write output; returns the exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(_attach_space_value(argv))
-        if args.seed is None:
-            args.seed = _default_seed()
-        payload, render = _HANDLERS[args.subcommand](args)
-        if args.format == "json":
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        else:
-            text = render(payload, args.format)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
-    except ThresholdRegretError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_data_warnings(warnings.showwarning)
+        try:
+            args = _build_parser().parse_args(_attach_space_value(argv))
+            if args.seed is None:
+                args.seed = _default_seed()
+            config = {"command": args.subcommand, **{k: getattr(args, d) for k, d in args.echo.items()}}
+            payload, render = args.handler(args, config)
+            if args.format == "json":
+                text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            else:
+                text = render(payload, args.format)
+            if args.out:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+            return 0
+        except (ValidationError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except NumericError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return 2
+        except ThresholdRegretError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def main():

@@ -140,6 +140,8 @@ class ParamSpace:
             raise ValidationError(f"parameter space bounds must be finite, got ({self.lo}, {self.hi})")
         if not self.lo < self.hi:
             raise ValidationError(f"parameter space needs lo < hi, got ({self.lo}, {self.hi})")
+        if not math.isfinite(self.width):
+            raise ValidationError(f"parameter space width hi - lo overflows, got ({self.lo}, {self.hi})")
 
     def clamp(self, t: float) -> float:
         return min(max(t, self.lo), self.hi)

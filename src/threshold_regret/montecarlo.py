@@ -139,6 +139,8 @@ class ExperimentConfig:
         require_int("replications", self.replications, 1)
         for n in self.n_list:
             require_int("n", n, 2)
+        if not all(isinstance(e, str) for e in self.estimators):
+            raise ValidationError(f"estimator names must be strings, got {self.estimators!r}")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValidationError(f"unknown estimators {sorted(unknown)}; choose from {ESTIMATORS}")

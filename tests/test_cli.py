@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import threshold_regret
 from threshold_regret import cli
 from threshold_regret.cli import run_cli
+from threshold_regret.errors import DataWarning
 from threshold_regret.montecarlo import MODEL1, draw_sample
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -91,9 +94,17 @@ def test_simulate_jobs_invariance(tmp_path):
             "--format", "csv"] + SMALL_TABLE
     assert run_cli(base + ["--jobs", "1", "--out", str(out1)]) == 0
     assert run_cli(base + ["--jobs", "2", "--out", str(out2)]) == 0
-    assert out1.read_text().replace("# jobs=2", "# jobs=1") == out2.read_text().replace(
-        "# jobs=2", "# jobs=1"
-    )
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", [["chernoff"], ["simulate", "--n", "200", "--reps", "30"]])
+def test_output_is_byte_identical_for_any_worker_count(session_table, capsys, command):
+    argv = command + SMALL_TABLE + ["--seed", "5", "--format", "csv"]
+    outputs = []
+    for jobs in ("1", "2"):
+        assert run_cli(argv + ["--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_infer_interval_ordering(sample_csv, capsys):
@@ -284,6 +295,9 @@ def test_config_string_estimators_is_one_name(tmp_path, capsys):
         {"n": [150, "x"]},
         {"estimators": 3},
         {"model": {"gamma": "wide", "beta1": 1, "beta2": 0, "p": 0.5}},
+        {"reps": True},
+        {"n": [True]},
+        {"estimators": [1, "ewm"]},
     ],
 )
 def test_config_bad_values_are_validation_errors(tmp_path, capsys, overrides):
@@ -468,6 +482,8 @@ _LEVEL = "level must lie in (0, 1), got "
                  "numeric failure: nuisance estimate K is not finite", id="outcome-square-overflow"),
     # the default table is read, not simulated, and --jobs is still checked
     pytest.param(["chernoff", "--jobs", "0"], None, "jobs must be >= 1, got 0", id="shipped-table-jobs-0"),
+    pytest.param(["estimate", "--policy", "swm", _DATA, "--space=-1e308,1e308"], None,
+                 "parameter space width hi - lo overflows", id="space-width-overflow"),
 ])
 def test_bad_arguments_exit_with_one_error_line(sample_csv, tmp_path, capsys, monkeypatch, argv, env_seed,
                                                 fragment):
@@ -484,6 +500,19 @@ def test_bad_arguments_exit_with_one_error_line(sample_csv, tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
     assert fragment in err
+
+
+def test_tied_x_prints_one_warning_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "tied.csv"
+    path.write_text("y,d,x\n1.0,1,0.5\n0.2,0,0.5\n0.7,1,1.5\n-0.3,0,-0.5\n0.9,1,2.0\n0.1,0,-1.0\n")
+    argv = ["estimate", "--policy", "ewm", "--data", str(path), "--propensity", "0.5"]
+    assert run_cli(argv) == 0
+    warned = capsys.readouterr()
+    assert warned.err == "warning: duplicate x values present; the index is assumed continuous\n"
+    monkeypatch.setattr(warnings, "filters", [("ignore", None, DataWarning, None, 0)])
+    assert run_cli(argv) == 0
+    silent = capsys.readouterr()
+    assert silent.err == "" and silent.out == warned.out and "t_hat: " in warned.out
 
 
 @pytest.mark.parametrize("bandwidth", ["fixed:1e-300", "fixed:1e300"])
@@ -506,3 +535,38 @@ def test_asymptotics_checks_constants_before_simulating(monkeypatch, capsys):
     argv = ["asymptotics", "--n", "500", "--K", "nan", "--H", "1", "--A", "1", "--jobs", "1"] + SMALL_TABLE
     assert run_cli(argv) == 1
     assert capsys.readouterr().err.startswith("error: K and H must be finite and positive")
+
+
+_JOBS = {"--jobs": (os.cpu_count() or 1, False, None)}
+_OUTPUT = {"-h": (argparse.SUPPRESS, False, None), "--help": (argparse.SUPPRESS, False, None),
+           "--format": ("text", False, ("text", "csv", "json")), "--out": (None, False, None),
+           "--seed": (None, False, None)}
+_SAMPLE = {"--data": (None, True, None), "--policy": (None, True, ("ewm", "swm")),
+           "--propensity": (None, False, None), "--eta": (0.01, False, None), "--space": (None, False, None),
+           "--bandwidth": (None, False, None)}
+_TABLE = {"--chernoff-paths": (200_000, False, None), "--chernoff-step": (5e-4, False, None),
+          "--chernoff-halfwidth": (2.5, False, None)}
+
+
+def test_flag_inventory():
+    """Every subcommand's option strings, each with its default, whether it is required, and its choices."""
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    inventory = {
+        name: {flag: (a.default, a.required, a.choices and tuple(a.choices)) for a in sub._actions
+               for flag in a.option_strings}
+        for name, sub in subparsers.choices.items()
+    }
+    assert inventory == {
+        "estimate": {**_SAMPLE, **_OUTPUT},
+        "infer": {**_SAMPLE, **_TABLE, **_JOBS, **_OUTPUT, "--level": (0.95, False, None),
+                  "--bootstrap-reps": (999, False, None),
+                  "--method": (None, True, ("plugin", "bootstrap", "bias-corrected", "undersmooth"))},
+        "asymptotics": {**_TABLE, **_JOBS, **_OUTPUT, "--model": ("1", False, None), "--n": (None, True, None),
+                        "--K": (None, False, None), "--H": (None, False, None), "--A": (None, False, None)},
+        "chernoff": {**_TABLE, **_JOBS, **_OUTPUT, "--paths": (200_000, False, None),
+                     "--step": (5e-4, False, None), "--halfwidth": (2.5, False, None)},
+        "simulate": {**_TABLE, **_JOBS, **_OUTPUT, "--model": ("1", False, None),
+                     "--n": ("500,1000,2000,3000", False, None), "--reps": (5000, False, None),
+                     "--config": (None, False, None)},
+    }

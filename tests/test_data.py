@@ -209,6 +209,12 @@ def test_param_space_validation():
     assert sp.clamp(5.0) == 1.0 and sp.clamp(-5.0) == -1.0
 
 
+def test_param_space_refuses_a_width_that_overflows():
+    with pytest.raises(ValidationError, match="width hi - lo overflows"):
+        ParamSpace(-1e308, 1e308)
+    assert ParamSpace(-8e307, 8e307).width == 1.6e308
+
+
 def test_default_space_covers_data(rng):
     s = random_sample(rng, 30)
     sp = default_space(s)

@@ -181,6 +181,13 @@ def test_experiment_config_validation():
         _tiny_config(n_list=(150.5,))
     with pytest.raises(ValidationError, match="n must be an integer, got '150'"):
         _tiny_config(n_list=("150",))
+    with pytest.raises(ValidationError, match="estimator names must be strings"):
+        _tiny_config(estimators=(1, "ewm"))
+    for field in ("replications", "seed", "jobs"):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got True"):
+            _tiny_config(**{field: True})
+    with pytest.raises(ValidationError, match="n must be an integer, got True"):
+        _tiny_config(n_list=(True,))
 
 
 def test_regret_sanity_against_closed_form():

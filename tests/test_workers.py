@@ -13,7 +13,7 @@ def test_parallel_map_keeps_task_order(jobs):
     assert parallel_map(_square, list(range(23)), jobs) == [v * v for v in range(23)]
 
 
-@pytest.mark.parametrize("jobs", [0, -1, 1.0, "2", None])
+@pytest.mark.parametrize("jobs", [0, -1, 1.0, "2", None, True])
 def test_parallel_map_refuses_jobs_that_are_not_a_positive_integer(jobs):
     with pytest.raises(ValidationError, match="^jobs must be"):
         parallel_map(_square, [1], jobs)
