@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from threshold_regret.chernoff import simulate_chernoff
+from threshold_regret.chernoff import SHIPPED_CONFIG, shipped_chernoff_table, simulate_chernoff
 from threshold_regret.data import default_space
 from threshold_regret.ewm import fit_ewm
 from threshold_regret.inference import ewm_ci, swm_ci
@@ -43,7 +43,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     kernel = gaussian_cdf_kernel()
-    table = simulate_chernoff(n_paths=args.chernoff_paths, seed=7, jobs=args.jobs)
+    paths, _, _, seed = SHIPPED_CONFIG
+    if args.chernoff_paths == paths:  # every field at simulate_chernoff's default: read, not simulated
+        table = shipped_chernoff_table()
+    else:
+        table = simulate_chernoff(n_paths=args.chernoff_paths, seed=seed, jobs=args.jobs)
     lam = args.lambda_scale * kernel.optimal_lambda(MODEL1.K, MODEL1.A)
 
     hits_e = hits_s = 0

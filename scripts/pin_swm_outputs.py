@@ -28,7 +28,6 @@ from threshold_regret.data import ParamSpace, Sample
 from threshold_regret.errors import ThresholdRegretError
 from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1, MODEL2, draw_sample
-from threshold_regret.nuisance import estimate_khA
 from threshold_regret.swm import (
     FixedBandwidth,
     LambdaRate,
@@ -85,8 +84,7 @@ def fit_case(case):
     kernel = gaussian_cdf_kernel()
     sample, space = case_inputs(case)
     try:
-        est = fit_swm(sample, kernel, RULES[case["rule"]](dgp, kernel), space,
-                      nuisance_fn=estimate_khA)
+        est = fit_swm(sample, kernel, RULES[case["rule"]](dgp, kernel), space)
     except ThresholdRegretError as exc:
         return {**case, "error": type(exc).__name__}
     return {

@@ -181,7 +181,7 @@ def _fit_policy(args, sample, space):
     if args.policy == "ewm":
         return fit_ewm(sample, space)
     rule = _parse_bandwidth(_bandwidth(args))
-    return fit_swm(sample, gaussian_cdf_kernel(), rule, space, nuisance_fn=estimate_khA)
+    return fit_swm(sample, gaussian_cdf_kernel(), rule, space)
 
 
 def _chernoff_table_from_args(args):
@@ -334,6 +334,7 @@ def _load_simulate_config(args):
 
 def _cmd_simulate(args, config):
     experiment = _load_simulate_config(args)
+    args.seed = experiment.seed  # the seed the header echoes also seeds the table
     result = run_experiment(experiment)
     report = table_report(result, _chernoff_table_from_args(args))
     # samples is None: the CLI never asks run_experiment to retain them
@@ -360,7 +361,7 @@ _JOBS = ((("--jobs",), None, dict(type=int, default=os.cpu_count() or 1)),)
 _SAMPLE = (
     (("--data",), "data", dict(required=True)),
     (("--policy",), "policy", dict(choices=("ewm", "swm"), required=True)),
-    (("--propensity",), None, dict(type=float)),
+    (("--propensity",), "propensity", dict(type=float)),
     (("--eta",), "eta", dict(type=float, default=0.01)),
     (("--space",), None, dict(help="parameter space as 'lo,hi'")),
     (("--bandwidth",), None, dict(help="auto | fixed:S | lambda:L | undersmooth[:E]")),

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ._special import ndtr
-from .errors import NumericError
+from .errors import NumericError, ValidationError
 
 __all__ = ["Kernel", "gaussian_cdf_kernel", "norm_pdf"]
 
@@ -55,7 +55,7 @@ class Kernel:
 
     def __post_init__(self):
         if self.h < 2:
-            raise ValueError(f"kernel order h must be >= 2, got {self.h}")
+            raise ValidationError(f"kernel order h must be >= 2, got {self.h}")
 
     def optimal_lambda(self, K: float, A: float) -> float:
         """Regret-optimal rate constant lambda* = alpha2 K / (2 h A^2).

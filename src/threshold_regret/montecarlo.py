@@ -34,7 +34,6 @@ from .data import Sample, default_space, regret
 from .errors import ThresholdRegretError, ValidationError
 from .ewm import fit_ewm
 from .kernels import gaussian_cdf_kernel, norm_pdf
-from .nuisance import estimate_khA
 from .swm import LambdaRate, PlugInOptimal, fit_swm
 
 __all__ = [
@@ -212,8 +211,7 @@ def _run_one_rep(args):
             out["swm_infeasible"] = math.nan
     if "swm_feasible" in estimators:
         try:
-            rule = PlugInOptimal(t_eval=t_ewm)
-            est = fit_swm(sample, kernel, rule, space, nuisance_fn=estimate_khA)
+            est = fit_swm(sample, kernel, PlugInOptimal(t_eval=t_ewm), space)
             if "bandwidth_fallback" in est.flags:
                 fallbacks += 1
             out["swm_feasible"] = regret(dgp.welfare, dgp.t_star, est.t_hat)

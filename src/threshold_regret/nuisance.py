@@ -148,8 +148,9 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
         kernel = gaussian_cdf_kernel()
     n = sample.n
     x = sample.x
-    bw_f = _KDE_LEVEL_FACTOR * _sd(x) * n ** (-1.0 / 5.0)
-    bw_fd = _KDE_DERIV_FACTOR * _sd(x) * n ** (-1.0 / 7.0)
+    sd = _sd(x)
+    bw_f = _KDE_LEVEL_FACTOR * sd * n ** (-1.0 / 5.0)
+    bw_fd = _KDE_DERIV_FACTOR * sd * n ** (-1.0 / 7.0)
     f_hat = kde(x, t_eval, bw_f, derivative=0)
     fprime_hat = kde(x, t_eval, bw_fd, derivative=1)
     p_local = _local_propensity(sample, t_eval, bw_f)
@@ -163,11 +164,14 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
         x_j = x[mask]
         y_j = sample.y[mask]
         n_j = len(x_j)
-        bw_level = _REG_LEVEL_FACTOR * _sd(x_j) * n_j ** (-1.0 / 5.0) if n_j else 1.0
-        bw_deriv = _REG_DERIV_FACTOR * _sd(x_j) * n_j ** (-1.0 / 7.0) if n_j else 1.0
+        if n_j == 0:
+            raise ArmDataError(f"arm {arm}: no observations")
+        sd_j = _sd(x_j)
+        bw_level = _REG_LEVEL_FACTOR * sd_j * n_j ** (-1.0 / 5.0)
+        bw_deriv = _REG_DERIV_FACTOR * sd_j * n_j ** (-1.0 / 7.0)
         reg_bws.append(bw_level)
         for label, bw in (("level", bw_level), ("derivative", bw_deriv)):
-            if n_j == 0 or _effective_count(x_j, t_eval, bw) < _MIN_EFFECTIVE:
+            if _effective_count(x_j, t_eval, bw) < _MIN_EFFECTIVE:
                 raise ArmDataError(
                     f"arm {arm}: fewer than {int(_MIN_EFFECTIVE)} effective observations near "
                     f"t={t_eval} for the {label} regression (n_arm={n_j})"
@@ -202,21 +206,14 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
 def optimal_bandwidth(nuisance: NuisanceEstimates, kernel: Kernel, n: int) -> tuple[float, float]:
     """Feasible regret-optimal (lambda*, sigma*) from plug-in constants.
 
-    Degenerate K_hat = 0 returns (0, 0) for the caller to handle; a_hat = 0
-    violates the precondition (the caller should fall back to a default
-    bandwidth instead).
+    Raises NumericError unless both are finite and positive: K_hat <= 0,
+    A_hat = 0, overflow and underflow all leave the rule undefined.
     """
-    if nuisance.a_hat == 0.0:
-        raise ValidationError("optimal bandwidth undefined at a_hat = 0; use a fallback rule")
     if not n >= 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    if nuisance.k_hat == 0.0:
-        return 0.0, 0.0
     lam = kernel.optimal_lambda(nuisance.k_hat, nuisance.a_hat)
-    sigma = kernel.rate_bandwidth(lam, n) if lam > 0 else float("nan")
-    if not (math.isfinite(lam) and math.isfinite(sigma)):
-        raise NumericError(
-            f"optimal bandwidth is not finite (lambda={lam}, sigma={sigma}); "
-            f"K_hat={nuisance.k_hat}, A_hat={nuisance.a_hat}"
-        )
+    sigma = kernel.rate_bandwidth(lam, n) if lam > 0 else 0.0
+    if not 0.0 < sigma < math.inf:
+        raise NumericError(f"optimal bandwidth not finite and positive: lambda={lam}, sigma={sigma}, "
+                           f"K_hat={nuisance.k_hat}, A_hat={nuisance.a_hat}")
     return float(lam), float(sigma)

@@ -32,10 +32,9 @@ and keeps every point rather than overflowing.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .data import ParamSpace, Sample, _ipw_g, default_space
 from .errors import NumericError, ValidationError
 from .ewm import ThresholdEstimate, fit_ewm
 from .kernels import Kernel
-from .nuisance import _sd, optimal_bandwidth
+from .nuisance import _sd, estimate_khA, optimal_bandwidth
 
 __all__ = [
     "FixedBandwidth",
@@ -60,7 +59,6 @@ _GRID_CAP = 100_001
 _SUBCELLS = 4  # linear-binning sub-cells per coarse grid step
 _TAIL_SIGMAS = 10.0  # rows this many bandwidths outside the space are folded in
 _PAD_CAP = 1 << 14  # ... but at most this many sub-cells outside each end
-_A_HAT_DEGENERATE = 1e-8
 _NEWTON_MAX_STEPS = 100  # a safety net; bisection alone needs about 21
 
 
@@ -86,10 +84,10 @@ class LambdaRate:
 
 @dataclass(frozen=True)
 class PlugInOptimal:
-    """Feasible regret-optimal bandwidth from plug-in nuisance estimates.
+    """Feasible regret-optimal bandwidth from :func:`estimate_khA` at ``t_eval``.
 
-    Nuisance constants are estimated at ``t_eval`` (defaults to the EWM
-    threshold) by a caller-supplied callback.
+    ``t_eval`` defaults to the EWM threshold.  Where K_hat and A_hat leave the
+    rule undefined, the fit flags ``bandwidth_fallback`` and takes sd(x) n^(-1/5).
     """
 
     t_eval: float | None = None
@@ -227,7 +225,7 @@ def _newton_max(f, lo: float, hi: float, t: float, tol: float) -> float:
     return t
 
 
-def _resolve_sigma(sample, kernel, rule, space, nuisance_fn):
+def _resolve_sigma(sample, kernel, rule, space):
     """Resolve the bandwidth from the rule; returns (sigma, flags)."""
     flags: list[str] = []
     if isinstance(rule, FixedBandwidth):
@@ -236,20 +234,11 @@ def _resolve_sigma(sample, kernel, rule, space, nuisance_fn):
         return kernel.rate_bandwidth(rule.lam, sample.n), flags
     if not isinstance(rule, (PlugInOptimal, Undersmoothed)):
         raise ValidationError(f"unknown bandwidth rule {rule!r}")
-    if nuisance_fn is None:
-        raise ValidationError(
-            "plug-in bandwidth rules need a nuisance_fn callback "
-            "(e.g. threshold_regret.nuisance.estimate_khA)"
-        )
-    t_eval = rule.t_eval
-    if t_eval is None:
-        t_eval = fit_ewm(sample, space).t_hat
-    est = nuisance_fn(sample, t_eval)
-    sigma = math.nan
-    if abs(est.a_hat) >= _A_HAT_DEGENERATE and est.k_hat > 0:
-        with suppress(NumericError):
-            sigma = optimal_bandwidth(est, kernel, sample.n)[1]
-    if not (math.isfinite(sigma) and sigma > 0):
+    t_eval = fit_ewm(sample, space).t_hat if rule.t_eval is None else rule.t_eval
+    est = estimate_khA(sample, t_eval, kernel)
+    try:
+        sigma = optimal_bandwidth(est, kernel, sample.n)[1]
+    except NumericError:
         sigma = _sd(sample.x) * sample.n ** (-0.2)  # Silverman-type fallback
         flags.append("bandwidth_fallback")
     if isinstance(rule, Undersmoothed):
@@ -263,7 +252,6 @@ def fit_swm(
     kernel: Kernel,
     rule: BandwidthRule,
     space: ParamSpace | None = None,
-    nuisance_fn: Callable | None = None,
 ) -> ThresholdEstimate:
     """Maximize the smoothed welfare objective over the parameter space.
 
@@ -279,7 +267,7 @@ def fit_swm(
     """
     if space is None:
         space = default_space(sample)
-    sigma, flags = _resolve_sigma(sample, kernel, rule, space, nuisance_fn)
+    sigma, flags = _resolve_sigma(sample, kernel, rule, space)
     if not 0.0 < sigma < math.inf:
         raise NumericError(f"bandwidth sigma = {sigma} is not finite and positive")
 

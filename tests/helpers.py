@@ -1,13 +1,25 @@
 """Shared brute-force oracles, kept deliberately independent of the library paths."""
 
 import csv
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 
 from threshold_regret import nuisance
 from threshold_regret.data import Sample, empirical_welfare
 from threshold_regret.errors import ValidationError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``, loaded by path, since scripts/ is not a package."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_sample(rng, n, constant_p=True):

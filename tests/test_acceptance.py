@@ -6,6 +6,7 @@ standard errors); set THRESHOLD_REGRET_ACCEPTANCE_REPS=5000 for the full run
 (within 3 standard errors).
 """
 
+import json
 import math
 import os
 import time
@@ -19,24 +20,17 @@ from threshold_regret.chernoff import chernoff_quantile, shipped_chernoff_table,
 from threshold_regret.data import default_space
 from threshold_regret.asymptotics import ewm_regret_dist, optimal_lambda_mean, swm_regret_dist
 from threshold_regret.ewm import fit_ewm
-from threshold_regret.inference import ewm_bootstrap, ewm_ci, swm_ci
 from threshold_regret.kernels import gaussian_cdf_kernel
-from threshold_regret.montecarlo import (
-    MODEL1,
-    MODEL2,
-    ExperimentConfig,
-    draw_sample,
-    run_experiment,
-)
-from threshold_regret.nuisance import estimate_khA
-from threshold_regret.swm import LambdaRate, smoothed_objective, smoothed_objective_derivative
+from threshold_regret.montecarlo import MODEL1, draw_sample
+from threshold_regret.swm import smoothed_objective, smoothed_objective_derivative
 
-from helpers import brute_force_ewm_objective, random_sample
+from helpers import ROOT, brute_force_ewm_objective, load_script, random_sample
 
 KERNEL = gaussian_cdf_kernel()
 JOBS = min(os.cpu_count() or 1, 8)
 REPS = int(os.environ.get("THRESHOLD_REGRET_ACCEPTANCE_REPS", "1000"))
 SE_TOL = 3.0 if REPS >= 5000 else 5.0
+PIN = load_script("pin_acceptance_outputs")
 
 # reference values (x 1e4) for the two benchmark models
 EWM_ASY_MEAN_M1 = {500: 96.190, 1000: 60.596, 2000: 38.173, 3000: 29.131}
@@ -74,86 +68,33 @@ def coarse_table():
 
 @pytest.fixture(scope="session")
 def experiment_m1():
-    cfg = ExperimentConfig(
-        models=(MODEL1,),
-        n_list=(500, 1000, 2000, 3000),
-        replications=REPS,
-        seed=42,
-        jobs=JOBS,
-        retain_samples=True,
-    )
     t0 = time.monotonic()
-    result = run_experiment(cfg)
+    result = PIN.experiment_m1(REPS, JOBS)
     return result, time.monotonic() - t0
 
 
 @pytest.fixture(scope="session")
 def experiment_m2():
-    cfg = ExperimentConfig(
-        models=(MODEL2,), n_list=(500,), replications=REPS, seed=43, jobs=JOBS
-    )
-    return run_experiment(cfg)
+    return PIN.experiment_m2(REPS, JOBS)
 
 
 @pytest.fixture(scope="session")
 def coverage_run(full_table):
-    """1000 replications at n=3000: plug-in intervals for both policies.
-
-    The smoothed fit uses a known lambda-rate bandwidth, as the interval
-    theory presumes (plug-in bandwidths add estimator spread the asymptotic
-    variance formula does not claim to cover).  The study bandwidth
-    undersmooths the regret-optimal lambda by half, the usual inference
-    practice: the plug-in bias correction tracks the threshold's own noise
-    through the steep curvature constant, and a smaller bandwidth keeps that
-    inflation from eating the nominal level.
-    """
+    """1000 replications at n=3000 of ``coverage_study``: plug-in intervals for both policies."""
     table, _ = full_table
-    lam = 0.5 * lam_star(MODEL1.K, MODEL1.A)
-    n = 3000
     t0 = time.monotonic()
-    hits_e = hits_s = 0
-    reps = 1000
-    t_ewm = np.empty(reps)
-    t_swm = np.empty(reps)
-    for rep in range(reps):
-        s = draw_sample(MODEL1, n, np.random.SeedSequence(entropy=2024, spawn_key=(rep,)))
-        space = default_space(s)
-        est_e = fit_ewm(s, space)
-        t_ewm[rep] = est_e.t_hat
-        nuis_e = estimate_khA(s, est_e.t_hat)
-        ci_e = ewm_ci(s, est_e, nuis_e, table, level=0.95)
-        hits_e += ci_e.lo <= 0.0 <= ci_e.hi
-        est_s = fit_swm_lambda(s, lam, space)
-        t_swm[rep] = est_s.t_hat
-        nuis_s = estimate_khA(s, est_s.t_hat)
-        ci_s = swm_ci(s, est_s, nuis_s, KERNEL, level=0.95, mode="bias_corrected")
-        hits_s += ci_s.lo <= 0.0 <= ci_s.hi
-    elapsed = time.monotonic() - t0
+    run = PIN.coverage_study(table)
     return {
-        "coverage_ewm": hits_e / reps,
-        "coverage_swm": hits_s / reps,
-        "t_ewm": t_ewm,
-        "t_swm": t_swm,
-        "n": n,
-        "lam": lam,
-        "elapsed": elapsed,
+        **run,
+        "coverage_ewm": float(np.mean(run["hits_ewm"])),
+        "coverage_swm": float(np.mean(run["hits_swm"])),
+        "elapsed": time.monotonic() - t0,
     }
-
-
-def fit_swm_lambda(sample, lam, space):
-    from threshold_regret.swm import fit_swm
-
-    return fit_swm(sample, KERNEL, LambdaRate(lam), space)
 
 
 @pytest.fixture(scope="session")
 def bootstrap_run():
-    s = draw_sample(MODEL1, 2000, 90001)
-    est = fit_ewm(s, default_space(s))
-    nuis = estimate_khA(s, est.t_hat)
-    small = ewm_bootstrap(s, est, nuis.h_hat, n_boot=500, seed=17)
-    large = ewm_bootstrap(s, est, nuis.h_hat, n_boot=2000, seed=17)
-    return small, large
+    return PIN.bootstrap_study()
 
 
 def test_criterion_1_chernoff_constants(full_table):
@@ -393,3 +334,11 @@ def test_finite_sample_regret_close_to_limit_law_at_every_n(experiment_m1, full_
         scale = n ** (-2.0 / 3.0) * (2.0 * MODEL1.K**2 / MODEL1.H) ** (1.0 / 3.0)
         ks = ks_2samp(row.samples / scale, z_squared).statistic
         assert ks < 0.06, f"n={n}: KS {ks:.3f}"
+
+
+@pytest.mark.skipif(REPS != PIN.REPS, reason="the pins hold the default 1000-replication studies")
+def test_acceptance_outputs_reproduce_pinned(experiment_m1, experiment_m2, coverage_run, bootstrap_run):
+    """Bit-for-bit study outputs recorded by scripts/pin_acceptance_outputs.py."""
+    with open(ROOT / "tests" / "data" / "acceptance_pinned.json") as fh:
+        pinned = json.load(fh)
+    assert PIN.pinned_results(experiment_m1[0], experiment_m2, coverage_run, bootstrap_run) == pinned

@@ -1,4 +1,3 @@
-import importlib.util
 import inspect
 import json
 import math
@@ -7,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import one_shot_chernoff_block
+from helpers import load_script, one_shot_chernoff_block
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -70,27 +69,18 @@ def test_strips_match_one_shot_block(seed, block_index, n_paths, m, step, strip_
     assert fast.tobytes() == one_shot_chernoff_block(args).tobytes()
 
 
-def _pin_script():
-    spec = importlib.util.spec_from_file_location(
-        "pin_chernoff_outputs", ROOT / "scripts" / "pin_chernoff_outputs.py"
-    )
-    pin = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pin)
-    return pin
-
-
 def test_simulate_chernoff_reproduces_pinned_outputs():
     """Bit-for-bit tables recorded by scripts/pin_chernoff_outputs.py."""
     with open(ROOT / "tests" / "data" / "chernoff_pinned.json") as fh:
         pinned = json.load(fh)["chernoff"]
-    assert _pin_script().chernoff_results() == pinned
+    assert load_script("pin_chernoff_outputs").chernoff_results() == pinned
 
 
 def test_ewm_bootstrap_reproduces_pinned_outputs():
     """Bit-for-bit bootstrap draws recorded by scripts/pin_chernoff_outputs.py."""
     with open(ROOT / "tests" / "data" / "chernoff_pinned.json") as fh:
         pinned = json.load(fh)["bootstrap"]
-    assert _pin_script().bootstrap_results() == pinned
+    assert load_script("pin_chernoff_outputs").bootstrap_results() == pinned
 
 
 def test_reproducible_bit_for_bit(small_chernoff):

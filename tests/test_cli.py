@@ -1,5 +1,4 @@
 import argparse
-import importlib.util
 import json
 import math
 import os
@@ -16,6 +15,8 @@ from threshold_regret import cli
 from threshold_regret.cli import run_cli
 from threshold_regret.errors import DataWarning
 from threshold_regret.montecarlo import MODEL1, draw_sample
+
+from helpers import load_script
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SMALL_TABLE = ["--chernoff-paths", "10000", "--chernoff-step", "0.001", "--chernoff-halfwidth", "2"]
@@ -239,6 +240,16 @@ def test_seed_env_fallback(sample_csv, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["config"]["seed"] == 123
 
 
+def test_propensity_is_echoed(sample_csv, capsys):
+    headers = []
+    for propensity in ("0.5", "0.4"):
+        argv = ["estimate", "--policy", "ewm", "--data", sample_csv, "--propensity", propensity]
+        assert run_cli(argv) == 0
+        headers.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("#")])
+    assert headers[0] != headers[1]
+    assert "# propensity = 0.4" in headers[1]
+
+
 def test_output_written_only_to_declared_path(sample_csv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "result.json"
@@ -264,11 +275,21 @@ def test_config_file_drives_simulate(tmp_path, capsys):
     assert {c["estimator"] for c in payload["cells"]} == {"ewm"}
 
 
-def _simulate_with_config(tmp_path, overrides):
+def _simulate_with_config(tmp_path, overrides, *flags):
     cfg = tmp_path / "cfg.json"
     base = {"model": 1, "n": [150], "reps": 10, "seed": 3, "estimators": ["ewm"]}
     cfg.write_text(json.dumps({**base, **overrides}))
-    return run_cli(["simulate", "--config", str(cfg), "--format", "json", "--jobs", "1"] + SMALL_TABLE)
+    return run_cli(["simulate", "--config", str(cfg), "--format", "json", "--jobs", "1", *flags] + SMALL_TABLE)
+
+
+def test_config_seed_also_seeds_the_chernoff_table(tmp_path, capsys):
+    """The file's seed is the one echoed, so --seed must not change the table behind the output."""
+    outputs = []
+    for seed in ("5", "6"):
+        assert _simulate_with_config(tmp_path, {}, "--seed", seed) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["config"]["seed"] == 3
 
 
 def test_config_scalar_n_is_one_sample_size(tmp_path, capsys):
@@ -342,9 +363,7 @@ def test_chernoff_non_finite_grid_is_validation_error(capsys, flags):
 
 def test_cli_outputs_reproduce_pinned(session_table):
     """Byte-identical stdout and exit codes recorded by scripts/pin_cli_outputs.py."""
-    spec = importlib.util.spec_from_file_location("pin_cli_outputs", ROOT / "scripts" / "pin_cli_outputs.py")
-    pin = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pin)
+    pin = load_script("pin_cli_outputs")
     with open(ROOT / "tests" / "data" / "cli_pinned.json") as fh:
         pinned = json.load(fh)["cases"]
     assert pin.pinned_results() == pinned

@@ -166,8 +166,8 @@ def test_swm_ci_bias_corrected_formula():
 
 def test_swm_ci_zero_bias_constant_makes_modes_agree():
     s = draw_sample(MODEL1, 1500, 15)
-    est_plug = fit_swm(s, KERNEL, PlugInOptimal(t_eval=0.0), nuisance_fn=estimate_khA)
-    est_under = fit_swm(s, KERNEL, Undersmoothed(t_eval=0.0), nuisance_fn=estimate_khA)
+    est_plug = fit_swm(s, KERNEL, PlugInOptimal(t_eval=0.0))
+    est_under = fit_swm(s, KERNEL, Undersmoothed(t_eval=0.0))
     nuis = _nuis(1.5, 0.4, 0.0)
     corrected = swm_ci(s, est_plug, nuis, KERNEL, mode="bias_corrected")
     undersmoothed = swm_ci(s, est_under, nuis, KERNEL, mode="undersmoothed")

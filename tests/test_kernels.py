@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from threshold_regret.errors import NumericError
+from threshold_regret.errors import NumericError, ValidationError
 from threshold_regret.kernels import gaussian_cdf_kernel
 
 
@@ -80,7 +80,7 @@ def test_order_below_two_rejected():
     from threshold_regret.kernels import Kernel, norm_pdf
     from scipy.special import ndtr
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="order h"):
         Kernel(k=ndtr, k1=norm_pdf, k2=norm_pdf, h=1, alpha1=1.0, alpha2=0.28)
 
 

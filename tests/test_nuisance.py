@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from threshold_regret.data import Sample
-from threshold_regret.errors import ArmDataError, RankDeficiencyError, ValidationError
+from threshold_regret.errors import ArmDataError, NumericError, RankDeficiencyError, ValidationError
 from threshold_regret.ewm import fit_ewm
 from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1, MODEL2, draw_sample
@@ -161,6 +161,15 @@ def test_estimate_khA_names_thin_arm():
         estimate_khA(s, 0.0)
 
 
+@pytest.mark.parametrize("arm", [0, 1])
+def test_estimate_khA_refuses_an_empty_arm(arm):
+    rng = np.random.default_rng(18)
+    n = 200
+    s = Sample(y=rng.normal(size=n), d=np.full(n, 1 - arm), x=rng.normal(size=n), propensity=0.5)
+    with pytest.raises(ArmDataError, match=f"arm {arm}: no observations"):
+        estimate_khA(s, 0.0)
+
+
 @pytest.mark.parametrize("model", [MODEL1, MODEL2], ids=["model1", "model2"])
 @pytest.mark.parametrize("n", [500, 3000, 100_000])
 def test_estimate_khA_matches_two_fits_per_arm_bit_for_bit(model, n):
@@ -213,13 +222,25 @@ def test_optimal_bandwidth_exact_model1_constants():
 
 
 def test_optimal_bandwidth_degenerate_k():
-    lam, sigma = optimal_bandwidth(_nuis(0.0, 0.4, 0.2), KERNEL, 500)
-    assert lam == 0.0 and sigma == 0.0
+    with pytest.raises(NumericError):
+        optimal_bandwidth(_nuis(0.0, 0.4, 0.2), KERNEL, 500)
 
 
 def test_optimal_bandwidth_zero_a_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(NumericError):
         optimal_bandwidth(_nuis(1.0, 0.4, 0.0), KERNEL, 500)
+
+
+@pytest.mark.parametrize("k, a", [
+    pytest.param(-1.0, 0.2, id="negative-k"),
+    pytest.param(1e300, 1e-300, id="lambda-overflows"),
+    pytest.param(1.0, 1e300, id="a-squared-overflows"),
+    pytest.param(1e-300, 1e100, id="lambda-underflows"),
+    pytest.param(1.4e-314, 1.0, id="sigma-underflows"),
+])
+def test_optimal_bandwidth_is_a_numeric_error_unless_finite_and_positive(k, a):
+    with pytest.raises(NumericError, match="not finite"):
+        optimal_bandwidth(_nuis(k, 0.4, a), KERNEL, 10**9)
 
 
 def test_optimal_bandwidth_rejects_sample_size_below_one():

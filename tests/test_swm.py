@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import json
 import math
 import pathlib
@@ -7,13 +6,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from threshold_regret import swm
 
 from threshold_regret.data import ParamSpace, Sample, _ipw_g, default_space, empirical_welfare
-from threshold_regret.errors import NumericError, ValidationError
+from threshold_regret.errors import ArmDataError, NumericError, ValidationError
+from threshold_regret.ewm import fit_ewm
 from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1, MODEL2, draw_sample
 from threshold_regret.nuisance import estimate_khA
@@ -30,7 +30,7 @@ from threshold_regret.swm import (
     smoothed_objective_derivative,
 )
 
-from helpers import _golden_section_max, random_sample
+from helpers import _golden_section_max, load_script, random_sample
 
 KERNEL = gaussian_cdf_kernel()
 
@@ -136,15 +136,9 @@ def test_interior_first_order_condition(rng):
     assert abs(deriv) < 1e-6 * g_max / est.bandwidth
 
 
-def test_plug_in_rule_requires_callback():
-    s = draw_sample(MODEL1, 300, 3)
-    with pytest.raises(ValidationError, match="nuisance_fn"):
-        fit_swm(s, KERNEL, PlugInOptimal())
-
-
 def test_plug_in_rule_records_bandwidth():
     s = draw_sample(MODEL1, 2000, 12)
-    est = fit_swm(s, KERNEL, PlugInOptimal(), nuisance_fn=estimate_khA)
+    est = fit_swm(s, KERNEL, PlugInOptimal())
     assert est.bandwidth is not None and est.bandwidth > 0
     assert est.policy_kind == "swm"
     # feasible bandwidth should be in the ballpark of the infeasible optimum
@@ -162,26 +156,37 @@ def test_zero_outcomes_fall_back_with_flag():
         x=rng.normal(size=n),
         propensity=0.5,
     )
-    est = fit_swm(s, KERNEL, PlugInOptimal(t_eval=0.0), nuisance_fn=estimate_khA)
+    est = fit_swm(s, KERNEL, PlugInOptimal(t_eval=0.0))
     assert "bandwidth_fallback" in est.flags
     assert est.bandwidth == pytest.approx(float(np.std(s.x)) * n ** (-0.2))
 
 
-def test_overflowing_plug_in_constants_fall_back_with_flag():
+def test_overflowing_plug_in_constants_fall_back_with_flag(monkeypatch):
     s = draw_sample(MODEL1, 300, 3)
 
-    def huge_a(sample, t):
-        return dataclasses.replace(estimate_khA(sample, t), a_hat=1e200)
+    def huge_a(sample, t, kernel=None):
+        return dataclasses.replace(estimate_khA(sample, t, kernel), a_hat=1e200)
 
-    est = fit_swm(s, KERNEL, PlugInOptimal(t_eval=0.0), nuisance_fn=huge_a)
+    monkeypatch.setattr(swm, "estimate_khA", huge_a)
+    est = fit_swm(s, KERNEL, PlugInOptimal(t_eval=0.0))
     assert "bandwidth_fallback" in est.flags
     assert est.bandwidth == pytest.approx(float(np.std(s.x)) * s.n ** (-0.2))
 
 
+def test_plug_in_rule_passes_a_nuisance_refusal_through():
+    """Thin arm data is a refusal, not a fallback: estimate_khA's error reaches the caller."""
+    rng = np.random.default_rng(17)
+    d = np.ones(200, dtype=int)
+    d[:3] = 0
+    s = Sample(y=rng.normal(size=200), d=d, x=rng.normal(size=200), propensity=0.5)
+    with pytest.raises(ArmDataError, match="arm 0"):
+        fit_swm(s, KERNEL, PlugInOptimal(t_eval=0.0))
+
+
 def test_undersmoothed_shrinks_bandwidth_and_flags():
     s = draw_sample(MODEL1, 1500, 21)
-    plug = fit_swm(s, KERNEL, PlugInOptimal(t_eval=0.0), nuisance_fn=estimate_khA)
-    under = fit_swm(s, KERNEL, Undersmoothed(t_eval=0.0), nuisance_fn=estimate_khA)
+    plug = fit_swm(s, KERNEL, PlugInOptimal(t_eval=0.0))
+    under = fit_swm(s, KERNEL, Undersmoothed(t_eval=0.0))
     assert "undersmoothed" in under.flags
     assert under.bandwidth == pytest.approx(plug.bandwidth * s.n ** (-0.05), rel=1e-12)
 
@@ -201,7 +206,46 @@ def test_bandwidth_rules_require_a_finite_positive_parameter(rule, value):
 def test_bandwidth_that_underflows_to_zero_is_a_numeric_error():
     s = draw_sample(MODEL1, 500, 3)
     with pytest.raises(NumericError, match="not finite and positive"):
-        fit_swm(s, KERNEL, Undersmoothed(exponent_shrink=1000.0, t_eval=0.0), nuisance_fn=estimate_khA)
+        fit_swm(s, KERNEL, Undersmoothed(exponent_shrink=1000.0, t_eval=0.0))
+
+
+def _rescaled(sample, k, j):
+    """The sample with x times 2^k and y times 2^j, both exact in floating point."""
+    return Sample(y=np.ldexp(sample.y, j), d=sample.d, x=np.ldexp(sample.x, k), propensity=sample.propensity)
+
+
+@example(model=MODEL1, n=800, seed=1, k=10, j=0)
+@example(model=MODEL2, n=800, seed=2, k=0, j=-60)
+@given(
+    model=st.sampled_from([MODEL1, MODEL2]),
+    n=st.sampled_from([300, 800]),
+    seed=st.integers(0, 10_000),
+    k=st.integers(-60, 60),
+    j=st.integers(-60, 60),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_fits_follow_a_power_of_two_change_of_units(model, n, seed, k, j):
+    """x times 2^k and y times 2^j is exact, so the EWM fit and K, H, A follow it exactly.
+    The plug-in SWM fit keeps its flags; its bandwidth follows up to the rounding of the
+    1/5 power, and its threshold up to the refinement tolerance.  With k = 0 the plug-in
+    bandwidth and threshold do not move at all."""
+    base = draw_sample(model, n, seed)
+    scaled = _rescaled(base, k, j)
+    c = 2.0**k
+    ewm, ewm_scaled = fit_ewm(base), fit_ewm(scaled)
+    assert ewm_scaled.t_hat == c * ewm.t_hat
+    assert ewm_scaled.maximizing_interval == tuple(c * t for t in ewm.maximizing_interval)
+    nuis, nuis_scaled = estimate_khA(base, ewm.t_hat), estimate_khA(scaled, ewm_scaled.t_hat)
+    assert (nuis_scaled.k_hat, nuis_scaled.h_hat, nuis_scaled.a_hat) == (
+        math.ldexp(nuis.k_hat, 2 * j - k), math.ldexp(nuis.h_hat, j - 2 * k), math.ldexp(nuis.a_hat, j - 3 * k)
+    )
+    fit, fit_scaled = fit_swm(base, KERNEL, PlugInOptimal()), fit_swm(scaled, KERNEL, PlugInOptimal())
+    assert fit_scaled.flags == fit.flags
+    assert fit_scaled.bandwidth == pytest.approx(c * fit.bandwidth, rel=1e-13, abs=0.0)
+    assert abs(fit_scaled.t_hat - c * fit.t_hat) <= 1e-8 * default_space(scaled).width
+    if k == 0:
+        assert (fit_scaled.bandwidth, fit_scaled.t_hat) == (fit.bandwidth, fit.t_hat)
+        assert fit_scaled.objective_value == math.ldexp(fit.objective_value, j)
 
 
 def test_infeasible_optimal_mse_consistent_with_normal_limit():
@@ -304,13 +348,6 @@ def test_infinite_k2_sup_evaluates_the_full_exact_grid():
         assert fit_swm(s, unbounded, rule, space) == fit_swm(s, KERNEL, rule, space)
 
 
-def _pin_script():
-    spec = importlib.util.spec_from_file_location("pin_swm_outputs", ROOT / "scripts" / "pin_swm_outputs.py")
-    pin = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pin)
-    return pin
-
-
 def _pinned(name):
     with open(ROOT / "tests" / "data" / name) as fh:
         return json.load(fh)["cases"]
@@ -318,14 +355,14 @@ def _pinned(name):
 
 def test_fit_swm_reproduces_pinned_outputs():
     """Bit-for-bit outputs recorded by scripts/pin_swm_outputs.py."""
-    assert _pin_script().pinned_results() == _pinned("swm_pinned.json")
+    assert load_script("pin_swm_outputs").pinned_results() == _pinned("swm_pinned.json")
 
 
 def test_pinned_outputs_lie_within_tolerance_of_golden_section_pins():
     """swm_pinned_golden.json holds the same cases as fitted with golden-section
     refinement; Newton moves each t_hat by at most the golden tolerance plus the
     golden section's resolution, and changes no bandwidth, flag or refusal."""
-    pin = _pin_script()
+    pin = load_script("pin_swm_outputs")
     newton, golden = _pinned("swm_pinned.json"), _pinned("swm_pinned_golden.json")
     assert len(newton) == len(golden)
     moved = 0
