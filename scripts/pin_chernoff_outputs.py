@@ -12,17 +12,16 @@ so a speed-up of either simulator that changes any output bit fails it.
 Usage:
     PYTHONPATH=src python scripts/pin_chernoff_outputs.py [--out tests/data/chernoff_pinned.json]
 
-Regenerate the file only on a commit whose outputs are the reference.
+The script refuses to change an existing file (``_pins.write``); to
+regenerate it on a commit whose outputs are the reference, delete it first.
 """
 
-import argparse
-import hashlib
-import json
-import pathlib
+import sys
 import warnings
 
 import numpy as np
 
+import _pins
 from threshold_regret.chernoff import simulate_chernoff
 from threshold_regret.data import Sample
 from threshold_regret.errors import DataWarning
@@ -30,8 +29,6 @@ from threshold_regret.ewm import fit_ewm
 from threshold_regret.inference import ewm_bootstrap
 from threshold_regret.montecarlo import MODEL1, draw_sample
 from threshold_regret.nuisance import estimate_khA
-
-DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data" / "chernoff_pinned.json"
 
 CHERNOFF_CASES = [
     {"n_paths": 10_000, "domain_halfwidth": 2.0, "grid_step": 1e-3, "seed": 5, "jobs": 1},
@@ -47,15 +44,11 @@ BOOTSTRAP_CASES = [
 ]
 
 
-def _sha256(array):
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
-
-
 def chernoff_case(case):
     table = simulate_chernoff(**case)
     return {
         **case,
-        "samples_sha256": _sha256(table.samples),
+        "samples_sha256": _pins.sha256(table.samples),
         "mean": table.mean.hex(),
         "second_moment": table.second_moment.hex(),
     }
@@ -72,7 +65,7 @@ def bootstrap_case(case):
     est = fit_ewm(sample)
     h_hat = estimate_khA(sample, est.t_hat).h_hat
     boot = ewm_bootstrap(sample, est, h_hat, n_boot=case["n_boot"], seed=case["seed"])
-    return {**case, "draws_sha256": _sha256(boot.draws)}
+    return {**case, "draws_sha256": _pins.sha256(boot.draws)}
 
 
 def chernoff_results():
@@ -84,17 +77,9 @@ def bootstrap_results():
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default=str(DEFAULT_OUT))
-    args = parser.parse_args(argv)
-    path = pathlib.Path(args.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    records = {"chernoff": chernoff_results(), "bootstrap": bootstrap_results()}
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(records['chernoff'])} chernoff and {len(records['bootstrap'])} bootstrap cases to {path}")
+    args = _pins.parser(__doc__, _pins.DATA / "chernoff_pinned.json").parse_args(argv)
+    return _pins.write(args.out, {"chernoff": chernoff_results(), "bootstrap": bootstrap_results()})
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

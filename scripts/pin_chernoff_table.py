@@ -7,9 +7,10 @@ signed grid indices: draw i is sign(k_i) * r[|k_i| - 1] on the wing grid
 r = step, 2 step, ..., m step, and +0.0 when k_i = 0.  Before writing, the
 script rebuilds the table from the indices and requires the samples' bytes
 and ``float.hex`` of the mean and second moment to equal the simulated
-table's.  It refuses to overwrite an existing file whose indices differ:
-every default ``asymptotics``, ``infer --method plugin`` and ``simulate``
-run reads that file, so changing its bits changes their outputs.
+table's.  It refuses to overwrite an existing file whose indices differ
+(``_pins.keep_or_write``): every default ``asymptotics``, ``infer --method
+plugin`` and ``simulate`` run reads that file, so changing its bits changes
+their outputs.
 
 Usage:
     PYTHONPATH=src python scripts/pin_chernoff_table.py [--jobs 2] [--out PATH]
@@ -17,12 +18,11 @@ Usage:
 The simulation takes about 46 s on one core.
 """
 
-import argparse
-import pathlib
 import sys
 
 import numpy as np
 
+import _pins
 from threshold_regret import chernoff
 from threshold_regret.chernoff import SHIPPED_CONFIG, SHIPPED_PATH, simulate_chernoff
 
@@ -51,26 +51,21 @@ def check_rebuild(table, k):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default=str(SHIPPED_PATH))
+    parser = _pins.parser(__doc__, SHIPPED_PATH)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
-    path = pathlib.Path(args.out)
     n_paths, domain_halfwidth, grid_step, seed = SHIPPED_CONFIG
     table = simulate_chernoff(n_paths, domain_halfwidth, grid_step, seed, jobs=args.jobs)
     k = grid_indices(table)
     check_rebuild(table, k)
-    if path.exists():
+
+    def n_differing(path):
         with np.load(path) as data:
             old = data["k"]
-        if old.dtype == k.dtype and np.array_equal(old, k):
-            print(f"{path} already holds these {len(k)} indices; left unchanged")
-            return 0
-        print(f"refusing to overwrite {path}: its indices differ from the simulated table", file=sys.stderr)
-        return 1
-    np.savez_compressed(path, k=k)
-    print(f"wrote {len(k)} indices ({path.stat().st_size} bytes) to {path}")
-    return 0
+        return int(np.count_nonzero(old != k)) if old.shape == k.shape else max(len(old), len(k))
+
+    return _pins.keep_or_write(args.out, n_differing, lambda path: np.savez_compressed(path, k=k),
+                               f"{len(k)} indices")
 
 
 if __name__ == "__main__":

@@ -20,22 +20,22 @@ runs.
 Usage:
     PYTHONPATH=src python scripts/pin_cli_outputs.py [--out tests/data/cli_pinned.json]
 
-Regenerate the file only on a commit whose outputs are the reference.
+The script refuses to change an existing file (``_pins.write``); to
+regenerate it on a commit whose outputs are the reference, delete it first.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
 import pathlib
+import sys
 import tempfile
 
+import _pins
 from threshold_regret.cli import run_cli
 from threshold_regret.montecarlo import MODEL1, draw_sample
-
-DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data" / "cli_pinned.json"
 
 TABLE = ["--chernoff-paths", "10000", "--chernoff-step", "0.001", "--chernoff-halfwidth", "2",
          "--seed", "5", "--jobs", "1"]
@@ -70,8 +70,8 @@ def _write_inputs(directory):
     (directory / "flat.json").write_text(json.dumps(FLAT_MODEL))
 
 
-def outputs():
-    """(argv, exit code, stdout) of every case, run in a scratch directory."""
+def pinned_results():
+    """The argv, exit code and stdout sha256 of every case, run in a scratch directory."""
     results = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -82,31 +82,17 @@ def outputs():
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                     code = run_cli(argv)
-                results.append((argv, code, out.getvalue()))
+                results.append({"argv": argv, "exit_code": code,
+                                "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()})
         finally:
             os.chdir(cwd)
     return results
 
 
-def pinned_results():
-    return [
-        {"argv": argv, "exit_code": code, "stdout_sha256": hashlib.sha256(text.encode()).hexdigest()}
-        for argv, code, text in outputs()
-    ]
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default=str(DEFAULT_OUT))
-    args = parser.parse_args(argv)
-    path = pathlib.Path(args.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    records = {"cases": pinned_results()}
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(records['cases'])} cases to {path}")
+    args = _pins.parser(__doc__, _pins.DATA / "cli_pinned.json").parse_args(argv)
+    return _pins.write(args.out, {"cases": pinned_results()})
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,18 +12,18 @@ any output bit fails it.
 Usage:
     PYTHONPATH=src python scripts/pin_swm_outputs.py [--out tests/data/swm_pinned.json]
 
-Regenerate the file only on a commit whose outputs are the reference.
+The script refuses to change an existing file (``_pins.write``); to
+regenerate it on a commit whose outputs are the reference, delete it first.
 ``tests/data/swm_pinned_golden.json`` holds the same cases as fitted with the
 earlier golden-section refinement; it is never regenerated, and a test holds
 each current ``t_hat`` to within the refinement tolerance of it.
 """
 
-import argparse
-import json
-import pathlib
+import sys
 
 import numpy as np
 
+import _pins
 from threshold_regret.data import ParamSpace, Sample
 from threshold_regret.errors import ThresholdRegretError
 from threshold_regret.kernels import gaussian_cdf_kernel
@@ -36,7 +36,6 @@ from threshold_regret.swm import (
     fit_swm,
 )
 
-DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data" / "swm_pinned.json"
 MODELS = {"model1": MODEL1, "model2": MODEL2}
 RULES = {
     "lambda_rate": lambda dgp, k: LambdaRate(k.alpha2 * dgp.K / (2.0 * k.h * dgp.A**2)),
@@ -101,17 +100,9 @@ def pinned_results():
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default=str(DEFAULT_OUT))
-    args = parser.parse_args(argv)
-    path = pathlib.Path(args.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    records = pinned_results()
-    with open(path, "w") as fh:
-        json.dump({"cases": records}, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(records)} cases to {path}")
+    args = _pins.parser(__doc__, _pins.DATA / "swm_pinned.json").parse_args(argv)
+    return _pins.write(args.out, {"cases": pinned_results()})
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

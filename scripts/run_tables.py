@@ -12,7 +12,7 @@ import os
 import sys
 import time
 
-from threshold_regret.chernoff import SHIPPED_CONFIG, shipped_chernoff_table, simulate_chernoff
+from threshold_regret.chernoff import chernoff_table
 from threshold_regret.montecarlo import (
     MODEL1,
     MODEL2,
@@ -36,11 +36,7 @@ def main(argv=None):
 
     n_list = tuple(int(v) for v in args.n.split(","))
     t0 = time.monotonic()
-    paths, _, _, seed = SHIPPED_CONFIG
-    if args.chernoff_paths == paths:  # every field at simulate_chernoff's default: read, not simulated
-        table = shipped_chernoff_table()
-    else:
-        table = simulate_chernoff(n_paths=args.chernoff_paths, seed=seed, jobs=args.jobs)
+    table = chernoff_table(args.chernoff_paths, jobs=args.jobs)
     print(f"# argmax table: E[Z^2] = {table.second_moment:.6f} ({time.monotonic()-t0:.0f}s)")
 
     config = ExperimentConfig(

@@ -6,7 +6,7 @@ plug-in and bootstrap confidence intervals, and a seeded Monte Carlo
 harness that reproduces the benchmark regret tables.
 """
 
-from .chernoff import ChernoffTable, chernoff_quantile, shipped_chernoff_table, simulate_chernoff
+from .chernoff import ChernoffTable, chernoff_quantile, chernoff_table, shipped_chernoff_table, simulate_chernoff
 from .data import (
     IpwScores,
     ParamSpace,

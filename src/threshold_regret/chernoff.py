@@ -40,6 +40,7 @@ __all__ = [
     "ChernoffTable",
     "simulate_chernoff",
     "shipped_chernoff_table",
+    "chernoff_table",
     "chernoff_quantile",
     "DEFAULT_CHERNOFF_SEED",
     "SHIPPED_CONFIG",
@@ -188,6 +189,22 @@ def shipped_chernoff_table() -> ChernoffTable:
     _, domain_halfwidth, grid_step, seed = SHIPPED_CONFIG
     with np.load(SHIPPED_PATH) as data:
         return _from_indices(data["k"], domain_halfwidth, grid_step, seed)
+
+
+def chernoff_table(
+    n_paths: int = 200_000,
+    domain_halfwidth: float = 2.5,
+    grid_step: float = 5e-4,
+    seed: int = DEFAULT_CHERNOFF_SEED,
+    jobs: int = 1,
+) -> ChernoffTable:
+    """``simulate_chernoff(...)``, read from the package data when the configuration is SHIPPED_CONFIG."""
+    require_int("jobs", jobs, 1)
+    if (n_paths, domain_halfwidth, grid_step, seed) == SHIPPED_CONFIG:
+        return shipped_chernoff_table()
+    # through the module global, so a patched or traced simulate_chernoff is the one called
+    return simulate_chernoff(n_paths=n_paths, domain_halfwidth=domain_halfwidth, grid_step=grid_step,
+                             seed=seed, jobs=jobs)
 
 
 def chernoff_quantile(table: ChernoffTable, q: float) -> float:

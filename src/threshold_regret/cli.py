@@ -26,14 +26,12 @@ import os
 import sys
 import warnings
 
-from ._workers import require_int
 from .asymptotics import _check_constants, asymptotic_row
 from .chernoff import (
     DEFAULT_CHERNOFF_SEED,
     SHIPPED_CONFIG,
     chernoff_quantile,
-    shipped_chernoff_table,
-    simulate_chernoff,
+    chernoff_table,
 )
 from .data import ParamSpace, default_space, load_sample_csv
 from .errors import DataWarning, NumericError, ThresholdRegretError, ValidationError
@@ -185,13 +183,7 @@ def _fit_policy(args, sample, space):
 
 
 def _chernoff_table_from_args(args):
-    """The shipped table when the flags ask for the default one; otherwise a simulated table."""
-    config = (args.chernoff_paths, args.chernoff_halfwidth, args.chernoff_step, args.seed)
-    if config == SHIPPED_CONFIG:
-        require_int("jobs", args.jobs, 1)
-        return shipped_chernoff_table()
-    return simulate_chernoff(n_paths=args.chernoff_paths, domain_halfwidth=args.chernoff_halfwidth,
-                             grid_step=args.chernoff_step, seed=args.seed, jobs=args.jobs)
+    return chernoff_table(args.chernoff_paths, args.chernoff_halfwidth, args.chernoff_step, args.seed, args.jobs)
 
 
 def _cmd_estimate(args, config):

@@ -110,8 +110,7 @@ MODEL2 = Dgp(name="model2", gamma=3.0, beta1=0.5, beta2=-1.0, p=0.5)
 
 def draw_sample(dgp: Dgp, n: int, seed) -> Sample:
     """Draw one i.i.d. sample of size n; deterministic per seed."""
-    if n < 2:
-        raise ValidationError(f"n must be >= 2, got {n}")
+    require_int("n", n, 2)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     eps1 = dgp.gamma * rng.standard_normal(n)

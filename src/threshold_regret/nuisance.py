@@ -144,6 +144,8 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
     for polynomial conditional means up to degree three and keep the
     second-derivative estimate from dominating the bias of A_hat.
     """
+    if not math.isfinite(t_eval):
+        raise ValidationError(f"t_eval must be finite, got {t_eval}")
     if kernel is None:
         kernel = gaussian_cdf_kernel()
     n = sample.n

@@ -1,9 +1,11 @@
 """Shared brute-force oracles, kept deliberately independent of the library paths."""
 
 import csv
-import importlib.util
+import importlib
+import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 
@@ -15,11 +17,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def load_script(name):
-    """The module of ``scripts/<name>.py``, loaded by path, since scripts/ is not a package."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    """The module of ``scripts/<name>.py``.  scripts/ is not a package and its
+    scripts import each other (``_pins``, ``coverage_study``), so it goes on sys.path."""
+    if str(ROOT / "scripts") not in sys.path:
+        sys.path.insert(0, str(ROOT / "scripts"))
+    return importlib.import_module(name)
+
+
+def pinned(name):
+    """The records of the pin file ``tests/data/<name>``."""
+    with open(ROOT / "tests" / "data" / name) as fh:
+        return json.load(fh)
 
 
 def random_sample(rng, n, constant_p=True):

@@ -6,7 +6,6 @@ standard errors); set THRESHOLD_REGRET_ACCEPTANCE_REPS=5000 for the full run
 (within 3 standard errors).
 """
 
-import json
 import math
 import os
 import time
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
-from threshold_regret import cli
+from threshold_regret import chernoff, cli
 from threshold_regret.chernoff import chernoff_quantile, shipped_chernoff_table, simulate_chernoff
 from threshold_regret.data import default_space
 from threshold_regret.asymptotics import ewm_regret_dist, optimal_lambda_mean, swm_regret_dist
@@ -24,7 +23,7 @@ from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1, draw_sample
 from threshold_regret.swm import smoothed_objective, smoothed_objective_derivative
 
-from helpers import ROOT, brute_force_ewm_objective, load_script, random_sample
+from helpers import brute_force_ewm_objective, load_script, pinned, random_sample
 
 KERNEL = gaussian_cdf_kernel()
 JOBS = min(os.cpu_count() or 1, 8)
@@ -296,7 +295,7 @@ def test_default_cli_table_is_read_not_simulated(full_table, monkeypatch, capsys
     def no_simulation(**kwargs):
         raise AssertionError("the default table was simulated")
 
-    monkeypatch.setattr(cli, "simulate_chernoff", no_simulation)
+    monkeypatch.setattr(chernoff, "simulate_chernoff", no_simulation)
     assert cli.run_cli(argv) == 0
     shipped_out = capsys.readouterr().out
     monkeypatch.setattr(cli, "_chernoff_table_from_args", lambda args: table)
@@ -339,6 +338,5 @@ def test_finite_sample_regret_close_to_limit_law_at_every_n(experiment_m1, full_
 @pytest.mark.skipif(REPS != PIN.REPS, reason="the pins hold the default 1000-replication studies")
 def test_acceptance_outputs_reproduce_pinned(experiment_m1, experiment_m2, coverage_run, bootstrap_run):
     """Bit-for-bit study outputs recorded by scripts/pin_acceptance_outputs.py."""
-    with open(ROOT / "tests" / "data" / "acceptance_pinned.json") as fh:
-        pinned = json.load(fh)
-    assert PIN.pinned_results(experiment_m1[0], experiment_m2, coverage_run, bootstrap_run) == pinned
+    assert PIN.pinned_results(experiment_m1[0], experiment_m2, coverage_run, bootstrap_run) == pinned(
+        "acceptance_pinned.json")

@@ -1,20 +1,16 @@
 import inspect
-import json
 import math
-import pathlib
 from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import load_script, one_shot_chernoff_block
+from helpers import load_script, one_shot_chernoff_block, pinned
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threshold_regret import chernoff
 from threshold_regret.chernoff import chernoff_quantile, simulate_chernoff
 from threshold_regret.errors import ValidationError
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_parameter_bounds_enforced():
@@ -71,16 +67,12 @@ def test_strips_match_one_shot_block(seed, block_index, n_paths, m, step, strip_
 
 def test_simulate_chernoff_reproduces_pinned_outputs():
     """Bit-for-bit tables recorded by scripts/pin_chernoff_outputs.py."""
-    with open(ROOT / "tests" / "data" / "chernoff_pinned.json") as fh:
-        pinned = json.load(fh)["chernoff"]
-    assert load_script("pin_chernoff_outputs").chernoff_results() == pinned
+    assert load_script("pin_chernoff_outputs").chernoff_results() == pinned("chernoff_pinned.json")["chernoff"]
 
 
 def test_ewm_bootstrap_reproduces_pinned_outputs():
     """Bit-for-bit bootstrap draws recorded by scripts/pin_chernoff_outputs.py."""
-    with open(ROOT / "tests" / "data" / "chernoff_pinned.json") as fh:
-        pinned = json.load(fh)["bootstrap"]
-    assert load_script("pin_chernoff_outputs").bootstrap_results() == pinned
+    assert load_script("pin_chernoff_outputs").bootstrap_results() == pinned("chernoff_pinned.json")["bootstrap"]
 
 
 def test_reproducible_bit_for_bit(small_chernoff):

@@ -11,15 +11,38 @@ import numpy as np
 import pytest
 
 import threshold_regret
-from threshold_regret import cli
+from threshold_regret import chernoff, cli
 from threshold_regret.cli import run_cli
 from threshold_regret.errors import DataWarning
 from threshold_regret.montecarlo import MODEL1, draw_sample
 
-from helpers import load_script
+from helpers import load_script, pinned
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 SMALL_TABLE = ["--chernoff-paths", "10000", "--chernoff-step", "0.001", "--chernoff-halfwidth", "2"]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def simulate_each_table_once(small_chernoff):
+    """Simulate each table configuration once, whatever the worker count or rerun.
+
+    The CLI tests compare outputs across reruns and worker counts; the simulator's
+    own rerun equality and jobs 1 vs 2 invariance are checked in test_chernoff.py
+    (``test_reproducible_bit_for_bit``, ``test_worker_count_does_not_change_samples``
+    and the jobs 1 and 2 cases of ``test_simulate_chernoff_reproduces_pinned_outputs``).
+    """
+    tables = {(10_000, 2.0, 1e-3, 5): small_chernoff}
+    simulate = chernoff.simulate_chernoff
+
+    def cached(n_paths, domain_halfwidth, grid_step, seed, jobs):
+        key = (n_paths, domain_halfwidth, grid_step, seed)
+        if key not in tables:
+            tables[key] = simulate(n_paths=n_paths, domain_halfwidth=domain_halfwidth, grid_step=grid_step,
+                                   seed=seed, jobs=jobs)
+        return tables[key]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chernoff, "simulate_chernoff", cached)
+        yield
 
 
 @pytest.fixture
@@ -30,7 +53,7 @@ def session_table(monkeypatch, small_chernoff):
         assert (n_paths, domain_halfwidth, grid_step, seed) == (10_000, 2.0, 1e-3, 5)
         return small_chernoff
 
-    monkeypatch.setattr(cli, "simulate_chernoff", table)
+    monkeypatch.setattr(chernoff, "simulate_chernoff", table)
 
 
 @pytest.fixture(scope="module")
@@ -363,10 +386,7 @@ def test_chernoff_non_finite_grid_is_validation_error(capsys, flags):
 
 def test_cli_outputs_reproduce_pinned(session_table):
     """Byte-identical stdout and exit codes recorded by scripts/pin_cli_outputs.py."""
-    pin = load_script("pin_cli_outputs")
-    with open(ROOT / "tests" / "data" / "cli_pinned.json") as fh:
-        pinned = json.load(fh)["cases"]
-    assert pin.pinned_results() == pinned
+    assert load_script("pin_cli_outputs").pinned_results() == pinned("cli_pinned.json")["cases"]
 
 
 @pytest.mark.parametrize("flags, code", [
@@ -434,7 +454,7 @@ print("LOADED", "scipy.special" in sys.modules)
 ], ids=["seed", "paths", "step", "halfwidth"])
 def test_a_non_default_table_is_simulated(monkeypatch, small_chernoff, flag, change):
     calls = []
-    monkeypatch.setattr(cli, "simulate_chernoff", lambda **kwargs: calls.append(kwargs) or small_chernoff)
+    monkeypatch.setattr(chernoff, "simulate_chernoff", lambda **kwargs: calls.append(kwargs) or small_chernoff)
     assert run_cli(["chernoff", "--jobs", "1", "--format", "json", flag]) == 0
     default = {"n_paths": 200_000, "domain_halfwidth": 2.5, "grid_step": 5e-4, "seed": 7, "jobs": 1}
     assert calls == [{**default, **change}]
@@ -550,7 +570,7 @@ def test_asymptotics_checks_constants_before_simulating(monkeypatch, capsys):
     def no_table(**kwargs):
         raise AssertionError("the table was simulated for unusable constants")
 
-    monkeypatch.setattr(cli, "simulate_chernoff", no_table)
+    monkeypatch.setattr(chernoff, "simulate_chernoff", no_table)
     argv = ["asymptotics", "--n", "500", "--K", "nan", "--H", "1", "--A", "1", "--jobs", "1"] + SMALL_TABLE
     assert run_cli(argv) == 1
     assert capsys.readouterr().err.startswith("error: K and H must be finite and positive")

@@ -84,6 +84,18 @@ def test_dgp_refuses_non_finite_parameters(field, value):
 # --- sampling --------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n, message", [
+    (1, "n must be >= 2, got 1"),
+    (2.5, "n must be an integer, got 2.5"),
+    (3.0, "n must be an integer, got 3.0"),
+    ("5", "n must be an integer, got '5'"),
+])
+def test_draw_sample_refuses_n_that_is_not_an_integer_of_at_least_two(n, message):
+    with pytest.raises(ValidationError) as info:
+        draw_sample(MODEL1, n, 1)
+    assert str(info.value) == message
+
+
 def test_draw_sample_deterministic():
     a = draw_sample(MODEL1, 200, 33)
     b = draw_sample(MODEL1, 200, 33)

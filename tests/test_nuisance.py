@@ -9,6 +9,7 @@ from threshold_regret.ewm import fit_ewm
 from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1, MODEL2, draw_sample
 from threshold_regret.nuisance import estimate_khA, kde, local_poly, optimal_bandwidth
+from threshold_regret.swm import PlugInOptimal, fit_swm
 
 from helpers import two_fit_khA
 
@@ -159,6 +160,15 @@ def test_estimate_khA_names_thin_arm():
     s = Sample(y=rng.normal(size=n), d=d, x=rng.normal(size=n), propensity=0.5)
     with pytest.raises(ArmDataError, match="arm 0"):
         estimate_khA(s, 0.0)
+
+
+@pytest.mark.parametrize("t_eval", [math.nan, math.inf, -math.inf])
+def test_estimate_khA_refuses_a_non_finite_point(t_eval):
+    s = draw_sample(MODEL1, 300, 5)
+    with pytest.raises(ValidationError, match="^t_eval must be finite"):
+        estimate_khA(s, t_eval)
+    with pytest.raises(ValidationError, match="^t_eval must be finite"):
+        fit_swm(s, KERNEL, PlugInOptimal(t_eval=t_eval))
 
 
 @pytest.mark.parametrize("arm", [0, 1])

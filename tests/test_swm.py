@@ -1,7 +1,5 @@
 import dataclasses
-import json
 import math
-import pathlib
 from unittest import mock
 
 import numpy as np
@@ -30,7 +28,7 @@ from threshold_regret.swm import (
     smoothed_objective_derivative,
 )
 
-from helpers import _golden_section_max, load_script, random_sample
+from helpers import _golden_section_max, load_script, pinned, random_sample
 
 KERNEL = gaussian_cdf_kernel()
 
@@ -268,8 +266,6 @@ def test_infeasible_optimal_mse_consistent_with_normal_limit():
 
 # --- screened coarse grid ------------------------------------------------------
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
 
 def _full_and_screened(g, x, kernel, sigma, space):
     """Exact values on the whole coarse grid, and the index the screen picks."""
@@ -348,14 +344,9 @@ def test_infinite_k2_sup_evaluates_the_full_exact_grid():
         assert fit_swm(s, unbounded, rule, space) == fit_swm(s, KERNEL, rule, space)
 
 
-def _pinned(name):
-    with open(ROOT / "tests" / "data" / name) as fh:
-        return json.load(fh)["cases"]
-
-
 def test_fit_swm_reproduces_pinned_outputs():
     """Bit-for-bit outputs recorded by scripts/pin_swm_outputs.py."""
-    assert load_script("pin_swm_outputs").pinned_results() == _pinned("swm_pinned.json")
+    assert load_script("pin_swm_outputs").pinned_results() == pinned("swm_pinned.json")["cases"]
 
 
 def test_pinned_outputs_lie_within_tolerance_of_golden_section_pins():
@@ -363,7 +354,7 @@ def test_pinned_outputs_lie_within_tolerance_of_golden_section_pins():
     refinement; Newton moves each t_hat by at most the golden tolerance plus the
     golden section's resolution, and changes no bandwidth, flag or refusal."""
     pin = load_script("pin_swm_outputs")
-    newton, golden = _pinned("swm_pinned.json"), _pinned("swm_pinned_golden.json")
+    newton, golden = pinned("swm_pinned.json")["cases"], pinned("swm_pinned_golden.json")["cases"]
     assert len(newton) == len(golden)
     moved = 0
     for new, old in zip(newton, golden):
