@@ -12,8 +12,9 @@ a noncentral chi-squared law with one degree of freedom.  Both are exposed
 through one parameterized :class:`RegretDistribution` with exact means.  Z
 quantiles come from an injected :class:`ChernoffTable` (never regenerated
 silently, so every number in a report is traceable to a seed); noncentral
-chi-squared quantiles are exact, from ``scipy.special.chndtrix``, and use
-no simulation and no seed.
+chi-squared quantiles are exact, from ``scipy.special.chndtrix`` (solved
+by bisection on the closed-form CDF where it gives NaN, at noncentralities
+past about 1e11), and use no simulation and no seed.
 
 Every law rejects constants it cannot describe (K or H not finite and
 positive, A not finite, n < 1) with a ``ValidationError`` and raises
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import chndtrix
-from .chernoff import ChernoffTable
+from .chernoff import ChernoffTable, _linear_quantile
 from .errors import NumericError, ValidationError
 from .kernels import Kernel
 
@@ -61,6 +62,32 @@ def _finite(name: str, compute) -> float:
     return value
 
 
+def _noncentral_chi2_quantile(q: float, nc: float) -> float:
+    """Quantile q of the noncentral chi-squared law with one degree of freedom.
+
+    ``chndtrix``'s value wherever it has one.  From a noncentrality of about
+    1e11 it returns NaN; there the quantile is s^2 for the least double s
+    with Phi(s - sqrt nc) - Phi(-s - sqrt nc) >= q, found by bisection with
+    Phi from ``math.erfc``.
+    """
+    x = float(chndtrix(q, 1, nc))
+    if not (math.isnan(x) and math.isfinite(nc)):
+        return x
+    mu = math.sqrt(nc)
+
+    def cdf(s):
+        return 0.5 * (math.erfc((mu - s) / math.sqrt(2.0)) - math.erfc((s + mu) / math.sqrt(2.0)))
+
+    # Phi(-40) underflows to 0 and Phi(40) rounds to 1, so the root lies in between
+    lo, hi = max(0.0, mu - 40.0), mu + 40.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if cdf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return hi * hi
+
+
 @dataclass(frozen=True)
 class RegretDistribution:
     """A scaled asymptotic regret law exposing mean, median, and quantiles.
@@ -83,9 +110,9 @@ class RegretDistribution:
         if not 0.0 < q < 1.0:
             raise ValidationError(f"quantile level must lie in (0, 1), got {q}")
         if self.kind == "ewm":
-            value = self.scale * float(np.quantile(self._z_squared, q))
+            value = self.scale * _linear_quantile(self._z_squared, q)
         else:
-            value = self.scale * float(chndtrix(q, 1, self.noncentrality))
+            value = self.scale * _noncentral_chi2_quantile(q, self.noncentrality)
         if not math.isfinite(value):
             raise NumericError(f"{self.kind} regret quantile {q} is not finite ({value})")
         return value

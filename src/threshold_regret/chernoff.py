@@ -17,7 +17,9 @@ through in strips of a few dozen paths that reuse one increment buffer and
 one wing buffer, so memory is bounded by those strip buffers (about 3 MB,
 or one path when a path is larger), not by the block.  The generator
 draws value by value, so the strips reproduce the draws of the whole
-block taken at once.
+block taken at once.  Each strip is scanned by the compiled kernel
+``tr_scan_strip`` of ``_kernels.c`` when it builds and loads (see
+``_native``), else by the numpy loop ``_scan_strip``; both give the same bits.
 
 Every draw is 0 or +-r on the grid r = step, 2 step, ..., so the shipped
 table is stored as signed grid indices (``chernoff_default.npz``, int16,
@@ -100,7 +102,27 @@ def _table(samples, n_paths, domain_halfwidth, grid_step, seed) -> ChernoffTable
     )
 
 
+def _scan_strip(strip, penalty, wing, right_arg, right_max, left_arg, left_max) -> None:
+    """Each row's first argmax of cumsum(wing) - penalty, and its value, on both wings, by numpy.
+
+    ``strip`` holds rows of 2m scaled increments, the right wing first;
+    ``wing`` is an (at least) rows x m buffer.  This is the loop that the
+    compiled ``tr_scan_strip`` replaces, and its oracle.
+    """
+    rows, m = len(strip), len(penalty)
+    cum = wing[:rows]
+    every = np.arange(rows)
+    for cols, arg, peak in ((slice(0, m), right_arg, right_max), (slice(m, 2 * m), left_arg, left_max)):
+        np.cumsum(strip[:, cols], axis=1, out=cum)
+        cum -= penalty
+        # within a wing, argmax takes the first (closest to zero) maximizer
+        arg[:] = np.argmax(cum, axis=1)
+        peak[:] = cum[every, arg]
+
+
 def _simulate_block(args) -> np.ndarray:
+    from . import _native
+
     seed, block_index, n_paths, m, step = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
     r = _grid(m, step)
@@ -109,25 +131,22 @@ def _simulate_block(args) -> np.ndarray:
     height = max(1, min(n_paths, _STRIP_BYTES // (16 * m)))
     increments = np.empty((height, 2 * m))
     wing = np.empty((height, m))
+    native = _native.kernels()
     right_arg = np.empty(n_paths, dtype=np.intp)
     left_arg = np.empty(n_paths, dtype=np.intp)
     right_max = np.empty(n_paths)
     left_max = np.empty(n_paths)
-    wings = ((slice(0, m), right_arg, right_max), (slice(m, 2 * m), left_arg, left_max))
     for lo in range(0, n_paths, height):
         hi = min(lo + height, n_paths)
         strip = increments[: hi - lo]
         # the generator fills row by row, so strips continue the one-shot draw
         rng.standard_normal(out=strip)
         strip *= scale
-        cum = wing[: hi - lo]
-        rows = np.arange(hi - lo)
-        for cols, arg, peak in wings:
-            np.cumsum(strip[:, cols], axis=1, out=cum)
-            cum -= penalty
-            # within a wing, argmax takes the first (closest to zero) maximizer
-            arg[lo:hi] = np.argmax(cum, axis=1)
-            peak[lo:hi] = cum[rows, arg[lo:hi]]
+        found = (right_arg[lo:hi], right_max[lo:hi], left_arg[lo:hi], left_max[lo:hi])
+        if native is None:
+            _scan_strip(strip, penalty, wing, *found)
+        else:
+            native.tr_scan_strip(strip, hi - lo, m, penalty, *found, wing)
     # candidate at r = 0 has value 0; ties resolve toward 0, then smaller r
     z = np.zeros(n_paths)
     best = np.zeros(n_paths)
@@ -207,8 +226,28 @@ def chernoff_table(
                              seed=seed, jobs=jobs)
 
 
+def _linear_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` for finite values, bit for bit, without its ``np.unique``.
+
+    numpy's default (linear) rule: the virtual index is (n - 1) q, and the two
+    order statistics around it are blended by its fractional part g as
+    a + (b - a) g, or b - (b - a)(1 - g) when g >= 0.5.  ``np.quantile``'s
+    first call imports ``numpy.ma`` (about 15 ms), this one does not.
+    """
+    last = len(values) - 1
+    virtual = last * q
+    # numpy's index pair, (-1, -1) at or past the last point, and its gamma from the pair
+    lo, hi = (-1, -1) if virtual >= last else (math.floor(virtual), math.floor(virtual) + 1)
+    gamma = virtual - lo
+    # numpy's own partition points, so tied values (say -0.0 and 0.0) land where its quantile finds them
+    part = np.partition(values, sorted({0, -1, lo, hi}))
+    a, b = float(part[lo]), float(part[hi])
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
 def chernoff_quantile(table: ChernoffTable, q: float) -> float:
     """Empirical quantile of Z; the CI critical value is quantile(1 - alpha/2)."""
     if not 0.0 < q < 1.0:
         raise ValidationError(f"quantile level must lie in (0, 1), got {q}")
-    return float(np.quantile(table.samples, q))
+    return _linear_quantile(table.samples, q)

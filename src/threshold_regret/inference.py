@@ -11,6 +11,9 @@ Four constructions are provided:
   estimator.
 
 Normal quantiles are computed from the error function, not lookup tables.
+Each bootstrap replicate runs in the compiled kernel ``tr_bootstrap_replicate``
+of ``_kernels.c`` when it builds and loads (see ``_native``), else in the
+numpy loop ``_replicate``; both give the same bits.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from ._special import erfinv
 from ._workers import parallel_map, require_int
-from .chernoff import ChernoffTable, chernoff_quantile
+from .chernoff import ChernoffTable, _linear_quantile, chernoff_quantile
 from .data import Sample, _ipw_g
 from .errors import NumericError, ValidationError
 from .ewm import ThresholdEstimate
@@ -126,8 +129,8 @@ class BootstrapDistribution:
         _check_level(level)
         alpha = 1.0 - level
         scale = self.n ** (-1.0 / 3.0)
-        q_lo = float(np.quantile(self.draws, alpha / 2.0))
-        q_hi = float(np.quantile(self.draws, 1.0 - alpha / 2.0))
+        q_lo = _linear_quantile(self.draws, alpha / 2.0)
+        q_hi = _linear_quantile(self.draws, 1.0 - alpha / 2.0)
         lo = self.t_hat - scale * q_hi
         hi = self.t_hat - scale * q_lo
         return ConfidenceInterval(
@@ -140,6 +143,23 @@ class BootstrapDistribution:
         )
 
 
+def _replicate(idx, rank, g, suffix_orig, penalty, work) -> int:
+    """Index of the first maximizer of one replicate's penalized criterion, by numpy.
+
+    The replicate is the draw of rows ``idx``; ``work`` (one more entry than
+    there are ranks) ends holding its criterion.  This is the loop that the
+    compiled ``tr_bootstrap_replicate`` replaces, and its oracle.
+    """
+    per_rank = np.bincount(rank[idx], weights=g[idx], minlength=len(work) - 1)
+    # suffix sums of the resampled scores, with the trailing 0, then the criterion in place
+    np.cumsum(per_rank[::-1], out=work[-2::-1])
+    work[-1] = 0.0
+    np.subtract(work, suffix_orig, out=work)
+    work /= len(idx)
+    work -= penalty
+    return int(np.argmax(work))
+
+
 def _bootstrap_chunk(args):
     """Exact maximizers of the reshaped-bootstrap criteria of replicates lo..hi-1.
 
@@ -149,27 +169,28 @@ def _bootstrap_chunk(args):
     evaluating every segment makes the search exact.  The candidates and
     their penalties do not depend on the draw and are computed once.
     """
+    from . import _native
+
     lo, hi, seed, rank, g, n, t_hat, h_hat, breaks, suffix_orig = args
     # candidate thresholds: t_hat clamped into each segment
     # segment j covers [breaks[j-1], breaks[j]) with open ends at both sides
-    cand = np.empty(len(breaks) + 1)
+    k = len(breaks)
+    cand = np.empty(k + 1)
     cand[0] = min(t_hat, breaks[0])
     cand[-1] = max(t_hat, breaks[-1])
     cand[1:-1] = np.clip(t_hat, breaks[:-1], breaks[1:])
     penalty = 0.5 * h_hat * (cand - t_hat) ** 2
-    suffix = np.zeros(len(breaks) + 1)
-    values = np.empty(len(breaks) + 1)
+    work = np.empty(k + 1)
+    native = _native.kernels()
     out = np.empty(hi - lo)
     for b in range(lo, hi):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         idx = rng.integers(0, n, n)
-        per_rank = np.bincount(rank[idx], weights=g[idx], minlength=len(breaks))
-        # suffix sums of the resampled scores; the trailing 0 stays in place
-        np.cumsum(per_rank[::-1], out=suffix[-2::-1])
-        np.subtract(suffix, suffix_orig, out=values)
-        values /= n
-        values -= penalty
-        out[b - lo] = cand[np.argmax(values)]
+        if native is None:
+            j = _replicate(idx, rank, g, suffix_orig, penalty, work)
+        else:
+            j = native.tr_bootstrap_replicate(idx, n, rank, g, k, suffix_orig, penalty, work)
+        out[b - lo] = cand[j]
     return out
 
 
@@ -199,7 +220,9 @@ def ewm_bootstrap(
     require_int("jobs", jobs, 1)
     n = sample.n
     g = _ipw_g(sample)
-    breaks = np.unique(sample.x)
+    # sorted neighbours rather than np.unique, whose first call imports numpy.ma (about 15 ms)
+    xs = np.sort(sample.x)
+    breaks = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
     if len(breaks) < 2:
         raise ValidationError("bootstrap needs at least two distinct index values")
     rank = np.searchsorted(breaks, sample.x)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import chndtrix, ndtr
 from scipy.stats import ncx2
 
 from threshold_regret.asymptotics import (
@@ -85,13 +85,34 @@ def test_noncentral_chi2_median_matches_series_oracle():
 
 
 def test_noncentral_chi2_quantiles_solve_closed_form_cdf():
-    """With one degree of freedom, P(chi^2 <= x) = ndtr(sqrt x - sqrt nc) - ndtr(-sqrt x - sqrt nc)."""
-    for nc in (0.0, 0.25, 1.7, 50.0):
+    """With one degree of freedom, P(chi^2 <= x) = ndtr(sqrt x - sqrt nc) - ndtr(-sqrt x - sqrt nc).
+
+    From nc = 1e12 up, chndtrix gives NaN and the bisection answers.  The CDF
+    moves by up to 0.4 ulp(sqrt x) between neighbouring doubles, more than
+    1e-10 once sqrt x passes 1e6, so no double does better than that there.
+    """
+    for nc in (0.0, 0.25, 1.7, 50.0, 1e12, 1e20):
         dist = swm_regret_dist(1.0, 0.5, math.sqrt(nc * KERNEL.alpha2), 1.0, KERNEL, 1000)
         root_nc = math.sqrt(dist.noncentrality)
         for q in (0.005, 0.025, 0.1, 0.5, 0.9, 0.975, 0.995):
             root_x = math.sqrt(dist.quantile(q) / dist.scale)
-            assert ndtr(root_x - root_nc) - ndtr(-root_x - root_nc) == pytest.approx(q, abs=1e-10)
+            tolerance = max(1e-10, math.ulp(root_x))
+            assert ndtr(root_x - root_nc) - ndtr(-root_x - root_nc) == pytest.approx(q, abs=tolerance)
+
+
+def test_noncentral_chi2_quantile_past_chndtrix_range_is_finite():
+    """chndtrix gives NaN from about nc = 1e11; nc here is about 3.5e12."""
+    dist = swm_regret_dist(1.0, 1.0, 1e6, 1.0, KERNEL, 500)
+    assert chndtrix(0.5, 1, dist.noncentrality) != chndtrix(0.5, 1, dist.noncentrality)
+    median = dist.median / dist.scale
+    assert math.sqrt(median) == pytest.approx(math.sqrt(dist.noncentrality), abs=1e-3)
+
+
+@pytest.mark.parametrize("nc", [0.0, 1.7, 1e6, 1e10])
+def test_noncentral_chi2_quantile_keeps_finite_chndtrix_values(nc):
+    dist = swm_regret_dist(1.0, 0.5, math.sqrt(nc * KERNEL.alpha2), 1.0, KERNEL, 1000)
+    for q in (0.005, 0.5, 0.995):
+        assert dist.quantile(q) == dist.scale * chndtrix(q, 1, dist.noncentrality)
 
 
 @pytest.mark.parametrize(

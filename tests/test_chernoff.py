@@ -109,6 +109,18 @@ def test_quantiles_monotone(small_chernoff):
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+@given(
+    values=st.lists(st.sampled_from([-3.5, -1.0, -0.0, 0.0, 0.1, 0.7, 2.0, 1e300]), min_size=1, max_size=60)
+    | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
+    q=st.floats(0.0, 1.0) | st.sampled_from([0.025, 0.5, 0.975, 1 - 1e-16]),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_linear_quantile_is_numpys_default_quantile(values, q):
+    """Bit for bit, ties and signed zeros included."""
+    values = np.array(values)
+    assert np.float64(chernoff._linear_quantile(values, q)).tobytes() == np.quantile(values, q).tobytes()
+
+
 def test_quantile_level_validated(small_chernoff):
     with pytest.raises(ValidationError):
         chernoff_quantile(small_chernoff, 0.0)

@@ -427,23 +427,26 @@ def _fresh_python(code, *args):
 
 
 def test_cli_import_loads_neither_scipy_nor_multiprocessing():
-    code = ("import sys, threshold_regret.cli; "
-            "print([m for m in ('scipy', 'multiprocessing') if m in sys.modules])")
+    """Nor the native-kernel loader and what it needs: those load on the first kernel call."""
+    unloaded = ("scipy", "multiprocessing", "threshold_regret._native", "subprocess", "sysconfig", "hashlib")
+    code = f"import sys, threshold_regret.cli; print([m for m in {unloaded!r} if m in sys.modules])"
     assert _fresh_python(code).strip() == "[]"
 
 
 def test_serial_commands_that_need_no_special_function_never_load_scipy(sample_csv):
+    """Nor numpy.ma, which the first np.quantile or np.unique imports (about 15 ms)."""
     code = """
 import sys
 from threshold_regret.cli import run_cli
 data = ["--data", sys.argv[1], "--propensity", "0.5"]
+assert run_cli(["chernoff", "--seed", "5", "--jobs", "1", *sys.argv[2:]]) == 0
 assert run_cli(["estimate", "--policy", "ewm", *data]) == 0
 assert run_cli(["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", "--jobs", "1",
                 *data]) == 0
-assert run_cli(["chernoff", "--seed", "5", "--jobs", "1", *sys.argv[2:]]) == 0
-print("LOADED", "scipy.special" in sys.modules)
+assert run_cli(["infer", "--policy", "ewm", "--method", "plugin", "--jobs", "1", *data, *sys.argv[2:]]) == 0
+print("LOADED", [m for m in ("scipy.special", "numpy.ma") if m in sys.modules])
 """
-    assert _fresh_python(code, sample_csv, *SMALL_TABLE).splitlines()[-1] == "LOADED False"
+    assert _fresh_python(code, sample_csv, *SMALL_TABLE).splitlines()[-1] == "LOADED []"
 
 
 @pytest.mark.parametrize("flag, change", [

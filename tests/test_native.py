@@ -1,0 +1,134 @@
+"""The compiled kernels against the numpy loops they replace, bit for bit."""
+
+import shlex
+import shutil
+import sysconfig
+from unittest import mock
+
+import numpy as np
+import pytest
+from helpers import load_script, pinned
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from threshold_regret import _native, chernoff, inference
+
+
+def _numpy_loops():
+    """Patch the loader so every caller runs its numpy loop."""
+    return mock.patch.object(_native, "kernels", lambda: None)
+
+
+@pytest.fixture(scope="module")
+def native():
+    lib = _native.kernels()
+    if lib is None:
+        pytest.skip("the native kernels did not build or load here")
+    return lib
+
+
+def test_native_kernels_load_when_the_compiler_is_on_path():
+    """A silent fallback to the numpy loops would pass every other test here."""
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"the configured compiler {compiler!r} is not on PATH")
+    assert _native.kernels() is not None
+
+
+def _chunk_args(seed, n, distinct, score_scale, reps):
+    """Tasks for ``inference._bootstrap_chunk`` built as ``ewm_bootstrap`` builds them."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, distinct, n).astype(float)
+    # small integer scores tie often; at 1e306 the suffix sums overflow into inf and NaN
+    g = rng.integers(-2, 3, n) * score_scale
+    breaks = np.unique(x)
+    rank = np.searchsorted(breaks, x)
+    with np.errstate(over="ignore"):
+        suffix_orig = np.concatenate((np.cumsum(np.bincount(rank, g, len(breaks))[::-1])[::-1], [0.0]))
+    t_hat = float(rng.uniform(-1.0, distinct))
+    h_hat = float(10.0 ** rng.uniform(-3, 3))
+    return (0, reps, seed, rank, g, n, t_hat, h_hat, breaks, suffix_orig)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 3000),
+    distinct=st.integers(1, 3000),
+    score_scale=st.sampled_from([1.0, 0.37, 1e306]),
+)
+@example(seed=1, n=2, distinct=1, score_scale=1.0)
+@example(seed=2, n=400, distinct=3, score_scale=1e306)
+@example(seed=3, n=3000, distinct=3000, score_scale=1e306)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_bootstrap_chunks_match_numpy(native, seed, n, distinct, score_scale):
+    """Tied and few-valued x, and scores whose suffix sums overflow, where the
+    criterion holds inf and NaN and the kernel must pick np.argmax's index."""
+    args = _chunk_args(seed, n, min(distinct, n), score_scale, reps=4)
+    fast = inference._bootstrap_chunk(args)
+    with _numpy_loops(), np.errstate(over="ignore", invalid="ignore"):
+        slow = inference._bootstrap_chunk(args)
+    assert fast.tobytes() == slow.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    m=st.integers(1, 60),
+    step=st.floats(1e-4, 1.0),
+    quarters=st.booleans(),
+)
+@example(seed=5, rows=1, m=1, step=1e-3, quarters=False)
+@example(seed=6, rows=40, m=60, step=0.5, quarters=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_strip_scans_match_numpy(native, seed, rows, m, step, quarters):
+    """Every output of the scan, peaks included.  With increments in quarters
+    and step 0.5 every partial sum is exact, so wings tie often."""
+    strip = np.random.default_rng(seed).standard_normal((rows, 2 * m)) * np.sqrt(step)
+    if quarters:
+        strip, step = np.round(strip * 4.0) / 4.0, 0.5
+    penalty = (np.arange(1, m + 1) * step) ** 2
+    fast = [np.empty(rows, np.int64), np.empty(rows), np.empty(rows, np.int64), np.empty(rows)]
+    slow = [np.empty(rows, np.int64), np.empty(rows), np.empty(rows, np.int64), np.empty(rows)]
+    native.tr_scan_strip(strip, rows, m, penalty, *fast, np.empty(m))
+    chernoff._scan_strip(strip, penalty, np.empty((rows, m)), *slow)
+    assert [a.tobytes() for a in fast] == [b.tobytes() for b in slow]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_paths=st.integers(1, 40),
+    m=st.integers(1, 60),
+    step=st.floats(1e-4, 1.0),
+    height=st.integers(1, 40),
+)
+@example(seed=5, n_paths=1, m=1, step=1e-3, height=1)
+@example(seed=7, n_paths=40, m=60, step=0.5, height=40)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_chernoff_blocks_match_numpy(native, seed, n_paths, m, step, height):
+    """Small grids and every strip height from one row up to the whole block."""
+    args = (seed, 3, n_paths, m, step)
+    with mock.patch.object(chernoff, "_STRIP_BYTES", min(height, n_paths) * 16 * m):
+        fast = chernoff._simulate_block(args)
+        with _numpy_loops():
+            slow = chernoff._simulate_block(args)
+    assert fast.tobytes() == slow.tobytes()
+
+
+def test_pinned_outputs_reproduce_without_the_kernels(monkeypatch):
+    """The numpy loops alone still give every pinned Chernoff table, bootstrap draw and CLI output."""
+    monkeypatch.setattr(_native, "kernels", lambda: None)
+    chernoff_pins = load_script("pin_chernoff_outputs")
+    assert chernoff_pins.chernoff_results() == pinned("chernoff_pinned.json")["chernoff"]
+    assert chernoff_pins.bootstrap_results() == pinned("chernoff_pinned.json")["bootstrap"]
+    # the CLI cases ask for one table configuration two dozen times; simulate each once
+    tables = {}
+    simulate = chernoff.simulate_chernoff
+
+    def once(**config):
+        key = tuple(config[k] for k in ("n_paths", "domain_halfwidth", "grid_step", "seed"))
+        if key not in tables:
+            tables[key] = simulate(**config)
+        return tables[key]
+
+    monkeypatch.setattr(chernoff, "simulate_chernoff", once)
+    assert load_script("pin_cli_outputs").pinned_results() == pinned("cli_pinned.json")["cases"]
