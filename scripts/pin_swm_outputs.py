@@ -38,7 +38,7 @@ from threshold_regret.swm import (
 
 MODELS = {"model1": MODEL1, "model2": MODEL2}
 RULES = {
-    "lambda_rate": lambda dgp, k: LambdaRate(k.alpha2 * dgp.K / (2.0 * k.h * dgp.A**2)),
+    "lambda_rate": lambda dgp, k: LambdaRate(k.optimal_lambda(dgp.K, dgp.A)),
     "fixed_0.05": lambda dgp, k: FixedBandwidth(0.05),
     "fixed_3.0": lambda dgp, k: FixedBandwidth(3.0),
     "plug_in": lambda dgp, k: PlugInOptimal(),

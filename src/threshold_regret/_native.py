@@ -4,8 +4,9 @@
 with (``sysconfig``'s CC) into this package's ``__pycache__``, under a
 name hashed from the source and the command, so a rebuilt source or
 another compiler gets its own library.  It loads the library with
-``ctypes`` and checks both kernels against the numpy loops they replace on
-a fixed small case.  If any step fails (no compiler, a read-only package
+``ctypes``, rebuilding it once if the loader rejects a cached file (one
+truncated, or built for another machine), and checks both kernels against
+the numpy loops they replace on a fixed small case.  If any step fails (no compiler, a read-only package
 directory, a failed build or load, a result that differs) it returns None
 and the callers keep their numpy loops, whose results are the same bit for
 bit.  The module is imported only when a kernel is first wanted, so
@@ -113,9 +114,12 @@ def kernels() -> ctypes.CDLL | None:
     """The checked kernels library, or None when it cannot be built, loaded or trusted."""
     try:
         path, command = _library_path()
-        if not path.exists():
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:  # not built yet, or a file the loader rejects (truncated, another machine's)
             _build(path, command)
-        lib = _typed(ctypes.CDLL(str(path)))
+            lib = ctypes.CDLL(str(path))
+        lib = _typed(lib)
         return lib if _agrees(lib) else None
     except (OSError, ctypes.ArgumentError):
         return None

@@ -167,7 +167,9 @@ def _bootstrap_chunk(args):
     values) minus the quadratic penalty 0.5 H_hat (t - t_hat)^2, so on each
     inter-breakpoint segment the maximizer is t_hat clamped to the segment;
     evaluating every segment makes the search exact.  The candidates and
-    their penalties do not depend on the draw and are computed once.
+    their penalties do not depend on the draw and are computed once.  A
+    criterion whose maximum is not finite (resampled score sums that
+    overflow) raises NumericError.
     """
     from . import _native
 
@@ -187,9 +189,16 @@ def _bootstrap_chunk(args):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
         idx = rng.integers(0, n, n)
         if native is None:
-            j = _replicate(idx, rank, g, suffix_orig, penalty, work)
+            # an overflow is refused below, as the kernel's is, rather than warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                j = _replicate(idx, rank, g, suffix_orig, penalty, work)
         else:
             j = native.tr_bootstrap_replicate(idx, n, rank, g, k, suffix_orig, penalty, work)
+        if not math.isfinite(work[j]):
+            raise NumericError(
+                f"bootstrap replicate {b}: the criterion at its maximizer is {work[j]}; "
+                "the resampled score sums overflow"
+            )
         out[b - lo] = cand[j]
     return out
 
@@ -254,7 +263,7 @@ def swm_ci(
     The bias correction removes b_hat = (n sigma)^(-1/2) sqrt(lambda)
     A_hat / H_hat; the undersmoothed mode sets it to zero and requires the
     estimate to have been fitted with an undersmoothed bandwidth rule.
-    lambda = n sigma^(2h+1) is recovered from the recorded bandwidth.
+    lambda = n sigma^5 is recovered from the recorded bandwidth.
     """
     if estimate.policy_kind != "swm":
         raise ValidationError(f"swm_ci needs an swm estimate, got {estimate.policy_kind!r}")
@@ -276,7 +285,7 @@ def swm_ci(
             )
         bias = 0.0
     else:
-        lam = n * sigma_n ** (2 * kernel.h + 1)
+        lam = n * sigma_n ** 5
         bias = (n * sigma_n) ** (-0.5) * math.sqrt(lam) * nuisance.a_hat / nuisance.h_hat
     z = z_quantile(1.0 - (1.0 - level) / 2.0)
     half_width = (n * sigma_n) ** (-0.5) * math.sqrt(kernel.alpha2 * nuisance.k_hat) / nuisance.h_hat * z

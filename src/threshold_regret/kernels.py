@@ -1,31 +1,32 @@
 """Smoothing kernels for the smoothed welfare objective.
 
 A kernel here is a smooth CDF-like weight k with k(-inf) = 0 and
-k(+inf) = 1, together with its first two derivatives, its order h, and the
-two moment constants that drive the smoothed estimator's asymptotics:
+k(+inf) = 1, together with its first two derivatives and the two moment
+constants that drive the smoothed estimator's asymptotics:
 
-    alpha1 = integral of zeta^h * k'(zeta)   (bias moment)
+    alpha1 = integral of zeta^2 * k'(zeta)   (bias moment)
     alpha2 = integral of k'(zeta)^2          (roughness)
 
 and ``k2_sup``, a bound on sup |k''| that lets the SWM optimizer screen its
 coarse grid with a binned approximation of provable accuracy.  The two rate
 formulas built on these constants live here too: the regret-optimal
-lambda* = alpha2 K / (2 h A^2) and the bandwidth (lambda / n)^(1/(2h+1)).
+lambda* = alpha2 K / (4 A^2) and the bandwidth (lambda / n)^(1/5).
 
-The shipped kernel is the standard normal CDF (order h = 2); higher-order
-kernels are supported by the type but none is shipped.
+Every kernel has order 2, as in the paper: its bias constant, plug-in
+bandwidth and regret law are the order-2 formulas.  The shipped kernel is
+the standard normal CDF.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from ._special import ndtr
-from .errors import NumericError, ValidationError
+from .errors import NumericError
 
 __all__ = ["Kernel", "gaussian_cdf_kernel", "norm_pdf"]
 
@@ -48,31 +49,27 @@ class Kernel:
     k: Callable[[np.ndarray], np.ndarray]
     k1: Callable[[np.ndarray], np.ndarray]
     k2: Callable[[np.ndarray], np.ndarray]
-    h: int
     alpha1: float
     alpha2: float
     k2_sup: float = math.inf
-
-    def __post_init__(self):
-        if self.h < 2:
-            raise ValidationError(f"kernel order h must be >= 2, got {self.h}")
+    h: ClassVar[int] = 2
 
     def optimal_lambda(self, K: float, A: float) -> float:
-        """Regret-optimal rate constant lambda* = alpha2 K / (2 h A^2).
+        """Regret-optimal rate constant lambda* = alpha2 K / (4 A^2).
 
         Raises NumericError unless lambda* is finite (A = 0 in particular).
         """
         try:
-            lam = self.alpha2 * K / (2.0 * self.h * A**2)
+            lam = self.alpha2 * K / (4.0 * A**2)
         except (OverflowError, ZeroDivisionError):
             lam = math.inf
         if not math.isfinite(lam):
-            raise NumericError(f"lambda* = alpha2 K / (2h A^2) is not finite at K={K}, A={A}")
+            raise NumericError(f"lambda* = alpha2 K / (4 A^2) is not finite at K={K}, A={A}")
         return lam
 
     def rate_bandwidth(self, lam: float, n: int) -> float:
-        """Bandwidth sigma_n = (lambda / n)^(1 / (2h + 1)) of a lambda-rate sequence."""
-        return (lam / n) ** (1.0 / (2 * self.h + 1))
+        """Bandwidth sigma_n = (lambda / n)^(1/5) of a lambda-rate sequence."""
+        return (lam / n) ** 0.2
 
 
 def _gaussian_k2(z):
@@ -82,7 +79,7 @@ def _gaussian_k2(z):
 
 
 def gaussian_cdf_kernel() -> Kernel:
-    """Standard normal CDF kernel, order 2.
+    """Standard normal CDF kernel.
 
     k' is the normal density phi and k''(z) = -z phi(z); alpha1 = 1 (the
     second moment of phi), alpha2 = 1 / (2 sqrt(pi)) = 0.28209479... and
@@ -92,7 +89,6 @@ def gaussian_cdf_kernel() -> Kernel:
         k=ndtr,
         k1=norm_pdf,
         k2=_gaussian_k2,
-        h=2,
         alpha1=1.0,
         alpha2=1.0 / (2.0 * math.sqrt(math.pi)),
         k2_sup=math.exp(-0.5) / math.sqrt(2.0 * math.pi),

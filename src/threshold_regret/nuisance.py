@@ -8,12 +8,12 @@ kernel density estimate together with per-arm local polynomial regressions:
 
     K_hat = f_hat(t) * (kappa1_hat(t) / p + kappa0_hat(t) / (1 - p))
     H_hat = f_hat(t) * (nu1'_hat(t) - nu0'_hat(t))
-    A_hat = -(alpha1 / h!) * [ 2 f'_hat(t) (nu1'_hat - nu0'_hat)
-                               + f_hat(t) (nu1''_hat - nu0''_hat) ]
+    A_hat = -(alpha1 / 2) * [ 2 f'_hat(t) (nu1'_hat - nu0'_hat)
+                              + f_hat(t) (nu1''_hat - nu0''_hat) ]
 
 where kappa_j is the conditional second moment of the arm-j outcome and
 nu_j its conditional mean.  The feasible regret-optimal bandwidth follows as
-lambda* = alpha2 K_hat / (2 h A_hat^2), sigma* = (lambda*/n)^(1/(2h+1)).
+lambda* = alpha2 K_hat / (4 A_hat^2), sigma* = (lambda*/n)^(1/5).
 """
 
 from __future__ import annotations
@@ -188,10 +188,7 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
     k_hat = f_hat * (kappa[1] / p_local + kappa[0] / (1.0 - p_local))
     tau_prime = nu1[1] - nu1[0]
     h_hat = f_hat * tau_prime
-    h_factorial = math.factorial(kernel.h)
-    a_hat = -(kernel.alpha1 / h_factorial) * (
-        2.0 * fprime_hat * tau_prime + f_hat * (nu2[1] - nu2[0])
-    )
+    a_hat = -(kernel.alpha1 / 2) * (2.0 * fprime_hat * tau_prime + f_hat * (nu2[1] - nu2[0]))
     for name, value in (("K", k_hat), ("H", h_hat), ("A", a_hat)):
         if not math.isfinite(value):
             raise NumericError(f"nuisance estimate {name} is not finite at t={t_eval}")

@@ -9,7 +9,7 @@ which is twice continuously differentiable in t and is maximized by a
 coarse global grid search followed by a safeguarded Newton iteration on
 S_n'(t) = 0 inside the grid bracket of the best point.  The bandwidth
 sigma comes from one of four rules: a fixed value, a lambda-rate sequence
-sigma = (lambda / n)^(1 / (2h + 1)), the plug-in regret-optimal rule, or an
+sigma = (lambda / n)^(1/5), the plug-in regret-optimal rule, or an
 undersmoothed variant of the plug-in rule.
 
 The grid search returns the argmax of the exact objective over the grid
@@ -73,7 +73,7 @@ class FixedBandwidth:
 
 @dataclass(frozen=True)
 class LambdaRate:
-    """sigma_n = (lam / n)^(1 / (2h + 1)) with h taken from the kernel."""
+    """sigma_n = (lam / n)^(1/5), the rate of the order-2 kernels."""
 
     lam: float
 
@@ -104,7 +104,7 @@ class Undersmoothed:
         if not 0 < self.exponent_shrink < math.inf:
             raise ValidationError(
                 f"exponent_shrink must be finite and positive so the total rate beats "
-                f"1/(2h+1), got {self.exponent_shrink}"
+                f"1/5, got {self.exponent_shrink}"
             )
 
 
@@ -263,7 +263,8 @@ def fit_swm(
     exact argmax over the grid, found by screening the grid with a binned
     FFT approximation of bounded error and evaluating exactly only the
     points the bound cannot rule out (all of them when ``kernel.k2_sup`` is
-    ``inf``); see the module docstring.
+    ``inf``); see the module docstring.  IPW score sums that overflow leave
+    the objective not finite, which raises NumericError.
     """
     if space is None:
         space = default_space(sample)
@@ -275,15 +276,22 @@ def fit_swm(
     f = partial(_smoothed, g, sample.x, kernel, sigma)
     n_pts = max(201, min(math.ceil(min(space.width / sigma, _GRID_CAP)) * 4, _GRID_CAP))
     ts = np.linspace(space.lo, space.hi, n_pts)
-    # (x - t) / sigma may overflow at an extreme sigma; the kernel's limits at +-inf are exact
-    with np.errstate(over="ignore"):
+    # (x - t) / sigma may overflow at an extreme sigma; the kernel's limits at +-inf are exact.
+    # Score sums that overflow are refused below, once the objective is known not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
         cand = _grid_candidates(g, sample.x, kernel, sigma, space, n_pts)
-        best = int(cand[np.argmax(f(ts[cand]))])
+        values = f(ts[cand])
+        best = int(cand[np.argmax(values)])
         lo = ts[max(best - 1, 0)]
         hi = ts[min(best + 1, n_pts - 1)]
         t_hat = _newton_max(f, float(lo), float(hi), float(ts[best]), tol=1e-8 * space.width)
         t_hat = float(space.clamp(t_hat))
         objective_value = f(t_hat)
+    if not (math.isfinite(values.max()) and math.isfinite(objective_value)):
+        raise NumericError(
+            f"smoothed objective is not finite (grid maximum {values.max()}, {objective_value} "
+            f"at t={t_hat}): the IPW score sums overflow"
+        )
     return ThresholdEstimate(
         t_hat=t_hat,
         policy_kind="swm",

@@ -41,6 +41,16 @@ def random_sample(rng, n, constant_p=True):
     return Sample(y=y, d=d, x=x, propensity=p)
 
 
+def overflowing_sample(n=200):
+    """IPW scores of +-1.6e308, finite one by one, whose partial sums overflow.
+
+    y = +-8e307 alternating, d = (i // 2) % 2, x = i and propensity 0.5;
+    ``fit_ewm`` fits it (t_hat = 0.5).
+    """
+    i = np.arange(n)
+    return Sample(y=np.where(i % 2 == 0, 8e307, -8e307), d=(i // 2) % 2, x=i.astype(float), propensity=0.5)
+
+
 def canonical_cuts(sample, space):
     """All n+1 candidate thresholds: boundary midpoints plus gap midpoints."""
     xs = np.sort(np.asarray(sample.x))

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import overflowing_sample
+
+from threshold_regret import _native
 from threshold_regret.chernoff import chernoff_quantile
 from threshold_regret.errors import NumericError, ValidationError
 from threshold_regret.ewm import fit_ewm
@@ -108,6 +111,19 @@ def test_bootstrap_rejects_nonpositive_curvature(h_hat):
     est = fit_ewm(s)
     with pytest.raises(NumericError, match="H_hat"):
         ewm_bootstrap(s, est, h_hat=h_hat, n_boot=200, seed=1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("compiled", [True, False])
+def test_bootstrap_refuses_a_criterion_that_overflows(monkeypatch, compiled, jobs):
+    """Resampled score sums overflow where the sample's own do not; both loops
+    refuse, and the numpy loop warns nothing (the suite makes a RuntimeWarning an error)."""
+    if not compiled:
+        monkeypatch.setattr(_native, "kernels", lambda: None)
+    s = overflowing_sample()
+    est = fit_ewm(s)
+    with pytest.raises(NumericError, match="score sums overflow"):
+        ewm_bootstrap(s, est, h_hat=0.01, n_boot=200, seed=1, jobs=jobs)
 
 
 def test_bootstrap_percentile_interval_brackets_estimate():

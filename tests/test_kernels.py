@@ -1,12 +1,21 @@
+import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
-from threshold_regret.errors import NumericError, ValidationError
-from threshold_regret.kernels import gaussian_cdf_kernel
+from threshold_regret.asymptotics import optimal_lambda_mean
+from threshold_regret.errors import NumericError
+from threshold_regret.ewm import ThresholdEstimate
+from threshold_regret.inference import swm_ci
+from threshold_regret.kernels import Kernel, gaussian_cdf_kernel, norm_pdf
+from threshold_regret.nuisance import NuisanceEstimates
 
 
 @pytest.fixture(scope="module")
@@ -76,12 +85,50 @@ def test_moments_positive(kernel):
     assert kernel.h == 2
 
 
-def test_order_below_two_rejected():
-    from threshold_regret.kernels import Kernel, norm_pdf
-    from scipy.special import ndtr
+def test_order_is_two_and_not_settable(kernel):
+    """An order other than 2 would silently mis-scale A, lambda* and the regret law."""
+    assert kernel.h == 2
+    with pytest.raises(TypeError):
+        Kernel(k=ndtr, k1=norm_pdf, k2=norm_pdf, h=4, alpha1=1.0, alpha2=0.28)
+    with pytest.raises(TypeError):
+        dataclasses.replace(kernel, h=4)
 
-    with pytest.raises(ValidationError, match="order h"):
-        Kernel(k=ndtr, k1=norm_pdf, k2=norm_pdf, h=1, alpha1=1.0, alpha2=0.28)
+
+def _bits(x):
+    return float(x).hex()
+
+
+@given(
+    K=st.floats(1e-3, 1e3),
+    H=st.floats(1e-3, 1e3),
+    A=st.floats(1e-3, 1e3),
+    negative_a=st.booleans(),
+    lam=st.floats(1e-6, 1e6),
+    n=st.integers(1, 10**9),
+    sigma=st.floats(1e-4, 1e2),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_folded_order_two_formulas_match_the_generic_ones(kernel, K, H, A, negative_a, lam, n, sigma):
+    """The order-2 constants give the bits of the order-h expressions at h = 2."""
+    A = -A if negative_a else A
+    h = 2
+    alpha2 = kernel.alpha2
+    assert _bits(kernel.optimal_lambda(K, A)) == _bits(alpha2 * K / (2.0 * h * A**2))
+    assert _bits(kernel.rate_bandwidth(lam, n)) == _bits((lam / n) ** (1.0 / (2 * h + 1)))
+
+    two_h = 2 * h
+    expo = two_h / (two_h + 1.0)
+    c_s = (two_h + 1.0) / 2.0 * (alpha2 / two_h) ** expo
+    generic = n ** (-expo) * abs(A) ** (2.0 / (two_h + 1.0)) * K**expo / H * c_s
+    assert _bits(optimal_lambda_mean(K, H, A, kernel, n)) == _bits(generic)
+
+    # swm_ci reads only n from the sample
+    estimate = ThresholdEstimate(t_hat=0.0, policy_kind="swm", objective_value=0.0, n=n, bandwidth=sigma)
+    nuisance = NuisanceEstimates(k_hat=K, h_hat=H, a_hat=A, eval_point=0.0, kde_bandwidth=1.0, reg_bandwidth=1.0)
+    ci = swm_ci(SimpleNamespace(n=n), estimate, nuisance, kernel)
+    lam_ci = n * sigma ** (2 * h + 1)
+    bias = (n * sigma) ** (-0.5) * math.sqrt(lam_ci) * A / H
+    assert _bits(ci.bias_correction) == _bits(bias)
 
 
 def test_optimal_lambda_and_rate_bandwidth(kernel):

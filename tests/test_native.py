@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threshold_regret import _native, chernoff, inference
+from threshold_regret.errors import NumericError
 
 
 def _numpy_loops():
@@ -27,12 +28,31 @@ def native():
     return lib
 
 
-def test_native_kernels_load_when_the_compiler_is_on_path():
-    """A silent fallback to the numpy loops would pass every other test here."""
+def _require_compiler():
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
     if shutil.which(compiler) is None:
         pytest.skip(f"the configured compiler {compiler!r} is not on PATH")
+
+
+def test_native_kernels_load_when_the_compiler_is_on_path():
+    """A silent fallback to the numpy loops would pass every other test here."""
+    _require_compiler()
     assert _native.kernels() is not None
+
+
+def test_a_cached_library_the_loader_rejects_is_rebuilt(monkeypatch, tmp_path):
+    """A truncated or foreign file at the hashed path must not leave every later process on numpy."""
+    _require_compiler()
+    command = _native._library_path()[1]
+    path = tmp_path / "_kernels-garbage.so"
+    path.write_bytes(b"not a shared library")
+    monkeypatch.setattr(_native, "_library_path", lambda: (path, command))
+    _native.kernels.cache_clear()
+    try:
+        assert _native.kernels() is not None
+        assert path.read_bytes() != b"not a shared library"
+    finally:
+        _native.kernels.cache_clear()
 
 
 def _chunk_args(seed, n, distinct, score_scale, reps):
@@ -59,15 +79,24 @@ def _chunk_args(seed, n, distinct, score_scale, reps):
 @example(seed=1, n=2, distinct=1, score_scale=1.0)
 @example(seed=2, n=400, distinct=3, score_scale=1e306)
 @example(seed=3, n=3000, distinct=3000, score_scale=1e306)
+@example(seed=6, n=3000, distinct=3000, score_scale=1e306)  # replicate 1 overflows
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_bootstrap_chunks_match_numpy(native, seed, n, distinct, score_scale):
     """Tied and few-valued x, and scores whose suffix sums overflow, where the
-    criterion holds inf and NaN and the kernel must pick np.argmax's index."""
+    criterion holds inf and NaN and the kernel must pick np.argmax's index: both
+    loops give the same draws, or both refuse the same replicate."""
     args = _chunk_args(seed, n, min(distinct, n), score_scale, reps=4)
-    fast = inference._bootstrap_chunk(args)
-    with _numpy_loops(), np.errstate(over="ignore", invalid="ignore"):
-        slow = inference._bootstrap_chunk(args)
-    assert fast.tobytes() == slow.tobytes()
+
+    def outcome():
+        try:
+            return inference._bootstrap_chunk(args).tobytes()
+        except NumericError as e:
+            return str(e)
+
+    fast = outcome()
+    with _numpy_loops():
+        slow = outcome()
+    assert fast == slow
 
 
 @given(

@@ -28,7 +28,7 @@ from threshold_regret.swm import (
     smoothed_objective_derivative,
 )
 
-from helpers import _golden_section_max, load_script, pinned, random_sample
+from helpers import _golden_section_max, load_script, overflowing_sample, pinned, random_sample
 
 KERNEL = gaussian_cdf_kernel()
 
@@ -460,3 +460,10 @@ def test_extreme_fixed_bandwidth_gives_an_estimate_or_numeric_error(sigma):
         return
     space = default_space(sample)
     assert space.lo <= est.t_hat <= space.hi and math.isfinite(est.objective_value)
+
+
+def test_fit_refuses_an_objective_that_overflows():
+    """Finite IPW scores whose sums overflow leave S_n NaN on the grid and at
+    t_hat; refused without a RuntimeWarning (the suite makes one an error)."""
+    with pytest.raises(NumericError, match="not finite"):
+        fit_swm(overflowing_sample(), KERNEL, FixedBandwidth(1.0))
