@@ -6,11 +6,14 @@ name hashed from the source and the command, so a rebuilt source or
 another compiler gets its own library.  It loads the library with
 ``ctypes``, rebuilding it once if the loader rejects a cached file (one
 truncated, or built for another machine), and checks both kernels against
-the numpy loops they replace on a fixed small case.  If any step fails (no compiler, a read-only package
-directory, a failed build or load, a result that differs) it returns None
-and the callers keep their numpy loops, whose results are the same bit for
-bit.  The module is imported only when a kernel is first wanted, so
-``import threshold_regret`` loads none of ``sysconfig``, ``hashlib`` or
+the numpy code they replace on a fixed small case.  If any step fails (no
+compiler, a read-only package directory, a failed build or load, a result
+that differs) it returns None and the callers keep their numpy loops, whose
+results are the same bit for bit.  The Chernoff kernel repeats numpy's own
+PCG64 and normal sampler, so a numpy whose stream differs from the one it
+copies (see ``_kernels.c``) fails the check, and the numpy loop runs.  The
+module is imported only when a kernel is first wanted, so ``import
+threshold_regret`` loads none of ``sysconfig``, ``hashlib`` or
 ``subprocess``.
 """
 
@@ -26,12 +29,13 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# after the source, so the linker keeps -lm for the exp and log1p it calls
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-lm")
 
 
 def _library_path() -> tuple[Path, list[str]]:
     """Where the library of this source and compiler lives, and the command that builds it."""
-    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *FLAGS, str(SOURCE)]
+    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), str(SOURCE), *FLAGS]
     digest = hashlib.sha256(SOURCE.read_bytes())
     digest.update("\0".join(command).encode())
     return SOURCE.parent / "__pycache__" / f"_kernels-{digest.hexdigest()[:16]}.so", command
@@ -63,18 +67,18 @@ def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.tr_bootstrap_replicate.argtypes = [
         array(np.int64), i64, array(np.int64), array(f64), i64, array(f64), array(f64), array(f64),
     ]
-    lib.tr_scan_strip.restype = None
-    lib.tr_scan_strip.argtypes = [
-        array(f64), i64, i64, array(f64), array(np.int64), array(f64), array(np.int64), array(f64),
+    lib.tr_chernoff_block.restype = None
+    lib.tr_chernoff_block.argtypes = [
+        np.ctypeslib.ndpointer(dtype=np.uint64, shape=(4,), flags=("C_CONTIGUOUS", "WRITEABLE")), i64, i64, f64, array(f64), array(np.int64), array(f64), array(np.int64),
         array(f64),
     ]
     return lib
 
 
 def _agrees(lib: ctypes.CDLL) -> bool:
-    """Whether both kernels reproduce the numpy loops on a fixed small case, ties and overflow included."""
+    """Whether both kernels reproduce the numpy code on a fixed small case."""
     with np.errstate(all="ignore"):
-        return _bootstrap_agrees(lib) and _strip_agrees(lib)
+        return _bootstrap_agrees(lib) and _block_agrees(lib)
 
 
 def _bootstrap_agrees(lib: ctypes.CDLL) -> bool:
@@ -96,17 +100,38 @@ def _bootstrap_agrees(lib: ctypes.CDLL) -> bool:
     return True
 
 
-def _strip_agrees(lib: ctypes.CDLL) -> bool:
+def pcg64_words(bit_generator: np.random.PCG64) -> np.ndarray:
+    """A PCG64's 128-bit state and increment as four uint64, high word first, as ``tr_chernoff_block`` takes them."""
+    pcg = bit_generator.state["state"]
+    low = (1 << 64) - 1
+    return np.array([pcg["state"] >> 64, pcg["state"] & low, pcg["inc"] >> 64, pcg["inc"] & low], np.uint64)
+
+
+# the stream checked at load time: default_rng(seed) drawn as blocks of (paths,
+# grid points per wing) with scale 1 and penalty (0.1 j)^2, j = 0, 1, ...  With
+# one grid point each draw is a peak, and the first block's 20 000 draws take
+# numpy's wedge path, and its tail path six times (see test_native); the second
+# block scans a parabola from the state the first one wrote back
+BLOCK_CHECK = (0, ((10_000, 1), (5, 100)))
+
+
+def _block_agrees(lib: ctypes.CDLL) -> bool:
     from .chernoff import _scan_strip
 
-    penalty = np.arange(7) * 0.25
-    strip = np.random.default_rng(21).standard_normal((3, 14))
-    strip[1, 7:] = np.diff(penalty, prepend=0.0)  # a wing that ties at every point
-    want = [np.empty(3, np.int64), np.empty(3), np.empty(3, np.int64), np.empty(3)]
-    got = [np.empty(3, np.int64), np.empty(3), np.empty(3, np.int64), np.empty(3)]
-    _scan_strip(strip, penalty, np.empty((3, 7)), *want)
-    lib.tr_scan_strip(strip, 3, 7, penalty, *got, np.empty(7))
-    return all(a.tobytes() == b.tobytes() for a, b in zip(want, got))
+    seed, blocks = BLOCK_CHECK
+    rng = np.random.default_rng(seed)
+    state = pcg64_words(rng.bit_generator)
+    for n_paths, m in blocks:
+        penalty = (np.arange(m) * 0.1) ** 2
+        got = [np.empty(n_paths, np.int64), np.empty(n_paths), np.empty(n_paths, np.int64), np.empty(n_paths)]
+        lib.tr_chernoff_block(state, n_paths, m, 1.0, penalty, *got)
+        want = [np.empty(n_paths, np.int64), np.empty(n_paths), np.empty(n_paths, np.int64), np.empty(n_paths)]
+        _scan_strip(rng.standard_normal((n_paths, 2 * m)), penalty, np.empty((n_paths, m)), *want)
+        if state.tobytes() != pcg64_words(rng.bit_generator).tobytes():
+            return False
+        if any(a.tobytes() != b.tobytes() for a, b in zip(want, got)):
+            return False
+    return True
 
 
 @functools.cache

@@ -12,14 +12,16 @@ from the origin) and records the grid point maximizing B(r) - r^2.
 
 Paths are generated in fixed-size blocks, each block seeded independently
 from (seed, block index), so a table is bit-for-bit reproducible from its
-seed regardless of how many workers generated it.  A block is worked
-through in strips of a few dozen paths that reuse one increment buffer and
-one wing buffer, so memory is bounded by those strip buffers (about 3 MB,
-or one path when a path is larger), not by the block.  The generator
-draws value by value, so the strips reproduce the draws of the whole
-block taken at once.  Each strip is scanned by the compiled kernel
-``tr_scan_strip`` of ``_kernels.c`` when it builds and loads (see
-``_native``), else by the numpy loop ``_scan_strip``; both give the same bits.
+seed regardless of how many workers generated it.  When the compiled
+kernels build and load (see ``_native``), ``tr_chernoff_block`` of
+``_kernels.c`` runs a whole block: it draws each wing's increments with
+numpy's own PCG64 and normal sampler and scans them as it goes, keeping no
+increments in memory.  Otherwise the numpy loop works through the block in
+strips of a few dozen paths that reuse one increment buffer and one wing
+buffer, so its memory is bounded by those strip buffers (about 3 MB, or one
+path when a path is larger), not by the block; the generator draws value by
+value, so the strips reproduce the draws of the whole block taken at once.
+Both give the same bits.
 
 Every draw is 0 or +-r on the grid r = step, 2 step, ..., so the shipped
 table is stored as signed grid indices (``chernoff_default.npz``, int16,
@@ -57,11 +59,12 @@ SHIPPED_CONFIG = (200_000, 2.5, 5e-4, DEFAULT_CHERNOFF_SEED)
 SHIPPED_PATH = Path(__file__).with_name("chernoff_default.npz")
 
 _BLOCK = 1000
-# byte size of one strip of increments: a few dozen paths at the default grid,
-# small enough that the strip and its wing buffer stay in cache
+# byte size of one strip of increments in the numpy loop: a few dozen paths at
+# the default grid, small enough that the strip and its wing buffer stay in cache
 _STRIP_BYTES = 1 << 21
 # most grid points per wing, m = halfwidth / step: 200 times the default grid
-# (m = 5000), and small enough that one path's buffers stay near 40 MB
+# (m = 5000), and small enough that the numpy loop's one-path buffers stay
+# near 40 MB (the compiled block keeps no per-path buffer)
 _MAX_GRID = 1_000_000
 
 
@@ -106,8 +109,8 @@ def _scan_strip(strip, penalty, wing, right_arg, right_max, left_arg, left_max) 
     """Each row's first argmax of cumsum(wing) - penalty, and its value, on both wings, by numpy.
 
     ``strip`` holds rows of 2m scaled increments, the right wing first;
-    ``wing`` is an (at least) rows x m buffer.  This is the loop that the
-    compiled ``tr_scan_strip`` replaces, and its oracle.
+    ``wing`` is an (at least) rows x m buffer.  This is the scan that the
+    compiled ``tr_chernoff_block`` fuses with the draws, and its oracle.
     """
     rows, m = len(strip), len(penalty)
     cum = wing[:rows]
@@ -128,25 +131,25 @@ def _simulate_block(args) -> np.ndarray:
     r = _grid(m, step)
     penalty = r * r
     scale = math.sqrt(step)
-    height = max(1, min(n_paths, _STRIP_BYTES // (16 * m)))
-    increments = np.empty((height, 2 * m))
-    wing = np.empty((height, m))
     native = _native.kernels()
     right_arg = np.empty(n_paths, dtype=np.intp)
     left_arg = np.empty(n_paths, dtype=np.intp)
     right_max = np.empty(n_paths)
     left_max = np.empty(n_paths)
-    for lo in range(0, n_paths, height):
-        hi = min(lo + height, n_paths)
-        strip = increments[: hi - lo]
-        # the generator fills row by row, so strips continue the one-shot draw
-        rng.standard_normal(out=strip)
-        strip *= scale
-        found = (right_arg[lo:hi], right_max[lo:hi], left_arg[lo:hi], left_max[lo:hi])
-        if native is None:
-            _scan_strip(strip, penalty, wing, *found)
-        else:
-            native.tr_scan_strip(strip, hi - lo, m, penalty, *found, wing)
+    if native is not None:
+        native.tr_chernoff_block(_native.pcg64_words(rng.bit_generator), n_paths, m, scale, penalty,
+                                 right_arg, right_max, left_arg, left_max)
+    else:
+        height = max(1, min(n_paths, _STRIP_BYTES // (16 * m)))
+        increments = np.empty((height, 2 * m))
+        wing = np.empty((height, m))
+        for lo in range(0, n_paths, height):
+            hi = min(lo + height, n_paths)
+            strip = increments[: hi - lo]
+            # the generator fills row by row, so strips continue the one-shot draw
+            rng.standard_normal(out=strip)
+            strip *= scale
+            _scan_strip(strip, penalty, wing, right_arg[lo:hi], right_max[lo:hi], left_arg[lo:hi], left_max[lo:hi])
     # candidate at r = 0 has value 0; ties resolve toward 0, then smaller r
     z = np.zeros(n_paths)
     best = np.zeros(n_paths)

@@ -8,7 +8,7 @@ from helpers import load_script, one_shot_chernoff_block, pinned
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from threshold_regret import chernoff
+from threshold_regret import _native, chernoff
 from threshold_regret.chernoff import chernoff_quantile, simulate_chernoff
 from threshold_regret.errors import ValidationError
 
@@ -56,13 +56,18 @@ def test_numpy_integer_path_count_accepted():
 @example(seed=7, block_index=3, n_paths=1, m=2857, step=7e-4, strip_rows=None)
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_strips_match_one_shot_block(seed, block_index, n_paths, m, step, strip_rows):
-    """The strip simulator reproduces the whole-block draw bit for bit,
-    including path counts that the strip height does not divide."""
+    """The block simulator, compiled when the kernels load and in strips of
+    numpy draws, reproduces the whole-block draw bit for bit, including path
+    counts that the strip height does not divide."""
     args = (seed, block_index, n_paths, m, step)
     strip_bytes = chernoff._STRIP_BYTES if strip_rows is None else strip_rows * 16 * m
     with mock.patch.object(chernoff, "_STRIP_BYTES", strip_bytes):
         fast = chernoff._simulate_block(args)
-    assert fast.tobytes() == one_shot_chernoff_block(args).tobytes()
+        with mock.patch.object(_native, "kernels", lambda: None):
+            strips = chernoff._simulate_block(args)
+    want = one_shot_chernoff_block(args).tobytes()
+    assert fast.tobytes() == want
+    assert strips.tobytes() == want
 
 
 def test_simulate_chernoff_reproduces_pinned_outputs():
