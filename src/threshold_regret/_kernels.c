@@ -1,22 +1,28 @@
 /* Compiled inner loops of the reshaped bootstrap and the Chernoff simulator.
  *
  * Each function repeats, operation for operation, the numpy code it replaces
- * (inference._replicate, and Generator.standard_normal followed by
- * chernoff._scan_strip), so its results are equal to theirs bit for bit:
+ * (Generator.integers followed by inference._replicate, and
+ * Generator.standard_normal followed by chernoff._scan_strip), so its results
+ * are equal to theirs bit for bit:
  *   - bins are filled in draw order, starting from 0.0, as np.bincount does;
  *   - a cumulative sum starts from its first element, as np.cumsum does;
  *   - the first argmax wins, and the first NaN counts as the maximum, as
  *     np.argmax does;
- *   - normal draws come from numpy's PCG64 and its ziggurat, step for step.
- * Only additions, subtractions, multiplications, divisions, comparisons and
- * libm's exp and log1p (the calls numpy's ziggurat makes) are used, and the
- * library is built with -ffp-contract=off, so no step is fused or reordered.
+ *   - row indices and normal draws come from numpy's PCG64, its 32-bit
+ *     bounded integers and its ziggurat, step for step.
+ * Doubles see only additions, subtractions, multiplications, divisions,
+ * comparisons and libm's exp and log1p (the calls numpy's ziggurat makes),
+ * and the library is built with -ffp-contract=off, so no step is fused or
+ * reordered.
  *
  * The PCG64 multiplier (from O'Neill's PCG), the ziggurat constants and the
  * tables ki_double, wi_double and fi_double are numpy 2.4.6's
  * (numpy/random/src/pcg64 and numpy/random/src/distributions), copied bit
- * for bit from the .rodata of its shipped libnpyrandom.a.  numpy is Copyright (c) 2005-2025, NumPy
- * Developers, under the BSD 3-clause license.
+ * for bit from the .rodata of its shipped libnpyrandom.a.  pcg64_next32 and
+ * bounded_lemire32 follow numpy 2.4.6's pcg64_next32 and
+ * buffered_bounded_lemire_uint32 (numpy/random/src/pcg64 and
+ * numpy/random/src/distributions/distributions.c).  numpy is Copyright (c)
+ * 2005-2025, NumPy Developers, under the BSD 3-clause license.
  */
 
 #include <math.h>
@@ -40,32 +46,6 @@ static int64_t first_argmax(const double *v, int64_t len, double *peak)
     }
     *peak = best;
     return arg;
-}
-
-/* One reshaped-bootstrap replicate: bin the scores g[idx[i]] by rank[idx[i]]
- * into k bins, take the suffix sums S* (S*[k] = 0), the criterion
- * ((S* - suffix_orig) / n) - penalty over k + 1 segments, and return its
- * first argmax.  work holds k + 1 doubles and ends holding the criterion. */
-int64_t tr_bootstrap_replicate(const int64_t *idx, int64_t n, const int64_t *rank, const double *g,
-                               int64_t k, const double *suffix_orig, const double *penalty,
-                               double *work)
-{
-    for (int64_t j = 0; j < k; j++)
-        work[j] = 0.0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t row = idx[i];
-        work[rank[row]] += g[row];
-    }
-    double denom = (double)n;
-    double suffix = work[k - 1];
-    work[k] = ((0.0 - suffix_orig[k]) / denom) - penalty[k];
-    work[k - 1] = ((suffix - suffix_orig[k - 1]) / denom) - penalty[k - 1];
-    for (int64_t j = k - 2; j >= 0; j--) {
-        suffix = suffix + work[j];
-        work[j] = ((suffix - suffix_orig[j]) / denom) - penalty[j];
-    }
-    double peak;
-    return first_argmax(work, k + 1, &peak);
 }
 
 /* numpy's PCG64: a 128-bit LCG stepped before each output, then XSL-RR. */
@@ -368,4 +348,100 @@ void tr_chernoff_block(uint64_t *state, int64_t n_paths, int64_t m, double scale
     state[1] = (uint64_t)g.state;
     state[2] = (uint64_t)(g.inc >> 64);
     state[3] = (uint64_t)g.inc;
+}
+
+/* numpy's pcg64_next32: each 64-bit output serves two 32-bit draws, its low
+ * half first and its high half on the next call (numpy's has_uint32 and
+ * uinteger, both clear in a fresh generator). */
+typedef struct {
+    pcg64 g;
+    int has_half;
+    uint32_t half;
+} pcg64_32;
+
+static inline uint32_t pcg64_next32(pcg64_32 *s)
+{
+    if (s->has_half) {
+        s->has_half = 0;
+        return s->half;
+    }
+    uint64_t word = pcg64_next(&s->g);
+    s->has_half = 1;
+    s->half = (uint32_t)(word >> 32);
+    return (uint32_t)word;
+}
+
+/* numpy's buffered_bounded_lemire_uint32 (Lemire's method): a draw in
+ * [0, rng] for rng < 2^32 - 1, the high half of a 32 x 32-bit product,
+ * drawn again while the low half falls below 2^32 mod (rng + 1). */
+static inline uint32_t bounded_lemire32(pcg64_32 *s, uint32_t rng)
+{
+    const uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)pcg64_next32(s) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (__builtin_expect(leftover < rng_excl, 0)) {
+        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)pcg64_next32(s) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* A row as the bootstrap reads it, its score beside its rank among the
+ * distinct index values, so that a drawn row is one memory access. */
+typedef struct {
+    double g;
+    int64_t rank;
+} boot_row;
+
+/* rows drawn, and their records prefetched, before any of them is binned */
+#define DRAW_BATCH 64
+
+/* Replicates 0..reps-1 of the reshaped bootstrap.  Replicate r draws its n
+ * rows as Generator.integers(0, n, n) would from the PCG64 state in
+ * states[4r..4r+3] (the 128-bit state and increment, high word first), for
+ * n - 1 < 2^32 - 1, where numpy takes its 32-bit branch.  It bins the drawn
+ * scores by rank into k bins as it draws, takes the suffix sums S*
+ * (S*[k] = 0) and the criterion ((S* - suffix_orig) / n) - penalty over k + 1
+ * segments, and writes its first argmax to args[r].  work holds k + 1
+ * doubles.  Returns the first replicate whose criterion at its argmax is not
+ * finite, with work holding that criterion, or -1 when there is none. */
+int64_t tr_bootstrap_chunk(const uint64_t *states, int64_t reps, int64_t n, const boot_row *rows,
+                           int64_t k, const double *suffix_orig, const double *penalty,
+                           double *work, int64_t *args)
+{
+    const uint32_t rng = (uint32_t)(n - 1);
+    const double denom = (double)n;
+    uint32_t batch[DRAW_BATCH];
+    for (int64_t r = 0; r < reps; r++) {
+        const uint64_t *w = states + 4 * r;
+        pcg64_32 s = {{((__uint128_t)w[0] << 64) | w[1], ((__uint128_t)w[2] << 64) | w[3]}, 0, 0};
+        for (int64_t j = 0; j < k; j++)
+            work[j] = 0.0;
+        for (int64_t i = 0; i < n; i += DRAW_BATCH) {
+            int len = n - i < DRAW_BATCH ? (int)(n - i) : DRAW_BATCH;
+            for (int b = 0; b < len; b++) {
+                batch[b] = bounded_lemire32(&s, rng);
+                __builtin_prefetch(rows + batch[b]);
+            }
+            for (int b = 0; b < len; b++) {
+                const boot_row *row = rows + batch[b];
+                work[row->rank] += row->g;
+            }
+        }
+        double suffix = work[k - 1];
+        work[k] = ((0.0 - suffix_orig[k]) / denom) - penalty[k];
+        work[k - 1] = ((suffix - suffix_orig[k - 1]) / denom) - penalty[k - 1];
+        for (int64_t j = k - 2; j >= 0; j--) {
+            suffix = suffix + work[j];
+            work[j] = ((suffix - suffix_orig[j]) / denom) - penalty[j];
+        }
+        double peak;
+        args[r] = first_argmax(work, k + 1, &peak);
+        if (!isfinite(peak))
+            return r;
+    }
+    return -1;
 }

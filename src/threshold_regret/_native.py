@@ -1,20 +1,24 @@
 """The compiled kernels of ``_kernels.c``, built and loaded on first use.
 
-``kernels()`` compiles the source with the C compiler Python was built
-with (``sysconfig``'s CC) into this package's ``__pycache__``, under a
-name hashed from the source and the command, so a rebuilt source or
-another compiler gets its own library.  It loads the library with
+``kernel(name)`` hands out one compiled function.  On the first call of
+any kernel, ``_library()`` compiles the source with the C compiler Python
+was built with (``sysconfig``'s CC) into this package's ``__pycache__``,
+under a name hashed from the source and the command, so a rebuilt source
+or another compiler gets its own library.  It loads the library with
 ``ctypes``, rebuilding it once if the loader rejects a cached file (one
-truncated, or built for another machine), and checks both kernels against
-the numpy code they replace on a fixed small case.  If any step fails (no
-compiler, a read-only package directory, a failed build or load, a result
-that differs) it returns None and the callers keep their numpy loops, whose
-results are the same bit for bit.  The Chernoff kernel repeats numpy's own
-PCG64 and normal sampler, so a numpy whose stream differs from the one it
-copies (see ``_kernels.c``) fails the check, and the numpy loop runs.  The
-module is imported only when a kernel is first wanted, so ``import
-threshold_regret`` loads none of ``sysconfig``, ``hashlib`` or
-``subprocess``.
+truncated, or built for another machine).  On its own first call, each
+kernel is checked against the numpy code it replaces on a fixed case
+(``CHECKS``); only a kernel that passes is handed out, so a fault in one
+never sets the other aside, and a process that wants one kernel never pays
+the other's check.  If a step fails (no compiler, a read-only package
+directory, a failed build or load, a result that differs) ``kernel``
+returns None and the caller keeps its numpy loop, whose results are the
+same bit for bit.  Both kernels repeat numpy's own PCG64, the bootstrap
+its bounded integers and the Chernoff block its normal sampler, so under a
+numpy whose stream differs from the one they copy (see ``_kernels.c``) the
+kernel concerned fails its check and its numpy loop runs.  The module is
+imported only when a kernel is first wanted, so ``import threshold_regret``
+loads none of ``sysconfig``, ``hashlib`` or ``subprocess``.
 """
 
 import ctypes
@@ -58,53 +62,59 @@ def _build(path: Path, command: list[str]) -> None:
             os.remove(tmp)
 
 
+# the C struct boot_row of _kernels.c: a row's score beside its rank
+BOOT_ROW = np.dtype([("g", np.float64), ("rank", np.int64)])
+
+
 def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
-    def array(dtype):
-        return np.ctypeslib.ndpointer(dtype=dtype, flags="C_CONTIGUOUS")
+    def array(dtype, shape=None, flags="C_CONTIGUOUS"):
+        return np.ctypeslib.ndpointer(dtype=dtype, shape=shape, flags=flags)
 
     i64, f64 = ctypes.c_int64, ctypes.c_double
-    lib.tr_bootstrap_replicate.restype = i64
-    lib.tr_bootstrap_replicate.argtypes = [
-        array(np.int64), i64, array(np.int64), array(f64), i64, array(f64), array(f64), array(f64),
+    lib.tr_bootstrap_chunk.restype = i64
+    lib.tr_bootstrap_chunk.argtypes = [
+        array(np.uint64), i64, i64, array(BOOT_ROW), i64, array(f64), array(f64), array(f64), array(np.int64),
     ]
     lib.tr_chernoff_block.restype = None
     lib.tr_chernoff_block.argtypes = [
-        np.ctypeslib.ndpointer(dtype=np.uint64, shape=(4,), flags=("C_CONTIGUOUS", "WRITEABLE")), i64, i64, f64, array(f64), array(np.int64), array(f64), array(np.int64),
-        array(f64),
+        array(np.uint64, (4,), ("C_CONTIGUOUS", "WRITEABLE")), i64, i64, f64, array(f64), array(np.int64), array(f64),
+        array(np.int64), array(f64),
     ]
     return lib
 
 
-def _agrees(lib: ctypes.CDLL) -> bool:
-    """Whether both kernels reproduce the numpy code on a fixed small case."""
-    with np.errstate(all="ignore"):
-        return _bootstrap_agrees(lib) and _block_agrees(lib)
-
-
-def _bootstrap_agrees(lib: ctypes.CDLL) -> bool:
-    from .inference import _replicate
-
-    rng = np.random.default_rng(20)
-    rank = rng.integers(0, 5, 40)
-    penalty = np.linspace(0.0, 0.1, 6) ** 2
-    # small integer scores tie often; scores of 1e307 overflow the suffix sums into inf and NaN
-    for g in (rng.integers(-2, 3, 40).astype(float), np.full(40, 1e307)):
-        suffix_orig = np.concatenate((np.cumsum(np.bincount(rank, g, 5)[::-1])[::-1], [0.0]))
-        idx = rng.integers(0, 40, 40)
-        want, got = np.empty(6), np.empty(6)
-        j = _replicate(idx, rank, g, suffix_orig, penalty, want)
-        if lib.tr_bootstrap_replicate(idx, 40, rank, g, 5, suffix_orig, penalty, got) != j:
-            return False
-        if want.tobytes() != got.tobytes():
-            return False
-    return True
-
-
 def pcg64_words(bit_generator: np.random.PCG64) -> np.ndarray:
-    """A PCG64's 128-bit state and increment as four uint64, high word first, as ``tr_chernoff_block`` takes them."""
+    """A PCG64's 128-bit state and increment as four uint64, high word first, as the kernels take them."""
     pcg = bit_generator.state["state"]
     low = (1 << 64) - 1
     return np.array([pcg["state"] >> 64, pcg["state"] & low, pcg["inc"] >> 64, pcg["inc"] & low], np.uint64)
+
+
+# the bootstrap case checked at load time: replicates 0..reps-1 of seed on n
+# rows in 7 ranks.  2^32 mod n is close to n, so numpy redraws a draw with
+# probability near n / 2^32, and replicate 1 of this seed redraws one (see
+# test_native)
+BOOTSTRAP_CHECK = (0, 29_993, 2)
+
+
+def _bootstrap_agrees(lib: ctypes.CDLL) -> bool:
+    from .inference import _compiled_maximizers, _numpy_maximizers
+
+    seed, n, reps = BOOTSTRAP_CHECK
+    k = 7
+    rng = np.random.default_rng(seed)
+    rank = rng.integers(0, k, n)
+    penalty = np.linspace(0.0, 0.1, k + 1) ** 2
+    # normal scores round differently when binned in another order; scores of
+    # 1e307 overflow the suffix sums into inf and NaN
+    for g in (rng.standard_normal(n), np.full(n, 1e307)):
+        suffix_orig = np.concatenate((np.cumsum(np.bincount(rank, g, k)[::-1])[::-1], [0.0]))
+        works = np.empty(k + 1), np.empty(k + 1)
+        want = _numpy_maximizers(0, reps, seed, rank, g, suffix_orig, penalty, works[0])
+        got = _compiled_maximizers(lib.tr_bootstrap_chunk, 0, reps, seed, rank, g, suffix_orig, penalty, works[1])
+        if want[1] != got[1] or want[0].tobytes() != got[0].tobytes() or works[0].tobytes() != works[1].tobytes():
+            return False
+    return True
 
 
 # the stream checked at load time: default_rng(seed) drawn as blocks of (paths,
@@ -135,8 +145,8 @@ def _block_agrees(lib: ctypes.CDLL) -> bool:
 
 
 @functools.cache
-def kernels() -> ctypes.CDLL | None:
-    """The checked kernels library, or None when it cannot be built, loaded or trusted."""
+def _library() -> ctypes.CDLL | None:
+    """The built, loaded and typed library, or None when it cannot be built or loaded."""
     try:
         path, command = _library_path()
         try:
@@ -144,7 +154,22 @@ def kernels() -> ctypes.CDLL | None:
         except OSError:  # not built yet, or a file the loader rejects (truncated, another machine's)
             _build(path, command)
             lib = ctypes.CDLL(str(path))
-        lib = _typed(lib)
-        return lib if _agrees(lib) else None
-    except (OSError, ctypes.ArgumentError):
+        return _typed(lib)
+    except OSError:
+        return None
+
+
+CHECKS = {"tr_bootstrap_chunk": _bootstrap_agrees, "tr_chernoff_block": _block_agrees}
+
+
+@functools.cache
+def kernel(name: str):
+    """The compiled function ``name`` once it has reproduced its numpy code on its fixed case, else None."""
+    lib = _library()
+    if lib is None:
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            return getattr(lib, name) if CHECKS[name](lib) else None
+    except ctypes.ArgumentError:
         return None

@@ -19,11 +19,16 @@ def require_int(name: str, value, least: int) -> None:
 
 
 def parallel_map(fn, tasks, jobs: int) -> list:
-    """``[fn(t) for t in tasks]`` in task order, over ``jobs`` forked workers when ``jobs > 1``."""
+    """``[fn(t) for t in tasks]`` in task order, over ``jobs`` forked workers when ``jobs > 1``.
+
+    Like the serial loop, it raises the error of the first task in task order
+    that fails, whichever worker fails first.
+    """
     require_int("jobs", jobs, 1)
     if jobs == 1:
         return [fn(t) for t in tasks]
     from multiprocessing import get_context
 
     with get_context("fork").Pool(jobs) as pool:
-        return pool.map(fn, tasks)
+        # Pool.map's default chunks; its results come in task order, errors included
+        return list(pool.imap(fn, tasks, chunksize=max(1, -(-len(tasks) // (4 * jobs)))))

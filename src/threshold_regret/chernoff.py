@@ -13,10 +13,10 @@ from the origin) and records the grid point maximizing B(r) - r^2.
 Paths are generated in fixed-size blocks, each block seeded independently
 from (seed, block index), so a table is bit-for-bit reproducible from its
 seed regardless of how many workers generated it.  When the compiled
-kernels build and load (see ``_native``), ``tr_chernoff_block`` of
-``_kernels.c`` runs a whole block: it draws each wing's increments with
-numpy's own PCG64 and normal sampler and scans them as it goes, keeping no
-increments in memory.  Otherwise the numpy loop works through the block in
+kernels build and load and ``tr_chernoff_block`` of ``_kernels.c`` passes
+its check (see ``_native``), it runs a whole block: it draws each wing's
+increments with numpy's own PCG64 and normal sampler and scans them as it
+goes, keeping no increments in memory.  Otherwise the numpy loop works through the block in
 strips of a few dozen paths that reuse one increment buffer and one wing
 buffer, so its memory is bounded by those strip buffers (about 3 MB, or one
 path when a path is larger), not by the block; the generator draws value by
@@ -131,14 +131,14 @@ def _simulate_block(args) -> np.ndarray:
     r = _grid(m, step)
     penalty = r * r
     scale = math.sqrt(step)
-    native = _native.kernels()
+    kernel = _native.kernel("tr_chernoff_block")
     right_arg = np.empty(n_paths, dtype=np.intp)
     left_arg = np.empty(n_paths, dtype=np.intp)
     right_max = np.empty(n_paths)
     left_max = np.empty(n_paths)
-    if native is not None:
-        native.tr_chernoff_block(_native.pcg64_words(rng.bit_generator), n_paths, m, scale, penalty,
-                                 right_arg, right_max, left_arg, left_max)
+    if kernel is not None:
+        kernel(_native.pcg64_words(rng.bit_generator), n_paths, m, scale, penalty,
+               right_arg, right_max, left_arg, left_max)
     else:
         height = max(1, min(n_paths, _STRIP_BYTES // (16 * m)))
         increments = np.empty((height, 2 * m))

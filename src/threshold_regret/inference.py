@@ -11,9 +11,15 @@ Four constructions are provided:
   estimator.
 
 Normal quantiles are computed from the error function, not lookup tables.
-Each bootstrap replicate runs in the compiled kernel ``tr_bootstrap_replicate``
-of ``_kernels.c`` when it builds and loads (see ``_native``), else in the
-numpy loop ``_replicate``; both give the same bits.
+Each bootstrap replicate draws its rows with ``Generator.integers(0, n, n)``
+from its own generator, seeded from (seed, replicate index).  When the
+compiled kernels build, load and pass their check (see ``_native``), one
+call of ``tr_bootstrap_chunk`` of ``_kernels.c`` runs a whole chunk of
+replicates: from each generator's state words it draws the rows with
+numpy's own PCG64 and 32-bit bounded integers, bins them as it draws, and
+takes the criterion and its first argmax.  It does so for n up to 2^32 - 1,
+where numpy draws 32-bit integers; otherwise, and without the kernel, the
+numpy loop ``_replicate`` runs.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -148,7 +154,7 @@ def _replicate(idx, rank, g, suffix_orig, penalty, work) -> int:
 
     The replicate is the draw of rows ``idx``; ``work`` (one more entry than
     there are ranks) ends holding its criterion.  This is the loop that the
-    compiled ``tr_bootstrap_replicate`` replaces, and its oracle.
+    compiled ``tr_bootstrap_chunk`` replaces, and its oracle.
     """
     per_rank = np.bincount(rank[idx], weights=g[idx], minlength=len(work) - 1)
     # suffix sums of the resampled scores, with the trailing 0, then the criterion in place
@@ -158,6 +164,46 @@ def _replicate(idx, rank, g, suffix_orig, penalty, work) -> int:
     work /= len(idx)
     work -= penalty
     return int(np.argmax(work))
+
+
+def _bit_generator(seed: int, b: int) -> np.random.PCG64:
+    """Replicate b's generator, seeded from (seed, b)."""
+    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+
+
+def _draws_in_32_bits(n: int) -> bool:
+    """Whether ``Generator.integers(0, n, n)`` takes numpy's 32-bit Lemire branch,
+    the one ``tr_bootstrap_chunk`` repeats (numpy's range n - 1 below 2^32 - 1)."""
+    return n - 1 < 2**32 - 1
+
+
+def _numpy_maximizers(lo, hi, seed, rank, g, suffix_orig, penalty, work) -> tuple[np.ndarray, int]:
+    """First maximizers of replicates lo..hi-1 by ``_replicate``, and the offset of the first
+    whose criterion there is not finite, or -1.  They stop at that replicate, its maximizer
+    the last returned and its criterion left in ``work``."""
+    n = len(g)
+    args = np.empty(hi - lo, np.int64)
+    # an overflow is refused by the caller, as the kernel's is, rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(lo, hi):
+            idx = np.random.Generator(_bit_generator(seed, b)).integers(0, n, n)
+            j = args[b - lo] = _replicate(idx, rank, g, suffix_orig, penalty, work)
+            if not math.isfinite(work[j]):
+                return args[: b - lo + 1], b - lo
+    return args, -1
+
+
+def _compiled_maximizers(kernel, lo, hi, seed, rank, g, suffix_orig, penalty, work) -> tuple[np.ndarray, int]:
+    """``_numpy_maximizers`` by the compiled ``tr_bootstrap_chunk``, which draws each
+    replicate's rows from its generator's state words as it bins them."""
+    from ._native import BOOT_ROW, pcg64_words
+
+    states = np.array([pcg64_words(_bit_generator(seed, b)) for b in range(lo, hi)])
+    rows = np.empty(len(g), BOOT_ROW)
+    rows["g"], rows["rank"] = g, rank
+    args = np.empty(hi - lo, np.int64)
+    bad = kernel(states, hi - lo, len(g), rows, len(work) - 1, suffix_orig, penalty, work, args)
+    return (args if bad < 0 else args[: bad + 1]), bad
 
 
 def _bootstrap_chunk(args):
@@ -183,24 +229,17 @@ def _bootstrap_chunk(args):
     cand[1:-1] = np.clip(t_hat, breaks[:-1], breaks[1:])
     penalty = 0.5 * h_hat * (cand - t_hat) ** 2
     work = np.empty(k + 1)
-    native = _native.kernels()
-    out = np.empty(hi - lo)
-    for b in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        idx = rng.integers(0, n, n)
-        if native is None:
-            # an overflow is refused below, as the kernel's is, rather than warned about
-            with np.errstate(over="ignore", invalid="ignore"):
-                j = _replicate(idx, rank, g, suffix_orig, penalty, work)
-        else:
-            j = native.tr_bootstrap_replicate(idx, n, rank, g, k, suffix_orig, penalty, work)
-        if not math.isfinite(work[j]):
-            raise NumericError(
-                f"bootstrap replicate {b}: the criterion at its maximizer is {work[j]}; "
-                "the resampled score sums overflow"
-            )
-        out[b - lo] = cand[j]
-    return out
+    kernel = _native.kernel("tr_bootstrap_chunk") if _draws_in_32_bits(n) else None
+    if kernel is None:
+        found, bad = _numpy_maximizers(lo, hi, seed, rank, g, suffix_orig, penalty, work)
+    else:
+        found, bad = _compiled_maximizers(kernel, lo, hi, seed, rank, g, suffix_orig, penalty, work)
+    if bad >= 0:
+        raise NumericError(
+            f"bootstrap replicate {lo + bad}: the criterion at its maximizer is {work[found[bad]]}; "
+            "the resampled score sums overflow"
+        )
+    return cand[found]
 
 
 def ewm_bootstrap(

@@ -4,11 +4,14 @@ import csv
 import importlib
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
 
+import threshold_regret
 from threshold_regret import nuisance
 from threshold_regret.data import Sample, empirical_welfare
 from threshold_regret.errors import ValidationError
@@ -22,6 +25,15 @@ def load_script(name):
     if str(ROOT / "scripts") not in sys.path:
         sys.path.insert(0, str(ROOT / "scripts"))
     return importlib.import_module(name)
+
+
+def fresh_python(code, *args):
+    """stdout of ``code`` run in a fresh interpreter that imports this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(threshold_regret.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def pinned(name):

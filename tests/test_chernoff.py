@@ -63,7 +63,7 @@ def test_strips_match_one_shot_block(seed, block_index, n_paths, m, step, strip_
     strip_bytes = chernoff._STRIP_BYTES if strip_rows is None else strip_rows * 16 * m
     with mock.patch.object(chernoff, "_STRIP_BYTES", strip_bytes):
         fast = chernoff._simulate_block(args)
-        with mock.patch.object(_native, "kernels", lambda: None):
+        with mock.patch.object(_native, "kernel", lambda name: None):
             strips = chernoff._simulate_block(args)
     want = one_shot_chernoff_block(args).tobytes()
     assert fast.tobytes() == want

@@ -2,21 +2,18 @@ import argparse
 import json
 import math
 import os
-import pathlib
-import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
-import threshold_regret
 from threshold_regret import chernoff, cli
 from threshold_regret.cli import run_cli
 from threshold_regret.errors import DataWarning
 from threshold_regret.montecarlo import MODEL1, draw_sample
 
-from helpers import load_script, pinned
+from helpers import fresh_python, load_script, pinned
 
 SMALL_TABLE = ["--chernoff-paths", "10000", "--chernoff-step", "0.001", "--chernoff-halfwidth", "2"]
 
@@ -410,27 +407,15 @@ def test_asymptotics_unusable_constants_exit_cleanly(session_table, capsys, flag
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(threshold_regret.__file__).parent.parent)}
     code = "import sys, threshold_regret.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def _fresh_python(code, *args):
-    """stdout of ``code`` run in a fresh interpreter that imports this checkout's package."""
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(threshold_regret.__file__).parent.parent)}
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert fresh_python(code).strip() == "False"
 
 
 def test_cli_import_loads_neither_scipy_nor_multiprocessing():
     """Nor the native-kernel loader and what it needs: those load on the first kernel call."""
     unloaded = ("scipy", "multiprocessing", "threshold_regret._native", "subprocess", "sysconfig", "hashlib")
     code = f"import sys, threshold_regret.cli; print([m for m in {unloaded!r} if m in sys.modules])"
-    assert _fresh_python(code).strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
 
 
 def test_serial_commands_that_need_no_special_function_never_load_scipy(sample_csv):
@@ -446,7 +431,7 @@ assert run_cli(["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstra
 assert run_cli(["infer", "--policy", "ewm", "--method", "plugin", "--jobs", "1", *data, *sys.argv[2:]]) == 0
 print("LOADED", [m for m in ("scipy.special", "numpy.ma") if m in sys.modules])
 """
-    assert _fresh_python(code, sample_csv, *SMALL_TABLE).splitlines()[-1] == "LOADED []"
+    assert fresh_python(code, sample_csv, *SMALL_TABLE).splitlines()[-1] == "LOADED []"
 
 
 @pytest.mark.parametrize("flag, change", [

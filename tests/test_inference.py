@@ -119,11 +119,35 @@ def test_bootstrap_refuses_a_criterion_that_overflows(monkeypatch, compiled, job
     """Resampled score sums overflow where the sample's own do not; both loops
     refuse, and the numpy loop warns nothing (the suite makes a RuntimeWarning an error)."""
     if not compiled:
-        monkeypatch.setattr(_native, "kernels", lambda: None)
+        monkeypatch.setattr(_native, "kernel", lambda name: None)
     s = overflowing_sample()
     est = fit_ewm(s)
     with pytest.raises(NumericError, match="score sums overflow"):
         ewm_bootstrap(s, est, h_hat=0.01, n_boot=200, seed=1, jobs=jobs)
+
+
+def test_bootstrap_refusal_names_the_same_replicate_on_both_paths(monkeypatch):
+    s = overflowing_sample()
+    est = fit_ewm(s)
+    messages = []
+    for kernel in (_native.kernel, lambda name: None):
+        monkeypatch.setattr(_native, "kernel", kernel)
+        with pytest.raises(NumericError) as refused:
+            ewm_bootstrap(s, est, h_hat=0.01, n_boot=200, seed=1)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("bootstrap replicate 0: the criterion at its maximizer is ")
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_bootstrap_draws_do_not_depend_on_the_worker_count(monkeypatch, compiled):
+    if not compiled:
+        monkeypatch.setattr(_native, "kernel", lambda name: None)
+    s = draw_sample(MODEL1, 400, 9)
+    est = fit_ewm(s)
+    one = ewm_bootstrap(s, est, h_hat=0.4, n_boot=201, seed=3, jobs=1)
+    two = ewm_bootstrap(s, est, h_hat=0.4, n_boot=201, seed=3, jobs=2)
+    assert one.draws.tobytes() == two.draws.tobytes()
 
 
 def test_bootstrap_percentile_interval_brackets_estimate():

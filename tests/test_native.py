@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import load_script, pinned
+from helpers import fresh_python, load_script, pinned
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,14 +19,15 @@ from threshold_regret.errors import NumericError
 
 def _numpy_loops():
     """Patch the loader so every caller runs its numpy loop."""
-    return mock.patch.object(_native, "kernels", lambda: None)
+    return mock.patch.object(_native, "kernel", lambda name: None)
 
 
 @pytest.fixture(scope="module")
 def native():
-    lib = _native.kernels()
-    if lib is None:
-        pytest.skip("the native kernels did not build or load here")
+    """The library, once every kernel in it has passed its load-time check."""
+    lib = _native._library()
+    if lib is None or any(_native.kernel(name) is None for name in _native.CHECKS):
+        pytest.skip("the native kernels did not build, load or pass their checks here")
     return lib
 
 
@@ -39,7 +40,7 @@ def _require_compiler():
 def test_native_kernels_load_when_the_compiler_is_on_path():
     """A silent fallback to the numpy loops would pass every other test here."""
     _require_compiler()
-    assert _native.kernels() is not None
+    assert all(_native.kernel(name) is not None for name in _native.CHECKS)
 
 
 def test_a_cached_library_the_loader_rejects_is_rebuilt(monkeypatch, tmp_path):
@@ -49,12 +50,65 @@ def test_a_cached_library_the_loader_rejects_is_rebuilt(monkeypatch, tmp_path):
     path = tmp_path / "_kernels-garbage.so"
     path.write_bytes(b"not a shared library")
     monkeypatch.setattr(_native, "_library_path", lambda: (path, command))
-    _native.kernels.cache_clear()
+    _fresh_kernels()
     try:
-        assert _native.kernels() is not None
+        assert _native.kernel("tr_bootstrap_chunk") is not None
         assert path.read_bytes() != b"not a shared library"
     finally:
-        _native.kernels.cache_clear()
+        _fresh_kernels()
+
+
+def _fresh_kernels():
+    """Forget the loaded library and the checked kernels, so the next ``kernel`` call starts over."""
+    _native._library.cache_clear()
+    _native.kernel.cache_clear()
+
+
+def _callers():
+    """Each kernel's caller on a small case, and the numpy loop that runs in its place without it."""
+    return {
+        "tr_bootstrap_chunk": (lambda: inference._bootstrap_chunk(_chunk_args(3, 500, 40, 1.0, reps=3)),
+                               (inference, "_numpy_maximizers")),
+        "tr_chernoff_block": (lambda: chernoff._simulate_block((3, 1, 20, 50, 1e-2)), (chernoff, "_scan_strip")),
+    }
+
+
+@pytest.mark.parametrize("failing", sorted(_native.CHECKS))
+def test_each_kernel_is_checked_on_its_own(native, monkeypatch, failing):
+    """A kernel that fails its load-time check (say, under a numpy whose stream
+    differs) is set aside alone: its caller runs the numpy loop, and the other
+    kernel is still handed out and runs."""
+    callers = _callers()
+    want = {name: run().tobytes() for name, (run, _) in callers.items()}
+    monkeypatch.setitem(_native.CHECKS, failing, lambda lib: False)
+    _native.kernel.cache_clear()
+    try:
+        assert _native.kernel(failing) is None
+        assert callers[failing][0]().tobytes() == want[failing]
+        (other, (run, numpy_loop)), = [item for item in callers.items() if item[0] != failing]
+        assert _native.kernel(other) is not None
+        with mock.patch.object(*numpy_loop, mock.Mock(side_effect=AssertionError("the numpy loop ran"))):
+            assert run().tobytes() == want[other]
+    finally:
+        _native.kernel.cache_clear()
+
+
+def test_table_commands_never_pay_the_bootstrap_check(native):
+    """A fresh ``chernoff`` or ``asymptotics`` process that simulates its table
+    checks the Chernoff kernel only."""
+    code = """
+import sys
+from threshold_regret import _native
+from threshold_regret.cli import run_cli
+checked = []
+for name, check in list(_native.CHECKS.items()):
+    _native.CHECKS[name] = lambda lib, name=name, check=check: checked.append(name) or check(lib)
+table = ["--chernoff-paths", "10000", "--chernoff-step", "0.001", "--chernoff-halfwidth", "2", "--jobs", "1"]
+assert run_cli(["chernoff", "--seed", "5", *table]) == 0
+assert run_cli(["asymptotics", "--model", "1", "--n", "500", "--seed", "6", *table]) == 0
+print("CHECKED", checked)
+"""
+    assert fresh_python(code).splitlines()[-1] == "CHECKED ['tr_chernoff_block']"
 
 
 def _chunk_args(seed, n, distinct, score_scale, reps):
@@ -99,6 +153,84 @@ def test_bootstrap_chunks_match_numpy(native, seed, n, distinct, score_scale):
     with _numpy_loops():
         slow = outcome()
     assert fast == slow
+
+
+def _lemire_replay(bit_generator, n, count):
+    """Replay numpy's 32-bit bounded integers in [0, n) over ``bit_generator``'s raw words.
+
+    Each raw word serves two 32-bit draws u, its low half first.  A draw is
+    the high half of u n; numpy draws again while the low half falls below
+    2^32 mod n.  Returns the ``count`` draws and how many draws were redrawn.
+    """
+    words = bit_generator.random_raw(count + 64)
+    halves = np.empty(2 * len(words), np.uint64)
+    halves[0::2], halves[1::2] = words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)
+    products = halves * np.uint64(n)
+    kept = np.flatnonzero(products & np.uint64(0xFFFFFFFF) >= np.uint64(2**32 % n))
+    assert len(kept) >= count
+    return (products[kept[:count]] >> np.uint64(32)).astype(np.int64), int(kept[count - 1]) + 1 - count
+
+
+@pytest.mark.parametrize("n", [2, 3, 3000, 29_993, 100_000, 3 * 2**30, 2**32 - 1])
+def test_lemire_replay_is_numpys_bounded_integers(n):
+    """The replay draws what ``Generator.integers(0, n)`` draws; at 3 * 2^30 a
+    quarter of the draws are redrawn."""
+    for b in range(3):
+        draws, redrawn = _lemire_replay(inference._bit_generator(5, b), n, 4000)
+        assert draws.tobytes() == np.random.Generator(inference._bit_generator(5, b)).integers(0, n, 4000).tobytes()
+    if n == 3 * 2**30:
+        assert redrawn > 0
+
+
+def test_the_kernel_runs_only_where_numpy_draws_32_bit_integers(monkeypatch):
+    """numpy's Generator.integers(0, n) takes the 32-bit Lemire branch that
+    ``tr_bootstrap_chunk`` repeats while its range n - 1 is below 2^32 - 1; at
+    2^32 it returns raw 32-bit words, and above it draws 64-bit integers, so
+    there the chunk keeps its numpy loop.  No sample of that size is made."""
+    assert inference._draws_in_32_bits(2) and inference._draws_in_32_bits(2**32 - 1)
+    assert not inference._draws_in_32_bits(2**32) and not inference._draws_in_32_bits(2**40)
+    args = _chunk_args(4, 300, 20, 1.0, reps=3)
+    want = inference._bootstrap_chunk(args)
+    monkeypatch.setattr(inference, "_draws_in_32_bits", lambda n: False)
+    monkeypatch.setattr(_native, "kernel", mock.Mock(side_effect=AssertionError("a kernel was asked for")))
+    assert inference._bootstrap_chunk(args).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("distinct", [100_000, 7])
+def test_bootstrap_chunks_match_numpy_through_redraws(native, distinct):
+    """At n = 100 000, 2^32 mod n = 67 296, so numpy redraws about 1.6 draws
+    per replicate, a branch the generated examples (n up to 3000) almost never
+    reach: with distinct and with tied x, the replicates checked redraw, both
+    loops give the same draws, and each replicate's criterion is the same."""
+    n, seed, reps = 100_000, 11, 4
+    redrawn = 0
+    for b in range(reps):
+        draws, count = _lemire_replay(inference._bit_generator(seed, b), n, n)
+        assert draws.tobytes() == np.random.Generator(inference._bit_generator(seed, b)).integers(0, n, n).tobytes()
+        redrawn += count
+    assert redrawn > 0
+    args = _chunk_args(seed, n, distinct, 1.0, reps)
+    fast = inference._bootstrap_chunk(args)
+    with _numpy_loops():
+        slow = inference._bootstrap_chunk(args)
+    assert fast.tobytes() == slow.tobytes()
+    # a redraw taken wrongly changes two of the 100 000 rows, which seldom moves a maximizer
+    _, _, _, rank, g, _, _, _, breaks, suffix_orig = args
+    penalty = np.linspace(0.0, 1e-3, len(breaks) + 1)
+    for b in range(reps):
+        work = np.empty(len(breaks) + 1), np.empty(len(breaks) + 1)
+        inference._numpy_maximizers(b, b + 1, seed, rank, g, suffix_orig, penalty, work[0])
+        inference._compiled_maximizers(native.tr_bootstrap_chunk, b, b + 1, seed, rank, g, suffix_orig, penalty,
+                                       work[1])
+        assert work[0].tobytes() == work[1].tobytes()
+
+
+def test_load_time_bootstrap_check_redraws(native):
+    """The replicates ``kernel()`` checks before trusting ``tr_bootstrap_chunk``
+    take numpy's redraw, so the check covers that branch."""
+    seed, n, reps = _native.BOOTSTRAP_CHECK
+    redrawn = [_lemire_replay(inference._bit_generator(seed, b), n, n)[1] for b in range(reps)]
+    assert redrawn == [0, 1]
 
 
 # the ziggurat's tail starts at r: numpy returns |x| > r from its tail path only
@@ -180,7 +312,7 @@ def test_block_kernel_draws_numpys_normal_stream(native):
 
 
 def test_load_time_block_takes_both_slow_paths(native):
-    """The stream ``kernels()`` checks before trusting the library draws through
+    """The stream ``kernel()`` checks before trusting the library draws through
     numpy's wedge and its tail, so the check covers both slow paths."""
     seed, blocks = _native.BLOCK_CHECK
     paths, _ = _ziggurat_paths(native, np.random.default_rng(seed).bit_generator, 2 * blocks[0][0] * blocks[0][1])
@@ -242,7 +374,7 @@ def test_chernoff_blocks_match_numpy(native, seed, n_paths, m, step, height):
 
 def test_pinned_outputs_reproduce_without_the_kernels(monkeypatch):
     """The numpy loops alone still give every pinned Chernoff table, bootstrap draw and CLI output."""
-    monkeypatch.setattr(_native, "kernels", lambda: None)
+    monkeypatch.setattr(_native, "kernel", lambda name: None)
     chernoff_pins = load_script("pin_chernoff_outputs")
     assert chernoff_pins.chernoff_results() == pinned("chernoff_pinned.json")["chernoff"]
     assert chernoff_pins.bootstrap_results() == pinned("chernoff_pinned.json")["bootstrap"]

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from threshold_regret._workers import parallel_map, require_int
@@ -11,6 +13,18 @@ def _square(v):
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_parallel_map_keeps_task_order(jobs):
     assert parallel_map(_square, list(range(23)), jobs) == [v * v for v in range(23)]
+
+
+def _fail_slowly_first(v):
+    time.sleep(0.3 if v == 0 else 0.0)
+    raise ValueError(f"task {v}")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_parallel_map_raises_the_first_failing_task_in_order(jobs):
+    """Task 1 fails first in time; the error is task 0's, as in the serial loop."""
+    with pytest.raises(ValueError, match="^task 0$"):
+        parallel_map(_fail_slowly_first, [0, 1], jobs)
 
 
 @pytest.mark.parametrize("jobs", [0, -1, 1.0, "2", None, True])
