@@ -7,18 +7,22 @@ under a name hashed from the source and the command, so a rebuilt source
 or another compiler gets its own library.  It loads the library with
 ``ctypes``, rebuilding it once if the loader rejects a cached file (one
 truncated, or built for another machine).  On its own first call, each
-kernel is checked against the numpy code it replaces on a fixed case
+kernel is checked against the code it replaces on a fixed case
 (``CHECKS``); only a kernel that passes is handed out, so a fault in one
-never sets the other aside, and a process that wants one kernel never pays
-the other's check.  If a step fails (no compiler, a read-only package
+never sets another aside, and a process that wants one kernel never pays
+the others' checks.  If a step fails (no compiler, a read-only package
 directory, a failed build or load, a result that differs) ``kernel``
-returns None and the caller keeps its numpy loop, whose results are the
-same bit for bit.  Both kernels repeat numpy's own PCG64, the bootstrap
-its bounded integers and the Chernoff block its normal sampler, so under a
+returns None and the caller keeps its numpy code, whose results are the
+same bit for bit.  There are three kernels.  The bootstrap chunk and the
+Chernoff block repeat numpy's own PCG64, the bootstrap its seeding and
+bounded integers and the Chernoff block its normal sampler, so under a
 numpy whose stream differs from the one they copy (see ``_kernels.c``) the
-kernel concerned fails its check and its numpy loop runs.  The module is
-imported only when a kernel is first wanted, so ``import threshold_regret``
-loads none of ``sysconfig``, ``hashlib`` or ``subprocess``.
+kernel concerned fails its check and its numpy loop runs.  The CSV parser
+converts decimals as ``float`` does; its check holds a token for each branch
+of the conversion (``PARSE_CHECK``), and without it ``np.loadtxt`` reads the
+file.  The module is imported only when a kernel is first wanted, so
+``import threshold_regret`` loads none of ``sysconfig``, ``hashlib`` or
+``subprocess``.
 """
 
 import ctypes
@@ -75,6 +79,8 @@ def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.tr_bootstrap_chunk.argtypes = [
         array(np.uint64), i64, i64, array(BOOT_ROW), i64, array(f64), array(f64), array(f64), array(np.int64),
     ]
+    lib.tr_parse_csv.restype = i64
+    lib.tr_parse_csv.argtypes = [array(np.uint8), i64, i64, i64, array(f64), i64]
     lib.tr_chernoff_block.restype = None
     lib.tr_chernoff_block.argtypes = [
         array(np.uint64, (4,), ("C_CONTIGUOUS", "WRITEABLE")), i64, i64, f64, array(f64), array(np.int64), array(f64),
@@ -144,6 +150,27 @@ def _block_agrees(lib: ctypes.CDLL) -> bool:
     return True
 
 
+# the tokens checked at load time, one for each branch of the conversion:
+# Clinger's exact path (0.1, -0), Eisel-Lemire (1e23), a tie it rounds to even
+# (2^53 + 1), a subnormal, the largest subnormal rounding up to the least
+# normal, half the least subnormal rounding up to it, overflow past the largest
+# double and past 10^308, and strtod (more than 19 significant digits)
+PARSE_CHECK = ("0.1", "-0", "1e23", "9007199254740993", "5e-324", "2.2250738585072012e-308",
+               "2.4703282292062328e-324", "1.7976931348623159e308", "1e400",
+               "0.30000000000000001665334536938", "9007199254740993.0000000000000000001")
+
+
+def _parse_agrees(lib: ctypes.CDLL) -> bool:
+    from .data import _parse_rows
+
+    # the tokens beside a d column, in rows ending "\r\n", "\n" and the end of the buffer
+    rows = [f"{token},{i % 2}" for i, token in enumerate(PARSE_CHECK)]
+    body = ("\r\n".join(rows[:5]) + "\r\n" + "\n".join(rows[5:])).encode()
+    got = _parse_rows(lib.tr_parse_csv, body, 0, 2, 1)
+    want = np.array([[float(token) for token in PARSE_CHECK], [i % 2 for i in range(len(PARSE_CHECK))]])
+    return got is not None and got.tobytes() == want.tobytes() and _parse_rows(lib.tr_parse_csv, b"1,2\n", 0, 2, 1) is None
+
+
 @functools.cache
 def _library() -> ctypes.CDLL | None:
     """The built, loaded and typed library, or None when it cannot be built or loaded."""
@@ -159,7 +186,7 @@ def _library() -> ctypes.CDLL | None:
         return None
 
 
-CHECKS = {"tr_bootstrap_chunk": _bootstrap_agrees, "tr_chernoff_block": _block_agrees}
+CHECKS = {"tr_bootstrap_chunk": _bootstrap_agrees, "tr_chernoff_block": _block_agrees, "tr_parse_csv": _parse_agrees}
 
 
 @functools.cache

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -229,10 +230,14 @@ def load_sample_csv(path, propensity: float | None = None, eta: float = 0.01) ->
     are skipped and quoted fields are allowed.  Errors name the offending
     column and row.
 
+    A leading UTF-8 byte-order mark is ignored.
+
     A plain file (unquoted header, no NUL, every ``d`` a bare ``0`` or
-    ``1``, every field ``np.loadtxt`` reads) is parsed in one ``np.loadtxt``
-    pass.  Any other file, valid or not, is read row by row, which gives the
-    same sample or the error message.
+    ``1``, every field ``np.loadtxt`` reads) is parsed in one pass: by the
+    compiled parser of ``_kernels.c`` when it loads and the rows are plain
+    decimals with ``\\n`` or ``\\r\\n`` line ends, else by ``np.loadtxt``.
+    Any other file, valid or not, is read row by row, which gives the same
+    sample or the error message.
     """
     columns = _read_plain_columns(path)
     if columns is None or (columns[3] is None and propensity is None):
@@ -245,6 +250,8 @@ def load_sample_csv(path, propensity: float | None = None, eta: float = 0.01) ->
 def _header_index(path, header: list[str]) -> tuple[int, dict[str, int]]:
     """Column count and the index of each known name in a CSV header row."""
     cols = [c.strip().lower() for c in header]
+    if cols:  # a leading byte-order mark (Excel's "CSV UTF-8" writes one) is not part of the first name
+        cols[0] = header[0].removeprefix("\ufeff").strip().lower()
     required = ("y", "d", "x")
     for name in required:
         if name not in cols:
@@ -257,45 +264,78 @@ def _header_index(path, header: list[str]) -> tuple[int, dict[str, int]]:
 
 
 def _read_plain_columns(path):
-    """``(y, d, x, p or None)`` of a plain CSV file in one numpy pass, else None.
+    """``(y, d, x, p or None)`` of a plain CSV file in one compiled or numpy pass, else None.
 
-    None means the file needs the row loop: a NUL anywhere (an ``S2`` field
-    drops trailing NULs, so ``1\\0`` would read as ``b"1"``), a line that may
-    hold a field longer than ``csv.field_size_limit()`` (the loop raises on
-    it), a quote in the header, no data rows, any field ``np.loadtxt``
-    refuses, or a ``d`` that is not exactly ``0`` or ``1``.  Every file
-    accepted here reads to the same values in the row loop, where ``float``
-    accepts a superset of the spellings ``np.loadtxt`` accepts.
+    The file is read once, as bytes, and its header line parsed in Python.
+    When the compiled ``tr_parse_csv`` loads (see ``_native``) and the header
+    ends with a line break, it parses the data rows in one pass: exactly the
+    header's column count per row, ``\\n`` or ``\\r\\n`` line ends, each ``d`` a
+    bare ``0`` or ``1`` and every other field a number
+    ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``, converted to the double ``float``
+    gives.  When it refuses the rows or does not load, one ``np.loadtxt``
+    pass reads them.  None means the file needs the row loop: a NUL
+    anywhere (an ``S2`` field drops trailing NULs, so ``1\\0`` would read as
+    ``b"1"``), a line that may hold a field longer than
+    ``csv.field_size_limit()`` (the loop raises on it), a quote in the header,
+    no data rows, any field ``np.loadtxt`` refuses, or a ``d`` that is not
+    exactly ``0`` or ``1``.  Every file accepted here reads to the same values
+    in the row loop, where ``float`` accepts a superset of the spellings
+    either pass accepts.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     # a run of more than field_size_limit() bytes without a line break
     # covers at least one whole chunk of at most half that size
     size = max(1, min(1 << 16, csv.field_size_limit() // 2))
-    with open(path, "rb") as raw:
-        for chunk in iter(lambda: raw.read(size), b""):
-            if b"\0" in chunk or (len(chunk) == size and b"\n" not in chunk and b"\r" not in chunk):
-                return None
+    if b"\0" in raw or any(raw.find(b"\n", i, i + size) < 0 and raw.find(b"\r", i, i + size) < 0
+                           for i in range(0, len(raw) - size + 1, size)):
+        return None
+    text = io.TextIOWrapper(io.BytesIO(raw), newline="")
     try:
-        with open(path, newline="") as fh:
-            line = fh.readline()
-            if '"' in line:
-                return None
-            n_cols, idx = _header_index(path, next(csv.reader([line])))
-            dtype = [(f"f{j}", "S2" if j == idx["d"] else float) for j in range(n_cols)]
+        line = text.readline()
+        n_cols, idx = _header_index(path, next(csv.reader([line])))
+    except Exception:  # undecodable bytes, a header csv refuses or one without y, d and x: the row loop words it
+        return None
+    if '"' in line:
+        return None
+    table = None
+    if line.endswith("\n"):
+        from . import _native
+
+        parse = _native.kernel("tr_parse_csv")
+        if parse is not None:
+            table = _parse_rows(parse, raw, raw.index(b"\n") + 1, n_cols, idx["d"])
+            if table is not None:  # the file's bytes go before the columns are copied out, for a lower peak
+                del raw, text
+    if table is None:
+        dtype = [(f"f{j}", "S2" if j == idx["d"] else float) for j in range(n_cols)]
+        try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                table = np.loadtxt(
-                    fh, delimiter=",", comments=None, quotechar=None, ndmin=1, dtype=dtype
-                )
-    except Exception:  # whatever np.loadtxt refuses, the row loop accepts or words as an error
-        return None
-    d = table[f"f{idx['d']}"]
-    if len(table) == 0 or not np.all((d == b"0") | (d == b"1")):
-        return None
+                rows = np.loadtxt(text, delimiter=",", comments=None, quotechar=None, ndmin=1, dtype=dtype)
+        except Exception:  # whatever np.loadtxt refuses, the row loop accepts or words as an error
+            return None
+        d = rows[f"f{idx['d']}"]
+        if len(rows) == 0 or not np.all((d == b"0") | (d == b"1")):
+            return None
+        table = [rows[f"f{j}"] for j in range(n_cols)]
+        table[idx["d"]] = (d == b"1").astype(int)
 
     def column(name):
-        return np.ascontiguousarray(table[f"f{idx[name]}"]) if name in idx else None
+        return np.ascontiguousarray(table[idx[name]]) if name in idx else None
 
-    return column("y"), (d == b"1").astype(int), column("x"), column("p")
+    return column("y"), column("d"), column("x"), column("p")
+
+
+def _parse_rows(parse, raw: bytes, start: int, n_cols: int, d_col: int):
+    """The columns of the data rows ``raw[start:]`` as ``tr_parse_csv`` (``parse``) reads
+    them, or None when it refuses them or finds none."""
+    # a row takes at least two bytes a field, so at most cap rows fit; the pages
+    # past the rows written are never touched, so they take no memory
+    cap = (len(raw) - start + 1) // (2 * n_cols)
+    out = np.empty((cap, n_cols))
+    rows = parse(np.frombuffer(raw, np.uint8)[start:], len(raw) - start, n_cols, d_col, out, cap)
+    return None if rows <= 0 else out[:rows].T
 
 
 def _undecodable_line(path, encoding: str) -> int:

@@ -15,7 +15,8 @@ Each bootstrap replicate draws its rows with ``Generator.integers(0, n, n)``
 from its own generator, seeded from (seed, replicate index).  When the
 compiled kernels build, load and pass their check (see ``_native``), one
 call of ``tr_bootstrap_chunk`` of ``_kernels.c`` runs a whole chunk of
-replicates: from each generator's state words it draws the rows with
+replicates: it seeds each generator from its seed sequence's words, which
+``_seed_words`` derives for all replicates at once, draws the rows with
 numpy's own PCG64 and 32-bit bounded integers, bins them as it draws, and
 takes the criterion and its first argmax.  It does so for n up to 2^32 - 1,
 where numpy draws 32-bit integers; otherwise, and without the kernel, the
@@ -193,16 +194,66 @@ def _numpy_maximizers(lo, hi, seed, rank, g, suffix_orig, penalty, work) -> tupl
     return args, -1
 
 
-def _compiled_maximizers(kernel, lo, hi, seed, rank, g, suffix_orig, penalty, work) -> tuple[np.ndarray, int]:
-    """``_numpy_maximizers`` by the compiled ``tr_bootstrap_chunk``, which draws each
-    replicate's rows from its generator's state words as it bins them."""
-    from ._native import BOOT_ROW, pcg64_words
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-    states = np.array([pcg64_words(_bit_generator(seed, b)) for b in range(lo, hi)])
+
+def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(b,)).generate_state(4, np.uint64)`` for
+    b = lo..hi-1 < 2^32, one row each, with no SeedSequence built: numpy's mixing in
+    uint32 arithmetic, over all replicates at once.  PCG64 seeds itself from these words.
+
+    The entropy is the seed's 32-bit words (zero-padded to the pool's four, as
+    numpy pads when a spawn key follows) and then b, so every step before b's is
+    shared and runs on one-element arrays.
+    """
+    mask = 0xFFFFFFFF
+    words = [seed & mask]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & mask)
+    entropy = [np.full(1, w, np.uint32) for w in words + [0] * (4 - len(words))]
+    entropy.append(np.arange(lo, hi, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & mask
+        value = value * np.uint32(hash_const)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    state = np.empty((hi - lo, 8), np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & mask
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ value >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _compiled_maximizers(kernel, lo, hi, seed, rank, g, suffix_orig, penalty, work) -> tuple[np.ndarray, int]:
+    """``_numpy_maximizers`` by the compiled ``tr_bootstrap_chunk``, which seeds each
+    replicate's generator from its SeedSequence words and draws its rows as it bins them."""
+    from ._native import BOOT_ROW
+
     rows = np.empty(len(g), BOOT_ROW)
     rows["g"], rows["rank"] = g, rank
     args = np.empty(hi - lo, np.int64)
-    bad = kernel(states, hi - lo, len(g), rows, len(work) - 1, suffix_orig, penalty, work, args)
+    bad = kernel(_seed_words(seed, lo, hi), hi - lo, len(g), rows, len(work) - 1, suffix_orig, penalty, work, args)
     return (args if bad < 0 else args[: bad + 1]), bad
 
 
@@ -229,7 +280,8 @@ def _bootstrap_chunk(args):
     cand[1:-1] = np.clip(t_hat, breaks[:-1], breaks[1:])
     penalty = 0.5 * h_hat * (cand - t_hat) ** 2
     work = np.empty(k + 1)
-    kernel = _native.kernel("tr_bootstrap_chunk") if _draws_in_32_bits(n) else None
+    # _seed_words takes spawn keys of one 32-bit word
+    kernel = _native.kernel("tr_bootstrap_chunk") if _draws_in_32_bits(n) and hi <= 2**32 else None
     if kernel is None:
         found, bad = _numpy_maximizers(lo, hi, seed, rank, g, suffix_orig, penalty, work)
     else:

@@ -181,6 +181,8 @@ def loop_load_sample_csv(path, propensity=None, eta=0.01):
         except StopIteration:
             raise ValidationError(f"{path}: file is empty, expected header y,d,x[,p]") from None
         cols = [c.strip().lower() for c in header]
+        if cols:  # past a leading byte-order mark
+            cols[0] = header[0].removeprefix("\ufeff").strip().lower()
         required = ("y", "d", "x")
         for name in required:
             if name not in cols:

@@ -1,13 +1,14 @@
 import csv
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from threshold_regret import data
+from threshold_regret import _native, data
 from threshold_regret.data import (
     ParamSpace,
     Sample,
@@ -277,6 +278,20 @@ def test_load_csv_rejects_unknown_columns(tmp_path):
         load_sample_csv(path, propensity=0.5)
 
 
+@pytest.mark.parametrize("kernel", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.parametrize("body", ["1.5,1,0.25\n-2,0,3\n", "1.5,1,0.25\n\n-2 ,0,3\n"], ids=["plain", "row-loop"])
+def test_load_csv_ignores_a_byte_order_mark(tmp_path, monkeypatch, kernel, body):
+    """Excel's "CSV UTF-8" starts the file with U+FEFF; the compiled, numpy and
+    row-by-row readers all read the header past it (a blank row and a padded
+    field send the second file to the row loop)."""
+    if not kernel:
+        monkeypatch.setattr(_native, "kernel", lambda name: None)
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffy,d,x\n" + body, encoding="utf-8", newline="")
+    loaded = load_sample_csv(str(path), propensity=0.5)
+    assert loaded.y.tolist() == [1.5, -2.0] and loaded.d.tolist() == [1.0, 0.0] and loaded.x.tolist() == [0.25, 3.0]
+
+
 def test_load_csv_missing_required_column(tmp_path):
     path = _write_csv(tmp_path / "nox.csv", "y,d\n1.0,1\n-1.0,0\n")
     with pytest.raises(ValidationError, match="missing required column 'x'"):
@@ -347,17 +362,39 @@ def _load_outcome(load, path, propensity):
     return [(a.dtype.str, a.tobytes()) for a in (s.y, s.d, s.x, s.propensity)]
 
 
-@given(text=_csv_texts(), propensity=st.sampled_from([None, 0.5]))
-@example(text="y,d,x\n1,1\x00,2\n2,0,3\n", propensity=0.5)  # S2 drops trailing NULs
-@example(text="y,d,x\n1,0,2\n2,01,3\n", propensity=0.5)  # a longer d must not be cut to its first byte
-@example(text="y,d,x\n1,0,2\n2,1 ,3\n", propensity=0.5)
-@example(text="y,d,x\n1,0,2\n2_0,1,3\n", propensity=0.5)
-@example(text="y,d,x,X\n1,0,2,oops\n2,1,3,4\n", propensity=0.5)  # the loop never reads a duplicate
-@example(text='y,d,x,"p\n"\n1,0,2,0.5\n2,1,3,0.5\n', propensity=None)  # a quoted newline in the header
-@example(text="y,d,x\n1,0,2\n2,1,0." + "1" * 140_000 + "\n", propensity=0.5)  # over the csv field limit
-@settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def _csv_cases(test):
+    """Generated and hand-picked files, each with and without a propensity."""
+    cases = given(text=_csv_texts(), propensity=st.sampled_from([None, 0.5]))(test)
+    for text, propensity in [
+        ("y,d,x\n1,1\x00,2\n2,0,3\n", 0.5),  # S2 drops trailing NULs
+        ("y,d,x\n1,0,2\n2,01,3\n", 0.5),  # a longer d must not be cut to its first byte
+        ("y,d,x\n1,0,2\n2,1 ,3\n", 0.5),
+        ("y,d,x\n1,0,2\n2_0,1,3\n", 0.5),
+        ("y,d,x,X\n1,0,2,oops\n2,1,3,4\n", 0.5),  # the loop never reads a duplicate
+        ('y,d,x,"p\n"\n1,0,2,0.5\n2,1,3,0.5\n', None),  # a quoted newline in the header
+        ("y,d,x\n1,0,2\n2,1,0." + "1" * 140_000 + "\n", 0.5),  # over the csv field limit
+        ("\ufeffy,d,x\r\n1,0,2\r\n2,1,3", 0.5),  # a byte-order mark, and no line end at the end
+        ("y,d,x\n1,0,2\n2,1,0.1000000000000000055511151231257827\n", 0.5),  # strtod's digit count
+    ]:
+        cases = example(text=text, propensity=propensity)(cases)
+    return settings(max_examples=300, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])(cases)
+
+
+@_csv_cases
 def test_load_csv_numpy_pass_matches_the_row_loop(tmp_path, text, propensity):
+    """Through the compiled parser when it loads, else ``np.loadtxt``."""
+    _assert_row_loop_sample(tmp_path, text, propensity)
+
+
+@_csv_cases
+def test_load_csv_numpy_pass_matches_the_row_loop_without_the_kernel(tmp_path, text, propensity):
+    """Through ``np.loadtxt`` alone, as without a compiler."""
+    with mock.patch.object(_native, "kernel", lambda name: None):
+        _assert_row_loop_sample(tmp_path, text, propensity)
+
+
+def _assert_row_loop_sample(tmp_path, text, propensity):
     path = tmp_path / "any.csv"
     path.write_text(text, newline="")
     got = _load_outcome(load_sample_csv, str(path), propensity)
@@ -397,7 +434,12 @@ def test_load_csv_reads_a_plain_file_in_one_numpy_pass(tmp_path, monkeypatch):
         raise AssertionError("a plain file fell back to the row loop")
 
     monkeypatch.setattr(data, "_load_sample_rows", no_row_loop)
+    if _native.kernel("tr_parse_csv") is not None:  # then the compiled parser reads it, not np.loadtxt
+        loadtxt = mock.Mock(side_effect=AssertionError("np.loadtxt ran"))
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
     loaded = load_sample_csv(str(path))
+    if _native.kernel("tr_parse_csv") is not None:
+        assert not loadtxt.called
     for name in ("y", "d", "x", "propensity"):
         got, want = getattr(loaded, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.flags.c_contiguous

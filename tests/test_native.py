@@ -1,9 +1,12 @@
 """The compiled kernels against the numpy code they replace, bit for bit."""
 
 import ctypes
+import decimal
 import math
 import shlex
 import shutil
+import struct
+import subprocess
 import sysconfig
 from unittest import mock
 
@@ -13,7 +16,7 @@ from helpers import fresh_python, load_script, pinned
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from threshold_regret import _native, chernoff, inference
+from threshold_regret import _native, chernoff, data, inference
 from threshold_regret.errors import NumericError
 
 
@@ -64,31 +67,43 @@ def _fresh_kernels():
     _native.kernel.cache_clear()
 
 
-def _callers():
-    """Each kernel's caller on a small case, and the numpy loop that runs in its place without it."""
+def _callers(tmp_path):
+    """Each kernel's caller on a small case, and the numpy code that runs in its place without it."""
+    path = tmp_path / "plain.csv"
+    path.write_text("y,d,x\n1.5,1,0.25\n-2e-3,0,7\n", newline="")
     return {
         "tr_bootstrap_chunk": (lambda: inference._bootstrap_chunk(_chunk_args(3, 500, 40, 1.0, reps=3)),
                                (inference, "_numpy_maximizers")),
         "tr_chernoff_block": (lambda: chernoff._simulate_block((3, 1, 20, 50, 1e-2)), (chernoff, "_scan_strip")),
+        "tr_parse_csv": (lambda: np.concatenate(_columns(data.load_sample_csv(path, propensity=0.5))),
+                         (np, "loadtxt")),
     }
 
 
+def _columns(sample):
+    return sample.y, sample.d, sample.x, sample.propensity
+
+
 @pytest.mark.parametrize("failing", sorted(_native.CHECKS))
-def test_each_kernel_is_checked_on_its_own(native, monkeypatch, failing):
+def test_each_kernel_is_checked_on_its_own(native, monkeypatch, tmp_path, failing):
     """A kernel that fails its load-time check (say, under a numpy whose stream
-    differs) is set aside alone: its caller runs the numpy loop, and the other
-    kernel is still handed out and runs."""
-    callers = _callers()
+    differs) is set aside alone: its caller runs the numpy code, and the other
+    kernels are still handed out and run."""
+    callers = _callers(tmp_path)
     want = {name: run().tobytes() for name, (run, _) in callers.items()}
     monkeypatch.setitem(_native.CHECKS, failing, lambda lib: False)
     _native.kernel.cache_clear()
     try:
         assert _native.kernel(failing) is None
         assert callers[failing][0]().tobytes() == want[failing]
-        (other, (run, numpy_loop)), = [item for item in callers.items() if item[0] != failing]
-        assert _native.kernel(other) is not None
-        with mock.patch.object(*numpy_loop, mock.Mock(side_effect=AssertionError("the numpy loop ran"))):
-            assert run().tobytes() == want[other]
+        for other, (run, numpy_code) in callers.items():
+            if other == failing:
+                continue
+            assert _native.kernel(other) is not None
+            # an error the caller swallows would pass unseen, so the mock counts its calls
+            with mock.patch.object(*numpy_code, mock.Mock(side_effect=AssertionError("the numpy code ran"))) as ran:
+                assert run().tobytes() == want[other]
+            assert not ran.called
     finally:
         _native.kernel.cache_clear()
 
@@ -194,6 +209,37 @@ def test_the_kernel_runs_only_where_numpy_draws_32_bit_integers(monkeypatch):
     monkeypatch.setattr(inference, "_draws_in_32_bits", lambda n: False)
     monkeypatch.setattr(_native, "kernel", mock.Mock(side_effect=AssertionError("a kernel was asked for")))
     assert inference._bootstrap_chunk(args).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**64 - 1, 2**96 + 1, 2**130 + 3])
+@pytest.mark.parametrize("lo, hi", [(0, 5), (995, 999), (2**32 - 3, 2**32)])
+def test_seed_words_are_numpys_seed_sequence(seed, lo, hi):
+    """The words derived for all replicates at once are each replicate's
+    ``SeedSequence.generate_state(4, np.uint64)``, for seeds of one to five
+    32-bit words, and PCG64 seeded as ``pcg64_seeded`` seeds it reaches the
+    state numpy's PCG64 starts from."""
+    words = inference._seed_words(seed, lo, hi)
+    multiplier = 0x2360ED051FC65DA4_4385DF649FCCF645
+    for b, row in zip(range(lo, hi), words.tolist()):
+        assert row == np.random.SeedSequence(seed, spawn_key=(b,)).generate_state(4, np.uint64).tolist()
+        inc = (row[2] << 65 | row[3] << 1 | 1) % 2**128
+        state = ((inc + (row[0] << 64 | row[1])) * multiplier + inc) % 2**128
+        want = _native.pcg64_words(inference._bit_generator(seed, b)).tolist()
+        assert [state >> 64, state % 2**64, inc >> 64, inc % 2**64] == want
+
+
+def test_replicates_past_two_to_the_32_keep_the_numpy_loop(native, monkeypatch):
+    """A spawn key of 2^32 or more takes two 32-bit words, which ``_seed_words``
+    does not derive: such a chunk runs the numpy loop, a chunk ending at 2^32
+    the kernel, and both give the numpy loop's draws."""
+    base = _chunk_args(4, 300, 20, 1.0, reps=3)[2:]
+    below, across = (2**32 - 3, 2**32, *base), (2**32 - 2, 2**32 + 1, *base)
+    with _numpy_loops():
+        want = [inference._bootstrap_chunk(args).tobytes() for args in (below, across)]
+    with mock.patch.object(inference, "_numpy_maximizers", mock.Mock(side_effect=AssertionError("numpy ran"))):
+        assert inference._bootstrap_chunk(below).tobytes() == want[0]
+    monkeypatch.setattr(_native, "kernel", mock.Mock(side_effect=AssertionError("a kernel was asked for")))
+    assert inference._bootstrap_chunk(across).tobytes() == want[1]
 
 
 @pytest.mark.parametrize("distinct", [100_000, 7])
@@ -390,3 +436,145 @@ def test_pinned_outputs_reproduce_without_the_kernels(monkeypatch):
 
     monkeypatch.setattr(chernoff, "simulate_chernoff", once)
     assert load_script("pin_cli_outputs").pinned_results() == pinned("cli_pinned.json")["cases"]
+
+
+def test_kernels_compile_without_warnings(tmp_path):
+    """The shipped build with every common warning turned into an error."""
+    _require_compiler()
+    command = [*_native._library_path()[1], "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so")]
+    done = subprocess.run(command, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def _powers_of_five():
+    """fast_float's 128-bit truncated 5^q, q = -342..308, high word first, by exact integer arithmetic."""
+    words = []
+    for q in range(-342, 309):
+        if q >= 0:
+            v = 5**q
+            v = v << 128 - v.bit_length() if v.bit_length() < 128 else v >> v.bit_length() - 128
+        else:
+            z = (5**-q - 1).bit_length()
+            v = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5**-q + 1
+            v >>= max(0, v.bit_length() - 128)
+        words += [v >> 64, v & (2**64 - 1)]
+    return words
+
+
+def test_powers_of_five_are_exact(native):
+    """The embedded table is the one exact integer arithmetic derives; 5^0 and 5^-1 by hand."""
+    words = _powers_of_five()
+    table = np.ctypeslib.as_array((ctypes.c_uint64 * len(words)).in_dll(native, "pow5_128"))
+    assert table.tolist() == words
+    assert words[2 * 342: 2 * 344] == [1 << 63, 0, 0xA000000000000000, 0]
+    assert words[2 * 341: 2 * 342] == [0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCD]
+
+
+def _parse(lib, tokens):
+    """``tr_parse_csv`` over the tokens, one a row, as float64, or None when it refuses them."""
+    found = data._parse_rows(lib.tr_parse_csv, "\n".join(tokens).encode(), 0, 1, -1)
+    return None if found is None else found[0]
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_DOUBLES = st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite)
+
+
+@st.composite
+def _decimals(draw):
+    """Up to 40 digits with a point anywhere, leading zeros, a sign and an exponent."""
+    digits = draw(st.sampled_from(["", "0", "000"])) + str(draw(st.integers(0, 10**19 - 1) | st.integers(0, 10**40)))
+    point = draw(st.integers(0, len(digits)))
+    mantissa = draw(st.sampled_from([digits, digits[:point] + "." + digits[point:]]))
+    exponent = draw(st.none() | st.integers(-345, 330) | st.integers(-10**30, 10**30))
+    suffix = "" if exponent is None else draw(st.sampled_from(["e{}", "E{:+d}"])).format(exponent)
+    return draw(st.sampled_from(["", "+", "-"])) + mantissa + suffix
+
+
+@st.composite
+def _midpoints(draw):
+    """The midpoint of two adjacent doubles, printed to 17-40 significant digits."""
+    a = abs(draw(_DOUBLES))
+    b = math.nextafter(a, math.inf)
+    with decimal.localcontext(prec=800):  # exact: a double's decimal expansion has at most 767 digits
+        mid = (decimal.Decimal(a) + decimal.Decimal(b)) / 2
+    return format(mid, f".{draw(st.integers(17, 40)) - 1}e")
+
+
+# signed zeros, the least subnormal and the shortest decimals rounding to it or to 0,
+# the overflow edge, exponents far past both ends, and the short spellings
+EDGE_TOKENS = ["0", "-0", "+0.0", "-0e999", "5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+               "1.7976931348623157e308", "1.7976931348623159e308", "1e400", "-1e400", "1e-400", "-1e-400",
+               "+1", ".5", "5.", "-.5e-1", "0.000000000000000000000000000000000000001e39"]
+
+
+@given(tokens=st.lists(_DOUBLES.map(repr) | _decimals() | _midpoints(), min_size=1, max_size=40))
+@example(tokens=EDGE_TOKENS)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_parser_rounds_as_float_does(native, tokens):
+    """Every conversion branch, bit for bit against ``float``: the repr of any
+    double, decimals of up to 40 digits at any exponent, and near-ties of
+    adjacent doubles, more than 19 digits of which go to strtod."""
+    got = _parse(native, tokens)
+    assert got is not None
+    assert got.tobytes() == np.array([float(token) for token in tokens]).tobytes()
+
+
+def test_parser_rounds_random_doubles_as_float_does(native):
+    """The repr of 200 000 random bit patterns, and 30 000 midpoints of
+    adjacent doubles at 17, 20 and 40 digits."""
+    values = np.random.default_rng(19).integers(0, 2**64, 240_000, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    tokens = list(map(repr, values[:200_000].tolist()))
+    with decimal.localcontext(prec=800):
+        for i, a in enumerate(np.abs(values[200_000:230_000]).tolist()):
+            mid = (decimal.Decimal(a) + decimal.Decimal(math.nextafter(a, math.inf))) / 2
+            tokens.append(format(mid, (".16e", ".19e", ".39e")[i % 3]))
+    assert _parse(native, tokens).tobytes() == np.array([float(token) for token in tokens]).tobytes()
+
+
+@pytest.mark.parametrize("token", ["", ".", "+", "-", "e5", "1e", "1e+", "1.5 ", " 1", "1..2", "1.2.3", "--1", "+-1",
+                                   "nan", "inf", "0x1p3", "1_0", "1d5", "١", "1,5", "1" * 300])
+def test_parser_refuses_what_its_grammar_does_not_hold(native, token):
+    """Padding, specials, other spellings and a 300-digit token (past strtod's copy) are left to numpy's pass."""
+    assert _parse(native, [token, "1.5"]) is None
+
+
+@pytest.mark.parametrize("body, rows", [
+    (b"1,0,2\n3,1,4\n", 2), (b"1,0,2\r\n3,1,4", 2), (b"1,0,2", 1), (b"", 0),
+    (b"1,0,2\r3,1,4\n", None), (b"1,0,2\n\n3,1,4\n", None), (b"1,0,2\r", None), (b"1,0\n", None), (b"1,0,2,3\n", None),
+    (b"1,01,2\n", None), (b"1,,2\n", None), (b"1,2,2\n", None), (b"1,0,2\n3,1,", None), (b"1,0,2\n3,1", None),
+])
+def test_parser_takes_only_plain_rows(native, body, rows):
+    """Three fields, d in the middle: "\\n" or "\\r\\n" line ends, the last row
+    maybe unended; a lone "\\r", a blank row, a short or long row, a ``d``
+    other than 0 or 1, or an empty field is refused."""
+    found = data._parse_rows(native.tr_parse_csv, body, 0, 3, 1)
+    assert (None if found is None else found.shape[1]) == (rows or None)
+
+
+def test_strtod_fallback_refuses_a_comma_decimal_locale(native):
+    """Under an LC_NUMERIC whose decimal point is ',' strtod would read "1.5" as 1:
+    its end pointer then misses the token's end, and the parser refuses the rows."""
+    code = """
+import locale, sys
+from threshold_regret import _native, data
+for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "nl_NL.UTF-8"):
+    try:
+        locale.setlocale(locale.LC_NUMERIC, name)
+        break
+    except locale.Error:
+        pass
+else:
+    print("NO LOCALE")
+    sys.exit()
+lib = _native._library()
+print(data._parse_rows(lib.tr_parse_csv, b"0.30000000000000000000000000001\\n", 0, 1, -1))
+"""
+    out = fresh_python(code).strip()
+    if out == "NO LOCALE":
+        pytest.skip("no locale with a comma decimal point is installed")
+    assert out == "None"
