@@ -428,6 +428,18 @@ typedef struct {
 /* rows drawn, and their records prefetched, before any of them is binned */
 #define DRAW_BATCH 64
 
+/* Segment j of the criterion, ((S*[j] - suffix_orig[j]) / n) - penalty[j],
+ * written to work[j] and folded into the running maximum *top without a
+ * branch; *nan records whether it is NaN, which the maximum skips. */
+static inline void criterion(double *work, int64_t j, double suffix, const double *suffix_orig,
+                             const double *penalty, double denom, double *top, int *nan)
+{
+    double c = ((suffix - suffix_orig[j]) / denom) - penalty[j];
+    work[j] = c;
+    *top = c > *top ? c : *top;
+    *nan |= c != c;
+}
+
 /* Replicates 0..reps-1 of the reshaped bootstrap.  Replicate r draws its n
  * rows as Generator.integers(0, n, n) would from a PCG64 seeded with the
  * SeedSequence words in seeds[4r..4r+3] (see pcg64_seeded), for
@@ -436,7 +448,14 @@ typedef struct {
  * (S*[k] = 0) and the criterion ((S* - suffix_orig) / n) - penalty over k + 1
  * segments, and writes its first argmax to args[r].  work holds k + 1
  * doubles.  Returns the first replicate whose criterion at its argmax is not
- * finite, with work holding that criterion, or -1 when there is none. */
+ * finite, with work holding that criterion, or -1 when there is none.
+ *
+ * The argmax takes no branch per segment that depends on the data: the
+ * backward loop that writes the criterion also keeps its maximum in four
+ * independent accumulators, and a forward scan returns the first segment
+ * equal to it, which is np.argmax's index (-0.0 equals +0.0, and an all -inf
+ * criterion gives 0).  The maximum skips NaN, so when any segment is NaN the
+ * replicate falls back to first_argmax, which returns the first NaN. */
 int64_t tr_bootstrap_chunk(const uint64_t *seeds, int64_t reps, int64_t n, const boot_row *rows,
                            int64_t k, const double *suffix_orig, const double *penalty,
                            double *work, int64_t *args)
@@ -460,14 +479,37 @@ int64_t tr_bootstrap_chunk(const uint64_t *seeds, int64_t reps, int64_t n, const
             }
         }
         double suffix = work[k - 1];
-        work[k] = ((0.0 - suffix_orig[k]) / denom) - penalty[k];
-        work[k - 1] = ((suffix - suffix_orig[k - 1]) / denom) - penalty[k - 1];
-        for (int64_t j = k - 2; j >= 0; j--) {
+        double top0 = -INFINITY, top1 = -INFINITY, top2 = -INFINITY, top3 = -INFINITY;
+        int nan = 0;
+        criterion(work, k, 0.0, suffix_orig, penalty, denom, &top0, &nan);
+        criterion(work, k - 1, suffix, suffix_orig, penalty, denom, &top1, &nan);
+        int64_t j = k - 2;
+        for (; j >= 3; j -= 4) {
             suffix = suffix + work[j];
-            work[j] = ((suffix - suffix_orig[j]) / denom) - penalty[j];
+            criterion(work, j, suffix, suffix_orig, penalty, denom, &top0, &nan);
+            suffix = suffix + work[j - 1];
+            criterion(work, j - 1, suffix, suffix_orig, penalty, denom, &top1, &nan);
+            suffix = suffix + work[j - 2];
+            criterion(work, j - 2, suffix, suffix_orig, penalty, denom, &top2, &nan);
+            suffix = suffix + work[j - 3];
+            criterion(work, j - 3, suffix, suffix_orig, penalty, denom, &top3, &nan);
+        }
+        for (; j >= 0; j--) {
+            suffix = suffix + work[j];
+            criterion(work, j, suffix, suffix_orig, penalty, denom, &top0, &nan);
         }
         double peak;
-        args[r] = first_argmax(work, k + 1, &peak);
+        if (nan) {
+            args[r] = first_argmax(work, k + 1, &peak);
+        } else {
+            top0 = top1 > top0 ? top1 : top0;
+            top2 = top3 > top2 ? top3 : top2;
+            peak = top2 > top0 ? top2 : top0;
+            int64_t arg = 0;
+            while (work[arg] != peak)
+                arg++;
+            args[r] = arg;
+        }
         if (!isfinite(peak))
             return r;
     }

@@ -12,15 +12,21 @@ Four constructions are provided:
 
 Normal quantiles are computed from the error function, not lookup tables.
 Each bootstrap replicate draws its rows with ``Generator.integers(0, n, n)``
-from its own generator, seeded from (seed, replicate index).  When the
-compiled kernels build, load and pass their check (see ``_native``), one
-call of ``tr_bootstrap_chunk`` of ``_kernels.c`` runs a whole chunk of
-replicates: it seeds each generator from its seed sequence's words, which
+from its own generator, seeded from (seed, replicate index), and bins their
+scores by the rank of their x among the distinct values, which
+``_breaks_and_ranks`` finds with one argsort.  When the compiled kernels
+build, load and pass their check (see ``_native``), one call of
+``tr_bootstrap_chunk`` of ``_kernels.c`` runs a whole chunk of replicates:
+it seeds each generator from its seed sequence's words, which
 ``_seed_words`` derives for all replicates at once, draws the rows with
 numpy's own PCG64 and 32-bit bounded integers, bins them as it draws, and
-takes the criterion and its first argmax.  It does so for n up to 2^32 - 1,
-where numpy draws 32-bit integers; otherwise, and without the kernel, the
-numpy loop ``_replicate`` runs.  Both give the same bits.
+takes the criterion and its first argmax.  The loop that writes the
+criterion also keeps its running maximum, with no branch per segment, and a
+forward scan finds the first segment equal to it, which is ``np.argmax``'s
+index; a criterion holding NaN takes its first NaN, as ``np.argmax`` does.
+The kernel runs for n up to 2^32 - 1, where numpy draws 32-bit integers;
+otherwise, and without the kernel, the numpy loop ``_replicate`` runs.
+Both give the same bits.
 """
 
 from __future__ import annotations
@@ -294,6 +300,21 @@ def _bootstrap_chunk(args):
     return cand[found]
 
 
+def _breaks_and_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of x ascending, and each row's rank among them, which is
+    ``np.searchsorted(breaks, x)``: scattered through one argsort rather than found
+    by a binary search per row (about 4 ms against 17 ms at n = 100 000, one Xeon core)."""
+    # sorted neighbours rather than np.unique, whose first call imports numpy.ma (about 15 ms);
+    # the breaks come from np.sort, so which zero heads a run of -0.0 and +0.0 is as it was
+    xs = np.sort(x)
+    starts = np.concatenate(([True], xs[1:] != xs[:-1]))
+    # x sorted by argsort holds xs's values in xs's places (a zero's sign aside), so its
+    # runs start where xs's do
+    rank = np.empty(len(x), np.intp)
+    rank[np.argsort(x)] = np.cumsum(starts) - 1
+    return xs[starts], rank
+
+
 def ewm_bootstrap(
     sample: Sample,
     estimate: ThresholdEstimate,
@@ -320,12 +341,9 @@ def ewm_bootstrap(
     require_int("jobs", jobs, 1)
     n = sample.n
     g = _ipw_g(sample)
-    # sorted neighbours rather than np.unique, whose first call imports numpy.ma (about 15 ms)
-    xs = np.sort(sample.x)
-    breaks = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+    breaks, rank = _breaks_and_ranks(sample.x)
     if len(breaks) < 2:
         raise ValidationError("bootstrap needs at least two distinct index values")
-    rank = np.searchsorted(breaks, sample.x)
     per_rank_orig = np.bincount(rank, weights=g, minlength=len(breaks))
     suffix_orig = np.concatenate((np.cumsum(per_rank_orig[::-1])[::-1], [0.0]))
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 import threshold_regret
 from threshold_regret import nuisance
@@ -51,6 +52,15 @@ def random_sample(rng, n, constant_p=True):
     else:
         p = rng.uniform(0.2, 0.8, size=n)
     return Sample(y=y, d=d, x=x, propensity=p)
+
+
+def index_values():
+    """x vectors of up to 300 values: tie-free, heavily tied, or holding both -0.0 and +0.0."""
+    tie_free = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300, unique=True)
+    tied = st.lists(st.sampled_from([-1.5, 0.0, 2.0, 7.25]), min_size=2, max_size=300)
+    zeros = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), max_size=300).flatmap(
+        lambda v: st.permutations(v + [-0.0, 0.0]))
+    return (tie_free | tied | zeros).map(np.array)
 
 
 def overflowing_sample(n=200):

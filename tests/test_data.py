@@ -21,7 +21,7 @@ from threshold_regret.data import (
 from threshold_regret.errors import DataWarning, NumericError, ValidationError
 from threshold_regret.montecarlo import MODEL1
 
-from helpers import loop_load_sample_csv, random_sample
+from helpers import index_values, loop_load_sample_csv, random_sample
 
 
 def test_ipw_score_treated_unit():
@@ -50,6 +50,17 @@ def test_ipw_sort_order_is_stable_on_ties():
         s = Sample(y=[1.0, 2.0, 3.0], d=[1, 1, 1], x=[1.0, 0.0, 1.0], propensity=0.5)
     order = ipw_scores(s).x_sorted_order
     assert list(order) == [1, 0, 2]
+
+
+@given(x=index_values())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_ipw_sort_order_is_the_stable_argsort(x):
+    """The default sort where x has no ties, the stable one where it has: either
+    way the stable order, -0.0 and +0.0 counted as tied."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        s = Sample(y=np.ones(len(x)), d=np.arange(len(x)) % 2, x=x, propensity=0.5)
+    assert ipw_scores(s).x_sorted_order.tobytes() == np.argsort(x, kind="stable").tobytes()
 
 
 def test_empirical_welfare_everyone_treated(rng):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import overflowing_sample
+from helpers import index_values, overflowing_sample
 
-from threshold_regret import _native
+from threshold_regret import _native, inference
 from threshold_regret.chernoff import chernoff_quantile
 from threshold_regret.errors import NumericError, ValidationError
 from threshold_regret.ewm import fit_ewm
@@ -79,6 +80,18 @@ def test_ewm_ci_requires_ewm_estimate(small_chernoff):
 
 
 # --- bootstrap -----------------------------------------------------------------
+
+
+@given(x=index_values())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_ranks_are_searchsorted_into_the_breaks(x):
+    """Ranks scattered through one argsort equal a binary search of each x in the
+    distinct values, ties and both zeros included, and the breaks are the runs'
+    first values in np.sort's order, so a run of zeros keeps its leading sign."""
+    breaks, rank = inference._breaks_and_ranks(x)
+    xs = np.sort(x)
+    assert breaks.tobytes() == xs[np.concatenate(([True], xs[1:] != xs[:-1]))].tobytes()
+    assert rank.tobytes() == np.searchsorted(breaks, x).tobytes()
 
 
 def test_bootstrap_deterministic_given_seed():

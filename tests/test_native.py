@@ -170,6 +170,56 @@ def test_bootstrap_chunks_match_numpy(native, seed, n, distinct, score_scale):
     assert fast == slow
 
 
+# criterion values built from scores of 0, whose suffix sums are 0.0 in every
+# replicate, so that segment j is ((0.0 - suffix_orig[j]) / n) - penalty[j]: the
+# (suffix_orig[j], penalty[j]) giving each value.  -5e-324 / n rounds to -0.0.
+_SEGMENTS = {
+    "2": (0.0, -2.0), "1": (0.0, -1.0), "-3": (0.0, 3.0), "+0": (0.0, 0.0), "-0": (5e-324, 0.0),
+    "inf": (0.0, -math.inf), "-inf": (0.0, math.inf), "nan": (0.0, math.nan),
+}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 50),
+    segments=st.lists(st.sampled_from(sorted(_SEGMENTS)), min_size=3, max_size=40),
+    score=st.sampled_from([0.0, 1.0]),
+)
+# equal maxima at separated segments, from a symmetric penalty
+@example(seed=1, n=9, segments=["-3", "1", "-3", "+0", "-3", "+0", "-3", "1", "-3"], score=0.0)
+# a maximum of -0.0 beside +0.0, each first
+@example(seed=2, n=9, segments=["-3", "-3", "-3", "-3", "-3", "-0", "+0", "-3", "-0"], score=0.0)
+@example(seed=2, n=9, segments=["-inf", "-3", "-3", "+0", "-0", "-3", "-3", "-3", "-0", "-3"], score=0.0)
+# an all -inf criterion, as an overflowing penalty gives
+@example(seed=3, n=9, segments=["-inf"] * 11, score=0.0)
+# a +inf peak, reached twice
+@example(seed=4, n=9, segments=["1", "2", "-3", "-3", "inf", "2", "-3", "inf", "1"], score=0.0)
+# NaN before the maximum, in its place (between two lower peaks) and after it
+@example(seed=5, n=9, segments=["nan", "1", "-3", "-3", "-3", "2", "-3", "-3", "1", "-3"], score=0.0)
+@example(seed=5, n=9, segments=["-3", "-3", "-3", "-3", "1", "nan", "1", "-3", "-3", "-3"], score=0.0)
+@example(seed=5, n=9, segments=["1", "-3", "-3", "2", "-3", "-3", "-3", "-3", "1", "nan"], score=1.0)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_chunk_argmax_matches_numpy_on_ties_zeros_infinities_and_nan(native, seed, n, segments, score):
+    """The kernel's fused maximum and forward scan pick np.argmax's segment where
+    its rules matter: the first of equal maxima, -0.0 equal to +0.0, 0 for an all
+    -inf criterion, +inf like any maximum and the first NaN wherever it falls.
+    Scores of 1 mix drawn suffix sums in.  Both loops give the same maximizers, refuse
+    the same replicate and leave the same criterion bytes."""
+    rng = np.random.default_rng(seed)
+    k = len(segments) - 1
+    rank = rng.integers(0, k, n)
+    g = rng.integers(-2, 3, n) * score
+    suffix_orig = np.array([_SEGMENTS[name][0] for name in segments])
+    penalty = np.array([_SEGMENTS[name][1] for name in segments])
+    works = np.empty(k + 1), np.empty(k + 1)
+    want = inference._numpy_maximizers(0, 3, seed, rank, g, suffix_orig, penalty, works[0])
+    got = inference._compiled_maximizers(native.tr_bootstrap_chunk, 0, 3, seed, rank, g, suffix_orig, penalty,
+                                         works[1])
+    assert got[1] == want[1]
+    assert got[0].tobytes() == want[0].tobytes()
+    assert works[1].tobytes() == works[0].tobytes()
+
+
 def _lemire_replay(bit_generator, n, count):
     """Replay numpy's 32-bit bounded integers in [0, n) over ``bit_generator``'s raw words.
 
