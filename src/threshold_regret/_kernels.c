@@ -1,5 +1,6 @@
 /* Compiled inner loops of the reshaped bootstrap and the Chernoff simulator,
- * and the parser of plain sample CSVs.
+ * the parser of plain sample CSVs, and the normal law's sums behind the
+ * smoothed objective and the local fits of the nuisance estimates.
  *
  * The two loops repeat, operation for operation, the numpy code they replace
  * (Generator.integers followed by inference._replicate, and
@@ -32,6 +33,12 @@
  * gigabyte per second", Software: Practice and Experience 51(8), 2021;
  * N. Mushtak and D. Lemire, "Fast number parsing without fallback", SPE
  * 53(6), 2023), as fast_float's compute_float does for doubles, else strtod.
+ *
+ * The normal law's kernels (tr_smoothed, tr_local_fit) replace no numpy code:
+ * they define the library's exp, phi and Phi and its weighted sums, with a
+ * numpy transcription in the same operation order (kernels.py, nuisance.py)
+ * as the fallback and the oracle.  Only + - * /, comparisons, fabs and sqrt
+ * touch their doubles, so their bits are the same on every CPU.
  */
 
 #include <float.h>
@@ -1019,3 +1026,333 @@ int64_t tr_parse_csv(const char *buf, int64_t len, int64_t n_cols, int64_t d_col
     }
     return rows;
 }
+
+/* The normal law and the elementwise loops on it are built at O3, which
+ * vectorizes them (see VECTORIZED), assuming no trapping FP exceptions,
+ * which lets a selection compute both its sides.  Neither changes a value. */
+#pragma GCC push_options
+#pragma GCC optimize("O3", "no-trapping-math")
+
+/* exp(x) by the method and constants of fdlibm's e_exp.c (Copyright (C)
+ * 1993 by Sun Microsystems, Inc.; "Permission to use, copy, modify, and
+ * distribute this software is freely granted, provided that this notice is
+ * preserved"): k = rint(x / ln 2), r = x - k ln 2 with ln 2 in two parts, a
+ * degree-5 Remez fit for e^r, and 2^k applied as ldexp does, rounding a
+ * subnormal result once.  Only rint, ldexp and + - * / touch a double, so
+ * every host gets the same bits; they are within 1 ulp of libm's.
+ *
+ * It takes no branch, so the loops that call it vectorize: every path is
+ * computed and the result selected.  rint(v) is (v + 1.5 2^52) - 1.5 2^52,
+ * which rounds to the nearest integer, ties to even, for |v| < 2^51, and the
+ * sum's low bits hold that integer.  ldexp(y, k) (y in [0.7, 1.5)) is y
+ * times 2^k built from its bits where that product is normal, so exact;
+ * past 2^1023 it is y 2^(k-1) 2, and below 2^-1021, y 2^(k+54) 2^-54, one
+ * rounding (fdlibm's own steps). */
+static const double LN2_HI = 0x1.62e42fee00000p-1, LN2_LO = 0x1.a39ef35793c76p-33,
+                    INV_LN2 = 0x1.71547652b82fep+0, ROUND = 0x1.8p52;
+static const double EXP_P1 = 0x1.555555555553ep-3, EXP_P2 = -0x1.6c16c16bebd93p-9,
+                    EXP_P3 = 0x1.1566aaf25de2cp-14, EXP_P4 = -0x1.bbd41c5d26bf1p-20,
+                    EXP_P5 = 0x1.6376972bea4d0p-25;
+/* the largest x whose exp is finite, and the least whose exp is not 0 */
+static const double EXP_MAX = 0x1.62e42fefa39efp+9, EXP_MIN = -0x1.74910d52d3051p+9;
+/* the bits of ROUND; those of ROUND + e, for an integer |e| < 2^51, are
+ * ROUND_BITS + e */
+#define ROUND_BITS UINT64_C(0x4338000000000000)
+
+static inline double own_exp(double x)
+{
+    const double xc = x < EXP_MIN ? EXP_MIN : x > EXP_MAX ? EXP_MAX : x;
+    const double k = (xc * INV_LN2 + ROUND) - ROUND;
+    const double hi = xc - k * LN2_HI, lo = k * LN2_LO, r = hi - lo, t = r * r;
+    const double c = r - t * (EXP_P1 + t * (EXP_P2 + t * (EXP_P3 + t * (EXP_P4 + t * EXP_P5))));
+    const double y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+    const double e = (k - (k > 1023.0 ? 1.0 : 0.0)) + (k < -1021.0 ? 54.0 : 0.0);
+    const double post = k > 1023.0 ? 2.0 : k < -1021.0 ? 0x1p-54 : 1.0;
+    const double er = e + ROUND;
+    uint64_t bits;
+    memcpy(&bits, &er, sizeof bits);
+    bits = (bits - ROUND_BITS + 1023) << 52;
+    double scale;
+    memcpy(&scale, &bits, sizeof scale);
+    const double v = (y * scale) * post;
+    return x != x ? x : x > EXP_MAX ? INFINITY : x < EXP_MIN ? 0.0 : v;
+}
+
+/* log sqrt(2 pi), rounded */
+static const double LOG_SQRT_2PI = 0x1.d67f1c864beb5p-1;
+
+/* The standard normal density phi(u) = exp(-u^2 / 2 - log sqrt(2 pi)), one
+ * exp and no division. */
+static inline double normal_pdf(double u)
+{
+    return own_exp(-0.5 * (u * u) - LOG_SQRT_2PI);
+}
+
+/* W. J. Cody's rational Chebyshev fits of erf and erfc (Math. Comp. 23,
+ * 1969) as cephes's ndtr.c holds them (Cephes Math Library 2.9, Copyright
+ * 1984-2000 Stephen L. Moshier), which scipy.special.ndtr evaluates too:
+ * erfc(z) = exp(-z^2) P(z) / Q(z) for 1 <= z < 8 and exp(-z^2) R(z) / S(z)
+ * beyond, erf(x) = x T(x^2) / U(x^2) for |x| < 1; Q, S and U have a leading
+ * coefficient 1, not stored. */
+static const double NDTR_P[9] = {
+    2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+    4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+    9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2};
+static const double NDTR_Q[8] = {
+    1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+    9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+    1.65666309194161350182E3, 5.57535340817727675546E2};
+static const double NDTR_R[6] = {
+    5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+    6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0};
+static const double NDTR_S[6] = {
+    2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+    1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0};
+static const double NDTR_T[5] = {
+    9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+    7.00332514112805075473E3, 5.55923013010394962768E4};
+static const double NDTR_U[5] = {
+    3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+    2.26290000613890934246E4, 4.92673942608635921086E4};
+/* 1 / sqrt(2) rounded, and cephes's MAXLOG, log(DBL_MAX) rounded */
+static const double SQRT1_2 = 0x1.6a09e667f3bcdp-1, MAXLOG = 0x1.62e42fefa39efp+9;
+
+/* c[0] x^len-1 + ... + c[len-1] by Horner's rule, and the same with a
+ * leading coefficient 1 before c */
+static inline double poly(double x, const double *c, int len)
+{
+    double a = c[0];
+    for (int i = 1; i < len; i++)
+        a = a * x + c[i];
+    return a;
+}
+
+static inline double poly1(double x, const double *c, int len)
+{
+    double a = x + c[0];
+    for (int i = 1; i < len; i++)
+        a = a * x + c[i];
+    return a;
+}
+
+/* The standard normal CDF as cephes's ndtr computes it, with own_exp:
+ *   |x| < 1/sqrt 2:  1/2 + erf(x) / 2, x = a / sqrt 2
+ *   |x| < 1:         erfc(|x|) = 1 - erf(|x|)
+ *   -x^2 < -MAXLOG:  erfc(|x|) = 0
+ *   |x| < 8:         erfc(|x|) = exp(-x^2) P(|x|) / Q(|x|), else R / S
+ * and Phi = erfc(|x|) / 2, or 1 less that for x > 0.  Every branch is
+ * computed and one selected, so it takes no branch either; erf(|x|) is
+ * |erf(x)| bit for bit, as the fit is odd. */
+static inline double normal_cdf(double a)
+{
+    const double x = a * SQRT1_2, z = fabs(x), w = x * x, zz = -z * z;
+    const double erf_x = x * poly(w, NDTR_T, 5) / poly1(w, NDTR_U, 5);
+    const double ex = own_exp(zz);
+    const double near = ex * poly(z, NDTR_P, 9) / poly1(z, NDTR_Q, 8);
+    const double far = ex * poly(z, NDTR_R, 6) / poly1(z, NDTR_S, 6);
+    const double e = z < 1.0 ? 1.0 - fabs(erf_x) : zz < -MAXLOG ? 0.0 : z < 8.0 ? near : far;
+    const double y = 0.5 * e;
+    return z < SQRT1_2 ? 0.5 + 0.5 * erf_x : x > 0.0 ? 1.0 - y : y;
+}
+
+/* Rows per block.  Each block's terms are computed by a loop of exactly
+ * BLOCK lanes, which vectorizes with no remainder loop, into a stack buffer;
+ * a last, partial block is copied into padded buffers first, and its spare
+ * lanes are never read.  The terms are then summed in row order. */
+#define BLOCK 256
+
+/* The elementwise loops, built for the widest vectors the CPU has (the
+ * loader picks one at load time); every lane does the scalar arithmetic, so
+ * the width changes no bit. */
+#define VECTORIZED __attribute__((target_clones("avx512f", "avx2", "default")))
+
+/* g[i] Phi(u) at u = (x[i] - t[i]) / sigma */
+VECTORIZED static void cdf_terms(const double *restrict x, const double *restrict g,
+                                 const double *restrict t, double sigma, double *restrict out)
+{
+    for (int i = 0; i < BLOCK; i++)
+        out[i] = g[i] * normal_cdf((x[i] - t[i]) / sigma);
+}
+
+/* g[i] phi(u) and g[i] ((-c) phi(u)), c being u clipped to [-40, 40] */
+VECTORIZED static void pdf_terms(const double *restrict x, const double *restrict g,
+                                 const double *restrict t, double sigma, double *restrict out0,
+                                 double *restrict out1)
+{
+    for (int i = 0; i < BLOCK; i++) {
+        const double u = (x[i] - t[i]) / sigma;
+        const double c = u < -40.0 ? -40.0 : u > 40.0 ? 40.0 : u;
+        const double e = normal_pdf(u);
+        out0[i] = g[i] * e;
+        out1[i] = g[i] * ((-c) * e);
+    }
+}
+
+#pragma GCC pop_options
+
+/* v[lo..lo+len-1] itself when it fills a block, else a copy padded with 0 */
+static const double *block_of(const double *v, int64_t lo, int len, double *pad)
+{
+    if (len == BLOCK)
+        return v + lo;
+    memcpy(pad, v + lo, (size_t)len * sizeof *pad);
+    memset(pad + len, 0, (size_t)(BLOCK - len) * sizeof *pad);
+    return pad;
+}
+
+/* a + v[0] + ... + v[len-1], added in order */
+static inline double add_in_order(double a, const double *v, int len)
+{
+    for (int i = 0; i < len; i++)
+        a = a + v[i];
+    return a;
+}
+
+/* The sums behind the smoothed objective with the normal CDF kernel, at
+ * each threshold t[j], over rows i with u = (x[i] - t[j]) / sigma:
+ *   order 0: out[j] = sum g[i] Phi(u)
+ *   order 1: out[j] = sum g[i] phi(u) and out[m + j] = sum g[i] ((-c) phi(u)),
+ *            c being u clipped to [-40, 40]; both from one phi per row
+ * (the kernel's k, k' and k'').  phi(u) is 0 wherever |u| > 38.6, so the
+ * clip only makes u = +-inf give 0, not NaN.  Each sum runs in row order
+ * from its first term, n >= 1, as np.cumsum does.  A single row's sums are
+ * its terms, computed for a block of thresholds at once as the terms of
+ * rows -t[j] at the threshold -x[0]: (-t) - (-x) is x - t, bit for bit. */
+void tr_smoothed(const double *x, const double *g, int64_t n, double sigma, const double *t, int64_t m,
+                 int64_t order, double *out)
+{
+    double terms0[BLOCK], terms1[BLOCK], at[BLOCK], pad_x[BLOCK], pad_g[BLOCK];
+    if (n == 1) {
+        for (int i = 0; i < BLOCK; i++) {
+            at[i] = -x[0];
+            pad_g[i] = g[0];
+        }
+        for (int64_t lo = 0; lo < m; lo += BLOCK) {
+            const int len = m - lo < BLOCK ? (int)(m - lo) : BLOCK;
+            for (int i = 0; i < BLOCK; i++)
+                pad_x[i] = i < len ? -t[lo + i] : 0.0;
+            if (order == 0) {
+                cdf_terms(pad_x, pad_g, at, sigma, terms0);
+            } else {
+                pdf_terms(pad_x, pad_g, at, sigma, terms0, terms1);
+                memcpy(out + m + lo, terms1, (size_t)len * sizeof *out);
+            }
+            memcpy(out + lo, terms0, (size_t)len * sizeof *out);
+        }
+        return;
+    }
+    for (int64_t j = 0; j < m; j++) {
+        double a = 0.0, b = 0.0;
+        for (int i = 0; i < BLOCK; i++)
+            at[i] = t[j];
+        for (int64_t lo = 0; lo < n; lo += BLOCK) {
+            const int len = n - lo < BLOCK ? (int)(n - lo) : BLOCK, first = lo == 0;
+            const double *xb = block_of(x, lo, len, pad_x), *gb = block_of(g, lo, len, pad_g);
+            if (order == 0) {
+                cdf_terms(xb, gb, at, sigma, terms0);
+            } else {
+                pdf_terms(xb, gb, at, sigma, terms0, terms1);
+                b = add_in_order(first ? terms1[0] : b, terms1 + first, len - first);
+            }
+            a = add_in_order(first ? terms0[0] : a, terms0 + first, len - first);
+        }
+        out[j] = a;
+        if (order != 0)
+            out[m + j] = b;
+    }
+}
+
+/* The Gaussian-weighted local polynomial fit with p = degree + 1
+ * coefficients (p <= 4) at point: least squares of s_i y_i on the rows
+ * s_i (1, u_i, ..., u_i^(p-1)), u_i = (x[i] - point) / bw and s_i =
+ * sqrt(phi(u_i)), each power the one before times u_i.  work holds the n x
+ * (p + 1) design beside its response, row-major; n > p.  The solve is
+ * Householder QR, as LAPACK's dgeqr2 reflects (beta = -sign(alpha)
+ * sqrt(alpha^2 + |x|^2), no reflection where |x| = 0), every sum over rows
+ * sequential in row order, then back substitution.
+ *
+ * The rank rule: the rank is the number of diagonal entries R_kk of R with
+ * |R_kk| > n eps max_j |R_jj|, eps = 2^-52 (np.linalg.lstsq's default
+ * cutoff, eps max(n, p), applied to R's diagonal, not to singular values).
+ * Returns the rank; beta[0..p-1] is written only when it is p. */
+int64_t tr_local_fit(const double *x, const double *y, int64_t n, double point, double bw, int64_t p,
+                     double *work, double *beta)
+{
+    const int64_t w = p + 1;
+    double diag[4], s[5], norm2 = 0.0, phi[BLOCK], spare[BLOCK], pad[BLOCK], ones[BLOCK], at[BLOCK];
+    for (int i = 0; i < BLOCK; i++) {
+        ones[i] = 1.0;
+        at[i] = point;
+    }
+    for (int64_t lo = 0; lo < n; lo += BLOCK) {
+        const int len = n - lo < BLOCK ? (int)(n - lo) : BLOCK;
+        pdf_terms(block_of(x, lo, len, pad), ones, at, bw, phi, spare);
+        for (int b = 0; b < len; b++) {
+            const int64_t i = lo + b;
+            const double u = (x[i] - point) / bw, root = sqrt(phi[b]);
+            double *row = work + i * w, power = 1.0;
+            for (int64_t j = 0; j < p; j++) {
+                row[j] = root * power;
+                power = power * u;
+            }
+            row[p] = root * y[i];
+            const double sq = row[0] * row[0];
+            norm2 = i == 1 ? sq : i > 1 ? norm2 + sq : norm2;
+        }
+    }
+    for (int64_t k = 0; k < p; k++) {
+        double *top = work + k * w;
+        const double alpha = top[k];
+        if (norm2 == 0.0) { /* nothing below the diagonal: no reflection */
+            diag[k] = alpha;
+        } else {
+            const double nrm = sqrt(alpha * alpha + norm2);
+            const double beta_k = alpha >= 0.0 ? -nrm : nrm;
+            const double tau = (beta_k - alpha) / beta_k, d = alpha - beta_k;
+            for (int64_t j = k + 1; j < w; j++)
+                s[j] = top[j];
+            for (int64_t i = k + 1; i < n; i++) {
+                double *row = work + i * w;
+                row[k] = row[k] / d;
+                for (int64_t j = k + 1; j < w; j++)
+                    s[j] = s[j] + row[k] * row[j];
+            }
+            for (int64_t j = k + 1; j < w; j++) {
+                s[j] = tau * s[j];
+                top[j] = top[j] - s[j];
+            }
+            top[k] = beta_k;
+            diag[k] = beta_k;
+            for (int64_t i = k + 1; i < n; i++) {
+                double *row = work + i * w;
+                for (int64_t j = k + 1; j < w; j++)
+                    row[j] = row[j] - s[j] * row[k];
+            }
+        }
+        /* the squares below the next diagonal entry */
+        if (k + 1 < p) {
+            norm2 = 0.0;
+            for (int64_t i = k + 2; i < n; i++) {
+                const double v = work[i * w + k + 1];
+                norm2 = i == k + 2 ? v * v : norm2 + v * v;
+            }
+        }
+    }
+    double largest = 0.0;
+    for (int64_t k = 0; k < p; k++)
+        largest = fabs(diag[k]) > largest ? fabs(diag[k]) : largest;
+    const double tol = (double)n * DBL_EPSILON * largest;
+    int64_t rank = 0;
+    for (int64_t k = 0; k < p; k++)
+        rank += fabs(diag[k]) > tol;
+    if (rank == p) {
+        for (int64_t k = p - 1; k >= 0; k--) {
+            double acc = work[k * w + p];
+            for (int64_t j = k + 1; j < p; j++)
+                acc = acc - work[k * w + j] * beta[j];
+            beta[k] = acc / work[k * w + k];
+        }
+    }
+    return rank;
+}
+

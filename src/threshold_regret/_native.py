@@ -13,14 +13,17 @@ never sets another aside, and a process that wants one kernel never pays
 the others' checks.  If a step fails (no compiler, a read-only package
 directory, a failed build or load, a result that differs) ``kernel``
 returns None and the caller keeps its numpy code, whose results are the
-same bit for bit.  There are three kernels.  The bootstrap chunk and the
+same bit for bit.  There are five kernels.  The bootstrap chunk and the
 Chernoff block repeat numpy's own PCG64, the bootstrap its seeding and
 bounded integers and the Chernoff block its normal sampler, so under a
 numpy whose stream differs from the one they copy (see ``_kernels.c``) the
 kernel concerned fails its check and its numpy loop runs.  The CSV parser
 converts decimals as ``float`` does; its check holds a token for each branch
 of the conversion (``PARSE_CHECK``), and without it ``np.loadtxt`` reads the
-file.  The module is imported only when a kernel is first wanted, so
+file.  ``tr_smoothed`` and ``tr_local_fit`` compute the normal law's sums
+(see ``kernels`` and ``nuisance``); their checks take every branch of Phi,
+exp arguments near underflow and a rank-deficient design
+(``SMOOTHED_CHECK``, ``_local_fit_agrees``).  The module is imported only when a kernel is first wanted, so
 ``import threshold_regret`` loads none of ``sysconfig``, ``hashlib`` or
 ``subprocess``.
 """
@@ -37,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-# after the source, so the linker keeps -lm for the exp and log1p it calls
+# after the source, so the linker keeps -lm for the exp, log1p, ldexp and sqrt it calls
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-lm")
 
 
@@ -81,6 +84,14 @@ def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.tr_parse_csv.restype = i64
     lib.tr_parse_csv.argtypes = [array(np.uint8), i64, i64, i64, array(f64), i64]
+    # called many times on small arrays, so they take bare addresses: an
+    # ndpointer check costs about 4 us an array, several times the sum itself
+    # at n = 500; their callers pass C-contiguous float64 (see kernels, nuisance)
+    ptr = ctypes.c_void_p
+    lib.tr_smoothed.restype = None
+    lib.tr_smoothed.argtypes = [ptr, ptr, i64, f64, ptr, i64, i64, ptr]
+    lib.tr_local_fit.restype = i64
+    lib.tr_local_fit.argtypes = [ptr, ptr, i64, f64, f64, i64, ptr, ptr]
     lib.tr_chernoff_block.restype = None
     lib.tr_chernoff_block.argtypes = [
         array(np.uint64, (4,), ("C_CONTIGUOUS", "WRITEABLE")), i64, i64, f64, array(f64), array(np.int64), array(f64),
@@ -171,6 +182,59 @@ def _parse_agrees(lib: ctypes.CDLL) -> bool:
     return got is not None and got.tobytes() == want.tobytes() and _parse_rows(lib.tr_parse_csv, b"1,2\n", 0, 2, 1) is None
 
 
+# the values checked at load time, each u of Phi, phi and k'': every branch of
+# Phi (cephes's erf below |u| = 1, its erfc fits below and beyond |u| = 8
+# sqrt 2, the cut past |u| = 37.7 where exp(-u^2 / 2) < 1 / DBL_MAX), exp
+# arguments near and past underflow (subnormal phi at |u| = 38.5), a signed
+# zero and the clip of k'' at 40
+SMOOTHED_CHECK = (0.0, -0.0, 0.3, -0.9, 1.2, -1.3, 3.0, -7.5, 11.0, -11.5, 20.0, -20.0, -37.6, -37.8, 38.5,
+                  -38.57, 38.7, 45.0, -1e300)
+
+
+def _same(a, b) -> bool:
+    """Equal bits, or NaN in both places."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def _smoothed_agrees(lib: ctypes.CDLL) -> bool:
+    from .kernels import _cdf, _k2, _pdf, _pointwise, _row_sums, _sums
+
+    u = np.array(SMOOTHED_CHECK)
+    for order, which, f in ((0, 0, _cdf), (1, 0, _pdf), (1, 1, _k2)):
+        if not _same(_pointwise(lib.tr_smoothed, u, order)[which], f(u)):
+            return False
+    # sums in row order over the same rows, at thresholds that shift them
+    g = np.linspace(-2.0, 3.0, len(u)) ** 3
+    t = np.array([0.0, 0.7, -5.0])
+    for order, funcs in ((0, (_cdf,)), (1, (_pdf, _k2))):
+        if not all(map(_same, _sums(lib.tr_smoothed, u, g, 0.5, t, order), _row_sums(u, g, 0.5, t, funcs))):
+            return False
+    return True
+
+
+def _local_fit_agrees(lib: ctypes.CDLL) -> bool:
+    from .nuisance import _compiled_local_fit, _numpy_local_fit
+
+    rng = np.random.default_rng(3)
+    # rows whose weight's exp argument lies near underflow (|u| = 38.4 and
+    # 38.55, subnormal phi) and past it (u = 59.9, phi 0)
+    x = np.concatenate((rng.standard_normal(40), [38.5, -38.45, 60.0]))
+    y = x**3 - x + rng.standard_normal(len(x))
+    # full rank at degrees 1 and 3, and rank 2 where x holds two values
+    for x, p in ((x, 2), (x, 4), (np.repeat([0.2, -0.4], 20), 4)):
+        got = np.empty((len(x), p + 1)), np.empty(p)
+        want = np.empty((len(x), p + 1)), np.full(p, np.nan)
+        got[1][:] = np.nan
+        rank = _compiled_local_fit(lib.tr_local_fit, x, y[: len(x)], 0.1, 1.0, p, *got)
+        if rank != _numpy_local_fit(x, y[: len(x)], 0.1, 1.0, p, *want) or not _same(got[1], want[1]):
+            return False
+        if rank != (p if p == 2 or len(set(x)) > 2 else 2):
+            return False
+    return True
+
+
 @functools.cache
 def _library() -> ctypes.CDLL | None:
     """The built, loaded and typed library, or None when it cannot be built or loaded."""
@@ -186,7 +250,8 @@ def _library() -> ctypes.CDLL | None:
         return None
 
 
-CHECKS = {"tr_bootstrap_chunk": _bootstrap_agrees, "tr_chernoff_block": _block_agrees, "tr_parse_csv": _parse_agrees}
+CHECKS = {"tr_bootstrap_chunk": _bootstrap_agrees, "tr_chernoff_block": _block_agrees, "tr_parse_csv": _parse_agrees,
+          "tr_smoothed": _smoothed_agrees, "tr_local_fit": _local_fit_agrees}
 
 
 @functools.cache

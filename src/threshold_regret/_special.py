@@ -1,18 +1,12 @@
-"""The package's one scipy import site: three ``scipy.special`` ufuncs, imported on first call.
+"""The package's one scipy import site: two ``scipy.special`` ufuncs, imported on first call.
 
 Importing ``scipy.special`` takes about 0.3 s, more than half of a fresh
 ``import threshold_regret.cli``, so the import waits until a function
 below is first called.  Commands that never call one (``chernoff``,
-``estimate --policy ewm``, ``infer --method plugin|bootstrap``) never load
+``estimate``, ``infer --policy ewm --method plugin|bootstrap``) never load
 scipy.  Each wrapper calls the ufunc itself, so results are bit-identical.
+The normal CDF is the library's own (``kernels.norm_cdf``).
 """
-
-
-def ndtr(x):
-    """Standard normal CDF, ``scipy.special.ndtr``."""
-    import scipy.special
-
-    return scipy.special.ndtr(x)
 
 
 def erfinv(y):

@@ -193,7 +193,8 @@ def asymptotic_row(
 ) -> dict:
     """Report row of both policies' asymptotic mean and median regret at n.
 
-    The smoothed policy is taken at its regret-optimal lambda*; at A = 0,
+    The smoothed policy is taken at its regret-optimal lambda*, its mean and
+    median from the one law :func:`swm_regret_dist` gives there; at A = 0,
     where lambda* is undefined, its cells are None.
     """
     ewm_dist = ewm_regret_dist(K, H, n, chernoff)
@@ -209,8 +210,8 @@ def asymptotic_row(
         "A": A,
     }
     if A != 0:
-        row["swm_mean"] = optimal_lambda_mean(K, H, A, kernel, n)
-        lam_star = kernel.optimal_lambda(K, A)
-        row["swm_median"] = swm_regret_dist(K, H, A, lam_star, kernel, n).median
+        swm_dist = swm_regret_dist(K, H, A, kernel.optimal_lambda(K, A), kernel, n)
+        row["swm_mean"] = swm_dist.mean
+        row["swm_median"] = swm_dist.median
     return row
 

@@ -86,11 +86,13 @@ def _check_level(level: float) -> None:
 
 
 def _require_positive_slope(h_hat: float) -> None:
-    if h_hat <= 0:
+    if h_hat < 0:
         raise NumericError(
             f"H_hat = {h_hat} is not positive: the estimated welfare slope is "
             "inconsistent with an interior maximum"
         )
+    if h_hat == 0:  # x of extreme scale can also underflow it
+        raise NumericError(f"H_hat = {h_hat} is not positive: the estimated welfare slope is 0 or below the least double")
 
 
 def ewm_ci(

@@ -26,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import ndtr
 from ._workers import parallel_map, require_int
 from .asymptotics import asymptotic_row
 from .chernoff import ChernoffTable
 from .data import Sample, default_space, regret
 from .errors import ThresholdRegretError, ValidationError
 from .ewm import fit_ewm
-from .kernels import gaussian_cdf_kernel, norm_pdf
+from .kernels import PHI0, gaussian_cdf_kernel, norm_cdf, norm_pdf
 from .swm import LambdaRate, PlugInOptimal, fit_swm
 
 __all__ = [
@@ -81,27 +80,27 @@ class Dgp:
     def welfare(self, t: float) -> float:
         """Population welfare W(t) of the policy treat iff X > t."""
         t = float(t)
-        phi = norm_pdf(t)
-        big_phi = float(ndtr(t))
+        phi = float(norm_pdf(t))
+        big_phi = float(norm_cdf(t))
         return float(
             (t * t + 2.0) * phi + self.beta2 * (1.0 - big_phi + t * phi) + self.beta1 * phi
         )
 
     @property
     def K(self) -> float:
-        phi0 = float(norm_pdf(0.0))
-        return phi0 * (self.gamma**2 / self.p + self.gamma**2 / (1.0 - self.p))
+        return PHI0 * (self.gamma**2 / self.p + self.gamma**2 / (1.0 - self.p))
 
     @property
     def H(self) -> float:
-        return float(norm_pdf(0.0)) * self.beta1
+        return PHI0 * self.beta1
 
     @property
     def A(self) -> float:
-        return -float(norm_pdf(0.0)) * self.beta2
+        return -PHI0 * self.beta2
 
     def conditional_mean_treated(self, x):
-        return x**3 + self.beta2 * x**2 + self.beta1 * x
+        # products, not powers: numpy's SIMD power rounds differently on different CPUs
+        return x * x * x + self.beta2 * (x * x) + self.beta1 * x
 
 
 MODEL1 = Dgp(name="model1", gamma=1.0, beta1=1.0, beta2=-0.5, p=0.5)

@@ -14,6 +14,12 @@ kernel density estimate together with per-arm local polynomial regressions:
 where kappa_j is the conditional second moment of the arm-j outcome and
 nu_j its conditional mean.  The feasible regret-optimal bandwidth follows as
 lambda* = alpha2 K_hat / (4 A_hat^2), sigma* = (lambda*/n)^(1/5).
+
+Every weighted sum over the rows (the density and its slope, the local
+propensity, the effective counts) is a sum of the library's own phi in row
+order (``kernels.normal_sums``), and each local fit a Householder QR solve
+with a stated rank rule (``tr_local_fit`` in ``_kernels.c``, or its numpy
+transcription), so the estimates have one set of bits on every host.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .data import Sample
 from .errors import ArmDataError, NumericError, RankDeficiencyError, ValidationError
-from .kernels import Kernel, gaussian_cdf_kernel, norm_pdf
+from .kernels import PHI0, Kernel, _pdf, gaussian_cdf_kernel, normal_sums
 
 __all__ = ["NuisanceEstimates", "kde", "local_poly", "estimate_khA", "optimal_bandwidth"]
 
@@ -52,6 +58,14 @@ class NuisanceEstimates:
     reg_bandwidth: float
 
 
+def _weight_sums(x, g, point: float, bandwidth: float) -> tuple[float, float]:
+    """(sum_i g_i phi(u_i), sum_i g_i u_i phi(u_i)) at u_i = (x_i - point) / bandwidth, in row order."""
+    level, slope = normal_sums(np.asarray(x, dtype=float), np.asarray(g, dtype=float), bandwidth,
+                               np.array([float(point)]), 1)
+    # the kernel's k'' is -u phi(u), and a sum of negated terms is the negated sum
+    return float(level[0]), -float(slope[0])
+
+
 def kde(x: np.ndarray, point: float, bandwidth: float, derivative: int = 0) -> float:
     """Gaussian kernel estimate of the density (or its first derivative) at a point."""
     x = np.asarray(x, dtype=float)
@@ -61,11 +75,10 @@ def kde(x: np.ndarray, point: float, bandwidth: float, derivative: int = 0) -> f
         raise ValidationError(f"kde needs at least 5 observations, got {len(x)}")
     if derivative not in (0, 1):
         raise ValidationError(f"derivative must be 0 or 1, got {derivative}")
-    u = (x - point) / bandwidth
-    w = norm_pdf(u)
+    level, slope = _weight_sums(x, np.ones(len(x)), point, bandwidth)
     if derivative == 0:
-        return float(np.mean(w)) / bandwidth
-    return float(np.mean(u * w)) / bandwidth**2
+        return level / len(x) / bandwidth
+    return slope / len(x) / bandwidth / bandwidth
 
 
 def local_poly(
@@ -88,24 +101,77 @@ def local_poly(
     return _poly_derivative(beta, derivative, bandwidth)
 
 
+def _numpy_local_fit(x, y, point: float, bandwidth: float, p: int, work: np.ndarray, beta: np.ndarray) -> int:
+    """``tr_local_fit`` of ``_kernels.c`` in numpy, operation for operation, every row sum by np.cumsum."""
+    with np.errstate(all="ignore"):
+        u = (x - point) / bandwidth
+        root = np.sqrt(_pdf(u))
+        power = np.ones(len(x))
+        for j in range(p):
+            work[:, j] = root * power
+            power = power * u
+        work[:, p] = root * y
+        diag = []
+        for k in range(p):
+            below = work[k + 1 :]
+            alpha = work[k, k]
+            norm2 = np.cumsum(below[:, k] * below[:, k])[-1]
+            if norm2 == 0.0:
+                diag.append(alpha)
+                continue
+            nrm = np.sqrt(alpha * alpha + norm2)
+            beta_k = -nrm if alpha >= 0.0 else nrm
+            tau = (beta_k - alpha) / beta_k
+            below[:, k] = below[:, k] / (alpha - beta_k)
+            s = tau * np.cumsum(np.concatenate((work[k : k + 1, k + 1 :], below[:, k : k + 1] * below[:, k + 1 :])),
+                                axis=0)[-1]
+            work[k, k + 1 :] = work[k, k + 1 :] - s
+            work[k, k] = beta_k
+            diag.append(beta_k)
+            below[:, k + 1 :] = below[:, k + 1 :] - s * below[:, k : k + 1]
+        diag = np.abs(np.array(diag))
+        rank = int(np.sum(diag > len(x) * np.finfo(float).eps * np.fmax.reduce(diag, initial=0.0)))
+        if rank == p:
+            for k in range(p - 1, -1, -1):
+                acc = work[k, p]
+                for j in range(k + 1, p):
+                    acc = acc - work[k, j] * beta[j]
+                beta[k] = acc / work[k, k]
+    return rank
+
+
+def _compiled_local_fit(fit, x, y, point: float, bandwidth: float, p: int, work: np.ndarray, beta: np.ndarray) -> int:
+    """``tr_local_fit`` on C-contiguous float64 arrays, by address (see ``_native``)."""
+    return fit(x.ctypes.data, y.ctypes.data, len(x), point, bandwidth, p, work.ctypes.data, beta.ctypes.data)
+
+
 def _local_poly_fit(x, y, point: float, bandwidth: float, degree: int) -> np.ndarray:
-    """Coefficients of the Gaussian-weighted local polynomial in ``(x - point) / bandwidth``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Coefficients of the Gaussian-weighted local polynomial in ``(x - point) / bandwidth``.
+
+    Solved by ``tr_local_fit`` (Householder QR; its rank rule is in
+    ``_kernels.c``) once it has loaded and passed its check, else by its
+    numpy transcription, with the same bits.
+    """
+    from . import _native
+
+    x = np.ascontiguousarray(x, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     if not bandwidth > 0:
         raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
     if len(x) < degree + 2:
         raise RankDeficiencyError(
             f"local polynomial of degree {degree} needs at least {degree + 2} points, got {len(x)}"
         )
-    u = (x - point) / bandwidth
-    w = norm_pdf(u)
-    sw = np.sqrt(w)
-    design = sw[:, None] * np.vander(u, degree + 1, increasing=True)
-    beta, _, rank, _ = np.linalg.lstsq(design, sw * y, rcond=None)
-    if rank < degree + 1:
+    p = degree + 1
+    work, beta = np.empty((len(x), p + 1)), np.empty(p)
+    fit = _native.kernel("tr_local_fit") if p <= 4 else None  # the kernel holds at most cubics
+    if fit is None:
+        rank = _numpy_local_fit(x, y, point, bandwidth, p, work, beta)
+    else:
+        rank = _compiled_local_fit(fit, x, y, point, bandwidth, p, work, beta)
+    if rank < p:
         raise RankDeficiencyError(
-            f"rank-deficient local fit at point {point} (rank {rank} < {degree + 1}); "
+            f"rank-deficient local fit at point {point} (rank {rank} < {p}); "
             f"too little data within bandwidth {bandwidth}"
         )
     return beta
@@ -113,27 +179,39 @@ def _local_poly_fit(x, y, point: float, bandwidth: float, degree: int) -> np.nda
 
 def _poly_derivative(beta: np.ndarray, derivative: int, bandwidth: float) -> float:
     """The derivative-th derivative at the centre of a local fit, in x units."""
-    return math.factorial(derivative) * float(beta[derivative]) / bandwidth**derivative
+    value = math.factorial(derivative) * float(beta[derivative])
+    for _ in range(derivative):  # one division at a time: bandwidth**2 may overflow where the result does not
+        value = value / bandwidth
+    return value
 
 
 def _effective_count(x: np.ndarray, point: float, bandwidth: float) -> float:
     """Number of full-weight-equivalent observations near the point."""
-    u = (np.asarray(x, dtype=float) - point) / bandwidth
-    return float(np.sum(norm_pdf(u))) / norm_pdf(0.0)
+    return _weight_sums(x, np.ones(len(x)), point, bandwidth)[0] / PHI0
 
 
 def _sd(x: np.ndarray) -> float:
-    s = float(np.std(x))
+    """Standard deviation of x, or 1.0 when every x is equal.
+
+    Where the squared deviations under- or overflow (a spread beyond about
+    1e+-150), it is taken again at a power-of-two scale, which elsewhere
+    would change no bit.
+    """
+    with np.errstate(over="ignore"):
+        s = float(np.std(x))
+    if not 1e-150 < s < 1e150:
+        top = float(np.max(np.abs(x)))
+        shift = math.frexp(top)[1] if 0.0 < top < math.inf else 0
+        s = math.ldexp(float(np.std(np.ldexp(x, -shift))), shift)
     return s if s > 0 else 1.0
 
 
 def _local_propensity(sample: Sample, point: float, bandwidth: float) -> float:
     """Kernel-weighted propensity at the point; exact for constant designs."""
-    w = norm_pdf((sample.x - point) / bandwidth)
-    total = float(np.sum(w))
+    total = _weight_sums(sample.x, np.ones(sample.n), point, bandwidth)[0]
     if total <= 0:
         return float(np.mean(sample.propensity))
-    return float(np.dot(w, sample.propensity)) / total
+    return _weight_sums(sample.x, sample.propensity, point, bandwidth)[0] / total
 
 
 def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) -> NuisanceEstimates:

@@ -27,6 +27,11 @@ they alone are evaluated exactly, so the estimate is the one a full exact
 grid gives.  A kernel whose ``k2_sup`` is ``inf`` has every point evaluated.
 The bound is written in step / sigma, so an extreme sigma makes it infinite
 and keeps every point rather than overflowing.
+
+Exact values of S_n, and S_n' with S_n'' for the Newton steps, are the
+kernel's weighted sums in row order (``Kernel.sums``), one form for a batch
+of thresholds and for one.  The normal CDF kernel's run compiled, with the
+library's own phi and Phi, so a fit has one set of bits on every host.
 """
 
 from __future__ import annotations
@@ -112,37 +117,32 @@ BandwidthRule = Union[FixedBandwidth, LambdaRate, PlugInOptimal, Undersmoothed]
 
 
 def _smoothed(g, x, kernel, sigma, t, order=0):
-    """S_n (order 0) or its t-derivatives S_n' and S_n'' (orders 1, 2) from the IPW scores ``g``.
+    """S_n (order 0), or S_n' and S_n'' together (order 1), from the IPW scores ``g``.
 
-    A scalar ``t`` gives a float from one 1-D product.  An array of
-    thresholds gives one value each, as rows of a matrix product taken in
-    chunks that bound memory.  The two forms can differ in the last bit, so
-    the grid always takes the array form and the refinement the scalar one.
+    One value per threshold in ``t`` (a scalar gives arrays of one), from
+    :meth:`Kernel.sums`, whose sums run in row order, so a threshold's value
+    does not depend on the others it is evaluated with.
     """
-    k = (kernel.k, kernel.k1, kernel.k2)[order]
-    scale = len(x) * (1.0, -sigma, sigma)[order]
-    if not isinstance(t, np.ndarray) or t.ndim == 0:
-        value = float(np.dot(g, k((x - t) / sigma))) / scale
-    else:
-        chunk = max(1, 4_000_000 // len(x))
-        rows = (t[lo : lo + chunk, None] for lo in range(0, len(t), chunk))
-        value = np.concatenate([k((x[None, :] - r) / sigma) @ g / scale for r in rows])
+    sums = kernel.sums(x, g, sigma, np.atleast_1d(np.asarray(t, dtype=float)), order)
+    n = len(x)
+    if order == 0:
+        return sums[0] / n
     # the second sigma of S_n'' is divided separately, so a tiny sigma gives inf, never 1/0
-    return value / sigma if order == 2 else value
+    return sums[0] / (n * -sigma), sums[1] / (n * sigma) / sigma
 
 
 def smoothed_objective(sample: Sample, kernel: Kernel, sigma: float, t: float) -> float:
     """Kernel-smoothed sample welfare difference at threshold ``t``."""
     if not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    return _smoothed(_ipw_g(sample), sample.x, kernel, sigma, t)
+    return float(_smoothed(_ipw_g(sample), sample.x, kernel, sigma, t)[0])
 
 
 def smoothed_objective_derivative(sample: Sample, kernel: Kernel, sigma: float, t: float) -> float:
     """Analytic t-derivative of :func:`smoothed_objective`."""
     if not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    return _smoothed(_ipw_g(sample), sample.x, kernel, sigma, t, order=1)
+    return float(_smoothed(_ipw_g(sample), sample.x, kernel, sigma, t, order=1)[0][0])
 
 
 def _grid_candidates(g, x, kernel, sigma, space, n_pts):
@@ -159,36 +159,42 @@ def _grid_candidates(g, x, kernel, sigma, space, n_pts):
     step = space.width / span
     pad = math.ceil(min(_TAIL_SIGMAS * sigma / step, _PAD_CAP))
     pos = (x - space.lo) / step
-    m0 = min(max(math.floor(pos.min()), -pad), span)
-    m1 = max(min(math.floor(pos.max()) + 1, span + pad), 0)
-    left = pos < m0
-    right = pos > m1
-    near = ~(left | right)
+    lowest, highest = float(pos.min()), float(pos.max())
+    m0 = min(max(math.floor(lowest), -pad), span)
+    m1 = max(min(math.floor(highest) + 1, span + pad), 0)
     abs_g = np.abs(g)
+    beyond = not m0 <= lowest <= highest <= m1  # some rows lie farther out than the pad
+    g_near, abs_near = g, abs_g
+    if beyond:
+        left = pos < m0
+        right = pos > m1
+        near = ~(left | right)
+        pos, g_near, abs_near = pos[near], g[near], abs_g[near]
 
     # linear binning onto the sub-cell nodes m0..m1
-    p = pos[near] - m0
+    p = pos - m0
     cell = np.minimum(p.astype(np.intp), m1 - m0 - 1)
     w = p - cell
-    g_near = g[near]
     bins = np.bincount(cell, weights=g_near * (1.0 - w), minlength=m1 - m0 + 1)
     bins += np.bincount(cell + 1, weights=g_near * w, minlength=m1 - m0 + 1)
 
     # approx[j] = sum_m bins[m] k((m0 + m - _SUBCELLS j) step / sigma), read
-    # off the correlation of bins with k sampled at offsets m0 - span .. m1
+    # off the correlation of bins with k sampled at offsets m0 - span .. m1;
+    # k at -c and c, the pad's ends, bounds the tails of the rows beyond it
     offsets = np.arange(m0 - span, m1 + 1)
-    k_samples = kernel.k(offsets * step / sigma)
+    c = pad * step / sigma
+    k_samples = kernel.k(np.concatenate((offsets * step / sigma, [-c, c])))
     size = 1 << (len(offsets) - 1).bit_length()
     corr = np.fft.irfft(
-        np.conj(np.fft.rfft(bins, size)) * np.fft.rfft(k_samples, size), size
+        np.conj(np.fft.rfft(bins, size)) * np.fft.rfft(k_samples[:-2], size), size
     )
-    approx = corr[span::-_SUBCELLS] + float(np.sum(g[right]))
+    approx = corr[span::-_SUBCELLS]
 
     h = step / sigma
-    err = h * h / 8.0 * kernel.k2_sup * float(np.sum(abs_g[near]))
-    if left.any() or right.any():
-        c = pad * step / sigma
-        k_lo, k_hi = kernel.k(np.array([-c, c]))
+    err = h * h / 8.0 * kernel.k2_sup * float(np.sum(abs_near))
+    if beyond:
+        approx = approx + float(np.sum(g[right]))
+        k_lo, k_hi = k_samples[-2:]
         err += k_lo * float(np.sum(abs_g[left])) + (1.0 - k_hi) * float(np.sum(abs_g[right]))
     # rounding: FFT and summation error, and the position error of x - t
     # through sup |k'| <= sqrt(k2_sup), which holds for a CDF kernel
@@ -204,18 +210,17 @@ def _grid_candidates(g, x, kernel, sigma, space, n_pts):
 def _newton_max(f, lo: float, hi: float, t: float, tol: float) -> float:
     """Safeguarded Newton iteration on S_n' = 0 for a maximum in [lo, hi], from ``t``.
 
-    ``f(t, order)`` is S_n' (order 1) or S_n'' (order 2).  Each step moves
-    one end of the bracket to ``t`` by the sign of S_n', then takes the
-    Newton step, or bisects when that step leaves the bracket, S_n'' >= 0 or
-    either derivative is not finite.  Stops once a step is at most tol / 2.
+    ``f(t)`` gives S_n' and S_n'' at t.  Each step moves one end of the
+    bracket to ``t`` by the sign of S_n', then takes the Newton step, or
+    bisects when that step leaves the bracket, S_n'' >= 0 or either
+    derivative is not finite.  Stops once a step is at most tol / 2.
     """
     for _ in range(_NEWTON_MAX_STEPS):
-        d1 = f(t, order=1)
+        d1, d2 = f(t)
         if d1 > 0:
             lo = t
         else:
             hi = t
-        d2 = f(t, order=2)
         step = t - d1 / d2 if d2 < 0 else math.nan
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
@@ -274,6 +279,11 @@ def fit_swm(
 
     g = _ipw_g(sample)
     f = partial(_smoothed, g, sample.x, kernel, sigma)
+
+    def slopes(t):
+        d1, d2 = f(t, order=1)
+        return float(d1[0]), float(d2[0])
+
     n_pts = max(201, min(math.ceil(min(space.width / sigma, _GRID_CAP)) * 4, _GRID_CAP))
     ts = np.linspace(space.lo, space.hi, n_pts)
     # (x - t) / sigma may overflow at an extreme sigma; the kernel's limits at +-inf are exact.
@@ -284,9 +294,9 @@ def fit_swm(
         best = int(cand[np.argmax(values)])
         lo = ts[max(best - 1, 0)]
         hi = ts[min(best + 1, n_pts - 1)]
-        t_hat = _newton_max(f, float(lo), float(hi), float(ts[best]), tol=1e-8 * space.width)
+        t_hat = _newton_max(slopes, float(lo), float(hi), float(ts[best]), tol=1e-8 * space.width)
         t_hat = float(space.clamp(t_hat))
-        objective_value = f(t_hat)
+        objective_value = float(f(t_hat)[0])
     if not (math.isfinite(values.max()) and math.isfinite(objective_value)):
         raise NumericError(
             f"smoothed objective is not finite (grid maximum {values.max()}, {objective_value} "

@@ -30,6 +30,7 @@ JOBS = min(os.cpu_count() or 1, 8)
 REPS = int(os.environ.get("THRESHOLD_REGRET_ACCEPTANCE_REPS", "1000"))
 SE_TOL = 3.0 if REPS >= 5000 else 5.0
 PIN = load_script("pin_acceptance_outputs")
+CRITERION_4 = load_script("criterion4_z")
 
 # reference values (x 1e4) for the two benchmark models
 EWM_ASY_MEAN_M1 = {500: 96.190, 1000: 60.596, 2000: 38.173, 3000: 29.131}
@@ -39,8 +40,8 @@ EWM_ASY_MED_M1 = {500: 45.347, 1000: 28.567, 2000: 17.996, 3000: 13.733}
 SWM_ASY_MED_M1 = {500: 18.459, 1000: 10.602, 2000: 6.089, 3000: 4.402}
 EWM_ASY_MED_M2 = {500: 188.651, 1000: 118.843, 2000: 74.866, 3000: 57.134}
 SWM_ASY_MED_M2 = {500: 204.255, 1000: 117.314, 2000: 67.379, 3000: 48.714}
-EWM_EMP_MEAN_M1 = {500: 89.635, 1000: 58.799, 2000: 37.297, 3000: 28.615}
-SWM_INF_EMP_MEAN_M1 = {500: 31.492, 1000: 18.248, 2000: 10.887, 3000: 7.872}
+EWM_EMP_MEAN_M1 = CRITERION_4.REFERENCES["ewm"]
+SWM_INF_EMP_MEAN_M1 = CRITERION_4.REFERENCES["swm_infeasible"]
 
 # the second benchmark's published asymptotic constants (phi(0) multiples);
 # these differ from this package's model2 DGP convention, see the module

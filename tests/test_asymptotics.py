@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import chndtrix, ndtr
 from scipy.stats import ncx2
 
@@ -178,6 +180,24 @@ def test_optimal_lambda_mean_matches_two_step_path():
         direct = optimal_lambda_mean(K, H, A, KERNEL, n)
         two_step = swm_regret_dist(K, H, A, lam_star(K, A), KERNEL, n).mean
         assert direct == pytest.approx(two_step, rel=1e-10)
+
+
+@given(K=st.floats(1e-3, 1e3), H=st.floats(1e-3, 1e3), A=st.floats(1e-3, 1e3), negative_a=st.booleans(),
+       n=st.integers(1, 10**7))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_optimal_lambda_mean_is_within_a_few_ulp_of_the_law_at_lambda_star(K, H, A, negative_a, n):
+    """The public closed form against the mean of swm_regret_dist(..., lambda*), which
+    asymptotic_row reports: at most 16 ulp apart (14 seen over 20 000 random draws)."""
+    A = -A if negative_a else A
+    law = swm_regret_dist(K, H, A, KERNEL.optimal_lambda(K, A), KERNEL, n).mean
+    assert abs(optimal_lambda_mean(K, H, A, KERNEL, n) - law) <= 16 * math.ulp(law)
+
+
+def test_asymptotic_row_takes_the_swm_mean_and_median_from_one_law(small_chernoff):
+    for K, H, A, n in [(MODEL1.K, MODEL1.H, MODEL1.A, 3000), (K2, H2, A2, 500), (3.0, 0.7, -0.9, 123)]:
+        row = asymptotic_row("m", K, H, A, n, small_chernoff, KERNEL)
+        law = swm_regret_dist(K, H, A, KERNEL.optimal_lambda(K, A), KERNEL, n)
+        assert (row["swm_mean"], row["swm_median"]) == (law.mean, law.median)
 
 
 def test_optimal_lambda_mean_model2_value():

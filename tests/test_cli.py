@@ -381,6 +381,39 @@ def test_chernoff_non_finite_grid_is_validation_error(capsys, flags):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+_SCALED_RUNS = (
+    ["estimate", "--policy", "swm"],
+    ["infer", "--policy", "ewm", "--method", "plugin"],
+    ["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", "--jobs", "1"],
+    ["infer", "--policy", "swm", "--method", "bias-corrected"],
+    ["infer", "--policy", "swm", "--method", "undersmooth"],
+)
+
+
+@pytest.mark.parametrize("scale, outcomes", [
+    # f_hat and tau' near 1e181: H_hat overflows
+    (2.0**-600, ["numeric failure: nuisance estimate H is not finite at t="] * 5),
+    # f_hat and tau' near 1e-300: H_hat and A_hat underflow, so the plug-in bandwidth falls back
+    (1e300, [None] + ["numeric failure: H_hat = 0.0 is not positive: the estimated welfare slope is 0 or below"] * 4),
+], ids=["x_times_2^-600", "x_times_1e300"])
+def test_tiny_and_huge_x_fit_or_fail_with_one_true_line(tmp_path, capsys, scale, outcomes):
+    """300 model-1 rows with x scaled near 1e-181 or 1e300: each command succeeds, or
+    exits with one stderr line naming what failed; no warning, no traceback."""
+    sample = draw_sample(MODEL1, 300, 1)
+    path = tmp_path / "scaled.csv"
+    path.write_text("y,d,x\n" + "".join(
+        f"{y!r},{int(d)},{x!r}\n" for y, d, x in zip(sample.y.tolist(), sample.d.tolist(), (sample.x * scale).tolist())
+    ))
+    for argv, outcome in zip(_SCALED_RUNS, outcomes):
+        code = run_cli([*argv, "--data", str(path), "--propensity", "0.5", "--format", "json"])
+        out, err = capsys.readouterr()
+        if outcome is None:
+            assert code == 0 and err == "", argv
+            assert json.loads(out)["result"]["flags"] == ["bandwidth_fallback"]
+        else:
+            assert code == 2 and err.startswith(outcome) and err.count("\n") == 1, (argv, err)
+
+
 def test_cli_outputs_reproduce_pinned(session_table):
     """Byte-identical stdout and exit codes recorded by scripts/pin_cli_outputs.py."""
     assert load_script("pin_cli_outputs").pinned_results() == pinned("cli_pinned.json")["cases"]
@@ -426,6 +459,7 @@ from threshold_regret.cli import run_cli
 data = ["--data", sys.argv[1], "--propensity", "0.5"]
 assert run_cli(["chernoff", "--seed", "5", "--jobs", "1", *sys.argv[2:]]) == 0
 assert run_cli(["estimate", "--policy", "ewm", *data]) == 0
+assert run_cli(["estimate", "--policy", "swm", *data]) == 0
 assert run_cli(["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", "--jobs", "1",
                 *data]) == 0
 assert run_cli(["infer", "--policy", "ewm", "--method", "plugin", "--jobs", "1", *data, *sys.argv[2:]]) == 0

@@ -137,3 +137,21 @@ def test_optimal_lambda_and_rate_bandwidth(kernel):
     for a in (0.0, -0.0, 1e-200, 1e200):
         with pytest.raises(NumericError):
             kernel.optimal_lambda(1.0, a)
+
+
+def test_only_the_normal_kernels_own_functions_take_the_compiled_sums():
+    """A functools.wraps wrapper (one that counts calls, say) keeps them; another function does not."""
+    import functools
+
+    from threshold_regret.kernels import norm_cdf
+
+    @functools.wraps(norm_cdf)
+    def counted(z):
+        return norm_cdf(z)
+
+    normal = gaussian_cdf_kernel()
+    assert normal._normal and dataclasses.replace(normal, k=counted)._normal
+    assert not dataclasses.replace(normal, k=lambda z: norm_cdf(z))._normal
+    x, g, t = np.linspace(-2.0, 2.0, 9), np.linspace(1.0, -1.0, 9), np.array([0.0, 0.5])
+    plain = dataclasses.replace(normal, k=lambda z: norm_cdf(z))
+    assert plain.sums(x, g, 0.7, t).tobytes() == normal.sums(x, g, 0.7, t).tobytes()

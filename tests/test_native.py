@@ -16,8 +16,9 @@ from helpers import fresh_python, load_script, pinned
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from threshold_regret import _native, chernoff, data, inference
-from threshold_regret.errors import NumericError
+from threshold_regret import _native, chernoff, data, inference, kernels, nuisance
+from threshold_regret.errors import NumericError, RankDeficiencyError
+from threshold_regret.montecarlo import MODEL1, draw_sample
 
 
 def _numpy_loops():
@@ -71,12 +72,16 @@ def _callers(tmp_path):
     """Each kernel's caller on a small case, and the numpy code that runs in its place without it."""
     path = tmp_path / "plain.csv"
     path.write_text("y,d,x\n1.5,1,0.25\n-2e-3,0,7\n", newline="")
+    x = np.linspace(-3.0, 3.0, 50)
     return {
         "tr_bootstrap_chunk": (lambda: inference._bootstrap_chunk(_chunk_args(3, 500, 40, 1.0, reps=3)),
                                (inference, "_numpy_maximizers")),
         "tr_chernoff_block": (lambda: chernoff._simulate_block((3, 1, 20, 50, 1e-2)), (chernoff, "_scan_strip")),
         "tr_parse_csv": (lambda: np.concatenate(_columns(data.load_sample_csv(path, propensity=0.5))),
                          (np, "loadtxt")),
+        "tr_smoothed": (lambda: kernels.normal_sums(x, x**3, 0.3, np.array([-0.5, 0.0, 2.0]), 1),
+                        (kernels, "_row_sums")),
+        "tr_local_fit": (lambda: nuisance._local_poly_fit(x, x**3, 0.1, 0.8, 3), (nuisance, "_numpy_local_fit")),
     }
 
 
@@ -469,7 +474,7 @@ def test_chernoff_blocks_match_numpy(native, seed, n_paths, m, step, height):
 
 
 def test_pinned_outputs_reproduce_without_the_kernels(monkeypatch):
-    """The numpy loops alone still give every pinned Chernoff table, bootstrap draw and CLI output."""
+    """The numpy loops alone still give every pinned Chernoff table, bootstrap draw, CLI output and SWM fit."""
     monkeypatch.setattr(_native, "kernel", lambda name: None)
     chernoff_pins = load_script("pin_chernoff_outputs")
     assert chernoff_pins.chernoff_results() == pinned("chernoff_pinned.json")["chernoff"]
@@ -486,6 +491,7 @@ def test_pinned_outputs_reproduce_without_the_kernels(monkeypatch):
 
     monkeypatch.setattr(chernoff, "simulate_chernoff", once)
     assert load_script("pin_cli_outputs").pinned_results() == pinned("cli_pinned.json")["cases"]
+    assert load_script("pin_swm_outputs").pinned_results() == pinned("swm_pinned.json")["cases"]
 
 
 def test_kernels_compile_without_warnings(tmp_path):
@@ -628,3 +634,136 @@ print(data._parse_rows(lib.tr_parse_csv, b"0.30000000000000000000000000001\\n", 
     if out == "NO LOCALE":
         pytest.skip("no locale with a comma decimal point is installed")
     assert out == "None"
+
+
+# --- the normal law and the smoothed sums (tr_smoothed) --------------------------
+
+
+def _ulps(a, b):
+    """Distance in units in the last place between float64 arrays of one sign."""
+    return np.abs(np.asarray(a, dtype=float).view(np.int64) - np.asarray(b, dtype=float).view(np.int64))
+
+
+# down to Phi's underflow near -37.5 and its cut at exp(-u^2/2) < 1 / DBL_MAX, up to where it rounds to 1
+_PHI_GRID = np.concatenate((np.linspace(-39.0, 9.0, 480_001), [-37.52, -37.519, -37.5, 1e-300, -1e-300, 0.0]))
+
+
+def test_phi_is_within_six_ulp_of_scipy_ndtr(native):
+    """The library's Phi follows cephes's ndtr, which scipy evaluates, with its own exp
+    in place of libm's: at most 6 ulp apart (4 seen on this grid), and 0 where either is 0."""
+    scipy_special = pytest.importorskip("scipy.special")
+    ours, theirs = kernels.norm_cdf(_PHI_GRID), scipy_special.ndtr(_PHI_GRID)
+    assert np.array_equal(ours == 0.0, theirs == 0.0)
+    assert _ulps(ours, theirs).max() <= 6
+
+
+@pytest.mark.parametrize("form", ["compiled", "numpy"])
+def test_exp_and_phi_are_within_one_ulp_of_math_exp(native, form):
+    """own_exp is fdlibm's method; phi(u) is one exp of -u^2/2 - log sqrt(2 pi), so it inherits the 1 ulp."""
+    rng = np.random.default_rng(5)
+    u = np.concatenate((rng.uniform(-38.7, 38.7, 100_000), np.linspace(-38.7, 38.7, 20_001), [0.0, -0.0]))
+    args = -0.5 * (u * u) - kernels._LOG_SQRT_2PI
+    phi = kernels.norm_pdf(u) if form == "compiled" else kernels._pdf(u)
+    assert _ulps(phi, [math.exp(a) for a in args.tolist()]).max() <= 1
+    if form == "numpy":  # the whole range of exp, to over- and underflow
+        x = np.concatenate((rng.uniform(-745.2, 709.78, 100_000), np.linspace(-745.14, -700.0, 10_001),
+                            [709.782712893384, -745.1332191019411, 0.0]))
+        assert _ulps(kernels._exp(x), [math.exp(v) for v in x.tolist()]).max() <= 1
+        assert kernels._exp(np.array([710.0, -746.0, np.inf, -np.inf])).tolist() == [np.inf, 0.0, np.inf, 0.0]
+        assert np.isnan(kernels._exp(np.array([np.nan])))[0]
+
+
+_FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(
+    x=st.lists(_FLOATS, min_size=1, max_size=40),
+    scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
+    sigma=st.sampled_from([5e-324, 1e-6, 0.3, 2.0, 1e6]),
+    t=st.lists(_FLOATS | st.sampled_from([np.inf, -np.inf]), min_size=1, max_size=5),
+    order=st.sampled_from([0, 1]),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_smoothed_sums_match_their_numpy_transcription(native, x, scale, sigma, t, order):
+    """Bit for bit, overflowing u and scores, zero and infinite thresholds included."""
+    x = np.array(x)
+    g = np.linspace(-1.0, 2.0, len(x)) * scale
+    t = np.array(t)
+    funcs = (kernels._cdf,) if order == 0 else (kernels._pdf, kernels._k2)
+    got = kernels._sums(native.tr_smoothed, x, g, sigma, t, order)
+    want = kernels._row_sums(x, g, sigma, t, funcs)
+    assert all(_native._same(a, b) for a, b in zip(got, want))
+
+
+def test_smoothed_sums_match_scipy_within_their_rounding(native):
+    """S_n, S_n' and S_n'' against fsum over scipy's ndtr and math.exp: within the
+    sequential sum's bound n eps sum |terms|, plus 4 ulp of each term."""
+    scipy_special = pytest.importorskip("scipy.special")
+    sample = draw_sample(MODEL1, 3000, 8)
+    g = sample.y * (sample.d / 0.5 - (1 - sample.d) / 0.5)
+    t = np.linspace(-1.0, 1.0, 7)
+    got = kernels._sums(native.tr_smoothed, sample.x, g, 0.2, t, 0)[0]
+    slopes = kernels._sums(native.tr_smoothed, sample.x, g, 0.2, t, 1)
+    eps = np.finfo(float).eps
+    for j, tj in enumerate(t):
+        u = (sample.x - tj) / 0.2
+        phi = np.array([math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi) for v in u.tolist()])
+        for value, terms in ((got[j], g * scipy_special.ndtr(u)), (slopes[0][j], g * phi),
+                             (slopes[1][j], g * (-u * phi))):
+            bound = (len(u) + 4) * eps * math.fsum(np.abs(terms))
+            assert abs(value - math.fsum(terms)) <= bound
+
+
+# --- the local polynomial fits (tr_local_fit) -----------------------------------
+
+
+def _local_design(seed, n, degree, spread, point):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * spread
+    return x, x**3 - 0.5 * x * x + x + rng.standard_normal(n), point
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 400), degree=st.sampled_from([1, 3]),
+       spread=st.sampled_from([1e-3, 0.5, 1.0, 30.0]), point=st.floats(-3.0, 3.0),
+       bandwidth=st.sampled_from([0.05, 0.4, 2.0, 50.0]), repeat=st.integers(1, 4))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_local_fit_matches_its_numpy_transcription(native, seed, n, degree, spread, point, bandwidth, repeat):
+    """Rank and coefficients bit for bit, rank-deficient designs (few distinct x) included."""
+    x, y, point = _local_design(seed, n, degree, spread, point)
+    x = np.repeat(x[: max(1, n // repeat)], repeat)[:n]
+    y = y[: len(x)]
+    if len(x) < degree + 2:
+        return
+    p = degree + 1
+    got = np.empty((len(x), p + 1)), np.full(p, np.nan)
+    want = np.empty((len(x), p + 1)), np.full(p, np.nan)
+    rank = nuisance._compiled_local_fit(native.tr_local_fit, x, y, point, bandwidth, p, *got)
+    assert rank == nuisance._numpy_local_fit(x, y, point, bandwidth, p, *want)
+    assert _native._same(got[1], want[1])
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_local_fit_matches_lstsq_on_full_rank_designs(native, degree, seed):
+    """Householder QR against LAPACK's SVD solve: 1e-12 relative to the coefficient vector."""
+    x, y, point = _local_design(seed, 50 + 300 * seed, degree, 1.0, 0.3 * seed - 0.7)
+    bandwidth = 0.3 + 0.2 * seed
+    beta = nuisance._local_poly_fit(x, y, point, bandwidth, degree)
+    u = (x - point) / bandwidth
+    root = np.sqrt(np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+    want = np.linalg.lstsq(root[:, None] * np.vander(u, degree + 1, increasing=True), root * y, rcond=None)[0]
+    assert np.linalg.norm(beta - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("x, degree", [
+    (np.repeat([0.1, 0.6], 30), 3),  # two distinct x: rank 2 of 4
+    (np.repeat([0.1, 0.6, -0.2], 30), 3),  # three: rank 3 of 4
+    (np.full(40, 0.25), 1),  # one: rank 1 of 2
+    (np.concatenate((np.full(30, 0.3), [300.0, 400.0])), 3),  # the rows that differ have weight exactly 0
+])
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_local_fit_refuses_rank_deficient_designs(native, monkeypatch, x, degree, compiled):
+    if not compiled:
+        monkeypatch.setattr(_native, "kernel", lambda name: None)
+    with pytest.raises(RankDeficiencyError, match="rank-deficient local fit"):
+        nuisance._local_poly_fit(x, np.sin(x), 0.3, 0.5, degree)

@@ -8,7 +8,7 @@ from threshold_regret.errors import ArmDataError, NumericError, RankDeficiencyEr
 from threshold_regret.ewm import fit_ewm
 from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1, MODEL2, draw_sample
-from threshold_regret.nuisance import estimate_khA, kde, local_poly, optimal_bandwidth
+from threshold_regret.nuisance import _sd, estimate_khA, kde, local_poly, optimal_bandwidth
 from threshold_regret.swm import PlugInOptimal, fit_swm
 
 from helpers import two_fit_khA
@@ -264,3 +264,18 @@ def test_optimal_bandwidth_rate_in_n():
     lam2, sigma2 = optimal_bandwidth(_nuis(1.596, 0.399, 0.199), KERNEL, 2000)
     assert lam1 == lam2
     assert sigma2 == pytest.approx(sigma1 * 4.0 ** (-0.2), rel=1e-12)
+
+
+@pytest.mark.parametrize("shift", [-1000, -600, 600, 1000])
+def test_sd_is_exact_under_power_of_two_scaling(shift):
+    """Tiny or huge x keep their spread: no underflowed 0 turned into 1.0, no overflow warning."""
+    x = draw_sample(MODEL1, 300, 1).x
+    assert _sd(np.ldexp(x, shift)) == math.ldexp(_sd(x), shift)
+    assert _sd(x) == float(np.std(x))
+    assert _sd(np.full(5, 2.0**-600)) == 1.0
+
+
+def test_local_poly_above_cubic_fits_by_the_numpy_transcription():
+    """The compiled fit holds at most cubics; a quartic is still exact."""
+    x = np.linspace(-1.0, 1.0, 50)
+    assert local_poly(x, x**4, 0.0, 0.8, degree=4, derivative=4) == pytest.approx(24.0, rel=1e-8)

@@ -42,3 +42,14 @@ def test_pin_write_adds_a_missing_file_and_refuses_to_change_one(tmp_path, capsy
     assert pins.write(path, changed) == 1
     assert path.read_bytes() == written and path.stat().st_mtime_ns == stamp
     assert "1 of 4 records differ" in capsys.readouterr().err
+
+
+def test_criterion4_z_prints_a_row_per_cell_and_a_column_per_seed(capsys):
+    script = load_script("criterion4_z")
+    assert script.main(["--reps", "3", "--seeds", "42,1", "--jobs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["criterion-4 z at 3 replications", "| cell | 42 | 1 |", "|---|---|---|"]
+    cells = [f"{label}@{n}" for label in ("ewm", "swm") for n in (500, 1000, 2000, 3000)]
+    assert [line.split(" | ")[0] for line in lines[3:]] == [f"| {cell}" for cell in cells]
+    z = script.z_scores(3, 1, 1)
+    assert all(line.endswith(f" | {z[cell]:+.2f} |") for line, cell in zip(lines[3:], cells))

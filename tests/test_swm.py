@@ -352,14 +352,20 @@ def test_fit_swm_reproduces_pinned_outputs():
 def test_pinned_outputs_lie_within_tolerance_of_golden_section_pins():
     """swm_pinned_golden.json holds the same cases as fitted with golden-section
     refinement; Newton moves each t_hat by at most the golden tolerance plus the
-    golden section's resolution, and changes no bandwidth, flag or refusal."""
+    golden section's resolution, and changes no bandwidth, flag or refusal.  The
+    plug-in bandwidths have since moved in the last bits, when the nuisance
+    estimates' sums came to run in row order (about 7e-15 relative at most)."""
     pin = load_script("pin_swm_outputs")
     newton, golden = pinned("swm_pinned.json")["cases"], pinned("swm_pinned_golden.json")["cases"]
     assert len(newton) == len(golden)
     moved = 0
     for new, old in zip(newton, golden):
-        keep = {key: value for key, value in old.items() if key not in ("t_hat", "objective_value")}
+        keep = {key: value for key, value in old.items() if key not in ("t_hat", "objective_value", "bandwidth")}
         assert {key: new[key] for key in keep} == keep and new.keys() == old.keys()
+        if "bandwidth" in old and old["rule"] in ("plug_in", "undersmoothed"):
+            assert float.fromhex(new["bandwidth"]) == pytest.approx(float.fromhex(old["bandwidth"]), rel=1e-13)
+        elif "bandwidth" in old:
+            assert new["bandwidth"] == old["bandwidth"]
         if "error" in old:
             continue
         sample, space = pin.case_inputs(old)
@@ -382,7 +388,7 @@ def _golden_resolution(sample, sigma, t):
     sqrt(2 * rounding / |S_n''(t)|)."""
     g = _ipw_g(sample)
     rounding = 2.0 * np.finfo(float).eps * float(np.mean(np.abs(g)))
-    curvature = abs(_smoothed(g, sample.x, KERNEL, sigma, t, order=2))
+    curvature = abs(float(_smoothed(g, sample.x, KERNEL, sigma, t, order=1)[1][0]))
     return math.sqrt(2.0 * rounding / curvature) if curvature > 0 else math.inf
 
 
@@ -392,10 +398,13 @@ def _newton_and_golden(sample, rule, space=None):
     newton_max = swm._newton_max
     seen = []
 
-    def both(f, lo, hi, t, tol):
-        t_newton = newton_max(f, lo, hi, t, tol)
-        t_golden = _golden_section_max(f, lo, hi, tol)
-        seen.append((t_newton, t_golden, f(t_newton), f(t_golden)))
+    def both(slopes, lo, hi, t, tol):
+        def objective(u):
+            return smoothed_objective(sample, KERNEL, rule.sigma, u)
+
+        t_newton = newton_max(slopes, lo, hi, t, tol)
+        t_golden = _golden_section_max(objective, lo, hi, tol)
+        seen.append((t_newton, t_golden, objective(t_newton), objective(t_golden)))
         return t_newton
 
     with mock.patch.object(swm, "_newton_max", both):
