@@ -70,15 +70,15 @@ def _write_inputs(directory):
     (directory / "flat.json").write_text(json.dumps(FLAT_MODEL))
 
 
-def pinned_results(cases=CASES):
-    """The argv, exit code and stdout sha256 of each case, run in a scratch directory."""
+def pinned_results():
+    """The argv, exit code and stdout sha256 of every case, run in a scratch directory."""
     results = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         _write_inputs(pathlib.Path(tmp))
         os.chdir(tmp)
         try:
-            for argv in cases:
+            for argv in CASES:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                     code = run_cli(argv)

@@ -34,11 +34,11 @@
  * N. Mushtak and D. Lemire, "Fast number parsing without fallback", SPE
  * 53(6), 2023), as fast_float's compute_float does for doubles, else strtod.
  *
- * The normal law's kernels (tr_smoothed, tr_local_fit) replace no numpy code:
- * they define the library's exp, phi and Phi and its weighted sums, with a
- * numpy transcription in the same operation order (kernels.py, nuisance.py)
- * as the fallback and the oracle.  Only + - * /, comparisons, fabs and sqrt
- * touch their doubles, so their bits are the same on every CPU.
+ * The normal law's kernels (tr_normal, tr_smoothed, tr_local_fit) replace no
+ * numpy code: they define the library's exp, phi and Phi and its weighted
+ * sums, with a numpy transcription in the same operation order (kernels.py,
+ * nuisance.py) as the fallback and the oracle.  Only + - * /, comparisons,
+ * fabs and sqrt touch their doubles, so their bits are the same on every CPU.
  */
 
 #include <float.h>
@@ -1208,6 +1208,29 @@ static inline double add_in_order(double a, const double *v, int len)
     return a;
 }
 
+/* The normal CDF kernel's k, k' and k'' elementwise at z[0..m-1]:
+ * out[i] = Phi(z[i]), out[m + i] = phi(z[i]) and out[2 m + i] = (-c)
+ * phi(z[i]), c being z[i] clipped to [-40, 40]: the terms tr_smoothed sums,
+ * of rows z of weight 1 at the threshold 0 with sigma 1, as (z - 0) / 1 is
+ * z bit for bit, signed zeros too. */
+void tr_normal(const double *z, int64_t m, double *out)
+{
+    double ones[BLOCK], zeros[BLOCK], pad[BLOCK], cdf[BLOCK], pdf[BLOCK], k2[BLOCK];
+    for (int i = 0; i < BLOCK; i++) {
+        ones[i] = 1.0;
+        zeros[i] = 0.0;
+    }
+    for (int64_t lo = 0; lo < m; lo += BLOCK) {
+        const int len = m - lo < BLOCK ? (int)(m - lo) : BLOCK;
+        const double *zb = block_of(z, lo, len, pad);
+        cdf_terms(zb, ones, zeros, 1.0, cdf);
+        pdf_terms(zb, ones, zeros, 1.0, pdf, k2);
+        memcpy(out + lo, cdf, (size_t)len * sizeof *out);
+        memcpy(out + m + lo, pdf, (size_t)len * sizeof *out);
+        memcpy(out + 2 * m + lo, k2, (size_t)len * sizeof *out);
+    }
+}
+
 /* The sums behind the smoothed objective with the normal CDF kernel, at
  * each threshold t[j], over rows i with u = (x[i] - t[j]) / sigma:
  *   order 0: out[j] = sum g[i] Phi(u)
@@ -1215,32 +1238,11 @@ static inline double add_in_order(double a, const double *v, int len)
  *            c being u clipped to [-40, 40]; both from one phi per row
  * (the kernel's k, k' and k'').  phi(u) is 0 wherever |u| > 38.6, so the
  * clip only makes u = +-inf give 0, not NaN.  Each sum runs in row order
- * from its first term, n >= 1, as np.cumsum does.  A single row's sums are
- * its terms, computed for a block of thresholds at once as the terms of
- * rows -t[j] at the threshold -x[0]: (-t) - (-x) is x - t, bit for bit. */
+ * from its first term, n >= 1, as np.cumsum does. */
 void tr_smoothed(const double *x, const double *g, int64_t n, double sigma, const double *t, int64_t m,
                  int64_t order, double *out)
 {
     double terms0[BLOCK], terms1[BLOCK], at[BLOCK], pad_x[BLOCK], pad_g[BLOCK];
-    if (n == 1) {
-        for (int i = 0; i < BLOCK; i++) {
-            at[i] = -x[0];
-            pad_g[i] = g[0];
-        }
-        for (int64_t lo = 0; lo < m; lo += BLOCK) {
-            const int len = m - lo < BLOCK ? (int)(m - lo) : BLOCK;
-            for (int i = 0; i < BLOCK; i++)
-                pad_x[i] = i < len ? -t[lo + i] : 0.0;
-            if (order == 0) {
-                cdf_terms(pad_x, pad_g, at, sigma, terms0);
-            } else {
-                pdf_terms(pad_x, pad_g, at, sigma, terms0, terms1);
-                memcpy(out + m + lo, terms1, (size_t)len * sizeof *out);
-            }
-            memcpy(out + lo, terms0, (size_t)len * sizeof *out);
-        }
-        return;
-    }
     for (int64_t j = 0; j < m; j++) {
         double a = 0.0, b = 0.0;
         for (int i = 0; i < BLOCK; i++)

@@ -13,17 +13,18 @@ never sets another aside, and a process that wants one kernel never pays
 the others' checks.  If a step fails (no compiler, a read-only package
 directory, a failed build or load, a result that differs) ``kernel``
 returns None and the caller keeps its numpy code, whose results are the
-same bit for bit.  There are five kernels.  The bootstrap chunk and the
+same bit for bit.  There are six kernels.  The bootstrap chunk and the
 Chernoff block repeat numpy's own PCG64, the bootstrap its seeding and
 bounded integers and the Chernoff block its normal sampler, so under a
 numpy whose stream differs from the one they copy (see ``_kernels.c``) the
 kernel concerned fails its check and its numpy loop runs.  The CSV parser
 converts decimals as ``float`` does; its check holds a token for each branch
 of the conversion (``PARSE_CHECK``), and without it ``np.loadtxt`` reads the
-file.  ``tr_smoothed`` and ``tr_local_fit`` compute the normal law's sums
-(see ``kernels`` and ``nuisance``); their checks take every branch of Phi,
-exp arguments near underflow and a rank-deficient design
-(``SMOOTHED_CHECK``, ``_local_fit_agrees``).  The module is imported only when a kernel is first wanted, so
+file.  ``tr_normal``, ``tr_smoothed`` and ``tr_local_fit`` compute the
+normal law, its sums and the local fits (see ``kernels`` and ``nuisance``);
+their checks take every branch of Phi, exp arguments near and past
+underflow (``NORMAL_CHECK``) and a rank-deficient design
+(``_local_fit_agrees``).  The module is imported only when a kernel is first wanted, so
 ``import threshold_regret`` loads none of ``sysconfig``, ``hashlib`` or
 ``subprocess``.
 """
@@ -88,6 +89,8 @@ def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
     # ndpointer check costs about 4 us an array, several times the sum itself
     # at n = 500; their callers pass C-contiguous float64 (see kernels, nuisance)
     ptr = ctypes.c_void_p
+    lib.tr_normal.restype = None
+    lib.tr_normal.argtypes = [ptr, i64, ptr]
     lib.tr_smoothed.restype = None
     lib.tr_smoothed.argtypes = [ptr, ptr, i64, f64, ptr, i64, i64, ptr]
     lib.tr_local_fit.restype = i64
@@ -182,13 +185,13 @@ def _parse_agrees(lib: ctypes.CDLL) -> bool:
     return got is not None and got.tobytes() == want.tobytes() and _parse_rows(lib.tr_parse_csv, b"1,2\n", 0, 2, 1) is None
 
 
-# the values checked at load time, each u of Phi, phi and k'': every branch of
+# the points checked at load time, each z of Phi, phi and k'': every branch of
 # Phi (cephes's erf below |u| = 1, its erfc fits below and beyond |u| = 8
 # sqrt 2, the cut past |u| = 37.7 where exp(-u^2 / 2) < 1 / DBL_MAX), exp
 # arguments near and past underflow (subnormal phi at |u| = 38.5), a signed
 # zero and the clip of k'' at 40
-SMOOTHED_CHECK = (0.0, -0.0, 0.3, -0.9, 1.2, -1.3, 3.0, -7.5, 11.0, -11.5, 20.0, -20.0, -37.6, -37.8, 38.5,
-                  -38.57, 38.7, 45.0, -1e300)
+NORMAL_CHECK = (0.0, -0.0, 0.3, -0.9, 1.2, -1.3, 3.0, -7.5, 11.0, -11.5, 20.0, -20.0, -37.6, -37.8, 38.5,
+                -38.57, 38.7, 45.0, -1e300)
 
 
 def _same(a, b) -> bool:
@@ -198,19 +201,25 @@ def _same(a, b) -> bool:
     return bool(np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes())
 
 
-def _smoothed_agrees(lib: ctypes.CDLL) -> bool:
-    from .kernels import _cdf, _k2, _pdf, _pointwise, _row_sums, _sums
+def _normal_agrees(lib: ctypes.CDLL) -> bool:
+    from .kernels import _cdf, _k2, _law, _pdf
 
-    u = np.array(SMOOTHED_CHECK)
-    for order, which, f in ((0, 0, _cdf), (1, 0, _pdf), (1, 1, _k2)):
-        if not _same(_pointwise(lib.tr_smoothed, u, order)[which], f(u)):
-            return False
-    # sums in row order over the same rows, at thresholds that shift them
-    g = np.linspace(-2.0, 3.0, len(u)) ** 3
-    t = np.array([0.0, 0.7, -5.0])
-    for order, funcs in ((0, (_cdf,)), (1, (_pdf, _k2))):
-        if not all(map(_same, _sums(lib.tr_smoothed, u, g, 0.5, t, order), _row_sums(u, g, 0.5, t, funcs))):
-            return False
+    z = np.array(NORMAL_CHECK)
+    return all(map(_same, _law(lib.tr_normal, z), (_cdf(z), _pdf(z), _k2(z))))
+
+
+def _smoothed_agrees(lib: ctypes.CDLL) -> bool:
+    from .kernels import _cdf, _k2, _pdf, _row_sums, _sums
+
+    # one row x = -0.0 of weight 1 at thresholds -z, whose terms are Phi, phi
+    # and k'' at z exactly, each point's own sum; then sums over the points
+    # as rows, at thresholds that shift them
+    z = np.array(NORMAL_CHECK)
+    g = np.linspace(-2.0, 3.0, len(z)) ** 3
+    for x, g, sigma, t in ((np.array([-0.0]), np.array([1.0]), 1.0, -z), (z, g, 0.5, np.array([0.0, 0.7, -5.0]))):
+        for order, funcs in ((0, (_cdf,)), (1, (_pdf, _k2))):
+            if not all(map(_same, _sums(lib.tr_smoothed, x, g, sigma, t, order), _row_sums(x, g, sigma, t, funcs))):
+                return False
     return True
 
 
@@ -251,7 +260,7 @@ def _library() -> ctypes.CDLL | None:
 
 
 CHECKS = {"tr_bootstrap_chunk": _bootstrap_agrees, "tr_chernoff_block": _block_agrees, "tr_parse_csv": _parse_agrees,
-          "tr_smoothed": _smoothed_agrees, "tr_local_fit": _local_fit_agrees}
+          "tr_normal": _normal_agrees, "tr_smoothed": _smoothed_agrees, "tr_local_fit": _local_fit_agrees}
 
 
 @functools.cache

@@ -20,23 +20,24 @@ The library computes phi and Phi itself, so they have one value on every
 host: phi from an exp built of rint, ldexp and + - * / only (fdlibm's
 method, within 1 ulp of libm's), Phi as cephes's ``ndtr`` does from
 Cody's erfc fits, within a few ulp of ``scipy.special.ndtr``.  Both live
-in ``_kernels.c`` and, operation for operation, in numpy here.  A
-kernel's weighted sums over the rows (:meth:`Kernel.sums`, which the
-smoothed objective and the nuisance estimates take) run in row order; the
-normal kernel's run compiled in ``tr_smoothed`` once it has loaded, and
-in the numpy transcription otherwise, with the same bits either way.
+in ``_kernels.c`` and, operation for operation, in numpy here:
+``norm_cdf``, ``norm_pdf`` and k'' run compiled in ``tr_normal`` once it
+has loaded, and in the numpy transcription otherwise, with the same bits
+either way.  A kernel's weighted sums over the rows (:meth:`Kernel.sums`,
+which the smoothed objective and the nuisance estimates take) run in row
+order; the shipped kernel's run compiled in ``tr_smoothed``, or in their
+numpy transcription, again with the same bits.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, ValidationError
 
 __all__ = ["Kernel", "gaussian_cdf_kernel", "norm_cdf", "norm_pdf"]
 
@@ -137,14 +138,69 @@ def _row_sums(x, g, sigma, t, funcs):
     return out
 
 
-_native = None  # the loader, imported on the first sum
+_native = None  # the loader, imported on the first call of a kernel
 
 
-def _smoothed_kernel():
+def _kernel(name):
     global _native
     if _native is None:
         from . import _native
-    return _native.kernel("tr_smoothed")
+    return _native.kernel(name)
+
+
+def _law(normal, z):
+    """``tr_normal``'s Phi(z), phi(z) and k''(z), rows of one array; z a float64 array.
+
+    One buffer holds z and the three results, so the call takes one address.
+    """
+    buf = np.empty((4,) + z.shape)
+    buf[0] = z
+    at = buf.ctypes.data
+    normal(at, z.size, at + 8 * z.size)
+    return buf[1:]
+
+
+def _normal_law(z):
+    """Phi(z), phi(z) and k''(z) = -z phi(z) elementwise, by ``tr_normal`` once it
+    has loaded and passed its check (see ``_native``), else by the numpy
+    transcriptions, which give the same bits."""
+    z = np.asarray(z, dtype=float)
+    normal = _kernel("tr_normal")
+    if normal is None:
+        return _cdf(z), _pdf(z), _k2(z)
+    return _law(normal, z)
+
+
+def norm_cdf(z):
+    """Standard normal CDF Phi, elementwise: cephes's ``ndtr`` (Cody's erfc fits) with the library's own exp."""
+    return _normal_law(z)[0][()]
+
+
+def norm_pdf(z):
+    """Standard normal density phi(z) = exp(-z^2 / 2 - log sqrt(2 pi)), elementwise, with the library's own exp."""
+    return _normal_law(z)[1][()]
+
+
+def _gaussian_k2(z):
+    """k''(z) = -z phi(z), z clipped to +-40, where phi is already 0, so +-inf gives 0."""
+    return _normal_law(z)[2][()]
+
+
+# phi(0), the density's peak
+PHI0 = float(_pdf(np.float64(0.0)))
+
+
+def _sum_args(x, g, t, order):
+    """x, g and t as C-contiguous float64 arrays, once x and g are rows of one
+    length, at least 1, t a vector and order 0 or 1 (the compiled sums read
+    len(x) values of g and trust the shapes)."""
+    x, g, t = (np.ascontiguousarray(a, dtype=float) for a in (x, g, t))
+    if x.ndim != 1 or g.shape != x.shape or t.ndim != 1 or not len(x):
+        raise ValidationError(f"sums need x and g of one nonzero length and a vector t, "
+                              f"got shapes {x.shape}, {g.shape} and {t.shape}")
+    if order not in (0, 1):
+        raise ValidationError(f"order must be 0 or 1, got {order}")
+    return x, g, t
 
 
 def _sums(smoothed, x, g, sigma, t, order):
@@ -165,51 +221,11 @@ def normal_sums(x, g, sigma, t, order):
     """The normal CDF kernel's :meth:`Kernel.sums`: ``tr_smoothed`` once it has
     loaded and passed its check (see ``_native``), else its numpy transcription,
     which gives the same bits."""
-    x, g, t = (np.ascontiguousarray(a, dtype=float) for a in (x, g, t))
-    smoothed = _smoothed_kernel()
+    x, g, t = _sum_args(x, g, t, order)
+    smoothed = _kernel("tr_smoothed")
     if smoothed is None:
         return _row_sums(x, g, sigma, t, (_cdf,) if order == 0 else (_pdf, _k2))
     return _sums(smoothed, x, g, sigma, t, order)
-
-
-def _pointwise(smoothed, z, order):
-    """``tr_smoothed`` over one row x = -0.0 of weight 1 at thresholds -z:
-    u = -0.0 - (-z) is z exactly, signed zeros too, so its sums are Phi(z)
-    (order 0), or phi(z) and k''(z) (order 1).  One buffer holds the row, its
-    weight, the thresholds and the sums, so the call takes one address."""
-    m = z.size
-    buf = np.empty(2 + (order + 2) * m)
-    buf[:2] = -0.0, 1.0
-    np.negative(z.ravel(), out=buf[2 : 2 + m])
-    at = buf.ctypes.data
-    smoothed(at, at + 8, 1, 1.0, at + 16, m, order, at + 8 * (2 + m))
-    return buf[2 + m :].reshape((order + 1,) + z.shape)
-
-
-def _elementwise(z, order, which, numpy_form):
-    smoothed = _smoothed_kernel()
-    if smoothed is None:
-        return numpy_form(np.asarray(z, dtype=float))[()]
-    if type(z) is float:  # a scalar, as Dgp.welfare asks, in the fewest numpy calls
-        buf = np.array((-0.0, 1.0, -z, 0.0, 0.0))
-        at = buf.ctypes.data
-        smoothed(at, at + 8, 1, 1.0, at + 16, 1, order, at + 24)
-        return buf[3 + which]
-    return _pointwise(smoothed, np.asarray(z, dtype=float), order)[which][()]
-
-
-def norm_cdf(z):
-    """Standard normal CDF Phi, elementwise: cephes's ``ndtr`` (Cody's erfc fits) with the library's own exp."""
-    return _elementwise(z, 0, 0, _cdf)
-
-
-def norm_pdf(z):
-    """Standard normal density phi(z) = exp(-z^2 / 2 - log sqrt(2 pi)), elementwise, with the library's own exp."""
-    return _elementwise(z, 1, 0, _pdf)
-
-
-# phi(0), the density's peak
-PHI0 = float(_pdf(np.float64(0.0)))
 
 
 @dataclass(frozen=True)
@@ -229,14 +245,6 @@ class Kernel:
     alpha2: float
     k2_sup: float = math.inf
     h: ClassVar[int] = 2
-    # whether k, k' and k'' are the normal CDF's own, seen through any
-    # functools.wraps wrapper, so that one which only counts calls (as the
-    # benchmark's tracer does) keeps the compiled sums
-    _normal: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        own = all(inspect.unwrap(f) is n for f, n in zip((self.k, self.k1, self.k2), _NORMAL))
-        object.__setattr__(self, "_normal", own)
 
     def optimal_lambda(self, K: float, A: float) -> float:
         """Regret-optimal rate constant lambda* = alpha2 K / (4 A^2).
@@ -260,21 +268,22 @@ class Kernel:
         (order 1), one value per threshold t_j, u_i = (x_i - t_j) / sigma.
 
         Each sum runs in row order from its first term, so it has one value on
-        every host.  The normal CDF kernel's run compiled (:func:`normal_sums`);
-        it is recognized by its three functions, seen through any
-        ``functools.wraps`` wrapper.
+        every host.  x and g must be rows of one length, at least 1, and t a
+        vector; ValidationError otherwise.
         """
-        if self._normal:
-            return normal_sums(x, g, sigma, t, order)
+        x, g, t = _sum_args(x, g, t, order)
         return _row_sums(x, g, sigma, t, (self.k,) if order == 0 else (self.k1, self.k2))
 
 
-def _gaussian_k2(z):
-    """k''(z) = -z phi(z), z clipped to +-40, where phi is already 0, so +-inf gives 0."""
-    return _elementwise(z, 1, 1, _k2)
+class _NormalCdfKernel(Kernel):
+    """The shipped kernel, whose sums are the normal law's own, compiled
+    (:func:`normal_sums`), with the bits of :meth:`Kernel.sums` over its
+    functions.  ``dataclasses.replace`` keeps the class, and so these sums,
+    whatever functions it is given; a kernel of other functions is a
+    :class:`Kernel`."""
 
-
-_NORMAL = (norm_cdf, norm_pdf, _gaussian_k2)
+    def sums(self, x, g, sigma, t, order=0):
+        return normal_sums(x, g, sigma, t, order)
 
 
 def gaussian_cdf_kernel() -> Kernel:
@@ -284,7 +293,7 @@ def gaussian_cdf_kernel() -> Kernel:
     second moment of phi), alpha2 = 1 / (2 sqrt(pi)) = 0.28209479... and
     sup |k''| = phi(1) = 0.24197072..., attained at z = +-1.
     """
-    return Kernel(
+    return _NormalCdfKernel(
         k=norm_cdf,
         k1=norm_pdf,
         k2=_gaussian_k2,

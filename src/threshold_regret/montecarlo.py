@@ -32,7 +32,7 @@ from .chernoff import ChernoffTable
 from .data import Sample, default_space, regret
 from .errors import ThresholdRegretError, ValidationError
 from .ewm import fit_ewm
-from .kernels import PHI0, gaussian_cdf_kernel, norm_cdf, norm_pdf
+from .kernels import PHI0, _normal_law, gaussian_cdf_kernel
 from .swm import LambdaRate, PlugInOptimal, fit_swm
 
 __all__ = [
@@ -80,8 +80,7 @@ class Dgp:
     def welfare(self, t: float) -> float:
         """Population welfare W(t) of the policy treat iff X > t."""
         t = float(t)
-        phi = float(norm_pdf(t))
-        big_phi = float(norm_cdf(t))
+        big_phi, phi = map(float, _normal_law(t)[:2])
         return float(
             (t * t + 2.0) * phi + self.beta2 * (1.0 - big_phi + t * phi) + self.beta1 * phi
         )

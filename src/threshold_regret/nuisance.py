@@ -95,8 +95,8 @@ def local_poly(
     ``point`` with Gaussian weights; returns ``derivative! *`` the
     coefficient of the derivative-th term, mapped back to x units.
     """
-    if derivative > degree:
-        raise ValidationError(f"derivative {derivative} exceeds degree {degree}")
+    if not 0 <= derivative <= degree:
+        raise ValidationError(f"derivative must lie in 0..degree, got {derivative} at degree {degree}")
     beta = _local_poly_fit(x, y, point, bandwidth, degree)
     return _poly_derivative(beta, derivative, bandwidth)
 
@@ -156,6 +156,9 @@ def _local_poly_fit(x, y, point: float, bandwidth: float, degree: int) -> np.nda
 
     x = np.ascontiguousarray(x, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
+    # the compiled fit reads len(x) values of y
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValidationError(f"local fit needs x and y of one length, got shapes {x.shape} and {y.shape}")
     if not bandwidth > 0:
         raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
     if len(x) < degree + 2:

@@ -41,9 +41,9 @@ if still_on:
 sys.path.insert(0, sys.argv[2])
 import pin_cli_outputs, pin_swm_outputs
 swm_cases = pin_swm_outputs.cases()
-cli_cases = [pin_cli_outputs.CASES[i] for i in json.loads(sys.argv[4])]
+pin_cli_outputs.CASES = [pin_cli_outputs.CASES[i] for i in json.loads(sys.argv[4])]
 print(json.dumps({"swm": [pin_swm_outputs.fit_case(swm_cases[i]) for i in json.loads(sys.argv[3])],
-                  "cli": pin_cli_outputs.pinned_results(cli_cases)}))
+                  "cli": pin_cli_outputs.pinned_results()}))
 """
 
 

@@ -139,19 +139,22 @@ def test_optimal_lambda_and_rate_bandwidth(kernel):
             kernel.optimal_lambda(1.0, a)
 
 
-def test_only_the_normal_kernels_own_functions_take_the_compiled_sums():
-    """A functools.wraps wrapper (one that counts calls, say) keeps them; another function does not."""
-    import functools
+def test_the_shipped_kernels_compiled_sums_are_the_sums_of_its_functions():
+    """gaussian_cdf_kernel() sums through kernels.normal_sums; a Kernel of the same
+    functions sums them in numpy, to the same bits.  dataclasses.replace keeps the
+    class and its sums, so a wrapper that only counts calls of k changes no result."""
+    from unittest import mock
 
-    from threshold_regret.kernels import norm_cdf
-
-    @functools.wraps(norm_cdf)
-    def counted(z):
-        return norm_cdf(z)
+    from threshold_regret import kernels
 
     normal = gaussian_cdf_kernel()
-    assert normal._normal and dataclasses.replace(normal, k=counted)._normal
-    assert not dataclasses.replace(normal, k=lambda z: norm_cdf(z))._normal
+    plain = Kernel(k=normal.k, k1=normal.k1, k2=normal.k2, alpha1=normal.alpha1, alpha2=normal.alpha2,
+                   k2_sup=normal.k2_sup)
     x, g, t = np.linspace(-2.0, 2.0, 9), np.linspace(1.0, -1.0, 9), np.array([0.0, 0.5])
-    plain = dataclasses.replace(normal, k=lambda z: norm_cdf(z))
-    assert plain.sums(x, g, 0.7, t).tobytes() == normal.sums(x, g, 0.7, t).tobytes()
+    with mock.patch.object(kernels, "normal_sums", wraps=kernels.normal_sums) as compiled:
+        for order in (0, 1):
+            assert plain.sums(x, g, 0.7, t, order).tobytes() == normal.sums(x, g, 0.7, t, order).tobytes()
+        assert compiled.call_count == 2
+        wrapped = dataclasses.replace(normal, k=lambda z: kernels.norm_cdf(z))
+        assert wrapped.sums(x, g, 0.7, t).tobytes() == normal.sums(x, g, 0.7, t).tobytes()
+        assert compiled.call_count == 4

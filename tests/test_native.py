@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threshold_regret import _native, chernoff, data, inference, kernels, nuisance
-from threshold_regret.errors import NumericError, RankDeficiencyError
+from threshold_regret.errors import NumericError, RankDeficiencyError, ValidationError
 from threshold_regret.montecarlo import MODEL1, draw_sample
 
 
@@ -79,6 +79,7 @@ def _callers(tmp_path):
         "tr_chernoff_block": (lambda: chernoff._simulate_block((3, 1, 20, 50, 1e-2)), (chernoff, "_scan_strip")),
         "tr_parse_csv": (lambda: np.concatenate(_columns(data.load_sample_csv(path, propensity=0.5))),
                          (np, "loadtxt")),
+        "tr_normal": (lambda: np.stack(kernels._normal_law(x * 9.0)), (kernels, "_cdf")),
         "tr_smoothed": (lambda: kernels.normal_sums(x, x**3, 0.3, np.array([-0.5, 0.0, 2.0]), 1),
                         (kernels, "_row_sums")),
         "tr_local_fit": (lambda: nuisance._local_poly_fit(x, x**3, 0.1, 0.8, 3), (nuisance, "_numpy_local_fit")),
@@ -673,6 +674,16 @@ def test_exp_and_phi_are_within_one_ulp_of_math_exp(native, form):
         assert np.isnan(kernels._exp(np.array([np.nan])))[0]
 
 
+@given(z=st.lists(st.floats() | st.sampled_from([-0.0, 37.6, -37.8, 38.5, -38.57, 40.0, -40.5]), min_size=1,
+                  max_size=300))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_normal_law_matches_its_numpy_transcription(native, z):
+    """Phi, phi and k'' bit for bit, infinities, NaN and the tails past underflow included."""
+    z = np.array(z)
+    got = kernels._law(native.tr_normal, z)
+    assert all(map(_native._same, got, (kernels._cdf(z), kernels._pdf(z), kernels._k2(z))))
+
+
 _FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
 
 
@@ -767,3 +778,27 @@ def test_local_fit_refuses_rank_deficient_designs(native, monkeypatch, x, degree
         monkeypatch.setattr(_native, "kernel", lambda name: None)
     with pytest.raises(RankDeficiencyError, match="rank-deficient local fit"):
         nuisance._local_poly_fit(x, np.sin(x), 0.3, 0.5, degree)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_sums_and_local_fits_refuse_rows_of_other_shapes(native, monkeypatch, compiled):
+    """The compiled kernels read len(x) values of g or y, so neither path takes
+    weights or responses of another length, nor rows that are not one vector."""
+    if not compiled:
+        monkeypatch.setattr(_native, "kernel", lambda name: None)
+    x, t = np.linspace(-1.0, 1.0, 40), np.array([0.0, 0.3])
+    normal = kernels.gaussian_cdf_kernel()
+    generic = kernels.Kernel(k=normal.k, k1=normal.k1, k2=normal.k2, alpha1=1.0, alpha2=normal.alpha2)
+    for rows, other in ((x, x[:39]), (x, np.ones(41)), (x, np.ones((40, 1))), (x.reshape(8, 5), x.reshape(8, 5)),
+                        (x[:0], x[:0])):
+        for order in (0, 1):
+            for sums in (kernels.normal_sums, normal.sums, generic.sums):
+                with pytest.raises(ValidationError, match="^sums need x and g of one nonzero length"):
+                    sums(rows, other, 0.5, t, order)
+        if len(rows):
+            with pytest.raises(ValidationError, match="^local fit needs x and y of one length"):
+                nuisance.local_poly(rows, other, 0.0, 0.5, degree=3, derivative=1)
+    with pytest.raises(ValidationError, match="^sums need"):
+        kernels.normal_sums(x, x, 0.5, t.reshape(2, 1), 0)
+    with pytest.raises(ValidationError, match="^order must be 0 or 1"):
+        kernels.normal_sums(x, x, 0.5, t, 2)

@@ -117,6 +117,8 @@ def test_local_poly_rank_deficiency_signaled():
 def test_local_poly_rejects_derivative_above_degree():
     with pytest.raises(ValidationError):
         local_poly(np.arange(10.0), np.arange(10.0), 0.0, 0.5, degree=1, derivative=2)
+    with pytest.raises(ValidationError):
+        local_poly(np.arange(10.0), np.arange(10.0), 0.0, 0.5, degree=1, derivative=-1)
 
 
 # --- estimate_khA --------------------------------------------------------------

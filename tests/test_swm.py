@@ -352,9 +352,12 @@ def test_fit_swm_reproduces_pinned_outputs():
 def test_pinned_outputs_lie_within_tolerance_of_golden_section_pins():
     """swm_pinned_golden.json holds the same cases as fitted with golden-section
     refinement; Newton moves each t_hat by at most the golden tolerance plus the
-    golden section's resolution, and changes no bandwidth, flag or refusal.  The
-    plug-in bandwidths have since moved in the last bits, when the nuisance
-    estimates' sums came to run in row order (about 7e-15 relative at most)."""
+    golden section's resolution, and changes no flag or refusal, nor any
+    bandwidth of a rule that does not estimate one.  The plug-in and
+    undersmoothed bandwidths come from the nuisance estimates, whose sums have
+    since come to run in row order; swm_pinned.json pins them bit for bit
+    (test_fit_swm_reproduces_pinned_outputs), and here they are only seen to
+    have moved in the last bits."""
     pin = load_script("pin_swm_outputs")
     newton, golden = pinned("swm_pinned.json")["cases"], pinned("swm_pinned_golden.json")["cases"]
     assert len(newton) == len(golden)
