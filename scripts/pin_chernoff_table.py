@@ -15,7 +15,7 @@ their outputs.
 Usage:
     PYTHONPATH=src python scripts/pin_chernoff_table.py [--jobs 2] [--out PATH]
 
-The simulation takes about 46 s on one core.
+The simulation takes about 8 s on one core with the compiled kernels.
 """
 
 import sys

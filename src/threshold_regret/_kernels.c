@@ -13,9 +13,22 @@
  *   - row indices and normal draws come from numpy's PCG64, its 32-bit
  *     bounded integers and its ziggurat, step for step.
  * Doubles see only additions, subtractions, multiplications, divisions,
- * comparisons and libm's exp and log1p (the calls numpy's ziggurat makes),
- * and the library is built with -ffp-contract=off, so no step is fused or
- * reordered.
+ * comparisons, libm's exp and log1p (the calls numpy's ziggurat makes) and
+ * conversions from integers below 2^53, which are exact (the ziggurat's
+ * 52-bit magnitudes, scalar or eight at a time by vcvtqq2pd), and the
+ * library is built with -ffp-contract=off, so no step is fused or reordered.
+ *
+ * On x86-64 CPUs with AVX-512F and AVX-512DQ, and when built by gcc 9 or
+ * later, the Chernoff block takes its words from 16 PCG64 lanes that step 16
+ * words at once by jump-ahead: an LCG step x -> a x + c taken k times is
+ * x -> a^k x + c (a^(k-1) + ... + 1), so lane k, started at word k, makes
+ * words k, k + 16, ... of the one stream (F. B. Brown, "Random number
+ * generation with arbitrary strides", Trans. Am. Nucl. Soc. 71, 1994; numpy's
+ * pcg64_advance uses the same squaring).  The lanes are written with gcc's
+ * vector extensions and four of its x86 builtins (two gathers, an unsigned
+ * compare to a mask and a 32-bit widening multiply), not <immintrin.h>,
+ * which would add about 0.3 s to every build.  Elsewhere the block runs one
+ * word at a time (tr_chernoff_block_scalar); both give the same bits.
  *
  * The PCG64 multiplier (from O'Neill's PCG), the ziggurat constants and the
  * tables ki_double, wi_double and fi_double are numpy 2.4.6's
@@ -301,47 +314,73 @@ const double fi_double[256] = {
 };
 
 /* The draws numpy's random_standard_normal takes off the fast path: the tail
- * of the base layer, or the wedge of layer idx.  Returns the draw, or NaN
- * when the wedge rejects x. */
-static __attribute__((noinline)) double normal_slow_path(pcg64 *g, int idx, uint64_t rabs, double x)
+ * of the base layer, or the wedge of layer idx, taking its uniforms from
+ * uniform(src).  Returns the draw, or NaN when the wedge rejects x. */
+static __attribute__((noinline)) double normal_slow_path(double (*uniform)(void *), void *src, int idx,
+                                                         uint64_t rabs, double x)
 {
     if (idx == 0) {
         for (;;) {
             /* 1 - U, so log1p never sees -1 */
-            double xx = -ZIGGURAT_NOR_INV_R * log1p(-pcg64_next_double(g));
-            double yy = -log1p(-pcg64_next_double(g));
+            double xx = -ZIGGURAT_NOR_INV_R * log1p(-uniform(src));
+            double yy = -log1p(-uniform(src));
             if (yy + yy > xx * xx)
                 return ((rabs >> 8) & 0x1) ? -(ZIGGURAT_NOR_R + xx) : ZIGGURAT_NOR_R + xx;
         }
     }
-    if ((fi_double[idx - 1] - fi_double[idx]) * pcg64_next_double(g) + fi_double[idx] < exp(-0.5 * x * x))
+    if ((fi_double[idx - 1] - fi_double[idx]) * uniform(src) + fi_double[idx] < exp(-0.5 * x * x))
         return x;
     return NAN;
 }
 
-/* numpy's random_standard_normal, its sign applied by flipping the sign bit
- * (numpy negates under a branch, which gives the same bits but mispredicts
- * on every other draw). */
+/* pcg64_next_double, as normal_slow_path takes it. */
+static double pcg64_uniform(void *g)
+{
+    return pcg64_next_double(g);
+}
+
+/* The fast-path value of the ziggurat word r: its layer, its 52-bit
+ * magnitude and x, the magnitude scaled to the layer with r's sign applied by
+ * flipping the sign bit (numpy negates under a branch, which gives the same
+ * bits but mispredicts on every other draw). */
+static inline double ziggurat_x(uint64_t r, int *idx, uint64_t *rabs)
+{
+    *idx = (int)(r & 0xff);
+    r >>= 8;
+    *rabs = (r >> 1) & 0x000fffffffffffffULL;
+    double x = (double)(int64_t)*rabs * wi_double[*idx];
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    bits ^= r << 63;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/* numpy's random_standard_normal. */
 static inline double standard_normal(pcg64 *g)
 {
     for (;;) {
-        uint64_t r = pcg64_next(g);
-        int idx = (int)(r & 0xff);
-        r >>= 8;
-        uint64_t rabs = (r >> 1) & 0x000fffffffffffffULL;
-        double x = (double)(int64_t)rabs * wi_double[idx];
-        uint64_t bits;
-        memcpy(&bits, &x, sizeof bits);
-        bits ^= r << 63;
-        memcpy(&x, &bits, sizeof x);
+        int idx;
+        uint64_t rabs;
+        double x = ziggurat_x(pcg64_next(g), &idx, &rabs);
         if (rabs < ki_double[idx])
             return x; /* about 99.3% of draws */
         /* through a copy, so the caller's state never leaves registers on the fast path */
         pcg64 slow = *g;
-        x = normal_slow_path(&slow, idx, rabs, x);
+        x = normal_slow_path(pcg64_uniform, &slow, idx, rabs, x);
         *g = slow;
         if (x == x)
             return x;
+    }
+}
+
+/* first_argmax's rule for the value v of grid point j: a greater value or
+ * the first NaN takes the lead, and a NaN lead is frozen. */
+static inline void keep_first_max(double v, int64_t j, double *best, int64_t *arg)
+{
+    if (!(v <= *best) && *best == *best) {
+        *best = v;
+        *arg = j;
     }
 }
 
@@ -351,10 +390,11 @@ static inline double standard_normal(pcg64 *g)
  * wing's m standard normals, then its left wing's, each scaled by scale; for
  * each wing, the first argmax of cumsum(increments) - penalty and its value.
  * Equal to rng.standard_normal((n_paths, 2m)) * scale scanned by
- * chernoff._scan_strip, with no buffer of increments. */
-void tr_chernoff_block(uint64_t *state, int64_t n_paths, int64_t m, double scale,
-                       const double *penalty, int64_t *right_arg, double *right_max,
-                       int64_t *left_arg, double *left_max)
+ * chernoff._scan_strip.  This loop draws one word at a time and keeps no
+ * buffer; tr_chernoff_block runs it where the lanes below cannot run. */
+void tr_chernoff_block_scalar(uint64_t *state, int64_t n_paths, int64_t m, double scale,
+                              const double *penalty, int64_t *right_arg, double *right_max,
+                              int64_t *left_arg, double *left_max)
 {
     pcg64 g = {((__uint128_t)state[0] << 64) | state[1], ((__uint128_t)state[2] << 64) | state[3]};
     for (int64_t i = 0; i < n_paths; i++) {
@@ -364,12 +404,8 @@ void tr_chernoff_block(uint64_t *state, int64_t n_paths, int64_t m, double scale
             int64_t arg = 0;
             for (int64_t j = 1; j < m; j++) {
                 sum = sum + standard_normal(&g) * scale;
-                double v = sum - penalty[j];
-                /* first_argmax's rule, drawing on after a NaN peak freezes it */
-                if (!(v <= best) && best == best) {
-                    best = v;
-                    arg = j;
-                }
+                /* drawing on after a NaN peak freezes it */
+                keep_first_max(sum - penalty[j], j, &best, &arg);
             }
             if (side == 0) {
                 right_arg[i] = arg;
@@ -384,6 +420,254 @@ void tr_chernoff_block(uint64_t *state, int64_t n_paths, int64_t m, double scale
     state[1] = (uint64_t)g.state;
     state[2] = (uint64_t)(g.inc >> 64);
     state[3] = (uint64_t)g.inc;
+}
+
+/* gcc 9 brought __builtin_convertvector */
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 9 && defined(__x86_64__)
+#define HAVE_LANES 1
+#define LANES_TARGET __attribute__((target("avx512f,avx512dq")))
+
+/* The lanes: on x86-64 CPUs with AVX-512F and AVX-512DQ, the block draws its
+ * words from a ring of LANE_WORDS, made LANES at a time by LANES PCG64
+ * copies.  Lane k starts at word k and steps LANES words at once, by the
+ * multiplier a^LANES and the increment c (a^(LANES-1) + ... + 1), so word w
+ * of the ring's stream is word w of the scalar stream.  The pass that makes
+ * the words also stores each one's fast-path ziggurat value times scale (its
+ * 52-bit magnitude converted to double exactly, being below 2^53) and a bit
+ * for each word that leaves numpy's fast path.  The scan adds runs of fast
+ * values as the scalar loop does, making the next words as it goes, so the
+ * vector pass overlaps the scan's chain of additions; it hands each slow word
+ * to normal_slow_path, which takes its uniforms from the same ring. */
+#define LANES 16
+#define LANE_WORDS 512
+
+/* The LCG's map after delta steps, x -> mult x + plus, by squaring (numpy's
+ * pcg_advance_lcg_128; F. B. Brown, "Random number generation with arbitrary
+ * strides", Trans. Am. Nucl. Soc. 71, 1994). */
+static void pcg64_stride(__uint128_t inc, uint64_t delta, __uint128_t *mult, __uint128_t *plus)
+{
+    __uint128_t acc_mult = 1, acc_plus = 0, cur_mult = PCG64_MULTIPLIER, cur_plus = inc;
+    for (; delta > 0; delta >>= 1) {
+        if (delta & 1) {
+            acc_mult *= cur_mult;
+            acc_plus = acc_plus * cur_mult + cur_plus;
+        }
+        cur_plus = (cur_mult + 1) * cur_plus;
+        cur_mult *= cur_mult;
+    }
+    *mult = acc_mult;
+    *plus = acc_plus;
+}
+
+typedef long long i64x8 __attribute__((vector_size(64)));
+typedef unsigned long long u64x8 __attribute__((vector_size(64)));
+typedef double f64x8 __attribute__((vector_size(64)));
+typedef int i32x16 __attribute__((vector_size(64)));
+
+typedef struct {
+    uint64_t words[LANE_WORDS] __attribute__((aligned(64)));
+    double fast[LANE_WORDS] __attribute__((aligned(64)));
+    uint16_t slow[LANE_WORDS / LANES]; /* bit k of slow[t]: word LANES t + k leaves the fast path */
+    /* each lane's 128-bit state before its next word, high and low halves */
+    uint64_t hi[LANES] __attribute__((aligned(64)));
+    uint64_t lo[LANES] __attribute__((aligned(64)));
+    uint64_t mult[2], plus[2]; /* the stride's map, high word first */
+    double scale;
+    uint64_t made, used; /* words made and words used so far; made - used <= LANE_WORDS */
+} lane_ring;
+
+static int lanes_supported;
+
+__attribute__((constructor)) static void detect_lanes(void)
+{
+    __builtin_cpu_init();
+    lanes_supported = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+}
+
+/* The product of the low 32-bit halves of a and b, lane by lane (vpmuludq;
+ * GCC writes a * b on 64-bit lanes as vpmullq, three times the cost). */
+LANES_TARGET static inline u64x8 mul_low32(u64x8 a, u64x8 b)
+{
+    return (u64x8)__builtin_ia32_pmuludq512_mask((i32x16)a, (i32x16)b, (i64x8){0}, 0xff);
+}
+
+/* The low and high 64 bits of a b, lane by lane, from 32-bit halves. */
+LANES_TARGET static inline void mul_wide(u64x8 a, u64x8 b, u64x8 *lo, u64x8 *hi)
+{
+    const u64x8 low32 = (u64x8){0} + 0xffffffffULL;
+    u64x8 a1 = a >> 32, b1 = b >> 32;
+    u64x8 p00 = mul_low32(a, b), p01 = mul_low32(a, b1), p10 = mul_low32(a1, b), p11 = mul_low32(a1, b1);
+    u64x8 mid = (p00 >> 32) + (p01 & low32) + (p10 & low32);
+    *hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    *lo = (mid << 32) | (p00 & low32);
+}
+
+/* Make the lanes' next LANES words, their fast values and their slow bits in
+ * the ring, and step the lanes past them. */
+LANES_TARGET static inline void lanes_make(lane_ring *b)
+{
+    const u64x8 zero = {0};
+    const u64x8 mult_hi = zero + b->mult[0], mult_lo = zero + b->mult[1];
+    const u64x8 plus_hi = zero + b->plus[0], plus_lo = zero + b->plus[1];
+    const u64x8 byte = zero + 0xff, magnitude = zero + 0x000fffffffffffffULL;
+    const f64x8 scale = (f64x8){0} + b->scale;
+    unsigned at = (unsigned)(b->made % LANE_WORDS), fast = 0;
+    for (int v = 0; v < LANES; v += 8) {
+        u64x8 hi, lo;
+        memcpy(&hi, b->hi + v, sizeof hi);
+        memcpy(&lo, b->lo + v, sizeof lo);
+        /* XSL-RR */
+        u64x8 word = hi ^ lo, rot = hi >> 58;
+        u64x8 r = (word >> rot) | (word << ((64 - rot) & 63));
+        memcpy(b->words + at + v, &r, sizeof r);
+        /* the ziggurat's fast path, as ziggurat_x */
+        i64x8 idx = (i64x8)(r & byte);
+        u64x8 rabs = (r >> 9) & magnitude;
+        f64x8 w = __builtin_ia32_gatherdiv8df((f64x8){0}, wi_double, idx, 0xff, 8);
+        i64x8 k = __builtin_ia32_gatherdiv8di((i64x8){0}, (const void *)ki_double, idx, 0xff, 8);
+        f64x8 x = __builtin_convertvector((i64x8)rabs, f64x8) * w;
+        x = (f64x8)((u64x8)x ^ (r >> 8 << 63)) * scale;
+        memcpy(b->fast + at + v, &x, sizeof x);
+        fast |= (unsigned)__builtin_ia32_ucmpq512_mask((i64x8)rabs, k, 1, 0xff) << v;
+        /* the LCG, LANES steps at once: (hi, lo) = (hi, lo) mult + plus mod 2^128 */
+        u64x8 low, high;
+        mul_wide(lo, mult_lo, &low, &high);
+        high += lo * mult_hi + hi * mult_lo;
+        lo = low + plus_lo;
+        /* a carry out of the low half: the comparison is -1 where the sum wrapped */
+        hi = high + plus_hi - (u64x8)(lo < plus_lo);
+        memcpy(b->hi + v, &hi, sizeof hi);
+        memcpy(b->lo + v, &lo, sizeof lo);
+    }
+    b->slow[at / LANES] = (uint16_t)~fast;
+    b->made += LANES;
+}
+
+/* The ring's next word. */
+LANES_TARGET static inline uint64_t lanes_word(lane_ring *b, unsigned *slot)
+{
+    if (b->used == b->made)
+        lanes_make(b);
+    *slot = (unsigned)(b->used++ % LANE_WORDS);
+    return b->words[*slot];
+}
+
+LANES_TARGET static double lanes_uniform(void *b)
+{
+    unsigned slot;
+    return (double)(lanes_word(b, &slot) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* standard_normal(g) * scale, from the ring. */
+LANES_TARGET static __attribute__((noinline)) double lanes_normal(lane_ring *b)
+{
+    for (;;) {
+        unsigned p;
+        uint64_t r = lanes_word(b, &p);
+        if (!((b->slow[p / LANES] >> (p % LANES)) & 1))
+            return b->fast[p];
+        int idx;
+        uint64_t rabs;
+        double x = ziggurat_x(r, &idx, &rabs);
+        x = normal_slow_path(lanes_uniform, b, idx, rabs, x);
+        if (x == x)
+            return x * b->scale;
+    }
+}
+
+/* tr_chernoff_block_scalar, its words from the lanes. */
+LANES_TARGET static void chernoff_block_lanes(uint64_t *state, int64_t n_paths, int64_t m, double scale,
+                                              const double *penalty, int64_t *right_arg, double *right_max,
+                                              int64_t *left_arg, double *left_max)
+{
+    pcg64 g = {((__uint128_t)state[0] << 64) | state[1], ((__uint128_t)state[2] << 64) | state[3]};
+    lane_ring b;
+    __uint128_t mult, plus;
+    pcg64_stride(g.inc, LANES, &mult, &plus);
+    b.mult[0] = (uint64_t)(mult >> 64);
+    b.mult[1] = (uint64_t)mult;
+    b.plus[0] = (uint64_t)(plus >> 64);
+    b.plus[1] = (uint64_t)plus;
+    pcg64 lane = g;
+    for (int k = 0; k < LANES; k++) {
+        lane.state = lane.state * PCG64_MULTIPLIER + lane.inc;
+        b.hi[k] = (uint64_t)(lane.state >> 64);
+        b.lo[k] = (uint64_t)lane.state;
+    }
+    b.scale = scale;
+    b.made = b.used = 0;
+    while (b.made < LANE_WORDS)
+        lanes_make(&b);
+    for (int64_t i = 0; i < n_paths; i++) {
+        for (int side = 0; side < 2; side++) {
+            double sum = lanes_normal(&b);
+            double best = sum - penalty[0];
+            int64_t arg = 0;
+            int64_t j = 1;
+            while (j < m) {
+                /* keep the ring full, so each word is made well before it is used */
+                if (b.made - b.used <= LANE_WORDS - LANES)
+                    lanes_make(&b);
+                unsigned p = (unsigned)(b.used % LANE_WORDS);
+                unsigned slow = b.slow[p / LANES] >> (p % LANES);
+                if (slow & 1) {
+                    sum = sum + lanes_normal(&b);
+                    keep_first_max(sum - penalty[j], j, &best, &arg);
+                    j++;
+                    continue;
+                }
+                /* the run of fast words up to the next slow one or the end of p's LANES */
+                int64_t run = slow ? __builtin_ctz(slow) : (int)(LANES - p % LANES);
+                if (run > m - j)
+                    run = m - j;
+                const double *x = b.fast + p;
+                for (int64_t k = 0; k < run; k++) {
+                    sum = sum + x[k];
+                    keep_first_max(sum - penalty[j + k], j + k, &best, &arg);
+                }
+                j += run;
+                b.used += (uint64_t)run;
+            }
+            if (side == 0) {
+                right_arg[i] = arg;
+                right_max[i] = best;
+            } else {
+                left_arg[i] = arg;
+                left_max[i] = best;
+            }
+        }
+    }
+    /* the state after the last word used */
+    pcg64_stride(g.inc, b.used, &mult, &plus);
+    g.state = g.state * mult + plus;
+    state[0] = (uint64_t)(g.state >> 64);
+    state[1] = (uint64_t)g.state;
+}
+#endif
+
+/* 1 when tr_chernoff_block runs the lanes on this CPU, else 0. */
+int64_t tr_chernoff_lanes(void)
+{
+#ifdef HAVE_LANES
+    return lanes_supported;
+#else
+    return 0;
+#endif
+}
+
+/* tr_chernoff_block_scalar's outputs and written-back state, from the lanes
+ * where this CPU and compiler have them. */
+void tr_chernoff_block(uint64_t *state, int64_t n_paths, int64_t m, double scale,
+                       const double *penalty, int64_t *right_arg, double *right_max,
+                       int64_t *left_arg, double *left_max)
+{
+#ifdef HAVE_LANES
+    if (lanes_supported) {
+        chernoff_block_lanes(state, n_paths, m, scale, penalty, right_arg, right_max, left_arg, left_max);
+        return;
+    }
+#endif
+    tr_chernoff_block_scalar(state, n_paths, m, scale, penalty, right_arg, right_max, left_arg, left_max);
 }
 
 /* numpy's pcg64_next32: each 64-bit output serves two 32-bit draws, its low

@@ -17,7 +17,12 @@ same bit for bit.  There are six kernels.  The bootstrap chunk and the
 Chernoff block repeat numpy's own PCG64, the bootstrap its seeding and
 bounded integers and the Chernoff block its normal sampler, so under a
 numpy whose stream differs from the one they copy (see ``_kernels.c``) the
-kernel concerned fails its check and its numpy loop runs.  The CSV parser
+kernel concerned fails its check and its numpy loop runs.  The Chernoff
+block draws from a 512-word ring made by 16 PCG64 lanes on CPUs with
+AVX-512F and AVX-512DQ (``tr_chernoff_lanes()`` says whether this one does)
+and one word at a time elsewhere; the library exports that scalar loop too,
+as ``tr_chernoff_block_scalar``, so the tests hold both paths to numpy on
+one host, and the check (``BLOCK_CHECK``) runs the path this CPU takes.  The CSV parser
 converts decimals as ``float`` does; its check holds a token for each branch
 of the conversion (``PARSE_CHECK``), and without it ``np.loadtxt`` reads the
 file.  ``tr_normal``, ``tr_smoothed`` and ``tr_local_fit`` compute the
@@ -95,11 +100,14 @@ def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.tr_smoothed.argtypes = [ptr, ptr, i64, f64, ptr, i64, i64, ptr]
     lib.tr_local_fit.restype = i64
     lib.tr_local_fit.argtypes = [ptr, ptr, i64, f64, f64, i64, ptr, ptr]
-    lib.tr_chernoff_block.restype = None
-    lib.tr_chernoff_block.argtypes = [
-        array(np.uint64, (4,), ("C_CONTIGUOUS", "WRITEABLE")), i64, i64, f64, array(f64), array(np.int64), array(f64),
-        array(np.int64), array(f64),
-    ]
+    for block in (lib.tr_chernoff_block, lib.tr_chernoff_block_scalar):
+        block.restype = None
+        block.argtypes = [
+            array(np.uint64, (4,), ("C_CONTIGUOUS", "WRITEABLE")), i64, i64, f64, array(f64), array(np.int64),
+            array(f64), array(np.int64), array(f64),
+        ]
+    lib.tr_chernoff_lanes.restype = i64
+    lib.tr_chernoff_lanes.argtypes = []
     return lib
 
 
@@ -137,24 +145,29 @@ def _bootstrap_agrees(lib: ctypes.CDLL) -> bool:
     return True
 
 
-# the stream checked at load time: default_rng(seed) drawn as blocks of (paths,
-# grid points per wing) with scale 1 and penalty (0.1 j)^2, j = 0, 1, ...  With
-# one grid point each draw is a peak, and the first block's 20 000 draws take
-# numpy's wedge path, and its tail path six times (see test_native); the second
-# block scans a parabola from the state the first one wrote back
-BLOCK_CHECK = (0, ((10_000, 1), (5, 100)))
+# the stream checked at load time: default_rng(seed) drawn as blocks of paths
+# on a penalty, with scale 1.  With one grid point each draw is a peak; the
+# first block's 21 000 draws take numpy's wedge path, its tail path six times,
+# and a wedge whose uniform is the first word of the lanes' second 512-word
+# ring, word 20 992 (see test_native).  The second block scans a parabola from
+# the state the first one wrote back; the third ties at +inf where the penalty
+# is -inf, and the first point must win; the fourth peaks at NaN on its first
+# point, and the NaN must stay the peak
+BLOCK_CHECK = (0, ((10_500, (0.0,)), (5, tuple((np.arange(100) * 0.1) ** 2)),
+                   (3, (0.5, -np.inf, 0.0, -np.inf, 1.0)), (3, (np.nan, 0.0, -1.0, 0.5))))
 
 
-def _block_agrees(lib: ctypes.CDLL) -> bool:
+def _block_agrees(lib: ctypes.CDLL, symbol: str = "tr_chernoff_block") -> bool:
+    """Whether ``symbol`` (the block, or its scalar loop ``tr_chernoff_block_scalar``) reproduces BLOCK_CHECK."""
     from .chernoff import _scan_strip
 
     seed, blocks = BLOCK_CHECK
     rng = np.random.default_rng(seed)
     state = pcg64_words(rng.bit_generator)
-    for n_paths, m in blocks:
-        penalty = (np.arange(m) * 0.1) ** 2
+    for n_paths, penalty in blocks:
+        penalty, m = np.array(penalty), len(penalty)
         got = [np.empty(n_paths, np.int64), np.empty(n_paths), np.empty(n_paths, np.int64), np.empty(n_paths)]
-        lib.tr_chernoff_block(state, n_paths, m, 1.0, penalty, *got)
+        getattr(lib, symbol)(state, n_paths, m, 1.0, penalty, *got)
         want = [np.empty(n_paths, np.int64), np.empty(n_paths), np.empty(n_paths, np.int64), np.empty(n_paths)]
         _scan_strip(rng.standard_normal((n_paths, 2 * m)), penalty, np.empty((n_paths, m)), *want)
         if state.tobytes() != pcg64_words(rng.bit_generator).tobytes():

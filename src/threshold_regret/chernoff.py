@@ -16,7 +16,8 @@ seed regardless of how many workers generated it.  When the compiled
 kernels build and load and ``tr_chernoff_block`` of ``_kernels.c`` passes
 its check (see ``_native``), it runs a whole block: it draws each wing's
 increments with numpy's own PCG64 and normal sampler and scans them as it
-goes, keeping no increments in memory.  Otherwise the numpy loop works through the block in
+goes, holding no more than a 512-word ring of draws (on CPUs with AVX-512,
+see ``_kernels.c``).  Otherwise the numpy loop works through the block in
 strips of a few dozen paths that reuse one increment buffer and one wing
 buffer, so its memory is bounded by those strip buffers (about 3 MB, or one
 path when a path is larger), not by the block; the generator draws value by
@@ -81,7 +82,19 @@ class ChernoffTable:
     seed: int
 
     def __post_init__(self):
-        self.samples.setflags(write=False)
+        samples = self.samples
+        if not (isinstance(samples, np.ndarray) and samples.ndim == 1 and samples.size and samples.dtype.kind == "f"):
+            shape = getattr(samples, "shape", None)
+            raise ValidationError(
+                f"samples must be a non-empty 1-D array of floats, got {type(samples).__name__}"
+                + (f" of shape {shape} and dtype {samples.dtype}" if shape is not None else "")
+            )
+        if not np.isfinite(samples).all():
+            raise ValidationError("samples must be finite, got NaN or inf")
+        # a read-only copy, so the caller's array stays writable and the table cannot change
+        samples = samples.astype(np.float64)
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
 
 
 def _grid(m: int, step: float) -> np.ndarray:

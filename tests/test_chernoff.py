@@ -150,6 +150,36 @@ def test_samples_are_immutable(small_chernoff):
         small_chernoff.samples[0] = 1.0
 
 
+def _table_of(samples):
+    return chernoff.ChernoffTable(samples=samples, mean=0.0, second_moment=0.26, grid_step=1e-3,
+                                  domain_halfwidth=2.0, n_paths=10_000, seed=1)
+
+
+def test_table_keeps_a_read_only_copy_and_leaves_the_callers_array_writable():
+    samples = np.array([0.25, -0.5, 0.0])
+    table = _table_of(samples)
+    samples[0] = 9.0
+    assert samples.flags.writeable
+    assert table.samples.tolist() == [0.25, -0.5, 0.0] and not table.samples.flags.writeable
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([0.1, np.nan, 0.2]),
+    np.array([0.1, np.inf]),
+    np.array([-np.inf]),
+    np.array([]),
+    [0.1, -0.2],
+    np.array([[0.1, -0.2]]),
+    np.array([1, -2]),
+    np.array(0.5),
+])
+def test_table_refuses_samples_that_are_not_a_non_empty_finite_float_vector(samples):
+    """Before, a NaN or inf sample made every quantile NaN and ``ewm_ci`` fail on
+    "bounds out of order", an empty array raised IndexError and a list AttributeError."""
+    with pytest.raises(ValidationError, match="samples must be"):
+        _table_of(samples)
+
+
 def test_grid_beyond_limit_is_validation_error():
     with pytest.raises(ValidationError, match=f"at most {chernoff._MAX_GRID} grid points"):
         simulate_chernoff(grid_step=1e-300)

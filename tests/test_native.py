@@ -344,9 +344,10 @@ def _ziggurat_paths(lib, bit_generator, n):
     """Replay numpy's ziggurat over ``bit_generator``'s raw words for n normal draws.
 
     Returns how many draws each path returned (the rectangle, the wedge,
-    the tail) and how many wedge tries it rejected, and the number of words
-    the n draws consumed.  Only the slow draws are walked in Python, with
-    the kernel's tables.
+    the tail) and how many wedge tries it rejected, the number of words the
+    n draws consumed, and the words of each slow try as (first, past the
+    last) in order.  Only the slow draws are walked in Python, with the
+    kernel's tables.
     """
     ki, wi, fi = (np.ctypeslib.as_array((ctype * 256).in_dll(lib, name)) for ctype, name in (
         (ctypes.c_uint64, "ki_double"), (ctypes.c_double, "wi_double"), (ctypes.c_double, "fi_double")))
@@ -355,6 +356,7 @@ def _ziggurat_paths(lib, bit_generator, n):
     rabs = (words >> np.uint64(9)) & np.uint64((1 << 52) - 1)
     u = (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
     paths = {"rectangle": 0, "wedge": 0, "tail": 0, "wedge rejected": 0}
+    spans = []
     pos = 0
     for q in np.flatnonzero(rabs >= ki[idx]).tolist():
         if q < pos:
@@ -376,9 +378,10 @@ def _ziggurat_paths(lib, bit_generator, n):
             accept = (fi[idx[q] - 1] - fi[idx[q]]) * u[q + 1] + fi[idx[q]] < math.exp(-0.5 * x * x)
             paths["wedge" if accept else "wedge rejected"] += 1
             pos = q + 2
+        spans.append((q, pos))
     rest = n - paths["rectangle"] - paths["wedge"] - paths["tail"]
     paths["rectangle"] += rest
-    return paths, pos + rest
+    return paths, pos + rest, spans
 
 
 def _advanced(seed, words):
@@ -388,67 +391,110 @@ def _advanced(seed, words):
     return _native.pcg64_words(bit_generator)
 
 
-def _block(lib, seed, n_paths, m, scale, penalty):
-    """``tr_chernoff_block``'s four outputs and its written-back state, from default_rng(seed)."""
+def _block(block, seed, n_paths, m, scale, penalty):
+    """A compiled block's four outputs and its written-back state, from default_rng(seed)."""
     state = _native.pcg64_words(np.random.default_rng(seed).bit_generator)
     found = [np.empty(n_paths, np.int64), np.empty(n_paths), np.empty(n_paths, np.int64), np.empty(n_paths)]
-    lib.tr_chernoff_block(state, n_paths, m, scale, np.asarray(penalty, float), *found)
+    block(state, n_paths, m, scale, np.asarray(penalty, float), *found)
     return found, state
 
 
 def test_block_kernel_draws_numpys_normal_stream(native):
     """With one grid point, scale 1 and penalty 0 every wing's peak is its one
     draw: 2e6 of them equal ``Generator.standard_normal``, and the written-back
-    state is numpy's, through tail draws and wedge acceptances."""
+    state is numpy's, through tail draws and wedge acceptances, on the path
+    this CPU takes and on the scalar loop."""
     n = 1_000_000
-    (_, right, _, left), state = _block(native, 17, n, 1, 1.0, [0.0])
-    draws = np.empty(2 * n)
-    draws[0::2], draws[1::2] = right, left
     rng = np.random.default_rng(17)
-    assert draws.tobytes() == rng.standard_normal(2 * n).tobytes()
-    assert state.tobytes() == _native.pcg64_words(rng.bit_generator).tobytes()
-    paths, words = _ziggurat_paths(native, np.random.default_rng(17).bit_generator, 2 * n)
-    assert paths["tail"] == np.count_nonzero(np.abs(draws) > ZIGGURAT_R) > 0
+    want = rng.standard_normal(2 * n)
+    paths, words, _ = _ziggurat_paths(native, np.random.default_rng(17).bit_generator, 2 * n)
+    assert paths["tail"] == np.count_nonzero(np.abs(want) > ZIGGURAT_R) > 0
     assert paths["wedge"] > 0 and paths["wedge rejected"] > 0
-    assert state.tobytes() == _advanced(17, words).tobytes()
+    for block in (native.tr_chernoff_block, native.tr_chernoff_block_scalar):
+        (_, right, _, left), state = _block(block, 17, n, 1, 1.0, [0.0])
+        draws = np.empty(2 * n)
+        draws[0::2], draws[1::2] = right, left
+        assert draws.tobytes() == want.tobytes()
+        assert state.tobytes() == _native.pcg64_words(rng.bit_generator).tobytes()
+        assert state.tobytes() == _advanced(17, words).tobytes()
 
 
 def test_load_time_block_takes_both_slow_paths(native):
     """The stream ``kernel()`` checks before trusting the library draws through
     numpy's wedge and its tail, so the check covers both slow paths."""
     seed, blocks = _native.BLOCK_CHECK
-    paths, _ = _ziggurat_paths(native, np.random.default_rng(seed).bit_generator, 2 * blocks[0][0] * blocks[0][1])
-    assert blocks[0][1] == 1 and paths["wedge"] > 0 and paths["tail"] > 0
+    paths, _, _ = _ziggurat_paths(native, np.random.default_rng(seed).bit_generator, 2 * blocks[0][0])
+    assert blocks[0][1] == (0.0,) and paths["wedge"] > 0 and paths["tail"] > 0
+
+
+# LANE_WORDS of _kernels.c: the lanes' ring of words, made 16 at a time
+RING_WORDS = 512
+
+
+def test_load_time_block_takes_a_slow_draw_across_the_ring_edge(native):
+    """In the check's first block a slow draw's uniform is the first word of the
+    ring's next pass, so a check that passes has taken words across the edge."""
+    seed, blocks = _native.BLOCK_CHECK
+    _, _, spans = _ziggurat_paths(native, np.random.default_rng(seed).bit_generator, 2 * blocks[0][0])
+    assert any(first // RING_WORDS != (past - 1) // RING_WORDS for first, past in spans)
+
+
+def test_load_time_block_check_passes_on_the_scalar_loop_too(native):
+    """The check a CPU without the lanes runs: ``kernel()`` checks only the path this CPU takes."""
+    assert _native._block_agrees(native, "tr_chernoff_block_scalar")
+
+
+@pytest.fixture(scope="module", params=["tr_chernoff_block", "tr_chernoff_block_scalar"])
+def compiled_block(native, request):
+    """Each compiled path of the Chernoff block: the lanes, where this CPU runs them, and the scalar loop."""
+    if request.param == "tr_chernoff_block" and not native.tr_chernoff_lanes():
+        pytest.skip("this CPU lacks AVX-512F or AVX-512DQ, so tr_chernoff_block runs the scalar loop tested beside it")
+    return getattr(native, request.param)
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_paths=st.integers(1, 12),
-    penalty=st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, 2.0, math.inf, math.nan]), min_size=1, max_size=30),
-    scale=st.sampled_from([0.0, 0.5, 1.0, math.inf]),
+    n_paths=st.integers(1, 40),
+    m=st.integers(1, 3000),
+    curvature=st.sampled_from([0.0, 1e-4, 1e-2]),
+    specials=st.lists(st.tuples(st.integers(0, 2999),
+                                st.sampled_from([0.0, -0.0, 0.25, 1.0, math.inf, -math.inf, math.nan])), max_size=6),
+    scale=st.sampled_from([0.0, 0.05, 0.5, 1.0, math.inf]),
 )
+# past several rings, and one point a wing, where every draw is a peak
+@example(seed=3, n_paths=40, m=3000, curvature=1e-4, specials=[], scale=0.05)
+@example(seed=4, n_paths=40, m=1, curvature=0.0, specials=[], scale=1.0)
 # scale 0: every sum is +-0.0, so the wing ties at each point where the penalty repeats its least value
-@example(seed=5, n_paths=3, penalty=[1.0, 0.0, 0.0, 2.0, 0.0], scale=0.0)
-@example(seed=5, n_paths=3, penalty=[0.0, 0.0, 0.0], scale=0.0)
-# a NaN penalty makes its point the first argmax, even the first point
-@example(seed=6, n_paths=4, penalty=[0.25, math.nan, 1.0, math.nan], scale=1.0)
-@example(seed=6, n_paths=4, penalty=[math.nan, 0.0], scale=0.5)
+@example(seed=5, n_paths=3, m=5, curvature=0.0, specials=[(0, 1.0), (3, 2.0)], scale=0.0)
+@example(seed=5, n_paths=3, m=3, curvature=0.0, specials=[], scale=0.0)
+@example(seed=7, n_paths=5, m=700, curvature=0.0, specials=[(3, -0.0)], scale=0.0)
+# a NaN penalty makes its point the first argmax, even the first point, and a tie at +inf keeps its first point
+@example(seed=6, n_paths=4, m=4, curvature=0.0, specials=[(0, 0.25), (1, math.nan), (2, 1.0), (3, math.nan)],
+         scale=1.0)
+@example(seed=6, n_paths=4, m=2, curvature=0.0, specials=[(0, math.nan)], scale=0.5)
+@example(seed=6, n_paths=7, m=600, curvature=1e-2, specials=[(0, math.nan), (1, -math.inf)], scale=1.0)
+@example(seed=5, n_paths=7, m=600, curvature=1e-2, specials=[(40, -math.inf), (41, -math.inf)], scale=1.0)
 # scale inf: the sums reach +-inf, and NaN once they meet
-@example(seed=7, n_paths=8, penalty=[0.0] * 12, scale=math.inf)
-@example(seed=7, n_paths=8, penalty=[math.inf, 0.0, 1.0], scale=math.inf)
+@example(seed=7, n_paths=8, m=12, curvature=0.0, specials=[], scale=math.inf)
+@example(seed=7, n_paths=8, m=3, curvature=0.0, specials=[(0, math.inf), (2, 1.0)], scale=math.inf)
+@example(seed=8, n_paths=5, m=700, curvature=1e-2, specials=[(9, math.inf)], scale=math.inf)
 @settings(max_examples=80, deadline=None, derandomize=True)
-def test_block_kernel_scans_like_numpy(native, seed, n_paths, penalty, scale):
-    """Every output of the fused scan, peaks included, against ``_scan_strip``
-    on the same draws: ties keep the first point, the first NaN wins."""
-    m = len(penalty)
-    fast, state = _block(native, seed, n_paths, m, scale, penalty)
-    rng = np.random.default_rng(seed)
-    slow = [np.empty(n_paths, np.int64), np.empty(n_paths), np.empty(n_paths, np.int64), np.empty(n_paths)]
+def test_block_kernel_scans_like_numpy(native, compiled_block, seed, n_paths, m, curvature, specials, scale):
+    """Each compiled path against ``_scan_strip`` on ``Generator.standard_normal``'s
+    draws: the four outputs to the byte, peaks included (ties keep the first
+    point, the first NaN wins), and the written-back state at the words the
+    draws consumed."""
+    penalty = (np.arange(m) * curvature) ** 2
+    for at, value in specials:
+        penalty[at % m] = value
+    found, state = _block(compiled_block, seed, n_paths, m, scale, penalty)
+    want = [np.empty(n_paths, np.int64), np.empty(n_paths), np.empty(n_paths, np.int64), np.empty(n_paths)]
     with np.errstate(invalid="ignore"):
-        strip = rng.standard_normal((n_paths, 2 * m)) * scale
-        chernoff._scan_strip(strip, np.array(penalty), np.empty((n_paths, m)), *slow)
-    assert [a.tobytes() for a in fast] == [b.tobytes() for b in slow]
-    assert state.tobytes() == _native.pcg64_words(rng.bit_generator).tobytes()
+        strip = np.random.default_rng(seed).standard_normal((n_paths, 2 * m)) * scale
+        chernoff._scan_strip(strip, penalty, np.empty((n_paths, m)), *want)
+    assert [a.tobytes() for a in found] == [b.tobytes() for b in want]
+    _, words, _ = _ziggurat_paths(native, np.random.default_rng(seed).bit_generator, 2 * n_paths * m)
+    assert state.tobytes() == _advanced(seed, words).tobytes()
 
 
 @given(

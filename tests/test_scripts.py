@@ -53,3 +53,16 @@ def test_criterion4_z_prints_a_row_per_cell_and_a_column_per_seed(capsys):
     assert [line.split(" | ")[0] for line in lines[3:]] == [f"| {cell}" for cell in cells]
     z = script.z_scores(3, 1, 1)
     assert all(line.endswith(f" | {z[cell]:+.2f} |") for line, cell in zip(lines[3:], cells))
+
+
+def test_time_layers_prints_every_timing_as_json(capsys):
+    assert load_script("time_layers").main(["--repeats", "1", "--paths", "3", "--n", "200", "--builds", "1"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    block = record["chernoff_block_ms"]
+    assert block["paths"] == 3 and block["numpy"] > 0
+    assert record["env"]["chernoff_path"] in ("lanes", "scalar", "numpy")
+    assert (block["lanes"] is not None) == (record["env"]["chernoff_path"] == "lanes")
+    assert set(record["layers_ms"]["200"]) == {"estimate_khA", "fit_swm_rate", "fit_swm_plugin"}
+    assert all(t > 0 for t in record["layers_ms"]["200"].values())
+    [build] = record["build_s"].values()
+    assert len(build["runs"]) == 1 and build["min"] > 0
