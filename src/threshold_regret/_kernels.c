@@ -543,32 +543,31 @@ LANES_TARGET static inline void lanes_make(lane_ring *b)
     b->made += LANES;
 }
 
-/* The ring's next word. */
-LANES_TARGET static inline uint64_t lanes_word(lane_ring *b, unsigned *slot)
+/* The slot of the ring's next word, made first when the ring is used up. */
+LANES_TARGET static inline unsigned lanes_next(lane_ring *b)
 {
     if (b->used == b->made)
         lanes_make(b);
-    *slot = (unsigned)(b->used++ % LANE_WORDS);
-    return b->words[*slot];
+    return (unsigned)(b->used++ % LANE_WORDS);
 }
 
-LANES_TARGET static double lanes_uniform(void *b)
+/* pcg64_next_double, from the ring. */
+LANES_TARGET static double lanes_uniform(void *ring)
 {
-    unsigned slot;
-    return (double)(lanes_word(b, &slot) >> 11) * (1.0 / 9007199254740992.0);
+    lane_ring *b = ring;
+    return (double)(b->words[lanes_next(b)] >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* standard_normal(g) * scale, from the ring. */
 LANES_TARGET static __attribute__((noinline)) double lanes_normal(lane_ring *b)
 {
     for (;;) {
-        unsigned p;
-        uint64_t r = lanes_word(b, &p);
+        unsigned p = lanes_next(b);
         if (!((b->slow[p / LANES] >> (p % LANES)) & 1))
             return b->fast[p];
         int idx;
         uint64_t rabs;
-        double x = ziggurat_x(r, &idx, &rabs);
+        double x = ziggurat_x(b->words[p], &idx, &rabs);
         x = normal_slow_path(lanes_uniform, b, idx, rabs, x);
         if (x == x)
             return x * b->scale;

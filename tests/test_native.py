@@ -419,23 +419,18 @@ def test_block_kernel_draws_numpys_normal_stream(native):
         assert state.tobytes() == _advanced(17, words).tobytes()
 
 
-def test_load_time_block_takes_both_slow_paths(native):
-    """The stream ``kernel()`` checks before trusting the library draws through
-    numpy's wedge and its tail, so the check covers both slow paths."""
-    seed, blocks = _native.BLOCK_CHECK
-    paths, _, _ = _ziggurat_paths(native, np.random.default_rng(seed).bit_generator, 2 * blocks[0][0])
-    assert blocks[0][1] == (0.0,) and paths["wedge"] > 0 and paths["tail"] > 0
-
-
 # LANE_WORDS of _kernels.c: the lanes' ring of words, made 16 at a time
 RING_WORDS = 512
 
 
-def test_load_time_block_takes_a_slow_draw_across_the_ring_edge(native):
-    """In the check's first block a slow draw's uniform is the first word of the
-    ring's next pass, so a check that passes has taken words across the edge."""
+def test_load_time_block_takes_both_slow_paths(native):
+    """The stream ``kernel()`` checks before trusting the library draws through
+    numpy's wedge and its tail, so the check covers both slow paths; and one
+    slow draw's uniform is the first word of the lanes' next pass over their
+    ring, so a check that passes has taken words across its edge."""
     seed, blocks = _native.BLOCK_CHECK
-    _, _, spans = _ziggurat_paths(native, np.random.default_rng(seed).bit_generator, 2 * blocks[0][0])
+    paths, _, spans = _ziggurat_paths(native, np.random.default_rng(seed).bit_generator, 2 * blocks[0][0])
+    assert blocks[0][1] == (0.0,) and paths["wedge"] > 0 and paths["tail"] > 0
     assert any(first // RING_WORDS != (past - 1) // RING_WORDS for first, past in spans)
 
 
