@@ -22,10 +22,10 @@ block draws from a 512-word ring made by 16 PCG64 lanes on CPUs with
 AVX-512F and AVX-512DQ (``tr_chernoff_lanes()`` says whether this one does)
 and one word at a time elsewhere; the library exports that scalar loop too,
 as ``tr_chernoff_block_scalar``, so the tests hold both paths to numpy on
-one host, and the check (``BLOCK_CHECK``) runs the path this CPU takes.  The CSV parser
-converts decimals as ``float`` does; its check holds a token for each branch
-of the conversion (``PARSE_CHECK``), and without it ``np.loadtxt`` reads the
-file.  ``tr_normal``, ``tr_smoothed`` and ``tr_local_fit`` compute the
+one host, and the check (``BLOCK_CHECK``) runs the path this CPU takes.
+The CSV parser converts decimals as ``float`` does; its check holds a
+token for each branch of the conversion (``PARSE_CHECK``), and without it
+``np.loadtxt`` reads the file.  ``tr_normal``, ``tr_smoothed`` and ``tr_local_fit`` compute the
 normal law, its sums and the local fits (see ``kernels`` and ``nuisance``);
 their checks take every branch of Phi, exp arguments near and past
 underflow (``NORMAL_CHECK``) and a rank-deficient design
@@ -148,11 +148,11 @@ def _bootstrap_agrees(lib: ctypes.CDLL) -> bool:
 # the stream checked at load time: default_rng(seed) drawn as blocks of paths
 # on a penalty, with scale 1.  With one grid point each draw is a peak; the
 # first block's 21 000 draws take numpy's wedge path, its tail path six times,
-# and a wedge whose uniform is the first word of the lanes' second 512-word
-# ring, word 20 992 (see test_native).  The second block scans a parabola from
-# the state the first one wrote back; the third ties at +inf where the penalty
-# is -inf, and the first point must win; the fourth peaks at NaN on its first
-# point, and the NaN must stay the peak
+# and a wedge try whose uniform, word 20 992 = 41 x 512, starts a new pass
+# over the lanes' 512-word ring (see test_native).  The second block scans a
+# parabola from the state the first one wrote back; the third ties at +inf
+# where the penalty is -inf, and the first point must win; the fourth peaks at
+# NaN on its first point, and the NaN must stay the peak
 BLOCK_CHECK = (0, ((10_500, (0.0,)), (5, tuple((np.arange(100) * 0.1) ** 2)),
                    (3, (0.5, -np.inf, 0.0, -np.inf, 1.0)), (3, (np.nan, 0.0, -1.0, 0.5))))
 
