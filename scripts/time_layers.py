@@ -14,7 +14,8 @@
 - ``build_s``: ``--builds`` builds of each of ``--sources`` (default: the
   package's ``_kernels.c``) with the command the package builds with, taken
   round-robin across the sources, so a parent's and a change's source can be
-  compared on a host whose speed drifts.
+  compared on a host whose speed drifts; null where the compiler is not
+  on PATH.
 
 Usage:
     PYTHONPATH=src python scripts/time_layers.py [--repeats 7] [--paths 1000] [--n 500,3000,100000]
@@ -25,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -100,9 +102,11 @@ def layers_ms(n: int, repeats: int) -> dict:
     return {name: best_ms(run, repeats) for name, run in runs.items()}
 
 
-def build_s(sources: list[Path], builds: int) -> dict:
+def build_s(sources: list[Path], builds: int) -> dict | None:
     """Seconds per build of each source, with the package's build command, round-robin."""
     command = _native._library_path()[1]
+    if shutil.which(command[0]) is None:
+        return None
     at = command.index(str(_native.SOURCE))
     times = {str(source): [] for source in sources}
     with tempfile.TemporaryDirectory() as tmp:

@@ -364,7 +364,7 @@ static inline double standard_normal(pcg64 *g)
         uint64_t rabs;
         double x = ziggurat_x(pcg64_next(g), &idx, &rabs);
         if (rabs < ki_double[idx])
-            return x; /* about 99.3% of draws */
+            return x; /* about 98.5% of words */
         /* through a copy, so the caller's state never leaves registers on the fast path */
         pcg64 slow = *g;
         x = normal_slow_path(pcg64_uniform, &slow, idx, rabs, x);

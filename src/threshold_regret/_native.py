@@ -157,8 +157,7 @@ BLOCK_CHECK = (0, ((10_500, (0.0,)), (5, tuple((np.arange(100) * 0.1) ** 2)),
                    (3, (0.5, -np.inf, 0.0, -np.inf, 1.0)), (3, (np.nan, 0.0, -1.0, 0.5))))
 
 
-def _block_agrees(lib: ctypes.CDLL, symbol: str = "tr_chernoff_block") -> bool:
-    """Whether ``symbol`` (the block, or its scalar loop ``tr_chernoff_block_scalar``) reproduces BLOCK_CHECK."""
+def _block_agrees(lib: ctypes.CDLL) -> bool:
     from .chernoff import _scan_strip
 
     seed, blocks = BLOCK_CHECK
@@ -167,7 +166,7 @@ def _block_agrees(lib: ctypes.CDLL, symbol: str = "tr_chernoff_block") -> bool:
     for n_paths, penalty in blocks:
         penalty, m = np.array(penalty), len(penalty)
         got = [np.empty(n_paths, np.int64), np.empty(n_paths), np.empty(n_paths, np.int64), np.empty(n_paths)]
-        getattr(lib, symbol)(state, n_paths, m, 1.0, penalty, *got)
+        lib.tr_chernoff_block(state, n_paths, m, 1.0, penalty, *got)
         want = [np.empty(n_paths, np.int64), np.empty(n_paths), np.empty(n_paths, np.int64), np.empty(n_paths)]
         _scan_strip(rng.standard_normal((n_paths, 2 * m)), penalty, np.empty((n_paths, m)), *want)
         if state.tobytes() != pcg64_words(rng.bit_generator).tobytes():

@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sysconfig
+import types
 from unittest import mock
 
 import numpy as np
@@ -436,7 +437,7 @@ def test_load_time_block_takes_both_slow_paths(native):
 
 def test_load_time_block_check_passes_on_the_scalar_loop_too(native):
     """The check a CPU without the lanes runs: ``kernel()`` checks only the path this CPU takes."""
-    assert _native._block_agrees(native, "tr_chernoff_block_scalar")
+    assert _native._block_agrees(types.SimpleNamespace(tr_chernoff_block=native.tr_chernoff_block_scalar))
 
 
 @pytest.fixture(scope="module", params=["tr_chernoff_block", "tr_chernoff_block_scalar"])

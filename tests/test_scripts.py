@@ -1,9 +1,11 @@
 """The experiment scripts at tiny sizes, and the pin scripts' write rule."""
 
 import json
+import shutil
 
 import numpy as np
 
+from threshold_regret import _native
 from threshold_regret.chernoff import shipped_chernoff_table
 
 from helpers import load_script
@@ -64,5 +66,8 @@ def test_time_layers_prints_every_timing_as_json(capsys):
     assert (block["lanes"] is not None) == (record["env"]["chernoff_path"] == "lanes")
     assert set(record["layers_ms"]["200"]) == {"estimate_khA", "fit_swm_rate", "fit_swm_plugin"}
     assert all(t > 0 for t in record["layers_ms"]["200"].values())
-    [build] = record["build_s"].values()
-    assert len(build["runs"]) == 1 and build["min"] > 0
+    if shutil.which(_native._library_path()[1][0]) is None:
+        assert record["build_s"] is None
+    else:
+        [build] = record["build_s"].values()
+        assert len(build["runs"]) == 1 and build["min"] > 0
