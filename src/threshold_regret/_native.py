@@ -25,7 +25,7 @@ as ``tr_chernoff_block_scalar``, so the tests hold both paths to numpy on
 one host, and the check (``BLOCK_CHECK``) runs the path this CPU takes.
 The CSV parser converts decimals as ``float`` does; its check holds a
 token for each branch of the conversion (``PARSE_CHECK``), and without it
-``np.loadtxt`` reads the file.  ``tr_normal``, ``tr_smoothed`` and ``tr_local_fit`` compute the
+the file is read row by row.  ``tr_normal``, ``tr_smoothed`` and ``tr_local_fit`` compute the
 normal law, its sums and the local fits (see ``kernels`` and ``nuisance``);
 their checks take every branch of Phi, exp arguments near and past
 underflow (``NORMAL_CHECK``) and a rank-deficient design
@@ -132,10 +132,14 @@ def _bootstrap_agrees(lib: ctypes.CDLL) -> bool:
     k = 7
     rng = np.random.default_rng(seed)
     rank = rng.integers(0, k, n)
-    penalty = np.linspace(0.0, 0.1, k + 1) ** 2
+    quadratic = np.linspace(0.0, 0.1, k + 1) ** 2
     # normal scores round differently when binned in another order; scores of
-    # 1e307 overflow the suffix sums into inf and NaN
-    for g in (rng.standard_normal(n), np.full(n, 1e307)):
+    # 1e307 overflow the suffix sums into inf and NaN; on the first 100 rows,
+    # scores of 0 give every replicate the criterion -penalty, here with equal
+    # maxima at segments 1 and 6, and the first must win
+    symmetric = np.array([3.0, -1.0, 3.0, 0.0, 0.0, 3.0, -1.0, 3.0])
+    for g, penalty in ((rng.standard_normal(n), quadratic), (np.full(n, 1e307), quadratic), (np.zeros(100), symmetric)):
+        rank = rank[: len(g)]
         suffix_orig = np.concatenate((np.cumsum(np.bincount(rank, g, k)[::-1])[::-1], [0.0]))
         works = np.empty(k + 1), np.empty(k + 1)
         want = _numpy_maximizers(0, reps, seed, rank, g, suffix_orig, penalty, works[0])
@@ -177,11 +181,13 @@ def _block_agrees(lib: ctypes.CDLL) -> bool:
 
 
 # the tokens checked at load time, one for each branch of the conversion:
-# Clinger's exact path (0.1, -0), Eisel-Lemire (1e23), a tie it rounds to even
+# Clinger's exact path (0.1, -0), Eisel-Lemire (1e23), one whose first 64-bit
+# product ends in nine one bits, so that the second product's carry decides it
+# (43463e-29, found by a search against float), a tie it rounds to even
 # (2^53 + 1), a subnormal, the largest subnormal rounding up to the least
 # normal, half the least subnormal rounding up to it, overflow past the largest
 # double and past 10^308, and strtod (more than 19 significant digits)
-PARSE_CHECK = ("0.1", "-0", "1e23", "9007199254740993", "5e-324", "2.2250738585072012e-308",
+PARSE_CHECK = ("0.1", "-0", "1e23", "43463e-29", "9007199254740993", "5e-324", "2.2250738585072012e-308",
                "2.4703282292062328e-324", "1.7976931348623159e308", "1e400",
                "0.30000000000000001665334536938", "9007199254740993.0000000000000000001")
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,15 +71,18 @@ _MAX_GRID = 1_000_000
 
 @dataclass(frozen=True)
 class ChernoffTable:
-    """Monte Carlo draws of Z = argmax(B(r) - r^2) with summary moments."""
+    """Monte Carlo draws of Z = argmax(B(r) - r^2) with summary moments.
+
+    ``mean``, ``second_moment`` and ``n_paths`` are taken from the samples.
+    """
 
     samples: np.ndarray
-    mean: float
-    second_moment: float
     grid_step: float
     domain_halfwidth: float
-    n_paths: int
     seed: int
+    mean: float = field(init=False)
+    second_moment: float = field(init=False)
+    n_paths: int = field(init=False)
 
     def __post_init__(self):
         samples = self.samples
@@ -95,6 +98,9 @@ class ChernoffTable:
         samples = samples.astype(np.float64)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "mean", float(samples.mean()))
+        object.__setattr__(self, "second_moment", float(np.mean(samples**2)))
+        object.__setattr__(self, "n_paths", len(samples))
 
 
 def _grid(m: int, step: float) -> np.ndarray:
@@ -104,18 +110,6 @@ def _grid(m: int, step: float) -> np.ndarray:
 
 def _grid_size(domain_halfwidth: float, grid_step: float) -> int:
     return int(round(domain_halfwidth / grid_step))
-
-
-def _table(samples, n_paths, domain_halfwidth, grid_step, seed) -> ChernoffTable:
-    return ChernoffTable(
-        samples=samples,
-        mean=float(samples.mean()),
-        second_moment=float(np.mean(samples**2)),
-        grid_step=grid_step,
-        domain_halfwidth=domain_halfwidth,
-        n_paths=n_paths,
-        seed=seed,
-    )
 
 
 def _scan_strip(strip, penalty, wing, right_arg, right_max, left_arg, left_max) -> None:
@@ -204,7 +198,7 @@ def simulate_chernoff(
         (seed, b, min(_BLOCK, n_paths - b * _BLOCK), m, grid_step) for b in range(n_blocks)
     ]
     samples = np.concatenate(parallel_map(_simulate_block, tasks, jobs))
-    return _table(samples, n_paths, domain_halfwidth, grid_step, seed)
+    return ChernoffTable(samples=samples, grid_step=grid_step, domain_halfwidth=domain_halfwidth, seed=seed)
 
 
 def _from_indices(k: np.ndarray, domain_halfwidth: float, grid_step: float, seed: int) -> ChernoffTable:
@@ -212,7 +206,7 @@ def _from_indices(k: np.ndarray, domain_halfwidth: float, grid_step: float, seed
     points = np.concatenate(([0.0], _grid(_grid_size(domain_halfwidth, grid_step), grid_step)))
     magnitude = points[np.abs(k)]
     samples = np.where(k < 0, -magnitude, magnitude)
-    return _table(samples, len(k), domain_halfwidth, grid_step, seed)
+    return ChernoffTable(samples=samples, grid_step=grid_step, domain_halfwidth=domain_halfwidth, seed=seed)
 
 
 @functools.cache

@@ -237,12 +237,12 @@ def load_sample_csv(path, propensity: float | None = None, eta: float = 0.01) ->
 
     A leading UTF-8 byte-order mark is ignored.
 
-    A plain file (unquoted header, no NUL, every ``d`` a bare ``0`` or
-    ``1``, every field ``np.loadtxt`` reads) is parsed in one pass: by the
-    compiled parser of ``_kernels.c`` when it loads and the rows are plain
-    decimals with ``\\n`` or ``\\r\\n`` line ends, else by ``np.loadtxt``.
-    Any other file, valid or not, is read row by row, which gives the same
-    sample or the error message.
+    A plain file (unquoted header, every ``d`` a bare ``0`` or ``1``, every
+    other field a plain decimal, ``\\n`` or ``\\r\\n`` line ends) is parsed in
+    one pass by the compiled parser of ``_kernels.c`` when it loads.  Any
+    other file, valid or not, and every file in a process without the
+    parser, is read row by row, which gives the same sample or the error
+    message.
     """
     columns = _read_plain_columns(path)
     if columns is None or (columns[3] is None and propensity is None):
@@ -269,31 +269,34 @@ def _header_index(path, header: list[str]) -> tuple[int, dict[str, int]]:
 
 
 def _read_plain_columns(path):
-    """``(y, d, x, p or None)`` of a plain CSV file in one compiled or numpy pass, else None.
+    """``(y, d, x, p or None)`` of a plain CSV file in one compiled pass, else None.
 
-    The file is read once, as bytes, and its header line parsed in Python.
-    When the compiled ``tr_parse_csv`` loads (see ``_native``) and the header
-    ends with a line break, it parses the data rows in one pass: exactly the
-    header's column count per row, ``\\n`` or ``\\r\\n`` line ends, each ``d`` a
-    bare ``0`` or ``1`` and every other field a number
-    ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``, converted to the double ``float``
-    gives.  When it refuses the rows or does not load, one ``np.loadtxt``
-    pass reads them.  None means the file needs the row loop: a NUL
-    anywhere (an ``S2`` field drops trailing NULs, so ``1\\0`` would read as
-    ``b"1"``), a line that may hold a field longer than
-    ``csv.field_size_limit()`` (the loop raises on it), a quote in the header,
-    no data rows, any field ``np.loadtxt`` refuses, or a ``d`` that is not
-    exactly ``0`` or ``1``.  Every file accepted here reads to the same values
-    in the row loop, where ``float`` accepts a superset of the spellings
-    either pass accepts.
+    When the compiled ``tr_parse_csv`` loads (see ``_native``), the file is
+    read once, as bytes, and its header line parsed in Python.  The parser
+    then reads the data rows in one pass: exactly the header's column count
+    per row, ``\\n`` or ``\\r\\n`` line ends, each ``d`` a bare ``0`` or ``1``
+    and every other field a number ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``,
+    converted to the double ``float`` gives.  None means the file needs the
+    row loop: the parser did not load or refused the rows, a line may hold a
+    field longer than ``csv.field_size_limit()`` (the loop raises on it, while
+    the parser reads, say, a long run of leading zeros), the header is
+    undecodable, quoted, lacks y, d or x or ends without a line break, or
+    there are no data rows.  Every file accepted here reads to the same values
+    in the row loop, whose ``float`` accepts a superset of the parser's
+    spellings.
     """
+    from . import _native
+
+    parse = _native.kernel("tr_parse_csv")
+    if parse is None:
+        return None
     with open(path, "rb") as fh:
         raw = fh.read()
     # a run of more than field_size_limit() bytes without a line break
     # covers at least one whole chunk of at most half that size
     size = max(1, min(1 << 16, csv.field_size_limit() // 2))
-    if b"\0" in raw or any(raw.find(b"\n", i, i + size) < 0 and raw.find(b"\r", i, i + size) < 0
-                           for i in range(0, len(raw) - size + 1, size)):
+    if any(raw.find(b"\n", i, i + size) < 0 and raw.find(b"\r", i, i + size) < 0
+           for i in range(0, len(raw) - size + 1, size)):
         return None
     text = io.TextIOWrapper(io.BytesIO(raw), newline="")
     try:
@@ -301,30 +304,12 @@ def _read_plain_columns(path):
         n_cols, idx = _header_index(path, next(csv.reader([line])))
     except Exception:  # undecodable bytes, a header csv refuses or one without y, d and x: the row loop words it
         return None
-    if '"' in line:
+    if '"' in line or not line.endswith("\n"):
         return None
-    table = None
-    if line.endswith("\n"):
-        from . import _native
-
-        parse = _native.kernel("tr_parse_csv")
-        if parse is not None:
-            table = _parse_rows(parse, raw, raw.index(b"\n") + 1, n_cols, idx["d"])
-            if table is not None:  # the file's bytes go before the columns are copied out, for a lower peak
-                del raw, text
+    table = _parse_rows(parse, raw, raw.index(b"\n") + 1, n_cols, idx["d"])
     if table is None:
-        dtype = [(f"f{j}", "S2" if j == idx["d"] else float) for j in range(n_cols)]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(text, delimiter=",", comments=None, quotechar=None, ndmin=1, dtype=dtype)
-        except Exception:  # whatever np.loadtxt refuses, the row loop accepts or words as an error
-            return None
-        d = rows[f"f{idx['d']}"]
-        if len(rows) == 0 or not np.all((d == b"0") | (d == b"1")):
-            return None
-        table = [rows[f"f{j}"] for j in range(n_cols)]
-        table[idx["d"]] = (d == b"1").astype(int)
+        return None
+    del raw, text  # the file's bytes go before the columns are copied out, for a lower peak
 
     def column(name):
         return np.ascontiguousarray(table[idx[name]]) if name in idx else None

@@ -6,10 +6,14 @@ import json
 import math
 import os
 import pathlib
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 import threshold_regret
@@ -18,6 +22,13 @@ from threshold_regret.data import Sample, empirical_welfare
 from threshold_regret.errors import ValidationError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def require_compiler():
+    """Skip the calling test when the compiler that builds the native kernels is not on PATH."""
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"the configured compiler {compiler!r} is not on PATH")
 
 
 def load_script(name):
@@ -181,7 +192,7 @@ def _golden_section_max(f, a, b, tol):
 def loop_load_sample_csv(path, propensity=None, eta=0.01):
     """``load_sample_csv`` as one ``csv.reader`` loop over the rows.
 
-    Reference for ``data.load_sample_csv``, whose numpy pass must give the
+    Reference for ``data.load_sample_csv``, whose compiled pass must give the
     same sample bits, or the same exception type and text, on every file.
     """
     with open(path, newline="") as fh:

@@ -151,8 +151,19 @@ def test_samples_are_immutable(small_chernoff):
 
 
 def _table_of(samples):
-    return chernoff.ChernoffTable(samples=samples, mean=0.0, second_moment=0.26, grid_step=1e-3,
-                                  domain_halfwidth=2.0, n_paths=10_000, seed=1)
+    return chernoff.ChernoffTable(samples=samples, grid_step=1e-3, domain_halfwidth=2.0, seed=1)
+
+
+def test_table_takes_its_moments_and_path_count_from_its_samples():
+    """Before, they were passed in unchecked: a table built with
+    ``second_moment=-1.0`` constructed and failed later in ``ewm_regret_dist``."""
+    samples = np.array([0.25, -0.5, 0.0, 1.125])
+    table = _table_of(samples)
+    assert table.mean.hex() == float(samples.mean()).hex()
+    assert table.second_moment.hex() == float(np.mean(samples**2)).hex()
+    assert table.n_paths == 4
+    with pytest.raises(TypeError):
+        chernoff.ChernoffTable(samples=samples, grid_step=1e-3, domain_halfwidth=2.0, seed=1, second_moment=-1.0)
 
 
 def test_table_keeps_a_read_only_copy_and_leaves_the_callers_array_writable():

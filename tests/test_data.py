@@ -1,7 +1,6 @@
 import csv
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from threshold_regret.data import (
 from threshold_regret.errors import DataWarning, NumericError, ValidationError
 from threshold_regret.montecarlo import MODEL1
 
-from helpers import index_values, loop_load_sample_csv, random_sample
+from helpers import index_values, loop_load_sample_csv, random_sample, require_compiler
 
 
 def test_ipw_score_treated_unit():
@@ -289,11 +288,11 @@ def test_load_csv_rejects_unknown_columns(tmp_path):
         load_sample_csv(path, propensity=0.5)
 
 
-@pytest.mark.parametrize("kernel", [True, False], ids=["compiled", "numpy"])
+@pytest.mark.parametrize("kernel", [True, False], ids=["compiled", "no-kernel"])
 @pytest.mark.parametrize("body", ["1.5,1,0.25\n-2,0,3\n", "1.5,1,0.25\n\n-2 ,0,3\n"], ids=["plain", "row-loop"])
 def test_load_csv_ignores_a_byte_order_mark(tmp_path, monkeypatch, kernel, body):
-    """Excel's "CSV UTF-8" starts the file with U+FEFF; the compiled, numpy and
-    row-by-row readers all read the header past it (a blank row and a padded
+    """Excel's "CSV UTF-8" starts the file with U+FEFF; the compiled and the
+    row-by-row readers both read the header past it (a blank row and a padded
     field send the second file to the row loop)."""
     if not kernel:
         monkeypatch.setattr(_native, "kernel", lambda name: None)
@@ -309,7 +308,7 @@ def test_load_csv_missing_required_column(tmp_path):
         load_sample_csv(path, propensity=0.5)
 
 
-# Fields that Python's float() reads and np.loadtxt may not, fields both
+# Fields that Python's float() reads and the compiled parser does not, fields both
 # refuse, and d spellings other than the bare literal; each must give the
 # loop's sample or the loop's error.
 _ODD_NUMBERS = ["1_0", "\u0661", " 1.5", " 1.5 ", "\x0b2\x0c", "infinity", "INF", "nan", "-0", "1e999",
@@ -377,13 +376,14 @@ def _csv_cases(test):
     """Generated and hand-picked files, each with and without a propensity."""
     cases = given(text=_csv_texts(), propensity=st.sampled_from([None, 0.5]))(test)
     for text, propensity in [
-        ("y,d,x\n1,1\x00,2\n2,0,3\n", 0.5),  # S2 drops trailing NULs
+        ("y,d,x\n1,1\x00,2\n2,0,3\n", 0.5),  # a NUL after d, which must not be read as the bare 1
         ("y,d,x\n1,0,2\n2,01,3\n", 0.5),  # a longer d must not be cut to its first byte
         ("y,d,x\n1,0,2\n2,1 ,3\n", 0.5),
         ("y,d,x\n1,0,2\n2_0,1,3\n", 0.5),
         ("y,d,x,X\n1,0,2,oops\n2,1,3,4\n", 0.5),  # the loop never reads a duplicate
         ('y,d,x,"p\n"\n1,0,2,0.5\n2,1,3,0.5\n', None),  # a quoted newline in the header
         ("y,d,x\n1,0,2\n2,1,0." + "1" * 140_000 + "\n", 0.5),  # over the csv field limit
+        ("y,d,x\n1,0,2\n2,1,0" + "0" * 140_000 + "1\n", 0.5),  # over it too, in digits the parser reads
         ("\ufeffy,d,x\r\n1,0,2\r\n2,1,3", 0.5),  # a byte-order mark, and no line end at the end
         ("y,d,x\n1,0,2\n2,1,0.1000000000000000055511151231257827\n", 0.5),  # strtod's digit count
     ]:
@@ -394,18 +394,7 @@ def _csv_cases(test):
 
 @_csv_cases
 def test_load_csv_numpy_pass_matches_the_row_loop(tmp_path, text, propensity):
-    """Through the compiled parser when it loads, else ``np.loadtxt``."""
-    _assert_row_loop_sample(tmp_path, text, propensity)
-
-
-@_csv_cases
-def test_load_csv_numpy_pass_matches_the_row_loop_without_the_kernel(tmp_path, text, propensity):
-    """Through ``np.loadtxt`` alone, as without a compiler."""
-    with mock.patch.object(_native, "kernel", lambda name: None):
-        _assert_row_loop_sample(tmp_path, text, propensity)
-
-
-def _assert_row_loop_sample(tmp_path, text, propensity):
+    """Through the compiled parser when it loads and takes the file, else the library's row loop."""
     path = tmp_path / "any.csv"
     path.write_text(text, newline="")
     got = _load_outcome(load_sample_csv, str(path), propensity)
@@ -422,7 +411,10 @@ def _assert_row_loop_sample(tmp_path, text, propensity):
     (b"y,d,\xe9x\n1,1,0\n", "line 1 is not valid"),
     (b"y,d,x\n1,1,0\n2,0,2\xc3", "line 3 is not valid"),
     (b"y,d,x\n1,1,0\n2,0,0." + b"1" * 140_000 + b"\n3,1,2\n", "line 3: field larger than field limit"),
-], ids=["undecodable-byte", "undecodable-header", "truncated-character", "over-field-limit"])
+    # a token the compiled parser reads, so only the line-length scan sends it to the row loop
+    (b"y,d,x\n1,0,2\n2,1,0" + b"0" * 140_000 + b"1\n", "line 3: field larger than field limit"),
+], ids=["undecodable-byte", "undecodable-header", "truncated-character", "over-field-limit",
+        "over-field-limit-leading-zeros"])
 def test_load_csv_words_undecodable_bytes_and_long_fields(tmp_path, content, fragment):
     path = tmp_path / "bad.csv"
     path.write_bytes(content)
@@ -430,7 +422,8 @@ def test_load_csv_words_undecodable_bytes_and_long_fields(tmp_path, content, fra
         load_sample_csv(str(path), propensity=0.5)
 
 
-def test_load_csv_reads_a_plain_file_in_one_numpy_pass(tmp_path, monkeypatch):
+def test_load_csv_reads_a_plain_file_in_one_compiled_pass(tmp_path, monkeypatch):
+    require_compiler()
     rng = np.random.default_rng(8)
     n = 20_000
     y, x, p = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n), rng.normal(size=n), rng.uniform(0.1, 0.9, n)
@@ -445,12 +438,7 @@ def test_load_csv_reads_a_plain_file_in_one_numpy_pass(tmp_path, monkeypatch):
         raise AssertionError("a plain file fell back to the row loop")
 
     monkeypatch.setattr(data, "_load_sample_rows", no_row_loop)
-    if _native.kernel("tr_parse_csv") is not None:  # then the compiled parser reads it, not np.loadtxt
-        loadtxt = mock.Mock(side_effect=AssertionError("np.loadtxt ran"))
-        monkeypatch.setattr(np, "loadtxt", loadtxt)
     loaded = load_sample_csv(str(path))
-    if _native.kernel("tr_parse_csv") is not None:
-        assert not loadtxt.called
     for name in ("y", "d", "x", "propensity"):
         got, want = getattr(loaded, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.flags.c_contiguous

@@ -3,17 +3,14 @@
 import ctypes
 import decimal
 import math
-import shlex
-import shutil
 import struct
 import subprocess
-import sysconfig
 import types
 from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import fresh_python, load_script, pinned
+from helpers import fresh_python, load_script, pinned, require_compiler
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,21 +33,15 @@ def native():
     return lib
 
 
-def _require_compiler():
-    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"the configured compiler {compiler!r} is not on PATH")
-
-
 def test_native_kernels_load_when_the_compiler_is_on_path():
     """A silent fallback to the numpy loops would pass every other test here."""
-    _require_compiler()
+    require_compiler()
     assert all(_native.kernel(name) is not None for name in _native.CHECKS)
 
 
 def test_a_cached_library_the_loader_rejects_is_rebuilt(monkeypatch, tmp_path):
     """A truncated or foreign file at the hashed path must not leave every later process on numpy."""
-    _require_compiler()
+    require_compiler()
     command = _native._library_path()[1]
     path = tmp_path / "_kernels-garbage.so"
     path.write_bytes(b"not a shared library")
@@ -70,7 +61,7 @@ def _fresh_kernels():
 
 
 def _callers(tmp_path):
-    """Each kernel's caller on a small case, and the numpy code that runs in its place without it."""
+    """Each kernel's caller on a small case, and the code that runs in its place without it."""
     path = tmp_path / "plain.csv"
     path.write_text("y,d,x\n1.5,1,0.25\n-2e-3,0,7\n", newline="")
     x = np.linspace(-3.0, 3.0, 50)
@@ -79,7 +70,7 @@ def _callers(tmp_path):
                                (inference, "_numpy_maximizers")),
         "tr_chernoff_block": (lambda: chernoff._simulate_block((3, 1, 20, 50, 1e-2)), (chernoff, "_scan_strip")),
         "tr_parse_csv": (lambda: np.concatenate(_columns(data.load_sample_csv(path, propensity=0.5))),
-                         (np, "loadtxt")),
+                         (data, "_load_sample_rows")),
         "tr_normal": (lambda: np.stack(kernels._normal_law(x * 9.0)), (kernels, "_cdf")),
         "tr_smoothed": (lambda: kernels.normal_sums(x, x**3, 0.3, np.array([-0.5, 0.0, 2.0]), 1),
                         (kernels, "_row_sums")),
@@ -539,7 +530,7 @@ def test_pinned_outputs_reproduce_without_the_kernels(monkeypatch):
 
 def test_kernels_compile_without_warnings(tmp_path):
     """The shipped build with every common warning turned into an error."""
-    _require_compiler()
+    require_compiler()
     command = [*_native._library_path()[1], "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so")]
     done = subprocess.run(command, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -567,6 +558,19 @@ def test_powers_of_five_are_exact(native):
     assert table.tolist() == words
     assert words[2 * 342: 2 * 344] == [1 << 63, 0, 0xA000000000000000, 0]
     assert words[2 * 341: 2 * 342] == [0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCD]
+
+
+def test_load_time_parse_check_takes_the_second_product():
+    """A token ``kernel()`` checks before trusting ``tr_parse_csv`` has a first
+    64-bit Eisel-Lemire product whose low 9 bits are all ones, and a second
+    product that carries into it, so the check covers that branch."""
+    assert "43463e-29" in _native.PARSE_CHECK
+    words, w, q = _powers_of_five(), 43463, -29
+    w <<= 64 - w.bit_length()
+    first = w * words[2 * (q + 342)]
+    high, low = first >> 64, first & (2**64 - 1)
+    second = (w * words[2 * (q + 342) + 1]) >> 64
+    assert high & 0x1FF == 0x1FF and low + second >= 2**64
 
 
 def _parse(lib, tokens):
@@ -638,7 +642,7 @@ def test_parser_rounds_random_doubles_as_float_does(native):
 @pytest.mark.parametrize("token", ["", ".", "+", "-", "e5", "1e", "1e+", "1.5 ", " 1", "1..2", "1.2.3", "--1", "+-1",
                                    "nan", "inf", "0x1p3", "1_0", "1d5", "١", "1,5", "1" * 300])
 def test_parser_refuses_what_its_grammar_does_not_hold(native, token):
-    """Padding, specials, other spellings and a 300-digit token (past strtod's copy) are left to numpy's pass."""
+    """Padding, specials, other spellings and a 300-digit token (past strtod's copy) are left to the row loop."""
     assert _parse(native, [token, "1.5"]) is None
 
 
