@@ -11,6 +11,10 @@
   at the EWM threshold and ``fit_swm`` with the rate bandwidth
   (``LambdaRate(lambda*)``) and with the plug-in one (``PlugInOptimal``,
   which runs ``estimate_khA`` inside).
+- ``csv_load_ms``: ``load_sample_csv`` on a 100 000-row model-2 CSV of
+  ``y,d,x`` with repr floats (as the benchmark writes its CSVs), through the
+  compiled parser (null where it does not load) and through the row loop.
+  Both give the same bits; the script checks that they do.
 - ``build_s``: ``--builds`` builds of each of ``--sources`` (default: the
   package's ``_kernels.c``) with the command the package builds with, taken
   round-robin across the sources, so a parent's and a change's source can be
@@ -38,7 +42,7 @@ from unittest import mock
 import numpy as np
 
 from threshold_regret import _native, chernoff
-from threshold_regret.data import default_space
+from threshold_regret.data import default_space, load_sample_csv
 from threshold_regret.ewm import fit_ewm
 from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL2, draw_sample
@@ -102,6 +106,33 @@ def layers_ms(n: int, repeats: int) -> dict:
     return {name: best_ms(run, repeats) for name, run in runs.items()}
 
 
+def csv_load_ms(repeats: int) -> dict:
+    """``load_sample_csv`` through the compiled pass and the row loop, taken in turn within each repeat."""
+    sample = draw_sample(MODEL2, 100_000, 1)
+    runs = {"compiled": _native.kernel("tr_parse_csv"), "row_loop": None}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model2_n100000.csv")
+        with open(path, "w") as fh:
+            fh.write("y,d,x\n")
+            rows = zip(sample.y.tolist(), sample.d.tolist(), sample.x.tolist())
+            fh.writelines(f"{y!r},{int(d)},{x!r}\n" for y, d, x in rows)
+
+        def load(parse):
+            with mock.patch.object(_native, "kernel", lambda _: parse):
+                return load_sample_csv(path, propensity=0.5)
+
+        if runs["compiled"] is None:
+            del runs["compiled"]
+        samples = [load(parse) for parse in runs.values()]
+        if len({b"".join(a.tobytes() for a in (s.y, s.d, s.x)) for s in samples}) != 1:
+            raise SystemExit("the compiled pass and the row loop read different samples")
+        timings = {name: [] for name in runs}
+        for _ in range(repeats):
+            for name, parse in runs.items():
+                timings[name].append(best_ms(lambda: load(parse), 1))
+    return {name: min(timings[name]) if name in runs else None for name in ("compiled", "row_loop")}
+
+
 def build_s(sources: list[Path], builds: int) -> dict | None:
     """Seconds per build of each source, with the package's build command, round-robin."""
     command = _native._library_path()[1]
@@ -132,6 +163,7 @@ def timings(args) -> dict:
         "repeats": args.repeats,
         "chernoff_block_ms": {"paths": args.paths, **chernoff_block_ms(paths, args.paths, args.repeats)},
         "layers_ms": {n: layers_ms(int(n), args.repeats) for n in args.n.split(",")},
+        "csv_load_ms": csv_load_ms(args.repeats),
         "build_s": build_s([Path(s) for s in args.sources.split(",")], args.builds),
     }
 

@@ -40,12 +40,13 @@
  * pcg64_set_seed.  numpy is Copyright (c) 2005-2025, NumPy Developers, under
  * the BSD 3-clause license.
  *
- * The parser converts each decimal to the nearest double, ties to even, as
- * Python's float() does: Clinger's exact path, else the Eisel-Lemire method
- * with 128-bit truncated powers of five (D. Lemire, "Number parsing at a
- * gigabyte per second", Software: Practice and Experience 51(8), 2021;
- * N. Mushtak and D. Lemire, "Fast number parsing without fallback", SPE
- * 53(6), 2023), as fast_float's compute_float does for doubles, else strtod.
+ * The parser converts each decimal of at most 19 significant digits to the
+ * nearest double, ties to even, as Python's float() does, by the
+ * Eisel-Lemire method with 128-bit truncated powers of five alone (D. Lemire,
+ * "Number parsing at a gigabyte per second", Software: Practice and
+ * Experience 51(8), 2021; N. Mushtak and D. Lemire, "Fast number parsing
+ * without fallback", SPE 53(6), 2023), as fast_float's compute_float does for
+ * doubles; it refuses a longer decimal.
  *
  * The normal law's kernels (tr_normal, tr_smoothed, tr_local_fit) replace no
  * numpy code: they define the library's exp, phi and Phi and its weighted
@@ -57,10 +58,9 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
-/* one rounding per operation: Clinger's path and the loops above rely on it */
+/* one rounding per operation: the loops above rely on it */
 #if FLT_EVAL_METHOD != 0
 #error "doubles must be evaluated in double precision"
 #endif
@@ -1144,12 +1144,6 @@ const uint64_t pow5_128[2 * (POW5_MAX_Q - POW5_MIN_Q + 1)] = {
     0x8e679c2f5e44ff8f, 0x570f09eaa7ea7648,
 };
 
-/* 10^0 .. 10^22, each exact in a double */
-static const double exact_pow10[23] = {
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-};
-
 /* The bits of the double nearest w 10^q, ties to even, for 0 < w < 10^19 and
  * q in [POW5_MIN_Q, POW5_MAX_Q]: fast_float's compute_float for binary64.
  * The 128-bit product of w and 5^q (truncated) always decides the rounding
@@ -1197,9 +1191,6 @@ static uint64_t eisel_lemire(uint64_t w, int64_t q)
     return ((uint64_t)power2 << 52) | mantissa;
 }
 
-/* tokens strtod reads from a copy, with its terminating NUL */
-#define STRTOD_MAX 256
-
 static inline int is_digit(char c)
 {
     return (unsigned char)(c - '0') < 10;
@@ -1207,29 +1198,30 @@ static inline int is_digit(char c)
 
 /* Reads the number [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? at p (before end) into
  * *value as float() does, and returns the pointer past it, or NULL when p
- * holds no such number.  Up to 19 significant digits are converted here; a
- * longer one goes to strtod, which must end where the token ends, so a locale
- * whose decimal point is not '.' rejects it rather than misreading it. */
+ * holds no such number or one of more than 19 significant digits. */
 static const char *parse_number(const char *p, const char *end, double *value)
 {
-    const char *start = p;
     const int negative = p < end && *p == '-';
     if (p < end && (*p == '+' || *p == '-'))
         p++;
+    const char *first = p;
     uint64_t w = 0; /* the significant digits, exact while there are at most 19 */
-    int64_t significant = 0, digits = 0, fraction = 0;
-    for (; p < end && is_digit(*p); p++, digits++) {
+    for (; p < end && is_digit(*p); p++)
         w = 10 * w + (uint64_t)(*p - '0');
-        significant += w != 0;
-    }
-    if (p < end && *p == '.') {
-        for (p++; p < end && is_digit(*p); p++, fraction++) {
+    const char *point = p;
+    if (p < end && *p == '.')
+        for (p++; p < end && is_digit(*p); p++)
             w = 10 * w + (uint64_t)(*p - '0');
-            significant += w != 0;
-        }
-    }
-    if (digits + fraction == 0)
+    const int64_t fraction = p > point ? p - point - 1 : 0;
+    int64_t significant = p - first - (p > point);
+    if (significant == 0)
         return NULL;
+    if (significant > 19) { /* zeros before the first other digit do not count */
+        for (const char *s = first; s < p && (*s == '0' || *s == '.'); s++)
+            significant -= *s == '0';
+        if (significant > 19)
+            return NULL;
+    }
     int64_t exponent = 0;
     if (p < end && (*p == 'e' || *p == 'E')) {
         p++;
@@ -1247,24 +1239,8 @@ static const char *parse_number(const char *p, const char *end, double *value)
     }
     const int64_t q = exponent - fraction;
     double v;
-    if (significant > 19) {
-        char copy[STRTOD_MAX];
-        const size_t len = (size_t)(p - start);
-        if (len >= STRTOD_MAX)
-            return NULL;
-        memcpy(copy, start, len);
-        copy[len] = '\0';
-        char *stop;
-        *value = strtod(copy, &stop);
-        return stop == copy + len ? p : NULL;
-    }
-    if (w == 0) {
-        v = 0.0;
-    } else if (w <= ((uint64_t)1 << 53) && q >= -22 && q <= 22) {
-        /* Clinger: w and 10^|q| are exact, so one rounding gives the nearest */
-        v = q < 0 ? (double)w / exact_pow10[-q] : (double)w * exact_pow10[q];
-    } else if (q < POW5_MIN_Q) {
-        v = 0.0; /* below 10^19 10^-343, under half the least subnormal */
+    if (w == 0 || q < POW5_MIN_Q) {
+        v = 0.0; /* zero, or below 10^19 10^-343, under half the least subnormal */
     } else if (q > POW5_MAX_Q) {
         v = INFINITY;
     } else {
@@ -1279,9 +1255,11 @@ static const char *parse_number(const char *p, const char *end, double *value)
  * exactly n_cols comma-separated fields and ends with "\n", "\r\n" or the end
  * of the buffer.  Field j of row r goes to out[r * n_cols + j]: the bare 0 or 1
  * as 0.0 or 1.0 when j is d_col, else a number as parse_number reads it.
- * Returns the number of rows, or -1 when the buffer holds anything else (or
- * more than cap rows), for the caller's general reader to take over. */
-int64_t tr_parse_csv(const char *buf, int64_t len, int64_t n_cols, int64_t d_col, double *out, int64_t cap)
+ * Returns the number of rows, or -1 when the buffer holds anything else, a
+ * field longer than field_limit bytes or more than cap rows, for the caller's
+ * general reader to take over. */
+int64_t tr_parse_csv(const char *buf, int64_t len, int64_t n_cols, int64_t d_col, int64_t field_limit, double *out,
+                     int64_t cap)
 {
     const char *p = buf, *end = buf + len;
     int64_t rows = 0;
@@ -1289,6 +1267,7 @@ int64_t tr_parse_csv(const char *buf, int64_t len, int64_t n_cols, int64_t d_col
         if (rows == cap)
             return -1;
         for (int64_t j = 0; j < n_cols; j++) {
+            const char *field = p;
             if (j == d_col) {
                 if (p == end || (*p != '0' && *p != '1'))
                     return -1;
@@ -1296,6 +1275,8 @@ int64_t tr_parse_csv(const char *buf, int64_t len, int64_t n_cols, int64_t d_col
             } else if (!(p = parse_number(p, end, out + rows * n_cols + j))) {
                 return -1;
             }
+            if (p - field > field_limit)
+                return -1;
             if (j + 1 < n_cols) {
                 if (p == end || *p++ != ',')
                     return -1;

@@ -23,15 +23,16 @@ AVX-512F and AVX-512DQ (``tr_chernoff_lanes()`` says whether this one does)
 and one word at a time elsewhere; the library exports that scalar loop too,
 as ``tr_chernoff_block_scalar``, so the tests hold both paths to numpy on
 one host, and the check (``BLOCK_CHECK``) runs the path this CPU takes.
-The CSV parser converts decimals as ``float`` does; its check holds a
-token for each branch of the conversion (``PARSE_CHECK``), and without it
-the file is read row by row.  ``tr_normal``, ``tr_smoothed`` and ``tr_local_fit`` compute the
-normal law, its sums and the local fits (see ``kernels`` and ``nuisance``);
-their checks take every branch of Phi, exp arguments near and past
-underflow (``NORMAL_CHECK``) and a rank-deficient design
-(``_local_fit_agrees``).  The module is imported only when a kernel is first wanted, so
-``import threshold_regret`` loads none of ``sysconfig``, ``hashlib`` or
-``subprocess``.
+The CSV parser converts decimals of up to 19 significant digits as ``float``
+does; its check holds a token for each branch of the conversion
+(``PARSE_CHECK``) and a row for each refusal, and without it the file is
+read row by row.  ``tr_normal``, ``tr_smoothed`` and ``tr_local_fit`` compute
+the normal law, its sums and the local fits (see ``kernels`` and
+``nuisance``); their checks take every branch of Phi, exp arguments near and
+past underflow (``NORMAL_CHECK``) and a rank-deficient design
+(``_local_fit_agrees``).  The module is imported only when a kernel is first
+wanted, so ``import threshold_regret`` loads none of ``sysconfig``,
+``hashlib`` or ``subprocess``.
 """
 
 import ctypes
@@ -46,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernels.c")
-# after the source, so the linker keeps -lm for the exp, log1p, ldexp and sqrt it calls
+# after the source, so the linker keeps -lm for the exp, log1p and sqrt it calls
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-lm")
 
 
@@ -89,7 +90,7 @@ def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
         array(np.uint64), i64, i64, array(BOOT_ROW), i64, array(f64), array(f64), array(f64), array(np.int64),
     ]
     lib.tr_parse_csv.restype = i64
-    lib.tr_parse_csv.argtypes = [array(np.uint8), i64, i64, i64, array(f64), i64]
+    lib.tr_parse_csv.argtypes = [array(np.uint8), i64, i64, i64, i64, array(f64), i64]
     # called many times on small arrays, so they take bare addresses: an
     # ndpointer check costs about 4 us an array, several times the sum itself
     # at n = 500; their callers pass C-contiguous float64 (see kernels, nuisance)
@@ -181,26 +182,29 @@ def _block_agrees(lib: ctypes.CDLL) -> bool:
 
 
 # the tokens checked at load time, one for each branch of the conversion:
-# Clinger's exact path (0.1, -0), Eisel-Lemire (1e23), one whose first 64-bit
-# product ends in nine one bits, so that the second product's carry decides it
-# (43463e-29, found by a search against float), a tie it rounds to even
-# (2^53 + 1), a subnormal, the largest subnormal rounding up to the least
-# normal, half the least subnormal rounding up to it, overflow past the largest
-# double and past 10^308, and strtod (more than 19 significant digits)
-PARSE_CHECK = ("0.1", "-0", "1e23", "43463e-29", "9007199254740993", "5e-324", "2.2250738585072012e-308",
-               "2.4703282292062328e-324", "1.7976931348623159e308", "1e400",
-               "0.30000000000000001665334536938", "9007199254740993.0000000000000000001")
+# zero (-0), Eisel-Lemire (0.1, 1e23), a first 64-bit product ending in nine
+# one bits, so that the second product's carry decides (43463e-29, found by a
+# search against float), a tie rounded to even (2^53 + 1), 19 digits, a
+# subnormal, the largest subnormal and half the least one rounding up,
+# overflow past the largest double and past 10^308, and underflow past 10^-342
+PARSE_CHECK = ("0.1", "-0", "1e23", "43463e-29", "9007199254740993", "9999999999999999999", "5e-324",
+               "2.2250738585072012e-308", "2.4703282292062328e-324", "1.7976931348623159e308", "1e400", "1e-400")
 
 
 def _parse_agrees(lib: ctypes.CDLL) -> bool:
     from .data import _parse_rows
 
-    # the tokens beside a d column, in rows ending "\r\n", "\n" and the end of the buffer
+    # the tokens beside a d column, in rows ending "\r\n", "\n" and the end of the buffer,
+    # under a field limit that the longest token meets
     rows = [f"{token},{i % 2}" for i, token in enumerate(PARSE_CHECK)]
     body = ("\r\n".join(rows[:5]) + "\r\n" + "\n".join(rows[5:])).encode()
-    got = _parse_rows(lib.tr_parse_csv, body, 0, 2, 1)
+    limit = max(map(len, PARSE_CHECK))
+    got = _parse_rows(lib.tr_parse_csv, body, 0, 2, 1, limit)
     want = np.array([[float(token) for token in PARSE_CHECK], [i % 2 for i in range(len(PARSE_CHECK))]])
-    return got is not None and got.tobytes() == want.tobytes() and _parse_rows(lib.tr_parse_csv, b"1,2\n", 0, 2, 1) is None
+    # refused: a d of 2, 2^64 (20 digits, which wrap to 0 in 64 bits) and a field one byte over the limit
+    refused = (b"1,2\n", b"18446744073709551616,1\n", b"0" * limit + b"1,1\n")
+    return (got is not None and got.tobytes() == want.tobytes()
+            and all(_parse_rows(lib.tr_parse_csv, rows, 0, 2, 1, limit) is None for rows in refused))
 
 
 # the points checked at load time, each z of Phi, phi and k'': every branch of

@@ -14,7 +14,7 @@ byte-identical output on every machine.  Exit codes: 0 success, 1
 validation error, 2 numeric failure.  All randomness is routed through
 ``--seed`` (fallback: the THRESHOLD_REGRET_SEED environment variable, then
 7).  A data warning, such as tied x values, prints as one ``warning:`` line
-on stderr.
+on stderr when the command succeeds; a failing one prints its error alone.
 """
 
 from __future__ import annotations
@@ -413,23 +413,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _print_data_warnings(show):
-    """A ``warnings.showwarning`` that prints a DataWarning as one ``warning:`` line and passes
-    every other warning to ``show``."""
+def run_cli(argv) -> int:
+    """Parse arguments, dispatch, and write output; returns the exit code.  Each DataWarning is
+    held as one ``warning:`` line, printed once the output is written; other warnings pass on."""
+    held, show = [], warnings.showwarning
 
     def showwarning(message, category, *rest):
         if issubclass(category, DataWarning):
-            print(f"warning: {message}", file=sys.stderr)
+            held.append(f"warning: {message}\n")
         else:
             show(message, category, *rest)
 
-    return showwarning
-
-
-def run_cli(argv) -> int:
-    """Parse arguments, dispatch, and write output; returns the exit code."""
     with warnings.catch_warnings():
-        warnings.showwarning = _print_data_warnings(warnings.showwarning)
+        warnings.showwarning = showwarning
         try:
             args = _build_parser().parse_args(_attach_space_value(argv))
             if args.seed is None:
@@ -445,6 +441,7 @@ def run_cli(argv) -> int:
                     fh.write(text)
             else:
                 sys.stdout.write(text)
+            sys.stderr.writelines(held)
             return 0
         except (ValidationError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -238,11 +238,11 @@ def load_sample_csv(path, propensity: float | None = None, eta: float = 0.01) ->
     A leading UTF-8 byte-order mark is ignored.
 
     A plain file (unquoted header, every ``d`` a bare ``0`` or ``1``, every
-    other field a plain decimal, ``\\n`` or ``\\r\\n`` line ends) is parsed in
-    one pass by the compiled parser of ``_kernels.c`` when it loads.  Any
-    other file, valid or not, and every file in a process without the
-    parser, is read row by row, which gives the same sample or the error
-    message.
+    other field a plain decimal of at most 19 significant digits, ``\\n`` or
+    ``\\r\\n`` line ends) is parsed in one pass by the compiled parser of
+    ``_kernels.c`` when it loads.  Any other file, valid or not, and every
+    file in a process without the parser, is read row by row, which gives the
+    same sample or the error message.
     """
     columns = _read_plain_columns(path)
     if columns is None or (columns[3] is None and propensity is None):
@@ -275,15 +275,14 @@ def _read_plain_columns(path):
     read once, as bytes, and its header line parsed in Python.  The parser
     then reads the data rows in one pass: exactly the header's column count
     per row, ``\\n`` or ``\\r\\n`` line ends, each ``d`` a bare ``0`` or ``1``
-    and every other field a number ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``,
-    converted to the double ``float`` gives.  None means the file needs the
-    row loop: the parser did not load or refused the rows, a line may hold a
-    field longer than ``csv.field_size_limit()`` (the loop raises on it, while
-    the parser reads, say, a long run of leading zeros), the header is
-    undecodable, quoted, lacks y, d or x or ends without a line break, or
-    there are no data rows.  Every file accepted here reads to the same values
-    in the row loop, whose ``float`` accepts a superset of the parser's
-    spellings.
+    and every other field a number ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?`` of
+    at most 19 significant digits, converted to the double ``float`` gives,
+    and no field longer than ``csv.field_size_limit()``, on which the loop
+    raises.  None means the file needs the row loop: the parser did not load
+    or refused the rows, the header is undecodable, quoted, lacks y, d or x
+    or ends without a line break, or there are no data rows.  Every file
+    accepted here reads to the same values in the row loop, whose ``float``
+    accepts a superset of the parser's spellings.
     """
     from . import _native
 
@@ -292,12 +291,6 @@ def _read_plain_columns(path):
         return None
     with open(path, "rb") as fh:
         raw = fh.read()
-    # a run of more than field_size_limit() bytes without a line break
-    # covers at least one whole chunk of at most half that size
-    size = max(1, min(1 << 16, csv.field_size_limit() // 2))
-    if any(raw.find(b"\n", i, i + size) < 0 and raw.find(b"\r", i, i + size) < 0
-           for i in range(0, len(raw) - size + 1, size)):
-        return None
     text = io.TextIOWrapper(io.BytesIO(raw), newline="")
     try:
         line = text.readline()
@@ -306,7 +299,7 @@ def _read_plain_columns(path):
         return None
     if '"' in line or not line.endswith("\n"):
         return None
-    table = _parse_rows(parse, raw, raw.index(b"\n") + 1, n_cols, idx["d"])
+    table = _parse_rows(parse, raw, raw.index(b"\n") + 1, n_cols, idx["d"], csv.field_size_limit())
     if table is None:
         return None
     del raw, text  # the file's bytes go before the columns are copied out, for a lower peak
@@ -317,14 +310,14 @@ def _read_plain_columns(path):
     return column("y"), column("d"), column("x"), column("p")
 
 
-def _parse_rows(parse, raw: bytes, start: int, n_cols: int, d_col: int):
-    """The columns of the data rows ``raw[start:]`` as ``tr_parse_csv`` (``parse``) reads
-    them, or None when it refuses them or finds none."""
+def _parse_rows(parse, raw: bytes, start: int, n_cols: int, d_col: int, field_limit: int):
+    """The columns of the data rows ``raw[start:]`` as ``tr_parse_csv`` (``parse``) reads them,
+    with at most ``field_limit`` bytes a field, or None when it refuses them or finds none."""
     # a row takes at least two bytes a field, so at most cap rows fit; the pages
     # past the rows written are never touched, so they take no memory
     cap = (len(raw) - start + 1) // (2 * n_cols)
     out = np.empty((cap, n_cols))
-    rows = parse(np.frombuffer(raw, np.uint8)[start:], len(raw) - start, n_cols, d_col, out, cap)
+    rows = parse(np.frombuffer(raw, np.uint8)[start:], len(raw) - start, n_cols, d_col, field_limit, out, cap)
     return None if rows <= 0 else out[:rows].T
 
 

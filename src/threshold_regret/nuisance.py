@@ -66,16 +66,21 @@ def _weight_sums(x, g, point: float, bandwidth: float) -> tuple[float, float]:
     return float(level[0]), -float(slope[0])
 
 
-def kde(x: np.ndarray, point: float, bandwidth: float, derivative: int = 0) -> float:
-    """Gaussian kernel estimate of the density (or its first derivative) at a point."""
+def _density_sums(x, point: float, bandwidth: float) -> tuple[float, float]:
+    """``_weight_sums`` of unit weights, once the bandwidth and sample size admit a density estimate."""
     x = np.asarray(x, dtype=float)
     if not bandwidth > 0:
         raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
     if len(x) < 5:
         raise ValidationError(f"kde needs at least 5 observations, got {len(x)}")
+    return _weight_sums(x, np.ones(len(x)), point, bandwidth)
+
+
+def kde(x: np.ndarray, point: float, bandwidth: float, derivative: int = 0) -> float:
+    """Gaussian kernel estimate of the density (or its first derivative) at a point."""
     if derivative not in (0, 1):
         raise ValidationError(f"derivative must be 0 or 1, got {derivative}")
-    level, slope = _weight_sums(x, np.ones(len(x)), point, bandwidth)
+    level, slope = _density_sums(x, point, bandwidth)
     if derivative == 0:
         return level / len(x) / bandwidth
     return slope / len(x) / bandwidth / bandwidth
@@ -209,14 +214,6 @@ def _sd(x: np.ndarray) -> float:
     return s if s > 0 else 1.0
 
 
-def _local_propensity(sample: Sample, point: float, bandwidth: float) -> float:
-    """Kernel-weighted propensity at the point; exact for constant designs."""
-    total = _weight_sums(sample.x, np.ones(sample.n), point, bandwidth)[0]
-    if total <= 0:
-        return float(np.mean(sample.propensity))
-    return _weight_sums(sample.x, sample.propensity, point, bandwidth)[0] / total
-
-
 def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) -> NuisanceEstimates:
     """Estimate (K, H, A) at ``t_eval`` from one experimental sample.
 
@@ -234,9 +231,12 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
     sd = _sd(x)
     bw_f = _KDE_LEVEL_FACTOR * sd * n ** (-1.0 / 5.0)
     bw_fd = _KDE_DERIV_FACTOR * sd * n ** (-1.0 / 7.0)
-    f_hat = kde(x, t_eval, bw_f, derivative=0)
+    total = _density_sums(x, t_eval, bw_f)[0]  # the density's sum, and the local propensity's denominator
+    f_hat = total / n / bw_f
     fprime_hat = kde(x, t_eval, bw_fd, derivative=1)
-    p_local = _local_propensity(sample, t_eval, bw_f)
+    # kernel-weighted propensity at t_eval, exact for constant designs
+    p_local = float(np.mean(sample.propensity)) if total <= 0 else (
+        _weight_sums(x, sample.propensity, t_eval, bw_f)[0] / total)
 
     kappa = {}
     nu1 = {}

@@ -385,7 +385,8 @@ def _csv_cases(test):
         ("y,d,x\n1,0,2\n2,1,0." + "1" * 140_000 + "\n", 0.5),  # over the csv field limit
         ("y,d,x\n1,0,2\n2,1,0" + "0" * 140_000 + "1\n", 0.5),  # over it too, in digits the parser reads
         ("\ufeffy,d,x\r\n1,0,2\r\n2,1,3", 0.5),  # a byte-order mark, and no line end at the end
-        ("y,d,x\n1,0,2\n2,1,0.1000000000000000055511151231257827\n", 0.5),  # strtod's digit count
+        ("y,d,x\n1,0,2\n2,1,0.1000000000000000055511151231257827\n", 0.5),  # past the parser's 19 digits
+        ("y,d,x\n1,0,2\n18446744073709551616,1,3\n", 0.5),  # 2^64, whose digits wrap to 0 in 64 bits
     ]:
         cases = example(text=text, propensity=propensity)(cases)
     return settings(max_examples=300, deadline=None, derandomize=True,
@@ -393,7 +394,7 @@ def _csv_cases(test):
 
 
 @_csv_cases
-def test_load_csv_numpy_pass_matches_the_row_loop(tmp_path, text, propensity):
+def test_load_csv_compiled_pass_matches_the_row_loop(tmp_path, text, propensity):
     """Through the compiled parser when it loads and takes the file, else the library's row loop."""
     path = tmp_path / "any.csv"
     path.write_text(text, newline="")
@@ -411,7 +412,7 @@ def test_load_csv_numpy_pass_matches_the_row_loop(tmp_path, text, propensity):
     (b"y,d,\xe9x\n1,1,0\n", "line 1 is not valid"),
     (b"y,d,x\n1,1,0\n2,0,2\xc3", "line 3 is not valid"),
     (b"y,d,x\n1,1,0\n2,0,0." + b"1" * 140_000 + b"\n3,1,2\n", "line 3: field larger than field limit"),
-    # a token the compiled parser reads, so only the line-length scan sends it to the row loop
+    # digits the compiled parser converts, so only the field limit sends the file to the row loop
     (b"y,d,x\n1,0,2\n2,1,0" + b"0" * 140_000 + b"1\n", "line 3: field larger than field limit"),
 ], ids=["undecodable-byte", "undecodable-header", "truncated-character", "over-field-limit",
         "over-field-limit-leading-zeros"])
@@ -420,6 +421,24 @@ def test_load_csv_words_undecodable_bytes_and_long_fields(tmp_path, content, fra
     path.write_bytes(content)
     with pytest.raises(ValidationError, match=fragment):
         load_sample_csv(str(path), propensity=0.5)
+
+
+def test_load_csv_holds_a_lowered_field_size_limit(tmp_path, monkeypatch):
+    """With ``csv.field_size_limit()`` one byte under a plain file's longest field
+    (x, 19 bytes) the row loop refuses the file, naming the line; at 19 the file
+    reads, in the compiled pass when the parser loads."""
+    path = tmp_path / "plain.csv"
+    path.write_text("y,d,x\n1,0,2\n2,1,0.30000000000000004\n", newline="")
+    old = csv.field_size_limit(18)
+    try:
+        with pytest.raises(ValidationError, match=r"line 3: field larger than field limit \(18\)"):
+            load_sample_csv(str(path), propensity=0.5)
+        csv.field_size_limit(19)
+        if _native.kernel("tr_parse_csv") is not None:
+            monkeypatch.setattr(data, "_load_sample_rows", None)  # calling the row loop would raise
+        assert load_sample_csv(str(path), propensity=0.5).x.tolist() == [2.0, 0.30000000000000004]
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_load_csv_reads_a_plain_file_in_one_compiled_pass(tmp_path, monkeypatch):

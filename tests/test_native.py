@@ -1,8 +1,10 @@
 """The compiled kernels against the numpy code they replace, bit for bit."""
 
+import csv
 import ctypes
 import decimal
 import math
+import shutil
 import struct
 import subprocess
 import types
@@ -575,7 +577,7 @@ def test_load_time_parse_check_takes_the_second_product():
 
 def _parse(lib, tokens):
     """``tr_parse_csv`` over the tokens, one a row, as float64, or None when it refuses them."""
-    found = data._parse_rows(lib.tr_parse_csv, "\n".join(tokens).encode(), 0, 1, -1)
+    found = data._parse_rows(lib.tr_parse_csv, "\n".join(tokens).encode(), 0, 1, -1, csv.field_size_limit())
     return None if found is None else found[0]
 
 
@@ -587,9 +589,10 @@ _DOUBLES = st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite)
 
 
 @st.composite
-def _decimals(draw):
-    """Up to 40 digits with a point anywhere, leading zeros, a sign and an exponent."""
-    digits = draw(st.sampled_from(["", "0", "000"])) + str(draw(st.integers(0, 10**19 - 1) | st.integers(0, 10**40)))
+def _decimals(draw, significant=st.integers(0, 10**19 - 1)):
+    """The digits of ``significant`` (up to 19 by default) with a point anywhere,
+    leading zeros, a sign and an exponent."""
+    digits = draw(st.sampled_from(["", "0", "000"])) + str(draw(significant))
     point = draw(st.integers(0, len(digits)))
     mantissa = draw(st.sampled_from([digits, digits[:point] + "." + digits[point:]]))
     exponent = draw(st.none() | st.integers(-345, 330) | st.integers(-10**30, 10**30))
@@ -599,12 +602,12 @@ def _decimals(draw):
 
 @st.composite
 def _midpoints(draw):
-    """The midpoint of two adjacent doubles, printed to 17-40 significant digits."""
+    """The midpoint of two adjacent doubles, printed to 17-19 significant digits."""
     a = abs(draw(_DOUBLES))
     b = math.nextafter(a, math.inf)
     with decimal.localcontext(prec=800):  # exact: a double's decimal expansion has at most 767 digits
         mid = (decimal.Decimal(a) + decimal.Decimal(b)) / 2
-    return format(mid, f".{draw(st.integers(17, 40)) - 1}e")
+    return format(mid, f".{draw(st.integers(17, 19)) - 1}e")
 
 
 # signed zeros, the least subnormal and the shortest decimals rounding to it or to 0,
@@ -619,8 +622,8 @@ EDGE_TOKENS = ["0", "-0", "+0.0", "-0e999", "5e-324", "2.4703282292062328e-324",
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_parser_rounds_as_float_does(native, tokens):
     """Every conversion branch, bit for bit against ``float``: the repr of any
-    double, decimals of up to 40 digits at any exponent, and near-ties of
-    adjacent doubles, more than 19 digits of which go to strtod."""
+    double, decimals of up to 19 significant digits at any exponent, and
+    near-ties of adjacent doubles printed to 17, 18 and 19 digits."""
     got = _parse(native, tokens)
     assert got is not None
     assert got.tobytes() == np.array([float(token) for token in tokens]).tobytes()
@@ -628,22 +631,46 @@ def test_parser_rounds_as_float_does(native, tokens):
 
 def test_parser_rounds_random_doubles_as_float_does(native):
     """The repr of 200 000 random bit patterns, and 30 000 midpoints of
-    adjacent doubles at 17, 20 and 40 digits."""
+    adjacent doubles at 17, 18 and 19 digits."""
     values = np.random.default_rng(19).integers(0, 2**64, 240_000, dtype=np.uint64).view(np.float64)
     values = values[np.isfinite(values)]
     tokens = list(map(repr, values[:200_000].tolist()))
     with decimal.localcontext(prec=800):
         for i, a in enumerate(np.abs(values[200_000:230_000]).tolist()):
             mid = (decimal.Decimal(a) + decimal.Decimal(math.nextafter(a, math.inf))) / 2
-            tokens.append(format(mid, (".16e", ".19e", ".39e")[i % 3]))
+            tokens.append(format(mid, (".16e", ".17e", ".18e")[i % 3]))
     assert _parse(native, tokens).tobytes() == np.array([float(token) for token in tokens]).tobytes()
 
 
 @pytest.mark.parametrize("token", ["", ".", "+", "-", "e5", "1e", "1e+", "1.5 ", " 1", "1..2", "1.2.3", "--1", "+-1",
                                    "nan", "inf", "0x1p3", "1_0", "1d5", "١", "1,5", "1" * 300])
 def test_parser_refuses_what_its_grammar_does_not_hold(native, token):
-    """Padding, specials, other spellings and a 300-digit token (past strtod's copy) are left to the row loop."""
+    """Padding, specials, other spellings and a 300-digit token are left to the row loop."""
     assert _parse(native, [token, "1.5"]) is None
+
+
+@given(before=st.lists(_DOUBLES.map(repr), max_size=5), after=st.lists(_DOUBLES.map(repr), max_size=5),
+       token=_decimals(st.integers(10**19, 10**40)))
+@example(before=[], after=[], token="0.1000000000000000055511151231257827")
+@example(before=["1.5"], after=[], token="1" * 20)
+@example(before=[], after=[], token="18446744073709551616")  # 2^64: its 64-bit digits wrap to 0
+@example(before=[], after=[], token="0.00" + str(3 * 2**64))
+@example(before=[], after=["2"], token="-000.10000000000000000000e5")
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_parser_refuses_any_row_holding_more_than_19_significant_digits(native, before, after, token):
+    """Twenty to 41 significant digits, trailing zeros counted, anywhere in the file, are left to the row loop."""
+    assert _parse(native, [*before, token, *after]) is None
+
+
+@pytest.mark.parametrize("body, limit, rows", [
+    (b"1.25,0,2\n", 4, 1), (b"1.25,0,2\n", 3, None), (b"1,0,2.5\r\n", 3, 1), (b"1,0,2.5\r\n", 2, None),
+    (b"1,0,2", 1, 1), (b"1,0,2", 0, None),
+])
+def test_parser_refuses_fields_over_the_limit(native, body, limit, rows):
+    """A field of exactly ``limit`` bytes is read and one byte more is refused, as
+    ``csv.reader`` raises past ``csv.field_size_limit()``; line ends do not count."""
+    found = data._parse_rows(native.tr_parse_csv, body, 0, 3, 1, limit)
+    assert (None if found is None else found.shape[1]) == rows
 
 
 @pytest.mark.parametrize("body, rows", [
@@ -655,32 +682,22 @@ def test_parser_takes_only_plain_rows(native, body, rows):
     """Three fields, d in the middle: "\\n" or "\\r\\n" line ends, the last row
     maybe unended; a lone "\\r", a blank row, a short or long row, a ``d``
     other than 0 or 1, or an empty field is refused."""
-    found = data._parse_rows(native.tr_parse_csv, body, 0, 3, 1)
+    found = data._parse_rows(native.tr_parse_csv, body, 0, 3, 1, csv.field_size_limit())
     assert (None if found is None else found.shape[1]) == (rows or None)
 
 
-def test_strtod_fallback_refuses_a_comma_decimal_locale(native):
-    """Under an LC_NUMERIC whose decimal point is ',' strtod would read "1.5" as 1:
-    its end pointer then misses the token's end, and the parser refuses the rows."""
-    code = """
-import locale, sys
-from threshold_regret import _native, data
-for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "nl_NL.UTF-8"):
-    try:
-        locale.setlocale(locale.LC_NUMERIC, name)
-        break
-    except locale.Error:
-        pass
-else:
-    print("NO LOCALE")
-    sys.exit()
-lib = _native._library()
-print(data._parse_rows(lib.tr_parse_csv, b"0.30000000000000000000000000001\\n", 0, 1, -1))
-"""
-    out = fresh_python(code).strip()
-    if out == "NO LOCALE":
-        pytest.skip("no locale with a comma decimal point is installed")
-    assert out == "None"
+def test_library_links_only_libm_and_the_loader():
+    """The built library asks the dynamic linker for libm's exp, log1p and sqrt,
+    memcpy and memset, and the loader's weak hooks, nothing locale-dependent."""
+    require_compiler()
+    if shutil.which("nm") is None:
+        pytest.skip("nm is not on PATH")
+    path = _native._library_path()[0]
+    assert _native._library() is not None and path.exists()
+    done = subprocess.run(["nm", "-D", "--undefined-only", str(path)], capture_output=True, text=True, check=True)
+    names = {line.split()[-1].split("@")[0] for line in done.stdout.splitlines() if line.strip()}
+    weak = {"_ITM_deregisterTMCloneTable", "_ITM_registerTMCloneTable", "__cxa_finalize", "__gmon_start__"}
+    assert names - weak == {"exp", "log1p", "sqrt", "memcpy", "memset"}
 
 
 # --- the normal law and the smoothed sums (tr_smoothed) --------------------------

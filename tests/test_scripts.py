@@ -66,6 +66,9 @@ def test_time_layers_prints_every_timing_as_json(capsys):
     assert (block["lanes"] is not None) == (record["env"]["chernoff_path"] == "lanes")
     assert set(record["layers_ms"]["200"]) == {"estimate_khA", "fit_swm_rate", "fit_swm_plugin"}
     assert all(t > 0 for t in record["layers_ms"]["200"].values())
+    load = record["csv_load_ms"]
+    assert set(load) == {"compiled", "row_loop"} and load["row_loop"] > 0
+    assert (load["compiled"] is None) == (_native.kernel("tr_parse_csv") is None)
     if shutil.which(_native._library_path()[1][0]) is None:
         assert record["build_s"] is None
     else:
