@@ -7,10 +7,12 @@
   ``tr_chernoff_block`` (null where this CPU or compiler lacks them), the
   scalar loop ``tr_chernoff_block_scalar`` and the numpy loop.  All three
   give the same bits; the script checks that they do.
-- ``layers_ms``: at each n of ``--n``, on a model-2 sample, ``estimate_khA``
-  at the EWM threshold and ``fit_swm`` with the rate bandwidth
-  (``LambdaRate(lambda*)``) and with the plug-in one (``PlugInOptimal``,
-  which runs ``estimate_khA`` inside).
+- ``layers_ms``: at each n of ``--n``, on a model-2 sample: the ``Sample``
+  built from its arrays (which sorts x), ``fit_ewm``, ``ewm_bootstrap`` of
+  200 replicates on one worker at the true H, ``estimate_khA`` at the EWM
+  threshold and ``fit_swm`` with the rate bandwidth (``LambdaRate(lambda*)``)
+  and with the plug-in one (``PlugInOptimal``, which runs ``estimate_khA``
+  inside).
 - ``csv_load_ms``: ``load_sample_csv`` on a 100 000-row model-2 CSV of
   ``y,d,x`` with repr floats (as the benchmark writes its CSVs), through the
   compiled parser (null where it does not load) and through the row loop.
@@ -42,8 +44,9 @@ from unittest import mock
 import numpy as np
 
 from threshold_regret import _native, chernoff
-from threshold_regret.data import default_space, load_sample_csv
+from threshold_regret.data import Sample, default_space, load_sample_csv
 from threshold_regret.ewm import fit_ewm
+from threshold_regret.inference import ewm_bootstrap
 from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL2, draw_sample
 from threshold_regret.nuisance import estimate_khA
@@ -92,11 +95,16 @@ def chernoff_block_ms(paths: dict, n_paths: int, repeats: int) -> dict:
 
 def layers_ms(n: int, repeats: int) -> dict:
     sample = draw_sample(MODEL2, n, 1)
+    columns = {name: getattr(sample, name).copy() for name in ("y", "d", "x")}
     space = default_space(sample)
-    t_ewm = fit_ewm(sample, space).t_hat
+    ewm = fit_ewm(sample, space)
+    t_ewm = ewm.t_hat
     kernel = gaussian_cdf_kernel()
     rate = LambdaRate(kernel.optimal_lambda(MODEL2.K, MODEL2.A))
     runs = {
+        "sample": lambda: Sample(**columns, propensity=MODEL2.p),
+        "fit_ewm": lambda: fit_ewm(sample, space),
+        "ewm_bootstrap": lambda: ewm_bootstrap(sample, ewm, MODEL2.H, n_boot=200, seed=1, jobs=1),
         "estimate_khA": lambda: estimate_khA(sample, t_ewm),
         "fit_swm_rate": lambda: fit_swm(sample, kernel, rate, space),
         "fit_swm_plugin": lambda: fit_swm(sample, kernel, PlugInOptimal(t_eval=t_ewm), space),

@@ -95,7 +95,10 @@ class RegretDistribution:
     ``kind`` is "ewm" (scale times Z^2) or "swm" (scale times a noncentral
     chi-squared with one degree of freedom); ``scale`` and ``noncentrality``
     pin the law and ``mean`` is exact.  EWM quantiles are those of the
-    Chernoff table's Z^2 draws; SWM quantiles are exact.
+    Chernoff table's Z^2 draws; SWM quantiles are exact.  A law built
+    directly is refused with ``ValidationError`` when its kind is neither,
+    its scale is not finite and positive, an EWM law has no 1-D float Z^2
+    draws, or an SWM noncentrality is negative or not finite.
     """
 
     kind: str
@@ -105,6 +108,19 @@ class RegretDistribution:
     mean: float
     sigma_n: float | None = None
     _z_squared: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("ewm", "swm"):
+            raise ValidationError(f"kind must be 'ewm' or 'swm', got {self.kind!r}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValidationError(f"scale must be finite and positive, got {self.scale}")
+        z2 = self._z_squared
+        if self.kind == "ewm" and not (
+            isinstance(z2, np.ndarray) and z2.ndim == 1 and z2.size and z2.dtype.kind == "f"
+        ):
+            raise ValidationError("an ewm law needs its Z^2 draws as a non-empty 1-D array of floats")
+        if self.kind == "swm" and not 0.0 <= self.noncentrality < math.inf:
+            raise ValidationError(f"noncentrality must be finite and nonnegative, got {self.noncentrality}")
 
     def quantile(self, q: float) -> float:
         if not 0.0 < q < 1.0:

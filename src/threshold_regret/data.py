@@ -42,7 +42,8 @@ __all__ = [
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    """A float copy of ``values``, so the caller's array stays writable and the sample cannot change."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be a one-dimensional vector, got shape {arr.shape}")
     return arr
@@ -55,7 +56,11 @@ class Sample:
     ``propensity`` may be passed as a scalar (randomized experiment with a
     constant assignment probability); it is broadcast to a per-unit column.
     ``eta`` is the overlap margin: validation rejects propensities outside
-    ``[eta, 1 - eta]``.
+    ``[eta, 1 - eta]``.  The arrays are read-only copies of the caller's.
+
+    x is sorted once, here: ``_x_order`` is the stable permutation sorting x
+    ascending, -0.0 and +0.0 counted as equal.  The EWM cuts and the
+    bootstrap's runs of equal x are read from ``x[_x_order]``.
     """
 
     y: np.ndarray
@@ -63,8 +68,7 @@ class Sample:
     x: np.ndarray
     propensity: np.ndarray
     eta: float = 0.01
-    # whether some x are equal, -0.0 and +0.0 included: ipw_scores sorts stably only then
-    _x_tied: bool = field(init=False, repr=False, compare=False)
+    _x_order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = _as_float_vector(self.y, "y")
@@ -114,16 +118,19 @@ class Sample:
                 f"IPW scores overflow: row {bad} has y={y[bad]} and p={p[bad]}, "
                 f"so y/p or y/(1-p) is not finite"
             )
-        # sorted neighbours rather than np.unique, whose first call imports numpy.ma (about 15 ms)
-        xs = np.sort(x)
-        object.__setattr__(self, "_x_tied", bool(np.any(xs[1:] == xs[:-1])))
-        if self._x_tied:
+        # without ties the sorting permutation is unique, so numpy's default sort finds it
+        # (1.8 ms at n = 100 000 against 10.9 ms for the stable one, one Xeon core); sorted
+        # neighbours find ties rather than np.unique, whose first call imports numpy.ma (about 15 ms)
+        order = np.argsort(x)
+        xs = x[order]
+        if np.any(xs[1:] == xs[:-1]):
             warnings.warn(
                 "duplicate x values present; the index is assumed continuous",
                 DataWarning,
                 stacklevel=2,
             )
-        for name, arr in (("y", y), ("d", d), ("x", x), ("propensity", p)):
+            order = np.argsort(x, kind="stable")
+        for name, arr in (("y", y), ("d", d), ("x", x), ("propensity", p), ("_x_order", order)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -187,12 +194,8 @@ def _ipw_g(sample: Sample) -> np.ndarray:
 
 
 def ipw_scores(sample: Sample) -> IpwScores:
-    """Per-unit IPW scores plus the stable order of x; callers that need only
-    the scores use :func:`_ipw_g` and skip the sort."""
-    # without tied x the sorting permutation is unique, so numpy's default sort
-    # (1.7 ms at n = 100 000 against 9.6 ms for the stable one, one Xeon core) finds it
-    order = np.argsort(sample.x, kind="stable" if sample._x_tied else None)
-    return IpwScores(g=_ipw_g(sample), x_sorted_order=order)
+    """Per-unit IPW scores plus the stable order of x, which the sample sorted once."""
+    return IpwScores(g=_ipw_g(sample), x_sorted_order=sample._x_order)
 
 
 def empirical_welfare(sample: Sample, t: float) -> float:
@@ -302,12 +305,8 @@ def _read_plain_columns(path):
     table = _parse_rows(parse, raw, raw.index(b"\n") + 1, n_cols, idx["d"], csv.field_size_limit())
     if table is None:
         return None
-    del raw, text  # the file's bytes go before the columns are copied out, for a lower peak
-
-    def column(name):
-        return np.ascontiguousarray(table[idx[name]]) if name in idx else None
-
-    return column("y"), column("d"), column("x"), column("p")
+    # views of the parsed rows: Sample copies each column out, after the file's bytes are gone
+    return tuple(table[idx[name]] if name in idx else None for name in ("y", "d", "x", "p"))
 
 
 def _parse_rows(parse, raw: bytes, start: int, n_cols: int, d_col: int, field_limit: int):
@@ -347,6 +346,16 @@ def _csv_rows(path, fh):
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
+def _number(path, row: list[str], row_num: int, idx: dict[str, int], name: str) -> float:
+    """Column ``name`` of a CSV row as ``float`` reads it, or a ValidationError naming the field."""
+    try:
+        return float(row[idx[name]])
+    except ValueError:
+        raise ValidationError(
+            f"{path}: row {row_num}, column '{name}': cannot parse {row[idx[name]]!r} as a number"
+        ) from None
+
+
 def _load_sample_rows(path, propensity: float | None, eta: float) -> Sample:
     """:func:`load_sample_csv` one ``csv.reader`` row at a time, naming the first bad field."""
     with open(path, newline="") as fh:
@@ -365,31 +374,16 @@ def _load_sample_rows(path, propensity: float | None, eta: float) -> Sample:
                 raise ValidationError(
                     f"{path}: row {row_num} has {len(row)} fields, expected {n_cols}"
                 )
-            try:
-                y.append(float(row[idx["y"]]))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {row_num}, column 'y': cannot parse {row[idx['y']]!r} as a number"
-                ) from None
+            y.append(_number(path, row, row_num, idx, "y"))
             d_raw = row[idx["d"]].strip()
             if d_raw not in ("0", "1"):
                 raise ValidationError(
                     f"{path}: row {row_num}, column 'd': expected integer 0 or 1, got {d_raw!r}"
                 )
             d.append(int(d_raw))
-            try:
-                x.append(float(row[idx["x"]]))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {row_num}, column 'x': cannot parse {row[idx['x']]!r} as a number"
-                ) from None
+            x.append(_number(path, row, row_num, idx, "x"))
             if has_p:
-                try:
-                    p.append(float(row[idx["p"]]))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: row {row_num}, column 'p': cannot parse {row[idx['p']]!r} as a number"
-                    ) from None
+                p.append(_number(path, row, row_num, idx, "p"))
     if has_p:
         prop = np.asarray(p)
     elif propensity is not None:

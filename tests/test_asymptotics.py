@@ -8,6 +8,7 @@ from scipy.special import chndtrix, ndtr
 from scipy.stats import ncx2
 
 from threshold_regret.asymptotics import (
+    RegretDistribution,
     asymptotic_row,
     ewm_regret_dist,
     optimal_lambda_mean,
@@ -157,6 +158,29 @@ def test_regret_laws_raise_numeric_error_when_not_finite(small_chernoff):
     assert math.isfinite(dist.mean) and math.isfinite(dist.median)
     with pytest.raises(NumericError):
         dist.quantile(0.995)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "foo", "noncentrality": 0.25}, "kind must be 'ewm' or 'swm'"),
+        ({"kind": "ewm"}, "Z\\^2 draws"),
+        ({"kind": "ewm", "_z_squared": np.array([], float)}, "Z\\^2 draws"),
+        ({"kind": "ewm", "_z_squared": np.ones((2, 2))}, "Z\\^2 draws"),
+        ({"kind": "ewm", "_z_squared": np.arange(3)}, "Z\\^2 draws"),
+        ({"kind": "swm", "noncentrality": -1.0}, "noncentrality must be finite and nonnegative"),
+        ({"kind": "swm", "noncentrality": math.inf}, "noncentrality must be finite and nonnegative"),
+        ({"kind": "swm", "noncentrality": math.nan}, "noncentrality must be finite and nonnegative"),
+        ({"kind": "swm", "scale": 0.0}, "scale must be finite and positive"),
+        ({"kind": "swm", "scale": -1.0}, "scale must be finite and positive"),
+        ({"kind": "swm", "scale": math.inf}, "scale must be finite and positive"),
+        ({"kind": "swm", "scale": math.nan}, "scale must be finite and positive"),
+    ],
+)
+def test_regret_distribution_refuses_a_law_it_cannot_describe(fields, message):
+    law = {"n": 100, "scale": 0.01, "noncentrality": 0.0, "mean": 0.02, **fields}
+    with pytest.raises(ValidationError, match=message):
+        RegretDistribution(**law)
 
 
 def test_swm_quantiles_monotone():

@@ -211,6 +211,18 @@ def test_sample_arrays_are_immutable(rng):
         s.y[0] = 99.0
 
 
+def test_sample_copies_the_callers_arrays(rng):
+    """The caller's float arrays stay writable, and writing to them leaves the sample as it was."""
+    y, x, p = rng.normal(size=5), rng.normal(size=5), np.full(5, 0.5)
+    d = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+    s = Sample(y=y, d=d, x=x, propensity=p)
+    before = [a.copy() for a in (s.y, s.d, s.x, s.propensity, s._x_order)]
+    for arr in (y, d, x, p):
+        arr[:] = arr[::-1] + 5.0
+    assert [a.tobytes() for a in (s.y, s.d, s.x, s.propensity, s._x_order)] == [a.tobytes() for a in before]
+    assert not any(a.flags.writeable for a in (s.y, s.d, s.x, s.propensity, s._x_order))
+
+
 def test_param_space_validation():
     with pytest.raises(ValidationError):
         ParamSpace(1.0, 1.0)

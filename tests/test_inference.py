@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from helpers import index_values, overflowing_sample
 
 from threshold_regret import _native, inference
 from threshold_regret.chernoff import chernoff_quantile
-from threshold_regret.errors import NumericError, ValidationError
+from threshold_regret.data import Sample, ipw_scores
+from threshold_regret.errors import DataWarning, NumericError, ValidationError
 from threshold_regret.ewm import fit_ewm
 from threshold_regret.inference import (
     ewm_bootstrap,
@@ -83,15 +85,41 @@ def test_ewm_ci_requires_ewm_estimate(small_chernoff):
 
 
 @given(x=index_values())
+@example(x=np.array([1.0, 0.0, -0.0, 0.0]))
+@example(x=np.array([-0.0, 2.0, 0.0, -1.0]))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_ranks_are_searchsorted_into_the_breaks(x):
-    """Ranks scattered through one argsort equal a binary search of each x in the
-    distinct values, ties and both zeros included, and the breaks are the runs'
-    first values in np.sort's order, so a run of zeros keeps its leading sign."""
-    breaks, rank = inference._breaks_and_ranks(x)
-    xs = np.sort(x)
+    """Ranks scattered through the runs of x in the sample's order equal a binary search
+    of each x in the distinct values, ties and both zeros included, and the breaks are
+    the runs' first values in the stable order, so a run of zeros breaks at the zero
+    that comes first in x."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)
+        s = Sample(y=np.ones(len(x)), d=np.arange(len(x)) % 2, x=x, propensity=0.5)
+    breaks, rank = inference._breaks_and_ranks(s.x, s._x_order)
+    xs = x[np.argsort(x, kind="stable")]
     assert breaks.tobytes() == xs[np.concatenate(([True], xs[1:] != xs[:-1]))].tobytes()
     assert rank.tobytes() == np.searchsorted(breaks, x).tobytes()
+    zeros = x[x == 0.0]
+    if len(zeros):
+        assert breaks[breaks == 0.0].tobytes() == zeros[:1].tobytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("compiled", [True, False])
+def test_x_is_sorted_once_per_sample(monkeypatch, compiled, jobs):
+    """Once the sample is built, the scores, the EWM fit and the bootstrap sort nothing."""
+    if not compiled:
+        monkeypatch.setattr(_native, "kernel", lambda name: None)
+    s = draw_sample(MODEL1, 400, 9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("x sorted again")
+
+    monkeypatch.setattr(np, "sort", refuse)
+    monkeypatch.setattr(np, "argsort", refuse)
+    assert ipw_scores(s).x_sorted_order is s._x_order
+    ewm_bootstrap(s, fit_ewm(s), h_hat=0.4, n_boot=200, seed=3, jobs=jobs)
 
 
 def test_bootstrap_deterministic_given_seed():
