@@ -12,7 +12,10 @@
   200 replicates on one worker at the true H, ``estimate_khA`` at the EWM
   threshold and ``fit_swm`` with the rate bandwidth (``LambdaRate(lambda*)``)
   and with the plug-in one (``PlugInOptimal``, which runs ``estimate_khA``
-  inside).
+  inside); and ``swm_screen``, the coarse-grid screen of the rate-bandwidth
+  fit (``swm._grid_candidates`` on its arguments: compiled in ``tr_screen``
+  where that loads), with the numpy screen beside it as
+  ``swm_screen_numpy`` where the compiled one runs.
 - ``csv_load_ms``: ``load_sample_csv`` on a 100 000-row model-2 CSV of
   ``y,d,x`` with repr floats (as the benchmark writes its CSVs), through the
   compiled parser (null where it does not load) and through the row loop.
@@ -43,8 +46,8 @@ from unittest import mock
 
 import numpy as np
 
-from threshold_regret import _native, chernoff
-from threshold_regret.data import Sample, default_space, load_sample_csv
+from threshold_regret import _native, chernoff, swm
+from threshold_regret.data import Sample, _ipw_g, default_space, load_sample_csv
 from threshold_regret.ewm import fit_ewm
 from threshold_regret.inference import ewm_bootstrap
 from threshold_regret.kernels import gaussian_cdf_kernel
@@ -109,6 +112,11 @@ def layers_ms(n: int, repeats: int) -> dict:
         "fit_swm_rate": lambda: fit_swm(sample, kernel, rate, space),
         "fit_swm_plugin": lambda: fit_swm(sample, kernel, PlugInOptimal(t_eval=t_ewm), space),
     }
+    g, sigma = _ipw_g(sample), kernel.rate_bandwidth(rate.lam, n)
+    n_pts = swm._grid_points(space, sigma)
+    runs["swm_screen"] = lambda: swm._grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, n_pts)
+    if _native.kernel("tr_screen") is not None:
+        runs["swm_screen_numpy"] = lambda: swm._numpy_candidates(g, sample.x, kernel, sigma, space, n_pts)
     for run in runs.values():
         run()  # the kernels' load-time checks, outside the timings
     return {name: best_ms(run, repeats) for name, run in runs.items()}

@@ -1,6 +1,7 @@
 /* Compiled inner loops of the reshaped bootstrap and the Chernoff simulator,
- * the parser of plain sample CSVs, and the normal law's sums behind the
- * smoothed objective and the local fits of the nuisance estimates.
+ * the parser of plain sample CSVs, the normal law's sums behind the
+ * smoothed objective and the local fits of the nuisance estimates, and the
+ * SWM grid screen.
  *
  * The two loops repeat, operation for operation, the numpy code they replace
  * (Generator.integers followed by inference._replicate, and
@@ -53,6 +54,9 @@
  * sums, with a numpy transcription in the same operation order (kernels.py,
  * nuisance.py) as the fallback and the oracle.  Only + - * /, comparisons,
  * fabs and sqrt touch their doubles, so their bits are the same on every CPU.
+ * The grid screen (tr_screen) bins and sums in an order of its own: its
+ * values only prune the grid, under a bound that covers their rounding
+ * (swm.py), and numpy's FFT screen is its fallback.
  */
 
 #include <float.h>
@@ -1526,6 +1530,104 @@ void tr_smoothed(const double *x, const double *g, int64_t n, double sigma, cons
         if (order != 0)
             out[m + j] = b;
     }
+}
+
+/* a[0] b[0] + ... + a[len-1] b[len-1], in eight interleaved partial sums */
+static double dot(const double *a, const double *b, int64_t len)
+{
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0, s5 = 0.0, s6 = 0.0, s7 = 0.0;
+    int64_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        s0 = s0 + a[i] * b[i];
+        s1 = s1 + a[i + 1] * b[i + 1];
+        s2 = s2 + a[i + 2] * b[i + 2];
+        s3 = s3 + a[i + 3] * b[i + 3];
+        s4 = s4 + a[i + 4] * b[i + 4];
+        s5 = s5 + a[i + 5] * b[i + 5];
+        s6 = s6 + a[i + 6] * b[i + 6];
+        s7 = s7 + a[i + 7] * b[i + 7];
+    }
+    double total = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
+    for (; i < len; i++)
+        total = total + a[i] * b[i];
+    return total;
+}
+
+/* The binned values of the SWM grid screen (swm._compiled_screen): at each
+ * grid point t_j = lo + subcells j step, j = 0..n_pts-1, an approximation of
+ * sum g[i] k((x[i] - t_j) / sigma) for a CDF kernel k, whose error bound
+ * swm.py computes from the sums this returns.
+ *
+ * One forward pass over the rows in the order that sorts x (order, a
+ * permutation of 0..n-1) places each at p = (x - lo) / step sub-cells.  Rows
+ * below node m0 or above node m1 (m0 < m1), a prefix and a suffix of that
+ * order, enter at k's limits, 0 and g[i]; the rest are binned linearly onto
+ * the nodes m0..m1.  Each grid point's value is then the bins within w
+ * sub-cells of it times table[d - d_lo], k at the offset d step / sigma for
+ * d = d_lo..min(m1, w), d_lo = max(m0 - subcells (n_pts - 1), -w), plus the
+ * suffix sum of the bins beyond w above it (k taken as 1) and the far rows
+ * above; the bins beyond w below are dropped (k taken as 0).  The work is n
+ * + n_pts (2 w + 1) multiply-adds at most.
+ *
+ * work (n_pts + 2 (m1 - m0) + 6 doubles, then n bytes) receives the values
+ * at work[0..n_pts-1], then sum |g| over the binned rows, the rows below m0
+ * and the rows above m1.  Returns 0, or -1 when order is not a permutation that
+ * sorts x ascending. */
+int64_t tr_screen(const double *x, const double *g, const int64_t *order, int64_t n, double lo, double step,
+                  int64_t n_pts, int64_t subcells, int64_t m0, int64_t m1, int64_t w, const double *table,
+                  double *work)
+{
+    const int64_t nodes = m1 - m0 + 1, d_lo = m0 - subcells * (n_pts - 1) > -w ? m0 - subcells * (n_pts - 1) : -w;
+    double *approx = work, *bins = work + n_pts + 3, *suffix = bins + nodes;
+    unsigned char *seen = (unsigned char *)(suffix + nodes + 1);
+    memset(seen, 0, (size_t)n);
+    for (int64_t i = 0; i < n; i++) {
+        if (order[i] < 0 || order[i] >= n || seen[order[i]])
+            return -1;
+        seen[order[i]] = 1;
+    }
+    memset(bins, 0, (size_t)nodes * sizeof *bins);
+
+    double abs_near = 0.0, abs_left = 0.0, abs_right = 0.0, right = 0.0, last = -INFINITY;
+    for (int64_t i = 0; i < n; i++) {
+        const double p = (x[order[i]] - lo) / step, gi = g[order[i]];
+        if (!(p >= last))
+            return -1;
+        last = p;
+        if (p < (double)m0) {
+            abs_left = abs_left + fabs(gi);
+        } else if (p > (double)m1) {
+            abs_right = abs_right + fabs(gi);
+            right = right + gi;
+        } else {
+            const double q = p - (double)m0;
+            int64_t c = (int64_t)q;
+            c = c > nodes - 2 ? nodes - 2 : c;
+            const double f = q - (double)c;
+            bins[c] = bins[c] + gi * (1.0 - f);
+            bins[c + 1] = bins[c + 1] + gi * f;
+            abs_near = abs_near + fabs(gi);
+        }
+    }
+    suffix[nodes] = 0.0;
+    for (int64_t m = nodes - 1; m >= 0; m--)
+        suffix[m] = suffix[m + 1] + bins[m];
+
+    for (int64_t j = 0; j < n_pts; j++) {
+        const int64_t cj = subcells * j;
+        const int64_t first = cj - w > m0 ? cj - w : m0, end = cj + w < m1 ? cj + w : m1;
+        const int64_t above = cj + w + 1 > m0 ? cj + w + 1 : m0;
+        double a = right;
+        if (first <= end)
+            a = a + dot(bins + (first - m0), table + (first - cj - d_lo), end - first + 1);
+        if (above <= m1)
+            a = a + suffix[above - m0];
+        approx[j] = a;
+    }
+    work[n_pts] = abs_near;
+    work[n_pts + 1] = abs_left;
+    work[n_pts + 2] = abs_right;
+    return 0;
 }
 
 /* The Gaussian-weighted local polynomial fit with p = degree + 1

@@ -13,7 +13,7 @@ never sets another aside, and a process that wants one kernel never pays
 the others' checks.  If a step fails (no compiler, a read-only package
 directory, a failed build or load, a result that differs) ``kernel``
 returns None and the caller keeps its numpy code, whose results are the
-same bit for bit.  There are six kernels.  The bootstrap chunk and the
+same bit for bit.  There are seven kernels.  The bootstrap chunk and the
 Chernoff block repeat numpy's own PCG64, the bootstrap its seeding and
 bounded integers and the Chernoff block its normal sampler, so under a
 numpy whose stream differs from the one they copy (see ``_kernels.c``) the
@@ -25,13 +25,17 @@ as ``tr_chernoff_block_scalar``, so the tests hold both paths to numpy on
 one host, and the check (``BLOCK_CHECK``) runs the path this CPU takes.
 The CSV parser converts decimals of up to 19 significant digits as ``float``
 does; its check holds a token for each branch of the conversion
-(``PARSE_CHECK``) and a row for each refusal, and without it the file is
-read row by row.  ``tr_normal``, ``tr_smoothed`` and ``tr_local_fit`` compute
-the normal law, its sums and the local fits (see ``kernels`` and
-``nuisance``); their checks take every branch of Phi, exp arguments near and
-past underflow (``NORMAL_CHECK``) and a rank-deficient design
-(``_local_fit_agrees``).  The module is imported only when a kernel is first
-wanted, so ``import threshold_regret`` loads none of ``sysconfig``,
+(``PARSE_CHECK``) and a row for each refusal, and without it the file is read
+row by row.  ``tr_normal``, ``tr_smoothed`` and ``tr_local_fit`` compute the
+normal law, its sums and the local fits (see ``kernels`` and ``nuisance``);
+their checks take every branch of Phi, exp arguments near and past underflow
+(``NORMAL_CHECK``) and a rank-deficient design (``_local_fit_agrees``).
+``tr_screen`` is the SWM grid screen (see ``swm``), which replaces no numpy
+code bit for bit: its check (``SCREEN_CHECK``) holds each binned value within
+the screen's bound of the exact sum, on cases where the far rows' tails, the
+rounding slack and the binning error each decide, and requires every point
+kept where the sums overflow.  The module is imported only when a kernel is
+first wanted, so ``import threshold_regret`` loads none of ``sysconfig``,
 ``hashlib`` or ``subprocess``.
 """
 
@@ -101,6 +105,8 @@ def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.tr_smoothed.argtypes = [ptr, ptr, i64, f64, ptr, i64, i64, ptr]
     lib.tr_local_fit.restype = i64
     lib.tr_local_fit.argtypes = [ptr, ptr, i64, f64, f64, i64, ptr, ptr]
+    lib.tr_screen.restype = i64
+    lib.tr_screen.argtypes = [ptr, ptr, ptr, i64, f64, f64, i64, i64, i64, i64, i64, ptr, ptr]
     for block in (lib.tr_chernoff_block, lib.tr_chernoff_block_scalar):
         block.restype = None
         block.argtypes = [
@@ -231,7 +237,7 @@ def _normal_agrees(lib: ctypes.CDLL) -> bool:
 
 
 def _smoothed_agrees(lib: ctypes.CDLL) -> bool:
-    from .kernels import _cdf, _k2, _pdf, _row_sums, _sums
+    from .kernels import _CompiledRows, _cdf, _k2, _pdf, _row_sums
 
     # one row x = -0.0 of weight 1 at thresholds -z, whose terms are Phi, phi
     # and k'' at z exactly, each point's own sum; then sums over the points
@@ -240,7 +246,8 @@ def _smoothed_agrees(lib: ctypes.CDLL) -> bool:
     g = np.linspace(-2.0, 3.0, len(z)) ** 3
     for x, g, sigma, t in ((np.array([-0.0]), np.array([1.0]), 1.0, -z), (z, g, 0.5, np.array([0.0, 0.7, -5.0]))):
         for order, funcs in ((0, (_cdf,)), (1, (_pdf, _k2))):
-            if not all(map(_same, _sums(lib.tr_smoothed, x, g, sigma, t, order), _row_sums(x, g, sigma, t, funcs))):
+            if not all(map(_same, _CompiledRows(lib.tr_smoothed, x, g)(sigma, t, order),
+                           _row_sums(x, g, sigma, t, funcs))):
                 return False
     return True
 
@@ -266,6 +273,44 @@ def _local_fit_agrees(lib: ctypes.CDLL) -> bool:
     return True
 
 
+# the screens checked at load time, on 21 grid points over [0, 1], 40 rows
+# each: rows beyond the capped pad on both sides (16 384 sub-cells, c = 2.56),
+# whose tails exceed the rest of the bound; a sigma so wide that the binning
+# error is below the rounding, which the slack alone covers; a sigma of 8
+# sub-cells, whose window cuts, with a heavy row half a sub-cell past one
+# sigma from grid point 10, whose binning error nearly meets its bound; and
+# scores that overflow the sums, where every point must be kept
+SCREEN_CHECK = (5, 21, (80.0, 1e7, 0.1, 0.3))
+
+
+def _screen_agrees(lib: ctypes.CDLL) -> bool:
+    import dataclasses
+
+    from .data import ParamSpace
+    from .kernels import _cdf, gaussian_cdf_kernel
+    from .swm import _compiled_screen
+
+    seed, n_pts, sigmas = SCREEN_CHECK
+    rng = np.random.default_rng(seed)
+    x, g = rng.uniform(0.0, 1.0, (4, 40)), rng.standard_normal(40)
+    x[0, :4] = -300.0, -250.0, 271.0, 400.0
+    x[2, 0] = 48.5 / 80.0
+    g = np.stack((g * np.r_[50.0, 50.0, 50.0, 50.0, np.ones(36)], g, g * np.r_[1e3, np.ones(39)], np.full(40, 1e307)))
+    sigma = np.array(sigmas)[:, None, None]
+    # the normal CDF kernel with numpy's Phi, the same bits as tr_normal's, so this check pays no other
+    kernel = dataclasses.replace(gaussian_cdf_kernel(), k=_cdf)
+    with np.errstate(all="ignore"):
+        exact = np.sum(g[:, None, :] * _cdf((x[:, None, :] - np.linspace(0.0, 1.0, n_pts)[:, None]) / sigma), axis=2)
+    for i in range(len(sigmas)):
+        cand, approx, err, slack = _compiled_screen(lib.tr_screen, g[i], x[i], np.argsort(x[i], kind="stable"),
+                                                   kernel, sigmas[i], ParamSpace(0.0, 1.0), n_pts)
+        with np.errstate(all="ignore"):
+            close = bool(np.all(np.abs(approx - exact[i]) <= err + 0.5 * slack))
+        if not (len(cand) == n_pts if i == 3 else close):
+            return False
+    return True
+
+
 @functools.cache
 def _library() -> ctypes.CDLL | None:
     """The built, loaded and typed library, or None when it cannot be built or loaded."""
@@ -282,7 +327,8 @@ def _library() -> ctypes.CDLL | None:
 
 
 CHECKS = {"tr_bootstrap_chunk": _bootstrap_agrees, "tr_chernoff_block": _block_agrees, "tr_parse_csv": _parse_agrees,
-          "tr_normal": _normal_agrees, "tr_smoothed": _smoothed_agrees, "tr_local_fit": _local_fit_agrees}
+          "tr_normal": _normal_agrees, "tr_smoothed": _smoothed_agrees, "tr_local_fit": _local_fit_agrees,
+          "tr_screen": _screen_agrees}
 
 
 @functools.cache

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import chndtrix
+from ._workers import require_int
 from .chernoff import ChernoffTable, _linear_quantile
 from .errors import NumericError, ValidationError
 from .kernels import Kernel
@@ -97,8 +98,9 @@ class RegretDistribution:
     pin the law and ``mean`` is exact.  EWM quantiles are those of the
     Chernoff table's Z^2 draws; SWM quantiles are exact.  A law built
     directly is refused with ``ValidationError`` when its kind is neither,
-    its scale is not finite and positive, an EWM law has no 1-D float Z^2
-    draws, or an SWM noncentrality is negative or not finite.
+    n is not an integer >= 1, its scale is not finite and positive, its mean
+    is negative or not finite, an EWM law has no 1-D float Z^2 draws, or an
+    SWM noncentrality is negative or not finite.
     """
 
     kind: str
@@ -112,8 +114,11 @@ class RegretDistribution:
     def __post_init__(self):
         if self.kind not in ("ewm", "swm"):
             raise ValidationError(f"kind must be 'ewm' or 'swm', got {self.kind!r}")
+        require_int("n", self.n, 1)
         if not 0.0 < self.scale < math.inf:
             raise ValidationError(f"scale must be finite and positive, got {self.scale}")
+        if not 0.0 <= self.mean < math.inf:
+            raise ValidationError(f"mean must be finite and nonnegative, got {self.mean}")
         z2 = self._z_squared
         if self.kind == "ewm" and not (
             isinstance(z2, np.ndarray) and z2.ndim == 1 and z2.size and z2.dtype.kind == "f"

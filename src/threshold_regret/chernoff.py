@@ -187,7 +187,8 @@ def simulate_chernoff(
         raise ValidationError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
     require_int("n_paths", n_paths, 10_000)
     require_int("seed", seed, 0)
-    m = _grid_size(domain_halfwidth, grid_step)
+    # a ratio past the largest double has no grid size, and is past the cap too
+    m = _grid_size(domain_halfwidth, grid_step) if math.isfinite(domain_halfwidth / grid_step) else math.inf
     if m > _MAX_GRID:
         raise ValidationError(
             f"domain_halfwidth / grid_step must be at most {_MAX_GRID} grid points per wing, "

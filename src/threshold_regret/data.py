@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 
+def _read_only(values) -> np.ndarray:
+    """A read-only copy of ``values``, so a record neither freezes nor shares an array its caller can write to."""
+    arr = np.array(values)
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_float_vector(values, name: str) -> np.ndarray:
     """A float copy of ``values``, so the caller's array stays writable and the sample cannot change."""
     arr = np.array(values, dtype=float)
@@ -177,14 +184,28 @@ def default_space(sample: Sample) -> ParamSpace:
 
 @dataclass(frozen=True)
 class IpwScores:
-    """IPW pseudo-outcomes plus the stable permutation sorting x ascending."""
+    """IPW pseudo-outcomes plus the stable permutation sorting x ascending.
+
+    Both are read-only copies of the arrays given.
+    """
 
     g: np.ndarray
     x_sorted_order: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.g.setflags(write=False)
-        self.x_sorted_order.setflags(write=False)
+        for name in ("g", "x_sorted_order"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    @classmethod
+    def _of_sample(cls, sample: Sample) -> IpwScores:
+        """The sample's scores, fresh and frozen here, and its own read-only
+        order, kept without the copies a caller's arrays get."""
+        scores = object.__new__(cls)
+        g = _ipw_g(sample)
+        g.setflags(write=False)
+        object.__setattr__(scores, "g", g)
+        object.__setattr__(scores, "x_sorted_order", sample._x_order)
+        return scores
 
 
 def _ipw_g(sample: Sample) -> np.ndarray:
@@ -195,7 +216,7 @@ def _ipw_g(sample: Sample) -> np.ndarray:
 
 def ipw_scores(sample: Sample) -> IpwScores:
     """Per-unit IPW scores plus the stable order of x, which the sample sorted once."""
-    return IpwScores(g=_ipw_g(sample), x_sorted_order=sample._x_order)
+    return IpwScores._of_sample(sample)
 
 
 def empirical_welfare(sample: Sample, t: float) -> float:

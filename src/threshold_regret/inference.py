@@ -40,7 +40,7 @@ import numpy as np
 from ._special import erfinv
 from ._workers import parallel_map, require_int
 from .chernoff import ChernoffTable, _linear_quantile, chernoff_quantile
-from .data import Sample, _ipw_g
+from .data import Sample, _ipw_g, _read_only
 from .errors import NumericError, ValidationError
 from .ewm import ThresholdEstimate
 from .kernels import Kernel
@@ -139,7 +139,7 @@ class BootstrapDistribution:
     seed: int
 
     def __post_init__(self):
-        self.draws.setflags(write=False)
+        object.__setattr__(self, "draws", _read_only(self.draws))
 
     def percentile_interval(self, level: float = 0.95) -> ConfidenceInterval:
         _check_level(level)

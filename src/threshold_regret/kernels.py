@@ -24,9 +24,10 @@ in ``_kernels.c`` and, operation for operation, in numpy here:
 ``norm_cdf``, ``norm_pdf`` and k'' run compiled in ``tr_normal`` once it
 has loaded, and in the numpy transcription otherwise, with the same bits
 either way.  A kernel's weighted sums over the rows (:meth:`Kernel.sums`,
-which the smoothed objective and the nuisance estimates take) run in row
-order; the shipped kernel's run compiled in ``tr_smoothed``, or in their
-numpy transcription, again with the same bits.
+or :meth:`Kernel.bind` for rows checked once, which the smoothed objective
+and the nuisance estimates take) run in row order; the shipped kernel's run
+compiled in ``tr_smoothed``, or in their numpy transcription, again with
+the same bits.
 """
 
 from __future__ import annotations
@@ -190,42 +191,70 @@ def _gaussian_k2(z):
 PHI0 = float(_pdf(np.float64(0.0)))
 
 
-def _sum_args(x, g, t, order):
-    """x, g and t as C-contiguous float64 arrays, once x and g are rows of one
-    length, at least 1, t a vector and order 0 or 1 (the compiled sums read
-    len(x) values of g and trust the shapes)."""
-    x, g, t = (np.ascontiguousarray(a, dtype=float) for a in (x, g, t))
-    if x.ndim != 1 or g.shape != x.shape or t.ndim != 1 or not len(x):
-        raise ValidationError(f"sums need x and g of one nonzero length and a vector t, "
-                              f"got shapes {x.shape}, {g.shape} and {t.shape}")
+def _rows(x, g):
+    """x and g as C-contiguous float64 rows of one length, at least 1 (the
+    compiled sums read len(x) values of g and trust the shapes)."""
+    x, g = (np.ascontiguousarray(a, dtype=float) for a in (x, g))
+    if x.ndim != 1 or g.shape != x.shape or not len(x):
+        raise ValidationError(f"sums need x and g of one nonzero length, got shapes {x.shape} and {g.shape}")
+    return x, g
+
+
+def _thresholds(t, order):
+    """t as a C-contiguous float64 vector, once order is 0 or 1."""
     if order not in (0, 1):
         raise ValidationError(f"order must be 0 or 1, got {order}")
-    return x, g, t
+    t = np.ascontiguousarray(t, dtype=float)
+    if t.ndim != 1:
+        raise ValidationError(f"sums need a vector t, got shape {t.shape}")
+    return t
 
 
-def _sums(smoothed, x, g, sigma, t, order):
-    """``tr_smoothed``'s sums, rows of one array; x, g and t C-contiguous float64.
+# the terms of the normal CDF kernel's sums at order 0 and 1 (k; k' and k''), in numpy
+_NORMAL_TERMS = (_cdf,), (_pdf, _k2)
 
-    The thresholds and the sums share one buffer, so the call takes three
-    addresses (each costs about as much as a 500-row sum).
+
+def _numpy_rows(x, g, funcs):
+    """:func:`_row_sums` over checked rows: a function of (sigma, t, order), funcs[order] the terms summed."""
+    return lambda sigma, t, order=0: _row_sums(x, g, sigma, _thresholds(t, order), funcs[order])
+
+
+class _CompiledRows:
+    """``tr_smoothed``'s sums over checked rows x and g, a function of (sigma, t,
+    order) returning the sums as rows of a new array.
+
+    The rows' addresses are taken once, here, and the rows stay referenced
+    while the kernel reads them.  The thresholds and the sums share one
+    buffer, kept from call to call and grown when a call needs more, so a
+    call passes one address for both.
     """
-    m = len(t)
-    buf = np.empty((order + 2) * m)
-    buf[:m] = t
-    at = buf.ctypes.data
-    smoothed(x.ctypes.data, g.ctypes.data, len(x), sigma, at, m, order, at + 8 * m)
-    return buf[m:].reshape(order + 1, m)
+
+    def __init__(self, smoothed, x, g):
+        self._smoothed = smoothed
+        self._rows = x, g
+        self._at = x.ctypes.data, g.ctypes.data, len(x)
+        self._buf, self._at_buf = np.empty(0), 0
+
+    def __call__(self, sigma, t, order=0):
+        t = _thresholds(t, order)
+        m = len(t)
+        if (order + 2) * m > len(self._buf):
+            self._buf = np.empty(max((order + 2) * m, 3))
+            self._at_buf = self._buf.ctypes.data
+        self._buf[:m] = t
+        self._smoothed(*self._at, sigma, self._at_buf, m, order, self._at_buf + 8 * m)
+        return self._buf[m : (order + 2) * m].reshape(order + 1, m).copy()
 
 
-def normal_sums(x, g, sigma, t, order):
-    """The normal CDF kernel's :meth:`Kernel.sums`: ``tr_smoothed`` once it has
+def normal_rows(x, g):
+    """The normal CDF kernel's :meth:`Kernel.bind`: ``tr_smoothed`` once it has
     loaded and passed its check (see ``_native``), else its numpy transcription,
     which gives the same bits."""
-    x, g, t = _sum_args(x, g, t, order)
+    x, g = _rows(x, g)
     smoothed = _kernel("tr_smoothed")
     if smoothed is None:
-        return _row_sums(x, g, sigma, t, (_cdf,) if order == 0 else (_pdf, _k2))
-    return _sums(smoothed, x, g, sigma, t, order)
+        return _numpy_rows(x, g, _NORMAL_TERMS)
+    return _CompiledRows(smoothed, x, g)
 
 
 @dataclass(frozen=True)
@@ -263,6 +292,11 @@ class Kernel:
         """Bandwidth sigma_n = (lambda / n)^(1/5) of a lambda-rate sequence."""
         return (lam / n) ** 0.2
 
+    def bind(self, x, g):
+        """:meth:`sums` over the rows x and g, checked once: ``bind(x, g)(sigma,
+        t, order)`` is ``sums(x, g, sigma, t, order)``, bit for bit."""
+        return _numpy_rows(*_rows(x, g), ((self.k,), (self.k1, self.k2)))
+
     def sums(self, x, g, sigma, t, order=0):
         """[sum_i g_i k(u_i)] (order 0) or [sum_i g_i k'(u_i), sum_i g_i k''(u_i)]
         (order 1), one value per threshold t_j, u_i = (x_i - t_j) / sigma.
@@ -271,19 +305,18 @@ class Kernel:
         every host.  x and g must be rows of one length, at least 1, and t a
         vector; ValidationError otherwise.
         """
-        x, g, t = _sum_args(x, g, t, order)
-        return _row_sums(x, g, sigma, t, (self.k,) if order == 0 else (self.k1, self.k2))
+        return self.bind(x, g)(sigma, t, order)
 
 
 class _NormalCdfKernel(Kernel):
     """The shipped kernel, whose sums are the normal law's own, compiled
-    (:func:`normal_sums`), with the bits of :meth:`Kernel.sums` over its
+    (:func:`normal_rows`), with the bits of :meth:`Kernel.sums` over its
     functions.  ``dataclasses.replace`` keeps the class, and so these sums,
     whatever functions it is given; a kernel of other functions is a
     :class:`Kernel`."""
 
-    def sums(self, x, g, sigma, t, order=0):
-        return normal_sums(x, g, sigma, t, order)
+    def bind(self, x, g):
+        return normal_rows(x, g)
 
 
 def gaussian_cdf_kernel() -> Kernel:

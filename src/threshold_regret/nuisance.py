@@ -17,9 +17,10 @@ lambda* = alpha2 K_hat / (4 A_hat^2), sigma* = (lambda*/n)^(1/5).
 
 Every weighted sum over the rows (the density and its slope, the local
 propensity, the effective counts) is a sum of the library's own phi in row
-order (``kernels.normal_sums``), and each local fit a Householder QR solve
-with a stated rank rule (``tr_local_fit`` in ``_kernels.c``, or its numpy
-transcription), so the estimates have one set of bits on every host.
+order (``kernels.normal_rows``, bound once per row array), and each local
+fit a Householder QR solve with a stated rank rule (``tr_local_fit`` in
+``_kernels.c``, or its numpy transcription), so the estimates have one set
+of bits on every host.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .data import Sample
 from .errors import ArmDataError, NumericError, RankDeficiencyError, ValidationError
-from .kernels import PHI0, Kernel, _pdf, gaussian_cdf_kernel, normal_sums
+from .kernels import PHI0, Kernel, _pdf, gaussian_cdf_kernel, normal_rows
 
 __all__ = ["NuisanceEstimates", "kde", "local_poly", "estimate_khA", "optimal_bandwidth"]
 
@@ -58,29 +59,34 @@ class NuisanceEstimates:
     reg_bandwidth: float
 
 
-def _weight_sums(x, g, point: float, bandwidth: float) -> tuple[float, float]:
-    """(sum_i g_i phi(u_i), sum_i g_i u_i phi(u_i)) at u_i = (x_i - point) / bandwidth, in row order."""
-    level, slope = normal_sums(np.asarray(x, dtype=float), np.asarray(g, dtype=float), bandwidth,
-                               np.array([float(point)]), 1)
+def _weight_sums(sums, point: float, bandwidth: float) -> tuple[float, float]:
+    """(sum_i g_i phi(u_i), sum_i g_i u_i phi(u_i)) at u_i = (x_i - point) / bandwidth, in row order,
+    from ``sums``, the normal CDF kernel's sums over the rows x and g (``kernels.normal_rows``)."""
+    level, slope = sums(bandwidth, np.array([float(point)]), 1)
     # the kernel's k'' is -u phi(u), and a sum of negated terms is the negated sum
     return float(level[0]), -float(slope[0])
 
 
-def _density_sums(x, point: float, bandwidth: float) -> tuple[float, float]:
-    """``_weight_sums`` of unit weights, once the bandwidth and sample size admit a density estimate."""
+def _unit_rows(x):
+    """The normal CDF kernel's sums over x with unit weights, once x has the rows a density estimate needs."""
     x = np.asarray(x, dtype=float)
-    if not bandwidth > 0:
-        raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
     if len(x) < 5:
         raise ValidationError(f"kde needs at least 5 observations, got {len(x)}")
-    return _weight_sums(x, np.ones(len(x)), point, bandwidth)
+    return normal_rows(x, np.ones(len(x)))
+
+
+def _density_sums(units, point: float, bandwidth: float) -> tuple[float, float]:
+    """``_weight_sums`` of unit weights (:func:`_unit_rows`), once the bandwidth admits a density estimate."""
+    if not bandwidth > 0:
+        raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
+    return _weight_sums(units, point, bandwidth)
 
 
 def kde(x: np.ndarray, point: float, bandwidth: float, derivative: int = 0) -> float:
     """Gaussian kernel estimate of the density (or its first derivative) at a point."""
     if derivative not in (0, 1):
         raise ValidationError(f"derivative must be 0 or 1, got {derivative}")
-    level, slope = _density_sums(x, point, bandwidth)
+    level, slope = _density_sums(_unit_rows(x), point, bandwidth)
     if derivative == 0:
         return level / len(x) / bandwidth
     return slope / len(x) / bandwidth / bandwidth
@@ -193,9 +199,10 @@ def _poly_derivative(beta: np.ndarray, derivative: int, bandwidth: float) -> flo
     return value
 
 
-def _effective_count(x: np.ndarray, point: float, bandwidth: float) -> float:
-    """Number of full-weight-equivalent observations near the point."""
-    return _weight_sums(x, np.ones(len(x)), point, bandwidth)[0] / PHI0
+def _effective_count(counts, point: float, bandwidth: float) -> float:
+    """Number of full-weight-equivalent observations near the point, from
+    ``counts``, the normal CDF kernel's sums over the rows with unit weights."""
+    return _weight_sums(counts, point, bandwidth)[0] / PHI0
 
 
 def _sd(x: np.ndarray) -> float:
@@ -231,12 +238,13 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
     sd = _sd(x)
     bw_f = _KDE_LEVEL_FACTOR * sd * n ** (-1.0 / 5.0)
     bw_fd = _KDE_DERIV_FACTOR * sd * n ** (-1.0 / 7.0)
-    total = _density_sums(x, t_eval, bw_f)[0]  # the density's sum, and the local propensity's denominator
+    units = _unit_rows(x)  # the sums of the density and its slope, bound once
+    total = _density_sums(units, t_eval, bw_f)[0]  # the density's sum, and the local propensity's denominator
     f_hat = total / n / bw_f
-    fprime_hat = kde(x, t_eval, bw_fd, derivative=1)
+    fprime_hat = _density_sums(units, t_eval, bw_fd)[1] / n / bw_fd / bw_fd  # kde(x, t_eval, bw_fd, derivative=1)
     # kernel-weighted propensity at t_eval, exact for constant designs
     p_local = float(np.mean(sample.propensity)) if total <= 0 else (
-        _weight_sums(x, sample.propensity, t_eval, bw_f)[0] / total)
+        _weight_sums(normal_rows(x, sample.propensity), t_eval, bw_f)[0] / total)
 
     kappa = {}
     nu1 = {}
@@ -253,8 +261,9 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
         bw_level = _REG_LEVEL_FACTOR * sd_j * n_j ** (-1.0 / 5.0)
         bw_deriv = _REG_DERIV_FACTOR * sd_j * n_j ** (-1.0 / 7.0)
         reg_bws.append(bw_level)
+        counts = normal_rows(x_j, np.ones(n_j))
         for label, bw in (("level", bw_level), ("derivative", bw_deriv)):
-            if _effective_count(x_j, t_eval, bw) < _MIN_EFFECTIVE:
+            if _effective_count(counts, t_eval, bw) < _MIN_EFFECTIVE:
                 raise ArmDataError(
                     f"arm {arm}: fewer than {int(_MIN_EFFECTIVE)} effective observations near "
                     f"t={t_eval} for the {label} regression (n_arm={n_j})"

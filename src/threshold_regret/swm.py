@@ -13,25 +13,53 @@ sigma = (lambda / n)^(1/5), the plug-in regret-optimal rule, or an
 undersmoothed variant of the plug-in rule.
 
 The grid search returns the argmax of the exact objective over the grid
-without evaluating it everywhere.  A screen first approximates S_n at every
-grid point in O(n + M log M) by linear binning (four sub-cells per grid
-step) and one FFT correlation with the sampled kernel (Wand 1994; Fan and
-Marron 1994).  The approximation error has a rigorous bound,
+without evaluating it everywhere.  A screen first approximates n S_n at
+every grid point by linear binning (Wand 1994; Fan and Marron 1994): each
+row's score is split between the two nearest nodes of a sub-cell grid (four
+sub-cells per grid step, width ``step``), and the bins are weighted by k at
+their offsets from the grid point.  Linear interpolation of k between nodes
+errs by at most step^2 / (8 sigma^2) sup|k''| per unit of |g_i|, so each
+approximate value lies within
 
-    2 * step^2 / (8 sigma^2) * sup|k''| * sum_i |g_i| / n
+    err = step^2 / (8 sigma^2) * sup|k''| * sum_near |g_i|
+          + k(-c) * sum_below |g_i| + (1 - k(c)) * sum_above |g_i|
+          [+ max(k(-W), 1 - k(W)) * sum_near |g_i|]
 
-for sub-cell width ``step``, plus the tails of rows far outside the space
-and a rounding slack.  Only the grid points whose approximate value lies
-within that bound of the approximate maximum can hold the exact argmax;
-they alone are evaluated exactly, so the estimate is the one a full exact
-grid gives.  A kernel whose ``k2_sup`` is ``inf`` has every point evaluated.
-The bound is written in step / sigma, so an extreme sigma makes it infinite
-and keeps every point rather than overflowing.
+of the exact one, for a CDF kernel (monotone, from 0 to 1).  Rows farther
+than ``pad`` sub-cells outside the space (at most 10 sigma, and at most
+_PAD_CAP sub-cells) enter at k's limits, 0 below and g_i above, which errs
+by at most k(-c) or 1 - k(c) per unit of |g_i|, c = pad step / sigma; the
+bracketed term is the compiled screen's (below).  A rounding ``slack`` is
+added: eps (16 (n + L) + 8 sqrt(sup|k''|) reach / sigma) sum_i |g_i|, where
+L bounds the terms of the weighting's sums (n bounds the bins'), and the
+second part covers the position error of x - t through sup|k'| <=
+sqrt(sup|k''|), which holds for a CDF kernel, with reach = max(|lo|, |hi|)
++ width + pad step bounding the magnitudes the positions come from.  A point
+whose approximate value lies more than 2 err + slack below the approximate
+maximum cannot hold the exact argmax; the rest alone are evaluated exactly,
+so the estimate is the one a full exact grid gives.  A kernel whose
+``k2_sup`` is ``inf`` has every point evaluated.  The bound is written in
+step / sigma, so an extreme sigma makes it infinite and keeps every point
+rather than overflowing, as a NaN anywhere does.
+
+The screen has two forms with one bound.  The compiled one (``tr_screen``
+in ``_kernels.c``) makes one forward pass over the rows in the order that
+sorts x (``Sample._x_order``), where the far rows are a prefix and a
+suffix, then a windowed direct sum: bins within W = 6 bandwidths of a grid
+point are weighted by k at their offsets, all taken in one call of
+``kernel.k``, and those beyond enter at k's limits through suffix sums of
+the bins, which adds the bracketed term (about 1e-9 of sum_near |g_i| for
+the normal CDF) when the window cuts; L is the number of nodes plus the
+window's width.  Where the kernel does not load, numpy correlates the bins
+with k sampled at every offset by an FFT, O(n + N log N) for an FFT of
+length N, with L = N log2 N.  The two may keep different points, never the
+exact argmax's.
 
 Exact values of S_n, and S_n' with S_n'' for the Newton steps, are the
 kernel's weighted sums in row order (``Kernel.sums``), one form for a batch
-of thresholds and for one.  The normal CDF kernel's run compiled, with the
-library's own phi and Phi, so a fit has one set of bits on every host.
+of thresholds and for one; a fit binds its rows once (``Kernel.bind``).
+The normal CDF kernel's run compiled, with the library's own phi and Phi,
+so a fit has one set of bits on every host.
 """
 
 from __future__ import annotations
@@ -46,7 +74,7 @@ import numpy as np
 from .data import ParamSpace, Sample, _ipw_g, default_space
 from .errors import NumericError, ValidationError
 from .ewm import ThresholdEstimate, fit_ewm
-from .kernels import Kernel
+from .kernels import Kernel, _kernel
 from .nuisance import _sd, estimate_khA, optimal_bandwidth
 
 __all__ = [
@@ -64,6 +92,8 @@ _GRID_CAP = 100_001
 _SUBCELLS = 4  # linear-binning sub-cells per coarse grid step
 _TAIL_SIGMAS = 10.0  # rows this many bandwidths outside the space are folded in
 _PAD_CAP = 1 << 14  # ... but at most this many sub-cells outside each end
+_WINDOW_SIGMAS = 6.0  # the compiled screen weights the bins this many bandwidths around a point by k
+_EPS = float(np.finfo(float).eps)
 _NEWTON_MAX_STEPS = 100  # a safety net; bisection alone needs about 21
 
 
@@ -116,15 +146,15 @@ class Undersmoothed:
 BandwidthRule = Union[FixedBandwidth, LambdaRate, PlugInOptimal, Undersmoothed]
 
 
-def _smoothed(g, x, kernel, sigma, t, order=0):
-    """S_n (order 0), or S_n' and S_n'' together (order 1), from the IPW scores ``g``.
+def _smoothed(sums, n, sigma, t, order=0):
+    """S_n (order 0), or S_n' and S_n'' together (order 1), from ``sums``, a
+    kernel's sums over the n rows of x and the IPW scores (:meth:`Kernel.bind`).
 
-    One value per threshold in ``t`` (a scalar gives arrays of one), from
-    :meth:`Kernel.sums`, whose sums run in row order, so a threshold's value
-    does not depend on the others it is evaluated with.
+    One value per threshold in ``t`` (a scalar gives arrays of one); the sums
+    run in row order, so a threshold's value does not depend on the others it
+    is evaluated with.
     """
-    sums = kernel.sums(x, g, sigma, np.atleast_1d(np.asarray(t, dtype=float)), order)
-    n = len(x)
+    sums = sums(sigma, np.atleast_1d(np.asarray(t, dtype=float)), order)
     if order == 0:
         return sums[0] / n
     # the second sigma of S_n'' is divided separately, so a tiny sigma gives inf, never 1/0
@@ -135,33 +165,130 @@ def smoothed_objective(sample: Sample, kernel: Kernel, sigma: float, t: float) -
     """Kernel-smoothed sample welfare difference at threshold ``t``."""
     if not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    return float(_smoothed(_ipw_g(sample), sample.x, kernel, sigma, t)[0])
+    return float(_smoothed(kernel.bind(sample.x, _ipw_g(sample)), sample.n, sigma, t)[0])
 
 
 def smoothed_objective_derivative(sample: Sample, kernel: Kernel, sigma: float, t: float) -> float:
     """Analytic t-derivative of :func:`smoothed_objective`."""
     if not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    return float(_smoothed(_ipw_g(sample), sample.x, kernel, sigma, t, order=1)[0][0])
+    return float(_smoothed(kernel.bind(sample.x, _ipw_g(sample)), sample.n, sigma, t, order=1)[0][0])
 
 
-def _grid_candidates(g, x, kernel, sigma, space, n_pts):
+def _grid_points(space, sigma):
+    """The coarse grid's size: at least 201 points, four per bandwidth, at most _GRID_CAP."""
+    return max(201, min(math.ceil(min(space.width / sigma, _GRID_CAP)) * 4, _GRID_CAP))
+
+
+def _layout(sigma, space, n_pts):
+    """The screen's sub-cells: their count ``span`` across the space, their width
+    ``step`` and ``pad``, how many of them are binned outside each end."""
+    span = _SUBCELLS * (n_pts - 1)
+    step = space.width / span
+    return span, step, math.ceil(min(_TAIL_SIGMAS * sigma / step, _PAD_CAP))
+
+
+def _nodes(lowest, highest, span, pad):
+    """The nodes m0 < m1 that rows from sub-cell position ``lowest`` to
+    ``highest`` are binned onto, at most ``pad`` sub-cells outside the space;
+    two at least, when every row lies past one end."""
+    m0 = math.floor(min(max(lowest, -pad), span))
+    return m0, max(math.floor(min(max(highest, -1), span + pad - 1)) + 1, m0 + 1)
+
+
+def _slack(kernel, sigma, space, step, pad, terms, abs_g):
+    """A screen's rounding slack: the summation error of ``terms`` terms, and
+    the position error of x - t through sup |k'| <= sqrt(k2_sup), which holds
+    for a CDF kernel, at magnitudes up to the space's and the pad's reach."""
+    reach = max(abs(space.lo), abs(space.hi)) + space.width + pad * step
+    return _EPS * (16.0 * terms + 8.0 * math.sqrt(kernel.k2_sup) * reach / sigma) * abs_g
+
+
+def _kept(approx, err, slack):
+    """The grid points whose binned value is within 2 err + slack of the binned
+    maximum; negated so that a NaN or inf from overflowing scores or bounds
+    keeps every point."""
+    return np.flatnonzero(~(approx < approx.max() - (2.0 * err + slack)))
+
+
+def _grid_candidates(g, x, order, kernel, sigma, space, n_pts):
     """Indices of the coarse-grid points that can hold the exact grid argmax.
+
+    ``order`` sorts x ascending (``Sample._x_order``).  The screen runs
+    compiled in ``tr_screen`` once it has loaded and passed its check (see
+    ``_native``), else in numpy (:func:`_numpy_candidates`).  The two
+    approximate S_n differently, so they may keep different points, but
+    each keeps every point whose exact value is the grid maximum.
+    """
+    screen = _kernel("tr_screen")
+    if screen is None:
+        return _numpy_candidates(g, x, kernel, sigma, space, n_pts)
+    return _compiled_screen(screen, g, x, order, kernel, sigma, space, n_pts)[0]
+
+
+def _compiled_screen(screen, g, x, order, kernel, sigma, space, n_pts):
+    """``tr_screen``'s candidates, its binned values at every grid point, and
+    their ``err`` and ``slack``: each value lies within err + slack / 2 of the
+    exact one.
+
+    Bins within _WINDOW_SIGMAS bandwidths of a grid point are weighted by k
+    at their offsets, taken in one call of ``kernel.k`` with k at the pad's
+    and the window's ends, which bound the tails.  Refuses rows of other
+    shapes, and an order that is not a permutation sorting x.
+    """
+    x, g = (np.ascontiguousarray(a, dtype=float) for a in (x, g))
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    n = len(x)
+    if x.ndim != 1 or g.shape != x.shape or order.shape != x.shape or not n:
+        raise ValidationError(f"the screen needs x, g and its order of one nonzero length, "
+                              f"got shapes {x.shape}, {g.shape} and {order.shape}")
+    refusal = "the screen's order must be a permutation that sorts x ascending"
+    if not (0 <= order[0] < n and 0 <= order[-1] < n):
+        raise ValidationError(refusal)
+    span, step, pad = _layout(sigma, space, n_pts)
+    m0, m1 = _nodes((x[order[0]] - space.lo) / step, (x[order[-1]] - space.lo) / step, span, pad)
+    full = max(span - m0, m1)  # the farthest offset of a node from a grid point
+    reach = _WINDOW_SIGMAS * sigma / step
+    cut = reach < full - 2
+    w = int(reach) + 2 if cut else full
+    d_lo, c = max(m0 - span, -w), pad * step / sigma
+    # k at the window's offsets, then at the pad's and the window's ends; the
+    # table and tr_screen's work share one buffer, so the call takes one address
+    z = np.arange(d_lo, min(m1, w) + 5, dtype=float)
+    z *= step
+    z /= sigma
+    z[-4:] = -c, c, -_WINDOW_SIGMAS, _WINDOW_SIGMAS
+    buf = np.empty(len(z) + n_pts + 2 * (m1 - m0) + 6 + -(-n // 8))
+    buf[: len(z)] = kernel.k(z)
+    at = buf.ctypes.data
+    if screen(x.ctypes.data, g.ctypes.data, order.ctypes.data, n, space.lo, step, n_pts, _SUBCELLS, m0, m1, w, at,
+              at + 8 * len(z)) < 0:
+        raise ValidationError(refusal)
+    work = buf[len(z) :]
+    approx, (abs_near, abs_left, abs_right) = work[:n_pts], work[n_pts : n_pts + 3].tolist()
+    k_lo, k_hi, window_lo, window_hi = buf[len(z) - 4 : len(z)].tolist()
+    h = step / sigma
+    err = h * h / 8.0 * kernel.k2_sup * abs_near + k_lo * abs_left + (1.0 - k_hi) * abs_right
+    if cut:
+        err += max(window_lo, 1.0 - window_hi) * abs_near
+    slack = _slack(kernel, sigma, space, step, pad, n + m1 - m0 + 2 * w + 3, abs_near + abs_left + abs_right)
+    return _kept(approx, err, slack), approx, err, slack
+
+
+def _numpy_candidates(g, x, kernel, sigma, space, n_pts):
+    """The screen in numpy, by linear binning and one FFT correlation.
 
     Each binned approximation (times n) lies within ``err`` of the exact
     value, so a point more than ``2 err`` below the approximate maximum
     cannot be the argmax.  Rows farther than ``pad`` sub-cells outside the
-    space are not binned, which bounds memory; they enter at their limit,
+    space are not binned: their contribution is taken at the kernel's limits,
     0 or ``g_i``, and their tail error is added to ``err``.
     """
     n = len(x)
-    span = _SUBCELLS * (n_pts - 1)
-    step = space.width / span
-    pad = math.ceil(min(_TAIL_SIGMAS * sigma / step, _PAD_CAP))
+    span, step, pad = _layout(sigma, space, n_pts)
     pos = (x - space.lo) / step
     lowest, highest = float(pos.min()), float(pos.max())
-    m0 = min(max(math.floor(lowest), -pad), span)
-    m1 = max(min(math.floor(highest) + 1, span + pad), 0)
+    m0, m1 = _nodes(lowest, highest, span, pad)
     abs_g = np.abs(g)
     beyond = not m0 <= lowest <= highest <= m1  # some rows lie farther out than the pad
     g_near, abs_near = g, abs_g
@@ -196,15 +323,9 @@ def _grid_candidates(g, x, kernel, sigma, space, n_pts):
         approx = approx + float(np.sum(g[right]))
         k_lo, k_hi = k_samples[-2:]
         err += k_lo * float(np.sum(abs_g[left])) + (1.0 - k_hi) * float(np.sum(abs_g[right]))
-    # rounding: FFT and summation error, and the position error of x - t
-    # through sup |k'| <= sqrt(k2_sup), which holds for a CDF kernel
-    reach = max(abs(space.lo), abs(space.hi)) + space.width + pad * step
-    eps = np.finfo(float).eps
-    slack = eps * (
-        16.0 * (n + size * math.log2(size)) + 8.0 * math.sqrt(kernel.k2_sup) * reach / sigma
-    ) * float(np.sum(abs_g))
-    # negated so that a NaN or inf from overflowing scores or bounds keeps every point
-    return np.flatnonzero(~(approx < approx.max() - (2.0 * err + slack)))
+    # the FFT's rounding grows as size log2 size
+    slack = _slack(kernel, sigma, space, step, pad, n + size * math.log2(size), float(np.sum(abs_g)))
+    return _kept(approx, err, slack)
 
 
 def _newton_max(f, lo: float, hi: float, t: float, tol: float) -> float:
@@ -266,10 +387,11 @@ def fit_swm(
     inside its two neighbours by bisection, refine it until a step is at most
     half of 1e-8 times the space width.  The best grid point is the
     exact argmax over the grid, found by screening the grid with a binned
-    FFT approximation of bounded error and evaluating exactly only the
-    points the bound cannot rule out (all of them when ``kernel.k2_sup`` is
-    ``inf``); see the module docstring.  IPW score sums that overflow leave
-    the objective not finite, which raises NumericError.
+    approximation of bounded error (compiled where the kernel loads, else
+    by numpy's FFT) and evaluating exactly only the points the bound
+    cannot rule out (all of them when ``kernel.k2_sup`` is ``inf``); see the
+    module docstring.  IPW score sums that overflow leave the objective not
+    finite, which raises NumericError.
     """
     if space is None:
         space = default_space(sample)
@@ -278,18 +400,18 @@ def fit_swm(
         raise NumericError(f"bandwidth sigma = {sigma} is not finite and positive")
 
     g = _ipw_g(sample)
-    f = partial(_smoothed, g, sample.x, kernel, sigma)
+    f = partial(_smoothed, kernel.bind(sample.x, g), sample.n, sigma)
 
     def slopes(t):
         d1, d2 = f(t, order=1)
         return float(d1[0]), float(d2[0])
 
-    n_pts = max(201, min(math.ceil(min(space.width / sigma, _GRID_CAP)) * 4, _GRID_CAP))
+    n_pts = _grid_points(space, sigma)
     ts = np.linspace(space.lo, space.hi, n_pts)
     # (x - t) / sigma may overflow at an extreme sigma; the kernel's limits at +-inf are exact.
     # Score sums that overflow are refused below, once the objective is known not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        cand = _grid_candidates(g, sample.x, kernel, sigma, space, n_pts)
+        cand = _grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, n_pts)
         values = f(ts[cand])
         best = int(cand[np.argmax(values)])
         lo = ts[max(best - 1, 0)]

@@ -271,9 +271,9 @@ def two_fit_khA(sample, t_eval, kernel):
     fprime_hat = nuisance.kde(
         x, t_eval, nuisance._KDE_DERIV_FACTOR * nuisance._sd(x) * n ** (-1.0 / 7.0), derivative=1
     )
-    total = nuisance._weight_sums(x, np.ones(n), t_eval, bw_f)[0]
+    total = nuisance._weight_sums(nuisance.normal_rows(x, np.ones(n)), t_eval, bw_f)[0]
     p_local = (float(np.mean(sample.propensity)) if total <= 0
-               else nuisance._weight_sums(x, sample.propensity, t_eval, bw_f)[0] / total)
+               else nuisance._weight_sums(nuisance.normal_rows(x, sample.propensity), t_eval, bw_f)[0] / total)
     kappa, nu1, nu2 = {}, {}, {}
     for arm in (0, 1):
         x_j, y_j = x[sample.d == arm], sample.y[sample.d == arm]

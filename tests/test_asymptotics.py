@@ -175,6 +175,13 @@ def test_regret_laws_raise_numeric_error_when_not_finite(small_chernoff):
         ({"kind": "swm", "scale": -1.0}, "scale must be finite and positive"),
         ({"kind": "swm", "scale": math.inf}, "scale must be finite and positive"),
         ({"kind": "swm", "scale": math.nan}, "scale must be finite and positive"),
+        ({"kind": "swm", "n": -5, "mean": -3.0}, "n must be >= 1, got -5"),
+        ({"kind": "swm", "n": 0}, "n must be >= 1, got 0"),
+        ({"kind": "swm", "n": 100.0}, "n must be an integer"),
+        ({"kind": "swm", "n": True}, "n must be an integer"),
+        ({"kind": "swm", "mean": -3.0}, "mean must be finite and nonnegative"),
+        ({"kind": "swm", "mean": math.inf}, "mean must be finite and nonnegative"),
+        ({"kind": "swm", "mean": math.nan}, "mean must be finite and nonnegative"),
     ],
 )
 def test_regret_distribution_refuses_a_law_it_cannot_describe(fields, message):

@@ -32,6 +32,7 @@ def test_parameter_bounds_enforced():
     {"n_paths": 10_000.0},
     {"seed": 2.5},
     {"jobs": 1.5},
+    {"domain_halfwidth": 1e308},
 ])
 def test_non_finite_or_non_integer_inputs_rejected(kwargs):
     with pytest.raises(ValidationError):

@@ -526,6 +526,8 @@ _LEVEL = "level must lie in (0, 1), got "
     pytest.param(_SWM + ["undersmooth:inf"], None, "finite and positive", id="undersmooth-inf"),
     pytest.param(_SWM + ["undersmooth:1000"], None, "bandwidth sigma = 0.0", id="undersmooth-underflow"),
     pytest.param(["chernoff", "--jobs", "0"] + SMALL_TABLE, None, "jobs must be >= 1, got 0", id="chernoff-jobs-0"),
+    pytest.param(["chernoff", "--paths", "10000", "--halfwidth", "1e308"], None,
+                 "domain_halfwidth / grid_step must be at most", id="chernoff-halfwidth-overflow"),
     pytest.param(["chernoff", "--jobs", "-1"] + SMALL_TABLE, None, "jobs must be >= 1, got -1",
                  id="chernoff-jobs-negative"),
     pytest.param(_BOOT + ["--jobs", "-3"], None, "jobs must be >= 1, got -3", id="bootstrap-jobs-negative"),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from threshold_regret import _native, data
 from threshold_regret.data import (
+    IpwScores,
     ParamSpace,
     Sample,
     default_space,
@@ -221,6 +222,22 @@ def test_sample_copies_the_callers_arrays(rng):
         arr[:] = arr[::-1] + 5.0
     assert [a.tobytes() for a in (s.y, s.d, s.x, s.propensity, s._x_order)] == [a.tobytes() for a in before]
     assert not any(a.flags.writeable for a in (s.y, s.d, s.x, s.propensity, s._x_order))
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_ipw_scores_copy_the_callers_arrays(rng, frozen):
+    """The caller's arrays stay writable, and writing to them leaves the scores as
+    they were, also when the caller froze them first and unfreezes them after."""
+    g, order = rng.normal(size=5), np.arange(5)
+    for a in (g, order):
+        a.setflags(write=not frozen)
+    scores = IpwScores(g=g, x_sorted_order=order)
+    before = [a.copy() for a in (scores.g, scores.x_sorted_order)]
+    for a in (g, order):
+        a.setflags(write=True)
+    g[0], order[0] = 5.0, 4
+    assert [a.tobytes() for a in (scores.g, scores.x_sorted_order)] == [a.tobytes() for a in before]
+    assert not any(a.flags.writeable for a in (scores.g, scores.x_sorted_order))
 
 
 def test_param_space_validation():

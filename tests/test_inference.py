@@ -13,6 +13,7 @@ from threshold_regret.data import Sample, ipw_scores
 from threshold_regret.errors import DataWarning, NumericError, ValidationError
 from threshold_regret.ewm import fit_ewm
 from threshold_regret.inference import (
+    BootstrapDistribution,
     ewm_bootstrap,
     ewm_ci,
     swm_ci,
@@ -120,6 +121,19 @@ def test_x_is_sorted_once_per_sample(monkeypatch, compiled, jobs):
     monkeypatch.setattr(np, "argsort", refuse)
     assert ipw_scores(s).x_sorted_order is s._x_order
     ewm_bootstrap(s, fit_ewm(s), h_hat=0.4, n_boot=200, seed=3, jobs=jobs)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_bootstrap_distribution_copies_the_callers_draws(rng, frozen):
+    """The caller's draws stay writable, and writing to them leaves the distribution
+    as it was, also when the caller froze them first and unfreezes them after."""
+    draws = rng.normal(size=50)
+    draws.setflags(write=not frozen)
+    dist = BootstrapDistribution(draws=draws, t_hat=0.1, n=400, n_boot=50, seed=3)
+    before = dist.draws.copy()
+    draws.setflags(write=True)
+    draws[0] = 1.0
+    assert dist.draws.tobytes() == before.tobytes() and not dist.draws.flags.writeable
 
 
 def test_bootstrap_deterministic_given_seed():

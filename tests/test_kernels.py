@@ -140,7 +140,7 @@ def test_optimal_lambda_and_rate_bandwidth(kernel):
 
 
 def test_the_shipped_kernels_compiled_sums_are_the_sums_of_its_functions():
-    """gaussian_cdf_kernel() sums through kernels.normal_sums; a Kernel of the same
+    """gaussian_cdf_kernel() sums through kernels.normal_rows; a Kernel of the same
     functions sums them in numpy, to the same bits.  dataclasses.replace keeps the
     class and its sums, so a wrapper that only counts calls of k changes no result."""
     from unittest import mock
@@ -151,7 +151,7 @@ def test_the_shipped_kernels_compiled_sums_are_the_sums_of_its_functions():
     plain = Kernel(k=normal.k, k1=normal.k1, k2=normal.k2, alpha1=normal.alpha1, alpha2=normal.alpha2,
                    k2_sup=normal.k2_sup)
     x, g, t = np.linspace(-2.0, 2.0, 9), np.linspace(1.0, -1.0, 9), np.array([0.0, 0.5])
-    with mock.patch.object(kernels, "normal_sums", wraps=kernels.normal_sums) as compiled:
+    with mock.patch.object(kernels, "normal_rows", wraps=kernels.normal_rows) as compiled:
         for order in (0, 1):
             assert plain.sums(x, g, 0.7, t, order).tobytes() == normal.sums(x, g, 0.7, t, order).tobytes()
         assert compiled.call_count == 2

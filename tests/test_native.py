@@ -16,7 +16,7 @@ from helpers import fresh_python, load_script, pinned, require_compiler
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from threshold_regret import _native, chernoff, data, inference, kernels, nuisance
+from threshold_regret import _native, chernoff, data, inference, kernels, nuisance, swm
 from threshold_regret.errors import NumericError, RankDeficiencyError, ValidationError
 from threshold_regret.montecarlo import MODEL1, draw_sample
 
@@ -74,10 +74,16 @@ def _callers(tmp_path):
         "tr_parse_csv": (lambda: np.concatenate(_columns(data.load_sample_csv(path, propensity=0.5))),
                          (data, "_load_sample_rows")),
         "tr_normal": (lambda: np.stack(kernels._normal_law(x * 9.0)), (kernels, "_cdf")),
-        "tr_smoothed": (lambda: kernels.normal_sums(x, x**3, 0.3, np.array([-0.5, 0.0, 2.0]), 1),
+        "tr_smoothed": (lambda: kernels.normal_rows(x, x**3)(0.3, np.array([-0.5, 0.0, 2.0]), 1),
                         (kernels, "_row_sums")),
         "tr_local_fit": (lambda: nuisance._local_poly_fit(x, x**3, 0.1, 0.8, 3), (nuisance, "_numpy_local_fit")),
+        "tr_screen": (lambda: _fit_values(swm.fit_swm(draw_sample(MODEL1, 300, 2), kernels.gaussian_cdf_kernel(),
+                                                      swm.LambdaRate(2.0))), (swm, "_numpy_candidates")),
     }
+
+
+def _fit_values(est):
+    return np.array([est.t_hat, est.objective_value, est.bandwidth])
 
 
 def _columns(sample):
@@ -764,7 +770,7 @@ def test_smoothed_sums_match_their_numpy_transcription(native, x, scale, sigma, 
     g = np.linspace(-1.0, 2.0, len(x)) * scale
     t = np.array(t)
     funcs = (kernels._cdf,) if order == 0 else (kernels._pdf, kernels._k2)
-    got = kernels._sums(native.tr_smoothed, x, g, sigma, t, order)
+    got = kernels._CompiledRows(native.tr_smoothed, x, g)(sigma, t, order)
     want = kernels._row_sums(x, g, sigma, t, funcs)
     assert all(_native._same(a, b) for a, b in zip(got, want))
 
@@ -776,8 +782,8 @@ def test_smoothed_sums_match_scipy_within_their_rounding(native):
     sample = draw_sample(MODEL1, 3000, 8)
     g = sample.y * (sample.d / 0.5 - (1 - sample.d) / 0.5)
     t = np.linspace(-1.0, 1.0, 7)
-    got = kernels._sums(native.tr_smoothed, sample.x, g, 0.2, t, 0)[0]
-    slopes = kernels._sums(native.tr_smoothed, sample.x, g, 0.2, t, 1)
+    sums = kernels._CompiledRows(native.tr_smoothed, sample.x, g)
+    got, slopes = sums(0.2, t, 0)[0], sums(0.2, t, 1)
     eps = np.finfo(float).eps
     for j, tj in enumerate(t):
         u = (sample.x - tj) / 0.2
@@ -855,13 +861,13 @@ def test_sums_and_local_fits_refuse_rows_of_other_shapes(native, monkeypatch, co
     for rows, other in ((x, x[:39]), (x, np.ones(41)), (x, np.ones((40, 1))), (x.reshape(8, 5), x.reshape(8, 5)),
                         (x[:0], x[:0])):
         for order in (0, 1):
-            for sums in (kernels.normal_sums, normal.sums, generic.sums):
+            for sums in (normal.sums, generic.sums):
                 with pytest.raises(ValidationError, match="^sums need x and g of one nonzero length"):
                     sums(rows, other, 0.5, t, order)
         if len(rows):
             with pytest.raises(ValidationError, match="^local fit needs x and y of one length"):
                 nuisance.local_poly(rows, other, 0.0, 0.5, degree=3, derivative=1)
     with pytest.raises(ValidationError, match="^sums need"):
-        kernels.normal_sums(x, x, 0.5, t.reshape(2, 1), 0)
+        normal.sums(x, x, 0.5, t.reshape(2, 1), 0)
     with pytest.raises(ValidationError, match="^order must be 0 or 1"):
-        kernels.normal_sums(x, x, 0.5, t, 2)
+        normal.sums(x, x, 0.5, t, 2)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from unittest import mock
@@ -7,20 +8,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from threshold_regret import swm
+from threshold_regret import _native, swm
 
 from threshold_regret.data import ParamSpace, Sample, _ipw_g, default_space, empirical_welfare
 from threshold_regret.errors import ArmDataError, NumericError, ValidationError
 from threshold_regret.ewm import fit_ewm
-from threshold_regret.kernels import gaussian_cdf_kernel
+from threshold_regret.kernels import Kernel, gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1, MODEL2, draw_sample
 from threshold_regret.nuisance import estimate_khA
 from threshold_regret.swm import (
     _GRID_CAP,
+    _PAD_CAP,
     FixedBandwidth,
     LambdaRate,
     PlugInOptimal,
     Undersmoothed,
+    _compiled_screen,
     _grid_candidates,
     _smoothed,
     fit_swm,
@@ -268,12 +271,27 @@ def test_infeasible_optimal_mse_consistent_with_normal_limit():
 
 
 def _full_and_screened(g, x, kernel, sigma, space):
-    """Exact values on the whole coarse grid, and the index the screen picks."""
-    n_pts = max(201, min(int(math.ceil(space.width / sigma)) * 4, _GRID_CAP))
+    """Exact values on the whole coarse grid, the screen's candidates, and the index it picks."""
+    n_pts = swm._grid_points(space, sigma)
     ts = np.linspace(space.lo, space.hi, n_pts)
-    full = _smoothed(g, x, kernel, sigma, ts)
-    cand = _grid_candidates(g, x, kernel, sigma, space, n_pts)
-    return full, cand, int(cand[np.argmax(_smoothed(g, x, kernel, sigma, ts[cand]))])
+    sums = kernel.bind(x, g)
+    full = _smoothed(sums, len(x), sigma, ts)
+    cand = _grid_candidates(g, x, np.argsort(x, kind="stable"), kernel, sigma, space, n_pts)
+    return full, cand, int(cand[np.argmax(_smoothed(sums, len(x), sigma, ts[cand]))])
+
+
+def _screens():
+    """Contexts in which ``_grid_candidates`` runs each screen it can run here:
+    the numpy one, and the compiled one where ``tr_screen`` loads."""
+    numpy_only = mock.patch.object(swm, "_kernel", lambda name: None)
+    return [numpy_only] + ([contextlib.nullcontext()] if _native.kernel("tr_screen") is not None else [])
+
+
+def _compiled_screen_kernel():
+    screen = _native.kernel("tr_screen")
+    if screen is None:
+        pytest.skip("tr_screen did not build, load or pass its check here")
+    return screen
 
 
 @given(
@@ -299,13 +317,15 @@ def test_screened_grid_argmax_matches_full_exact_grid(seed, n, sigma, ties, outl
     else:
         eps = 0.05 * (x.max() - x.min()) or 0.5
         space = ParamSpace(x.min() - eps, x.max() + eps)
-    full, _, best = _full_and_screened(g, x, KERNEL, sigma, space)
-    tol = 1e-12 * float(np.sum(np.abs(g))) / n
-    second, first = np.sort(full)[-2:]
-    if first - second > tol:
-        assert best == int(np.argmax(full))
-    else:
-        assert full[best] >= first - tol
+    for screen in _screens():
+        with screen:
+            full, _, best = _full_and_screened(g, x, KERNEL, sigma, space)
+        tol = 1e-12 * float(np.sum(np.abs(g))) / n
+        second, first = np.sort(full)[-2:]
+        if first - second > tol:
+            assert best == int(np.argmax(full))
+        else:
+            assert full[best] >= first - tol
 
 
 def test_screen_keeps_a_near_tie_that_binning_misorders():
@@ -318,10 +338,12 @@ def test_screen_keeps_a_near_tie_that_binning_misorders():
     s2 = h1 / h2 * (1.0 + 1e-8)
     x = np.array([0.25 - 40 * sub, 0.25 + 40 * sub, 0.75 - 40.5 * sub, 0.75 + 40.5 * sub])
     g = np.array([-1.0, 1.0, -s2, s2])
-    full, cand, best = _full_and_screened(g, x, KERNEL, sigma, ParamSpace(0.0, 1.0))
-    assert len(full) == 201 and int(np.argmax(full)) == 150
-    assert full[150] - full[50] > 1e-9
-    assert 50 in cand and best == 150
+    for screen in _screens():
+        with screen:
+            full, cand, best = _full_and_screened(g, x, KERNEL, sigma, ParamSpace(0.0, 1.0))
+        assert len(full) == 201 and int(np.argmax(full)) == 150
+        assert full[150] - full[50] > 1e-9
+        assert 50 in cand and best == 150
 
 
 def test_screen_keeps_few_candidates_on_benchmark_samples():
@@ -329,9 +351,118 @@ def test_screen_keeps_few_candidates_on_benchmark_samples():
     for n in (500, 3000):
         s = draw_sample(MODEL1, n, 5)
         g = s.d * s.y / s.propensity - (1 - s.d) * s.y / (1 - s.propensity)
-        full, cand, best = _full_and_screened(g, s.x, KERNEL, (lam / n) ** 0.2, default_space(s))
-        assert best == int(np.argmax(full))
-        assert len(cand) <= 12
+        for screen in _screens():
+            with screen:
+                full, cand, best = _full_and_screened(g, s.x, KERNEL, (lam / n) ** 0.2, default_space(s))
+            assert best == int(np.argmax(full))
+            assert len(cand) <= 12
+
+
+@example(seed=0, n=40, log_sigma=4, left=1.5, right=30.0)
+@example(seed=1, n=300, log_sigma=-5, left=30.0, right=1.5)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 5, 40, 300]),
+    log_sigma=st.integers(-5, 4),
+    left=st.sampled_from([None, 0.5, 1.5, 30.0]),
+    right=st.sampled_from([None, 0.5, 1.5, 30.0]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_compiled_screen_keeps_the_exact_grid_argmax(seed, n, log_sigma, left, right):
+    """Each binned value of ``tr_screen`` lies within err + slack / 2 of the exact
+    sum at its grid point, so it keeps the exact grid argmax, at sigma from 1e-5
+    to 1e4 (grids of 201 to _GRID_CAP points), with rows ``left`` and ``right``
+    times _PAD_CAP sub-cells outside the space."""
+    screen = _compiled_screen_kernel()
+    rng = np.random.default_rng(seed)
+    x, g = rng.normal(size=n), rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2, n)
+    space, sigma = ParamSpace(-2.0, 2.5), 1.7 * 10.0**log_sigma
+    n_pts = swm._grid_points(space, sigma)
+    reach = _PAD_CAP * space.width / (swm._SUBCELLS * (n_pts - 1))
+    if left is not None:
+        x[0] = space.lo - left * reach
+    if right is not None:
+        x[-1] = space.hi + right * reach
+    cand, approx, err, slack = _compiled_screen(screen, g, x, np.argsort(x, kind="stable"), KERNEL, sigma, space,
+                                                n_pts)
+    exact = KERNEL.bind(x, g)(sigma, np.linspace(space.lo, space.hi, n_pts))[0]
+    assert int(np.argmax(exact)) in cand
+    if math.isfinite(err + slack):
+        assert np.all(np.abs(approx - exact) <= err + 0.5 * slack)
+        np.testing.assert_array_equal(cand, np.flatnonzero(approx >= approx.max() - (2.0 * err + slack)))
+    else:
+        np.testing.assert_array_equal(cand, np.arange(n_pts))
+
+
+def test_compiled_screen_refuses_an_order_that_does_not_sort_x():
+    screen = _compiled_screen_kernel()
+    x, g = np.array([0.3, -0.1, 0.7]), np.ones(3)
+    assert len(_compiled_screen(screen, g, x, np.array([1, 0, 2]), KERNEL, 0.1, ParamSpace(-1.0, 1.0), 201)[0])
+    for order in ([0, 1, 2], [2, 0, 1], [1, 0, 3], [1, 0, -1], [1, 1, 2], [3, 0, 2], [1, 0, 0]):
+        with pytest.raises(ValidationError, match="order must be a permutation that sorts x"):
+            _compiled_screen(screen, g, x, np.array(order), KERNEL, 0.1, ParamSpace(-1.0, 1.0), 201)
+    with pytest.raises(ValidationError, match="one nonzero length"):
+        _compiled_screen(screen, g, x, np.array([1, 0]), KERNEL, 0.1, ParamSpace(-1.0, 1.0), 201)
+
+
+def test_each_screen_takes_k_in_one_call_of_the_kernel():
+    """Both screens weight their bins by ``kernel.k``, once a fit, so a kernel's
+    own k (here a counting wrapper) decides them and the fit is unchanged."""
+    sample = draw_sample(MODEL1, 300, 5)
+    for screen in _screens():
+        counting = dataclasses.replace(KERNEL, k=mock.Mock(wraps=KERNEL.k))
+        with screen:
+            assert fit_swm(sample, counting, FixedBandwidth(0.3)) == fit_swm(sample, KERNEL, FixedBandwidth(0.3))
+        assert counting.k.call_count == 1 and np.size(counting.k.call_args.args[0]) >= 200
+
+
+def _logistic(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -700.0, 700.0)))
+
+
+# the logistic CDF, whose tails are far heavier than Phi's: sup |k''| = 1 / (6 sqrt 3)
+LOGISTIC = Kernel(k=_logistic, k1=lambda z: _logistic(z) * (1.0 - _logistic(z)),
+                  k2=lambda z: _logistic(z) * (1.0 - _logistic(z)) * (1.0 - 2.0 * _logistic(z)),
+                  alpha1=math.pi**2 / 3.0, alpha2=1.0 / 6.0, k2_sup=1.0 / (6.0 * math.sqrt(3.0)))
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.05, 0.4, 30.0])
+def test_screens_keep_the_exact_grid_argmax_of_another_cdf_kernel(sigma):
+    """A kernel of other functions is screened as the shipped one is: its window
+    tails, k(-6) about 2.5e-3, widen the bound but never drop the argmax."""
+    rng = np.random.default_rng(11)
+    x, g = rng.normal(size=200), rng.normal(size=200)
+    x[0], x[1] = -40.0, 55.0
+    for screen in _screens():
+        with screen:
+            full, cand, best = _full_and_screened(g, x, LOGISTIC, sigma, ParamSpace(-2.0, 2.0))
+        assert int(np.argmax(full)) in cand and best == int(np.argmax(full))
+
+
+def test_fit_swm_calls_no_numpy_fft_with_the_kernel():
+    """The compiled screen replaces the FFT, and the fit it gives is the numpy screen's."""
+    sample = draw_sample(MODEL2, 500, 4)
+    rules = (LambdaRate(KERNEL.optimal_lambda(MODEL2.K, MODEL2.A)), PlugInOptimal(), FixedBandwidth(0.01))
+    _compiled_screen_kernel()
+    with _screens()[0]:
+        want = [fit_swm(sample, KERNEL, rule) for rule in rules]
+    fft = mock.Mock(side_effect=AssertionError("numpy's FFT ran"))
+    with mock.patch.object(np.fft, "rfft", fft), mock.patch.object(np.fft, "irfft", fft):
+        assert [fit_swm(sample, KERNEL, rule) for rule in rules] == want
+    assert not fft.called
+
+
+def test_screens_take_a_sample_past_the_space_at_a_vanishing_bandwidth():
+    """Every row at or past hi, one exactly at it, and a pad of 0 sub-cells (10 sigma
+    / step underflows): the screen's nodes at hi alone used to give the numpy
+    screen a bin of index -1, a raw ValueError."""
+    s = Sample(y=[1.0, -1.0, 0.5], d=[1, 0, 1], x=[1e7, 2e7, 3e7], propensity=0.5)
+    fits = []
+    for screen in _screens():
+        with screen:
+            fits.append(fit_swm(s, KERNEL, FixedBandwidth(5e-324), ParamSpace(0.0, 1e7)))
+    assert fits[0].t_hat == 0.0 and fits[0].objective_value == 5.0 / 3.0
+    assert all(fit == fits[0] for fit in fits)
 
 
 def test_infinite_k2_sup_evaluates_the_full_exact_grid():
@@ -339,7 +470,7 @@ def test_infinite_k2_sup_evaluates_the_full_exact_grid():
     g = s.d * s.y / s.propensity - (1 - s.d) * s.y / (1 - s.propensity)
     space = default_space(s)
     unbounded = dataclasses.replace(KERNEL, k2_sup=math.inf)
-    np.testing.assert_array_equal(_grid_candidates(g, s.x, unbounded, 0.3, space, 201), np.arange(201))
+    np.testing.assert_array_equal(_grid_candidates(g, s.x, s._x_order, unbounded, 0.3, space, 201), np.arange(201))
     for rule in (FixedBandwidth(0.05), LambdaRate(2.8)):
         assert fit_swm(s, unbounded, rule, space) == fit_swm(s, KERNEL, rule, space)
 
@@ -391,7 +522,7 @@ def _golden_resolution(sample, sigma, t):
     sqrt(2 * rounding / |S_n''(t)|)."""
     g = _ipw_g(sample)
     rounding = 2.0 * np.finfo(float).eps * float(np.mean(np.abs(g)))
-    curvature = abs(float(_smoothed(g, sample.x, KERNEL, sigma, t, order=1)[1][0]))
+    curvature = abs(float(_smoothed(KERNEL.bind(sample.x, g), sample.n, sigma, t, order=1)[1][0]))
     return math.sqrt(2.0 * rounding / curvature) if curvature > 0 else math.inf
 
 
