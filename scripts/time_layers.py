@@ -16,6 +16,11 @@
   fit (``swm._grid_candidates`` on its arguments: compiled in ``tr_screen``
   where that loads), with the numpy screen beside it as
   ``swm_screen_numpy`` where the compiled one runs.
+- ``quantiles_ms``: the regret-law quantiles, each the least double at
+  which the library's Phi reaches the level: ``z_quantile(0.975)``, the
+  critical value of ``swm_ci``, and the median of the SWM regret law that
+  ``asymptotics`` reports (``swm_regret_dist(...).median``, model 2 at
+  lambda* and n = 500, the law built inside the timing).
 - ``csv_load_ms``: ``load_sample_csv`` on a 100 000-row model-2 CSV of
   ``y,d,x`` with repr floats (as the benchmark writes its CSVs), through the
   compiled parser (null where it does not load) and through the row loop.
@@ -47,9 +52,10 @@ from unittest import mock
 import numpy as np
 
 from threshold_regret import _native, chernoff, swm
+from threshold_regret.asymptotics import swm_regret_dist
 from threshold_regret.data import Sample, _ipw_g, default_space, load_sample_csv
 from threshold_regret.ewm import fit_ewm
-from threshold_regret.inference import ewm_bootstrap
+from threshold_regret.inference import ewm_bootstrap, z_quantile
 from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL2, draw_sample
 from threshold_regret.nuisance import estimate_khA
@@ -122,6 +128,18 @@ def layers_ms(n: int, repeats: int) -> dict:
     return {name: best_ms(run, repeats) for name, run in runs.items()}
 
 
+def quantiles_ms(repeats: int) -> dict:
+    kernel = gaussian_cdf_kernel()
+    lam = kernel.optimal_lambda(MODEL2.K, MODEL2.A)
+    runs = {
+        "z_quantile": lambda: z_quantile(0.975),
+        "swm_median": lambda: swm_regret_dist(MODEL2.K, MODEL2.H, MODEL2.A, lam, kernel, 500).median,
+    }
+    for run in runs.values():
+        run()  # the normal law's load-time check, outside the timings
+    return {name: best_ms(run, repeats) for name, run in runs.items()}
+
+
 def csv_load_ms(repeats: int) -> dict:
     """``load_sample_csv`` through the compiled pass and the row loop, taken in turn within each repeat."""
     sample = draw_sample(MODEL2, 100_000, 1)
@@ -179,6 +197,7 @@ def timings(args) -> dict:
         "repeats": args.repeats,
         "chernoff_block_ms": {"paths": args.paths, **chernoff_block_ms(paths, args.paths, args.repeats)},
         "layers_ms": {n: layers_ms(int(n), args.repeats) for n in args.n.split(",")},
+        "quantiles_ms": quantiles_ms(args.repeats),
         "csv_load_ms": csv_load_ms(args.repeats),
         "build_s": build_s([Path(s) for s in args.sources.split(",")], args.builds),
     }

@@ -12,27 +12,28 @@ a noncentral chi-squared law with one degree of freedom.  Both are exposed
 through one parameterized :class:`RegretDistribution` with exact means.  Z
 quantiles come from an injected :class:`ChernoffTable` (never regenerated
 silently, so every number in a report is traceable to a seed); noncentral
-chi-squared quantiles are exact, from ``scipy.special.chndtrix`` (solved
-by bisection on the closed-form CDF where it gives NaN, at noncentralities
-past about 1e11), and use no simulation and no seed.
+chi-squared quantiles are exact: the least root of the closed-form CDF
+Phi(s - sqrt nc) - Phi(-s - sqrt nc) that reaches the level, on the
+library's own Phi, squared; they use no simulation and no seed.
 
 Every law rejects constants it cannot describe (K or H not finite and
 positive, A not finite, n < 1) with a ``ValidationError`` and raises
-``NumericError`` when a scale, mean or quantile comes out non-finite.
+``NumericError`` when a scale, noncentrality or quantile comes out
+non-finite.  A law whose derived mean overflows is refused, as any law it
+cannot describe, with ``ValidationError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._special import chndtrix
 from ._workers import require_int
 from .chernoff import ChernoffTable, _linear_quantile
 from .errors import NumericError, ValidationError
-from .kernels import Kernel
+from .kernels import Kernel, least_double, norm_cdf
 
 __all__ = [
     "RegretDistribution",
@@ -64,29 +65,18 @@ def _finite(name: str, compute) -> float:
 
 
 def _noncentral_chi2_quantile(q: float, nc: float) -> float:
-    """Quantile q of the noncentral chi-squared law with one degree of freedom.
-
-    ``chndtrix``'s value wherever it has one.  From a noncentrality of about
-    1e11 it returns NaN; there the quantile is s^2 for the least double s
-    with Phi(s - sqrt nc) - Phi(-s - sqrt nc) >= q, found by bisection with
-    Phi from ``math.erfc``.
-    """
-    x = float(chndtrix(q, 1, nc))
-    if not (math.isnan(x) and math.isfinite(nc)):
-        return x
+    """Quantile q of the noncentral chi-squared law with one degree of freedom:
+    s^2 for the least double s with Phi(s - sqrt nc) - Phi(-s - sqrt nc) >= q,
+    on the library's own Phi (``kernels.norm_cdf``)."""
     mu = math.sqrt(nc)
 
-    def cdf(s):
-        return 0.5 * (math.erfc((mu - s) / math.sqrt(2.0)) - math.erfc((s + mu) / math.sqrt(2.0)))
+    def reaches(s):
+        upper, lower = norm_cdf(np.array([s - mu, -s - mu]))
+        return upper - lower >= q
 
     # Phi(-40) underflows to 0 and Phi(40) rounds to 1, so the root lies in between
-    lo, hi = max(0.0, mu - 40.0), mu + 40.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return hi * hi
+    s = least_double(reaches, max(0.0, mu - 40.0), mu + 40.0)
+    return s * s
 
 
 @dataclass(frozen=True)
@@ -95,21 +85,22 @@ class RegretDistribution:
 
     ``kind`` is "ewm" (scale times Z^2) or "swm" (scale times a noncentral
     chi-squared with one degree of freedom); ``scale`` and ``noncentrality``
-    pin the law and ``mean`` is exact.  EWM quantiles are those of the
-    Chernoff table's Z^2 draws; SWM quantiles are exact.  A law built
+    pin the law, and ``mean`` is derived from them: scale (1 + nc) for SWM,
+    scale times the mean of the Z^2 draws for EWM.  EWM quantiles are those
+    of the Chernoff table's Z^2 draws; SWM quantiles are exact.  A law built
     directly is refused with ``ValidationError`` when its kind is neither,
-    n is not an integer >= 1, its scale is not finite and positive, its mean
-    is negative or not finite, an EWM law has no 1-D float Z^2 draws, or an
-    SWM noncentrality is negative or not finite.
+    n is not an integer >= 1, its scale is not finite and positive, an EWM
+    law has no 1-D float Z^2 draws, an SWM noncentrality is negative or not
+    finite, or its mean is then negative or not finite.
     """
 
     kind: str
     n: int
     scale: float
     noncentrality: float
-    mean: float
     sigma_n: float | None = None
     _z_squared: np.ndarray | None = None
+    mean: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("ewm", "swm"):
@@ -117,8 +108,6 @@ class RegretDistribution:
         require_int("n", self.n, 1)
         if not 0.0 < self.scale < math.inf:
             raise ValidationError(f"scale must be finite and positive, got {self.scale}")
-        if not 0.0 <= self.mean < math.inf:
-            raise ValidationError(f"mean must be finite and nonnegative, got {self.mean}")
         z2 = self._z_squared
         if self.kind == "ewm" and not (
             isinstance(z2, np.ndarray) and z2.ndim == 1 and z2.size and z2.dtype.kind == "f"
@@ -126,6 +115,10 @@ class RegretDistribution:
             raise ValidationError("an ewm law needs its Z^2 draws as a non-empty 1-D array of floats")
         if self.kind == "swm" and not 0.0 <= self.noncentrality < math.inf:
             raise ValidationError(f"noncentrality must be finite and nonnegative, got {self.noncentrality}")
+        mean = self.scale * (float(np.mean(z2)) if self.kind == "ewm" else 1.0 + self.noncentrality)
+        if not 0.0 <= mean < math.inf:
+            raise ValidationError(f"mean must be finite and nonnegative, got {mean}")
+        object.__setattr__(self, "mean", mean)
 
     def quantile(self, q: float) -> float:
         if not 0.0 < q < 1.0:
@@ -147,16 +140,7 @@ def ewm_regret_dist(K: float, H: float, n: int, chernoff: ChernoffTable) -> Regr
     """Law of n^(-2/3) (2 K^2 / H)^(1/3) Z^2 with Z^2 moments from the table."""
     _check_constants(K, H, 0.0, n)
     scale = _finite("scale", lambda: n ** (-2.0 / 3.0) * (2.0 * K**2 / H) ** (1.0 / 3.0))
-    c_e = 2.0 ** (1.0 / 3.0) * chernoff.second_moment
-    mean = _finite("mean", lambda: n ** (-2.0 / 3.0) * K ** (2.0 / 3.0) * H ** (-1.0 / 3.0) * c_e)
-    return RegretDistribution(
-        kind="ewm",
-        n=n,
-        scale=scale,
-        noncentrality=0.0,
-        mean=mean,
-        _z_squared=chernoff.samples**2,
-    )
+    return RegretDistribution(kind="ewm", n=n, scale=scale, noncentrality=0.0, _z_squared=chernoff.samples**2)
 
 
 def swm_regret_dist(
@@ -189,10 +173,7 @@ def swm_regret_dist(
         noncentrality = lam * A**2 / (alpha2 * K)
     except OverflowError:
         raise NumericError(f"noncentrality lambda A^2 / (alpha2 K) overflows at A={A}") from None
-    mean = _finite("mean", lambda: scale * (1.0 + noncentrality))
-    return RegretDistribution(
-        kind="swm", n=n, scale=scale, noncentrality=noncentrality, mean=mean, sigma_n=sigma_n
-    )
+    return RegretDistribution(kind="swm", n=n, scale=scale, noncentrality=noncentrality, sigma_n=sigma_n)
 
 
 def optimal_lambda_mean(K: float, H: float, A: float, kernel: Kernel, n: int) -> float:

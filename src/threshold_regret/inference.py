@@ -10,7 +10,8 @@ Four constructions are provided:
 * bias-corrected and undersmoothed normal intervals for the smoothed
   estimator.
 
-Normal quantiles are computed from the error function, not lookup tables.
+Normal quantiles are the least doubles at which the library's own Phi
+reaches the level (:func:`z_quantile`), not lookup tables.
 Each bootstrap replicate draws its rows with ``Generator.integers(0, n, n)``
 from its own generator, seeded from (seed, replicate index), and bins their
 scores by the rank of their x among the distinct values, which
@@ -37,13 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import erfinv
 from ._workers import parallel_map, require_int
 from .chernoff import ChernoffTable, _linear_quantile, chernoff_quantile
 from .data import Sample, _ipw_g, _read_only
 from .errors import NumericError, ValidationError
 from .ewm import ThresholdEstimate
-from .kernels import Kernel
+from .kernels import Kernel, least_double, norm_cdf
 from .nuisance import NuisanceEstimates
 
 __all__ = [
@@ -57,10 +57,18 @@ __all__ = [
 
 
 def z_quantile(q: float) -> float:
-    """Standard normal quantile via the inverse error function."""
+    """Standard normal quantile: for q < 0.5 the least z with Phi(z) >= q, on
+    the library's own Phi (``kernels.norm_cdf``); exactly 0 at q = 0.5; and
+    -z_quantile(1 - q) above it, where 1 - q is exact and Phi, near 1, would
+    resolve q only to 1.1e-16."""
     if not 0.0 < q < 1.0:
         raise ValidationError(f"quantile level must lie in (0, 1), got {q}")
-    return math.sqrt(2.0) * float(erfinv(2.0 * q - 1.0))
+    if q > 0.5:
+        return -z_quantile(1.0 - q)
+    if q == 0.5:
+        return 0.0
+    # Phi(-40) underflows to 0 and Phi(0) = 0.5, so the least z lies in between
+    return least_double(lambda z: norm_cdf(z) >= q, -40.0, 0.0)
 
 
 @dataclass(frozen=True)

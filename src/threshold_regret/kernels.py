@@ -27,12 +27,14 @@ either way.  A kernel's weighted sums over the rows (:meth:`Kernel.sums`,
 or :meth:`Kernel.bind` for rows checked once, which the smoothed objective
 and the nuisance estimates take) run in row order; the shipped kernel's run
 compiled in ``tr_smoothed``, or in their numpy transcription, again with
-the same bits.
+the same bits.  The library's quantiles, the normal one and the SWM regret
+law's, are :func:`least_double` on this Phi.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
@@ -185,6 +187,36 @@ def norm_pdf(z):
 def _gaussian_k2(z):
     """k''(z) = -z phi(z), z clipped to +-40, where phi is already 0, so +-inf gives 0."""
     return _normal_law(z)[2][()]
+
+
+def _rank(x: float) -> int:
+    """x's place in the order of the doubles, as an int that grows with x (+-0 both at 0)."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else -(bits & ((1 << 63) - 1))
+
+
+def _unrank(rank: int) -> float:
+    """The double at ``rank`` in the order of :func:`_rank`."""
+    (magnitude,) = struct.unpack("<d", struct.pack("<q", abs(rank)))
+    return math.copysign(magnitude, rank)
+
+
+def least_double(reaches: Callable[[float], bool], lo: float, hi: float) -> float:
+    """The least double x in (lo, hi] with ``reaches(x)``, where ``reaches`` is
+    false at lo, true at hi and monotone between.
+
+    A bisection over the order of the doubles rather than over midpoints, so
+    it ends on two neighbouring doubles after at most 64 calls of
+    ``reaches``.  The library's quantiles are this helper on its own Phi.
+    """
+    a, b = _rank(lo), _rank(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if reaches(_unrank(mid)):
+            b = mid
+        else:
+            a = mid
+    return _unrank(b)
 
 
 # phi(0), the density's peak

@@ -9,13 +9,14 @@ from scipy.stats import ncx2
 
 from threshold_regret.asymptotics import (
     RegretDistribution,
+    _noncentral_chi2_quantile,
     asymptotic_row,
     ewm_regret_dist,
     optimal_lambda_mean,
     swm_regret_dist,
 )
 from threshold_regret.errors import NumericError, ValidationError
-from threshold_regret.kernels import gaussian_cdf_kernel
+from threshold_regret.kernels import gaussian_cdf_kernel, norm_cdf
 from threshold_regret.montecarlo import MODEL1
 
 KERNEL = gaussian_cdf_kernel()
@@ -111,11 +112,36 @@ def test_noncentral_chi2_quantile_past_chndtrix_range_is_finite():
     assert math.sqrt(median) == pytest.approx(math.sqrt(dist.noncentrality), abs=1e-3)
 
 
-@pytest.mark.parametrize("nc", [0.0, 1.7, 1e6, 1e10])
-def test_noncentral_chi2_quantile_keeps_finite_chndtrix_values(nc):
-    dist = swm_regret_dist(1.0, 0.5, math.sqrt(nc * KERNEL.alpha2), 1.0, KERNEL, 1000)
-    for q in (0.005, 0.5, 0.995):
-        assert dist.quantile(q) == dist.scale * chndtrix(q, 1, dist.noncentrality)
+# the quantile levels the CLI reports
+LEVELS = (0.005, 0.01, 0.025, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.975, 0.99, 0.995)
+NONCENTRALITIES = [0.0, 0.25, 0.397, 1.7, 50.0, 1e6, 1e10]
+
+
+def _reaches(q, nc):
+    """Whether Phi(s - sqrt nc) - Phi(-s - sqrt nc) >= q, on the library's own Phi."""
+    mu = math.sqrt(nc)
+    return lambda s: norm_cdf(s - mu) - norm_cdf(-s - mu) >= q
+
+
+@pytest.mark.parametrize("nc", NONCENTRALITIES + [3.5e12, 1e20])
+def test_noncentral_chi2_quantile_is_the_square_of_the_least_root(nc):
+    """s = sqrt(x) recovers the root exactly, since sqrt(s * s) == s in binary floating point."""
+    for q in LEVELS:
+        s = math.sqrt(_noncentral_chi2_quantile(q, nc))
+        assert _reaches(q, nc)(s) and not _reaches(q, nc)(math.nextafter(s, -math.inf)), q
+
+
+@pytest.mark.parametrize("nc", NONCENTRALITIES)
+def test_noncentral_chi2_quantile_is_monotone_in_q(nc):
+    values = [_noncentral_chi2_quantile(q, nc) for q in sorted({*LEVELS, *np.linspace(0.001, 0.999, 40)})]
+    assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("nc", NONCENTRALITIES)
+def test_noncentral_chi2_quantile_is_within_1e13_of_chndtrix(nc):
+    """scipy's cdflib as an oracle: 3.3e-14 apart at most, seen at q = 0.005."""
+    for q in LEVELS:
+        assert _noncentral_chi2_quantile(q, nc) == pytest.approx(chndtrix(q, 1, nc), rel=1e-13, abs=0.0), q
 
 
 @pytest.mark.parametrize(
@@ -175,17 +201,17 @@ def test_regret_laws_raise_numeric_error_when_not_finite(small_chernoff):
         ({"kind": "swm", "scale": -1.0}, "scale must be finite and positive"),
         ({"kind": "swm", "scale": math.inf}, "scale must be finite and positive"),
         ({"kind": "swm", "scale": math.nan}, "scale must be finite and positive"),
-        ({"kind": "swm", "n": -5, "mean": -3.0}, "n must be >= 1, got -5"),
+        ({"kind": "swm", "n": -5}, "n must be >= 1, got -5"),
         ({"kind": "swm", "n": 0}, "n must be >= 1, got 0"),
         ({"kind": "swm", "n": 100.0}, "n must be an integer"),
         ({"kind": "swm", "n": True}, "n must be an integer"),
-        ({"kind": "swm", "mean": -3.0}, "mean must be finite and nonnegative"),
-        ({"kind": "swm", "mean": math.inf}, "mean must be finite and nonnegative"),
-        ({"kind": "swm", "mean": math.nan}, "mean must be finite and nonnegative"),
+        ({"kind": "ewm", "_z_squared": np.array([1.0, -3.0])}, "mean must be finite and nonnegative"),
+        ({"kind": "swm", "scale": 1e300, "noncentrality": 1e300}, "mean must be finite and nonnegative"),
+        ({"kind": "ewm", "_z_squared": np.array([1.0, math.nan])}, "mean must be finite and nonnegative"),
     ],
 )
 def test_regret_distribution_refuses_a_law_it_cannot_describe(fields, message):
-    law = {"n": 100, "scale": 0.01, "noncentrality": 0.0, "mean": 0.02, **fields}
+    law = {"n": 100, "scale": 0.01, "noncentrality": 0.0, **fields}
     with pytest.raises(ValidationError, match=message):
         RegretDistribution(**law)
 

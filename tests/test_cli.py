@@ -13,7 +13,7 @@ from threshold_regret.cli import run_cli
 from threshold_regret.errors import DataWarning
 from threshold_regret.montecarlo import MODEL1, draw_sample
 
-from helpers import fresh_python, load_script, pinned
+from helpers import ROOT, fresh_python, load_script, pinned
 
 SMALL_TABLE = ["--chernoff-paths", "10000", "--chernoff-step", "0.001", "--chernoff-halfwidth", "2"]
 
@@ -463,9 +463,30 @@ assert run_cli(["estimate", "--policy", "swm", *data]) == 0
 assert run_cli(["infer", "--policy", "ewm", "--method", "bootstrap", "--bootstrap-reps", "200", "--jobs", "1",
                 *data]) == 0
 assert run_cli(["infer", "--policy", "ewm", "--method", "plugin", "--jobs", "1", *data, *sys.argv[2:]]) == 0
+assert run_cli(["asymptotics", "--model", "1", "--n", "500,3000", "--seed", "5", "--jobs", "1", *sys.argv[2:]]) == 0
+assert run_cli(["infer", "--policy", "swm", "--method", "bias-corrected", *data]) == 0
 print("LOADED", [m for m in ("scipy.special", "numpy.ma") if m in sys.modules])
 """
     assert fresh_python(code, sample_csv, *SMALL_TABLE).splitlines()[-1] == "LOADED []"
+
+
+def test_every_command_gives_its_pinned_output_where_scipy_cannot_be_imported():
+    """A fresh interpreter with ``sys.modules["scipy"] = None`` set before the
+    package is imported, so that any scipy import raises, runs every command
+    of scripts/pin_cli_outputs.py as text: each exits 0 with the stdout that
+    the unblocked runs of cli_pinned.json recorded."""
+    code = """
+import json, sys
+sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[1])
+import pin_cli_outputs
+pin_cli_outputs.CASES = [c + ["--format", "text"] for c in pin_cli_outputs.COMMANDS]
+print(json.dumps(pin_cli_outputs.pinned_results()))
+"""
+    blocked = json.loads(fresh_python(code, str(ROOT / "scripts")).splitlines()[-1])
+    text = [case for case in pinned("cli_pinned.json")["cases"] if case["argv"][-2:] == ["--format", "text"]]
+    assert {case["exit_code"] for case in blocked} == {0}
+    assert blocked == text
 
 
 @pytest.mark.parametrize("flag, change", [

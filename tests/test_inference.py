@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import index_values, overflowing_sample
 
@@ -19,7 +20,7 @@ from threshold_regret.inference import (
     swm_ci,
     z_quantile,
 )
-from threshold_regret.kernels import gaussian_cdf_kernel
+from threshold_regret.kernels import gaussian_cdf_kernel, norm_cdf
 from threshold_regret.montecarlo import MODEL1, draw_sample
 from threshold_regret.nuisance import NuisanceEstimates, estimate_khA
 from threshold_regret.swm import LambdaRate, PlugInOptimal, Undersmoothed, fit_swm
@@ -39,6 +40,50 @@ def test_z_quantile_values():
     assert z_quantile(0.9) == pytest.approx(1.2815516, abs=1e-6)
     with pytest.raises(ValidationError):
         z_quantile(1.0)
+
+
+@given(q=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+@example(q=5e-324)
+@example(q=1e-300)
+@example(q=0.025)
+@example(q=math.nextafter(0.5, 0.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_z_quantile_below_one_half_is_the_least_double_whose_phi_reaches_q(q):
+    z = z_quantile(q)
+    assert norm_cdf(z) >= q and not norm_cdf(math.nextafter(z, -math.inf)) >= q
+
+
+@given(q=st.floats(0.5, 1.0, exclude_max=True))
+@example(q=0.5)
+@example(q=0.975)
+@example(q=math.nextafter(1.0, 0.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_z_quantile_is_odd_about_one_half(q):
+    assert z_quantile(q) == -z_quantile(1.0 - q)
+
+
+def test_z_quantile_is_exactly_zero_at_one_half():
+    assert z_quantile(0.5) == 0.0 and math.copysign(1.0, z_quantile(0.5)) == 1.0
+
+
+@given(a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       b=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(a=0.5, b=math.nextafter(0.5, 1.0))
+@example(a=math.nextafter(0.5, 0.0), b=0.5)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_z_quantile_is_monotone_in_q(a, b):
+    a, b = sorted((a, b))
+    assert z_quantile(a) <= z_quantile(b)
+
+
+def test_z_quantile_is_within_eight_ulp_of_scipy_ndtri():
+    """Over q in [1e-300, 1 - 1e-15]; 4e-16 is Phi's own resolution near 0.5, where z is near 0."""
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    levels = np.concatenate([np.geomspace(1e-300, 0.5, 400), np.linspace(0.0, 1.0, 401)[1:-1],
+                             1.0 - np.geomspace(1e-15, 0.5, 200), [0.005, 0.025, 0.975, 0.995]])
+    for q in map(float, levels):
+        oracle = float(ndtri(q))
+        assert abs(z_quantile(q) - oracle) <= max(8 * math.ulp(oracle), 4e-16), q
 
 
 # --- plug-in interval ----------------------------------------------------------

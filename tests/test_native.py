@@ -116,7 +116,8 @@ def test_each_kernel_is_checked_on_its_own(native, monkeypatch, tmp_path, failin
 
 def test_table_commands_never_pay_the_bootstrap_check(native):
     """A fresh ``chernoff`` or ``asymptotics`` process that simulates its table
-    checks the Chernoff kernel only."""
+    checks the Chernoff kernel, and ``asymptotics`` the normal law that its
+    regret quantiles bisect, only."""
     code = """
 import sys
 from threshold_regret import _native
@@ -129,7 +130,7 @@ assert run_cli(["chernoff", "--seed", "5", *table]) == 0
 assert run_cli(["asymptotics", "--model", "1", "--n", "500", "--seed", "6", *table]) == 0
 print("CHECKED", checked)
 """
-    assert fresh_python(code).splitlines()[-1] == "CHECKED ['tr_chernoff_block']"
+    assert fresh_python(code).splitlines()[-1] == "CHECKED ['tr_chernoff_block', 'tr_normal']"
 
 
 def _chunk_args(seed, n, distinct, score_scale, reps):

@@ -68,6 +68,8 @@ def test_time_layers_prints_every_timing_as_json(capsys):
     assert set(record["layers_ms"]["200"]) == {
         "sample", "fit_ewm", "ewm_bootstrap", "estimate_khA", "fit_swm_rate", "fit_swm_plugin", *screens}
     assert all(t > 0 for t in record["layers_ms"]["200"].values())
+    assert set(record["quantiles_ms"]) == {"z_quantile", "swm_median"}
+    assert all(t > 0 for t in record["quantiles_ms"].values())
     load = record["csv_load_ms"]
     assert set(load) == {"compiled", "row_loop"} and load["row_loop"] > 0
     assert (load["compiled"] is None) == (_native.kernel("tr_parse_csv") is None)
