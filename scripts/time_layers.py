@@ -12,10 +12,15 @@
   200 replicates on one worker at the true H, ``estimate_khA`` at the EWM
   threshold and ``fit_swm`` with the rate bandwidth (``LambdaRate(lambda*)``)
   and with the plug-in one (``PlugInOptimal``, which runs ``estimate_khA``
-  inside); and ``swm_screen``, the coarse-grid screen of the rate-bandwidth
-  fit (``swm._grid_candidates`` on its arguments: compiled in ``tr_screen``
-  where that loads), with the numpy screen beside it as
-  ``swm_screen_numpy`` where the compiled one runs.
+  inside), each in one call of ``tr_fit_swm`` where that loads; beside them
+  ``fit_swm_pipeline``, the rate-bandwidth fit on the Python pipeline that
+  the compiled fit replaces (``tr_fit_swm`` set aside), split into its
+  steps: ``swm_screen``, the coarse-grid screen (``swm._grid_candidates``:
+  compiled in ``tr_screen`` where that loads), with the numpy screen beside
+  it as ``swm_screen_numpy`` where the compiled one runs; ``swm_values``,
+  the rows bound and S_n at the screen's candidates of the grid; and
+  ``swm_newton``, the Newton refinement from the best of them, the clamp and
+  S_n at t_hat.
 - ``quantiles_ms``: the regret-law quantiles, each the least double at
   which the library's Phi reaches the level: ``z_quantile(0.975)``, the
   critical value of ``swm_ci``, and the median of the SWM regret law that
@@ -46,6 +51,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -102,6 +108,11 @@ def chernoff_block_ms(paths: dict, n_paths: int, repeats: int) -> dict:
     return {name: min(timings[name]) if name in runs else None for name in paths}
 
 
+def pipeline():
+    """A context in which ``fit_swm`` runs its Python pipeline rather than ``tr_fit_swm``."""
+    return mock.patch.object(swm, "_kernel", lambda name: None if name == "tr_fit_swm" else _native.kernel(name))
+
+
 def layers_ms(n: int, repeats: int) -> dict:
     sample = draw_sample(MODEL2, n, 1)
     columns = {name: getattr(sample, name).copy() for name in ("y", "d", "x")}
@@ -118,14 +129,33 @@ def layers_ms(n: int, repeats: int) -> dict:
         "fit_swm_rate": lambda: fit_swm(sample, kernel, rate, space),
         "fit_swm_plugin": lambda: fit_swm(sample, kernel, PlugInOptimal(t_eval=t_ewm), space),
     }
+    # the pipeline's steps on the rate-bandwidth fit, each from the one before's result
     g, sigma = _ipw_g(sample), kernel.rate_bandwidth(rate.lam, n)
     n_pts = swm._grid_points(space, sigma)
-    runs["swm_screen"] = lambda: swm._grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, n_pts)
+    cand = swm._grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, n_pts)
+    ts = np.linspace(space.lo, space.hi, n_pts)
+    f = partial(swm._smoothed, kernel.bind(sample.x, g), n, sigma)
+    best = int(cand[np.argmax(f(ts[cand]))])
+    bracket = float(ts[max(best - 1, 0)]), float(ts[min(best + 1, n_pts - 1)]), float(ts[best])
+
+    def newton():
+        t_hat = float(space.clamp(swm._newton_max(partial(swm._slopes, f), *bracket, tol=1e-8 * space.width)))
+        return f(t_hat)
+
+    steps = {
+        "fit_swm_pipeline": lambda: fit_swm(sample, kernel, rate, space),
+        "swm_screen": lambda: swm._grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, n_pts),
+        "swm_values": lambda: swm._smoothed(kernel.bind(sample.x, g), n, sigma,
+                                            np.linspace(space.lo, space.hi, n_pts)[cand]),
+        "swm_newton": newton,
+    }
     if _native.kernel("tr_screen") is not None:
-        runs["swm_screen_numpy"] = lambda: swm._numpy_candidates(g, sample.x, kernel, sigma, space, n_pts)
-    for run in runs.values():
+        steps["swm_screen_numpy"] = lambda: swm._numpy_candidates(g, sample.x, kernel, sigma, space, n_pts)
+    for run in (*runs.values(), *steps.values()):
         run()  # the kernels' load-time checks, outside the timings
-    return {name: best_ms(run, repeats) for name, run in runs.items()}
+    timings = {name: best_ms(run, repeats) for name, run in runs.items()}
+    with pipeline():
+        return timings | {name: best_ms(run, repeats) for name, run in steps.items()}
 
 
 def quantiles_ms(repeats: int) -> dict:

@@ -1,7 +1,7 @@
 /* Compiled inner loops of the reshaped bootstrap and the Chernoff simulator,
  * the parser of plain sample CSVs, the normal law's sums behind the
- * smoothed objective and the local fits of the nuisance estimates, and the
- * SWM grid screen.
+ * smoothed objective and the local fits of the nuisance estimates, the SWM
+ * grid screen, and the SWM fit built on the last two.
  *
  * The two loops repeat, operation for operation, the numpy code they replace
  * (Generator.integers followed by inference._replicate, and
@@ -56,7 +56,10 @@
  * fabs and sqrt touch their doubles, so their bits are the same on every CPU.
  * The grid screen (tr_screen) bins and sums in an order of its own: its
  * values only prune the grid, under a bound that covers their rounding
- * (swm.py), and numpy's FFT screen is its fallback.
+ * (swm.py), and numpy's FFT screen is its fallback.  The SWM fit
+ * (tr_fit_swm) runs that screen and then swm.py's pipeline after it,
+ * operation for operation, on tr_smoothed's sums: its bits are the
+ * pipeline's, which is its fallback and its oracle.
  */
 
 #include <float.h>
@@ -1477,11 +1480,12 @@ static inline double add_in_order(double a, const double *v, int len)
 }
 
 /* The normal CDF kernel's k, k' and k'' elementwise at z[0..m-1]:
- * out[i] = Phi(z[i]), out[m + i] = phi(z[i]) and out[2 m + i] = (-c)
- * phi(z[i]), c being z[i] clipped to [-40, 40]: the terms tr_smoothed sums,
- * of rows z of weight 1 at the threshold 0 with sigma 1, as (z - 0) / 1 is
- * z bit for bit, signed zeros too. */
-void tr_normal(const double *z, int64_t m, double *out)
+ * out[i] = Phi(z[i]), and with parts 3 out[m + i] = phi(z[i]) and
+ * out[2 m + i] = (-c) phi(z[i]), c being z[i] clipped to [-40, 40]; parts 1
+ * gives Phi alone.  These are the terms tr_smoothed sums, of rows z of weight
+ * 1 at the threshold 0 with sigma 1, as (z - 0) / 1 is z bit for bit, signed
+ * zeros too. */
+void tr_normal(const double *z, int64_t m, int64_t parts, double *out)
 {
     double ones[BLOCK], zeros[BLOCK], pad[BLOCK], cdf[BLOCK], pdf[BLOCK], k2[BLOCK];
     for (int i = 0; i < BLOCK; i++) {
@@ -1492,41 +1496,53 @@ void tr_normal(const double *z, int64_t m, double *out)
         const int len = m - lo < BLOCK ? (int)(m - lo) : BLOCK;
         const double *zb = block_of(z, lo, len, pad);
         cdf_terms(zb, ones, zeros, 1.0, cdf);
-        pdf_terms(zb, ones, zeros, 1.0, pdf, k2);
         memcpy(out + lo, cdf, (size_t)len * sizeof *out);
-        memcpy(out + m + lo, pdf, (size_t)len * sizeof *out);
-        memcpy(out + 2 * m + lo, k2, (size_t)len * sizeof *out);
+        if (parts == 3) {
+            pdf_terms(zb, ones, zeros, 1.0, pdf, k2);
+            memcpy(out + m + lo, pdf, (size_t)len * sizeof *out);
+            memcpy(out + 2 * m + lo, k2, (size_t)len * sizeof *out);
+        }
     }
 }
 
-/* The sums behind the smoothed objective with the normal CDF kernel, at
- * each threshold t[j], over rows i with u = (x[i] - t[j]) / sigma:
- *   order 0: out[j] = sum g[i] Phi(u)
- *   order 1: out[j] = sum g[i] phi(u) and out[m + j] = sum g[i] ((-c) phi(u)),
- *            c being u clipped to [-40, 40]; both from one phi per row
+/* The sums behind the smoothed objective with the normal CDF kernel at the
+ * threshold t, over rows i with u = (x[i] - t) / sigma:
+ *   order 0: *a = sum g[i] Phi(u)
+ *   order 1: *a = sum g[i] phi(u) and *b = sum g[i] ((-c) phi(u)), c being u
+ *            clipped to [-40, 40]; both from one phi per row
  * (the kernel's k, k' and k'').  phi(u) is 0 wherever |u| > 38.6, so the
  * clip only makes u = +-inf give 0, not NaN.  Each sum runs in row order
  * from its first term, n >= 1, as np.cumsum does. */
+static void smoothed_at(const double *x, const double *g, int64_t n, double sigma, double t, int64_t order,
+                        double *a, double *b)
+{
+    double terms0[BLOCK], terms1[BLOCK], at[BLOCK], pad_x[BLOCK], pad_g[BLOCK];
+    double sa = 0.0, sb = 0.0;
+    for (int i = 0; i < BLOCK; i++)
+        at[i] = t;
+    for (int64_t lo = 0; lo < n; lo += BLOCK) {
+        const int len = n - lo < BLOCK ? (int)(n - lo) : BLOCK, first = lo == 0;
+        const double *xb = block_of(x, lo, len, pad_x), *gb = block_of(g, lo, len, pad_g);
+        if (order == 0) {
+            cdf_terms(xb, gb, at, sigma, terms0);
+        } else {
+            pdf_terms(xb, gb, at, sigma, terms0, terms1);
+            sb = add_in_order(first ? terms1[0] : sb, terms1 + first, len - first);
+        }
+        sa = add_in_order(first ? terms0[0] : sa, terms0 + first, len - first);
+    }
+    *a = sa;
+    *b = sb;
+}
+
+/* smoothed_at at each threshold t[j], j = 0..m-1: out[j] = *a, and with
+ * order 1 out[m + j] = *b. */
 void tr_smoothed(const double *x, const double *g, int64_t n, double sigma, const double *t, int64_t m,
                  int64_t order, double *out)
 {
-    double terms0[BLOCK], terms1[BLOCK], at[BLOCK], pad_x[BLOCK], pad_g[BLOCK];
     for (int64_t j = 0; j < m; j++) {
-        double a = 0.0, b = 0.0;
-        for (int i = 0; i < BLOCK; i++)
-            at[i] = t[j];
-        for (int64_t lo = 0; lo < n; lo += BLOCK) {
-            const int len = n - lo < BLOCK ? (int)(n - lo) : BLOCK, first = lo == 0;
-            const double *xb = block_of(x, lo, len, pad_x), *gb = block_of(g, lo, len, pad_g);
-            if (order == 0) {
-                cdf_terms(xb, gb, at, sigma, terms0);
-            } else {
-                pdf_terms(xb, gb, at, sigma, terms0, terms1);
-                b = add_in_order(first ? terms1[0] : b, terms1 + first, len - first);
-            }
-            a = add_in_order(first ? terms0[0] : a, terms0 + first, len - first);
-        }
-        out[j] = a;
+        double b;
+        smoothed_at(x, g, n, sigma, t[j], order, out + j, &b);
         if (order != 0)
             out[m + j] = b;
     }
@@ -1553,10 +1569,10 @@ static double dot(const double *a, const double *b, int64_t len)
     return total;
 }
 
-/* The binned values of the SWM grid screen (swm._compiled_screen): at each
- * grid point t_j = lo + subcells j step, j = 0..n_pts-1, an approximation of
- * sum g[i] k((x[i] - t_j) / sigma) for a CDF kernel k, whose error bound
- * swm.py computes from the sums this returns.
+/* The SWM grid screen (swm._compiled_screen) for a CDF kernel k: at each
+ * grid point t_j = lo + subcells j step, j = 0..n_pts-1, approx[j] is an
+ * approximation of sum g[i] k((x[i] - t_j) / sigma) that lies within
+ * err + slack / 2 of it, bound[0] = err and bound[1] = slack.
  *
  * One forward pass over the rows in the order that sorts x (order, a
  * permutation of 0..n-1) places each at p = (x - lo) / step sub-cells.  Rows
@@ -1569,16 +1585,22 @@ static double dot(const double *a, const double *b, int64_t len)
  * above; the bins beyond w below are dropped (k taken as 0).  The work is n
  * + n_pts (2 w + 1) multiply-adds at most.
  *
- * work (n_pts + 2 (m1 - m0) + 6 doubles, then n bytes) receives the values
- * at work[0..n_pts-1], then sum |g| over the binned rows, the rows below m0
- * and the rows above m1.  Returns 0, or -1 when order is not a permutation that
- * sorts x ascending. */
-int64_t tr_screen(const double *x, const double *g, const int64_t *order, int64_t n, double lo, double step,
-                  int64_t n_pts, int64_t subcells, int64_t m0, int64_t m1, int64_t w, const double *table,
-                  double *work)
+ * The bound, as swm.py derives it: err = coef sum_near |g| + k(-c)
+ * sum_below |g| + (1 - k(c)) sum_above |g|, the sums over the binned rows
+ * and the rows below m0 and above m1, plus max(k(-W), 1 - k(W)) sum_near |g|
+ * when the window cuts (w is less than the farthest offset of a node from a
+ * grid point), and slack = rate sum |g|.  coef, the binning error per unit
+ * of |g|, and rate, the rounding slack's, come from swm.py; k(-c), k(c),
+ * k(-W) and k(W) are the four values after the table.
+ *
+ * scratch holds 2 (m1 - m0) + 3 doubles, then n bytes.  Returns 0, or -1
+ * when order is not a permutation that sorts x ascending. */
+static int64_t screen(const double *x, const double *g, const int64_t *order, int64_t n, double lo, double step,
+                      int64_t n_pts, int64_t subcells, int64_t m0, int64_t m1, int64_t w, const double *table,
+                      double coef, double rate, double *approx, double *bound, double *scratch)
 {
-    const int64_t nodes = m1 - m0 + 1, d_lo = m0 - subcells * (n_pts - 1) > -w ? m0 - subcells * (n_pts - 1) : -w;
-    double *approx = work, *bins = work + n_pts + 3, *suffix = bins + nodes;
+    const int64_t span = subcells * (n_pts - 1), nodes = m1 - m0 + 1, d_lo = m0 - span > -w ? m0 - span : -w;
+    double *bins = scratch, *suffix = bins + nodes;
     unsigned char *seen = (unsigned char *)(suffix + nodes + 1);
     memset(seen, 0, (size_t)n);
     for (int64_t i = 0; i < n; i++) {
@@ -1624,9 +1646,131 @@ int64_t tr_screen(const double *x, const double *g, const int64_t *order, int64_
             a = a + suffix[above - m0];
         approx[j] = a;
     }
-    work[n_pts] = abs_near;
-    work[n_pts + 1] = abs_left;
-    work[n_pts + 2] = abs_right;
+
+    const double *tails = table + ((m1 < w ? m1 : w) + 1 - d_lo);
+    const int64_t full = span - m0 > m1 ? span - m0 : m1;
+    double err = coef * abs_near + tails[0] * abs_left + (1.0 - tails[1]) * abs_right;
+    if (w < full)
+        err = err + (1.0 - tails[3] > tails[2] ? 1.0 - tails[3] : tails[2]) * abs_near;
+    bound[0] = err;
+    bound[1] = rate * (abs_near + abs_left + abs_right);
+    return 0;
+}
+
+/* The least binned value of a point the screen keeps: the binned maximum
+ * less 2 err + slack, NaN (so every point is kept) where a value or the
+ * bound is NaN.  No point whose value lies below it can hold the exact
+ * grid argmax. */
+static double kept_from(const double *approx, int64_t n_pts, const double *bound)
+{
+    double peak;
+    first_argmax(approx, n_pts, &peak);
+    return peak - (2.0 * bound[0] + bound[1]);
+}
+
+/* The screen alone: work receives approx[0..n_pts-1], err and slack, then
+ * the indices of the points kept, ascending, in n_pts int64 slots, and holds
+ * the screen's scratch after them.  Returns how many points are kept, or -1
+ * when order is not a permutation that sorts x ascending. */
+int64_t tr_screen(const double *x, const double *g, const int64_t *order, int64_t n, double lo, double step,
+                  int64_t n_pts, int64_t subcells, int64_t m0, int64_t m1, int64_t w, double coef, double rate,
+                  const double *table, double *work)
+{
+    double *approx = work, *bound = work + n_pts;
+    int64_t *kept = (int64_t *)(bound + 2), count = 0;
+    if (screen(x, g, order, n, lo, step, n_pts, subcells, m0, m1, w, table, coef, rate, approx, bound,
+               work + 2 * n_pts + 2) < 0)
+        return -1;
+    const double least = kept_from(approx, n_pts, bound);
+    for (int64_t j = 0; j < n_pts; j++)
+        if (!(approx[j] < least))
+            kept[count++] = j;
+    return count;
+}
+
+/* a safety net; bisection alone needs about 21 steps */
+#define NEWTON_MAX_STEPS 100
+
+/* Grid point j of np.linspace(lo, hi, n_pts), whose step is grid: j grid +
+ * lo, and hi itself at the last point. */
+static inline double grid_point(double lo, double hi, double grid, int64_t n_pts, int64_t j)
+{
+    return j == n_pts - 1 ? hi : (double)j * grid + lo;
+}
+
+/* swm._newton_max on S_n' = 0 in [lo, hi] from t, S_n' and S_n'' divided as
+ * swm._smoothed divides them: each step moves one end of the bracket to t by
+ * the sign of S_n', then takes the Newton step, or bisects when that step
+ * leaves the bracket, S_n'' >= 0 or either is not finite; it stops once a
+ * step is at most tol / 2. */
+static double newton_max(const double *x, const double *g, int64_t n, double sigma, double lo, double hi, double t,
+                         double tol)
+{
+    const double nd = (double)n;
+    for (int k = 0; k < NEWTON_MAX_STEPS; k++) {
+        double s1, s2;
+        smoothed_at(x, g, n, sigma, t, 1, &s1, &s2);
+        const double d1 = s1 / (nd * -sigma), d2 = s2 / (nd * sigma) / sigma;
+        if (d1 > 0.0)
+            lo = t;
+        else
+            hi = t;
+        double next = d2 < 0.0 ? t - d1 / d2 : NAN;
+        if (!(lo < next && next < hi))
+            next = 0.5 * (lo + hi);
+        if (fabs(next - t) <= 0.5 * tol)
+            return next;
+        t = next;
+    }
+    return t;
+}
+
+/* The SWM fit with the normal CDF kernel after its bandwidth, as swm.py's
+ * pipeline makes it, operation for operation: the grid np.linspace(lo, hi,
+ * n_pts); the screen (its layout, its table of k and its coef and rate as
+ * for tr_screen); S_n = sum g[i] Phi(u) / n at each point kept, by
+ * smoothed_at, and the first argmax of those values with np.argmax's NaN
+ * rule; Newton refinement from that point inside its two neighbours, with
+ * the tolerance 1e-8 (hi - lo); the result clamped to [lo, hi], as
+ * min(max(t, lo), hi); and S_n there.  work[0..2] receives t_hat, S_n at
+ * t_hat and the grid maximum (NaN where any value kept is NaN), and holds
+ * n_pts + 2 doubles and the screen's scratch after them.  Returns 0, or -1
+ * when order is not a permutation that sorts x ascending. */
+int64_t tr_fit_swm(const double *x, const double *g, const int64_t *order, int64_t n, double sigma, double lo,
+                   double hi, double step, int64_t n_pts, int64_t subcells, int64_t m0, int64_t m1, int64_t w,
+                   double coef, double rate, const double *table, double *work)
+{
+    double *approx = work + 3, *bound = approx + n_pts;
+    if (screen(x, g, order, n, lo, step, n_pts, subcells, m0, m1, w, table, coef, rate, approx, bound,
+               bound + 2) < 0)
+        return -1;
+    const double least = kept_from(approx, n_pts, bound), nd = (double)n, grid = (hi - lo) / (double)(n_pts - 1);
+    double peak = 0.0, unused;
+    int64_t best = -1;
+    for (int64_t j = 0; j < n_pts; j++) {
+        if (approx[j] < least)
+            continue;
+        double v;
+        smoothed_at(x, g, n, sigma, grid_point(lo, hi, grid, n_pts, j), 0, &v, &unused);
+        v = v / nd;
+        if (best < 0) {
+            peak = v;
+            best = j;
+        } else {
+            keep_first_max(v, j, &peak, &best);
+        }
+    }
+    const int64_t below = best > 0 ? best - 1 : 0, above = best < n_pts - 1 ? best + 1 : n_pts - 1;
+    double t = newton_max(x, g, n, sigma, grid_point(lo, hi, grid, n_pts, below),
+                          grid_point(lo, hi, grid, n_pts, above), grid_point(lo, hi, grid, n_pts, best),
+                          1e-8 * (hi - lo));
+    t = lo > t ? lo : t;
+    t = hi < t ? hi : t;
+    double objective;
+    smoothed_at(x, g, n, sigma, t, 0, &objective, &unused);
+    work[0] = t;
+    work[1] = objective / nd;
+    work[2] = peak;
     return 0;
 }
 

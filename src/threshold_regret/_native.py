@@ -13,7 +13,7 @@ never sets another aside, and a process that wants one kernel never pays
 the others' checks.  If a step fails (no compiler, a read-only package
 directory, a failed build or load, a result that differs) ``kernel``
 returns None and the caller keeps its numpy code, whose results are the
-same bit for bit.  There are seven kernels.  The bootstrap chunk and the
+same bit for bit.  There are eight kernels.  The bootstrap chunk and the
 Chernoff block repeat numpy's own PCG64, the bootstrap its seeding and
 bounded integers and the Chernoff block its normal sampler, so under a
 numpy whose stream differs from the one they copy (see ``_kernels.c``) the
@@ -34,7 +34,12 @@ their checks take every branch of Phi, exp arguments near and past underflow
 code bit for bit: its check (``SCREEN_CHECK``) holds each binned value within
 the screen's bound of the exact sum, on cases where the far rows' tails, the
 rounding slack and the binning error each decide, and requires every point
-kept where the sums overflow.  The module is imported only when a kernel is
+kept where the sums overflow.  ``tr_fit_swm`` is the SWM fit after its
+bandwidth with the normal CDF kernel: the grid, that screen, the exact values
+of the points kept and the Newton refinement in one call; its check
+(``FIT_CHECK``) requires the bits of the Python pipeline on the full exact
+grid, on cases where the first argmax among ties, the bracket's ends, the
+bisection and the clamp each decide.  The module is imported only when a kernel is
 first wanted, so ``import threshold_regret`` loads none of ``sysconfig``,
 ``hashlib`` or ``subprocess``.
 """
@@ -100,13 +105,15 @@ def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
     # at n = 500; their callers pass C-contiguous float64 (see kernels, nuisance)
     ptr = ctypes.c_void_p
     lib.tr_normal.restype = None
-    lib.tr_normal.argtypes = [ptr, i64, ptr]
+    lib.tr_normal.argtypes = [ptr, i64, i64, ptr]
     lib.tr_smoothed.restype = None
     lib.tr_smoothed.argtypes = [ptr, ptr, i64, f64, ptr, i64, i64, ptr]
     lib.tr_local_fit.restype = i64
     lib.tr_local_fit.argtypes = [ptr, ptr, i64, f64, f64, i64, ptr, ptr]
     lib.tr_screen.restype = i64
-    lib.tr_screen.argtypes = [ptr, ptr, ptr, i64, f64, f64, i64, i64, i64, i64, i64, ptr, ptr]
+    lib.tr_screen.argtypes = [ptr, ptr, ptr, i64, f64, f64, i64, i64, i64, i64, i64, f64, f64, ptr, ptr]
+    lib.tr_fit_swm.restype = i64
+    lib.tr_fit_swm.argtypes = [ptr, ptr, ptr, i64, f64, f64, f64, f64, i64, i64, i64, i64, i64, f64, f64, ptr, ptr]
     for block in (lib.tr_chernoff_block, lib.tr_chernoff_block_scalar):
         block.restype = None
         block.argtypes = [
@@ -233,7 +240,8 @@ def _normal_agrees(lib: ctypes.CDLL) -> bool:
     from .kernels import _cdf, _k2, _law, _pdf
 
     z = np.array(NORMAL_CHECK)
-    return all(map(_same, _law(lib.tr_normal, z), (_cdf(z), _pdf(z), _k2(z))))
+    return (all(map(_same, _law(lib.tr_normal, z), (_cdf(z), _pdf(z), _k2(z))))
+            and _same(_law(lib.tr_normal, z, 1)[0], _cdf(z)))
 
 
 def _smoothed_agrees(lib: ctypes.CDLL) -> bool:
@@ -311,6 +319,43 @@ def _screen_agrees(lib: ctypes.CDLL) -> bool:
     return True
 
 
+# the fits checked at load time, each against the Python pipeline on the
+# full exact grid, with no screen: (x, g, sigma, lo, hi).  Tied x, rows beyond
+# the capped pad on both sides and a heavy row, with S_n's maximum inside
+# the space; a plateau, where S_n is 1/2 at about ten grid points, so the
+# grid ties (the first argmax must win) and the Newton steps from the first
+# of them leave its bracket above, whose end decides where they stop; a
+# symmetric bump whose maximum is grid point 0.38, where the steps end at the
+# bracket's lower end; zero scores on a space near the largest double, where
+# S_n is flat, so every step bisects, the midpoint overflows to inf and the
+# clamp brings it back; and scores whose sums overflow to inf at every point
+_FIT_X = np.round(np.random.default_rng(7).uniform(0.0, 1.0, 40), 1)
+FIT_CHECK = (
+    (np.r_[-300.0, _FIT_X[1:-1], 400.0], np.r_[50.0, _FIT_X[1:5] - 0.45, 20.0, _FIT_X[6:-1] - 0.45, -50.0], 0.1,
+     0.0, 1.0),
+    (np.array([0.3, 0.682]), np.array([-1.0, 1.0]), 0.02, 0.0, 1.0),
+    (np.array([0.09, 0.67]), np.array([-2.9, 2.9]), 0.126, 0.0, 1.0),
+    (np.array([1.2e308]), np.array([0.0]), 1.2e306, 1e308, 1.6e308),
+    (_FIT_X, np.full(40, 1e307), 0.1, 0.0, 1.0),
+)
+
+
+def _fit_agrees(lib: ctypes.CDLL) -> bool:
+    from .data import ParamSpace
+    from .kernels import gaussian_cdf_kernel, normal_rows
+    from .swm import _compiled_fit, _grid_points, _pipeline_fit
+
+    kernel = gaussian_cdf_kernel()
+    for x, g, sigma, lo, hi in FIT_CHECK:
+        space = ParamSpace(lo, hi)
+        n_pts = _grid_points(space, sigma)
+        want = _pipeline_fit(normal_rows(x, g), len(x), sigma, space, np.arange(n_pts), n_pts)
+        got = _compiled_fit(lib.tr_fit_swm, g, x, np.argsort(x, kind="stable"), kernel, sigma, space, n_pts)
+        if not _same(got, want):
+            return False
+    return True
+
+
 @functools.cache
 def _library() -> ctypes.CDLL | None:
     """The built, loaded and typed library, or None when it cannot be built or loaded."""
@@ -328,7 +373,7 @@ def _library() -> ctypes.CDLL | None:
 
 CHECKS = {"tr_bootstrap_chunk": _bootstrap_agrees, "tr_chernoff_block": _block_agrees, "tr_parse_csv": _parse_agrees,
           "tr_normal": _normal_agrees, "tr_smoothed": _smoothed_agrees, "tr_local_fit": _local_fit_agrees,
-          "tr_screen": _screen_agrees}
+          "tr_screen": _screen_agrees, "tr_fit_swm": _fit_agrees}
 
 
 @functools.cache

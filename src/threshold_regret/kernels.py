@@ -23,7 +23,8 @@ Cody's erfc fits, within a few ulp of ``scipy.special.ndtr``.  Both live
 in ``_kernels.c`` and, operation for operation, in numpy here:
 ``norm_cdf``, ``norm_pdf`` and k'' run compiled in ``tr_normal`` once it
 has loaded, and in the numpy transcription otherwise, with the same bits
-either way.  A kernel's weighted sums over the rows (:meth:`Kernel.sums`,
+either way; ``norm_cdf``, which is the shipped kernel's k, computes
+Phi alone.  A kernel's weighted sums over the rows (:meth:`Kernel.sums`,
 or :meth:`Kernel.bind` for rows checked once, which the smoothed objective
 and the nuisance estimates take) run in row order; the shipped kernel's run
 compiled in ``tr_smoothed``, or in their numpy transcription, again with
@@ -151,15 +152,16 @@ def _kernel(name):
     return _native.kernel(name)
 
 
-def _law(normal, z):
-    """``tr_normal``'s Phi(z), phi(z) and k''(z), rows of one array; z a float64 array.
+def _law(normal, z, parts=3):
+    """``tr_normal``'s Phi(z), phi(z) and k''(z) (``parts`` 3) or Phi(z) alone
+    (``parts`` 1), rows of one array; z a float64 array.
 
-    One buffer holds z and the three results, so the call takes one address.
+    One buffer holds z and the results, so the call takes one address.
     """
-    buf = np.empty((4,) + z.shape)
+    buf = np.empty((parts + 1,) + z.shape)
     buf[0] = z
     at = buf.ctypes.data
-    normal(at, z.size, at + 8 * z.size)
+    normal(at, z.size, parts, at + 8 * z.size)
     return buf[1:]
 
 
@@ -175,8 +177,14 @@ def _normal_law(z):
 
 
 def norm_cdf(z):
-    """Standard normal CDF Phi, elementwise: cephes's ``ndtr`` (Cody's erfc fits) with the library's own exp."""
-    return _normal_law(z)[0][()]
+    """Standard normal CDF Phi, elementwise: cephes's ``ndtr`` (Cody's erfc fits)
+    with the library's own exp, and nothing else computed (the bits of
+    :func:`_normal_law`'s Phi)."""
+    z = np.asarray(z, dtype=float)
+    normal = _kernel("tr_normal")
+    if normal is None:
+        return _cdf(z)[()]
+    return _law(normal, z, 1)[0][()]
 
 
 def norm_pdf(z):

@@ -60,6 +60,16 @@ kernel's weighted sums in row order (``Kernel.sums``), one form for a batch
 of thresholds and for one; a fit binds its rows once (``Kernel.bind``).
 The normal CDF kernel's run compiled, with the library's own phi and Phi,
 so a fit has one set of bits on every host.
+
+With the normal CDF kernel, a fit makes one compiled call after its
+bandwidth and k's table (``tr_fit_swm`` in ``_kernels.c``).  It lays out
+the grid as ``np.linspace`` does, runs the compiled screen, whose bound
+and kept points it computes itself, takes S_n at the points kept with
+``tr_smoothed``'s sums, their first argmax, the Newton steps, the clamp
+and S_n at t_hat, each in the operation order of the Python pipeline
+(:func:`_pipeline_fit`), so it gives the pipeline's bits.  The pipeline
+runs for other kernels and where the library does not load, and the
+compiled fit is checked against it at load time and in the tests.
 """
 
 from __future__ import annotations
@@ -74,7 +84,7 @@ import numpy as np
 from .data import ParamSpace, Sample, _ipw_g, default_space
 from .errors import NumericError, ValidationError
 from .ewm import ThresholdEstimate, fit_ewm
-from .kernels import Kernel, _kernel
+from .kernels import Kernel, _kernel, _NormalCdfKernel
 from .nuisance import _sd, estimate_khA, optimal_bandwidth
 
 __all__ = [
@@ -94,7 +104,8 @@ _TAIL_SIGMAS = 10.0  # rows this many bandwidths outside the space are folded in
 _PAD_CAP = 1 << 14  # ... but at most this many sub-cells outside each end
 _WINDOW_SIGMAS = 6.0  # the compiled screen weights the bins this many bandwidths around a point by k
 _EPS = float(np.finfo(float).eps)
-_NEWTON_MAX_STEPS = 100  # a safety net; bisection alone needs about 21
+_NEWTON_MAX_STEPS = 100  # a safety net; bisection alone needs about 21 (NEWTON_MAX_STEPS in _kernels.c)
+_ORDER_REFUSAL = "the screen's order must be a permutation that sorts x ascending"
 
 
 @dataclass(frozen=True)
@@ -161,17 +172,23 @@ def _smoothed(sums, n, sigma, t, order=0):
     return sums[0] / (n * -sigma), sums[1] / (n * sigma) / sigma
 
 
+def _finite_point(sigma, t):
+    """Refuses a bandwidth that is not finite and positive, and a threshold that is not finite."""
+    if not 0 < sigma < math.inf:
+        raise ValidationError(f"sigma must be finite and positive, got {sigma}")
+    if not math.isfinite(t):
+        raise ValidationError(f"the threshold t must be finite, got {t}")
+
+
 def smoothed_objective(sample: Sample, kernel: Kernel, sigma: float, t: float) -> float:
     """Kernel-smoothed sample welfare difference at threshold ``t``."""
-    if not sigma > 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
+    _finite_point(sigma, t)
     return float(_smoothed(kernel.bind(sample.x, _ipw_g(sample)), sample.n, sigma, t)[0])
 
 
 def smoothed_objective_derivative(sample: Sample, kernel: Kernel, sigma: float, t: float) -> float:
     """Analytic t-derivative of :func:`smoothed_objective`."""
-    if not sigma > 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
+    _finite_point(sigma, t)
     return float(_smoothed(kernel.bind(sample.x, _ipw_g(sample)), sample.n, sigma, t, order=1)[0][0])
 
 
@@ -182,9 +199,16 @@ def _grid_points(space, sigma):
 
 def _layout(sigma, space, n_pts):
     """The screen's sub-cells: their count ``span`` across the space, their width
-    ``step`` and ``pad``, how many of them are binned outside each end."""
+    ``step`` and ``pad``, how many of them are binned outside each end.
+
+    Refuses a space so narrow that the width underflows to 0 (so the grid's
+    own step is positive wherever this passes).
+    """
     span = _SUBCELLS * (n_pts - 1)
     step = space.width / span
+    if not step > 0:
+        raise ValidationError(f"the parameter space [{space.lo}, {space.hi}] is too narrow for a grid of {n_pts} "
+                              f"points: its width / {span} underflows to 0")
     return span, step, math.ceil(min(_TAIL_SIGMAS * sigma / step, _PAD_CAP))
 
 
@@ -196,18 +220,19 @@ def _nodes(lowest, highest, span, pad):
     return m0, max(math.floor(min(max(highest, -1), span + pad - 1)) + 1, m0 + 1)
 
 
-def _slack(kernel, sigma, space, step, pad, terms, abs_g):
-    """A screen's rounding slack: the summation error of ``terms`` terms, and
-    the position error of x - t through sup |k'| <= sqrt(k2_sup), which holds
-    for a CDF kernel, at magnitudes up to the space's and the pad's reach."""
+def _slack_rate(kernel, sigma, space, step, pad, terms):
+    """A screen's rounding slack per unit of sum_i |g_i|: the summation error of
+    ``terms`` terms, and the position error of x - t through sup |k'| <=
+    sqrt(k2_sup), which holds for a CDF kernel, at magnitudes up to the
+    space's and the pad's reach."""
     reach = max(abs(space.lo), abs(space.hi)) + space.width + pad * step
-    return _EPS * (16.0 * terms + 8.0 * math.sqrt(kernel.k2_sup) * reach / sigma) * abs_g
+    return _EPS * (16.0 * terms + 8.0 * math.sqrt(kernel.k2_sup) * reach / sigma)
 
 
 def _kept(approx, err, slack):
     """The grid points whose binned value is within 2 err + slack of the binned
     maximum; negated so that a NaN or inf from overflowing scores or bounds
-    keeps every point."""
+    keeps every point.  ``tr_screen`` keeps its points by the same rule."""
     return np.flatnonzero(~(approx < approx.max() - (2.0 * err + slack)))
 
 
@@ -226,15 +251,17 @@ def _grid_candidates(g, x, order, kernel, sigma, space, n_pts):
     return _compiled_screen(screen, g, x, order, kernel, sigma, space, n_pts)[0]
 
 
-def _compiled_screen(screen, g, x, order, kernel, sigma, space, n_pts):
-    """``tr_screen``'s candidates, its binned values at every grid point, and
-    their ``err`` and ``slack``: each value lies within err + slack / 2 of the
-    exact one.
+def _compiled_layout(g, x, order, kernel, sigma, space, n_pts, outputs):
+    """What the compiled screen takes besides the space: x, g and ``order`` as it
+    reads them; one buffer holding k's table, then ``outputs`` doubles and the
+    screen's scratch; the table's length; and the layout (step, n_pts,
+    subcells, m0, m1, w, coef, rate).
 
     Bins within _WINDOW_SIGMAS bandwidths of a grid point are weighted by k
     at their offsets, taken in one call of ``kernel.k`` with k at the pad's
-    and the window's ends, which bound the tails.  Refuses rows of other
-    shapes, and an order that is not a permutation sorting x.
+    and the window's ends, which bound the tails.  coef and rate are err's
+    binning term and the slack per unit of |g| (see ``tr_screen``).  Refuses
+    rows of other shapes, and an order whose ends are not indices of x.
     """
     x, g = (np.ascontiguousarray(a, dtype=float) for a in (x, g))
     order = np.ascontiguousarray(order, dtype=np.int64)
@@ -242,37 +269,54 @@ def _compiled_screen(screen, g, x, order, kernel, sigma, space, n_pts):
     if x.ndim != 1 or g.shape != x.shape or order.shape != x.shape or not n:
         raise ValidationError(f"the screen needs x, g and its order of one nonzero length, "
                               f"got shapes {x.shape}, {g.shape} and {order.shape}")
-    refusal = "the screen's order must be a permutation that sorts x ascending"
     if not (0 <= order[0] < n and 0 <= order[-1] < n):
-        raise ValidationError(refusal)
+        raise ValidationError(_ORDER_REFUSAL)
     span, step, pad = _layout(sigma, space, n_pts)
     m0, m1 = _nodes((x[order[0]] - space.lo) / step, (x[order[-1]] - space.lo) / step, span, pad)
     full = max(span - m0, m1)  # the farthest offset of a node from a grid point
     reach = _WINDOW_SIGMAS * sigma / step
-    cut = reach < full - 2
-    w = int(reach) + 2 if cut else full
+    w = int(reach) + 2 if reach < full - 2 else full
     d_lo, c = max(m0 - span, -w), pad * step / sigma
-    # k at the window's offsets, then at the pad's and the window's ends; the
-    # table and tr_screen's work share one buffer, so the call takes one address
+    # k at the window's offsets, then at the pad's and the window's ends
     z = np.arange(d_lo, min(m1, w) + 5, dtype=float)
     z *= step
     z /= sigma
     z[-4:] = -c, c, -_WINDOW_SIGMAS, _WINDOW_SIGMAS
-    buf = np.empty(len(z) + n_pts + 2 * (m1 - m0) + 6 + -(-n // 8))
+    buf = np.empty(len(z) + outputs + 2 * (m1 - m0) + 3 + -(-n // 8))
     buf[: len(z)] = kernel.k(z)
-    at = buf.ctypes.data
-    if screen(x.ctypes.data, g.ctypes.data, order.ctypes.data, n, space.lo, step, n_pts, _SUBCELLS, m0, m1, w, at,
-              at + 8 * len(z)) < 0:
-        raise ValidationError(refusal)
-    work = buf[len(z) :]
-    approx, (abs_near, abs_left, abs_right) = work[:n_pts], work[n_pts : n_pts + 3].tolist()
-    k_lo, k_hi, window_lo, window_hi = buf[len(z) - 4 : len(z)].tolist()
     h = step / sigma
-    err = h * h / 8.0 * kernel.k2_sup * abs_near + k_lo * abs_left + (1.0 - k_hi) * abs_right
-    if cut:
-        err += max(window_lo, 1.0 - window_hi) * abs_near
-    slack = _slack(kernel, sigma, space, step, pad, n + m1 - m0 + 2 * w + 3, abs_near + abs_left + abs_right)
-    return _kept(approx, err, slack), approx, err, slack
+    rate = _slack_rate(kernel, sigma, space, step, pad, n + m1 - m0 + 2 * w + 3)
+    return (x, g, order), buf, len(z), (step, n_pts, _SUBCELLS, m0, m1, w, h * h / 8.0 * kernel.k2_sup, rate)
+
+
+def _compiled_screen(screen, g, x, order, kernel, sigma, space, n_pts):
+    """``tr_screen``'s candidates, its binned values at every grid point, and
+    their ``err`` and ``slack``: each value lies within err + slack / 2 of the
+    exact one.  Refuses what :func:`_compiled_layout` refuses, and an order
+    that is not a permutation sorting x.
+    """
+    (x, g, order), buf, table, layout = _compiled_layout(g, x, order, kernel, sigma, space, n_pts, 2 * n_pts + 2)
+    at = buf.ctypes.data
+    kept = screen(x.ctypes.data, g.ctypes.data, order.ctypes.data, len(x), space.lo, *layout, at, at + 8 * table)
+    if kept < 0:
+        raise ValidationError(_ORDER_REFUSAL)
+    work = buf[table:]
+    err, slack = work[n_pts : n_pts + 2].tolist()
+    return work[n_pts + 2 : n_pts + 2 + kept].view(np.int64), work[:n_pts], err, slack
+
+
+def _compiled_fit(fit, g, x, order, kernel, sigma, space, n_pts):
+    """``tr_fit_swm``'s t_hat, S_n there and the grid maximum: the compiled
+    screen, then :func:`_pipeline_fit` with the normal CDF kernel's sums, in
+    one call and with the same bits.  Refuses what :func:`_compiled_screen`
+    refuses.
+    """
+    (x, g, order), buf, table, layout = _compiled_layout(g, x, order, kernel, sigma, space, n_pts, n_pts + 5)
+    at = buf.ctypes.data
+    if fit(x.ctypes.data, g.ctypes.data, order.ctypes.data, len(x), sigma, space.lo, space.hi, *layout, at,
+           at + 8 * table) < 0:
+        raise ValidationError(_ORDER_REFUSAL)
+    return buf[table : table + 3].tolist()
 
 
 def _numpy_candidates(g, x, kernel, sigma, space, n_pts):
@@ -324,7 +368,7 @@ def _numpy_candidates(g, x, kernel, sigma, space, n_pts):
         k_lo, k_hi = k_samples[-2:]
         err += k_lo * float(np.sum(abs_g[left])) + (1.0 - k_hi) * float(np.sum(abs_g[right]))
     # the FFT's rounding grows as size log2 size
-    slack = _slack(kernel, sigma, space, step, pad, n + size * math.log2(size), float(np.sum(abs_g)))
+    slack = _slack_rate(kernel, sigma, space, step, pad, n + size * math.log2(size)) * float(np.sum(abs_g))
     return _kept(approx, err, slack)
 
 
@@ -373,6 +417,31 @@ def _resolve_sigma(sample, kernel, rule, space):
     return sigma, flags
 
 
+def _slopes(f, t):
+    """S_n' and S_n'' at t, from ``f``, a partial :func:`_smoothed`."""
+    d1, d2 = f(t, order=1)
+    return float(d1[0]), float(d2[0])
+
+
+def _pipeline_fit(sums, n, sigma, space, cand, n_pts):
+    """The fit after the screen, in Python: S_n at the screen's candidates
+    ``cand`` of the grid ``np.linspace(space.lo, space.hi, n_pts)`` from
+    ``sums``, the kernel's sums over the n rows (:meth:`Kernel.bind`); the
+    first of their argmaxes; Newton steps from it inside its two neighbours;
+    the result clamped to the space.  Returns t_hat, S_n at t_hat and the
+    grid maximum (NaN where a value is NaN).  ``tr_fit_swm`` repeats it
+    operation for operation.
+    """
+    f = partial(_smoothed, sums, n, sigma)
+    ts = np.linspace(space.lo, space.hi, n_pts)
+    values = f(ts[cand])
+    best = int(cand[np.argmax(values)])
+    lo, hi = ts[max(best - 1, 0)], ts[min(best + 1, n_pts - 1)]
+    t_hat = _newton_max(partial(_slopes, f), float(lo), float(hi), float(ts[best]), tol=1e-8 * space.width)
+    t_hat = float(space.clamp(t_hat))
+    return t_hat, float(f(t_hat)[0]), float(values.max())
+
+
 def fit_swm(
     sample: Sample,
     kernel: Kernel,
@@ -390,8 +459,14 @@ def fit_swm(
     approximation of bounded error (compiled where the kernel loads, else
     by numpy's FFT) and evaluating exactly only the points the bound
     cannot rule out (all of them when ``kernel.k2_sup`` is ``inf``); see the
-    module docstring.  IPW score sums that overflow leave the objective not
-    finite, which raises NumericError.
+    module docstring.  With the shipped normal CDF kernel (its class, which
+    ``dataclasses.replace`` keeps), everything after the bandwidth and the
+    table of ``kernel.k`` runs in one compiled call, ``tr_fit_swm``, once it
+    has loaded and passed its check; it gives the bits of the Python
+    pipeline (:func:`_pipeline_fit`), which runs for other kernels and where
+    the library does not load.  A space whose width over the screen's
+    sub-cells underflows to 0 raises ValidationError.  IPW score sums that
+    overflow leave the objective not finite, which raises NumericError.
     """
     if space is None:
         space = default_space(sample)
@@ -400,28 +475,21 @@ def fit_swm(
         raise NumericError(f"bandwidth sigma = {sigma} is not finite and positive")
 
     g = _ipw_g(sample)
-    f = partial(_smoothed, kernel.bind(sample.x, g), sample.n, sigma)
-
-    def slopes(t):
-        d1, d2 = f(t, order=1)
-        return float(d1[0]), float(d2[0])
-
     n_pts = _grid_points(space, sigma)
-    ts = np.linspace(space.lo, space.hi, n_pts)
+    fit = _kernel("tr_fit_swm") if isinstance(kernel, _NormalCdfKernel) else None
     # (x - t) / sigma may overflow at an extreme sigma; the kernel's limits at +-inf are exact.
     # Score sums that overflow are refused below, once the objective is known not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        cand = _grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, n_pts)
-        values = f(ts[cand])
-        best = int(cand[np.argmax(values)])
-        lo = ts[max(best - 1, 0)]
-        hi = ts[min(best + 1, n_pts - 1)]
-        t_hat = _newton_max(slopes, float(lo), float(hi), float(ts[best]), tol=1e-8 * space.width)
-        t_hat = float(space.clamp(t_hat))
-        objective_value = float(f(t_hat)[0])
-    if not (math.isfinite(values.max()) and math.isfinite(objective_value)):
+        if fit is None:
+            cand = _grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, n_pts)
+            t_hat, objective_value, peak = _pipeline_fit(kernel.bind(sample.x, g), sample.n, sigma, space, cand,
+                                                         n_pts)
+        else:
+            t_hat, objective_value, peak = _compiled_fit(fit, g, sample.x, sample._x_order, kernel, sigma, space,
+                                                         n_pts)
+    if not (math.isfinite(peak) and math.isfinite(objective_value)):
         raise NumericError(
-            f"smoothed objective is not finite (grid maximum {values.max()}, {objective_value} "
+            f"smoothed objective is not finite (grid maximum {peak}, {objective_value} "
             f"at t={t_hat}): the IPW score sums overflow"
         )
     return ThresholdEstimate(

@@ -570,6 +570,8 @@ _LEVEL = "level must lie in (0, 1), got "
     pytest.param(["chernoff", "--jobs", "0"], None, "jobs must be >= 1, got 0", id="shipped-table-jobs-0"),
     pytest.param(["estimate", "--policy", "swm", _DATA, "--space=-1e308,1e308"], None,
                  "parameter space width hi - lo overflows", id="space-width-overflow"),
+    pytest.param(_SWM + ["fixed:0.1", "--space", "0,5e-324"], None,
+                 "parameter space [0.0, 5e-324] is too narrow for a grid of 201 points", id="space-sub-cells-underflow"),
     # the sample's DataWarning about tied x is not printed beside the error
     pytest.param(["estimate", "--policy", "swm", _TIED_DATA], None, "numeric failure: arm 0: fewer than 10",
                  id="tied-x-numeric-failure"),

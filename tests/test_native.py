@@ -77,9 +77,17 @@ def _callers(tmp_path):
         "tr_smoothed": (lambda: kernels.normal_rows(x, x**3)(0.3, np.array([-0.5, 0.0, 2.0]), 1),
                         (kernels, "_row_sums")),
         "tr_local_fit": (lambda: nuisance._local_poly_fit(x, x**3, 0.1, 0.8, 3), (nuisance, "_numpy_local_fit")),
-        "tr_screen": (lambda: _fit_values(swm.fit_swm(draw_sample(MODEL1, 300, 2), kernels.gaussian_cdf_kernel(),
-                                                      swm.LambdaRate(2.0))), (swm, "_numpy_candidates")),
+        "tr_screen": (lambda: _screen_candidates(draw_sample(MODEL1, 300, 2), 0.3), (swm, "_numpy_candidates")),
+        "tr_fit_swm": (lambda: _fit_values(swm.fit_swm(draw_sample(MODEL1, 300, 2), kernels.gaussian_cdf_kernel(),
+                                                       swm.LambdaRate(2.0))), (swm, "_newton_max")),
     }
+
+
+def _screen_candidates(sample, sigma):
+    """The grid points that the screen of a fit at ``sigma`` keeps."""
+    g, space = data._ipw_g(sample), data.default_space(sample)
+    kernel = kernels.gaussian_cdf_kernel()
+    return swm._grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, swm._grid_points(space, sigma))
 
 
 def _fit_values(est):
@@ -748,10 +756,28 @@ def test_exp_and_phi_are_within_one_ulp_of_math_exp(native, form):
                   max_size=300))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_normal_law_matches_its_numpy_transcription(native, z):
-    """Phi, phi and k'' bit for bit, infinities, NaN and the tails past underflow included."""
+    """Phi, phi and k'' bit for bit, infinities, NaN and the tails past underflow included;
+    Phi alone too."""
     z = np.array(z)
     got = kernels._law(native.tr_normal, z)
     assert all(map(_native._same, got, (kernels._cdf(z), kernels._pdf(z), kernels._k2(z))))
+    assert _native._same(kernels._law(native.tr_normal, z, 1)[0], got[0])
+
+
+def test_norm_cdf_computes_phi_alone_with_the_bits_of_the_whole_law(native):
+    """``norm_cdf`` asks ``tr_normal`` for Phi alone, two doubles a point, and gets
+    the bits of the numpy transcription and of the law's first row, on the
+    grid down to Phi's underflow, at the load-time points and at scalars."""
+    z = np.concatenate((_PHI_GRID, _native.NORMAL_CHECK, [np.inf, -np.inf, np.nan]))
+    phi = kernels.norm_cdf(z)
+    assert _native._same(phi, kernels._cdf(z)) and _native._same(phi, kernels._law(native.tr_normal, z)[0])
+    for v in (0.3, -0.0, -37.6, 9.0):
+        assert kernels.norm_cdf(v).tobytes() == kernels._cdf(np.float64(v)).tobytes() and np.ndim(kernels.norm_cdf(v)) == 0
+    with mock.patch.object(kernels, "_law", wraps=kernels._law) as law:
+        kernels.norm_cdf(z)
+    assert law.call_args.args[2:] == (1,)
+    with _numpy_loops():
+        assert _native._same(kernels.norm_cdf(z), phi)
 
 
 _FLOATS = st.floats(-1e3, 1e3, allow_nan=False)

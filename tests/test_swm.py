@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from threshold_regret import _native, swm
 
 from threshold_regret.data import ParamSpace, Sample, _ipw_g, default_space, empirical_welfare
-from threshold_regret.errors import ArmDataError, NumericError, ValidationError
+from threshold_regret.errors import ArmDataError, DataWarning, NumericError, ValidationError
 from threshold_regret.ewm import fit_ewm
 from threshold_regret.kernels import Kernel, gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1, MODEL2, draw_sample
@@ -75,6 +76,21 @@ def test_sigma_must_be_positive(rng):
         smoothed_objective_derivative(s, KERNEL, -1.0, 0.0)
     with pytest.raises(ValidationError):
         FixedBandwidth(-0.1)
+
+
+@pytest.mark.parametrize("sigma, t, fragment", [
+    (math.inf, 0.0, "sigma must be finite and positive"),
+    (math.nan, 0.0, "sigma must be finite and positive"),
+    (0.3, math.nan, "t must be finite"),
+    (0.3, math.inf, "t must be finite"),
+    (0.3, -math.inf, "t must be finite"),
+])
+def test_smoothed_objective_refuses_a_non_finite_bandwidth_or_threshold(sigma, t, fragment):
+    """S_n at t = nan was NaN, and at sigma = inf a number (-0.2496 on this sample)."""
+    s = draw_sample(MODEL1, 500, 1)
+    for f in (smoothed_objective, smoothed_objective_derivative):
+        with pytest.raises(ValidationError, match=fragment):
+            f(s, KERNEL, sigma, t)
 
 
 def test_derivative_matches_finite_differences_at_random_probes(rng):
@@ -287,6 +303,20 @@ def _screens():
     return [numpy_only] + ([contextlib.nullcontext()] if _native.kernel("tr_screen") is not None else [])
 
 
+def _pipeline_only():
+    """A context in which ``fit_swm`` runs its Python pipeline, the screen
+    compiled where ``tr_screen`` loads, not ``tr_fit_swm``."""
+    return mock.patch.object(swm, "_kernel", lambda name: None if name == "tr_fit_swm" else _native.kernel(name))
+
+
+def _fit_paths():
+    """Contexts in which ``fit_swm`` runs each path it can take here: the
+    pipeline with the numpy screen, with the compiled screen where
+    ``tr_screen`` loads, and the compiled fit where ``tr_fit_swm`` loads."""
+    return (_screens()[:1] + [_pipeline_only()] * (_native.kernel("tr_screen") is not None)
+            + [contextlib.nullcontext()] * (_native.kernel("tr_fit_swm") is not None))
+
+
 def _compiled_screen_kernel():
     screen = _native.kernel("tr_screen")
     if screen is None:
@@ -409,7 +439,7 @@ def test_each_screen_takes_k_in_one_call_of_the_kernel():
     """Both screens weight their bins by ``kernel.k``, once a fit, so a kernel's
     own k (here a counting wrapper) decides them and the fit is unchanged."""
     sample = draw_sample(MODEL1, 300, 5)
-    for screen in _screens():
+    for screen in _fit_paths():
         counting = dataclasses.replace(KERNEL, k=mock.Mock(wraps=KERNEL.k))
         with screen:
             assert fit_swm(sample, counting, FixedBandwidth(0.3)) == fit_swm(sample, KERNEL, FixedBandwidth(0.3))
@@ -458,11 +488,29 @@ def test_screens_take_a_sample_past_the_space_at_a_vanishing_bandwidth():
     screen a bin of index -1, a raw ValueError."""
     s = Sample(y=[1.0, -1.0, 0.5], d=[1, 0, 1], x=[1e7, 2e7, 3e7], propensity=0.5)
     fits = []
-    for screen in _screens():
+    for screen in _fit_paths():
         with screen:
             fits.append(fit_swm(s, KERNEL, FixedBandwidth(5e-324), ParamSpace(0.0, 1e7)))
     assert fits[0].t_hat == 0.0 and fits[0].objective_value == 5.0 / 3.0
     assert all(fit == fits[0] for fit in fits)
+
+
+def test_screens_refuse_a_space_whose_sub_cells_underflow():
+    """A space 5e-324 wide over 800 sub-cells: the step underflowed to 0 and
+    the layout divided by it, a raw ZeroDivisionError."""
+    s = draw_sample(MODEL1, 50, 1)
+    space = ParamSpace(0.0, 5e-324)
+    g = _ipw_g(s)
+    with pytest.raises(ValidationError, match="too narrow for a grid of 201 points"):
+        swm._numpy_candidates(g, s.x, KERNEL, 0.1, space, 201)
+    compiled = [(name, _native.kernel(name)) for name in ("tr_screen", "tr_fit_swm")]
+    for name, run in ((name, run) for name, run in compiled if run is not None):
+        call = _compiled_screen if name == "tr_screen" else swm._compiled_fit
+        with pytest.raises(ValidationError, match="too narrow for a grid of 201 points"):
+            call(run, g, s.x, s._x_order, KERNEL, 0.1, space, 201)
+    for path in _fit_paths():
+        with path, pytest.raises(ValidationError, match="too narrow for a grid of 201 points"):
+            fit_swm(s, KERNEL, FixedBandwidth(0.1), space)
 
 
 def test_infinite_k2_sup_evaluates_the_full_exact_grid():
@@ -541,7 +589,7 @@ def _newton_and_golden(sample, rule, space=None):
         seen.append((t_newton, t_golden, objective(t_newton), objective(t_golden)))
         return t_newton
 
-    with mock.patch.object(swm, "_newton_max", both):
+    with _pipeline_only(), mock.patch.object(swm, "_newton_max", both):
         est = fit_swm(sample, KERNEL, rule, space)
     return est, seen[0]
 
@@ -568,6 +616,7 @@ def test_newton_refinement_matches_golden_section(seed, dgp, n, log_factor, vari
     )
     width = (space or default_space(sample)).width
     assert est.t_hat == t_newton and est.objective_value == s_newton
+    assert fit_swm(sample, KERNEL, FixedBandwidth(rate * 10.0**log_factor), space) == est
     assert abs(t_newton - t_golden) <= 1e-8 * width + _golden_resolution(sample, est.bandwidth, t_newton)
     assert s_newton >= s_golden - 1e-12 * abs(s_golden)
 
@@ -589,9 +638,11 @@ def test_newton_refinement_takes_few_steps(dgp, n):
         return smoothed(*args, order=order)
 
     lam = KERNEL.optimal_lambda(dgp.K, dgp.A)
-    with mock.patch.object(swm, "_smoothed", counting):
-        fit_swm(draw_sample(dgp, n, 11), KERNEL, LambdaRate(lam))
+    sample = draw_sample(dgp, n, 11)
+    with _pipeline_only(), mock.patch.object(swm, "_smoothed", counting):
+        est = fit_swm(sample, KERNEL, LambdaRate(lam))
     assert 1 <= len(steps) <= 8
+    assert fit_swm(sample, KERNEL, LambdaRate(lam)) == est
 
 
 @pytest.mark.parametrize("sigma", [5e-324, 1e-300, 1e300, 1.7e308])
@@ -610,3 +661,105 @@ def test_fit_refuses_an_objective_that_overflows():
     t_hat; refused without a RuntimeWarning (the suite makes one an error)."""
     with pytest.raises(NumericError, match="not finite"):
         fit_swm(overflowing_sample(), KERNEL, FixedBandwidth(1.0))
+
+
+# --- the compiled fit ------------------------------------------------------------
+
+
+def _compiled_fit_kernel():
+    fit = _native.kernel("tr_fit_swm")
+    if fit is None:
+        pytest.skip("tr_fit_swm did not build, load or pass its check here")
+    return fit
+
+
+def _outcome(fit):
+    """The estimate's fields as bits, or the exception's type and message."""
+    try:
+        est = fit()
+    except (NumericError, ValidationError) as error:
+        return type(error), str(error)
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(est))
+
+
+@example(seed=0, n=3000, log_sigma=-5, left=30.0, right=1.5, ties=False, huge=False)
+@example(seed=1, n=40, log_sigma=4, left=1.5, right=30.0, ties=True, huge=False)
+@example(seed=2, n=5, log_sigma=0, left=None, right=None, ties=False, huge=True)
+@example(seed=3, n=500, log_sigma=-2, left=0.5, right=0.5, ties=True, huge=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([5, 17, 500, 3000]),
+    log_sigma=st.integers(-5, 4),
+    left=st.sampled_from([None, 0.5, 1.5, 30.0]),
+    right=st.sampled_from([None, 0.5, 1.5, 30.0]),
+    ties=st.booleans(),
+    huge=st.booleans(),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_compiled_fit_gives_the_pipelines_estimate(seed, n, log_sigma, left, right, ties, huge):
+    """``tr_fit_swm`` and the Python pipeline give the same estimate bit for bit,
+    or the same exception, at sigma from 1.7e-5 to 1.7e4 of the space's width
+    (grids of 201 to _GRID_CAP points), with rows ``left`` and ``right`` times
+    _PAD_CAP sub-cells outside the space, tied x, and scores of 1e307 whose
+    sums overflow."""
+    _compiled_fit_kernel()
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    if ties:
+        x = np.round(x, 1)
+    y = rng.normal(size=n) * (1e307 if huge else 10.0 ** rng.uniform(-2, 2, n))
+    space = ParamSpace(-2.0, 2.5)
+    sigma = 1.7 * 10.0**log_sigma * space.width
+    n_pts = swm._grid_points(space, sigma)
+    reach = _PAD_CAP * space.width / (swm._SUBCELLS * (n_pts - 1))
+    if left is not None:
+        x[0] = space.lo - left * reach
+    if right is not None:
+        x[-1] = space.hi + right * reach
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)  # tied x
+        sample = Sample(y=y, d=rng.integers(0, 2, n), x=x, propensity=0.5)
+    with _pipeline_only():
+        want = _outcome(lambda: fit_swm(sample, KERNEL, FixedBandwidth(sigma), space))
+    assert _outcome(lambda: fit_swm(sample, KERNEL, FixedBandwidth(sigma), space)) == want
+
+
+def test_compiled_fit_gives_the_pipelines_estimate_on_benchmark_samples():
+    """The rules the Monte Carlo tables take, at n = 500 and 3000, with the default space."""
+    _compiled_fit_kernel()
+    for dgp, n, seed in ((MODEL1, 500, 1), (MODEL2, 3000, 2)):
+        sample = draw_sample(dgp, n, seed)
+        for rule in (LambdaRate(KERNEL.optimal_lambda(dgp.K, dgp.A)), PlugInOptimal(), Undersmoothed()):
+            with _pipeline_only():
+                want = _outcome(lambda: fit_swm(sample, KERNEL, rule))
+            assert _outcome(lambda: fit_swm(sample, KERNEL, rule)) == want
+
+
+def test_fit_swm_makes_one_compiled_call():
+    """Where ``tr_fit_swm`` loads, a fit with the shipped kernel computes S_n,
+    its grid and its Newton steps in that call: with ``tr_smoothed``,
+    ``tr_screen``, ``np.linspace`` and the Python Newton iteration made to
+    raise, it still succeeds, with the estimate it gave before."""
+    _compiled_fit_kernel()
+    sample = draw_sample(MODEL2, 500, 4)
+    rules = (LambdaRate(KERNEL.optimal_lambda(MODEL2.K, MODEL2.A)), FixedBandwidth(0.01), FixedBandwidth(30.0))
+    want = [fit_swm(sample, KERNEL, rule) for rule in rules]
+    refused = mock.Mock(side_effect=AssertionError("called"))
+
+    def loader(name):
+        return refused if name in ("tr_smoothed", "tr_screen") else _native.kernel(name)
+
+    with mock.patch.object(swm, "_kernel", loader), mock.patch("threshold_regret.kernels._kernel", loader), \
+            mock.patch.object(np, "linspace", refused), mock.patch.object(swm, "_newton_max", refused):
+        assert [fit_swm(sample, KERNEL, rule) for rule in rules] == want
+    assert not refused.called
+
+
+def test_compiled_fit_refuses_an_order_that_does_not_sort_x():
+    fit = _compiled_fit_kernel()
+    x, g = np.array([0.3, -0.1, 0.7]), np.ones(3)
+    space = ParamSpace(-1.0, 1.0)
+    assert swm._compiled_fit(fit, g, x, np.array([1, 0, 2]), KERNEL, 0.1, space, 201)[0] == space.lo
+    for order in ([0, 1, 2], [2, 0, 1], [1, 0, 3], [1, 0, -1], [1, 1, 2], [3, 0, 2], [1, 0, 0]):
+        with pytest.raises(ValidationError, match="order must be a permutation that sorts x"):
+            swm._compiled_fit(fit, g, x, np.array(order), KERNEL, 0.1, space, 201)
