@@ -10,7 +10,10 @@
 - ``layers_ms``: at each n of ``--n``, on a model-2 sample: the ``Sample``
   built from its arrays (which sorts x), ``fit_ewm``, ``ewm_bootstrap`` of
   200 replicates on one worker at the true H, ``estimate_khA`` at the EWM
-  threshold and ``fit_swm`` with the rate bandwidth (``LambdaRate(lambda*)``)
+  threshold, in one call of ``tr_estimate_khA`` where that loads, with
+  ``estimate_khA_pipeline`` beside it, the Python pipeline that the call
+  replaces (``tr_estimate_khA`` set aside, the other kernels as they load),
+  and ``fit_swm`` with the rate bandwidth (``LambdaRate(lambda*)``)
   and with the plug-in one (``PlugInOptimal``, which runs ``estimate_khA``
   inside), each in one call of ``tr_fit_swm`` where that loads; beside them
   ``fit_swm_pipeline``, the rate-bandwidth fit on the Python pipeline that
@@ -34,7 +37,7 @@
   package's ``_kernels.c``) with the command the package builds with, taken
   round-robin across the sources, so a parent's and a change's source can be
   compared on a host whose speed drifts; null where the compiler is not
-  on PATH.
+  on PATH or ``--builds`` is 0.
 
 Usage:
     PYTHONPATH=src python scripts/time_layers.py [--repeats 7] [--paths 1000] [--n 500,3000,100000]
@@ -113,6 +116,12 @@ def pipeline():
     return mock.patch.object(swm, "_kernel", lambda name: None if name == "tr_fit_swm" else _native.kernel(name))
 
 
+def khA_pipeline():
+    """A context in which ``estimate_khA`` runs its Python pipeline rather than ``tr_estimate_khA``."""
+    kernel = _native.kernel
+    return mock.patch.object(_native, "kernel", lambda name: None if name == "tr_estimate_khA" else kernel(name))
+
+
 def layers_ms(n: int, repeats: int) -> dict:
     sample = draw_sample(MODEL2, n, 1)
     columns = {name: getattr(sample, name).copy() for name in ("y", "d", "x")}
@@ -154,6 +163,9 @@ def layers_ms(n: int, repeats: int) -> dict:
     for run in (*runs.values(), *steps.values()):
         run()  # the kernels' load-time checks, outside the timings
     timings = {name: best_ms(run, repeats) for name, run in runs.items()}
+    with khA_pipeline():
+        runs["estimate_khA"]()  # the pipeline's kernels' checks, outside the timing
+        timings["estimate_khA_pipeline"] = best_ms(runs["estimate_khA"], repeats)
     with pipeline():
         return timings | {name: best_ms(run, repeats) for name, run in steps.items()}
 
@@ -200,7 +212,7 @@ def csv_load_ms(repeats: int) -> dict:
 def build_s(sources: list[Path], builds: int) -> dict | None:
     """Seconds per build of each source, with the package's build command, round-robin."""
     command = _native._library_path()[1]
-    if shutil.which(command[0]) is None:
+    if shutil.which(command[0]) is None or builds < 1:
         return None
     at = command.index(str(_native.SOURCE))
     times = {str(source): [] for source in sources}

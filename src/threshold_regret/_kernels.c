@@ -1,7 +1,8 @@
 /* Compiled inner loops of the reshaped bootstrap and the Chernoff simulator,
  * the parser of plain sample CSVs, the normal law's sums behind the
  * smoothed objective and the local fits of the nuisance estimates, the SWM
- * grid screen, and the SWM fit built on the last two.
+ * grid screen, the SWM fit built on the last two, and the nuisance estimate's
+ * sums and local fits in one call.
  *
  * The two loops repeat, operation for operation, the numpy code they replace
  * (Generator.integers followed by inference._replicate, and
@@ -59,7 +60,9 @@
  * (swm.py), and numpy's FFT screen is its fallback.  The SWM fit
  * (tr_fit_swm) runs that screen and then swm.py's pipeline after it,
  * operation for operation, on tr_smoothed's sums: its bits are the
- * pipeline's, which is its fallback and its oracle.
+ * pipeline's, which is its fallback and its oracle.  So does the nuisance
+ * estimate (tr_estimate_khA) with nuisance.py's pipeline of tr_smoothed's
+ * sums and tr_local_fit's fits, from one phi per row and bandwidth.
  */
 
 #include <float.h>
@@ -1774,49 +1777,34 @@ int64_t tr_fit_swm(const double *x, const double *g, const int64_t *order, int64
     return 0;
 }
 
-/* The Gaussian-weighted local polynomial fit with p = degree + 1
- * coefficients (p <= 4) at point: least squares of s_i y_i on the rows
- * s_i (1, u_i, ..., u_i^(p-1)), u_i = (x[i] - point) / bw and s_i =
- * sqrt(phi(u_i)), each power the one before times u_i.  work holds the n x
- * (p + 1) design beside its response, row-major; n > p.  The solve is
+/* The least squares solve of the n x (p + 1) design in work, p <= 4 and
+ * n > p, norm2 the squares below its first diagonal entry.  The solve is
  * Householder QR, as LAPACK's dgeqr2 reflects (beta = -sign(alpha)
  * sqrt(alpha^2 + |x|^2), no reflection where |x| = 0), every sum over rows
- * sequential in row order, then back substitution.
+ * sequential in row order, then back substitution.  The squares below the
+ * next diagonal entry are summed as each reflection updates the rows.
  *
  * The rank rule: the rank is the number of diagonal entries R_kk of R with
  * |R_kk| > n eps max_j |R_jj|, eps = 2^-52 (np.linalg.lstsq's default
  * cutoff, eps max(n, p), applied to R's diagonal, not to singular values).
  * Returns the rank; beta[0..p-1] is written only when it is p. */
-int64_t tr_local_fit(const double *x, const double *y, int64_t n, double point, double bw, int64_t p,
-                     double *work, double *beta)
+static int64_t solve_design(double *work, int64_t n, int64_t p, double norm2, double *beta)
 {
     const int64_t w = p + 1;
-    double diag[4], s[5], norm2 = 0.0, phi[BLOCK], spare[BLOCK], pad[BLOCK], ones[BLOCK], at[BLOCK];
-    for (int i = 0; i < BLOCK; i++) {
-        ones[i] = 1.0;
-        at[i] = point;
-    }
-    for (int64_t lo = 0; lo < n; lo += BLOCK) {
-        const int len = n - lo < BLOCK ? (int)(n - lo) : BLOCK;
-        pdf_terms(block_of(x, lo, len, pad), ones, at, bw, phi, spare);
-        for (int b = 0; b < len; b++) {
-            const int64_t i = lo + b;
-            const double u = (x[i] - point) / bw, root = sqrt(phi[b]);
-            double *row = work + i * w, power = 1.0;
-            for (int64_t j = 0; j < p; j++) {
-                row[j] = root * power;
-                power = power * u;
-            }
-            row[p] = root * y[i];
-            const double sq = row[0] * row[0];
-            norm2 = i == 1 ? sq : i > 1 ? norm2 + sq : norm2;
-        }
-    }
+    double diag[4], s[5];
     for (int64_t k = 0; k < p; k++) {
         double *top = work + k * w;
         const double alpha = top[k];
+        /* the next step's norm2: the squares of column k + 1 below row k + 1 as
+         * this step leaves them (of column k at the last step, and unused) */
+        const int64_t sq_col = k + 1 < p ? k + 1 : k;
+        double next = 0.0;
         if (norm2 == 0.0) { /* nothing below the diagonal: no reflection */
             diag[k] = alpha;
+            for (int64_t i = k + 2; i < n; i++) {
+                const double v = work[i * w + sq_col];
+                next = i == k + 2 ? v * v : next + v * v;
+            }
         } else {
             const double nrm = sqrt(alpha * alpha + norm2);
             const double beta_k = alpha >= 0.0 ? -nrm : nrm;
@@ -1839,16 +1827,11 @@ int64_t tr_local_fit(const double *x, const double *y, int64_t n, double point, 
                 double *row = work + i * w;
                 for (int64_t j = k + 1; j < w; j++)
                     row[j] = row[j] - s[j] * row[k];
+                const double v = row[sq_col];
+                next = i < k + 2 ? next : i == k + 2 ? v * v : next + v * v;
             }
         }
-        /* the squares below the next diagonal entry */
-        if (k + 1 < p) {
-            norm2 = 0.0;
-            for (int64_t i = k + 2; i < n; i++) {
-                const double v = work[i * w + k + 1];
-                norm2 = i == k + 2 ? v * v : norm2 + v * v;
-            }
-        }
+        norm2 = next;
     }
     double largest = 0.0;
     for (int64_t k = 0; k < p; k++)
@@ -1868,3 +1851,114 @@ int64_t tr_local_fit(const double *x, const double *y, int64_t n, double point, 
     return rank;
 }
 
+/* The Gaussian-weighted local fit of y (y y where square is set, as numpy's
+ * y**2) with p <= 4 coefficients at point over the rows x[0..n-1]: least
+ * squares of s_i r_i on the rows s_i (1, u_i, ..., u_i^(p-1)), u_i =
+ * (x[i] - point) / bw, s_i = sqrt(phi(u_i)), each power the one before times
+ * u_i, by solve_design.  phi(u_i) is taken once per row, by pdf_terms of
+ * weight 1, and *count is the sum of those phi in row order from the first
+ * term: tr_smoothed's order-1 sum *a of rows x of weight 1 at the threshold
+ * point, bit for bit.  work holds the n x (p + 1) design beside its
+ * response, row-major.  Returns solve_design's rank, or 0, with no solve,
+ * where n <= p. */
+static int64_t weighted_fit(const double *x, const double *y, int square, int64_t n, double point, double bw,
+                            int64_t p, double *work, double *beta, double *count)
+{
+    double phi[BLOCK], spare[BLOCK], pad[BLOCK], ones[BLOCK], at[BLOCK], norm2 = 0.0, sum = 0.0;
+    for (int i = 0; i < BLOCK; i++) {
+        ones[i] = 1.0;
+        at[i] = point;
+    }
+    for (int64_t lo = 0; lo < n; lo += BLOCK) {
+        const int len = n - lo < BLOCK ? (int)(n - lo) : BLOCK;
+        pdf_terms(block_of(x, lo, len, pad), ones, at, bw, phi, spare);
+        for (int b = 0; b < len; b++) {
+            const int64_t i = lo + b;
+            const double u = (x[i] - point) / bw, root = sqrt(phi[b]);
+            double *row = work + i * (p + 1), power = 1.0;
+            for (int64_t j = 0; j < p; j++) {
+                row[j] = root * power;
+                power = power * u;
+            }
+            row[p] = root * (square ? y[i] * y[i] : y[i]);
+            const double sq = row[0] * row[0];
+            norm2 = i == 1 ? sq : i > 1 ? norm2 + sq : norm2;
+            sum = i == 0 ? phi[b] : sum + phi[b];
+        }
+    }
+    *count = sum;
+    return n > p ? solve_design(work, n, p, norm2, beta) : 0;
+}
+
+/* The local fit of y with p = degree + 1 coefficients (p <= 4) at point
+ * (weighted_fit); n > p.  Returns the rank; beta[0..p-1] is written only
+ * when it is p. */
+int64_t tr_local_fit(const double *x, const double *y, int64_t n, double point, double bw, int64_t p,
+                     double *work, double *beta)
+{
+    double count;
+    return weighted_fit(x, y, 0, n, point, bw, p, work, beta, &count);
+}
+
+/* The fields of tr_estimate_khA's out, and of each arm's block after them */
+enum { KHA_TOTAL, KHA_SLOPE, KHA_PROPENSITY, KHA_ARMS };
+enum { ARM_LEVEL_COUNT, ARM_DERIV_COUNT, ARM_LINEAR_RANK, ARM_CUBIC_RANK, ARM_KAPPA, ARM_NU1, ARM_NU2, ARM_FIELDS };
+
+/* Every weighted sum and local fit of nuisance.estimate_khA at t, as its
+ * Python pipeline makes them, from one phi per row and bandwidth.  Over the
+ * rows x[0..n-1] with propensities prop: at bw_f, out[KHA_TOTAL] = sum
+ * phi(u_i) and out[KHA_PROPENSITY] = sum prop[i] phi(u_i); at bw_fd,
+ * out[KHA_SLOPE] = -sum (-c_i) phi(u_i), c_i being u_i clipped to [-40, 40]
+ * (tr_smoothed's order-1 sums at t of weights 1 and prop: pdf_terms's terms
+ * 1 phi(u_i) and 1 ((-c_i) phi(u_i)), with prop[i] (1 phi(u_i)) = prop[i]
+ * phi(u_i)).  Then for arm j = 0, 1, the rows xa[j], ya[j] of na[j], at
+ * out + KHA_ARMS + j ARM_FIELDS: at the level bandwidth bws[2 j], the sum
+ * of phi(u_i) (ARM_LEVEL_COUNT) and the local linear fit of y y (rank at
+ * ARM_LINEAR_RANK, beta[0] at ARM_KAPPA); at the derivative bandwidth
+ * bws[2 j + 1], the sum of phi(u_i) (ARM_DERIV_COUNT) and the local cubic
+ * fit of y (rank at ARM_CUBIC_RANK, beta[1] and beta[2] at ARM_NU1 and
+ * ARM_NU2), each as weighted_fit makes them.  Every sum runs in row order
+ * from its first term; a beta is left NaN where its fit's rank is short,
+ * and where na[j] <= p no fit is made and the rank is 0.  work holds
+ * max(na[0], na[1]) x 5 doubles, the design of each fit in turn. */
+void tr_estimate_khA(const double *x, const double *prop, int64_t n, double t, double bw_f, double bw_fd,
+                     const double *x0, const double *y0, int64_t n0, const double *x1, const double *y1, int64_t n1,
+                     const double *bws, double *work, double *out)
+{
+    double phi[BLOCK], k2[BLOCK], spare[BLOCK], pad[BLOCK], ones[BLOCK], at[BLOCK];
+    double total = 0.0, slope = 0.0, weighted = 0.0;
+    for (int i = 0; i < BLOCK; i++) {
+        ones[i] = 1.0;
+        at[i] = t;
+    }
+    for (int64_t lo = 0; lo < n; lo += BLOCK) {
+        const int len = n - lo < BLOCK ? (int)(n - lo) : BLOCK;
+        const double *xb = block_of(x, lo, len, pad);
+        pdf_terms(xb, ones, at, bw_f, phi, spare);
+        pdf_terms(xb, ones, at, bw_fd, spare, k2);
+        for (int b = 0; b < len; b++) {
+            const int first = lo + b == 0;
+            total = first ? phi[b] : total + phi[b];
+            weighted = first ? prop[b] * phi[b] : weighted + prop[lo + b] * phi[b];
+            slope = first ? k2[b] : slope + k2[b];
+        }
+    }
+    out[KHA_TOTAL] = total;
+    out[KHA_SLOPE] = -slope;
+    out[KHA_PROPENSITY] = weighted;
+
+    const double *xa[2] = {x0, x1}, *ya[2] = {y0, y1};
+    const int64_t na[2] = {n0, n1};
+    for (int j = 0; j < 2; j++) {
+        double *arm = out + KHA_ARMS + j * ARM_FIELDS, linear[2], cubic[4];
+        for (int k = 0; k < 4; k++)
+            cubic[k] = linear[k % 2] = NAN;
+        arm[ARM_LINEAR_RANK] = (double)weighted_fit(xa[j], ya[j], 1, na[j], t, bws[2 * j], 2, work, linear,
+                                                    arm + ARM_LEVEL_COUNT);
+        arm[ARM_CUBIC_RANK] = (double)weighted_fit(xa[j], ya[j], 0, na[j], t, bws[2 * j + 1], 4, work, cubic,
+                                                   arm + ARM_DERIV_COUNT);
+        arm[ARM_KAPPA] = linear[0];
+        arm[ARM_NU1] = cubic[1];
+        arm[ARM_NU2] = cubic[2];
+    }
+}

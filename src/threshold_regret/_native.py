@@ -13,7 +13,7 @@ never sets another aside, and a process that wants one kernel never pays
 the others' checks.  If a step fails (no compiler, a read-only package
 directory, a failed build or load, a result that differs) ``kernel``
 returns None and the caller keeps its numpy code, whose results are the
-same bit for bit.  There are eight kernels.  The bootstrap chunk and the
+same bit for bit.  There are nine kernels.  The bootstrap chunk and the
 Chernoff block repeat numpy's own PCG64, the bootstrap its seeding and
 bounded integers and the Chernoff block its normal sampler, so under a
 numpy whose stream differs from the one they copy (see ``_kernels.c``) the
@@ -39,9 +39,13 @@ bandwidth with the normal CDF kernel: the grid, that screen, the exact values
 of the points kept and the Newton refinement in one call; its check
 (``FIT_CHECK``) requires the bits of the Python pipeline on the full exact
 grid, on cases where the first argmax among ties, the bracket's ends, the
-bisection and the clamp each decide.  The module is imported only when a kernel is
-first wanted, so ``import threshold_regret`` loads none of ``sysconfig``,
-``hashlib`` or ``subprocess``.
+bisection and the clamp each decide.  ``tr_estimate_khA`` makes every sum
+and local fit of a nuisance estimate in one call, from one phi per row and
+bandwidth; its check (``KHA_CHECK``) requires the bits of the Python pipeline
+on numpy's sums and fits, so a process that estimates K, H and A pays
+neither ``tr_smoothed``'s check nor ``tr_local_fit``'s.  The module is
+imported only when a kernel is first wanted, so ``import threshold_regret``
+loads none of ``sysconfig``, ``hashlib`` or ``subprocess``.
 """
 
 import ctypes
@@ -112,6 +116,8 @@ def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.tr_local_fit.argtypes = [ptr, ptr, i64, f64, f64, i64, ptr, ptr]
     lib.tr_screen.restype = i64
     lib.tr_screen.argtypes = [ptr, ptr, ptr, i64, f64, f64, i64, i64, i64, i64, i64, f64, f64, ptr, ptr]
+    lib.tr_estimate_khA.restype = None
+    lib.tr_estimate_khA.argtypes = [ptr, ptr, i64, f64, f64, f64, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr]
     lib.tr_fit_swm.restype = i64
     lib.tr_fit_swm.argtypes = [ptr, ptr, ptr, i64, f64, f64, f64, f64, i64, i64, i64, i64, i64, f64, f64, ptr, ptr]
     for block in (lib.tr_chernoff_block, lib.tr_chernoff_block_scalar):
@@ -245,7 +251,7 @@ def _normal_agrees(lib: ctypes.CDLL) -> bool:
 
 
 def _smoothed_agrees(lib: ctypes.CDLL) -> bool:
-    from .kernels import _CompiledRows, _cdf, _k2, _pdf, _row_sums
+    from .kernels import _NORMAL_TERMS, _CompiledRows, _row_sums
 
     # one row x = -0.0 of weight 1 at thresholds -z, whose terms are Phi, phi
     # and k'' at z exactly, each point's own sum; then sums over the points
@@ -253,9 +259,9 @@ def _smoothed_agrees(lib: ctypes.CDLL) -> bool:
     z = np.array(NORMAL_CHECK)
     g = np.linspace(-2.0, 3.0, len(z)) ** 3
     for x, g, sigma, t in ((np.array([-0.0]), np.array([1.0]), 1.0, -z), (z, g, 0.5, np.array([0.0, 0.7, -5.0]))):
-        for order, funcs in ((0, (_cdf,)), (1, (_pdf, _k2))):
+        for order, terms in enumerate(_NORMAL_TERMS):
             if not all(map(_same, _CompiledRows(lib.tr_smoothed, x, g)(sigma, t, order),
-                           _row_sums(x, g, sigma, t, funcs))):
+                           _row_sums(x, g, sigma, t, terms, order + 1))):
                 return False
     return True
 
@@ -279,6 +285,32 @@ def _local_fit_agrees(lib: ctypes.CDLL) -> bool:
         if rank != (p if p == 2 or len(set(x)) > 2 else 2):
             return False
     return True
+
+
+# the estimate checked at load time, its record against the Python pipeline
+# on numpy's sums and fits: (n, t, bw_f, bw_fd, the arms' level and
+# derivative bandwidths).  Arm 0 holds the first n - 3 rows, past one block,
+# whose propensities vary, so a sum at the wrong bandwidth or of unit weights
+# differs, and its last row's phi at bw_f is subnormal; arm 1 holds three rows
+# at one x, so a sum of the other arm differs, its linear fit is
+# rank-deficient (rank 1, its coefficients NaN) and its cubic is not made
+# (rank 0)
+KHA_CHECK = (300, 0.1, 0.3, 0.5, (0.45, 0.8, 0.6, 1.1))
+
+
+def _khA_agrees(lib: ctypes.CDLL) -> bool:
+    from .kernels import _NORMAL_TERMS, _numpy_rows, _rows
+    from .nuisance import _record_compiled, _record_pipeline
+
+    n, t, bw_f, bw_fd, bws = KHA_CHECK
+    i = np.arange(n)
+    x, propensity = 2.0 * np.sin(1.3 * i), 0.5 + 0.3 * np.cos(0.7 * i)
+    y = x**3 - x + np.sin(2.9 * i)
+    x[n - 4 :] = t + 38.5 * bw_f, 0.2, 0.2, 0.2
+    arms, bws = [(x[: n - 3], y[: n - 3]), (x[n - 3 :], y[n - 3 :])], (bws[:2], bws[2:])
+    want = _record_pipeline(lambda x, g: _numpy_rows(*_rows(x, g), _NORMAL_TERMS), None, x, propensity, t, bw_f,
+                            bw_fd, arms, bws)
+    return _same(_record_compiled(lib.tr_estimate_khA, x, propensity, t, bw_f, bw_fd, arms, bws), want)
 
 
 # the screens checked at load time, on 21 grid points over [0, 1], 40 rows
@@ -373,7 +405,7 @@ def _library() -> ctypes.CDLL | None:
 
 CHECKS = {"tr_bootstrap_chunk": _bootstrap_agrees, "tr_chernoff_block": _block_agrees, "tr_parse_csv": _parse_agrees,
           "tr_normal": _normal_agrees, "tr_smoothed": _smoothed_agrees, "tr_local_fit": _local_fit_agrees,
-          "tr_screen": _screen_agrees, "tr_fit_swm": _fit_agrees}
+          "tr_screen": _screen_agrees, "tr_fit_swm": _fit_agrees, "tr_estimate_khA": _khA_agrees}
 
 
 @functools.cache

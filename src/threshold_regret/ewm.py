@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ParamSpace, Sample, default_space, ipw_scores
+from .data import ParamSpace, Sample, _fsum_rows, default_space, ipw_scores
 from .errors import NumericError, ValidationError
 
 __all__ = ["ThresholdEstimate", "fit_ewm"]
@@ -79,7 +79,7 @@ def fit_ewm(sample: Sample, space: ParamSpace | None = None) -> ThresholdEstimat
 
     untreated_term = (1.0 - sample.d) * sample.y / (1.0 - sample.propensity)
     try:
-        base = math.fsum(untreated_term) / n
+        base = _fsum_rows(untreated_term) / n
     except OverflowError:  # finite terms whose partial sums overflow
         base = math.inf
 

@@ -126,19 +126,26 @@ def _cdf(a):
         return np.where(z < _SQRT1_2, 0.5 + 0.5 * _erf_small(x), np.where(x > 0.0, 1.0 - y, y))
 
 
+def _density_terms(u):
+    """phi(u) and k''(u) = (-c) phi(u), c being u clipped to [-40, 40], from one phi (``pdf_terms`` in ``_kernels.c``)."""
+    e = _pdf(u)
+    return e, (-np.clip(u, -40.0, 40.0)) * e
+
+
 def _k2(u):
-    return (-np.clip(u, -40.0, 40.0)) * _pdf(u)
+    return _density_terms(u)[1]
 
 
-def _row_sums(x, g, sigma, t, funcs):
-    """For each f in ``funcs``, sum_i g_i f((x_i - t_j) / sigma) at each t_j, in row order from the first term."""
-    out = np.empty((len(funcs), len(t)))
+def _row_sums(x, g, sigma, t, terms, parts):
+    """For each of the ``parts`` arrays f(u) of ``terms(u)``, sum_i g_i f((x_i - t_j) / sigma) at each t_j, in row
+    order from the first term."""
+    out = np.empty((parts, len(t)))
     rows = max(1, _CHUNK // len(x))
     with np.errstate(all="ignore"):
         for lo in range(0, len(t), rows):
             u = (x[None, :] - t[lo : lo + rows, None]) / sigma
-            for values, f in zip(out, funcs):
-                values[lo : lo + rows] = np.cumsum(g * f(u), axis=1)[:, -1]
+            for values, term in zip(out, terms(u)):
+                values[lo : lo + rows] = np.cumsum(g * term, axis=1)[:, -1]
     return out
 
 
@@ -172,7 +179,7 @@ def _normal_law(z):
     z = np.asarray(z, dtype=float)
     normal = _kernel("tr_normal")
     if normal is None:
-        return _cdf(z), _pdf(z), _k2(z)
+        return (_cdf(z), *_density_terms(z))
     return _law(normal, z)
 
 
@@ -250,13 +257,18 @@ def _thresholds(t, order):
     return t
 
 
+def _cdf_terms(u):
+    return (_cdf(u),)
+
+
 # the terms of the normal CDF kernel's sums at order 0 and 1 (k; k' and k''), in numpy
-_NORMAL_TERMS = (_cdf,), (_pdf, _k2)
+_NORMAL_TERMS = _cdf_terms, _density_terms
 
 
-def _numpy_rows(x, g, funcs):
-    """:func:`_row_sums` over checked rows: a function of (sigma, t, order), funcs[order] the terms summed."""
-    return lambda sigma, t, order=0: _row_sums(x, g, sigma, _thresholds(t, order), funcs[order])
+def _numpy_rows(x, g, terms):
+    """:func:`_row_sums` over checked rows: a function of (sigma, t, order), terms[order] the order + 1 terms
+    summed, as a function of u."""
+    return lambda sigma, t, order=0: _row_sums(x, g, sigma, _thresholds(t, order), terms[order], order + 1)
 
 
 class _CompiledRows:
@@ -335,7 +347,7 @@ class Kernel:
     def bind(self, x, g):
         """:meth:`sums` over the rows x and g, checked once: ``bind(x, g)(sigma,
         t, order)`` is ``sums(x, g, sigma, t, order)``, bit for bit."""
-        return _numpy_rows(*_rows(x, g), ((self.k,), (self.k1, self.k2)))
+        return _numpy_rows(*_rows(x, g), (lambda u: (self.k(u),), lambda u: (self.k1(u), self.k2(u))))
 
     def sums(self, x, g, sigma, t, order=0):
         """[sum_i g_i k(u_i)] (order 0) or [sum_i g_i k'(u_i), sum_i g_i k''(u_i)]

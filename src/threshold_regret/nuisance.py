@@ -17,10 +17,17 @@ lambda* = alpha2 K_hat / (4 A_hat^2), sigma* = (lambda*/n)^(1/5).
 
 Every weighted sum over the rows (the density and its slope, the local
 propensity, the effective counts) is a sum of the library's own phi in row
-order (``kernels.normal_rows``, bound once per row array), and each local
-fit a Householder QR solve with a stated rank rule (``tr_local_fit`` in
-``_kernels.c``, or its numpy transcription), so the estimates have one set
-of bits on every host.
+order, and each local fit a Householder QR solve with a stated rank rule,
+so the estimates have one set of bits on every host.  ``tr_estimate_khA``
+in ``_kernels.c`` makes all of them in one call, from one phi per row and
+bandwidth: over all rows at the density's two bandwidths, and over each
+arm's rows at its level and derivative bandwidths, whose phi give both the
+effective count and the fit's weights.  Python keeps what needs numpy's
+bits or the library's messages: the standard deviations, the arm split,
+the bandwidths, every refusal in its documented order, and K, H and A.  The
+Python pipeline (:func:`_record_pipeline`: ``kernels.normal_rows``'s sums
+and ``tr_local_fit``'s fits, or their numpy transcriptions) runs where the
+call does not load, with the same bits, and is its oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import numpy as np
 from .data import Sample
 from .errors import ArmDataError, NumericError, RankDeficiencyError, ValidationError
 from .kernels import PHI0, Kernel, _pdf, gaussian_cdf_kernel, normal_rows
+from ._workers import require_int
 
 __all__ = ["NuisanceEstimates", "kde", "local_poly", "estimate_khA", "optimal_bandwidth"]
 
@@ -67,26 +75,35 @@ def _weight_sums(sums, point: float, bandwidth: float) -> tuple[float, float]:
     return float(level[0]), -float(slope[0])
 
 
-def _unit_rows(x):
-    """The normal CDF kernel's sums over x with unit weights, once x has the rows a density estimate needs."""
-    x = np.asarray(x, dtype=float)
-    if len(x) < 5:
-        raise ValidationError(f"kde needs at least 5 observations, got {len(x)}")
-    return normal_rows(x, np.ones(len(x)))
-
-
-def _density_sums(units, point: float, bandwidth: float) -> tuple[float, float]:
-    """``_weight_sums`` of unit weights (:func:`_unit_rows`), once the bandwidth admits a density estimate."""
+def _positive(bandwidth: float) -> None:
     if not bandwidth > 0:
         raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
-    return _weight_sums(units, point, bandwidth)
+
+
+def _finite(point: float, bandwidth: float, **rows) -> None:
+    """ValidationError unless the point, the bandwidth and every row of ``rows`` are finite, the bandwidth positive."""
+    if not math.isfinite(point):
+        raise ValidationError(f"point must be finite, got {point}")
+    if not 0.0 < bandwidth < math.inf:
+        raise ValidationError(f"bandwidth must be finite and positive, got {bandwidth}")
+    for name, values in rows.items():
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"{name} contains NaN or infinite values")
 
 
 def kde(x: np.ndarray, point: float, bandwidth: float, derivative: int = 0) -> float:
-    """Gaussian kernel estimate of the density (or its first derivative) at a point."""
+    """Gaussian kernel estimate of the density (or its first derivative) at a point.
+
+    Needs at least 5 finite x, a finite point and a finite positive
+    bandwidth; ValidationError otherwise.
+    """
     if derivative not in (0, 1):
         raise ValidationError(f"derivative must be 0 or 1, got {derivative}")
-    level, slope = _density_sums(_unit_rows(x), point, bandwidth)
+    x = np.asarray(x, dtype=float)
+    if len(x) < 5:
+        raise ValidationError(f"kde needs at least 5 observations, got {len(x)}")
+    _finite(point, bandwidth, x=x)
+    level, slope = _weight_sums(normal_rows(x, np.ones(len(x))), point, bandwidth)
     if derivative == 0:
         return level / len(x) / bandwidth
     return slope / len(x) / bandwidth / bandwidth
@@ -104,12 +121,20 @@ def local_poly(
 
     Weighted least squares of y on the polynomial basis centered at
     ``point`` with Gaussian weights; returns ``derivative! *`` the
-    coefficient of the derivative-th term, mapped back to x units.
+    coefficient of the derivative-th term, mapped back to x units.  The
+    point, the bandwidth and the rows must be finite, the bandwidth
+    positive, and the degree and the derivative integers with 0 <=
+    derivative <= degree; ValidationError otherwise.
     """
-    if not 0 <= derivative <= degree:
+    require_int("degree", degree, 0)
+    require_int("derivative", derivative, 0)
+    if derivative > degree:
         raise ValidationError(f"derivative must lie in 0..degree, got {derivative} at degree {degree}")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _finite(point, bandwidth, x=x, y=y)
     beta = _local_poly_fit(x, y, point, bandwidth, degree)
-    return _poly_derivative(beta, derivative, bandwidth)
+    return _poly_derivative(beta[derivative], derivative, bandwidth)
 
 
 def _numpy_local_fit(x, y, point: float, bandwidth: float, p: int, work: np.ndarray, beta: np.ndarray) -> int:
@@ -156,6 +181,30 @@ def _compiled_local_fit(fit, x, y, point: float, bandwidth: float, p: int, work:
     return fit(x.ctypes.data, y.ctypes.data, len(x), point, bandwidth, p, work.ctypes.data, beta.ctypes.data)
 
 
+def _solve(fit, x, y, point: float, bandwidth: float, p: int) -> tuple[int, np.ndarray]:
+    """The rank of the local fit with p <= 4 coefficients on n > p rows of
+    C-contiguous float64 x and y, and its coefficients (NaN unless the rank
+    is p): by ``fit``, the kernel ``tr_local_fit``, or where it is None by
+    its numpy transcription, with the same bits."""
+    work, beta = np.empty((len(x), p + 1)), np.full(p, np.nan)
+    if fit is None:
+        return _numpy_local_fit(x, y, point, bandwidth, p, work, beta), beta
+    return _compiled_local_fit(fit, x, y, point, bandwidth, p, work, beta), beta
+
+
+def _fit_refusal(n: int, point: float, bandwidth: float, degree: int, rank: int | None = None) -> None:
+    """The refusals of a local fit of ``degree`` on n rows, in order: the
+    bandwidth, the rows, then (once solved) the rank."""
+    _positive(bandwidth)
+    if n < degree + 2:
+        raise RankDeficiencyError(f"local polynomial of degree {degree} needs at least {degree + 2} points, got {n}")
+    if rank is not None and rank < degree + 1:
+        raise RankDeficiencyError(
+            f"rank-deficient local fit at point {point} (rank {rank} < {degree + 1}); "
+            f"too little data within bandwidth {bandwidth}"
+        )
+
+
 def _local_poly_fit(x, y, point: float, bandwidth: float, degree: int) -> np.ndarray:
     """Coefficients of the Gaussian-weighted local polynomial in ``(x - point) / bandwidth``.
 
@@ -170,39 +219,19 @@ def _local_poly_fit(x, y, point: float, bandwidth: float, degree: int) -> np.nda
     # the compiled fit reads len(x) values of y
     if x.ndim != 1 or y.shape != x.shape:
         raise ValidationError(f"local fit needs x and y of one length, got shapes {x.shape} and {y.shape}")
-    if not bandwidth > 0:
-        raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
-    if len(x) < degree + 2:
-        raise RankDeficiencyError(
-            f"local polynomial of degree {degree} needs at least {degree + 2} points, got {len(x)}"
-        )
+    _fit_refusal(len(x), point, bandwidth, degree)
     p = degree + 1
-    work, beta = np.empty((len(x), p + 1)), np.empty(p)
-    fit = _native.kernel("tr_local_fit") if p <= 4 else None  # the kernel holds at most cubics
-    if fit is None:
-        rank = _numpy_local_fit(x, y, point, bandwidth, p, work, beta)
-    else:
-        rank = _compiled_local_fit(fit, x, y, point, bandwidth, p, work, beta)
-    if rank < p:
-        raise RankDeficiencyError(
-            f"rank-deficient local fit at point {point} (rank {rank} < {p}); "
-            f"too little data within bandwidth {bandwidth}"
-        )
+    rank, beta = _solve(_native.kernel("tr_local_fit") if p <= 4 else None, x, y, point, bandwidth, p)
+    _fit_refusal(len(x), point, bandwidth, degree, rank)
     return beta
 
 
-def _poly_derivative(beta: np.ndarray, derivative: int, bandwidth: float) -> float:
-    """The derivative-th derivative at the centre of a local fit, in x units."""
-    value = math.factorial(derivative) * float(beta[derivative])
+def _poly_derivative(coefficient: float, derivative: int, bandwidth: float) -> float:
+    """The derivative-th derivative at the centre of a local fit, from its derivative-th coefficient, in x units."""
+    value = math.factorial(derivative) * float(coefficient)
     for _ in range(derivative):  # one division at a time: bandwidth**2 may overflow where the result does not
         value = value / bandwidth
     return value
-
-
-def _effective_count(counts, point: float, bandwidth: float) -> float:
-    """Number of full-weight-equivalent observations near the point, from
-    ``counts``, the normal CDF kernel's sums over the rows with unit weights."""
-    return _weight_sums(counts, point, bandwidth)[0] / PHI0
 
 
 def _sd(x: np.ndarray) -> float:
@@ -221,6 +250,57 @@ def _sd(x: np.ndarray) -> float:
     return s if s > 0 else 1.0
 
 
+def _arm_bandwidths(x_j) -> tuple[float, float]:
+    """An arm's level and derivative bandwidths, NaN where it has no rows (an arm that is refused)."""
+    n_j = len(x_j)
+    if n_j == 0:
+        return math.nan, math.nan
+    sd_j = _sd(x_j)
+    return _REG_LEVEL_FACTOR * sd_j * n_j ** (-1.0 / 5.0), _REG_DERIV_FACTOR * sd_j * n_j ** (-1.0 / 7.0)
+
+
+# the record of an estimate's sums and fits, as tr_estimate_khA writes it
+# (``_kernels.c``): the density's sum at bw_f, its slope's at bw_fd (sum u_i
+# phi(u_i)) and the propensity-weighted sum at bw_f, then per arm the
+# effective counts' sums at the level and derivative bandwidths, the ranks of
+# the linear and cubic fits, and the coefficients read from them
+_ARMS, _ARM = 3, 7
+_RECORD = _ARMS + 2 * _ARM
+
+
+def _record_pipeline(rows, fit, x, propensity, t_eval, bw_f, bw_fd, arms, bws) -> list[float]:
+    """The record in Python: ``rows(x, g)`` binds the normal CDF kernel's sums
+    over rows (``kernels.normal_rows``), and ``fit`` is ``tr_local_fit`` or
+    None (its numpy transcription).  A fit on no more rows than coefficients
+    is not made: its rank is 0.  ``tr_estimate_khA`` repeats it bit for bit."""
+    units = rows(x, np.ones(len(x)))
+    record = [_weight_sums(units, t_eval, bw_f)[0], _weight_sums(units, t_eval, bw_fd)[1],
+              _weight_sums(rows(x, propensity), t_eval, bw_f)[0]]
+    for (x_j, y_j), (bw_level, bw_deriv) in zip(arms, bws):
+        counts = rows(x_j, np.ones(len(x_j))) if len(x_j) else None
+        fits = []
+        # y**2 overflows for |y| above about 1e154; K_hat is then refused
+        with np.errstate(over="ignore"):
+            for y, bw, p in ((y_j**2, bw_level, 2), (y_j, bw_deriv, 4)):
+                record.append(0.0 if counts is None else _weight_sums(counts, t_eval, bw)[0])
+                fits.append(_solve(fit, x_j, y, t_eval, bw, p) if len(x_j) > p else (0, np.full(p, np.nan)))
+        (linear_rank, linear), (cubic_rank, cubic) = fits
+        record += [linear_rank, cubic_rank, float(linear[0]), float(cubic[1]), float(cubic[2])]
+    return record
+
+
+def _record_compiled(khA, x, propensity, t_eval, bw_f, bw_fd, arms, bws) -> list[float]:
+    """The record by ``tr_estimate_khA``, in one call on C-contiguous float64 rows, by address (see ``_native``)."""
+    (x0, y0), (x1, y1) = arms
+    # the arms' bandwidths, then the record, then the work of the largest fit: 5 doubles a row
+    buf = np.empty(4 + _RECORD + 5 * max(len(x0), len(x1)))
+    buf[:4] = *bws[0], *bws[1]
+    at = buf.ctypes.data
+    khA(x.ctypes.data, propensity.ctypes.data, len(x), t_eval, bw_f, bw_fd, x0.ctypes.data, y0.ctypes.data,
+        len(x0), x1.ctypes.data, y1.ctypes.data, len(x1), at, at + 8 * (4 + _RECORD), at + 32)
+    return buf[4 : 4 + _RECORD].tolist()
+
+
 def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) -> NuisanceEstimates:
     """Estimate (K, H, A) at ``t_eval`` from one experimental sample.
 
@@ -228,52 +308,65 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
     mean derivatives nu_j' and nu_j'' use local cubic fits, which are exact
     for polynomial conditional means up to degree three and keep the
     second-derivative estimate from dominating the bias of A_hat.
+
+    Every sum and fit is made in one call of ``tr_estimate_khA`` once it
+    has loaded and passed its check, else by the Python pipeline, with the
+    same bits.  The refusals follow, in this order: fewer than 5 rows or a
+    bandwidth of the density that is not positive (ValidationError); then
+    for arm 0 and then arm 1, no rows, fewer than 10 effective observations
+    at the level or at the derivative bandwidth (ArmDataError), and a local
+    fit that is rank-deficient (RankDeficiencyError); and last a K, H or A
+    that is not finite (NumericError).
     """
+    from . import _native
+
     if not math.isfinite(t_eval):
         raise ValidationError(f"t_eval must be finite, got {t_eval}")
     if kernel is None:
         kernel = gaussian_cdf_kernel()
+    elif not isinstance(kernel, Kernel):
+        raise ValidationError(f"kernel must be a Kernel, got {kernel!r}")
     n = sample.n
     x = sample.x
     sd = _sd(x)
     bw_f = _KDE_LEVEL_FACTOR * sd * n ** (-1.0 / 5.0)
     bw_fd = _KDE_DERIV_FACTOR * sd * n ** (-1.0 / 7.0)
-    units = _unit_rows(x)  # the sums of the density and its slope, bound once
-    total = _density_sums(units, t_eval, bw_f)[0]  # the density's sum, and the local propensity's denominator
-    f_hat = total / n / bw_f
-    fprime_hat = _density_sums(units, t_eval, bw_fd)[1] / n / bw_fd / bw_fd  # kde(x, t_eval, bw_fd, derivative=1)
-    # kernel-weighted propensity at t_eval, exact for constant designs
-    p_local = float(np.mean(sample.propensity)) if total <= 0 else (
-        _weight_sums(normal_rows(x, sample.propensity), t_eval, bw_f)[0] / total)
+    if n < 5:
+        raise ValidationError(f"kde needs at least 5 observations, got {n}")
+    _positive(bw_f)
+    _positive(bw_fd)
+    treated = sample.d == 1
+    arms = [(x[mask], sample.y[mask]) for mask in (~treated, treated)]
+    bws = [_arm_bandwidths(x_j) for x_j, _ in arms]
+    khA = _native.kernel("tr_estimate_khA")
+    if khA is None:
+        record = _record_pipeline(normal_rows, _native.kernel("tr_local_fit"), x, sample.propensity, t_eval, bw_f,
+                                  bw_fd, arms, bws)
+    else:
+        record = _record_compiled(khA, x, sample.propensity, t_eval, bw_f, bw_fd, arms, bws)
 
-    kappa = {}
-    nu1 = {}
-    nu2 = {}
-    reg_bws = []
-    for arm in (0, 1):
-        mask = sample.d == arm
-        x_j = x[mask]
-        y_j = sample.y[mask]
+    total, slope, weighted = record[:3]
+    f_hat = total / n / bw_f  # kde(x, t_eval, bw_f)
+    fprime_hat = slope / n / bw_fd / bw_fd  # kde(x, t_eval, bw_fd, derivative=1)
+    # kernel-weighted propensity at t_eval, exact for constant designs
+    p_local = float(np.mean(sample.propensity)) if total <= 0 else weighted / total
+    kappa, nu1, nu2 = [], [], []
+    for arm, ((x_j, _), (bw_level, bw_deriv)) in enumerate(zip(arms, bws)):
         n_j = len(x_j)
         if n_j == 0:
             raise ArmDataError(f"arm {arm}: no observations")
-        sd_j = _sd(x_j)
-        bw_level = _REG_LEVEL_FACTOR * sd_j * n_j ** (-1.0 / 5.0)
-        bw_deriv = _REG_DERIV_FACTOR * sd_j * n_j ** (-1.0 / 7.0)
-        reg_bws.append(bw_level)
-        counts = normal_rows(x_j, np.ones(n_j))
-        for label, bw in (("level", bw_level), ("derivative", bw_deriv)):
-            if _effective_count(counts, t_eval, bw) < _MIN_EFFECTIVE:
+        level, deriv, linear_rank, cubic_rank, b0, b1, b2 = record[_ARMS + arm * _ARM : _ARMS + (arm + 1) * _ARM]
+        for label, count in (("level", level), ("derivative", deriv)):
+            if count / PHI0 < _MIN_EFFECTIVE:
                 raise ArmDataError(
                     f"arm {arm}: fewer than {int(_MIN_EFFECTIVE)} effective observations near "
                     f"t={t_eval} for the {label} regression (n_arm={n_j})"
                 )
-        # y**2 overflows for |y| above about 1e154; K_hat is then refused below
-        with np.errstate(over="ignore"):
-            kappa[arm] = local_poly(x_j, y_j**2, t_eval, bw_level, degree=1, derivative=0)
-        cubic = _local_poly_fit(x_j, y_j, t_eval, bw_deriv, degree=3)
-        nu1[arm] = _poly_derivative(cubic, 1, bw_deriv)
-        nu2[arm] = _poly_derivative(cubic, 2, bw_deriv)
+        _fit_refusal(n_j, t_eval, bw_level, 1, int(linear_rank))
+        _fit_refusal(n_j, t_eval, bw_deriv, 3, int(cubic_rank))
+        kappa.append(_poly_derivative(b0, 0, bw_level))
+        nu1.append(_poly_derivative(b1, 1, bw_deriv))
+        nu2.append(_poly_derivative(b2, 2, bw_deriv))
 
     k_hat = f_hat * (kappa[1] / p_local + kappa[0] / (1.0 - p_local))
     tau_prime = nu1[1] - nu1[0]
@@ -288,7 +381,7 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
         a_hat=float(a_hat),
         eval_point=float(t_eval),
         kde_bandwidth=bw_f,
-        reg_bandwidth=float(np.mean(reg_bws)),
+        reg_bandwidth=float(np.mean([bw_level for bw_level, _ in bws])),
     )
 
 

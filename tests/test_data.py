@@ -1,6 +1,7 @@
 import csv
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -491,3 +492,16 @@ def test_load_csv_reads_a_plain_file_in_one_compiled_pass(tmp_path, monkeypatch)
         got, want = getattr(loaded, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+def test_fsum_rows_is_fsum_across_its_blocks():
+    """The blocks of Python floats add up to fsum over the whole vector, bit for
+    bit: +-1e100 pairs that cancel only across a block boundary leave the small
+    terms exact; finite terms whose partial sums overflow raise as fsum does."""
+    rng = np.random.default_rng(30)
+    values = rng.standard_normal(10_000)
+    values[data._FSUM_BLOCK - 1], values[data._FSUM_BLOCK + 7] = 1e100, -1e100
+    assert data._fsum_rows(values) == math.fsum(values) == float(sum(map(Fraction, values.tolist())))
+    assert data._fsum_rows(np.empty(0)) == 0.0
+    with pytest.raises(OverflowError):
+        data._fsum_rows(np.full(2 * data._FSUM_BLOCK, 1.6e308))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -187,5 +189,26 @@ def test_policy_kind_validation():
 def test_ipw_terms_that_overflow_their_sum_are_a_numeric_error():
     # each score is a finite +-1.6e308, but their sums overflow
     s = Sample(y=[8e307] * 4, d=[1, 0, 1, 0], x=[0, 1, 2, 3], propensity=0.5)
+    with pytest.raises(NumericError, match="overflow their sum"):
+        fit_ewm(s)
+
+
+def test_welfare_sums_keep_their_bits_under_heavy_cancellation():
+    """The untreated base and the welfare are math.fsum over the terms as floats:
+    correctly rounded, so the exact sum of the terms rounded once, where a
+    running sum loses every small term to the +-2e100 that cancel."""
+    y = [-1e100, 0.3, 1e-5, 1e100, 0.0, 0.0]
+    s = Sample(y=y, d=[0, 0, 0, 0, 1, 1], x=[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], propensity=0.5)
+    exact = float(sum(Fraction(2.0 * v) for v in y[:4])) / s.n
+    assert sum(2.0 * v for v in y[:4]) == 0.0
+    # treating no one, or the two zero outcomes, is optimal: the objective is the base alone
+    assert fit_ewm(s).objective_value == exact
+    assert empirical_welfare(s, 10.0) == exact
+
+
+def test_untreated_terms_whose_partial_sums_overflow_give_an_infinite_base():
+    """fsum raises OverflowError on finite terms whose partial sums overflow;
+    the base is then inf, and the objective is refused as not finite."""
+    s = Sample(y=[0.0, 8e307, 0.0, 8e307], d=[1, 0, 1, 0], x=[0.0, 1.0, 2.0, 3.0], propensity=0.5)
     with pytest.raises(NumericError, match="overflow their sum"):
         fit_ewm(s)

@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import types
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -80,6 +81,8 @@ def _callers(tmp_path):
         "tr_screen": (lambda: _screen_candidates(draw_sample(MODEL1, 300, 2), 0.3), (swm, "_numpy_candidates")),
         "tr_fit_swm": (lambda: _fit_values(swm.fit_swm(draw_sample(MODEL1, 300, 2), kernels.gaussian_cdf_kernel(),
                                                        swm.LambdaRate(2.0))), (swm, "_newton_max")),
+        "tr_estimate_khA": (lambda: np.array(astuple(nuisance.estimate_khA(draw_sample(MODEL1, 300, 2), 0.1))),
+                            (nuisance, "_record_pipeline")),
     }
 
 
@@ -139,6 +142,39 @@ assert run_cli(["asymptotics", "--model", "1", "--n", "500", "--seed", "6", *tab
 print("CHECKED", checked)
 """
     assert fresh_python(code).splitlines()[-1] == "CHECKED ['tr_chernoff_block', 'tr_normal']"
+
+
+def test_an_estimate_checks_the_fused_kernel_alone(native):
+    """A fresh process that estimates K, H and A checks ``tr_estimate_khA``
+    and not the sums and local fits it replaces; ``infer --method plugin``
+    adds only the CSV parser and the Chernoff kernel."""
+    code = """
+import os, sys, tempfile
+import numpy as np
+from threshold_regret import _native
+from threshold_regret.cli import run_cli
+from threshold_regret.data import Sample
+from threshold_regret.nuisance import estimate_khA
+checked = []
+for name, check in list(_native.CHECKS.items()):
+    _native.CHECKS[name] = lambda lib, name=name, check=check: checked.append(name) or check(lib)
+x = np.sin(np.arange(400.0))
+sample = Sample(y=x**3 + np.cos(np.arange(400.0)), d=np.arange(400) % 2, x=x, propensity=0.5)
+estimate_khA(sample, 0.1)
+print("ESTIMATE", checked)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "sample.csv")
+    with open(path, "w") as fh:
+        fh.write("y,d,x\\n" + "".join(f"{y!r},{int(d)},{x!r}\\n"
+                                     for y, d, x in zip(sample.y.tolist(), sample.d, sample.x.tolist())))
+    table = ["--chernoff-paths", "10000", "--chernoff-step", "0.001", "--chernoff-halfwidth", "2", "--jobs", "1"]
+    assert run_cli(["infer", "--policy", "ewm", "--method", "plugin", "--data", path, "--propensity", "0.5",
+                    *table]) == 0
+print("INFER", checked)
+"""
+    lines = fresh_python(code).splitlines()
+    assert lines[0] == "ESTIMATE ['tr_estimate_khA']"
+    assert lines[-1] == "INFER ['tr_estimate_khA', 'tr_parse_csv', 'tr_chernoff_block']"
 
 
 def _chunk_args(seed, n, distinct, score_scale, reps):
@@ -796,9 +832,8 @@ def test_smoothed_sums_match_their_numpy_transcription(native, x, scale, sigma, 
     x = np.array(x)
     g = np.linspace(-1.0, 2.0, len(x)) * scale
     t = np.array(t)
-    funcs = (kernels._cdf,) if order == 0 else (kernels._pdf, kernels._k2)
     got = kernels._CompiledRows(native.tr_smoothed, x, g)(sigma, t, order)
-    want = kernels._row_sums(x, g, sigma, t, funcs)
+    want = kernels._row_sums(x, g, sigma, t, kernels._NORMAL_TERMS[order], order + 1)
     assert all(_native._same(a, b) for a, b in zip(got, want))
 
 

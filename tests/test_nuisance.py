@@ -1,17 +1,27 @@
+import contextlib
 import math
+import re
+import struct
+import warnings
+from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from threshold_regret import _native, nuisance
 from threshold_regret.data import Sample
-from threshold_regret.errors import ArmDataError, NumericError, RankDeficiencyError, ValidationError
+from threshold_regret.errors import (ArmDataError, NumericError, RankDeficiencyError, ThresholdRegretError,
+                                     ValidationError)
 from threshold_regret.ewm import fit_ewm
 from threshold_regret.kernels import gaussian_cdf_kernel
 from threshold_regret.montecarlo import MODEL1, MODEL2, draw_sample
 from threshold_regret.nuisance import _sd, estimate_khA, kde, local_poly, optimal_bandwidth
 from threshold_regret.swm import PlugInOptimal, fit_swm
 
-from helpers import two_fit_khA
+from helpers import fresh_python, two_fit_khA
 
 KERNEL = gaussian_cdf_kernel()
 
@@ -60,6 +70,24 @@ def test_kde_validation():
         kde(np.arange(10.0), 0.0, -1.0)
     with pytest.raises(ValidationError):
         kde(np.arange(10.0), 0.0, 0.5, derivative=2)
+
+
+_ROWS = np.random.default_rng(20).standard_normal(40)
+
+
+@pytest.mark.parametrize("x, point, bandwidth, message", [
+    pytest.param(_ROWS, math.nan, 0.3, "point must be finite, got nan", id="nan-point"),
+    pytest.param(_ROWS, math.inf, 0.3, "point must be finite, got inf", id="infinite-point"),
+    pytest.param(_ROWS, 0.0, math.inf, "bandwidth must be finite and positive, got inf", id="infinite-bandwidth"),
+    pytest.param(_ROWS, 0.0, math.nan, "bandwidth must be finite and positive, got nan", id="nan-bandwidth"),
+    pytest.param(np.r_[_ROWS, math.nan], 0.0, 0.3, "x contains NaN or infinite values", id="nan-row"),
+    pytest.param(np.r_[_ROWS, -math.inf], 0.0, 0.3, "x contains NaN or infinite values", id="infinite-row"),
+])
+@pytest.mark.parametrize("derivative", [0, 1])
+def test_kde_refuses_what_is_not_finite(x, point, bandwidth, message, derivative):
+    """No NaN or 0.0 for a point, a bandwidth or a row that is not finite."""
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        kde(x, point, bandwidth, derivative)
 
 
 # --- local polynomial regression ----------------------------------------------
@@ -119,6 +147,25 @@ def test_local_poly_rejects_derivative_above_degree():
         local_poly(np.arange(10.0), np.arange(10.0), 0.0, 0.5, degree=1, derivative=2)
     with pytest.raises(ValidationError):
         local_poly(np.arange(10.0), np.arange(10.0), 0.0, 0.5, degree=1, derivative=-1)
+
+
+@pytest.mark.parametrize("x, y, point, bandwidth, degree, derivative, message", [
+    pytest.param(_ROWS, _ROWS, 0.0, 0.3, 2.5, 1, "degree must be an integer, got 2.5", id="float-degree"),
+    pytest.param(_ROWS, _ROWS, 0.0, 0.3, True, 0, "degree must be an integer, got True", id="bool-degree"),
+    pytest.param(_ROWS, _ROWS, 0.0, 0.3, 3, 1.5, "derivative must be an integer, got 1.5", id="float-derivative"),
+    pytest.param(_ROWS, np.r_[_ROWS[1:], math.nan], 0.0, 0.3, 1, 0, "y contains NaN or infinite values",
+                 id="nan-y"),
+    pytest.param(np.r_[_ROWS[1:], math.inf], _ROWS, 0.0, 0.3, 1, 0, "x contains NaN or infinite values",
+                 id="infinite-x"),
+    pytest.param(_ROWS, _ROWS, math.nan, 0.3, 1, 0, "point must be finite, got nan", id="nan-point"),
+    pytest.param(_ROWS, _ROWS, 0.0, math.inf, 1, 0, "bandwidth must be finite and positive, got inf",
+                 id="infinite-bandwidth"),
+])
+def test_local_poly_refuses_what_is_not_finite_or_not_an_integer(x, y, point, bandwidth, degree, derivative,
+                                                                  message):
+    """No raw TypeError, silent NaN or misleading RankDeficiencyError."""
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        local_poly(x, y, point, bandwidth, degree, derivative)
 
 
 # --- estimate_khA --------------------------------------------------------------
@@ -189,6 +236,130 @@ def test_estimate_khA_matches_two_fits_per_arm_bit_for_bit(model, n):
     t = model.t_star
     est = estimate_khA(s, t, KERNEL)
     assert (est.k_hat, est.h_hat, est.a_hat) == two_fit_khA(s, t, KERNEL)
+
+
+def _pipeline():
+    """A context in which ``estimate_khA`` runs its Python pipeline, the other kernels as they load."""
+    kernel = _native.kernel
+    return mock.patch.object(_native, "kernel", lambda name: None if name == "tr_estimate_khA" else kernel(name))
+
+
+def _outcome(sample, t_eval):
+    """The estimate's fields as bits, or the type and message of what it raises."""
+    try:
+        return "ok", struct.pack("6d", *astuple(estimate_khA(sample, t_eval)))
+    except ThresholdRegretError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_AROUND = np.random.default_rng(21).standard_normal(200)
+_FAR = 5.0 + 0.1 * np.random.default_rng(22).standard_normal(60)
+# 4 rows at t = 0 among 36 two subnormal steps above: the level bandwidth rounds
+# to 0, whose count is NaN and passes, and the derivative one to 5e-324, whose
+# count is 8.3; with 7 of 32 rows at 0 the derivative count passes too
+_SUBNORMAL_THIN = np.r_[np.zeros(4), np.full(36, 1e-323)]
+_SUBNORMAL_PASSES = np.r_[np.zeros(7), np.full(25, 1e-323)]
+_TWO_VALUES = np.tile([0.0, 1.0], 20)
+
+
+def _arms(x0, x1, y0=None):
+    """A sample of arm 0's rows x0 then arm 1's x1, its outcomes normal unless given for arm 0."""
+    rng = np.random.default_rng(23)
+    y = rng.standard_normal(len(x0) + len(x1))
+    if y0 is not None:
+        y[: len(x0)] = y0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # tied x
+        return Sample(y=y, d=np.r_[np.zeros(len(x0)), np.ones(len(x1))], x=np.r_[x0, x1], propensity=0.5)
+
+
+def _thin(arm, label, n_arm):
+    return f"arm {arm}: fewer than 10 effective observations near t=0.0 for the {label} regression (n_arm={n_arm})"
+
+
+_RANK = r"rank-deficient local fit at point 0.0 \(rank 2 < 4\); too little data within bandwidth 0.469354964206\d*"
+
+
+@pytest.mark.parametrize("sample, error, message", [
+    pytest.param(lambda: Sample(y=np.ones(4), d=[0, 1, 0, 1], x=[0.0, 1.0, 2.0, 3.0], propensity=0.5),
+                 "ValidationError", "kde needs at least 5 observations, got 4", id="four-rows"),
+    pytest.param(lambda: _arms(_FAR, []), "ArmDataError", _thin(0, "level", 60), id="thin-arm-0-before-empty-arm-1"),
+    pytest.param(lambda: _arms(_FAR, _AROUND), "ArmDataError", _thin(0, "level", 60), id="arm-0-thin-at-level"),
+    pytest.param(lambda: _arms(_AROUND, _FAR), "ArmDataError", _thin(1, "level", 60), id="arm-1-thin-at-level"),
+    pytest.param(lambda: _arms(_SUBNORMAL_THIN, _AROUND), "ArmDataError", _thin(0, "derivative", 40),
+                 id="arm-0-thin-at-derivative"),
+    pytest.param(lambda: _arms(_AROUND, _SUBNORMAL_THIN), "ArmDataError", _thin(1, "derivative", 40),
+                 id="arm-1-thin-at-derivative"),
+    pytest.param(lambda: _arms(_SUBNORMAL_PASSES, _AROUND), "ValidationError", "bandwidth must be positive, got 0.0",
+                 id="arm-0-level-bandwidth-underflows"),
+    pytest.param(lambda: _arms(_TWO_VALUES, _AROUND), "RankDeficiencyError", _RANK, id="arm-0-rank-deficient"),
+    pytest.param(lambda: _arms(_AROUND, _TWO_VALUES), "RankDeficiencyError", _RANK, id="arm-1-rank-deficient"),
+    pytest.param(lambda: _arms(_TWO_VALUES, _FAR), "RankDeficiencyError", _RANK,
+                 id="arm-0-rank-deficient-before-thin-arm-1"),
+    pytest.param(lambda: _arms(_AROUND, _AROUND, y0=np.r_[1e200, np.zeros(199)]), "NumericError",
+                 "nuisance estimate K is not finite at t=0.0", id="y-squared-overflows"),
+])
+def test_estimate_khA_refuses_in_order_on_every_path(sample, error, message):
+    """The first refusal in the documented order, with its message, whether
+    the fused kernel or the pipeline makes the sums and fits."""
+    sample = sample()
+    for path in (_pipeline(), mock.patch.object(_native, "kernel", lambda name: None), contextlib.nullcontext()):
+        with path:
+            kind, text = _outcome(sample, 0.0)
+        assert kind == error and re.fullmatch(message if error == "RankDeficiencyError" else re.escape(message), text)
+
+
+def test_estimate_khA_refuses_a_kernel_that_is_not_one():
+    with pytest.raises(ValidationError, match="^kernel must be a Kernel, got 'gauss'$"):
+        estimate_khA(draw_sample(MODEL1, 300, 5), 0.0, "gauss")
+
+
+@st.composite
+def _khA_samples(draw):
+    """Samples of 5 to 3000 rows: x normal, tied or not, scaled by 2^k, a propensity
+    vector or a constant, and an arm of a handful of rows or more; and a point among the x."""
+    n = draw(st.integers(5, 3000) | st.integers(200, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(n)
+    if draw(st.booleans()):
+        x = np.round(x, 1)
+    scale = draw(st.integers(-60, 60))
+    n1 = draw(st.integers(n // 3, n - n // 3) | st.integers(0, min(n, 12)) | st.integers(max(n - 12, 0), n))
+    d = np.zeros(n)
+    d[rng.permutation(n)[:n1]] = 1.0
+    y = x**3 - x + rng.standard_normal(n) * draw(st.sampled_from([0.0, 0.3, 1.0, 1e160]))
+    propensity = rng.uniform(0.2, 0.8, n) if draw(st.booleans()) else 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sample = Sample(y=y, d=d, x=np.ldexp(x, scale), propensity=propensity)
+    return sample, float(np.quantile(sample.x, draw(st.floats(0.3, 0.7) | st.floats(0.0, 1.0))))
+
+
+@given(case=_khA_samples())
+@example(case=(_arms(_SUBNORMAL_THIN, _AROUND), 0.0))
+@example(case=(_arms(_TWO_VALUES, _AROUND), 0.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_estimate_khA_gives_the_pipelines_bits_or_refusal(case):
+    """The fused kernel against the Python pipeline on numpy's sums and fits:
+    the same estimates bit for bit, or the same exception and message."""
+    sample, t_eval = case
+    with mock.patch.object(_native, "kernel", lambda name: None):
+        want = _outcome(sample, t_eval)
+    assert _outcome(sample, t_eval) == want
+
+
+def test_the_nuisance_tests_pass_on_the_pipeline():
+    """Every other test here, in a fresh interpreter where no kernel loads."""
+    code = f"""
+import sys
+from unittest import mock
+import pytest
+from threshold_regret import _native
+with mock.patch.object(_native, "kernel", lambda name: None):
+    code = pytest.main(["-q", "-p", "no:cacheprovider", "-k", "not on_the_pipeline", {__file__!r}])
+print("EXIT", int(code))
+"""
+    assert fresh_python(code).splitlines()[-1] == "EXIT 0"
 
 
 def test_errors_shrink_with_sample_size():
