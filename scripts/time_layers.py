@@ -12,18 +12,16 @@
   200 replicates on one worker at the true H, ``estimate_khA`` at the EWM
   threshold, in one call of ``tr_estimate_khA`` where that loads, with
   ``estimate_khA_pipeline`` beside it, the Python pipeline that the call
-  replaces (``tr_estimate_khA`` set aside, the other kernels as they load),
-  and ``fit_swm`` with the rate bandwidth (``LambdaRate(lambda*)``)
-  and with the plug-in one (``PlugInOptimal``, which runs ``estimate_khA``
-  inside), each in one call of ``tr_fit_swm`` where that loads; beside them
-  ``fit_swm_pipeline``, the rate-bandwidth fit on the Python pipeline that
-  the compiled fit replaces (``tr_fit_swm`` set aside), split into its
-  steps: ``swm_screen``, the coarse-grid screen (``swm._grid_candidates``:
-  compiled in ``tr_screen`` where that loads), with the numpy screen beside
-  it as ``swm_screen_numpy`` where the compiled one runs; ``swm_values``,
-  the rows bound and S_n at the screen's candidates of the grid; and
-  ``swm_newton``, the Newton refinement from the best of them, the clamp and
-  S_n at t_hat.
+  replaces (``tr_estimate_khA`` set aside), and ``fit_swm`` with the rate
+  bandwidth (``LambdaRate(lambda*)``) and with the plug-in one
+  (``PlugInOptimal``, which runs ``estimate_khA`` inside), each in one call
+  of ``tr_fit_swm`` where that loads; beside them ``fit_swm_pipeline``, the
+  rate-bandwidth fit on the Python pipeline that the compiled fit replaces
+  (``tr_fit_swm`` set aside), split into its steps: ``swm_screen``, the
+  pipeline's coarse-grid screen (``swm._numpy_candidates``; the compiled
+  screen runs only inside ``fit_swm_rate``); ``swm_values``, the rows bound
+  and S_n at the screen's candidates of the grid; and ``swm_newton``, the
+  Newton refinement from the best of them, the clamp and S_n at t_hat.
 - ``quantiles_ms``: the regret-law quantiles, each the least double at
   which the library's Phi reaches the level: ``z_quantile(0.975)``, the
   critical value of ``swm_ci``, and the median of the SWM regret law that
@@ -113,13 +111,12 @@ def chernoff_block_ms(paths: dict, n_paths: int, repeats: int) -> dict:
 
 def pipeline():
     """A context in which ``fit_swm`` runs its Python pipeline rather than ``tr_fit_swm``."""
-    return mock.patch.object(swm, "_kernel", lambda name: None if name == "tr_fit_swm" else _native.kernel(name))
+    return mock.patch.object(swm, "_kernel", lambda name: None)
 
 
 def khA_pipeline():
     """A context in which ``estimate_khA`` runs its Python pipeline rather than ``tr_estimate_khA``."""
-    kernel = _native.kernel
-    return mock.patch.object(_native, "kernel", lambda name: None if name == "tr_estimate_khA" else kernel(name))
+    return mock.patch.object(_native, "kernel", lambda name: None)
 
 
 def layers_ms(n: int, repeats: int) -> dict:
@@ -141,7 +138,7 @@ def layers_ms(n: int, repeats: int) -> dict:
     # the pipeline's steps on the rate-bandwidth fit, each from the one before's result
     g, sigma = _ipw_g(sample), kernel.rate_bandwidth(rate.lam, n)
     n_pts = swm._grid_points(space, sigma)
-    cand = swm._grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, n_pts)
+    cand = swm._numpy_candidates(g, sample.x, kernel, sigma, space, n_pts)
     ts = np.linspace(space.lo, space.hi, n_pts)
     f = partial(swm._smoothed, kernel.bind(sample.x, g), n, sigma)
     best = int(cand[np.argmax(f(ts[cand]))])
@@ -153,18 +150,15 @@ def layers_ms(n: int, repeats: int) -> dict:
 
     steps = {
         "fit_swm_pipeline": lambda: fit_swm(sample, kernel, rate, space),
-        "swm_screen": lambda: swm._grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, n_pts),
+        "swm_screen": lambda: swm._numpy_candidates(g, sample.x, kernel, sigma, space, n_pts),
         "swm_values": lambda: swm._smoothed(kernel.bind(sample.x, g), n, sigma,
                                             np.linspace(space.lo, space.hi, n_pts)[cand]),
         "swm_newton": newton,
     }
-    if _native.kernel("tr_screen") is not None:
-        steps["swm_screen_numpy"] = lambda: swm._numpy_candidates(g, sample.x, kernel, sigma, space, n_pts)
     for run in (*runs.values(), *steps.values()):
         run()  # the kernels' load-time checks, outside the timings
     timings = {name: best_ms(run, repeats) for name, run in runs.items()}
     with khA_pipeline():
-        runs["estimate_khA"]()  # the pipeline's kernels' checks, outside the timing
         timings["estimate_khA_pipeline"] = best_ms(runs["estimate_khA"], repeats)
     with pipeline():
         return timings | {name: best_ms(run, repeats) for name, run in steps.items()}

@@ -1,8 +1,7 @@
 /* Compiled inner loops of the reshaped bootstrap and the Chernoff simulator,
- * the parser of plain sample CSVs, the normal law's sums behind the
- * smoothed objective and the local fits of the nuisance estimates, the SWM
- * grid screen, the SWM fit built on the last two, and the nuisance estimate's
- * sums and local fits in one call.
+ * the parser of plain sample CSVs, the normal law, the SWM fit (its grid
+ * screen and the normal law's sums behind the smoothed objective) in one
+ * call, and the nuisance estimate's sums and local fits in one call.
  *
  * The two loops repeat, operation for operation, the numpy code they replace
  * (Generator.integers followed by inference._replicate, and
@@ -50,19 +49,19 @@
  * without fallback", SPE 53(6), 2023), as fast_float's compute_float does for
  * doubles; it refuses a longer decimal.
  *
- * The normal law's kernels (tr_normal, tr_smoothed, tr_local_fit) replace no
- * numpy code: they define the library's exp, phi and Phi and its weighted
- * sums, with a numpy transcription in the same operation order (kernels.py,
- * nuisance.py) as the fallback and the oracle.  Only + - * /, comparisons,
- * fabs and sqrt touch their doubles, so their bits are the same on every CPU.
- * The grid screen (tr_screen) bins and sums in an order of its own: its
- * values only prune the grid, under a bound that covers their rounding
- * (swm.py), and numpy's FFT screen is its fallback.  The SWM fit
- * (tr_fit_swm) runs that screen and then swm.py's pipeline after it,
- * operation for operation, on tr_smoothed's sums: its bits are the
- * pipeline's, which is its fallback and its oracle.  So does the nuisance
- * estimate (tr_estimate_khA) with nuisance.py's pipeline of tr_smoothed's
- * sums and tr_local_fit's fits, from one phi per row and bandwidth.
+ * The normal law (tr_normal) and its weighted sums and local fits replace
+ * no numpy code: they define the library's exp, phi and Phi, its sums and
+ * its fits, with a numpy transcription in the same operation order
+ * (kernels.py, nuisance.py) as the fallback and the oracle.  Only + - * /,
+ * comparisons, fabs and sqrt touch their doubles, so their bits are the same
+ * on every CPU.  The SWM fit (tr_fit_swm) first screens the grid, binning
+ * and summing in an order of its own: those values only prune the grid,
+ * under a bound that covers their rounding (swm.py).  It then runs swm.py's
+ * pipeline after its screen, operation for operation, on the normal law's
+ * sums (smoothed_at): its bits are the pipeline's, which is its fallback and
+ * its oracle.  So does the nuisance estimate (tr_estimate_khA) with
+ * nuisance.py's pipeline of sums and local fits, from one phi per row and
+ * bandwidth.
  */
 
 #include <float.h>
@@ -1485,7 +1484,7 @@ static inline double add_in_order(double a, const double *v, int len)
 /* The normal CDF kernel's k, k' and k'' elementwise at z[0..m-1]:
  * out[i] = Phi(z[i]), and with parts 3 out[m + i] = phi(z[i]) and
  * out[2 m + i] = (-c) phi(z[i]), c being z[i] clipped to [-40, 40]; parts 1
- * gives Phi alone.  These are the terms tr_smoothed sums, of rows z of weight
+ * gives Phi alone.  These are the terms smoothed_at sums, of rows z of weight
  * 1 at the threshold 0 with sigma 1, as (z - 0) / 1 is z bit for bit, signed
  * zeros too. */
 void tr_normal(const double *z, int64_t m, int64_t parts, double *out)
@@ -1538,19 +1537,6 @@ static void smoothed_at(const double *x, const double *g, int64_t n, double sigm
     *b = sb;
 }
 
-/* smoothed_at at each threshold t[j], j = 0..m-1: out[j] = *a, and with
- * order 1 out[m + j] = *b. */
-void tr_smoothed(const double *x, const double *g, int64_t n, double sigma, const double *t, int64_t m,
-                 int64_t order, double *out)
-{
-    for (int64_t j = 0; j < m; j++) {
-        double b;
-        smoothed_at(x, g, n, sigma, t[j], order, out + j, &b);
-        if (order != 0)
-            out[m + j] = b;
-    }
-}
-
 /* a[0] b[0] + ... + a[len-1] b[len-1], in eight interleaved partial sums */
 static double dot(const double *a, const double *b, int64_t len)
 {
@@ -1572,7 +1558,7 @@ static double dot(const double *a, const double *b, int64_t len)
     return total;
 }
 
-/* The SWM grid screen (swm._compiled_screen) for a CDF kernel k: at each
+/* The SWM grid screen (tr_fit_swm's first step) for a CDF kernel k: at each
  * grid point t_j = lo + subcells j step, j = 0..n_pts-1, approx[j] is an
  * approximation of sum g[i] k((x[i] - t_j) / sigma) that lies within
  * err + slack / 2 of it, bound[0] = err and bound[1] = slack.
@@ -1671,26 +1657,6 @@ static double kept_from(const double *approx, int64_t n_pts, const double *bound
     return peak - (2.0 * bound[0] + bound[1]);
 }
 
-/* The screen alone: work receives approx[0..n_pts-1], err and slack, then
- * the indices of the points kept, ascending, in n_pts int64 slots, and holds
- * the screen's scratch after them.  Returns how many points are kept, or -1
- * when order is not a permutation that sorts x ascending. */
-int64_t tr_screen(const double *x, const double *g, const int64_t *order, int64_t n, double lo, double step,
-                  int64_t n_pts, int64_t subcells, int64_t m0, int64_t m1, int64_t w, double coef, double rate,
-                  const double *table, double *work)
-{
-    double *approx = work, *bound = work + n_pts;
-    int64_t *kept = (int64_t *)(bound + 2), count = 0;
-    if (screen(x, g, order, n, lo, step, n_pts, subcells, m0, m1, w, table, coef, rate, approx, bound,
-               work + 2 * n_pts + 2) < 0)
-        return -1;
-    const double least = kept_from(approx, n_pts, bound);
-    for (int64_t j = 0; j < n_pts; j++)
-        if (!(approx[j] < least))
-            kept[count++] = j;
-    return count;
-}
-
 /* a safety net; bisection alone needs about 21 steps */
 #define NEWTON_MAX_STEPS 100
 
@@ -1731,11 +1697,11 @@ static double newton_max(const double *x, const double *g, int64_t n, double sig
 /* The SWM fit with the normal CDF kernel after its bandwidth, as swm.py's
  * pipeline makes it, operation for operation: the grid np.linspace(lo, hi,
  * n_pts); the screen (its layout, its table of k and its coef and rate as
- * for tr_screen); S_n = sum g[i] Phi(u) / n at each point kept, by
- * smoothed_at, and the first argmax of those values with np.argmax's NaN
- * rule; Newton refinement from that point inside its two neighbours, with
- * the tolerance 1e-8 (hi - lo); the result clamped to [lo, hi], as
- * min(max(t, lo), hi); and S_n there.  work[0..2] receives t_hat, S_n at
+ * swm._compiled_fit passes them); S_n = sum g[i] Phi(u) / n at each point
+ * kept, by smoothed_at, and the first argmax of those values with
+ * np.argmax's NaN rule; Newton refinement from that point inside its two
+ * neighbours, with the tolerance 1e-8 (hi - lo); the result clamped to
+ * [lo, hi], as min(max(t, lo), hi); and S_n there.  work[0..2] receives t_hat, S_n at
  * t_hat and the grid maximum (NaN where any value kept is NaN), and holds
  * n_pts + 2 doubles and the screen's scratch after them.  Returns 0, or -1
  * when order is not a permutation that sorts x ascending. */
@@ -1857,7 +1823,7 @@ static int64_t solve_design(double *work, int64_t n, int64_t p, double norm2, do
  * (x[i] - point) / bw, s_i = sqrt(phi(u_i)), each power the one before times
  * u_i, by solve_design.  phi(u_i) is taken once per row, by pdf_terms of
  * weight 1, and *count is the sum of those phi in row order from the first
- * term: tr_smoothed's order-1 sum *a of rows x of weight 1 at the threshold
+ * term: smoothed_at's order-1 sum *a of rows x of weight 1 at the threshold
  * point, bit for bit.  work holds the n x (p + 1) design beside its
  * response, row-major.  Returns solve_design's rank, or 0, with no solve,
  * where n <= p. */
@@ -1890,16 +1856,6 @@ static int64_t weighted_fit(const double *x, const double *y, int square, int64_
     return n > p ? solve_design(work, n, p, norm2, beta) : 0;
 }
 
-/* The local fit of y with p = degree + 1 coefficients (p <= 4) at point
- * (weighted_fit); n > p.  Returns the rank; beta[0..p-1] is written only
- * when it is p. */
-int64_t tr_local_fit(const double *x, const double *y, int64_t n, double point, double bw, int64_t p,
-                     double *work, double *beta)
-{
-    double count;
-    return weighted_fit(x, y, 0, n, point, bw, p, work, beta, &count);
-}
-
 /* The fields of tr_estimate_khA's out, and of each arm's block after them */
 enum { KHA_TOTAL, KHA_SLOPE, KHA_PROPENSITY, KHA_ARMS };
 enum { ARM_LEVEL_COUNT, ARM_DERIV_COUNT, ARM_LINEAR_RANK, ARM_CUBIC_RANK, ARM_KAPPA, ARM_NU1, ARM_NU2, ARM_FIELDS };
@@ -1909,7 +1865,7 @@ enum { ARM_LEVEL_COUNT, ARM_DERIV_COUNT, ARM_LINEAR_RANK, ARM_CUBIC_RANK, ARM_KA
  * rows x[0..n-1] with propensities prop: at bw_f, out[KHA_TOTAL] = sum
  * phi(u_i) and out[KHA_PROPENSITY] = sum prop[i] phi(u_i); at bw_fd,
  * out[KHA_SLOPE] = -sum (-c_i) phi(u_i), c_i being u_i clipped to [-40, 40]
- * (tr_smoothed's order-1 sums at t of weights 1 and prop: pdf_terms's terms
+ * (smoothed_at's order-1 sums at t of weights 1 and prop: pdf_terms's terms
  * 1 phi(u_i) and 1 ((-c_i) phi(u_i)), with prop[i] (1 phi(u_i)) = prop[i]
  * phi(u_i)).  Then for arm j = 0, 1, the rows xa[j], ya[j] of na[j], at
  * out + KHA_ARMS + j ARM_FIELDS: at the level bandwidth bws[2 j], the sum

@@ -13,7 +13,7 @@ never sets another aside, and a process that wants one kernel never pays
 the others' checks.  If a step fails (no compiler, a read-only package
 directory, a failed build or load, a result that differs) ``kernel``
 returns None and the caller keeps its numpy code, whose results are the
-same bit for bit.  There are nine kernels.  The bootstrap chunk and the
+same bit for bit.  There are six kernels.  The bootstrap chunk and the
 Chernoff block repeat numpy's own PCG64, the bootstrap its seeding and
 bounded integers and the Chernoff block its normal sampler, so under a
 numpy whose stream differs from the one they copy (see ``_kernels.c``) the
@@ -26,24 +26,17 @@ one host, and the check (``BLOCK_CHECK``) runs the path this CPU takes.
 The CSV parser converts decimals of up to 19 significant digits as ``float``
 does; its check holds a token for each branch of the conversion
 (``PARSE_CHECK``) and a row for each refusal, and without it the file is read
-row by row.  ``tr_normal``, ``tr_smoothed`` and ``tr_local_fit`` compute the
-normal law, its sums and the local fits (see ``kernels`` and ``nuisance``);
-their checks take every branch of Phi, exp arguments near and past underflow
-(``NORMAL_CHECK``) and a rank-deficient design (``_local_fit_agrees``).
-``tr_screen`` is the SWM grid screen (see ``swm``), which replaces no numpy
-code bit for bit: its check (``SCREEN_CHECK``) holds each binned value within
-the screen's bound of the exact sum, on cases where the far rows' tails, the
-rounding slack and the binning error each decide, and requires every point
-kept where the sums overflow.  ``tr_fit_swm`` is the SWM fit after its
-bandwidth with the normal CDF kernel: the grid, that screen, the exact values
+row by row.  ``tr_normal`` computes the normal law (see ``kernels``); its
+check takes every branch of Phi and exp arguments near and past underflow
+(``NORMAL_CHECK``).  ``tr_fit_swm`` is the SWM fit after its bandwidth with
+the normal CDF kernel: the grid, its screen (see ``swm``), the exact values
 of the points kept and the Newton refinement in one call; its check
 (``FIT_CHECK``) requires the bits of the Python pipeline on the full exact
 grid, on cases where the first argmax among ties, the bracket's ends, the
 bisection and the clamp each decide.  ``tr_estimate_khA`` makes every sum
 and local fit of a nuisance estimate in one call, from one phi per row and
-bandwidth; its check (``KHA_CHECK``) requires the bits of the Python pipeline
-on numpy's sums and fits, so a process that estimates K, H and A pays
-neither ``tr_smoothed``'s check nor ``tr_local_fit``'s.  The module is
+bandwidth; its check (``KHA_CHECK``) requires the bits of the Python
+pipeline, on fits of full rank, short of rank and not made.  The module is
 imported only when a kernel is first wanted, so ``import threshold_regret``
 loads none of ``sysconfig``, ``hashlib`` or ``subprocess``.
 """
@@ -105,17 +98,11 @@ def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.tr_parse_csv.restype = i64
     lib.tr_parse_csv.argtypes = [array(np.uint8), i64, i64, i64, i64, array(f64), i64]
     # called many times on small arrays, so they take bare addresses: an
-    # ndpointer check costs about 4 us an array, several times the sum itself
-    # at n = 500; their callers pass C-contiguous float64 (see kernels, nuisance)
+    # ndpointer check costs about 4 us an array, a large share of a call at
+    # n = 500; their callers pass C-contiguous float64 (see kernels, swm, nuisance)
     ptr = ctypes.c_void_p
     lib.tr_normal.restype = None
     lib.tr_normal.argtypes = [ptr, i64, i64, ptr]
-    lib.tr_smoothed.restype = None
-    lib.tr_smoothed.argtypes = [ptr, ptr, i64, f64, ptr, i64, i64, ptr]
-    lib.tr_local_fit.restype = i64
-    lib.tr_local_fit.argtypes = [ptr, ptr, i64, f64, f64, i64, ptr, ptr]
-    lib.tr_screen.restype = i64
-    lib.tr_screen.argtypes = [ptr, ptr, ptr, i64, f64, f64, i64, i64, i64, i64, i64, f64, f64, ptr, ptr]
     lib.tr_estimate_khA.restype = None
     lib.tr_estimate_khA.argtypes = [ptr, ptr, i64, f64, f64, f64, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr]
     lib.tr_fit_swm.restype = i64
@@ -250,105 +237,29 @@ def _normal_agrees(lib: ctypes.CDLL) -> bool:
             and _same(_law(lib.tr_normal, z, 1)[0], _cdf(z)))
 
 
-def _smoothed_agrees(lib: ctypes.CDLL) -> bool:
-    from .kernels import _NORMAL_TERMS, _CompiledRows, _row_sums
-
-    # one row x = -0.0 of weight 1 at thresholds -z, whose terms are Phi, phi
-    # and k'' at z exactly, each point's own sum; then sums over the points
-    # as rows, at thresholds that shift them
-    z = np.array(NORMAL_CHECK)
-    g = np.linspace(-2.0, 3.0, len(z)) ** 3
-    for x, g, sigma, t in ((np.array([-0.0]), np.array([1.0]), 1.0, -z), (z, g, 0.5, np.array([0.0, 0.7, -5.0]))):
-        for order, terms in enumerate(_NORMAL_TERMS):
-            if not all(map(_same, _CompiledRows(lib.tr_smoothed, x, g)(sigma, t, order),
-                           _row_sums(x, g, sigma, t, terms, order + 1))):
-                return False
-    return True
-
-
-def _local_fit_agrees(lib: ctypes.CDLL) -> bool:
-    from .nuisance import _compiled_local_fit, _numpy_local_fit
-
-    rng = np.random.default_rng(3)
-    # rows whose weight's exp argument lies near underflow (|u| = 38.4 and
-    # 38.55, subnormal phi) and past it (u = 59.9, phi 0)
-    x = np.concatenate((rng.standard_normal(40), [38.5, -38.45, 60.0]))
-    y = x**3 - x + rng.standard_normal(len(x))
-    # full rank at degrees 1 and 3, and rank 2 where x holds two values
-    for x, p in ((x, 2), (x, 4), (np.repeat([0.2, -0.4], 20), 4)):
-        got = np.empty((len(x), p + 1)), np.empty(p)
-        want = np.empty((len(x), p + 1)), np.full(p, np.nan)
-        got[1][:] = np.nan
-        rank = _compiled_local_fit(lib.tr_local_fit, x, y[: len(x)], 0.1, 1.0, p, *got)
-        if rank != _numpy_local_fit(x, y[: len(x)], 0.1, 1.0, p, *want) or not _same(got[1], want[1]):
-            return False
-        if rank != (p if p == 2 or len(set(x)) > 2 else 2):
-            return False
-    return True
-
-
-# the estimate checked at load time, its record against the Python pipeline
-# on numpy's sums and fits: (n, t, bw_f, bw_fd, the arms' level and
-# derivative bandwidths).  Arm 0 holds the first n - 3 rows, past one block,
-# whose propensities vary, so a sum at the wrong bandwidth or of unit weights
-# differs, and its last row's phi at bw_f is subnormal; arm 1 holds three rows
-# at one x, so a sum of the other arm differs, its linear fit is
-# rank-deficient (rank 1, its coefficients NaN) and its cubic is not made
-# (rank 0)
+# the estimate checked at load time, its record against the Python pipeline:
+# (n, t, bw_f, bw_fd, the arms' level and derivative bandwidths).  Arm 0 holds
+# the first n - 4 rows, past one block, whose propensities vary, so a sum at
+# the wrong bandwidth or of unit weights differs, and its last row's phi at
+# bw_f is subnormal; arm 1 holds four rows, so a sum of the other arm
+# differs, and its cubic is not made (rank 0).  Three of them are at 0.2 and
+# one 25 ulp above, so the last diagonal entry of its linear fit's R is about
+# 2.2 eps of the largest: below the rank rule's cutoff of n eps, so the fit is
+# rank 1, its coefficients NaN, and above a cutoff of eps alone
 KHA_CHECK = (300, 0.1, 0.3, 0.5, (0.45, 0.8, 0.6, 1.1))
 
 
 def _khA_agrees(lib: ctypes.CDLL) -> bool:
-    from .kernels import _NORMAL_TERMS, _numpy_rows, _rows
     from .nuisance import _record_compiled, _record_pipeline
 
     n, t, bw_f, bw_fd, bws = KHA_CHECK
     i = np.arange(n)
     x, propensity = 2.0 * np.sin(1.3 * i), 0.5 + 0.3 * np.cos(0.7 * i)
     y = x**3 - x + np.sin(2.9 * i)
-    x[n - 4 :] = t + 38.5 * bw_f, 0.2, 0.2, 0.2
-    arms, bws = [(x[: n - 3], y[: n - 3]), (x[n - 3 :], y[n - 3 :])], (bws[:2], bws[2:])
-    want = _record_pipeline(lambda x, g: _numpy_rows(*_rows(x, g), _NORMAL_TERMS), None, x, propensity, t, bw_f,
-                            bw_fd, arms, bws)
+    x[n - 5 :] = t + 38.5 * bw_f, 0.2, 0.2, 0.2, 0.2000000000000007
+    arms, bws = [(x[: n - 4], y[: n - 4]), (x[n - 4 :], y[n - 4 :])], (bws[:2], bws[2:])
+    want = _record_pipeline(x, propensity, t, bw_f, bw_fd, arms, bws)
     return _same(_record_compiled(lib.tr_estimate_khA, x, propensity, t, bw_f, bw_fd, arms, bws), want)
-
-
-# the screens checked at load time, on 21 grid points over [0, 1], 40 rows
-# each: rows beyond the capped pad on both sides (16 384 sub-cells, c = 2.56),
-# whose tails exceed the rest of the bound; a sigma so wide that the binning
-# error is below the rounding, which the slack alone covers; a sigma of 8
-# sub-cells, whose window cuts, with a heavy row half a sub-cell past one
-# sigma from grid point 10, whose binning error nearly meets its bound; and
-# scores that overflow the sums, where every point must be kept
-SCREEN_CHECK = (5, 21, (80.0, 1e7, 0.1, 0.3))
-
-
-def _screen_agrees(lib: ctypes.CDLL) -> bool:
-    import dataclasses
-
-    from .data import ParamSpace
-    from .kernels import _cdf, gaussian_cdf_kernel
-    from .swm import _compiled_screen
-
-    seed, n_pts, sigmas = SCREEN_CHECK
-    rng = np.random.default_rng(seed)
-    x, g = rng.uniform(0.0, 1.0, (4, 40)), rng.standard_normal(40)
-    x[0, :4] = -300.0, -250.0, 271.0, 400.0
-    x[2, 0] = 48.5 / 80.0
-    g = np.stack((g * np.r_[50.0, 50.0, 50.0, 50.0, np.ones(36)], g, g * np.r_[1e3, np.ones(39)], np.full(40, 1e307)))
-    sigma = np.array(sigmas)[:, None, None]
-    # the normal CDF kernel with numpy's Phi, the same bits as tr_normal's, so this check pays no other
-    kernel = dataclasses.replace(gaussian_cdf_kernel(), k=_cdf)
-    with np.errstate(all="ignore"):
-        exact = np.sum(g[:, None, :] * _cdf((x[:, None, :] - np.linspace(0.0, 1.0, n_pts)[:, None]) / sigma), axis=2)
-    for i in range(len(sigmas)):
-        cand, approx, err, slack = _compiled_screen(lib.tr_screen, g[i], x[i], np.argsort(x[i], kind="stable"),
-                                                   kernel, sigmas[i], ParamSpace(0.0, 1.0), n_pts)
-        with np.errstate(all="ignore"):
-            close = bool(np.all(np.abs(approx - exact[i]) <= err + 0.5 * slack))
-        if not (len(cand) == n_pts if i == 3 else close):
-            return False
-    return True
 
 
 # the fits checked at load time, each against the Python pipeline on the
@@ -404,8 +315,7 @@ def _library() -> ctypes.CDLL | None:
 
 
 CHECKS = {"tr_bootstrap_chunk": _bootstrap_agrees, "tr_chernoff_block": _block_agrees, "tr_parse_csv": _parse_agrees,
-          "tr_normal": _normal_agrees, "tr_smoothed": _smoothed_agrees, "tr_local_fit": _local_fit_agrees,
-          "tr_screen": _screen_agrees, "tr_fit_swm": _fit_agrees, "tr_estimate_khA": _khA_agrees}
+          "tr_normal": _normal_agrees, "tr_fit_swm": _fit_agrees, "tr_estimate_khA": _khA_agrees}
 
 
 @functools.cache

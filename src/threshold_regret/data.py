@@ -23,6 +23,7 @@ import csv
 import io
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -238,12 +239,20 @@ def empirical_welfare(sample: Sample, t: float) -> float:
 
     Piecewise constant in ``t``, changing only at observed x values.  Terms
     are accumulated with ``math.fsum`` so the value is independent of row
-    order to full precision.
+    order to full precision.  ``t`` must be a real number other than NaN
+    (ValidationError); -inf treats everyone and +inf no one.  Finite terms
+    whose sum overflows raise NumericError.
     """
+    if not isinstance(t, numbers.Real) or math.isnan(t):
+        raise ValidationError(f"the threshold t must be a real number other than NaN, got {t!r}")
     y, d, p = sample.y, sample.d, sample.propensity
     treated = sample.x > t
     terms = np.where(treated, d * y / p, (1.0 - d) * y / (1.0 - p))
-    return _fsum_rows(terms) / sample.n
+    try:
+        total = _fsum_rows(terms)
+    except OverflowError:
+        raise NumericError(f"sample welfare at t={t} overflows: its terms are finite, their sum is not") from None
+    return total / sample.n
 
 
 def regret(dgp_welfare, t_star: float, t_hat: float, tol: float = 1e-9) -> float:
@@ -252,8 +261,15 @@ def regret(dgp_welfare, t_star: float, t_hat: float, tol: float = 1e-9) -> float
     ``dgp_welfare`` maps a threshold to population welfare and ``t_star``
     must be its maximizer; values in ``(-tol, 0)`` are clamped to zero and
     anything below ``-tol`` signals that ``t_star`` is not actually optimal.
+    Both thresholds must be finite numbers (ValidationError), and a
+    difference that is not finite raises NumericError.
     """
+    for name, t in (("t_star", t_star), ("t_hat", t_hat)):
+        if not (isinstance(t, numbers.Real) and math.isfinite(t)):
+            raise ValidationError(f"{name} must be a finite number, got {t!r}")
     value = float(dgp_welfare(t_star)) - float(dgp_welfare(t_hat))
+    if not math.isfinite(value):
+        raise NumericError(f"regret W(t_star) - W(t_hat) is {value} at t_star={t_star}, t_hat={t_hat}")
     if value < -tol:
         raise NumericError(
             f"regret is {value}, below -{tol}: t_star={t_star} does not maximize the welfare function"

@@ -26,10 +26,11 @@ has loaded, and in the numpy transcription otherwise, with the same bits
 either way; ``norm_cdf``, which is the shipped kernel's k, computes
 Phi alone.  A kernel's weighted sums over the rows (:meth:`Kernel.sums`,
 or :meth:`Kernel.bind` for rows checked once, which the smoothed objective
-and the nuisance estimates take) run in row order; the shipped kernel's run
-compiled in ``tr_smoothed``, or in their numpy transcription, again with
-the same bits.  The library's quantiles, the normal one and the SWM regret
-law's, are :func:`least_double` on this Phi.
+and the nuisance estimates take) run in row order; the shipped kernel's
+take phi once for k' and k'' (:func:`normal_rows`), with the bits of the
+sums that ``tr_fit_swm`` and ``tr_estimate_khA`` make compiled.  The
+library's quantiles, the normal one and the SWM regret law's, are
+:func:`least_double` on this Phi.
 """
 
 from __future__ import annotations
@@ -239,19 +240,18 @@ PHI0 = float(_pdf(np.float64(0.0)))
 
 
 def _rows(x, g):
-    """x and g as C-contiguous float64 rows of one length, at least 1 (the
-    compiled sums read len(x) values of g and trust the shapes)."""
-    x, g = (np.ascontiguousarray(a, dtype=float) for a in (x, g))
+    """x and g as float64 rows of one length, at least 1."""
+    x, g = (np.asarray(a, dtype=float) for a in (x, g))
     if x.ndim != 1 or g.shape != x.shape or not len(x):
         raise ValidationError(f"sums need x and g of one nonzero length, got shapes {x.shape} and {g.shape}")
     return x, g
 
 
 def _thresholds(t, order):
-    """t as a C-contiguous float64 vector, once order is 0 or 1."""
+    """t as a float64 vector, once order is 0 or 1."""
     if order not in (0, 1):
         raise ValidationError(f"order must be 0 or 1, got {order}")
-    t = np.ascontiguousarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise ValidationError(f"sums need a vector t, got shape {t.shape}")
     return t
@@ -271,42 +271,11 @@ def _numpy_rows(x, g, terms):
     return lambda sigma, t, order=0: _row_sums(x, g, sigma, _thresholds(t, order), terms[order], order + 1)
 
 
-class _CompiledRows:
-    """``tr_smoothed``'s sums over checked rows x and g, a function of (sigma, t,
-    order) returning the sums as rows of a new array.
-
-    The rows' addresses are taken once, here, and the rows stay referenced
-    while the kernel reads them.  The thresholds and the sums share one
-    buffer, kept from call to call and grown when a call needs more, so a
-    call passes one address for both.
-    """
-
-    def __init__(self, smoothed, x, g):
-        self._smoothed = smoothed
-        self._rows = x, g
-        self._at = x.ctypes.data, g.ctypes.data, len(x)
-        self._buf, self._at_buf = np.empty(0), 0
-
-    def __call__(self, sigma, t, order=0):
-        t = _thresholds(t, order)
-        m = len(t)
-        if (order + 2) * m > len(self._buf):
-            self._buf = np.empty(max((order + 2) * m, 3))
-            self._at_buf = self._buf.ctypes.data
-        self._buf[:m] = t
-        self._smoothed(*self._at, sigma, self._at_buf, m, order, self._at_buf + 8 * m)
-        return self._buf[m : (order + 2) * m].reshape(order + 1, m).copy()
-
-
 def normal_rows(x, g):
-    """The normal CDF kernel's :meth:`Kernel.bind`: ``tr_smoothed`` once it has
-    loaded and passed its check (see ``_native``), else its numpy transcription,
-    which gives the same bits."""
-    x, g = _rows(x, g)
-    smoothed = _kernel("tr_smoothed")
-    if smoothed is None:
-        return _numpy_rows(x, g, _NORMAL_TERMS)
-    return _CompiledRows(smoothed, x, g)
+    """The normal CDF kernel's :meth:`Kernel.bind`, k' and k'' from one phi per
+    row and threshold, the sums the compiled SWM fit and nuisance estimate
+    repeat bit for bit."""
+    return _numpy_rows(*_rows(x, g), _NORMAL_TERMS)
 
 
 @dataclass(frozen=True)
@@ -361,7 +330,7 @@ class Kernel:
 
 
 class _NormalCdfKernel(Kernel):
-    """The shipped kernel, whose sums are the normal law's own, compiled
+    """The shipped kernel, whose sums are the normal law's own
     (:func:`normal_rows`), with the bits of :meth:`Kernel.sums` over its
     functions.  ``dataclasses.replace`` keeps the class, and so these sums,
     whatever functions it is given; a kernel of other functions is a

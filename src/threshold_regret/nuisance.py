@@ -26,8 +26,9 @@ effective count and the fit's weights.  Python keeps what needs numpy's
 bits or the library's messages: the standard deviations, the arm split,
 the bandwidths, every refusal in its documented order, and K, H and A.  The
 Python pipeline (:func:`_record_pipeline`: ``kernels.normal_rows``'s sums
-and ``tr_local_fit``'s fits, or their numpy transcriptions) runs where the
-call does not load, with the same bits, and is its oracle.
+and :func:`_numpy_local_fit`'s fits) runs where the call does not load,
+with the same bits, and is its oracle; :func:`kde` and :func:`local_poly`
+are its sums and fits.
 """
 
 from __future__ import annotations
@@ -137,8 +138,13 @@ def local_poly(
     return _poly_derivative(beta[derivative], derivative, bandwidth)
 
 
-def _numpy_local_fit(x, y, point: float, bandwidth: float, p: int, work: np.ndarray, beta: np.ndarray) -> int:
-    """``tr_local_fit`` of ``_kernels.c`` in numpy, operation for operation, every row sum by np.cumsum."""
+def _numpy_local_fit(x, y, point: float, bandwidth: float, p: int) -> tuple[int, np.ndarray]:
+    """The rank of the local fit with p coefficients on n > p rows of float64
+    x and y, and its coefficients (NaN unless the rank is p): ``weighted_fit``
+    of ``_kernels.c`` in numpy, operation for operation, every row sum by
+    np.cumsum, at any p (the compiled fit holds p <= 4), with
+    ``solve_design``'s Householder QR solve and rank rule."""
+    work, beta = np.empty((len(x), p + 1)), np.full(p, np.nan)
     with np.errstate(all="ignore"):
         u = (x - point) / bandwidth
         root = np.sqrt(_pdf(u))
@@ -173,23 +179,7 @@ def _numpy_local_fit(x, y, point: float, bandwidth: float, p: int, work: np.ndar
                 for j in range(k + 1, p):
                     acc = acc - work[k, j] * beta[j]
                 beta[k] = acc / work[k, k]
-    return rank
-
-
-def _compiled_local_fit(fit, x, y, point: float, bandwidth: float, p: int, work: np.ndarray, beta: np.ndarray) -> int:
-    """``tr_local_fit`` on C-contiguous float64 arrays, by address (see ``_native``)."""
-    return fit(x.ctypes.data, y.ctypes.data, len(x), point, bandwidth, p, work.ctypes.data, beta.ctypes.data)
-
-
-def _solve(fit, x, y, point: float, bandwidth: float, p: int) -> tuple[int, np.ndarray]:
-    """The rank of the local fit with p <= 4 coefficients on n > p rows of
-    C-contiguous float64 x and y, and its coefficients (NaN unless the rank
-    is p): by ``fit``, the kernel ``tr_local_fit``, or where it is None by
-    its numpy transcription, with the same bits."""
-    work, beta = np.empty((len(x), p + 1)), np.full(p, np.nan)
-    if fit is None:
-        return _numpy_local_fit(x, y, point, bandwidth, p, work, beta), beta
-    return _compiled_local_fit(fit, x, y, point, bandwidth, p, work, beta), beta
+    return rank, beta
 
 
 def _fit_refusal(n: int, point: float, bandwidth: float, degree: int, rank: int | None = None) -> None:
@@ -206,22 +196,14 @@ def _fit_refusal(n: int, point: float, bandwidth: float, degree: int, rank: int 
 
 
 def _local_poly_fit(x, y, point: float, bandwidth: float, degree: int) -> np.ndarray:
-    """Coefficients of the Gaussian-weighted local polynomial in ``(x - point) / bandwidth``.
-
-    Solved by ``tr_local_fit`` (Householder QR; its rank rule is in
-    ``_kernels.c``) once it has loaded and passed its check, else by its
-    numpy transcription, with the same bits.
-    """
-    from . import _native
-
-    x = np.ascontiguousarray(x, dtype=float)
-    y = np.ascontiguousarray(y, dtype=float)
-    # the compiled fit reads len(x) values of y
+    """Coefficients of the Gaussian-weighted local polynomial in ``(x - point) / bandwidth``,
+    by Householder QR with the rank rule of ``solve_design`` in ``_kernels.c``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.shape != x.shape:
         raise ValidationError(f"local fit needs x and y of one length, got shapes {x.shape} and {y.shape}")
     _fit_refusal(len(x), point, bandwidth, degree)
-    p = degree + 1
-    rank, beta = _solve(_native.kernel("tr_local_fit") if p <= 4 else None, x, y, point, bandwidth, p)
+    rank, beta = _numpy_local_fit(x, y, point, bandwidth, degree + 1)
     _fit_refusal(len(x), point, bandwidth, degree, rank)
     return beta
 
@@ -268,22 +250,22 @@ _ARMS, _ARM = 3, 7
 _RECORD = _ARMS + 2 * _ARM
 
 
-def _record_pipeline(rows, fit, x, propensity, t_eval, bw_f, bw_fd, arms, bws) -> list[float]:
-    """The record in Python: ``rows(x, g)`` binds the normal CDF kernel's sums
-    over rows (``kernels.normal_rows``), and ``fit`` is ``tr_local_fit`` or
-    None (its numpy transcription).  A fit on no more rows than coefficients
-    is not made: its rank is 0.  ``tr_estimate_khA`` repeats it bit for bit."""
-    units = rows(x, np.ones(len(x)))
+def _record_pipeline(x, propensity, t_eval, bw_f, bw_fd, arms, bws) -> list[float]:
+    """The record in Python, from the normal CDF kernel's sums over rows
+    (``kernels.normal_rows``) and the numpy local fits.  A fit on no more
+    rows than coefficients is not made: its rank is 0.  ``tr_estimate_khA``
+    repeats it bit for bit."""
+    units = normal_rows(x, np.ones(len(x)))
     record = [_weight_sums(units, t_eval, bw_f)[0], _weight_sums(units, t_eval, bw_fd)[1],
-              _weight_sums(rows(x, propensity), t_eval, bw_f)[0]]
+              _weight_sums(normal_rows(x, propensity), t_eval, bw_f)[0]]
     for (x_j, y_j), (bw_level, bw_deriv) in zip(arms, bws):
-        counts = rows(x_j, np.ones(len(x_j))) if len(x_j) else None
+        counts = normal_rows(x_j, np.ones(len(x_j))) if len(x_j) else None
         fits = []
         # y**2 overflows for |y| above about 1e154; K_hat is then refused
         with np.errstate(over="ignore"):
             for y, bw, p in ((y_j**2, bw_level, 2), (y_j, bw_deriv, 4)):
                 record.append(0.0 if counts is None else _weight_sums(counts, t_eval, bw)[0])
-                fits.append(_solve(fit, x_j, y, t_eval, bw, p) if len(x_j) > p else (0, np.full(p, np.nan)))
+                fits.append(_numpy_local_fit(x_j, y, t_eval, bw, p) if len(x_j) > p else (0, np.full(p, np.nan)))
         (linear_rank, linear), (cubic_rank, cubic) = fits
         record += [linear_rank, cubic_rank, float(linear[0]), float(cubic[1]), float(cubic[2])]
     return record
@@ -340,8 +322,7 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
     bws = [_arm_bandwidths(x_j) for x_j, _ in arms]
     khA = _native.kernel("tr_estimate_khA")
     if khA is None:
-        record = _record_pipeline(normal_rows, _native.kernel("tr_local_fit"), x, sample.propensity, t_eval, bw_f,
-                                  bw_fd, arms, bws)
+        record = _record_pipeline(x, sample.propensity, t_eval, bw_f, bw_fd, arms, bws)
     else:
         record = _record_compiled(khA, x, sample.propensity, t_eval, bw_f, bw_fd, arms, bws)
 

@@ -42,34 +42,34 @@ so the estimate is the one a full exact grid gives.  A kernel whose
 step / sigma, so an extreme sigma makes it infinite and keeps every point
 rather than overflowing, as a NaN anywhere does.
 
-The screen has two forms with one bound.  The compiled one (``tr_screen``
-in ``_kernels.c``) makes one forward pass over the rows in the order that
-sorts x (``Sample._x_order``), where the far rows are a prefix and a
-suffix, then a windowed direct sum: bins within W = 6 bandwidths of a grid
-point are weighted by k at their offsets, all taken in one call of
-``kernel.k``, and those beyond enter at k's limits through suffix sums of
-the bins, which adds the bracketed term (about 1e-9 of sum_near |g_i| for
-the normal CDF) when the window cuts; L is the number of nodes plus the
-window's width.  Where the kernel does not load, numpy correlates the bins
-with k sampled at every offset by an FFT, O(n + N log N) for an FFT of
-length N, with L = N log2 N.  The two may keep different points, never the
-exact argmax's.
+The screen has two forms with one bound.  The Python pipeline's
+(:func:`_numpy_candidates`) correlates the bins with k sampled at every
+offset by an FFT, O(n + N log N) for an FFT of length N, with L = N log2 N.
+The compiled fit's (``screen`` in ``_kernels.c``) makes one forward pass
+over the rows in the order that sorts x (``Sample._x_order``), where the far
+rows are a prefix and a suffix, then a windowed direct sum: bins within W =
+6 bandwidths of a grid point are weighted by k at their offsets, all taken
+in one call of ``kernel.k``, and those beyond enter at k's limits through
+suffix sums of the bins, which adds the bracketed term (about 1e-9 of
+sum_near |g_i| for the normal CDF) when the window cuts; L is the number of
+nodes plus the window's width.  The two may keep different points, never
+the exact argmax's.
 
 Exact values of S_n, and S_n' with S_n'' for the Newton steps, are the
 kernel's weighted sums in row order (``Kernel.sums``), one form for a batch
 of thresholds and for one; a fit binds its rows once (``Kernel.bind``).
-The normal CDF kernel's run compiled, with the library's own phi and Phi,
-so a fit has one set of bits on every host.
+The normal CDF kernel's take the library's own phi and Phi, so a fit has
+one set of bits on every host.
 
 With the normal CDF kernel, a fit makes one compiled call after its
 bandwidth and k's table (``tr_fit_swm`` in ``_kernels.c``).  It lays out
 the grid as ``np.linspace`` does, runs the compiled screen, whose bound
-and kept points it computes itself, takes S_n at the points kept with
-``tr_smoothed``'s sums, their first argmax, the Newton steps, the clamp
-and S_n at t_hat, each in the operation order of the Python pipeline
-(:func:`_pipeline_fit`), so it gives the pipeline's bits.  The pipeline
-runs for other kernels and where the library does not load, and the
-compiled fit is checked against it at load time and in the tests.
+and kept points it computes itself, takes S_n at the points kept, their
+first argmax, the Newton steps, the clamp and S_n at t_hat, each in the
+operation order of the Python pipeline (:func:`_pipeline_fit`), so it
+gives the pipeline's bits.  The pipeline runs for other kernels and where
+the library does not load, and the compiled fit is checked against it at
+load time and in the tests.
 """
 
 from __future__ import annotations
@@ -232,36 +232,21 @@ def _slack_rate(kernel, sigma, space, step, pad, terms):
 def _kept(approx, err, slack):
     """The grid points whose binned value is within 2 err + slack of the binned
     maximum; negated so that a NaN or inf from overflowing scores or bounds
-    keeps every point.  ``tr_screen`` keeps its points by the same rule."""
+    keeps every point.  The compiled screen keeps its points by the same rule."""
     return np.flatnonzero(~(approx < approx.max() - (2.0 * err + slack)))
 
 
-def _grid_candidates(g, x, order, kernel, sigma, space, n_pts):
-    """Indices of the coarse-grid points that can hold the exact grid argmax.
+def _compiled_fit(fit, g, x, order, kernel, sigma, space, n_pts):
+    """``tr_fit_swm``'s t_hat, S_n there and the grid maximum: the compiled
+    screen, then :func:`_pipeline_fit` with the normal CDF kernel's sums, in
+    one call and with the same bits.
 
-    ``order`` sorts x ascending (``Sample._x_order``).  The screen runs
-    compiled in ``tr_screen`` once it has loaded and passed its check (see
-    ``_native``), else in numpy (:func:`_numpy_candidates`).  The two
-    approximate S_n differently, so they may keep different points, but
-    each keeps every point whose exact value is the grid maximum.
-    """
-    screen = _kernel("tr_screen")
-    if screen is None:
-        return _numpy_candidates(g, x, kernel, sigma, space, n_pts)
-    return _compiled_screen(screen, g, x, order, kernel, sigma, space, n_pts)[0]
-
-
-def _compiled_layout(g, x, order, kernel, sigma, space, n_pts, outputs):
-    """What the compiled screen takes besides the space: x, g and ``order`` as it
-    reads them; one buffer holding k's table, then ``outputs`` doubles and the
-    screen's scratch; the table's length; and the layout (step, n_pts,
-    subcells, m0, m1, w, coef, rate).
-
-    Bins within _WINDOW_SIGMAS bandwidths of a grid point are weighted by k
-    at their offsets, taken in one call of ``kernel.k`` with k at the pad's
-    and the window's ends, which bound the tails.  coef and rate are err's
-    binning term and the slack per unit of |g| (see ``tr_screen``).  Refuses
-    rows of other shapes, and an order whose ends are not indices of x.
+    The screen weights the bins within _WINDOW_SIGMAS bandwidths of a grid
+    point by k at their offsets, which this takes in one call of
+    ``kernel.k``, with k at the pad's and the window's ends, which bound the
+    tails; it passes err's binning term and the slack per unit of |g| (see
+    ``screen`` in ``_kernels.c``).  Refuses x, g and ``order`` of other
+    shapes, and an order that is not a permutation sorting x.
     """
     x, g = (np.ascontiguousarray(a, dtype=float) for a in (x, g))
     order = np.ascontiguousarray(order, dtype=np.int64)
@@ -282,39 +267,16 @@ def _compiled_layout(g, x, order, kernel, sigma, space, n_pts, outputs):
     z *= step
     z /= sigma
     z[-4:] = -c, c, -_WINDOW_SIGMAS, _WINDOW_SIGMAS
-    buf = np.empty(len(z) + outputs + 2 * (m1 - m0) + 3 + -(-n // 8))
-    buf[: len(z)] = kernel.k(z)
+    # k's table, then the three results and the fit's work: the binned values, err and slack, and the screen's
+    # scratch of 2 (m1 - m0) + 3 doubles and n bytes
+    buf = np.empty(len(z) + n_pts + 5 + 2 * (m1 - m0) + 3 + -(-n // 8))
+    table = len(z)
+    buf[:table] = kernel.k(z)
     h = step / sigma
     rate = _slack_rate(kernel, sigma, space, step, pad, n + m1 - m0 + 2 * w + 3)
-    return (x, g, order), buf, len(z), (step, n_pts, _SUBCELLS, m0, m1, w, h * h / 8.0 * kernel.k2_sup, rate)
-
-
-def _compiled_screen(screen, g, x, order, kernel, sigma, space, n_pts):
-    """``tr_screen``'s candidates, its binned values at every grid point, and
-    their ``err`` and ``slack``: each value lies within err + slack / 2 of the
-    exact one.  Refuses what :func:`_compiled_layout` refuses, and an order
-    that is not a permutation sorting x.
-    """
-    (x, g, order), buf, table, layout = _compiled_layout(g, x, order, kernel, sigma, space, n_pts, 2 * n_pts + 2)
     at = buf.ctypes.data
-    kept = screen(x.ctypes.data, g.ctypes.data, order.ctypes.data, len(x), space.lo, *layout, at, at + 8 * table)
-    if kept < 0:
-        raise ValidationError(_ORDER_REFUSAL)
-    work = buf[table:]
-    err, slack = work[n_pts : n_pts + 2].tolist()
-    return work[n_pts + 2 : n_pts + 2 + kept].view(np.int64), work[:n_pts], err, slack
-
-
-def _compiled_fit(fit, g, x, order, kernel, sigma, space, n_pts):
-    """``tr_fit_swm``'s t_hat, S_n there and the grid maximum: the compiled
-    screen, then :func:`_pipeline_fit` with the normal CDF kernel's sums, in
-    one call and with the same bits.  Refuses what :func:`_compiled_screen`
-    refuses.
-    """
-    (x, g, order), buf, table, layout = _compiled_layout(g, x, order, kernel, sigma, space, n_pts, n_pts + 5)
-    at = buf.ctypes.data
-    if fit(x.ctypes.data, g.ctypes.data, order.ctypes.data, len(x), sigma, space.lo, space.hi, *layout, at,
-           at + 8 * table) < 0:
+    if fit(x.ctypes.data, g.ctypes.data, order.ctypes.data, n, sigma, space.lo, space.hi, step, n_pts, _SUBCELLS,
+           m0, m1, w, h * h / 8.0 * kernel.k2_sup, rate, at, at + 8 * table) < 0:
         raise ValidationError(_ORDER_REFUSAL)
     return buf[table : table + 3].tolist()
 
@@ -454,12 +416,11 @@ def fit_swm(
     bandwidth so modes of width sigma cannot be skipped) locates the global
     mode.  Newton steps on S_n' = 0, started at the best grid point and kept
     inside its two neighbours by bisection, refine it until a step is at most
-    half of 1e-8 times the space width.  The best grid point is the
-    exact argmax over the grid, found by screening the grid with a binned
-    approximation of bounded error (compiled where the kernel loads, else
-    by numpy's FFT) and evaluating exactly only the points the bound
-    cannot rule out (all of them when ``kernel.k2_sup`` is ``inf``); see the
-    module docstring.  With the shipped normal CDF kernel (its class, which
+    half of 1e-8 times the space width.  The best grid point is the exact
+    argmax over the grid, found by screening the grid with a binned
+    approximation of bounded error and evaluating exactly only the points
+    the bound cannot rule out (all of them when ``kernel.k2_sup`` is
+    ``inf``); see the module docstring.  With the shipped normal CDF kernel (its class, which
     ``dataclasses.replace`` keeps), everything after the bandwidth and the
     table of ``kernel.k`` runs in one compiled call, ``tr_fit_swm``, once it
     has loaded and passed its check; it gives the bits of the Python
@@ -481,7 +442,7 @@ def fit_swm(
     # Score sums that overflow are refused below, once the objective is known not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         if fit is None:
-            cand = _grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, n_pts)
+            cand = _numpy_candidates(g, sample.x, kernel, sigma, space, n_pts)
             t_hat, objective_value, peak = _pipeline_fit(kernel.bind(sample.x, g), sample.n, sigma, space, cand,
                                                          n_pts)
         else:

@@ -136,6 +136,24 @@ def test_empirical_welfare_constant_between_order_statistics(rng):
     assert max(values) == min(values)
 
 
+def test_empirical_welfare_refuses_a_threshold_that_is_nan_or_not_a_number():
+    """NaN used to give the treat-nobody welfare, and a string a raw UFuncTypeError."""
+    s = Sample(y=[1.0, -2.0, 0.5], d=[1, 0, 1], x=[0.0, 1.0, 2.0], propensity=0.5)
+    for t in (math.nan, np.float64("nan"), "0.5", None, np.array([0.3])):
+        with pytest.raises(ValidationError, match="^the threshold t must be a real number other than NaN"):
+            empirical_welfare(s, t)
+    assert empirical_welfare(s, -math.inf) == empirical_welfare(s, -1.0)
+    assert empirical_welfare(s, math.inf) == empirical_welfare(s, 3.0)
+
+
+def test_empirical_welfare_refuses_a_sum_that_overflows():
+    """Finite terms of 1.6e308 whose sum overflows used to leak fsum's raw OverflowError."""
+    s = Sample(y=[0, 8e307, 0, 8e307], d=[1, 0, 1, 0], x=[0.0, 1.0, 2.0, 3.0], propensity=0.5)
+    with pytest.raises(NumericError, match="^sample welfare at t=10.0 overflows"):
+        empirical_welfare(s, 10.0)
+    assert empirical_welfare(s, 2.5) == 4e307
+
+
 def test_regret_zero_at_optimum():
     assert regret(MODEL1.welfare, MODEL1.t_star, MODEL1.t_star) == 0.0
 
@@ -154,6 +172,19 @@ def test_regret_nonnegative_over_grid():
 def test_regret_rejects_non_optimal_t_star():
     with pytest.raises(NumericError):
         regret(MODEL1.welfare, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("t_star, t_hat", [(0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf), (0.0, "0.1"),
+                                           (None, 0.0)])
+def test_regret_refuses_a_threshold_that_is_not_a_finite_number(t_star, t_hat):
+    """A NaN t_hat used to return a NaN regret."""
+    with pytest.raises(ValidationError, match="must be a finite number"):
+        regret(MODEL1.welfare, t_star, t_hat)
+
+
+def test_regret_refuses_a_welfare_difference_that_is_not_finite():
+    with pytest.raises(NumericError, match="^regret W\\(t_star\\) - W\\(t_hat\\) is nan"):
+        regret(lambda t: math.inf, 0.0, 1.0)
 
 
 # --- Sample validation -----------------------------------------------------

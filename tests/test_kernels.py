@@ -140,7 +140,8 @@ def test_optimal_lambda_and_rate_bandwidth(kernel):
 
 
 def test_the_shipped_kernels_compiled_sums_are_the_sums_of_its_functions():
-    """gaussian_cdf_kernel() sums through kernels.normal_rows; a Kernel of the same
+    """gaussian_cdf_kernel() sums through kernels.normal_rows, whose bits the
+    compiled SWM fit and nuisance estimate repeat; a Kernel of the same
     functions sums them in numpy, to the same bits.  dataclasses.replace keeps the
     class and its sums, so a wrapper that only counts calls of k changes no result."""
     from unittest import mock

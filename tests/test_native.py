@@ -4,6 +4,7 @@ import csv
 import ctypes
 import decimal
 import math
+import re
 import shutil
 import struct
 import subprocess
@@ -75,22 +76,11 @@ def _callers(tmp_path):
         "tr_parse_csv": (lambda: np.concatenate(_columns(data.load_sample_csv(path, propensity=0.5))),
                          (data, "_load_sample_rows")),
         "tr_normal": (lambda: np.stack(kernels._normal_law(x * 9.0)), (kernels, "_cdf")),
-        "tr_smoothed": (lambda: kernels.normal_rows(x, x**3)(0.3, np.array([-0.5, 0.0, 2.0]), 1),
-                        (kernels, "_row_sums")),
-        "tr_local_fit": (lambda: nuisance._local_poly_fit(x, x**3, 0.1, 0.8, 3), (nuisance, "_numpy_local_fit")),
-        "tr_screen": (lambda: _screen_candidates(draw_sample(MODEL1, 300, 2), 0.3), (swm, "_numpy_candidates")),
         "tr_fit_swm": (lambda: _fit_values(swm.fit_swm(draw_sample(MODEL1, 300, 2), kernels.gaussian_cdf_kernel(),
                                                        swm.LambdaRate(2.0))), (swm, "_newton_max")),
         "tr_estimate_khA": (lambda: np.array(astuple(nuisance.estimate_khA(draw_sample(MODEL1, 300, 2), 0.1))),
                             (nuisance, "_record_pipeline")),
     }
-
-
-def _screen_candidates(sample, sigma):
-    """The grid points that the screen of a fit at ``sigma`` keeps."""
-    g, space = data._ipw_g(sample), data.default_space(sample)
-    kernel = kernels.gaussian_cdf_kernel()
-    return swm._grid_candidates(g, sample.x, sample._x_order, kernel, sigma, space, swm._grid_points(space, sigma))
 
 
 def _fit_values(est):
@@ -146,8 +136,8 @@ print("CHECKED", checked)
 
 def test_an_estimate_checks_the_fused_kernel_alone(native):
     """A fresh process that estimates K, H and A checks ``tr_estimate_khA``
-    and not the sums and local fits it replaces; ``infer --method plugin``
-    adds only the CSV parser and the Chernoff kernel."""
+    alone, not the normal law; ``infer --method plugin`` adds only the CSV
+    parser and the Chernoff kernel."""
     code = """
 import os, sys, tempfile
 import numpy as np
@@ -751,7 +741,26 @@ def test_library_links_only_libm_and_the_loader():
     assert names - weak == {"exp", "log1p", "sqrt", "memcpy", "memset"}
 
 
-# --- the normal law and the smoothed sums (tr_smoothed) --------------------------
+class _Bindings(dict):
+    """A stand-in library for ``_native._typed`` that records each function it types."""
+
+    def __getattr__(self, name):
+        return self.setdefault(name, types.SimpleNamespace())
+
+
+def test_every_exported_kernel_is_typed_and_checked():
+    """The non-static ``tr_*`` functions of ``_kernels.c`` are the ones ``_typed``
+    binds, and each is checked at load time (``CHECKS``) or is one of the two
+    hooks the tests call, so a retired kernel cannot leave a dead export."""
+    exported = set(re.findall(r"^(?!static\b)\w[\w *]*?\b(tr_\w+)\(", _native.SOURCE.read_text(), re.M))
+    bound = _Bindings()
+    _native._typed(bound)
+    assert exported == set(bound)
+    assert set(_native.CHECKS) <= exported
+    assert exported - set(_native.CHECKS) == {"tr_chernoff_block_scalar", "tr_chernoff_lanes"}
+
+
+# --- the normal law (tr_normal) and the smoothed sums -----------------------------
 
 
 def _ulps(a, b):
@@ -816,35 +825,14 @@ def test_norm_cdf_computes_phi_alone_with_the_bits_of_the_whole_law(native):
         assert _native._same(kernels.norm_cdf(z), phi)
 
 
-_FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
-
-
-@given(
-    x=st.lists(_FLOATS, min_size=1, max_size=40),
-    scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
-    sigma=st.sampled_from([5e-324, 1e-6, 0.3, 2.0, 1e6]),
-    t=st.lists(_FLOATS | st.sampled_from([np.inf, -np.inf]), min_size=1, max_size=5),
-    order=st.sampled_from([0, 1]),
-)
-@settings(max_examples=300, deadline=None, derandomize=True)
-def test_smoothed_sums_match_their_numpy_transcription(native, x, scale, sigma, t, order):
-    """Bit for bit, overflowing u and scores, zero and infinite thresholds included."""
-    x = np.array(x)
-    g = np.linspace(-1.0, 2.0, len(x)) * scale
-    t = np.array(t)
-    got = kernels._CompiledRows(native.tr_smoothed, x, g)(sigma, t, order)
-    want = kernels._row_sums(x, g, sigma, t, kernels._NORMAL_TERMS[order], order + 1)
-    assert all(_native._same(a, b) for a, b in zip(got, want))
-
-
-def test_smoothed_sums_match_scipy_within_their_rounding(native):
+def test_smoothed_sums_match_scipy_within_their_rounding():
     """S_n, S_n' and S_n'' against fsum over scipy's ndtr and math.exp: within the
     sequential sum's bound n eps sum |terms|, plus 4 ulp of each term."""
     scipy_special = pytest.importorskip("scipy.special")
     sample = draw_sample(MODEL1, 3000, 8)
     g = sample.y * (sample.d / 0.5 - (1 - sample.d) / 0.5)
     t = np.linspace(-1.0, 1.0, 7)
-    sums = kernels._CompiledRows(native.tr_smoothed, sample.x, g)
+    sums = kernels.normal_rows(sample.x, g)
     got, slopes = sums(0.2, t, 0)[0], sums(0.2, t, 1)
     eps = np.finfo(float).eps
     for j, tj in enumerate(t):
@@ -856,39 +844,37 @@ def test_smoothed_sums_match_scipy_within_their_rounding(native):
             assert abs(value - math.fsum(terms)) <= bound
 
 
-# --- the local polynomial fits (tr_local_fit) -----------------------------------
+# --- the local polynomial fits --------------------------------------------------
 
 
-def _local_design(seed, n, degree, spread, point):
+def _local_design(seed, n, spread, point):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * spread
     return x, x**3 - 0.5 * x * x + x + rng.standard_normal(n), point
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 400), degree=st.sampled_from([1, 3]),
-       spread=st.sampled_from([1e-3, 0.5, 1.0, 30.0]), point=st.floats(-3.0, 3.0),
-       bandwidth=st.sampled_from([0.05, 0.4, 2.0, 50.0]), repeat=st.integers(1, 4))
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), spread=st.sampled_from([1e-3, 0.5, 1.0, 30.0]),
+       point=st.floats(-3.0, 3.0), bandwidth=st.sampled_from([0.05, 0.4, 2.0, 50.0]), repeat=st.integers(1, 4))
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_local_fit_matches_its_numpy_transcription(native, seed, n, degree, spread, point, bandwidth, repeat):
-    """Rank and coefficients bit for bit, rank-deficient designs (few distinct x) included."""
-    x, y, point = _local_design(seed, n, degree, spread, point)
+def test_local_fit_matches_its_numpy_transcription(native, seed, n, spread, point, bandwidth, repeat):
+    """The local fits of ``tr_estimate_khA``, linear of y^2 and cubic of y,
+    against the pipeline's numpy fits: ranks and coefficients bit for bit,
+    rank-deficient designs (few distinct x) and fits not made (no more rows
+    than coefficients) included.  The design is arm 0, and its rows reversed
+    arm 1, both at ``bandwidth``."""
+    x, y, point = _local_design(seed, n, spread, point)
     x = np.repeat(x[: max(1, n // repeat)], repeat)[:n]
     y = y[: len(x)]
-    if len(x) < degree + 2:
-        return
-    p = degree + 1
-    got = np.empty((len(x), p + 1)), np.full(p, np.nan)
-    want = np.empty((len(x), p + 1)), np.full(p, np.nan)
-    rank = nuisance._compiled_local_fit(native.tr_local_fit, x, y, point, bandwidth, p, *got)
-    assert rank == nuisance._numpy_local_fit(x, y, point, bandwidth, p, *want)
-    assert _native._same(got[1], want[1])
+    arms = [(x, y), (x[::-1].copy(), y[::-1].copy())]
+    rows = x, np.full(len(x), 0.5), point, bandwidth, bandwidth, arms, ((bandwidth, bandwidth),) * 2
+    assert _native._same(nuisance._record_compiled(native.tr_estimate_khA, *rows), nuisance._record_pipeline(*rows))
 
 
 @pytest.mark.parametrize("degree", [1, 3])
 @pytest.mark.parametrize("seed", range(6))
-def test_local_fit_matches_lstsq_on_full_rank_designs(native, degree, seed):
+def test_local_fit_matches_lstsq_on_full_rank_designs(degree, seed):
     """Householder QR against LAPACK's SVD solve: 1e-12 relative to the coefficient vector."""
-    x, y, point = _local_design(seed, 50 + 300 * seed, degree, 1.0, 0.3 * seed - 0.7)
+    x, y, point = _local_design(seed, 50 + 300 * seed, 1.0, 0.3 * seed - 0.7)
     bandwidth = 0.3 + 0.2 * seed
     beta = nuisance._local_poly_fit(x, y, point, bandwidth, degree)
     u = (x - point) / bandwidth
@@ -904,24 +890,35 @@ def test_local_fit_matches_lstsq_on_full_rank_designs(native, degree, seed):
     (np.concatenate((np.full(30, 0.3), [300.0, 400.0])), 3),  # the rows that differ have weight exactly 0
 ])
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
-def test_local_fit_refuses_rank_deficient_designs(native, monkeypatch, x, degree, compiled):
-    if not compiled:
-        monkeypatch.setattr(_native, "kernel", lambda name: None)
+def test_local_fit_refuses_rank_deficient_designs(native, x, degree, compiled):
+    """The numpy fit refuses the design; ``tr_estimate_khA``'s fit of it as an
+    arm reports the short rank, which ``estimate_khA`` refuses by the same rule."""
+    if compiled:
+        rows = x, np.full(len(x), 0.5), 0.3, 0.5, 0.5, [(x, np.sin(x))] * 2, ((0.5, 0.5),) * 2
+        # arm 0's linear or cubic rank, after the three sums and the arm's two counts
+        rank = int(nuisance._record_compiled(native.tr_estimate_khA, *rows)[nuisance._ARMS + 2 + (degree == 3)])
+        with pytest.raises(RankDeficiencyError, match="rank-deficient local fit"):
+            nuisance._fit_refusal(len(x), 0.3, 0.5, degree, rank)
     with pytest.raises(RankDeficiencyError, match="rank-deficient local fit"):
         nuisance._local_poly_fit(x, np.sin(x), 0.3, 0.5, degree)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
-def test_sums_and_local_fits_refuse_rows_of_other_shapes(native, monkeypatch, compiled):
-    """The compiled kernels read len(x) values of g or y, so neither path takes
-    weights or responses of another length, nor rows that are not one vector."""
-    if not compiled:
-        monkeypatch.setattr(_native, "kernel", lambda name: None)
+def test_sums_and_local_fits_refuse_rows_of_other_shapes(native, compiled):
+    """Neither the sums nor the local fits take weights or responses of another
+    length, nor rows that are not one vector; nor does the compiled SWM fit,
+    which reads len(x) values of g and of the order by address."""
     x, t = np.linspace(-1.0, 1.0, 40), np.array([0.0, 0.3])
     normal = kernels.gaussian_cdf_kernel()
     generic = kernels.Kernel(k=normal.k, k1=normal.k1, k2=normal.k2, alpha1=1.0, alpha2=normal.alpha2)
-    for rows, other in ((x, x[:39]), (x, np.ones(41)), (x, np.ones((40, 1))), (x.reshape(8, 5), x.reshape(8, 5)),
-                        (x[:0], x[:0])):
+    shapes = ((x, x[:39]), (x, np.ones(41)), (x, np.ones((40, 1))), (x.reshape(8, 5), x.reshape(8, 5)), (x[:0], x[:0]))
+    if compiled:
+        for rows, other in shapes:
+            for g, order in ((other, np.arange(len(rows))), (rows, np.arange(len(rows) - 1))):
+                with pytest.raises(ValidationError, match="^the screen needs x, g and its order of one nonzero"):
+                    swm._compiled_fit(native.tr_fit_swm, g, rows, order, normal, 0.5, data.ParamSpace(-1.0, 1.0), 201)
+        return
+    for rows, other in shapes:
         for order in (0, 1):
             for sums in (normal.sums, generic.sums):
                 with pytest.raises(ValidationError, match="^sums need x and g of one nonzero length"):

@@ -238,12 +238,6 @@ def test_estimate_khA_matches_two_fits_per_arm_bit_for_bit(model, n):
     assert (est.k_hat, est.h_hat, est.a_hat) == two_fit_khA(s, t, KERNEL)
 
 
-def _pipeline():
-    """A context in which ``estimate_khA`` runs its Python pipeline, the other kernels as they load."""
-    kernel = _native.kernel
-    return mock.patch.object(_native, "kernel", lambda name: None if name == "tr_estimate_khA" else kernel(name))
-
-
 def _outcome(sample, t_eval):
     """The estimate's fields as bits, or the type and message of what it raises."""
     try:
@@ -303,7 +297,7 @@ def test_estimate_khA_refuses_in_order_on_every_path(sample, error, message):
     """The first refusal in the documented order, with its message, whether
     the fused kernel or the pipeline makes the sums and fits."""
     sample = sample()
-    for path in (_pipeline(), mock.patch.object(_native, "kernel", lambda name: None), contextlib.nullcontext()):
+    for path in (mock.patch.object(_native, "kernel", lambda name: None), contextlib.nullcontext()):
         with path:
             kind, text = _outcome(sample, 0.0)
         assert kind == error and re.fullmatch(message if error == "RankDeficiencyError" else re.escape(message), text)
@@ -449,6 +443,6 @@ def test_sd_is_exact_under_power_of_two_scaling(shift):
 
 
 def test_local_poly_above_cubic_fits_by_the_numpy_transcription():
-    """The compiled fit holds at most cubics; a quartic is still exact."""
+    """The compiled fits hold at most cubics; the numpy fit of a quartic is still exact."""
     x = np.linspace(-1.0, 1.0, 50)
     assert local_poly(x, x**4, 0.0, 0.8, degree=4, derivative=4) == pytest.approx(24.0, rel=1e-8)

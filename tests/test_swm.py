@@ -24,8 +24,6 @@ from threshold_regret.swm import (
     LambdaRate,
     PlugInOptimal,
     Undersmoothed,
-    _compiled_screen,
-    _grid_candidates,
     _smoothed,
     fit_swm,
     smoothed_objective,
@@ -35,6 +33,13 @@ from threshold_regret.swm import (
 from helpers import _golden_section_max, load_script, overflowing_sample, pinned, random_sample
 
 KERNEL = gaussian_cdf_kernel()
+
+
+def _of_its_functions(kernel):
+    """A :class:`Kernel` of ``kernel``'s functions, whose sums have the bits of
+    ``kernel``'s (``test_kernels``) and take the normal law from ``tr_normal``
+    where that loads: a faster reference where many thresholds are summed."""
+    return Kernel(kernel.k, kernel.k1, kernel.k2, kernel.alpha1, kernel.alpha2)
 
 
 def test_huge_bandwidth_flattens_to_half_mean_score(rng):
@@ -291,37 +296,20 @@ def _full_and_screened(g, x, kernel, sigma, space):
     n_pts = swm._grid_points(space, sigma)
     ts = np.linspace(space.lo, space.hi, n_pts)
     sums = kernel.bind(x, g)
-    full = _smoothed(sums, len(x), sigma, ts)
-    cand = _grid_candidates(g, x, np.argsort(x, kind="stable"), kernel, sigma, space, n_pts)
+    full = _smoothed(_of_its_functions(kernel).bind(x, g), len(x), sigma, ts)
+    cand = swm._numpy_candidates(g, x, kernel, sigma, space, n_pts)
     return full, cand, int(cand[np.argmax(_smoothed(sums, len(x), sigma, ts[cand]))])
 
 
-def _screens():
-    """Contexts in which ``_grid_candidates`` runs each screen it can run here:
-    the numpy one, and the compiled one where ``tr_screen`` loads."""
-    numpy_only = mock.patch.object(swm, "_kernel", lambda name: None)
-    return [numpy_only] + ([contextlib.nullcontext()] if _native.kernel("tr_screen") is not None else [])
-
-
 def _pipeline_only():
-    """A context in which ``fit_swm`` runs its Python pipeline, the screen
-    compiled where ``tr_screen`` loads, not ``tr_fit_swm``."""
-    return mock.patch.object(swm, "_kernel", lambda name: None if name == "tr_fit_swm" else _native.kernel(name))
+    """A context in which ``fit_swm`` runs its Python pipeline, not ``tr_fit_swm``."""
+    return mock.patch.object(swm, "_kernel", lambda name: None)
 
 
 def _fit_paths():
     """Contexts in which ``fit_swm`` runs each path it can take here: the
-    pipeline with the numpy screen, with the compiled screen where
-    ``tr_screen`` loads, and the compiled fit where ``tr_fit_swm`` loads."""
-    return (_screens()[:1] + [_pipeline_only()] * (_native.kernel("tr_screen") is not None)
-            + [contextlib.nullcontext()] * (_native.kernel("tr_fit_swm") is not None))
-
-
-def _compiled_screen_kernel():
-    screen = _native.kernel("tr_screen")
-    if screen is None:
-        pytest.skip("tr_screen did not build, load or pass its check here")
-    return screen
+    pipeline, and the compiled fit where ``tr_fit_swm`` loads."""
+    return [_pipeline_only()] + [contextlib.nullcontext()] * (_native.kernel("tr_fit_swm") is not None)
 
 
 @given(
@@ -347,15 +335,13 @@ def test_screened_grid_argmax_matches_full_exact_grid(seed, n, sigma, ties, outl
     else:
         eps = 0.05 * (x.max() - x.min()) or 0.5
         space = ParamSpace(x.min() - eps, x.max() + eps)
-    for screen in _screens():
-        with screen:
-            full, _, best = _full_and_screened(g, x, KERNEL, sigma, space)
-        tol = 1e-12 * float(np.sum(np.abs(g))) / n
-        second, first = np.sort(full)[-2:]
-        if first - second > tol:
-            assert best == int(np.argmax(full))
-        else:
-            assert full[best] >= first - tol
+    full, _, best = _full_and_screened(g, x, KERNEL, sigma, space)
+    tol = 1e-12 * float(np.sum(np.abs(g))) / n
+    second, first = np.sort(full)[-2:]
+    if first - second > tol:
+        assert best == int(np.argmax(full))
+    else:
+        assert full[best] >= first - tol
 
 
 def test_screen_keeps_a_near_tie_that_binning_misorders():
@@ -368,12 +354,10 @@ def test_screen_keeps_a_near_tie_that_binning_misorders():
     s2 = h1 / h2 * (1.0 + 1e-8)
     x = np.array([0.25 - 40 * sub, 0.25 + 40 * sub, 0.75 - 40.5 * sub, 0.75 + 40.5 * sub])
     g = np.array([-1.0, 1.0, -s2, s2])
-    for screen in _screens():
-        with screen:
-            full, cand, best = _full_and_screened(g, x, KERNEL, sigma, ParamSpace(0.0, 1.0))
-        assert len(full) == 201 and int(np.argmax(full)) == 150
-        assert full[150] - full[50] > 1e-9
-        assert 50 in cand and best == 150
+    full, cand, best = _full_and_screened(g, x, KERNEL, sigma, ParamSpace(0.0, 1.0))
+    assert len(full) == 201 and int(np.argmax(full)) == 150
+    assert full[150] - full[50] > 1e-9
+    assert 50 in cand and best == 150
 
 
 def test_screen_keeps_few_candidates_on_benchmark_samples():
@@ -381,58 +365,9 @@ def test_screen_keeps_few_candidates_on_benchmark_samples():
     for n in (500, 3000):
         s = draw_sample(MODEL1, n, 5)
         g = s.d * s.y / s.propensity - (1 - s.d) * s.y / (1 - s.propensity)
-        for screen in _screens():
-            with screen:
-                full, cand, best = _full_and_screened(g, s.x, KERNEL, (lam / n) ** 0.2, default_space(s))
-            assert best == int(np.argmax(full))
-            assert len(cand) <= 12
-
-
-@example(seed=0, n=40, log_sigma=4, left=1.5, right=30.0)
-@example(seed=1, n=300, log_sigma=-5, left=30.0, right=1.5)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([2, 5, 40, 300]),
-    log_sigma=st.integers(-5, 4),
-    left=st.sampled_from([None, 0.5, 1.5, 30.0]),
-    right=st.sampled_from([None, 0.5, 1.5, 30.0]),
-)
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_compiled_screen_keeps_the_exact_grid_argmax(seed, n, log_sigma, left, right):
-    """Each binned value of ``tr_screen`` lies within err + slack / 2 of the exact
-    sum at its grid point, so it keeps the exact grid argmax, at sigma from 1e-5
-    to 1e4 (grids of 201 to _GRID_CAP points), with rows ``left`` and ``right``
-    times _PAD_CAP sub-cells outside the space."""
-    screen = _compiled_screen_kernel()
-    rng = np.random.default_rng(seed)
-    x, g = rng.normal(size=n), rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2, n)
-    space, sigma = ParamSpace(-2.0, 2.5), 1.7 * 10.0**log_sigma
-    n_pts = swm._grid_points(space, sigma)
-    reach = _PAD_CAP * space.width / (swm._SUBCELLS * (n_pts - 1))
-    if left is not None:
-        x[0] = space.lo - left * reach
-    if right is not None:
-        x[-1] = space.hi + right * reach
-    cand, approx, err, slack = _compiled_screen(screen, g, x, np.argsort(x, kind="stable"), KERNEL, sigma, space,
-                                                n_pts)
-    exact = KERNEL.bind(x, g)(sigma, np.linspace(space.lo, space.hi, n_pts))[0]
-    assert int(np.argmax(exact)) in cand
-    if math.isfinite(err + slack):
-        assert np.all(np.abs(approx - exact) <= err + 0.5 * slack)
-        np.testing.assert_array_equal(cand, np.flatnonzero(approx >= approx.max() - (2.0 * err + slack)))
-    else:
-        np.testing.assert_array_equal(cand, np.arange(n_pts))
-
-
-def test_compiled_screen_refuses_an_order_that_does_not_sort_x():
-    screen = _compiled_screen_kernel()
-    x, g = np.array([0.3, -0.1, 0.7]), np.ones(3)
-    assert len(_compiled_screen(screen, g, x, np.array([1, 0, 2]), KERNEL, 0.1, ParamSpace(-1.0, 1.0), 201)[0])
-    for order in ([0, 1, 2], [2, 0, 1], [1, 0, 3], [1, 0, -1], [1, 1, 2], [3, 0, 2], [1, 0, 0]):
-        with pytest.raises(ValidationError, match="order must be a permutation that sorts x"):
-            _compiled_screen(screen, g, x, np.array(order), KERNEL, 0.1, ParamSpace(-1.0, 1.0), 201)
-    with pytest.raises(ValidationError, match="one nonzero length"):
-        _compiled_screen(screen, g, x, np.array([1, 0]), KERNEL, 0.1, ParamSpace(-1.0, 1.0), 201)
+        full, cand, best = _full_and_screened(g, s.x, KERNEL, (lam / n) ** 0.2, default_space(s))
+        assert best == int(np.argmax(full))
+        assert len(cand) <= 12
 
 
 def test_each_screen_takes_k_in_one_call_of_the_kernel():
@@ -463,18 +398,16 @@ def test_screens_keep_the_exact_grid_argmax_of_another_cdf_kernel(sigma):
     rng = np.random.default_rng(11)
     x, g = rng.normal(size=200), rng.normal(size=200)
     x[0], x[1] = -40.0, 55.0
-    for screen in _screens():
-        with screen:
-            full, cand, best = _full_and_screened(g, x, LOGISTIC, sigma, ParamSpace(-2.0, 2.0))
-        assert int(np.argmax(full)) in cand and best == int(np.argmax(full))
+    full, cand, best = _full_and_screened(g, x, LOGISTIC, sigma, ParamSpace(-2.0, 2.0))
+    assert int(np.argmax(full)) in cand and best == int(np.argmax(full))
 
 
 def test_fit_swm_calls_no_numpy_fft_with_the_kernel():
-    """The compiled screen replaces the FFT, and the fit it gives is the numpy screen's."""
+    """The compiled fit's screen replaces the FFT, and the fit it gives is the numpy screen's."""
     sample = draw_sample(MODEL2, 500, 4)
     rules = (LambdaRate(KERNEL.optimal_lambda(MODEL2.K, MODEL2.A)), PlugInOptimal(), FixedBandwidth(0.01))
-    _compiled_screen_kernel()
-    with _screens()[0]:
+    _compiled_fit_kernel()
+    with _pipeline_only():
         want = [fit_swm(sample, KERNEL, rule) for rule in rules]
     fft = mock.Mock(side_effect=AssertionError("numpy's FFT ran"))
     with mock.patch.object(np.fft, "rfft", fft), mock.patch.object(np.fft, "irfft", fft):
@@ -503,11 +436,10 @@ def test_screens_refuse_a_space_whose_sub_cells_underflow():
     g = _ipw_g(s)
     with pytest.raises(ValidationError, match="too narrow for a grid of 201 points"):
         swm._numpy_candidates(g, s.x, KERNEL, 0.1, space, 201)
-    compiled = [(name, _native.kernel(name)) for name in ("tr_screen", "tr_fit_swm")]
-    for name, run in ((name, run) for name, run in compiled if run is not None):
-        call = _compiled_screen if name == "tr_screen" else swm._compiled_fit
+    fit = _native.kernel("tr_fit_swm")
+    if fit is not None:
         with pytest.raises(ValidationError, match="too narrow for a grid of 201 points"):
-            call(run, g, s.x, s._x_order, KERNEL, 0.1, space, 201)
+            swm._compiled_fit(fit, g, s.x, s._x_order, KERNEL, 0.1, space, 201)
     for path in _fit_paths():
         with path, pytest.raises(ValidationError, match="too narrow for a grid of 201 points"):
             fit_swm(s, KERNEL, FixedBandwidth(0.1), space)
@@ -518,7 +450,7 @@ def test_infinite_k2_sup_evaluates_the_full_exact_grid():
     g = s.d * s.y / s.propensity - (1 - s.d) * s.y / (1 - s.propensity)
     space = default_space(s)
     unbounded = dataclasses.replace(KERNEL, k2_sup=math.inf)
-    np.testing.assert_array_equal(_grid_candidates(g, s.x, s._x_order, unbounded, 0.3, space, 201), np.arange(201))
+    np.testing.assert_array_equal(swm._numpy_candidates(g, s.x, unbounded, 0.3, space, 201), np.arange(201))
     for rule in (FixedBandwidth(0.05), LambdaRate(2.8)):
         assert fit_swm(s, unbounded, rule, space) == fit_swm(s, KERNEL, rule, space)
 
@@ -582,7 +514,7 @@ def _newton_and_golden(sample, rule, space=None):
 
     def both(slopes, lo, hi, t, tol):
         def objective(u):
-            return smoothed_objective(sample, KERNEL, rule.sigma, u)
+            return smoothed_objective(sample, _of_its_functions(KERNEL), rule.sigma, u)
 
         t_newton = newton_max(slopes, lo, hi, t, tol)
         t_golden = _golden_section_max(objective, lo, hi, tol)
@@ -682,35 +614,46 @@ def _outcome(fit):
     return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(est))
 
 
-@example(seed=0, n=3000, log_sigma=-5, left=30.0, right=1.5, ties=False, huge=False)
-@example(seed=1, n=40, log_sigma=4, left=1.5, right=30.0, ties=True, huge=False)
-@example(seed=2, n=5, log_sigma=0, left=None, right=None, ties=False, huge=True)
-@example(seed=3, n=500, log_sigma=-2, left=0.5, right=0.5, ties=True, huge=True)
+@example(seed=0, n=3000, log_sigma=-5, left=30.0, right=1.5, ties=False, huge=False, scale=1.0)
+@example(seed=1, n=40, log_sigma=4, left=1.5, right=30.0, ties=True, huge=False, scale=1.0)
+@example(seed=2, n=5, log_sigma=0, left=None, right=None, ties=False, huge=True, scale=1.0)
+@example(seed=3, n=500, log_sigma=-2, left=0.5, right=0.5, ties=True, huge=True, scale=1.0)
+@example(seed=4, n=300, log_sigma=-5, left=30.0, right=1.5, ties=False, huge=False, scale=1.0)
+@example(seed=5, n=17, log_sigma=-324, left=None, right=0.5, ties=True, huge=False, scale=1e-300)
+@example(seed=7, n=40, log_sigma=-324, left=1.5, right=30.0, ties=False, huge=False, scale=1e8)
+@example(seed=6, n=2, log_sigma=300, left=1.5, right=None, ties=False, huge=False, scale=1e300)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([5, 17, 500, 3000]),
-    log_sigma=st.integers(-5, 4),
+    n=st.sampled_from([2, 5, 17, 40, 300, 500, 3000]),
+    log_sigma=st.sampled_from([*range(-5, 5), 300]),
     left=st.sampled_from([None, 0.5, 1.5, 30.0]),
     right=st.sampled_from([None, 0.5, 1.5, 30.0]),
     ties=st.booleans(),
     huge=st.booleans(),
+    scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_compiled_fit_gives_the_pipelines_estimate(seed, n, log_sigma, left, right, ties, huge):
+def test_compiled_fit_gives_the_pipelines_estimate(seed, n, log_sigma, left, right, ties, huge, scale):
     """``tr_fit_swm`` and the Python pipeline give the same estimate bit for bit,
     or the same exception, at sigma from 1.7e-5 to 1.7e4 of the space's width
-    (grids of 201 to _GRID_CAP points), with rows ``left`` and ``right`` times
-    _PAD_CAP sub-cells outside the space, tied x, and scores of 1e307 whose
-    sums overflow."""
+    (grids of 201 to _GRID_CAP points), at 5e-324 and at 1.7e300 of it, with
+    rows ``left`` and ``right`` times _PAD_CAP sub-cells outside the space,
+    tied x, scores scaled from 1e-300 to 1e300, and scores of 1e307 whose
+    sums overflow.  Where the sums overflow, the numpy screen's FFT overflows
+    (scores of 1e300) or sigma is 5e-324 (two examples), the pipeline keeps
+    every grid point and sums every row at each, so at most 1e6 / n_pts rows
+    are fitted there."""
     _compiled_fit_kernel()
+    space = ParamSpace(-2.0, 2.5)
+    sigma = max(1.7 * 10.0**log_sigma * space.width, 5e-324)
+    n_pts = swm._grid_points(space, sigma)
+    if huge or scale > 1e200 or log_sigma < -290:
+        n = min(n, 1_000_000 // n_pts)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n)
     if ties:
         x = np.round(x, 1)
-    y = rng.normal(size=n) * (1e307 if huge else 10.0 ** rng.uniform(-2, 2, n))
-    space = ParamSpace(-2.0, 2.5)
-    sigma = 1.7 * 10.0**log_sigma * space.width
-    n_pts = swm._grid_points(space, sigma)
+    y = rng.normal(size=n) * (1e307 if huge else 10.0 ** rng.uniform(-2, 2, n) * scale)
     reach = _PAD_CAP * space.width / (swm._SUBCELLS * (n_pts - 1))
     if left is not None:
         x[0] = space.lo - left * reach
@@ -737,19 +680,15 @@ def test_compiled_fit_gives_the_pipelines_estimate_on_benchmark_samples():
 
 def test_fit_swm_makes_one_compiled_call():
     """Where ``tr_fit_swm`` loads, a fit with the shipped kernel computes S_n,
-    its grid and its Newton steps in that call: with ``tr_smoothed``,
-    ``tr_screen``, ``np.linspace`` and the Python Newton iteration made to
+    its grid and its Newton steps in that call: with the numpy screen, the
+    numpy sums, ``np.linspace`` and the Python Newton iteration made to
     raise, it still succeeds, with the estimate it gave before."""
     _compiled_fit_kernel()
     sample = draw_sample(MODEL2, 500, 4)
     rules = (LambdaRate(KERNEL.optimal_lambda(MODEL2.K, MODEL2.A)), FixedBandwidth(0.01), FixedBandwidth(30.0))
     want = [fit_swm(sample, KERNEL, rule) for rule in rules]
     refused = mock.Mock(side_effect=AssertionError("called"))
-
-    def loader(name):
-        return refused if name in ("tr_smoothed", "tr_screen") else _native.kernel(name)
-
-    with mock.patch.object(swm, "_kernel", loader), mock.patch("threshold_regret.kernels._kernel", loader), \
+    with mock.patch.object(swm, "_numpy_candidates", refused), mock.patch("threshold_regret.kernels._row_sums", refused), \
             mock.patch.object(np, "linspace", refused), mock.patch.object(swm, "_newton_max", refused):
         assert [fit_swm(sample, KERNEL, rule) for rule in rules] == want
     assert not refused.called
