@@ -1701,24 +1701,26 @@ static double newton_max(const double *x, const double *g, int64_t n, double sig
  * kept, by smoothed_at, and the first argmax of those values with
  * np.argmax's NaN rule; Newton refinement from that point inside its two
  * neighbours, with the tolerance 1e-8 (hi - lo); the result clamped to
- * [lo, hi], as min(max(t, lo), hi); and S_n there.  work[0..2] receives t_hat, S_n at
- * t_hat and the grid maximum (NaN where any value kept is NaN), and holds
- * n_pts + 2 doubles and the screen's scratch after them.  Returns 0, or -1
- * when order is not a permutation that sorts x ascending. */
+ * [lo, hi], as min(max(t, lo), hi); and S_n there.  work[0..3] receives t_hat, S_n at
+ * t_hat, the grid maximum (NaN where any value kept is NaN) and the number
+ * of points kept; the screen's values (n_pts doubles), err and slack follow,
+ * then its scratch.  Returns 0, or -1 when order is not a permutation that
+ * sorts x ascending. */
 int64_t tr_fit_swm(const double *x, const double *g, const int64_t *order, int64_t n, double sigma, double lo,
                    double hi, double step, int64_t n_pts, int64_t subcells, int64_t m0, int64_t m1, int64_t w,
                    double coef, double rate, const double *table, double *work)
 {
-    double *approx = work + 3, *bound = approx + n_pts;
+    double *approx = work + 4, *bound = approx + n_pts;
     if (screen(x, g, order, n, lo, step, n_pts, subcells, m0, m1, w, table, coef, rate, approx, bound,
                bound + 2) < 0)
         return -1;
     const double least = kept_from(approx, n_pts, bound), nd = (double)n, grid = (hi - lo) / (double)(n_pts - 1);
     double peak = 0.0, unused;
-    int64_t best = -1;
+    int64_t best = -1, kept = 0;
     for (int64_t j = 0; j < n_pts; j++) {
         if (approx[j] < least)
             continue;
+        kept++;
         double v;
         smoothed_at(x, g, n, sigma, grid_point(lo, hi, grid, n_pts, j), 0, &v, &unused);
         v = v / nd;
@@ -1740,6 +1742,7 @@ int64_t tr_fit_swm(const double *x, const double *g, const int64_t *order, int64
     work[0] = t;
     work[1] = objective / nd;
     work[2] = peak;
+    work[3] = (double)kept;
     return 0;
 }
 

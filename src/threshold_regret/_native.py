@@ -33,9 +33,11 @@ the normal CDF kernel: the grid, its screen (see ``swm``), the exact values
 of the points kept and the Newton refinement in one call; its check
 (``FIT_CHECK``) requires the bits of the Python pipeline on the full exact
 grid, on cases where the first argmax among ties, the bracket's ends, the
-bisection and the clamp each decide.  ``tr_estimate_khA`` makes every sum
-and local fit of a nuisance estimate in one call, from one phi per row and
-bandwidth; its check (``KHA_CHECK``) requires the bits of the Python
+bisection and the clamp each decide, and the screen's values within its
+bound of the exact sums, and its points kept, where the far rows' tails,
+the rounding slack and the binning error each decide.  ``tr_estimate_khA``
+makes every sum and local fit of a nuisance estimate in one call, from one
+phi per row and bandwidth; its check (``KHA_CHECK``) requires the bits of the Python
 pipeline, on fits of full rank, short of rank and not made.  The module is
 imported only when a kernel is first wanted, so ``import threshold_regret``
 loads none of ``sysconfig``, ``hashlib`` or ``subprocess``.
@@ -230,10 +232,10 @@ def _same(a, b) -> bool:
 
 
 def _normal_agrees(lib: ctypes.CDLL) -> bool:
-    from .kernels import _cdf, _k2, _law, _pdf
+    from .kernels import _cdf, _density_terms, _law
 
     z = np.array(NORMAL_CHECK)
-    return (all(map(_same, _law(lib.tr_normal, z), (_cdf(z), _pdf(z), _k2(z))))
+    return (all(map(_same, _law(lib.tr_normal, z), (_cdf(z), *_density_terms(z))))
             and _same(_law(lib.tr_normal, z, 1)[0], _cdf(z)))
 
 
@@ -262,39 +264,54 @@ def _khA_agrees(lib: ctypes.CDLL) -> bool:
     return _same(_record_compiled(lib.tr_estimate_khA, x, propensity, t, bw_f, bw_fd, arms, bws), want)
 
 
-# the fits checked at load time, each against the Python pipeline on the
-# full exact grid, with no screen: (x, g, sigma, lo, hi).  Tied x, rows beyond
-# the capped pad on both sides and a heavy row, with S_n's maximum inside
-# the space; a plateau, where S_n is 1/2 at about ten grid points, so the
-# grid ties (the first argmax must win) and the Newton steps from the first
-# of them leave its bracket above, whose end decides where they stop; a
-# symmetric bump whose maximum is grid point 0.38, where the steps end at the
-# bracket's lower end; zero scores on a space near the largest double, where
-# S_n is flat, so every step bisects, the midpoint overflows to inf and the
-# clamp brings it back; and scores whose sums overflow to inf at every point
+# the fits checked at load time, (x, g, sigma, lo, hi, n_pts): each against
+# the Python pipeline on the full exact grid, with the screen's binned values
+# within err + slack / 2 of the exact sums and as many points kept as
+# ``swm._kept`` keeps from them (every point where the bound is not finite).
+# Tied x, rows beyond the capped pad and a heavy row; a plateau of about ten
+# tied grid points, where the first argmax wins and the Newton steps stop at
+# the bracket's upper end; a bump whose steps stop at its lower end; zero
+# scores near the largest double, where every step bisects, the midpoint
+# overflows to inf and the clamp brings it back; sums that overflow at every
+# point; two bumps 40 sub-cells wide, the one higher by 7e-9 binned low, so
+# the binned values alone pick the other; and on 21 points, rows beyond the
+# capped pad (c = 2.56) whose tails exceed the rest of the bound, a sigma so
+# wide that the slack alone covers the rounding, and a sigma of 8 sub-cells,
+# whose window cuts, with a heavy row whose binning error nearly meets its
+# bound
 _FIT_X = np.round(np.random.default_rng(7).uniform(0.0, 1.0, 40), 1)
+_SCREEN_RNG = np.random.default_rng(5)
+_SCREEN_X, _SCREEN_G = _SCREEN_RNG.uniform(0.0, 1.0, (3, 40)), _SCREEN_RNG.standard_normal(40)
 FIT_CHECK = (
     (np.r_[-300.0, _FIT_X[1:-1], 400.0], np.r_[50.0, _FIT_X[1:5] - 0.45, 20.0, _FIT_X[6:-1] - 0.45, -50.0], 0.1,
-     0.0, 1.0),
-    (np.array([0.3, 0.682]), np.array([-1.0, 1.0]), 0.02, 0.0, 1.0),
-    (np.array([0.09, 0.67]), np.array([-2.9, 2.9]), 0.126, 0.0, 1.0),
-    (np.array([1.2e308]), np.array([0.0]), 1.2e306, 1e308, 1.6e308),
-    (_FIT_X, np.full(40, 1e307), 0.1, 0.0, 1.0),
+     0.0, 1.0, 201),
+    (np.array([0.3, 0.682]), np.array([-1.0, 1.0]), 0.02, 0.0, 1.0, 201),
+    (np.array([0.09, 0.67]), np.array([-2.9, 2.9]), 0.126, 0.0, 1.0, 201),
+    (np.array([1.2e308]), np.array([0.0]), 1.2e306, 1e308, 1.6e308, 201),
+    (_FIT_X, np.full(40, 1e307), 0.1, 0.0, 1.0, 201),
+    (np.array([0.2, 0.3, 0.699375, 0.800625]), np.array([-1.0, 1.0, -0.9912713140389582, 0.9912713140389582]), 0.05,
+     0.0, 1.0, 201),
+    (np.r_[-300.0, -250.0, 271.0, 400.0, _SCREEN_X[0, 4:]], _SCREEN_G * np.r_[50.0, 50.0, 50.0, 50.0, np.ones(36)],
+     80.0, 0.0, 1.0, 21),
+    (_SCREEN_X[1], _SCREEN_G, 1e7, 0.0, 1.0, 21),
+    (np.r_[48.5 / 80.0, _SCREEN_X[2, 1:]], _SCREEN_G * np.r_[1e3, np.ones(39)], 0.1, 0.0, 1.0, 21),
 )
 
 
 def _fit_agrees(lib: ctypes.CDLL) -> bool:
     from .data import ParamSpace
     from .kernels import gaussian_cdf_kernel, normal_rows
-    from .swm import _compiled_fit, _grid_points, _pipeline_fit
+    from .swm import _compiled_fit, _kept, _pipeline_fit
 
     kernel = gaussian_cdf_kernel()
-    for x, g, sigma, lo, hi in FIT_CHECK:
-        space = ParamSpace(lo, hi)
-        n_pts = _grid_points(space, sigma)
-        want = _pipeline_fit(normal_rows(x, g), len(x), sigma, space, np.arange(n_pts), n_pts)
-        got = _compiled_fit(lib.tr_fit_swm, g, x, np.argsort(x, kind="stable"), kernel, sigma, space, n_pts)
-        if not _same(got, want):
+    for x, g, sigma, lo, hi, n_pts in FIT_CHECK:
+        space, rows = ParamSpace(lo, hi), normal_rows(x, g)
+        want = _pipeline_fit(rows, len(x), sigma, space, np.arange(n_pts), n_pts)
+        work = _compiled_fit(lib.tr_fit_swm, g, x, np.argsort(x, kind="stable"), kernel, sigma, space, n_pts)
+        approx, (err, slack) = work[4:-2], work[-2:]
+        bounded = not np.isfinite(err + slack) or np.all(
+            np.abs(approx - rows(sigma, np.linspace(lo, hi, n_pts))[0]) <= err + 0.5 * slack)
+        if not (_same(work[:3], want) and work[3] == len(_kept(approx, err, slack)) and bounded):
             return False
     return True
 

@@ -27,10 +27,10 @@ either way; ``norm_cdf``, which is the shipped kernel's k, computes
 Phi alone.  A kernel's weighted sums over the rows (:meth:`Kernel.sums`,
 or :meth:`Kernel.bind` for rows checked once, which the smoothed objective
 and the nuisance estimates take) run in row order; the shipped kernel's
-take phi once for k' and k'' (:func:`normal_rows`), with the bits of the
-sums that ``tr_fit_swm`` and ``tr_estimate_khA`` make compiled.  The
-library's quantiles, the normal one and the SWM regret law's, are
-:func:`least_double` on this Phi.
+take their terms from ``tr_normal``, phi once for k' and k''
+(:func:`normal_rows`), with the bits of the sums that ``tr_fit_swm`` and
+``tr_estimate_khA`` make compiled.  The library's quantiles, the normal one
+and the SWM regret law's, are :func:`least_double` on this Phi.
 """
 
 from __future__ import annotations
@@ -133,20 +133,15 @@ def _density_terms(u):
     return e, (-np.clip(u, -40.0, 40.0)) * e
 
 
-def _k2(u):
-    return _density_terms(u)[1]
-
-
 def _row_sums(x, g, sigma, t, terms, parts):
     """For each of the ``parts`` arrays f(u) of ``terms(u)``, sum_i g_i f((x_i - t_j) / sigma) at each t_j, in row
-    order from the first term."""
+    order from the first term (one np.cumsum along the rows for all parts)."""
     out = np.empty((parts, len(t)))
     rows = max(1, _CHUNK // len(x))
     with np.errstate(all="ignore"):
         for lo in range(0, len(t), rows):
             u = (x[None, :] - t[lo : lo + rows, None]) / sigma
-            for values, term in zip(out, terms(u)):
-                values[lo : lo + rows] = np.cumsum(g * term, axis=1)[:, -1]
+            out[:, lo : lo + rows] = np.cumsum(g * np.asarray(terms(u)), axis=-1)[..., -1]
     return out
 
 
@@ -173,26 +168,22 @@ def _law(normal, z, parts=3):
     return buf[1:]
 
 
-def _normal_law(z):
-    """Phi(z), phi(z) and k''(z) = -z phi(z) elementwise, by ``tr_normal`` once it
-    has loaded and passed its check (see ``_native``), else by the numpy
-    transcriptions, which give the same bits."""
+def _normal_law(z, parts=3):
+    """Phi(z), phi(z) and k''(z) = -z phi(z) elementwise (``parts`` 3) or Phi(z)
+    alone (``parts`` 1), by ``tr_normal`` once it has loaded and passed its
+    check (see ``_native``), else by the numpy transcriptions, which give the
+    same bits."""
     z = np.asarray(z, dtype=float)
     normal = _kernel("tr_normal")
     if normal is None:
-        return (_cdf(z), *_density_terms(z))
-    return _law(normal, z)
+        return (_cdf(z), *_density_terms(z)) if parts == 3 else (_cdf(z),)
+    return _law(normal, z, parts)
 
 
 def norm_cdf(z):
     """Standard normal CDF Phi, elementwise: cephes's ``ndtr`` (Cody's erfc fits)
-    with the library's own exp, and nothing else computed (the bits of
-    :func:`_normal_law`'s Phi)."""
-    z = np.asarray(z, dtype=float)
-    normal = _kernel("tr_normal")
-    if normal is None:
-        return _cdf(z)[()]
-    return _law(normal, z, 1)[0][()]
+    with the library's own exp, and nothing else computed."""
+    return _normal_law(z, 1)[0][()]
 
 
 def norm_pdf(z):
@@ -258,11 +249,17 @@ def _thresholds(t, order):
 
 
 def _cdf_terms(u):
-    return (_cdf(u),)
+    return norm_cdf(u)[None]
 
 
-# the terms of the normal CDF kernel's sums at order 0 and 1 (k; k' and k''), in numpy
-_NORMAL_TERMS = _cdf_terms, _density_terms
+def _pdf_terms(u):
+    """phi(u) and k''(u) from one phi, by ``tr_normal`` where it loads, else in numpy."""
+    normal = _kernel("tr_normal")
+    return _density_terms(u) if normal is None else _law(normal, u)[1:]
+
+
+# the terms of the normal CDF kernel's sums at order 0 and 1 (k; k' and k''), by tr_normal where it loads
+_NORMAL_TERMS = _cdf_terms, _pdf_terms
 
 
 def _numpy_rows(x, g, terms):
@@ -272,9 +269,9 @@ def _numpy_rows(x, g, terms):
 
 
 def normal_rows(x, g):
-    """The normal CDF kernel's :meth:`Kernel.bind`, k' and k'' from one phi per
-    row and threshold, the sums the compiled SWM fit and nuisance estimate
-    repeat bit for bit."""
+    """The normal CDF kernel's :meth:`Kernel.bind`, on :func:`_normal_law`'s
+    terms, k' and k'' from one phi per row and threshold: the sums the
+    compiled SWM fit and nuisance estimate repeat bit for bit."""
     return _numpy_rows(*_rows(x, g), _NORMAL_TERMS)
 
 

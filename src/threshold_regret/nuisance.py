@@ -40,7 +40,7 @@ import numpy as np
 
 from .data import Sample
 from .errors import ArmDataError, NumericError, RankDeficiencyError, ValidationError
-from .kernels import PHI0, Kernel, _pdf, gaussian_cdf_kernel, normal_rows
+from .kernels import PHI0, Kernel, _pdf_terms, gaussian_cdf_kernel, normal_rows
 from ._workers import require_int
 
 __all__ = ["NuisanceEstimates", "kde", "local_poly", "estimate_khA", "optimal_bandwidth"]
@@ -144,40 +144,45 @@ def _numpy_local_fit(x, y, point: float, bandwidth: float, p: int) -> tuple[int,
     of ``_kernels.c`` in numpy, operation for operation, every row sum by
     np.cumsum, at any p (the compiled fit holds p <= 4), with
     ``solve_design``'s Householder QR solve and rank rule."""
-    work, beta = np.empty((len(x), p + 1)), np.full(p, np.nan)
+    n = len(x)
+    # column j of the design is work[j], so every sum over rows runs along one contiguous row
+    work, beta, terms = np.empty((p + 1, n)), np.full(p, np.nan), np.empty(n)
     with np.errstate(all="ignore"):
         u = (x - point) / bandwidth
-        root = np.sqrt(_pdf(u))
-        power = np.ones(len(x))
+        root = np.sqrt(_pdf_terms(u)[0])
+        power = np.ones(n)
         for j in range(p):
-            work[:, j] = root * power
+            work[j] = root * power
             power = power * u
-        work[:, p] = root * y
+        work[p] = root * y
         diag = []
         for k in range(p):
-            below = work[k + 1 :]
+            v = work[k, k + 1 :]
             alpha = work[k, k]
-            norm2 = np.cumsum(below[:, k] * below[:, k])[-1]
+            norm2 = np.cumsum(v * v)[-1]
             if norm2 == 0.0:
                 diag.append(alpha)
                 continue
             nrm = np.sqrt(alpha * alpha + norm2)
             beta_k = -nrm if alpha >= 0.0 else nrm
             tau = (beta_k - alpha) / beta_k
-            below[:, k] = below[:, k] / (alpha - beta_k)
-            s = tau * np.cumsum(np.concatenate((work[k : k + 1, k + 1 :], below[:, k : k + 1] * below[:, k + 1 :])),
-                                axis=0)[-1]
-            work[k, k + 1 :] = work[k, k + 1 :] - s
+            v /= alpha - beta_k
+            for j in range(k + 1, p + 1):
+                # the column's entry in row k, then v times the rows below, summed in row order
+                terms[k] = work[j, k]
+                np.multiply(v, work[j, k + 1 :], out=terms[k + 1 :])
+                s = tau * np.cumsum(terms[k:])[-1]
+                work[j, k] = work[j, k] - s
+                work[j, k + 1 :] = work[j, k + 1 :] - s * v
             work[k, k] = beta_k
             diag.append(beta_k)
-            below[:, k + 1 :] = below[:, k + 1 :] - s * below[:, k : k + 1]
         diag = np.abs(np.array(diag))
-        rank = int(np.sum(diag > len(x) * np.finfo(float).eps * np.fmax.reduce(diag, initial=0.0)))
+        rank = int(np.sum(diag > n * np.finfo(float).eps * np.fmax.reduce(diag, initial=0.0)))
         if rank == p:
             for k in range(p - 1, -1, -1):
-                acc = work[k, p]
+                acc = work[p, k]
                 for j in range(k + 1, p):
-                    acc = acc - work[k, j] * beta[j]
+                    acc = acc - work[j, k] * beta[j]
                 beta[k] = acc / work[k, k]
     return rank, beta
 

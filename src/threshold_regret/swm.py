@@ -237,9 +237,10 @@ def _kept(approx, err, slack):
 
 
 def _compiled_fit(fit, g, x, order, kernel, sigma, space, n_pts):
-    """``tr_fit_swm``'s t_hat, S_n there and the grid maximum: the compiled
-    screen, then :func:`_pipeline_fit` with the normal CDF kernel's sums, in
-    one call and with the same bits.
+    """``tr_fit_swm``'s record: t_hat, S_n there and the grid maximum (the
+    compiled screen, then :func:`_pipeline_fit` with the normal CDF kernel's
+    sums, in one call and with the same bits), the number of grid points the
+    screen kept, its n_pts binned values, err and slack, as one array.
 
     The screen weights the bins within _WINDOW_SIGMAS bandwidths of a grid
     point by k at their offsets, which this takes in one call of
@@ -267,9 +268,9 @@ def _compiled_fit(fit, g, x, order, kernel, sigma, space, n_pts):
     z *= step
     z /= sigma
     z[-4:] = -c, c, -_WINDOW_SIGMAS, _WINDOW_SIGMAS
-    # k's table, then the three results and the fit's work: the binned values, err and slack, and the screen's
-    # scratch of 2 (m1 - m0) + 3 doubles and n bytes
-    buf = np.empty(len(z) + n_pts + 5 + 2 * (m1 - m0) + 3 + -(-n // 8))
+    # k's table, then the record: the three results, the count kept, the binned values, err and slack; then the
+    # screen's scratch of 2 (m1 - m0) + 3 doubles and n bytes
+    buf = np.empty(len(z) + n_pts + 6 + 2 * (m1 - m0) + 3 + -(-n // 8))
     table = len(z)
     buf[:table] = kernel.k(z)
     h = step / sigma
@@ -278,7 +279,7 @@ def _compiled_fit(fit, g, x, order, kernel, sigma, space, n_pts):
     if fit(x.ctypes.data, g.ctypes.data, order.ctypes.data, n, sigma, space.lo, space.hi, step, n_pts, _SUBCELLS,
            m0, m1, w, h * h / 8.0 * kernel.k2_sup, rate, at, at + 8 * table) < 0:
         raise ValidationError(_ORDER_REFUSAL)
-    return buf[table : table + 3].tolist()
+    return buf[table : table + n_pts + 6]
 
 
 def _numpy_candidates(g, x, kernel, sigma, space, n_pts):
@@ -447,7 +448,7 @@ def fit_swm(
                                                          n_pts)
         else:
             t_hat, objective_value, peak = _compiled_fit(fit, g, sample.x, sample._x_order, kernel, sigma, space,
-                                                         n_pts)
+                                                         n_pts)[:3].tolist()
     if not (math.isfinite(peak) and math.isfinite(objective_value)):
         raise NumericError(
             f"smoothed objective is not finite (grid maximum {peak}, {objective_value} "

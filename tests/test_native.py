@@ -135,9 +135,10 @@ print("CHECKED", checked)
 
 
 def test_an_estimate_checks_the_fused_kernel_alone(native):
-    """A fresh process that estimates K, H and A checks ``tr_estimate_khA``
-    alone, not the normal law; ``infer --method plugin`` adds only the CSV
-    parser and the Chernoff kernel."""
+    """A fresh process that estimates K, H and A checks ``tr_estimate_khA``,
+    the one kernel it calls, and with it only the normal law (``tr_normal``),
+    whose phi its check's Python oracle takes; ``infer --method plugin``
+    adds only the CSV parser and the Chernoff kernel."""
     code = """
 import os, sys, tempfile
 import numpy as np
@@ -163,8 +164,8 @@ with tempfile.TemporaryDirectory() as tmp:
 print("INFER", checked)
 """
     lines = fresh_python(code).splitlines()
-    assert lines[0] == "ESTIMATE ['tr_estimate_khA']"
-    assert lines[-1] == "INFER ['tr_estimate_khA', 'tr_parse_csv', 'tr_chernoff_block']"
+    assert lines[0] == "ESTIMATE ['tr_estimate_khA', 'tr_normal']"
+    assert lines[-1] == "INFER ['tr_estimate_khA', 'tr_normal', 'tr_parse_csv', 'tr_chernoff_block']"
 
 
 def _chunk_args(seed, n, distinct, score_scale, reps):
@@ -805,7 +806,7 @@ def test_normal_law_matches_its_numpy_transcription(native, z):
     Phi alone too."""
     z = np.array(z)
     got = kernels._law(native.tr_normal, z)
-    assert all(map(_native._same, got, (kernels._cdf(z), kernels._pdf(z), kernels._k2(z))))
+    assert all(map(_native._same, got, (kernels._cdf(z), *kernels._density_terms(z))))
     assert _native._same(kernels._law(native.tr_normal, z, 1)[0], got[0])
 
 

@@ -35,13 +35,6 @@ from helpers import _golden_section_max, load_script, overflowing_sample, pinned
 KERNEL = gaussian_cdf_kernel()
 
 
-def _of_its_functions(kernel):
-    """A :class:`Kernel` of ``kernel``'s functions, whose sums have the bits of
-    ``kernel``'s (``test_kernels``) and take the normal law from ``tr_normal``
-    where that loads: a faster reference where many thresholds are summed."""
-    return Kernel(kernel.k, kernel.k1, kernel.k2, kernel.alpha1, kernel.alpha2)
-
-
 def test_huge_bandwidth_flattens_to_half_mean_score(rng):
     s = random_sample(rng, 15)
     g = s.d * s.y / s.propensity - (1 - s.d) * s.y / (1 - s.propensity)
@@ -296,7 +289,7 @@ def _full_and_screened(g, x, kernel, sigma, space):
     n_pts = swm._grid_points(space, sigma)
     ts = np.linspace(space.lo, space.hi, n_pts)
     sums = kernel.bind(x, g)
-    full = _smoothed(_of_its_functions(kernel).bind(x, g), len(x), sigma, ts)
+    full = _smoothed(sums, len(x), sigma, ts)
     cand = swm._numpy_candidates(g, x, kernel, sigma, space, n_pts)
     return full, cand, int(cand[np.argmax(_smoothed(sums, len(x), sigma, ts[cand]))])
 
@@ -310,6 +303,36 @@ def _fit_paths():
     """Contexts in which ``fit_swm`` runs each path it can take here: the
     pipeline, and the compiled fit where ``tr_fit_swm`` loads."""
     return [_pipeline_only()] + [contextlib.nullcontext()] * (_native.kernel("tr_fit_swm") is not None)
+
+
+def _sample_of_scores(g, x):
+    """A sample whose IPW scores are g, bit for bit: treated rows of y = g / 2
+    and untreated rows of y = -g / 2, at propensity 1/2."""
+    d = np.arange(len(x)) % 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)  # tied x
+        sample = Sample(y=np.where(d == 1, 0.5 * g, -0.5 * g), d=d, x=x, propensity=0.5)
+    assert _ipw_g(sample).tobytes() == np.asarray(g, dtype=float).tobytes()
+    return sample
+
+
+def _fit_on_every_path(g, x, sigma, space):
+    """``fit_swm`` at sigma on scores g: one estimate on every path (see
+    :func:`_fit_paths`), whose t_hat this returns."""
+    sample = _sample_of_scores(g, x)
+    outcomes = set()
+    for path in _fit_paths():
+        with path:
+            outcomes.add(_outcome(lambda: fit_swm(sample, KERNEL, FixedBandwidth(sigma), space)))
+    assert len(outcomes) == 1
+    return float.fromhex(outcomes.pop()[0])
+
+
+def _compiled_screen(g, x, sigma, space, n_pts):
+    """``tr_fit_swm``'s screen of a fit at sigma: the grid maximum of the points
+    it kept, their number, its binned values, err and slack."""
+    work = swm._compiled_fit(_compiled_fit_kernel(), g, x, np.argsort(x, kind="stable"), KERNEL, sigma, space, n_pts)
+    return float(work[2]), int(work[3]), work[4:-2], float(work[-2]), float(work[-1])
 
 
 @given(
@@ -342,6 +365,7 @@ def test_screened_grid_argmax_matches_full_exact_grid(seed, n, sigma, ties, outl
         assert best == int(np.argmax(full))
     else:
         assert full[best] >= first - tol
+    _fit_on_every_path(g, x, sigma, space)
 
 
 def test_screen_keeps_a_near_tie_that_binning_misorders():
@@ -358,6 +382,10 @@ def test_screen_keeps_a_near_tie_that_binning_misorders():
     assert len(full) == 201 and int(np.argmax(full)) == 150
     assert full[150] - full[50] > 1e-9
     assert 50 in cand and best == 150
+    assert abs(_fit_on_every_path(g, x, sigma, ParamSpace(0.0, 1.0)) - 0.75) < sigma
+    if _native.kernel("tr_fit_swm") is not None:
+        _, kept, approx, _, _ = _compiled_screen(g, x, sigma, ParamSpace(0.0, 1.0), 201)
+        assert int(np.argmax(approx)) == 50 and kept == 2
 
 
 def test_screen_keeps_few_candidates_on_benchmark_samples():
@@ -365,9 +393,48 @@ def test_screen_keeps_few_candidates_on_benchmark_samples():
     for n in (500, 3000):
         s = draw_sample(MODEL1, n, 5)
         g = s.d * s.y / s.propensity - (1 - s.d) * s.y / (1 - s.propensity)
-        full, cand, best = _full_and_screened(g, s.x, KERNEL, (lam / n) ** 0.2, default_space(s))
+        sigma, space = (lam / n) ** 0.2, default_space(s)
+        full, cand, best = _full_and_screened(g, s.x, KERNEL, sigma, space)
         assert best == int(np.argmax(full))
         assert len(cand) <= 12
+        _fit_on_every_path(g, s.x, sigma, space)
+        if _native.kernel("tr_fit_swm") is not None:
+            assert _compiled_screen(g, s.x, sigma, space, len(full))[1] <= 12
+
+
+@example(seed=0, n=40, log_sigma=4, left=1.5, right=30.0)
+@example(seed=1, n=300, log_sigma=-5, left=30.0, right=1.5)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 5, 40, 300]),
+    log_sigma=st.integers(-5, 4),
+    left=st.sampled_from([None, 0.5, 1.5, 30.0]),
+    right=st.sampled_from([None, 0.5, 1.5, 30.0]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_compiled_screen_keeps_the_exact_grid_argmax(seed, n, log_sigma, left, right):
+    """Each binned value of ``tr_fit_swm``'s screen lies within err + slack / 2
+    of the exact sum at its grid point, so it keeps the exact grid argmax, at
+    sigma from 1e-5 to 1e4 (grids of 201 to _GRID_CAP points), with rows
+    ``left`` and ``right`` times _PAD_CAP sub-cells outside the space."""
+    _compiled_fit_kernel()
+    rng = np.random.default_rng(seed)
+    x, g = rng.normal(size=n), rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2, n)
+    space, sigma = ParamSpace(-2.0, 2.5), 1.7 * 10.0**log_sigma
+    n_pts = swm._grid_points(space, sigma)
+    reach = _PAD_CAP * space.width / (swm._SUBCELLS * (n_pts - 1))
+    if left is not None:
+        x[0] = space.lo - left * reach
+    if right is not None:
+        x[-1] = space.hi + right * reach
+    peak, kept, approx, err, slack = _compiled_screen(g, x, sigma, space, n_pts)
+    sums = KERNEL.bind(x, g)(sigma, np.linspace(space.lo, space.hi, n_pts))[0]
+    assert peak == np.max(sums / n)
+    if math.isfinite(err + slack):
+        assert np.all(np.abs(approx - sums) <= err + 0.5 * slack)
+        assert kept == np.count_nonzero(approx >= approx.max() - (2.0 * err + slack))
+    else:
+        assert kept == n_pts
 
 
 def test_each_screen_takes_k_in_one_call_of_the_kernel():
@@ -514,7 +581,7 @@ def _newton_and_golden(sample, rule, space=None):
 
     def both(slopes, lo, hi, t, tol):
         def objective(u):
-            return smoothed_objective(sample, _of_its_functions(KERNEL), rule.sigma, u)
+            return smoothed_objective(sample, KERNEL, rule.sigma, u)
 
         t_newton = newton_max(slopes, lo, hi, t, tol)
         t_golden = _golden_section_max(objective, lo, hi, tol)
@@ -639,15 +706,15 @@ def test_compiled_fit_gives_the_pipelines_estimate(seed, n, log_sigma, left, rig
     (grids of 201 to _GRID_CAP points), at 5e-324 and at 1.7e300 of it, with
     rows ``left`` and ``right`` times _PAD_CAP sub-cells outside the space,
     tied x, scores scaled from 1e-300 to 1e300, and scores of 1e307 whose
-    sums overflow.  Where the sums overflow, the numpy screen's FFT overflows
-    (scores of 1e300) or sigma is 5e-324 (two examples), the pipeline keeps
-    every grid point and sums every row at each, so at most 1e6 / n_pts rows
-    are fitted there."""
+    sums overflow.  Where the numpy screen's FFT overflows (scores of 1e300)
+    or sigma is 5e-324 (two examples), the pipeline keeps every grid point
+    and sums every row at each, so at most 1e6 / n_pts rows are fitted
+    there."""
     _compiled_fit_kernel()
     space = ParamSpace(-2.0, 2.5)
     sigma = max(1.7 * 10.0**log_sigma * space.width, 5e-324)
     n_pts = swm._grid_points(space, sigma)
-    if huge or scale > 1e200 or log_sigma < -290:
+    if scale > 1e200 or log_sigma < -290:
         n = min(n, 1_000_000 // n_pts)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n)
