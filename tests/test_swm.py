@@ -328,7 +328,7 @@ def _fit_on_every_path(g, x, sigma, space):
     return float.fromhex(outcomes.pop()[0])
 
 
-def _compiled_screen(g, x, sigma, space, n_pts):
+def _screen_of_compiled_fit(g, x, sigma, space, n_pts):
     """``tr_fit_swm``'s screen of a fit at sigma: the grid maximum of the points
     it kept, their number, its binned values, err and slack."""
     work = swm._compiled_fit(_compiled_fit_kernel(), g, x, np.argsort(x, kind="stable"), KERNEL, sigma, space, n_pts)
@@ -384,7 +384,7 @@ def test_screen_keeps_a_near_tie_that_binning_misorders():
     assert 50 in cand and best == 150
     assert abs(_fit_on_every_path(g, x, sigma, ParamSpace(0.0, 1.0)) - 0.75) < sigma
     if _native.kernel("tr_fit_swm") is not None:
-        _, kept, approx, _, _ = _compiled_screen(g, x, sigma, ParamSpace(0.0, 1.0), 201)
+        _, kept, approx, _, _ = _screen_of_compiled_fit(g, x, sigma, ParamSpace(0.0, 1.0), 201)
         assert int(np.argmax(approx)) == 50 and kept == 2
 
 
@@ -399,7 +399,7 @@ def test_screen_keeps_few_candidates_on_benchmark_samples():
         assert len(cand) <= 12
         _fit_on_every_path(g, s.x, sigma, space)
         if _native.kernel("tr_fit_swm") is not None:
-            assert _compiled_screen(g, s.x, sigma, space, len(full))[1] <= 12
+            assert _screen_of_compiled_fit(g, s.x, sigma, space, len(full))[1] <= 12
 
 
 @example(seed=0, n=40, log_sigma=4, left=1.5, right=30.0)
@@ -427,7 +427,7 @@ def test_compiled_screen_keeps_the_exact_grid_argmax(seed, n, log_sigma, left, r
         x[0] = space.lo - left * reach
     if right is not None:
         x[-1] = space.hi + right * reach
-    peak, kept, approx, err, slack = _compiled_screen(g, x, sigma, space, n_pts)
+    peak, kept, approx, err, slack = _screen_of_compiled_fit(g, x, sigma, space, n_pts)
     sums = KERNEL.bind(x, g)(sigma, np.linspace(space.lo, space.hi, n_pts))[0]
     assert peak == np.max(sums / n)
     if math.isfinite(err + slack):
