@@ -8,7 +8,9 @@
   scalar loop ``tr_chernoff_block_scalar`` and the numpy loop.  All three
   give the same bits; the script checks that they do.
 - ``layers_ms``: at each n of ``--n``, on a model-2 sample: the ``Sample``
-  built from its arrays (which sorts x), ``fit_ewm``, ``ewm_bootstrap`` of
+  built from its arrays (which sorts x), ``fit_ewm``, in one call of
+  ``tr_fit_ewm`` where that loads, with ``fit_ewm_pipeline`` beside it, its
+  numpy body (``tr_fit_ewm`` set aside), ``ewm_bootstrap`` of
   200 replicates on one worker at the true H, ``estimate_khA`` at the EWM
   threshold, in one call of ``tr_estimate_khA`` where that loads, with
   ``estimate_khA_pipeline`` beside it, the Python pipeline that the call
@@ -114,8 +116,9 @@ def pipeline():
     return mock.patch.object(swm, "_kernel", lambda name: None)
 
 
-def khA_pipeline():
-    """A context in which ``estimate_khA`` runs its Python pipeline rather than ``tr_estimate_khA``."""
+def loader_pipelines():
+    """A context in which the callers of ``_native.kernel`` run their Python pipelines: ``estimate_khA`` rather
+    than ``tr_estimate_khA`` and ``fit_ewm`` rather than ``tr_fit_ewm``."""
     return mock.patch.object(_native, "kernel", lambda name: None)
 
 
@@ -158,7 +161,8 @@ def layers_ms(n: int, repeats: int) -> dict:
     for run in (*runs.values(), *steps.values()):
         run()  # the kernels' load-time checks, outside the timings
     timings = {name: best_ms(run, repeats) for name, run in runs.items()}
-    with khA_pipeline():
+    with loader_pipelines():
+        timings["fit_ewm_pipeline"] = best_ms(runs["fit_ewm"], repeats)
         timings["estimate_khA_pipeline"] = best_ms(runs["estimate_khA"], repeats)
     with pipeline():
         return timings | {name: best_ms(run, repeats) for name, run in steps.items()}

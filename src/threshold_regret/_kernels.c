@@ -1,7 +1,8 @@
 /* Compiled inner loops of the reshaped bootstrap and the Chernoff simulator,
  * the parser of plain sample CSVs, the normal law, the SWM fit (its grid
  * screen and the normal law's sums behind the smoothed objective) in one
- * call, and the nuisance estimate's sums and local fits in one call.
+ * call, the nuisance estimate's sums and local fits in one call, and the EWM
+ * fit's maximum over its cuts in one call.
  *
  * The two loops repeat, operation for operation, the numpy code they replace
  * (Generator.integers followed by inference._replicate, and
@@ -62,6 +63,12 @@
  * its oracle.  So does the nuisance estimate (tr_estimate_khA) with
  * nuisance.py's pipeline of sums and local fits, from one phi per row and
  * bandwidth.
+ *
+ * The EWM fit (tr_fit_ewm) repeats ewm.py's numpy body, operation for
+ * operation: CPython 3.11's math.fsum of the untreated terms (Shewchuk's
+ * partials, Modules/mathmodule.c; CPython is Copyright (c) 2001 Python
+ * Software Foundation, under the PSF license), the scores' compensated
+ * suffix sums as np.cumsum adds them, and numpy's max and tie rules.
  */
 
 #include <float.h>
@@ -718,7 +725,10 @@ static inline uint32_t bounded_lemire32(pcg64_32 *s, uint32_t rng)
 }
 
 /* A row as the bootstrap reads it, its score beside its rank among the
- * distinct index values, so that a drawn row is one memory access. */
+ * distinct index values, so that a drawn row is one memory access.  The
+ * ranks come from the runs of equal x in Sample._x_order, x's stable sorting
+ * order taken once (a run of -0.0 and +0.0 breaks at the zero first in x),
+ * not from a search per row. */
 typedef struct {
     double g;
     int64_t rank;
@@ -1266,7 +1276,7 @@ static const char *parse_number(const char *p, const char *end, double *value)
  * as 0.0 or 1.0 when j is d_col, else a number as parse_number reads it.
  * Returns the number of rows, or -1 when the buffer holds anything else, a
  * field longer than field_limit bytes or more than cap rows, for the caller's
- * general reader to take over. */
+ * general reader to take over.  No locale-dependent function is called. */
 int64_t tr_parse_csv(const char *buf, int64_t len, int64_t n_cols, int64_t d_col, int64_t field_limit, double *out,
                      int64_t cap)
 {
@@ -1415,7 +1425,9 @@ static inline double poly1(double x, const double *c, int len)
  *   |x| < 8:         erfc(|x|) = exp(-x^2) P(|x|) / Q(|x|), else R / S
  * and Phi = erfc(|x|) / 2, or 1 less that for x > 0.  Every branch is
  * computed and one selected, so it takes no branch either; erf(|x|) is
- * |erf(x)| bit for bit, as the fit is odd. */
+ * |erf(x)| bit for bit, as the fit is odd.  It lies within 6 ulp of
+ * scipy.special.ndtr, which evaluates cephes's ndtr with libm's exp (4 seen
+ * from -39 to 9). */
 static inline double normal_cdf(double a)
 {
     const double x = a * SQRT1_2, z = fabs(x), w = x * x, zz = -z * z;
@@ -1920,4 +1932,112 @@ void tr_estimate_khA(const double *x, const double *prop, int64_t n, double t, d
         arm[ARM_NU1] = cubic[1];
         arm[ARM_NU2] = cubic[2];
     }
+}
+
+/* Non-overlapping partials hold disjoint bits of the 2098 from 2^-1074 to
+ * 2^1023, so no more than this many are ever live. */
+#define FSUM_PARTIALS (DBL_MAX_EXP - DBL_MIN_EXP + DBL_MANT_DIG)
+
+/* The sum of the untreated terms (1 - d[i]) y[i] / (1 - p[i]), fed in row
+ * order, as CPython 3.11's math.fsum makes it (Modules/mathmodule.c,
+ * math_fsum): each term is added into Shewchuk's non-overlapping partials,
+ * which are then summed from the top until a step is inexact, with the
+ * half-even fix-up across the next partial.  The terms are finite (Sample
+ * refuses the rest), so fsum's branch for inf and NaN terms never runs;
+ * where the partials of finite terms overflow, fsum raises OverflowError,
+ * and this returns +inf, as ewm.py then takes the base. */
+static double untreated_fsum(const double *y, const double *d, const double *p, int64_t n)
+{
+    double partials[FSUM_PARTIALS];
+    int64_t m = 0;
+    for (int64_t k = 0; k < n; k++) {
+        double x = (1.0 - d[k]) * y[k] / (1.0 - p[k]);
+        int64_t i = 0;
+        for (int64_t j = 0; j < m; j++) {
+            double v = partials[j];
+            if (fabs(x) < fabs(v)) {
+                const double t = x;
+                x = v;
+                v = t;
+            }
+            const double hi = x + v, lo = v - (hi - x);
+            if (lo != 0.0)
+                partials[i++] = lo;
+            x = hi;
+        }
+        m = i;
+        if (x != 0.0) {
+            if (!isfinite(x))
+                return INFINITY;
+            partials[m++] = x;
+        }
+    }
+    double hi = 0.0, lo = 0.0;
+    if (m > 0) {
+        hi = partials[--m];
+        while (m > 0) {
+            const double x = hi, v = partials[--m];
+            hi = x + v;
+            lo = v - (hi - x);
+            if (lo != 0.0)
+                break;
+        }
+        if (m > 0 && ((lo < 0.0 && partials[m - 1] < 0.0) || (lo > 0.0 && partials[m - 1] > 0.0))) {
+            const double v = lo * 2.0, x = hi + v;
+            if (v == x - hi)
+                hi = x;
+        }
+    }
+    return hi;
+}
+
+/* The EWM fit's maximum over the realizable cuts, as ewm.py's numpy body
+ * makes it, operation for operation, from a sample's rows y, d, p and x and
+ * order, the permutation sorting x (Sample._x_order).  Cut j, j = 0..n,
+ * treats the n - j rows of largest x; it is realizable where j is 0 or n or
+ * x[order[j]] > x[order[j - 1]].  Its value is base + S_j / n: base the
+ * untreated terms' fsum (untreated_fsum) / n, and S_j the suffix sum from j
+ * of the IPW scores d y / p - (1 - d) y / (1 - p) in x order, by
+ * _compensated_suffix_sums's Neumaier recurrence: a running total from 0.0
+ * over the scores from the last, each step's rounding error taken from the
+ * larger of the total before it and the score, and those errors summed from
+ * 0.0 beside it, S_j being the total plus the errors.  The maximum follows
+ * numpy's max: a NaN value is the maximum, and is returned at once.
+ * Otherwise cuts[0] and cuts[1] receive the first and last cut of the
+ * first run of maxima, realizable cuts counting as adjacent across the
+ * tied x between them; the scan runs from cut n down, so a tie at a cut not
+ * adjacent to the run held starts the run anew.  Returns the maximum. */
+double tr_fit_ewm(const double *y, const double *d, const double *p, const double *x, const int64_t *order,
+                  int64_t n, int64_t *cuts)
+{
+    const double nd = (double)n, base = untreated_fsum(y, d, p, n) / nd;
+    double total = 0.0, errors = 0.0, peak = base + (total + errors) / nd;
+    int64_t first = n, last = n;
+    int in_run = 1;
+    for (int64_t j = n - 1; j >= 0; j--) {
+        const int64_t r = order[j];
+        const double g = d[r] * y[r] / p[r] - (1.0 - d[r]) * y[r] / (1.0 - p[r]), next = total + g;
+        errors = errors + (fabs(total) >= fabs(g) ? (total - next) + g : (g - next) + total);
+        total = next;
+        if (j > 0 && !(x[r] > x[order[j - 1]]))
+            continue;
+        const double v = base + (total + errors) / nd;
+        if (v != v)
+            return v;
+        if (v > peak) {
+            peak = v;
+            first = last = j;
+            in_run = 1;
+        } else if (v == peak) {
+            if (!in_run)
+                last = j;
+            first = j;
+            in_run = 1;
+        } else {
+            in_run = 0;
+        }
+    }
+    cuts[0] = first;
+    cuts[1] = last;
+    return peak;
 }

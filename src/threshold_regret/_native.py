@@ -13,7 +13,7 @@ never sets another aside, and a process that wants one kernel never pays
 the others' checks.  If a step fails (no compiler, a read-only package
 directory, a failed build or load, a result that differs) ``kernel``
 returns None and the caller keeps its numpy code, whose results are the
-same bit for bit.  There are six kernels.  The bootstrap chunk and the
+same bit for bit.  There are seven kernels.  The bootstrap chunk and the
 Chernoff block repeat numpy's own PCG64, the bootstrap its seeding and
 bounded integers and the Chernoff block its normal sampler, so under a
 numpy whose stream differs from the one they copy (see ``_kernels.c``) the
@@ -38,9 +38,15 @@ bound of the exact sums, and its points kept, where the far rows' tails,
 the rounding slack and the binning error each decide.  ``tr_estimate_khA``
 makes every sum and local fit of a nuisance estimate in one call, from one
 phi per row and bandwidth; its check (``KHA_CHECK``) requires the bits of the Python
-pipeline, on fits of full rank, short of rank and not made.  The module is
-imported only when a kernel is first wanted, so ``import threshold_regret``
-loads none of ``sysconfig``, ``hashlib`` or ``subprocess``.
+pipeline, on fits of full rank, short of rank and not made.  ``tr_fit_ewm``
+is the EWM fit's maximum over its cuts and their first run of maxima, with
+``math.fsum``'s exact sum of the untreated terms; its check
+(``FIT_EWM_CHECK``) requires the bits of the numpy body on cases where
+fsum's half-even fix-up, the suffix sums' compensation, the first run of
+ties, a NaN cut, an overflowing base and a cut between tied x each decide.
+The module is imported only when a kernel is first wanted, so ``import
+threshold_regret`` loads none of ``sysconfig``, ``hashlib`` or
+``subprocess``.
 """
 
 import ctypes
@@ -107,6 +113,8 @@ def _typed(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.tr_normal.argtypes = [ptr, i64, i64, ptr]
     lib.tr_estimate_khA.restype = None
     lib.tr_estimate_khA.argtypes = [ptr, ptr, i64, f64, f64, f64, ptr, ptr, i64, ptr, ptr, i64, ptr, ptr, ptr]
+    lib.tr_fit_ewm.restype = f64
+    lib.tr_fit_ewm.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, ptr]
     lib.tr_fit_swm.restype = i64
     lib.tr_fit_swm.argtypes = [ptr, ptr, ptr, i64, f64, f64, f64, f64, i64, i64, i64, i64, i64, f64, f64, ptr, ptr]
     for block in (lib.tr_chernoff_block, lib.tr_chernoff_block_scalar):
@@ -316,6 +324,48 @@ def _fit_agrees(lib: ctypes.CDLL) -> bool:
     return True
 
 
+# the EWM fits checked at load time, (y, d, x, p) of each sample, against the
+# numpy body: untreated terms 1e-16, 1 and 1e16, whose sum needs fsum's
+# half-even fix-up; scores 1e16, 1, -1e16 and 1, whose suffix sums need the
+# compensation's other branch; scores whose maxima fall in three runs, the
+# first of two cuts; scores whose sums overflow to NaN at cut 0 alone;
+# untreated terms whose partial sums overflow, so that the base is inf; a cut
+# between tied x that would be the maximum; zero and -0 outcomes, where every
+# cut ties at 0; an untreated row whose score and term cancel only when the
+# score's division rounds as numpy's does; and 300 rows with propensities
+# that vary and tied x
+_EWM_RNG = np.random.default_rng(11)
+FIT_EWM_CHECK = (
+    ([0.5e-16, 0.5, 0.5e16], [0, 0, 0], [0.0, 1.0, 2.0], 0.5),
+    ([5e15, 0.5, -5e15, 0.5], [1, 1, 1, 1], [0.0, 1.0, 2.0, 3.0], 0.5),
+    ([-0.5, 0.0, 0.5, -0.5, 0.5], [1, 1, 1, 1, 1], [0.0, 1.0, 2.0, 3.0, 4.0], 0.5),
+    ([8e307, 8e307, -0.5], [1, 1, 1], [0.0, 1.0, 2.0], 0.5),
+    ([8e307, 8e307, -8e307], [0, 0, 0], [0.0, 1.0, 2.0], 0.5),
+    ([-0.5, -2.5, 5.0, -0.5], [1, 1, 1, 1], [0.0, 1.0, 1.0, 2.0], 0.5),
+    ([0.0, -0.0, 0.0, -0.0], [1, 0, 0, 1], [0.0, 1.0, 2.0, 3.0], 0.5),
+    ([-3.0, 0.0], [0, 1], [0.0, 1.0], [0.7, 0.5]),
+    (_EWM_RNG.standard_normal(300), _EWM_RNG.integers(0, 2, 300), np.round(_EWM_RNG.uniform(0.0, 1.0, 300), 2),
+     _EWM_RNG.uniform(0.2, 0.8, 300)),
+)
+
+
+def _fit_ewm_agrees(lib: ctypes.CDLL) -> bool:
+    import warnings
+
+    from .data import Sample
+    from .errors import DataWarning
+    from .ewm import _compiled_cuts, _numpy_cuts
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataWarning)  # the cases' tied x
+        samples = [Sample(y=y, d=d, x=x, propensity=p) for y, d, x, p in FIT_EWM_CHECK]
+    for sample in samples:
+        want, got = _numpy_cuts(sample), _compiled_cuts(lib.tr_fit_ewm, sample)
+        if not (_same(want[0], got[0]) and (not np.isfinite(want[0]) or want[1:] == got[1:])):
+            return False
+    return True
+
+
 @functools.cache
 def _library() -> ctypes.CDLL | None:
     """The built, loaded and typed library, or None when it cannot be built or loaded."""
@@ -332,7 +382,8 @@ def _library() -> ctypes.CDLL | None:
 
 
 CHECKS = {"tr_bootstrap_chunk": _bootstrap_agrees, "tr_chernoff_block": _block_agrees, "tr_parse_csv": _parse_agrees,
-          "tr_normal": _normal_agrees, "tr_fit_swm": _fit_agrees, "tr_estimate_khA": _khA_agrees}
+          "tr_normal": _normal_agrees, "tr_fit_swm": _fit_agrees, "tr_estimate_khA": _khA_agrees,
+          "tr_fit_ewm": _fit_ewm_agrees}
 
 
 @functools.cache

@@ -50,9 +50,23 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
+def _require_instance(name: str, value, kind: type) -> None:
+    """ValidationError unless ``value`` is a ``kind``: the callers read its fields, and the kernels its arrays."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
+def _as_floats(values, name: str) -> np.ndarray:
+    """A float copy of ``values``, or a ValidationError naming the field where they are not numbers."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must hold numbers: {exc}") from None
+
+
 def _as_float_vector(values, name: str) -> np.ndarray:
     """A float copy of ``values``, so the caller's array stays writable and the sample cannot change."""
-    arr = np.array(values, dtype=float)
+    arr = _as_floats(values, name)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be a one-dimensional vector, got shape {arr.shape}")
     return arr
@@ -92,11 +106,11 @@ class Sample:
             raise ValidationError(
                 f"length mismatch: y has {n}, d has {len(d_arr)}, x has {len(x)}"
             )
-        d = d_arr.astype(float)
+        d = _as_floats(d_arr, "d")
         if not np.all((d == 0.0) | (d == 1.0)):
             bad = int(np.flatnonzero((d != 0.0) & (d != 1.0))[0])
             raise ValidationError(f"d must be exactly 0 or 1; row {bad} has d={d_arr[bad]!r}")
-        p_in = np.asarray(self.propensity, dtype=float)
+        p_in = _as_floats(self.propensity, "propensity")
         if p_in.ndim == 0:
             p = np.full(n, float(p_in))
         elif p_in.ndim == 1 and len(p_in) == n:
@@ -105,7 +119,7 @@ class Sample:
             raise ValidationError(
                 f"propensity must be a scalar or a length-{n} vector, got shape {p_in.shape}"
             )
-        if not (0.0 < self.eta < 0.5):
+        if not (isinstance(self.eta, numbers.Real) and 0.0 < self.eta < 0.5):
             raise ValidationError(f"eta must lie in (0, 0.5), got {self.eta}")
         if not np.all(np.isfinite(y)):
             raise ValidationError("y contains NaN or infinite values")
@@ -156,6 +170,9 @@ class ParamSpace:
     hi: float
 
     def __post_init__(self):
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if not isinstance(bound, numbers.Real):
+                raise ValidationError(f"parameter space bound {name} must be a real number, got {bound!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValidationError(f"parameter space bounds must be finite, got ({self.lo}, {self.hi})")
         if not self.lo < self.hi:
@@ -178,6 +195,7 @@ def default_space(sample: Sample) -> ParamSpace:
     degenerate).  The bounds are configuration, not theory: they only
     matter for clamping and for the width of boundary argmax segments.
     """
+    _require_instance("sample", sample, Sample)
     lo = float(np.min(sample.x))
     hi = float(np.max(sample.x))
     eps = 0.05 * (hi - lo) if hi > lo else 0.5
@@ -218,6 +236,7 @@ def _ipw_g(sample: Sample) -> np.ndarray:
 
 def ipw_scores(sample: Sample) -> IpwScores:
     """Per-unit IPW scores plus the stable order of x, which the sample sorted once."""
+    _require_instance("sample", sample, Sample)
     return IpwScores._of_sample(sample)
 
 
@@ -243,6 +262,7 @@ def empirical_welfare(sample: Sample, t: float) -> float:
     (ValidationError); -inf treats everyone and +inf no one.  Finite terms
     whose sum overflows raise NumericError.
     """
+    _require_instance("sample", sample, Sample)
     if not isinstance(t, numbers.Real) or math.isnan(t):
         raise ValidationError(f"the threshold t must be a real number other than NaN, got {t!r}")
     y, d, p = sample.y, sample.d, sample.propensity

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._workers import parallel_map, require_int
 from .chernoff import ChernoffTable, _linear_quantile, chernoff_quantile
-from .data import Sample, _ipw_g, _read_only
+from .data import Sample, _ipw_g, _read_only, _require_instance
 from .errors import NumericError, ValidationError
 from .ewm import ThresholdEstimate
 from .kernels import Kernel, least_double, norm_cdf
@@ -112,6 +112,9 @@ def ewm_ci(
     level: float = 0.95,
 ) -> ConfidenceInterval:
     """Plug-in interval t_hat +- n^(-1/3) (2 sqrt(K_hat) / H_hat)^(2/3) c_{alpha/2}."""
+    _require_instance("estimate", estimate, ThresholdEstimate)
+    _require_instance("nuisance", nuisance, NuisanceEstimates)
+    _require_instance("chernoff", chernoff, ChernoffTable)
     if estimate.policy_kind != "ewm":
         raise ValidationError(f"ewm_ci needs an ewm estimate, got {estimate.policy_kind!r}")
     _check_level(level)
@@ -340,6 +343,8 @@ def ewm_bootstrap(
     Replicates are seeded independently from (seed, replicate index), so the
     draws do not depend on the worker count.
     """
+    _require_instance("sample", sample, Sample)
+    _require_instance("estimate", estimate, ThresholdEstimate)
     require_int("n_boot", n_boot, 200)
     if not math.isfinite(h_hat):
         raise ValidationError(f"h_hat must be finite, got {h_hat}")
@@ -383,6 +388,9 @@ def swm_ci(
     estimate to have been fitted with an undersmoothed bandwidth rule.
     lambda = n sigma^5 is recovered from the recorded bandwidth.
     """
+    _require_instance("estimate", estimate, ThresholdEstimate)
+    _require_instance("nuisance", nuisance, NuisanceEstimates)
+    _require_instance("kernel", kernel, Kernel)
     if estimate.policy_kind != "swm":
         raise ValidationError(f"swm_ci needs an swm estimate, got {estimate.policy_kind!r}")
     _check_level(level)

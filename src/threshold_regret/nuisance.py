@@ -34,11 +34,12 @@ are its sums and fits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample
+from .data import Sample, _require_instance
 from .errors import ArmDataError, NumericError, RankDeficiencyError, ValidationError
 from .kernels import PHI0, Kernel, _pdf_terms, gaussian_cdf_kernel, normal_rows
 from ._workers import require_int
@@ -307,8 +308,9 @@ def estimate_khA(sample: Sample, t_eval: float, kernel: Kernel | None = None) ->
     """
     from . import _native
 
-    if not math.isfinite(t_eval):
-        raise ValidationError(f"t_eval must be finite, got {t_eval}")
+    _require_instance("sample", sample, Sample)
+    if not (isinstance(t_eval, numbers.Real) and math.isfinite(t_eval)):
+        raise ValidationError(f"t_eval must be finite and a real number, got {t_eval!r}")
     if kernel is None:
         kernel = gaussian_cdf_kernel()
     elif not isinstance(kernel, Kernel):

@@ -75,13 +75,14 @@ load time and in the tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Union
 
 import numpy as np
 
-from .data import ParamSpace, Sample, _ipw_g, default_space
+from .data import ParamSpace, Sample, _ipw_g, _require_instance, default_space
 from .errors import NumericError, ValidationError
 from .ewm import ThresholdEstimate, fit_ewm
 from .kernels import Kernel, _kernel, _NormalCdfKernel
@@ -113,7 +114,7 @@ class FixedBandwidth:
     sigma: float
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
+        if not (isinstance(self.sigma, numbers.Real) and 0 < self.sigma < math.inf):
             raise ValidationError(f"fixed bandwidth must be finite and positive, got {self.sigma}")
 
 
@@ -124,7 +125,7 @@ class LambdaRate:
     lam: float
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
+        if not (isinstance(self.lam, numbers.Real) and 0 < self.lam < math.inf):
             raise ValidationError(f"lambda must be finite and positive, got {self.lam}")
 
 
@@ -147,7 +148,7 @@ class Undersmoothed:
     t_eval: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.exponent_shrink < math.inf:
+        if not (isinstance(self.exponent_shrink, numbers.Real) and 0 < self.exponent_shrink < math.inf):
             raise ValidationError(
                 f"exponent_shrink must be finite and positive so the total rate beats "
                 f"1/5, got {self.exponent_shrink}"
@@ -430,8 +431,11 @@ def fit_swm(
     sub-cells underflows to 0 raises ValidationError.  IPW score sums that
     overflow leave the objective not finite, which raises NumericError.
     """
+    _require_instance("sample", sample, Sample)
+    _require_instance("kernel", kernel, Kernel)
     if space is None:
         space = default_space(sample)
+    _require_instance("space", space, ParamSpace)
     sigma, flags = _resolve_sigma(sample, kernel, rule, space)
     if not 0.0 < sigma < math.inf:
         raise NumericError(f"bandwidth sigma = {sigma} is not finite and positive")

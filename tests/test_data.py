@@ -536,3 +536,24 @@ def test_fsum_rows_is_fsum_across_its_blocks():
     assert data._fsum_rows(np.empty(0)) == 0.0
     with pytest.raises(OverflowError):
         data._fsum_rows(np.full(2 * data._FSUM_BLOCK, 1.6e308))
+
+
+@pytest.mark.parametrize("field, value", [("y", ["a", "b"]), ("d", ["a", "b"]), ("x", [0, "b"]), ("propensity", "x"),
+                                          ("eta", "x")])
+def test_sample_refuses_what_is_not_a_number_naming_the_field(field, value):
+    rows = {"y": [1, 2], "d": [0, 1], "x": [0, 1], "propensity": 0.5} | {field: value}
+    with pytest.raises(ValidationError, match=f"^{field} must (hold numbers|lie in)"):
+        Sample(**rows)
+
+
+@pytest.mark.parametrize("lo, hi, name", [("a", 1.0, "lo"), (0.0, None, "hi")])
+def test_param_space_refuses_bounds_that_are_not_numbers(lo, hi, name):
+    with pytest.raises(ValidationError, match=f"^parameter space bound {name} must be a real number"):
+        ParamSpace(lo, hi)
+
+
+@pytest.mark.parametrize("call", [lambda: ipw_scores(None), lambda: empirical_welfare(None, 0.0),
+                                  lambda: default_space(None), lambda: default_space(np.zeros(3))])
+def test_sample_functions_refuse_what_is_not_a_sample(call):
+    with pytest.raises(ValidationError, match="^sample must be a Sample, got "):
+        call()

@@ -1,10 +1,13 @@
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from threshold_regret import _native
 from threshold_regret.data import ParamSpace, Sample, default_space, empirical_welfare
 from threshold_regret.errors import DataWarning, NumericError, ValidationError
 from threshold_regret.ewm import ThresholdEstimate, _compensated_suffix_sums, fit_ewm
@@ -212,3 +215,80 @@ def test_untreated_terms_whose_partial_sums_overflow_give_an_infinite_base():
     s = Sample(y=[0.0, 8e307, 0.0, 8e307], d=[1, 0, 1, 0], x=[0.0, 1.0, 2.0, 3.0], propensity=0.5)
     with pytest.raises(NumericError, match="overflow their sum"):
         fit_ewm(s)
+
+
+@pytest.fixture(scope="module")
+def compiled_fit():
+    """``tr_fit_ewm``, once it has passed its load-time check."""
+    fit = _native.kernel("tr_fit_ewm")
+    if fit is None:
+        pytest.skip("tr_fit_ewm did not build, load or pass its check here")
+    return fit
+
+
+def _outcome(sample, space):
+    """What ``fit_ewm`` gives, in bits (the sign of a zero included), or the error it raises."""
+    try:
+        est = fit_ewm(sample, space)
+    except (NumericError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return (est.t_hat.hex(), est.objective_value.hex(), tuple(v.hex() for v in est.maximizing_interval), est.flags,
+            est.n)
+
+
+# outcomes with cancellations (1e16 against 1), signed zeros and +-8e307, whose
+# scores at p = 0.5 are +-1.6e308 and whose partial sums overflow
+_OUTCOMES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 5e15, -5e15, 8e307, -8e307]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _samples(draw):
+    n = draw(st.integers(2, 12))
+    y = draw(st.lists(_OUTCOMES, min_size=n, max_size=n))
+    d = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    # tie-free, tied or all equal
+    x = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True)
+             | st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.5]), min_size=n, max_size=n)
+             | st.just([0.25] * n))
+    p = draw(st.just(0.5) | st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
+    return y, d, x, p
+
+
+@given(_samples())
+@example(([5e15, 0.5, -5e15, 0.5], [1, 1, 1, 1], [0.0, 1.0, 2.0, 3.0], 0.5))
+@example(([0.0, 8e307, 0.0, 8e307], [1, 0, 1, 0], [0.0, 1.0, 2.0, 3.0], 0.5))
+@example(([8e307, 8e307, 8e307, 8e307], [1, 0, 1, 0], [0.0, 1.0, 2.0, 3.0], 0.5))
+@example(([-0.0, 0.0, -0.0], [1, 0, 0], [1.0, 1.0, 1.0], 0.5))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_compiled_fit_gives_the_numpy_bodys_estimate(compiled_fit, rows):
+    """``tr_fit_ewm`` and the numpy body agree on t_hat, the objective with the
+    sign of its zero, the interval and the flags, or raise the same error."""
+    y, d, x, p = rows
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DataWarning)
+            sample = Sample(y=y, d=d, x=x, propensity=p)
+    except ValidationError:  # scores that overflow one by one
+        assume(False)
+    space = default_space(sample)
+    compiled = _outcome(sample, space)
+    with mock.patch.object(_native, "kernel", lambda name: None):
+        assert _outcome(sample, space) == compiled
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_compiled_fit_matches_brute_force(compiled_fit, seed, n):
+    r = np.random.default_rng(seed)
+    s = random_sample(r, n, constant_p=False)
+    space = default_space(s)
+    assert fit_ewm(s, space).objective_value == pytest.approx(brute_force_ewm_objective(s, space), rel=1e-12,
+                                                              abs=1e-12)
+
+
+@pytest.mark.parametrize("sample, space", [(None, None), ("sample", None), ("ok", (0.0, 1.0)), ("ok", "space")])
+def test_fit_refuses_what_is_not_a_sample_or_a_space(sample, space):
+    if sample == "ok":
+        sample = Sample(y=[1.0, -1.0], d=[1, 0], x=[0.0, 1.0], propensity=0.5)
+    with pytest.raises(ValidationError, match="^(sample must be a Sample|space must be a ParamSpace)"):
+        fit_ewm(sample, space)

@@ -365,3 +365,24 @@ def test_interval_widths_shrink_at_stated_rates(small_chernoff):
     slope_s = np.polyfit(lx, np.log(hw_s), 1)[0]
     assert slope_e == pytest.approx(-1.0 / 3.0, abs=0.05)
     assert slope_s == pytest.approx(-2.0 / 5.0, abs=0.05)
+
+
+def test_inference_refuses_what_is_not_an_estimate():
+    s = draw_sample(MODEL1, 300, 4)
+    with pytest.raises(ValidationError, match="^estimate must be a ThresholdEstimate, got NoneType"):
+        ewm_bootstrap(s, None, 0.3)
+    with pytest.raises(ValidationError, match="^estimate must be a ThresholdEstimate"):
+        ewm_ci(s, None, None, None)
+    with pytest.raises(ValidationError, match="^estimate must be a ThresholdEstimate"):
+        swm_ci(s, None, None, KERNEL)
+    est = fit_ewm(s)
+    with pytest.raises(ValidationError, match="^sample must be a Sample"):
+        ewm_bootstrap(None, est, 0.3)
+    with pytest.raises(ValidationError, match="^nuisance must be a NuisanceEstimates"):
+        ewm_ci(s, est, None, None)
+    nuis = _nuis(1.0, 0.4, 0.2)
+    with pytest.raises(ValidationError, match="^chernoff must be a ChernoffTable"):
+        ewm_ci(s, est, nuis, None)
+    swm_est = fit_swm(s, KERNEL, LambdaRate(1.0))
+    with pytest.raises(ValidationError, match="^kernel must be a Kernel"):
+        swm_ci(s, swm_est, nuis, None)

@@ -18,7 +18,7 @@ from helpers import fresh_python, load_script, pinned, require_compiler
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from threshold_regret import _native, chernoff, data, inference, kernels, nuisance, swm
+from threshold_regret import _native, chernoff, data, ewm, inference, kernels, nuisance, swm
 from threshold_regret.errors import NumericError, RankDeficiencyError, ValidationError
 from threshold_regret.montecarlo import MODEL1, draw_sample
 
@@ -80,11 +80,16 @@ def _callers(tmp_path):
                                                        swm.LambdaRate(2.0))), (swm, "_newton_max")),
         "tr_estimate_khA": (lambda: np.array(astuple(nuisance.estimate_khA(draw_sample(MODEL1, 300, 2), 0.1))),
                             (nuisance, "_record_pipeline")),
+        "tr_fit_ewm": (lambda: _ewm_values(ewm.fit_ewm(draw_sample(MODEL1, 300, 2))), (ewm, "_numpy_cuts")),
     }
 
 
 def _fit_values(est):
     return np.array([est.t_hat, est.objective_value, est.bandwidth])
+
+
+def _ewm_values(est):
+    return np.array([est.t_hat, est.objective_value, *est.maximizing_interval])
 
 
 def _columns(sample):
@@ -138,7 +143,7 @@ def test_an_estimate_checks_the_fused_kernel_alone(native):
     """A fresh process that estimates K, H and A checks ``tr_estimate_khA``,
     the one kernel it calls, and with it only the normal law (``tr_normal``),
     whose phi its check's Python oracle takes; ``infer --method plugin``
-    adds only the CSV parser and the Chernoff kernel."""
+    adds only the CSV parser, the EWM fit and the Chernoff kernel."""
     code = """
 import os, sys, tempfile
 import numpy as np
@@ -165,7 +170,28 @@ print("INFER", checked)
 """
     lines = fresh_python(code).splitlines()
     assert lines[0] == "ESTIMATE ['tr_estimate_khA', 'tr_normal']"
-    assert lines[-1] == "INFER ['tr_estimate_khA', 'tr_normal', 'tr_parse_csv', 'tr_chernoff_block']"
+    assert lines[-1] == "INFER ['tr_estimate_khA', 'tr_normal', 'tr_parse_csv', 'tr_fit_ewm', 'tr_chernoff_block']"
+
+
+def test_an_ewm_estimate_checks_the_parser_and_the_fit_alone(native):
+    """A fresh ``estimate --policy ewm`` process checks the CSV parser and
+    ``tr_fit_ewm``, the two kernels it calls, and no other: the fit's check
+    has a numpy oracle."""
+    code = """
+import os, tempfile
+from threshold_regret import _native
+from threshold_regret.cli import run_cli
+checked = []
+for name, check in list(_native.CHECKS.items()):
+    _native.CHECKS[name] = lambda lib, name=name, check=check: checked.append(name) or check(lib)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "sample.csv")
+    with open(path, "w") as fh:
+        fh.write("y,d,x\\n" + "".join(f"{(-1) ** i * 0.5},{i % 2},{i * 0.1!r}\\n" for i in range(40)))
+    assert run_cli(["estimate", "--policy", "ewm", "--data", path, "--propensity", "0.5"]) == 0
+print("CHECKED", checked)
+"""
+    assert fresh_python(code).splitlines()[-1] == "CHECKED ['tr_parse_csv', 'tr_fit_ewm']"
 
 
 def _chunk_args(seed, n, distinct, score_scale, reps):
@@ -757,7 +783,8 @@ def test_every_exported_kernel_is_typed_and_checked():
     bound = _Bindings()
     _native._typed(bound)
     assert exported == set(bound)
-    assert set(_native.CHECKS) <= exported
+    assert set(_native.CHECKS) == {"tr_bootstrap_chunk", "tr_chernoff_block", "tr_parse_csv", "tr_normal", "tr_fit_swm",
+                                   "tr_estimate_khA", "tr_fit_ewm"}
     assert exported - set(_native.CHECKS) == {"tr_chernoff_block_scalar", "tr_chernoff_lanes"}
 
 

@@ -446,3 +446,11 @@ def test_local_poly_above_cubic_fits_by_the_numpy_transcription():
     """The compiled fits hold at most cubics; the numpy fit of a quartic is still exact."""
     x = np.linspace(-1.0, 1.0, 50)
     assert local_poly(x, x**4, 0.0, 0.8, degree=4, derivative=4) == pytest.approx(24.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("sample, t_eval, message", [(None, 0.0, "^sample must be a Sample"),
+                                                     ("ok", "0", "^t_eval must be finite and a real number, got '0'")])
+def test_estimate_khA_refuses_what_is_not_a_sample_or_a_number(sample, t_eval, message):
+    sample = draw_sample(MODEL1, 300, 5) if sample == "ok" else sample
+    with pytest.raises(ValidationError, match=message):
+        estimate_khA(sample, t_eval)

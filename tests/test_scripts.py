@@ -65,8 +65,8 @@ def test_time_layers_prints_every_timing_as_json(capsys):
     assert record["env"]["chernoff_path"] in ("lanes", "scalar", "numpy")
     assert (block["lanes"] is not None) == (record["env"]["chernoff_path"] == "lanes")
     assert set(record["layers_ms"]["200"]) == {
-        "sample", "fit_ewm", "ewm_bootstrap", "estimate_khA", "estimate_khA_pipeline", "fit_swm_rate", "fit_swm_plugin",
-        "fit_swm_pipeline", "swm_screen", "swm_values", "swm_newton"}
+        "sample", "fit_ewm", "fit_ewm_pipeline", "ewm_bootstrap", "estimate_khA", "estimate_khA_pipeline",
+        "fit_swm_rate", "fit_swm_plugin", "fit_swm_pipeline", "swm_screen", "swm_values", "swm_newton"}
     assert all(t > 0 for t in record["layers_ms"]["200"].values())
     assert set(record["quantiles_ms"]) == {"z_quantile", "swm_median"}
     assert all(t > 0 for t in record["quantiles_ms"].values())

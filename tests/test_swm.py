@@ -769,3 +769,17 @@ def test_compiled_fit_refuses_an_order_that_does_not_sort_x():
     for order in ([0, 1, 2], [2, 0, 1], [1, 0, 3], [1, 0, -1], [1, 1, 2], [3, 0, 2], [1, 0, 0]):
         with pytest.raises(ValidationError, match="order must be a permutation that sorts x"):
             swm._compiled_fit(fit, g, x, np.array(order), KERNEL, 0.1, space, 201)
+
+
+@pytest.mark.parametrize("sample, kernel, space", [(None, KERNEL, None), ("ok", None, None), ("ok", KERNEL, (0.0, 1.0))])
+def test_fit_refuses_what_is_not_a_sample_a_kernel_or_a_space(sample, kernel, space):
+    if sample == "ok":
+        sample = draw_sample(MODEL1, 200, 1)
+    with pytest.raises(ValidationError, match="^(sample must be a Sample|kernel must be a Kernel|space must be a Param)"):
+        fit_swm(sample, kernel, FixedBandwidth(0.1), space)
+
+
+@pytest.mark.parametrize("rule", [FixedBandwidth, LambdaRate, Undersmoothed])
+def test_bandwidth_rules_refuse_what_is_not_a_number(rule):
+    with pytest.raises(ValidationError, match="must be finite and positive"):
+        rule("a")
